@@ -16,8 +16,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import oracle, signals, spectra, weights
 from .spectra import CurveFamily, EmbeddingMode, ReferenceCurve
 from .weights import StencilKind
@@ -253,20 +251,9 @@ def _cmd_diff(args) -> str:
             stencil = weights.stencil_from_dict(json.load(fh))
         result = signals.apply_stencil(signal, stencil)
     elif args.kind == StencilKind.HALF_POINT_FIRST.value:
-        n = args.n or 1
-        reach = 2 * n - 1
-        values = np.full(len(signal), math.nan)
-        policy = []
-        for i in range(len(signal)):
-            if reach <= i < len(signal) - reach:
-                values[i] = signals.differentiate_half_point(signal, n, i)
-                policy.append(f"half-point({n})")
-            else:
-                policy.append(signals.SKIPPED)
-        result = signals.DerivativeResult(values=values, policy=tuple(policy), order=1)
+        result = signals.differentiate_half_point_signal(signal, args.n or 1)
     else:
-        n = args.n or 1
-        result = signals.differentiate(signal, n, args.order)
+        result = signals.differentiate(signal, args.n or 1, args.order)
 
     columns = ["index", "x", "value", "policy"]
     rows = [
@@ -338,19 +325,15 @@ def _figure_envelope_demo(args) -> str:
         raise _Usage("figure 2b needs an altpoly: test function")
     n = (args.n or [2])[0]
     signal = signals.make_signal(fn, args.h, args.points)
-    reach = 2 * n - 1
+    result = signals.differentiate_half_point_signal(signal, n)
     columns = ["index", "x", "signal", "envelope_upper", "envelope_lower",
                "half_point_raw", "half_point_corrected"]
     rows = []
     for i in range(len(signal)):
         x = signal.x(i)
         envelope = fn.envelope(x)
-        if reach <= i < len(signal) - reach:
-            raw = signals.differentiate_half_point(signal, n, i)
-            m = i - signal.origin
-            corrected = -raw if m % 2 == 0 else raw
-        else:
-            raw = corrected = math.nan
+        raw = float(result.values[i])
+        corrected = -raw if (i - signal.origin) % 2 == 0 else raw
         rows.append([i, x, signal.samples[i], abs(envelope), -abs(envelope),
                      raw, corrected])
     return _render_table(columns, rows, args.format)

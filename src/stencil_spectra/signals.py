@@ -162,6 +162,15 @@ def differentiate(signal: SampledSignal, n: int, order: int) -> DerivativeResult
     return DerivativeResult(values=values, policy=tuple(policy), order=order)
 
 
+def _half_point_value(signal: SampledSignal, stencil: Stencil, index: int) -> float:
+    total = Fraction(0)
+    for k, w in stencil.nodes:
+        if k > 0:
+            diff = Fraction(signal.samples[index + k]) - Fraction(signal.samples[index - k])
+            total += w * diff
+    return float(total / (2 * Fraction(signal.h)))
+
+
 def differentiate_half_point(signal: SampledSignal, n: int, index: int) -> float:
     """First derivative from the odd offsets only:
     1/(2h) * sum_m w(2m+1) * (f[index+2m+1] - f[index-2m-1]).
@@ -170,8 +179,7 @@ def differentiate_half_point(signal: SampledSignal, n: int, index: int) -> float
     so the first-moment cancellation on linear alternating envelopes is
     bit-exact; rounding happens once on return.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    stencil = half_point(n)
     reach = 2 * n - 1
     length = len(signal)
     for j in (index - reach, index + reach):
@@ -179,13 +187,24 @@ def differentiate_half_point(signal: SampledSignal, n: int, index: int) -> float
             raise BoundaryError(
                 f"stencil needs sample index {j}, outside 0..{length - 1}"
             )
+    return _half_point_value(signal, stencil, index)
+
+
+def differentiate_half_point_signal(signal: SampledSignal, n: int) -> DerivativeResult:
+    """differentiate_half_point at every index where the odd-offset stencil
+    fits; the 2n-1 indices at each edge are skipped (NaN)."""
     stencil = half_point(n)
-    total = Fraction(0)
-    for m in range(n):
-        k = 2 * m + 1
-        diff = Fraction(signal.samples[index + k]) - Fraction(signal.samples[index - k])
-        total += stencil.weight_at(k) * diff
-    return float(total / (2 * Fraction(signal.h)))
+    reach = 2 * n - 1
+    length = len(signal)
+    values = np.full(length, math.nan)
+    policy = []
+    for i in range(length):
+        if reach <= i < length - reach:
+            values[i] = _half_point_value(signal, stencil, i)
+            policy.append(f"half-point({n})")
+        else:
+            policy.append(SKIPPED)
+    return DerivativeResult(values=values, policy=tuple(policy), order=1)
 
 
 def alternating_second_derivative_check(M: int, h: float) -> float:

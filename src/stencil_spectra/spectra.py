@@ -9,8 +9,6 @@ Im[b*(r)].
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -19,8 +17,6 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .weights import Stencil
-
-THREADS_ENV_VAR = "STENCIL_SPECTRA_THREADS"
 
 # Sign-block bounds fall back to coarse tail estimates past this length.
 _MAX_BLOCK = 4096
@@ -149,9 +145,9 @@ def _embed(entries, N: int, mode: EmbeddingMode):
     return out
 
 
-def _accumulate(embedded, N, start, stop):
-    k = np.arange(start, stop)
-    acc = np.zeros(stop - start, dtype=complex)
+def _accumulate(embedded, N):
+    k = np.arange(N)
+    acc = np.zeros(N, dtype=complex)
     for idx, w in embedded:
         # reduce idx*k mod N so the phase never leaves one turn
         phase = (idx * k) % N
@@ -173,20 +169,7 @@ def dft_spectrum(
     entries, label = _base_entries(source)
     embedded = _embed(entries, N, mode)
 
-    threads = int(os.environ.get(THREADS_ENV_VAR, "1") or "1")
-    if threads > 1 and N >= 4 * threads:
-        bounds = np.linspace(0, N, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: _accumulate(embedded, N, se[0], se[1]),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            )
-        values = np.concatenate(parts)
-    else:
-        values = _accumulate(embedded, N, 0, N)
-
+    values = _accumulate(embedded, N)
     if all(isinstance(w, (Fraction, int)) for _, w in embedded):
         dc = float(sum(Fraction(w) for _, w in embedded))
     else:

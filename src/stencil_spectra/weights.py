@@ -13,6 +13,10 @@ from enum import Enum
 from fractions import Fraction
 
 
+class StencilFormatError(ValueError):
+    """A stencil dict (e.g. a parsed JSON file) does not describe a stencil."""
+
+
 class StencilKind(Enum):
     CENTRAL_FIRST = "central-first"
     CENTRAL_SECOND = "central-second"
@@ -87,41 +91,28 @@ def harmonic_number(n: int) -> Fraction:
     return sum((Fraction(1, m) for m in range(1, n + 1)), Fraction(0))
 
 
-def _solve_rational_system(matrix, rhs):
-    """Gauss-Jordan over Fractions. Private to this module; the oracle has
-    its own independent fraction-free solver."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    b = [Fraction(x) for x in rhs]
-    size = len(a)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular moment system")
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        b[col] *= inv
-        for r in range(size):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] -= f * b[col]
-    return b
+def _central_alpha(n: int, k: int) -> list[Fraction]:
+    """Positive-side central weights (-1)**(m+1) * 2 (n!)**2 /
+    (m**k (n-m)! (n+m)!) for m = 1..n; k = 1 first, k = 2 second derivative."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    middle = math.comb(2 * n, n)
+    return [
+        Fraction((-1) ** (m + 1) * 2 * math.comb(2 * n, n + m), m ** k * middle)
+        for m in range(1, n + 1)
+    ]
 
 
 def central_first(n: int) -> Stencil:
     """Central first-derivative weights for offsets -n..-1, 1..n.
 
-    The positive-side coefficients solve the odd moment conditions
-    sum_m w_m * m**(2j+1) = delta(j, 0) for j = 0..n-1; the negative side is
-    the antisymmetric mirror.  Evaluation rule: 1/(2h) * sum w_m (f_m - f_-m).
+    The weight at offset m >= 1 is the closed form
+    (-1)**(m+1) * 2 (n!)**2 / (m (n-m)! (n+m)!), which satisfies the odd
+    moment conditions sum_m w_m * m**(2j+1) = delta(j, 0) for j = 0..n-1;
+    the negative side is the antisymmetric mirror.  Evaluation rule:
+    1/(2h) * sum w_m (f_m - f_-m).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    matrix = [[(i + 1) ** (2 * j + 1) for i in range(n)] for j in range(n)]
-    rhs = [1] + [0] * (n - 1)
-    alpha = _solve_rational_system(matrix, rhs)
+    alpha = _central_alpha(n, 1)
     offsets = tuple(range(-n, 0)) + tuple(range(1, n + 1))
     weights = tuple(-alpha[-m - 1] for m in range(-n, 0)) + tuple(alpha)
     return Stencil(
@@ -138,16 +129,14 @@ def central_first(n: int) -> Stencil:
 def central_second(n: int) -> Stencil:
     """Central second-derivative weights for offsets -n..n.
 
-    Positive-side coefficients solve the even moment conditions
-    sum_m w_m * m**(2j) = delta(j, 1) for j = 1..n; the center weight is
-    -2 * sum of the positive-side weights and the negative side mirrors
-    symmetrically.  Evaluation rule: 1/h**2 * sum over all offsets.
+    The weight at offset m >= 1 is the closed form
+    (-1)**(m+1) * 2 (n!)**2 / (m**2 (n-m)! (n+m)!), which satisfies the even
+    moment conditions sum_m w_m * m**(2j) = delta(j, 1) for j = 1..n; the
+    center weight is -2 * sum of the positive-side weights and the negative
+    side mirrors symmetrically.  Evaluation rule: 1/h**2 * sum over all
+    offsets.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    matrix = [[(i + 1) ** (2 * j) for i in range(n)] for j in range(1, n + 1)]
-    rhs = [1] + [0] * (n - 1)
-    alpha = _solve_rational_system(matrix, rhs)
+    alpha = _central_alpha(n, 2)
     center = -2 * sum(alpha)
     offsets = tuple(range(-n, n + 1))
     weights = (
@@ -311,14 +300,31 @@ def stencil_to_dict(stencil: Stencil) -> dict:
 
 
 def stencil_from_dict(data: dict) -> Stencil:
-    """Inverse of stencil_to_dict; reconstruction is bit-exact."""
-    nodes = sorted(data["nodes"], key=lambda d: d["offset"])
-    return Stencil(
-        kind=StencilKind(data["kind"]),
-        n=int(data["n"]),
-        derivative_order=int(data["derivative_order"]),
-        offsets=tuple(int(d["offset"]) for d in nodes),
-        weights=tuple(Fraction(d["weight"]) for d in nodes),
-        h_power=int(data["h_power"]),
-        prefactor=Fraction(data["prefactor"]),
-    )
+    """Inverse of stencil_to_dict; reconstruction is bit-exact.
+
+    Raises StencilFormatError when data is not an object, lacks a key, has
+    no nodes, or holds a field that does not parse (weights and prefactor
+    must be rationals with a nonzero denominator).
+    """
+    if not isinstance(data, dict):
+        raise StencilFormatError(f"stencil must be an object, not {type(data).__name__}")
+    try:
+        nodes = sorted((int(d["offset"]), Fraction(d["weight"])) for d in data["nodes"])
+        stencil = Stencil(
+            kind=StencilKind(data["kind"]),
+            n=int(data["n"]),
+            derivative_order=int(data["derivative_order"]),
+            offsets=tuple(o for o, _ in nodes),
+            weights=tuple(w for _, w in nodes),
+            h_power=int(data["h_power"]),
+            prefactor=Fraction(data["prefactor"]),
+        )
+    except KeyError as exc:
+        raise StencilFormatError(f"stencil is missing key {exc}") from None
+    except ZeroDivisionError:
+        raise StencilFormatError("stencil has a rational with denominator 0") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StencilFormatError(f"malformed stencil: {exc}") from None
+    if not stencil.offsets:
+        raise StencilFormatError("stencil has no nodes")
+    return stencil

@@ -172,6 +172,31 @@ def test_diff_stencil_file_conflicts(capsys, tmp_path):
     assert code == 2
 
 
+_GOOD_STENCIL = {"kind": "central-first", "n": 1, "derivative_order": 1,
+                 "h_power": 1, "prefactor": "1/2",
+                 "nodes": [{"offset": -1, "weight": "-1"}, {"offset": 1, "weight": "1"}]}
+
+
+@pytest.mark.parametrize("payload", [
+    [_GOOD_STENCIL],
+    {k: v for k, v in _GOOD_STENCIL.items() if k != "nodes"},
+    {**_GOOD_STENCIL, "nodes": []},
+    {**_GOOD_STENCIL, "nodes": [{"offset": 1, "weight": "1/0"}]},
+    {**_GOOD_STENCIL, "nodes": [{"offset": 1, "weight": None}]},
+    {**_GOOD_STENCIL, "prefactor": "half"},
+    {**_GOOD_STENCIL, "nodes": [{"offset": 1, "weight": "1"}, {"offset": 1, "weight": "2"}]},
+], ids=["not-object", "missing-key", "empty-nodes", "zero-denominator",
+        "null-weight", "bad-prefactor", "duplicate-offset"])
+def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_capture(
+        capsys, ["diff", "--fn", "sin:omega=1", "--stencil-file", str(path)]
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- figure -----------------------------------------------------------------------
 
 

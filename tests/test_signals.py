@@ -19,6 +19,7 @@ from stencil_spectra.signals import (
     convergence_study,
     differentiate,
     differentiate_half_point,
+    differentiate_half_point_signal,
     make_signal,
     parse_test_function,
 )
@@ -229,6 +230,21 @@ def test_half_point_margin_error():
     signal = linear_signal(points=9)
     with pytest.raises(BoundaryError, match=r"index"):
         differentiate_half_point(signal, 3, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_half_point_signal_matches_per_index(n):
+    signal = make_signal(ModulatedAlternating((1.0, 0.25, -0.125)), 0.5, 21)
+    result = differentiate_half_point_signal(signal, n)
+    reach = 2 * n - 1
+    assert result.order == 1
+    for i in range(len(signal)):
+        if reach <= i < len(signal) - reach:
+            assert result.policy[i] == f"half-point({n})"
+            assert result.values[i] == differentiate_half_point(signal, n, i)
+        else:
+            assert result.policy[i] == SKIPPED
+            assert math.isnan(result.values[i])
 
 
 # --- alternating second derivative ------------------------------------------------

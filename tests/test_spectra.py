@@ -86,14 +86,6 @@ def test_embedding_validation():
         dft_spectrum({-1: 1.0}, 16)  # negative index in a raw sequence
 
 
-def test_thread_env_var_does_not_change_results(monkeypatch):
-    stencil = weights.half_point(4)
-    base = dft_spectrum(stencil, N).values
-    monkeypatch.setenv("STENCIL_SPECTRA_THREADS", "3")
-    threaded = dft_spectrum(stencil, N).values
-    assert np.array_equal(base, threaded)
-
-
 # --- reference curves ------------------------------------------------------
 
 

@@ -4,8 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import finite_diff_weights
 
-from stencil_spectra import weights
+from stencil_spectra import oracle, weights
 from stencil_spectra.weights import (
     StencilKind,
     central_first,
@@ -73,6 +75,17 @@ def test_central_first_factorial_closed_form(n):
 
 
 @pytest.mark.parametrize("n", range(1, 13))
+def test_central_second_factorial_closed_form(n):
+    s = central_second(n)
+    for m in range(1, n + 1):
+        closed = F(
+            (-1) ** (m + 1) * 2 * math.factorial(n) ** 2,
+            m * m * math.factorial(n - m) * math.factorial(n + m),
+        )
+        assert s.weight_at(m) == closed
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_central_first_moment_conditions(n):
     s = central_first(n)
     # odd moments of the positive side: delta(j, 0)
@@ -124,6 +137,35 @@ def test_central_second_structure(n):
     for j in range(1, n + 1):
         total = sum(w * m ** (2 * j) for m, w in zip(range(1, n + 1), positive))
         assert total == (1 if j == 1 else 0)
+
+
+# --- independent routes to the central families ---------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_central_families_match_fornberg(n):
+    # Fornberg's recursion (sympy) on the grid -n..n, derivative orders 1, 2
+    grid = list(range(-n, n + 1))
+    table = finite_diff_weights(2, grid, 0)
+    for order, stencil in ((1, central_first(n)), (2, central_second(n))):
+        fornberg = [F(int(w.p), int(w.q)) for w in table[order][-1]]
+        assert fornberg == [stencil.prefactor * stencil.weight_at(o) for o in grid]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 24), kind=st.sampled_from(
+    [StencilKind.CENTRAL_FIRST, StencilKind.CENTRAL_SECOND]))
+def test_central_closed_forms_match_oracle(n, kind):
+    stencil = weights.build(kind, n)
+    system = oracle.MomentSystem(
+        offsets=stencil.offsets,
+        degree=len(stencil.offsets) - 1,
+        target_order=stencil.derivative_order,
+    )
+    scale = stencil.prefactor / math.factorial(stencil.derivative_order)
+    assert oracle.solve_moment_system(system) == [
+        stencil.weight_at(o) * scale for o in system.offsets
+    ]
 
 
 # --- limits ---------------------------------------------------------------
