@@ -28,6 +28,7 @@ _LIMIT_CHOICES = [
 ]
 _CURVE_CHOICES = [c.value for c in CurveFamily]
 _EMBED_CHOICES = [m.value for m in EmbeddingMode]
+_SPECTRUM_COLUMNS = ["r", "omega", "re_b_conj", "im_b_conj", "ref_value", "abs_dev"]
 
 
 def _fmt(x) -> str:
@@ -181,32 +182,38 @@ def _default_ref(kind_value: str, part: str) -> CurveFamily:
 
 
 def _limit_sequence(kind_value: str, N: int, M: int | None) -> dict[int, float]:
-    if kind_value == StencilKind.HALF_POINT_FIRST.value:
-        taps = M if M is not None else N // 4
-        return {
-            2 * m + 1: weights.half_point_limit(m).value() for m in range(taps)
-        }
-    taps = M if M is not None else N // 2 - 1
-    maker = (
-        weights.central_first_limit
-        if kind_value == StencilKind.CENTRAL_FIRST.value
-        else weights.central_second_limit
-    )
-    return {m: maker(m).value() for m in range(1, taps + 1)}
+    kind = StencilKind(kind_value)
+    half_point = kind is StencilKind.HALF_POINT_FIRST
+    taps = M if M is not None else (N // 4 if half_point else N // 2 - 1)
+    offsets, coefficients = weights.limit_coefficients(kind, taps)
+    if half_point:
+        coefficients = coefficients / math.pi
+    return dict(zip(offsets.tolist(), coefficients.tolist()))
 
 
-def _ref_scalar_dft_units(curve: ReferenceCurve, r: int, N: int, h: float, part: str):
-    """Reference value in the same units as the DFT part columns."""
-    if curve.family in (CurveFamily.HALF_POINT_FOLD, CurveFamily.LINEAR_RAMP,
-                        CurveFamily.ZERO):
-        return float(spectra.reference_value(curve, r))
-    omega = 2.0 * math.pi * r / (N * h)
-    try:
-        value = spectra.reference_value(curve, omega)
-    except spectra.CurveDomainError:
-        return math.nan
-    scalar = -complex(value).imag if part == "im" else complex(value).real
-    return scalar / h
+_INDEX_CURVES = (CurveFamily.HALF_POINT_FOLD, CurveFamily.LINEAR_RAMP, CurveFamily.ZERO)
+
+
+def _reference_column(curve: ReferenceCurve, part: str, N: int, measure: float = 1.0):
+    """The curve at r = 0..N/2, as the real column compared with `part`:
+    an index curve as it is, a frequency curve's conjugated part at omega_r
+    divided by measure (NaN where the curve excludes omega_r)."""
+    if curve.family in _INDEX_CURVES:
+        return spectra.reference_values(curve, range(N // 2 + 1))
+    values = spectra.reference_values(curve, spectra.omega_grid(N, curve.h))
+    return (-values.imag if part == "im" else values.real) / measure
+
+
+def _spectrum_rows(values, ref, part: str, N: int, h: float) -> list[list]:
+    """Rows r, omega, Re[b*(r)], Im[b*(r)], ref, |part - ref| for
+    r = 0..N/2, where values holds b(r) and ref the reference column in
+    the same units."""
+    half = N // 2 + 1
+    re_part = values[:half].real
+    im_part = -values[:half].imag
+    abs_dev = abs((im_part if part == "im" else re_part) - ref)
+    columns = (spectra.omega_grid(N, h), re_part, im_part, ref, abs_dev)
+    return [[r, *row] for r, row in enumerate(zip(*(c.tolist() for c in columns)))]
 
 
 def _cmd_spectrum(args) -> str:
@@ -225,17 +232,10 @@ def _cmd_spectrum(args) -> str:
     spectrum = spectra.dft_spectrum(source, args.N, EmbeddingMode(args.embedding))
     ref_family = CurveFamily(args.ref) if args.ref else _default_ref(kind_value, args.part)
     curve = ReferenceCurve(family=ref_family, h=args.h, N=args.N)
-
-    columns = ["r", "omega", "re_b_conj", "im_b_conj", "ref_value", "abs_dev"]
-    rows = []
-    for r in range(args.N // 2 + 1):
-        omega = 2.0 * math.pi * r / (args.N * args.h)
-        re_part = float(spectrum.re_conj[r])
-        im_part = float(spectrum.im_conj[r])
-        ref = _ref_scalar_dft_units(curve, r, args.N, args.h, args.part)
-        part_value = im_part if args.part == "im" else re_part
-        rows.append([r, omega, re_part, im_part, ref, abs(part_value - ref)])
-    return _render_table(columns, rows, args.format)
+    # frequency curves carry the transform's measure h
+    ref = _reference_column(curve, args.part, args.N, measure=args.h)
+    rows = _spectrum_rows(spectrum.values, ref, args.part, args.N, args.h)
+    return _render_table(_SPECTRUM_COLUMNS, rows, args.format)
 
 
 def _cmd_diff(args) -> str:
@@ -269,25 +269,15 @@ def _figure_limit_curve(args, figure_id: str) -> str:
         else CurveFamily.SECOND_DERIV_LIMIT
     )
     part = "im" if figure_id == "1a" else "re"
-    omegas = spectra.omega_grid(args.N, args.h)
+    curve = ReferenceCurve(family=family, h=args.h)
+    ref = _reference_column(curve, part, args.N)
+    if figure_id == "1a":
+        ref[-1] = math.nan  # the first-derivative limit excludes omega = pi/h
     values, _bounds = spectra.truncated_limit_spectrum_dft_grid(
         family, args.N, args.h, args.M
     )
-    curve = ReferenceCurve(family=family, h=args.h)
-    columns = ["r", "omega", "re_b_conj", "im_b_conj", "ref_value", "abs_dev"]
-    rows = []
-    for r, omega in enumerate(omegas):
-        v = values[r]
-        re_part, im_part = v.real, -v.imag
-        if figure_id == "1a" and r == args.N // 2:
-            ref = math.nan  # the first-derivative limit excludes omega = pi/h
-        else:
-            refc = complex(spectra.reference_value(curve, float(omega)))
-            ref = -refc.imag if part == "im" else refc.real
-        part_value = im_part if part == "im" else re_part
-        rows.append([r, float(omega), float(re_part), float(im_part), ref,
-                     abs(part_value - ref)])
-    return _render_table(columns, rows, args.format)
+    rows = _spectrum_rows(values, ref, part, args.N, args.h)
+    return _render_table(_SPECTRUM_COLUMNS, rows, args.format)
 
 
 def _figure_finite_spectra(args, figure_id: str) -> str:
@@ -305,18 +295,12 @@ def _figure_finite_spectra(args, figure_id: str) -> str:
         ns = args.n or [1, 3, 5]
         kind, family, part = (StencilKind.ONE_SIDED_FIRST, CurveFamily.ZERO, "re")
     curve = ReferenceCurve(family=family, h=args.h, N=args.N)
-    columns = ["n", "r", "omega", "re_b_conj", "im_b_conj", "ref_value", "abs_dev"]
+    ref = _reference_column(curve, part, args.N)
     rows = []
     for n in ns:
         spectrum = spectra.dft_spectrum(weights.build(kind, n), args.N)
-        for r in range(args.N // 2 + 1):
-            omega = 2.0 * math.pi * r / (args.N * args.h)
-            re_part = float(spectrum.re_conj[r])
-            im_part = float(spectrum.im_conj[r])
-            ref = float(spectra.reference_value(curve, r))
-            part_value = im_part if part == "im" else re_part
-            rows.append([n, r, omega, re_part, im_part, ref, abs(part_value - ref)])
-    return _render_table(columns, rows, args.format)
+        rows += [[n, *row] for row in _spectrum_rows(spectrum.values, ref, part, args.N, args.h)]
+    return _render_table(["n", *_SPECTRUM_COLUMNS], rows, args.format)
 
 
 def _figure_envelope_demo(args) -> str:

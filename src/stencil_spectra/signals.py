@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .weights import Stencil, central_first, central_second, half_point, one_sided_first
+from .weights import (Stencil, StencilKind, central_first, central_second, half_point,
+                      limit_coefficients, one_sided_first)
 
 SKIPPED = "skipped"
 
@@ -88,42 +89,45 @@ class _CompiledRule:
         rule.scale = self.scale
         return rule
 
-    def fits(self, index: int, length: int) -> bool:
-        return index + self.min_offset >= 0 and index + self.max_offset < length
-
-    def apply(self, signal: SampledSignal, index: int) -> float:
-        samples = signal.samples
-        length = len(samples)
-        total = 0.0
+    def apply_range(self, samples: np.ndarray, start: int, stop: int, h: float) -> np.ndarray:
+        """The rule at indices start..stop-1, all of whose sample indices
+        must lie in the array; each index accumulates its nodes in the
+        stored order, exactly as one scalar application would."""
+        total = np.zeros(stop - start)
         for o, w in zip(self.offsets, self.weights):
-            j = index + o
-            if not 0 <= j < length:
-                raise BoundaryError(
-                    f"stencil needs sample index {j}, outside 0..{length - 1}"
-                )
-            total += w * samples[j]
-        return (self.scale * total) / signal.h ** self.h_power
+            total += w * samples[start + o:stop + o]
+        return (self.scale * total) / h ** self.h_power
+
+
+def _apply_spans(signal: SampledSignal, order: int, spans) -> DerivativeResult:
+    """Each (rule, start, stop) span applied at indices start..stop-1; the
+    indices no span covers are skipped (NaN)."""
+    samples = np.asarray(signal.samples, dtype=float)
+    values = np.full(len(signal), math.nan)
+    policy = [SKIPPED] * len(signal)
+    for rule, start, stop in spans:
+        if start < stop:
+            values[start:stop] = rule.apply_range(samples, start, stop, signal.h)
+            policy[start:stop] = [rule.label] * (stop - start)
+    return DerivativeResult(values=values, policy=tuple(policy), order=order)
 
 
 def apply_stencil_at(signal: SampledSignal, stencil: Stencil, index: int) -> float:
     """Evaluate one stencil at one sample index."""
-    return _CompiledRule.from_stencil(stencil).apply(signal, index)
+    rule = _CompiledRule.from_stencil(stencil)
+    length = len(signal)
+    missing = [index + o for o in rule.offsets if not 0 <= index + o < length]
+    if missing:
+        raise BoundaryError(f"stencil needs sample index {missing[0]}, outside 0..{length - 1}")
+    samples = np.asarray(signal.samples, dtype=float)
+    return float(rule.apply_range(samples, index, index + 1, signal.h)[0])
 
 
 def apply_stencil(signal: SampledSignal, stencil: Stencil) -> DerivativeResult:
     """Apply a single stencil at every index where it fits."""
     rule = _CompiledRule.from_stencil(stencil)
-    values = np.full(len(signal), math.nan)
-    policy = []
-    for i in range(len(signal)):
-        if rule.fits(i, len(signal)):
-            values[i] = rule.apply(signal, i)
-            policy.append(rule.label)
-        else:
-            policy.append(SKIPPED)
-    return DerivativeResult(
-        values=values, policy=tuple(policy), order=stencil.derivative_order
-    )
+    span = (rule, max(0, -rule.min_offset), len(signal) - max(0, rule.max_offset))
+    return _apply_spans(signal, stencil.derivative_order, [span])
 
 
 def differentiate(signal: SampledSignal, n: int, order: int) -> DerivativeResult:
@@ -140,26 +144,14 @@ def differentiate(signal: SampledSignal, n: int, order: int) -> DerivativeResult
 
     central_stencil = central_first(n) if order == 1 else central_second(n)
     central = _CompiledRule.from_stencil(central_stencil, f"central({n})")
-    forward = backward = None
+    spans = [(central, n, length - n)]
     if order == 1:
+        # forward below the central span, backward above it, as far as each
+        # fits: a signal shorter than 2n+1 leaves a skipped middle
         forward = _CompiledRule.from_stencil(one_sided_first(n), f"forward({n})")
         backward = forward.mirrored(f"backward({n})")
-
-    values = np.full(length, math.nan)
-    policy = []
-    for i in range(length):
-        if n <= i <= length - 1 - n:
-            rule = central
-        elif order == 1 and i + n <= length - 1:
-            rule = forward
-        elif order == 1 and i - n >= 0:
-            rule = backward
-        else:
-            policy.append(SKIPPED)
-            continue
-        values[i] = rule.apply(signal, i)
-        policy.append(rule.label)
-    return DerivativeResult(values=values, policy=tuple(policy), order=order)
+        spans += [(forward, 0, min(n, length - n)), (backward, max(n, length - n), length)]
+    return _apply_spans(signal, order, spans)
 
 
 def _half_point_value(signal: SampledSignal, stencil: Stencil, index: int) -> float:
@@ -215,8 +207,7 @@ def alternating_second_derivative_check(M: int, h: float) -> float:
         raise ValueError("M must be >= 1")
     if h <= 0:
         raise ValueError("h must be positive")
-    m = np.arange(1, M + 1)
-    alpha = np.where(m % 2 == 1, 2.0, -2.0) / (m.astype(float) ** 2)
+    m, alpha = limit_coefficients(StencilKind.CENTRAL_SECOND, M)
     f_m = np.where(m % 2 == 1, -1.0, 1.0)
     deltas = 2.0 * f_m - 2.0
     return float(np.sum(alpha * deltas) / h ** 2)

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .weights import Stencil
+from .weights import Stencil, StencilKind, limit_coefficients
 
 # Sign-block bounds fall back to coarse tail estimates past this length.
 _MAX_BLOCK = 4096
@@ -60,13 +60,14 @@ class CurveFamily(Enum):
     ZERO = "zero"
 
 
-_OMEGA_FAMILIES = frozenset(
-    {
-        CurveFamily.FIRST_DERIV_LIMIT,
-        CurveFamily.SECOND_DERIV_LIMIT,
-        CurveFamily.HALF_POINT_LIMIT,
-    }
-)
+# The frequency curves are the limits of the infinite-family series; each
+# maps to its weight family, the trigonometric factor of its terms and the
+# phase that restores the series value from the term magnitudes.
+_OMEGA_FAMILIES = {
+    CurveFamily.FIRST_DERIV_LIMIT: (StencilKind.CENTRAL_FIRST, np.sin, -1j),
+    CurveFamily.SECOND_DERIV_LIMIT: (StencilKind.CENTRAL_SECOND, np.cos, 1.0 + 0j),
+    CurveFamily.HALF_POINT_LIMIT: (StencilKind.HALF_POINT_FIRST, np.sin, -1j),
+}
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,16 @@ class ReferenceCurve:
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("h must be positive")
+        # the largest magnitudes the curves and the omega grid form
+        try:
+            nyquist = math.pi / self.h
+            finite = all(map(math.isfinite, (nyquist, nyquist ** 2, self.h ** 3)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"h={self.h} overflows the curves: pi/h, (pi/h)**2 and h**3 must be finite"
+            )
         if self.family not in _OMEGA_FAMILIES and self.N is None:
             raise ValueError(f"{self.family.value} needs the DFT length N")
 
@@ -178,54 +189,63 @@ def dft_spectrum(
     return FilterSpectrum(N=N, mode=mode, values=values, source=label)
 
 
-def reference_value(curve: ReferenceCurve, at: float):
-    """Evaluate an analytic reference curve at omega (frequency families)
-    or at the DFT index r (index families). Raises CurveDomainError outside
-    the stated domain."""
+_EXCLUDES_NYQUIST = "first-derivative limit excludes omega = pi/h"
+
+
+def reference_values(curve: ReferenceCurve, at) -> np.ndarray:
+    """Evaluate an analytic reference curve at each omega (frequency
+    families, complex except the real second-derivative curve) or at each
+    DFT index r (index families, real). Raises CurveDomainError for a point
+    outside the stated domain; the first-derivative limit is complex(nan, nan)
+    at omega >= pi/h, which it excludes."""
+    at = np.asarray(at)
     fam = curve.family
     if fam in _OMEGA_FAMILIES:
         omega, h = at, curve.h
         nyquist = math.pi / h
         # the inclusive upper edge tolerates the rounding of 2*pi*r/(N*h)
-        if omega < 0 or omega > nyquist * (1 + 1e-12):
-            raise CurveDomainError(f"omega={omega} outside [0, {nyquist}]")
+        outside = (omega < 0) | (omega > nyquist * (1 + 1e-12))
+        if outside.any():
+            raise CurveDomainError(f"omega={omega[outside][0]} outside [0, {nyquist}]")
         if fam is CurveFamily.FIRST_DERIV_LIMIT:
-            if omega >= nyquist:
-                raise CurveDomainError("first-derivative limit excludes omega = pi/h")
-            return -2j * omega * h * h
+            values = -2j * omega * h * h
+            return np.where(omega >= nyquist, complex(math.nan, math.nan), values)
         if fam is CurveFamily.SECOND_DERIV_LIMIT:
-            return -(omega ** 2) * h ** 3 + (math.pi ** 2 / 3) * h
-        theta = min(omega * h, math.pi)
-        folded = theta if theta <= math.pi / 2 else math.pi - theta
+            # Python's float power, as the scalar curve always used: it may
+            # differ from omega*omega in the last bit
+            square = (omega.astype(object) ** 2).astype(float)
+            return -square * h ** 3 + (math.pi ** 2 / 3) * h
+        theta = np.minimum(omega * h, math.pi)
+        folded = np.where(theta <= math.pi / 2, theta, math.pi - theta)
         return -2j * h * folded
 
     r, N = at, curve.N
-    if r < 0 or r > N / 2:
-        raise CurveDomainError(f"r={r} outside [0, {N / 2}]")
+    outside = (r < 0) | (r > N / 2)
+    if outside.any():
+        raise CurveDomainError(f"r={r[outside][0]} outside [0, {N / 2}]")
+    ramp = 2 * math.pi * r / N
     if fam is CurveFamily.HALF_POINT_FOLD:
-        return 2 * math.pi * r / N if r <= N / 4 else math.pi - 2 * math.pi * r / N
+        return np.where(r <= N / 4, ramp, math.pi - ramp)
     if fam is CurveFamily.LINEAR_RAMP:
-        return 2 * math.pi * r / N
-    return 0.0
+        return ramp
+    return np.zeros(r.shape)
 
 
-def _series_chunk(family: CurveFamily, theta: float, h: float, mlo: int, mhi: int):
-    """Signed value-contributions of terms mlo..mhi-1 (1-based for the
-    central families, 0-based for the half-point family)."""
-    if family is CurveFamily.FIRST_DERIV_LIMIT:
-        m = np.arange(mlo, mhi, dtype=float)
-        signs = np.where(m % 2 == 1, 1.0, -1.0)
-        return 4.0 * h * signs * np.sin(m * theta) / m
-    if family is CurveFamily.SECOND_DERIV_LIMIT:
-        m = np.arange(mlo, mhi, dtype=float)
-        signs = np.where(m % 2 == 1, 1.0, -1.0)
-        return 4.0 * h * signs * np.cos(m * theta) / (m * m)
-    if family is CurveFamily.HALF_POINT_LIMIT:
-        j = np.arange(mlo, mhi, dtype=float)
-        signs = np.where(j % 2 == 0, 1.0, -1.0)
-        odd = 2.0 * j + 1.0
-        return (8.0 * h / math.pi) * signs * np.sin(odd * theta) / (odd * odd)
-    raise ValueError(f"{family.value} has no defining series")
+def reference_value(curve: ReferenceCurve, at: float):
+    """reference_values at one point. Raises CurveDomainError outside the
+    stated domain, including omega = pi/h for the first-derivative limit."""
+    value = reference_values(curve, [at])[0].item()
+    if curve.family is CurveFamily.FIRST_DERIV_LIMIT and math.isnan(value.real):
+        raise CurveDomainError(_EXCLUDES_NYQUIST)
+    return value
+
+
+def _series_terms(family: CurveFamily, h: float, stop: int, start: int = 0):
+    """Offsets and signed value-contributions of the defining-series terms
+    j = start..stop-1: the limit weight times 2h (the mirrored pair and the
+    transform's measure h), over pi for the half-point family."""
+    scale = 2.0 * h / math.pi if family is CurveFamily.HALF_POINT_LIMIT else 2.0 * h
+    return limit_coefficients(_OMEGA_FAMILIES[family][0], stop, start, scale)
 
 
 def _series_bound(family: CurveFamily, theta: float, h: float, M: int) -> float:
@@ -239,9 +259,9 @@ def _series_bound(family: CurveFamily, theta: float, h: float, M: int) -> float:
     if psi > 1e-9:
         block = math.ceil(math.pi / psi) + 1
         if block <= _MAX_BLOCK:
-            start = M + 1 if family is not CurveFamily.HALF_POINT_LIMIT else M
-            terms = _series_chunk(family, theta, h, start, start + block)
-            return float(np.sum(np.abs(terms)))
+            offsets, coef = _series_terms(family, h, M + block, M)
+            trig = _OMEGA_FAMILIES[family][1]
+            return float(np.sum(np.abs(coef * trig(offsets * theta))))
     if family is CurveFamily.FIRST_DERIV_LIMIT:
         return 4.0 * h / ((M + 1) * max(math.cos(theta / 2.0), 1e-12))
     if family is CurveFamily.SECOND_DERIV_LIMIT:
@@ -249,13 +269,6 @@ def _series_bound(family: CurveFamily, theta: float, h: float, M: int) -> float:
     # integral tail of 1/(2m+1)^2, slackened so the asymptotically tight
     # estimate also absorbs the partial sum's accumulation round-off
     return (8.0 * h / math.pi) / (4.0 * M - 2.0)
-
-
-def _series_prefactor(family: CurveFamily) -> complex:
-    # the chunks above carry the magnitudes; this restores the phase
-    if family is CurveFamily.SECOND_DERIV_LIMIT:
-        return 1.0 + 0j
-    return -1j
 
 
 def truncated_limit_spectrum(
@@ -286,27 +299,14 @@ def truncated_limit_spectrum_grid(
     if np.any(thetas < 0) or np.any(thetas > math.pi * (1 + 1e-12)):
         raise ValueError("omega must lie in [0, pi/h]")
 
-    first = 0 if family is CurveFamily.HALF_POINT_LIMIT else 1
+    _, trig, phase = _OMEGA_FAMILIES[family]
     sums = np.zeros(len(thetas))
     chunk = max(1, _CHUNK_ELEMS // max(1, len(thetas)))
-    for lo in range(first, first + M, chunk):
-        hi = min(lo + chunk, first + M)
-        m = np.arange(lo, hi, dtype=float)
-        if family is CurveFamily.HALF_POINT_LIMIT:
-            signs = np.where(m % 2 == 0, 1.0, -1.0)
-            odd = 2.0 * m + 1.0
-            coef = (8.0 * h / math.pi) * signs / (odd * odd)
-            sums += coef @ np.sin(np.outer(odd, thetas))
-        else:
-            signs = np.where(m % 2 == 1, 1.0, -1.0)
-            if family is CurveFamily.FIRST_DERIV_LIMIT:
-                coef = 4.0 * h * signs / m
-                sums += coef @ np.sin(np.outer(m, thetas))
-            else:
-                coef = 4.0 * h * signs / (m * m)
-                sums += coef @ np.cos(np.outer(m, thetas))
+    for lo in range(0, M, chunk):
+        offsets, coef = _series_terms(family, h, min(lo + chunk, M), lo)
+        sums += coef @ trig(np.outer(offsets, thetas))
 
-    values = _series_prefactor(family) * sums
+    values = phase * sums
     bounds = np.array([_series_bound(family, t, h, M) for t in thetas])
     return values, bounds
 
@@ -330,29 +330,11 @@ def truncated_limit_spectrum_dft_grid(
     if h <= 0:
         raise ValueError("h must be positive")
 
-    if family is CurveFamily.HALF_POINT_LIMIT:
-        j = np.arange(M, dtype=float)
-        odd = 2.0 * j + 1.0
-        coef = (8.0 * h / math.pi) * np.where(j % 2 == 0, 1.0, -1.0) / (odd * odd)
-        index = (2 * np.arange(M) + 1) % N
-        use_cos = False
-    else:
-        m = np.arange(1, M + 1, dtype=float)
-        signs = np.where(m % 2 == 1, 1.0, -1.0)
-        if family is CurveFamily.FIRST_DERIV_LIMIT:
-            coef = 4.0 * h * signs / m
-            use_cos = False
-        else:
-            coef = 4.0 * h * signs / (m * m)
-            use_cos = True
-        index = np.arange(1, M + 1) % N
-
-    buckets = np.bincount(index, weights=coef, minlength=N)
+    _, trig, phase = _OMEGA_FAMILIES[family]
+    offsets, coef = _series_terms(family, h, M)
+    buckets = np.bincount(offsets % N, weights=coef, minlength=N)
     thetas = 2.0 * math.pi * np.arange(N // 2 + 1) / N
-    angles = np.outer(np.arange(N), thetas)
-    table = np.cos(angles) if use_cos else np.sin(angles)
-    sums = buckets @ table
-    values = _series_prefactor(family) * sums
+    values = phase * (buckets @ trig(np.outer(np.arange(N), thetas)))
     bounds = np.array([_series_bound(family, t, h, M) for t in thetas])
     return values, bounds
 
@@ -362,10 +344,8 @@ def omega_grid(N: int, h: float) -> np.ndarray:
     return 2.0 * math.pi * np.arange(N // 2 + 1) / (N * h)
 
 
-def _conj_part(value, part: str) -> float:
-    if part == "im":
-        return -complex(value).imag
-    return complex(value).real
+def _conj_part(values: np.ndarray, part: str) -> np.ndarray:
+    return -np.imag(values) if part == "im" else np.real(values)
 
 
 def deviation(
@@ -395,20 +375,20 @@ def deviation(
     half = np.arange(N // 2 + 1)
 
     if curve.family in _OMEGA_FAMILIES:
-        omegas = omega_grid(N, curve.h)
         got = sides[rs] * curve.h
-        ref = np.array([_conj_part(reference_value(curve, omegas[r]), part) for r in rs])
-        valid = half[:-1] if curve.family is CurveFamily.FIRST_DERIV_LIMIT else half
-        norm = max(
-            abs(_conj_part(reference_value(curve, omegas[r]), part)) for r in valid
-        )
+        band = _conj_part(reference_values(curve, omega_grid(N, curve.h)), part)
+        ref = band[rs]
+        if np.isnan(ref).any():
+            raise CurveDomainError(_EXCLUDES_NYQUIST)
+        if curve.family is CurveFamily.FIRST_DERIV_LIMIT:
+            band = band[:-1]
     else:
         got = sides[rs]
-        ref = np.array([float(reference_value(curve, int(r))) for r in rs])
+        band = reference_values(curve, half)
+        ref = band[rs]
         if curve.family is CurveFamily.ZERO:
-            norm = float(np.max(np.abs(sides[half])))
-        else:
-            norm = max(abs(float(reference_value(curve, int(r)))) for r in half)
+            band = sides[half]
+    norm = float(np.max(np.abs(band)))
 
     diffs = np.abs(got - ref)
     imax = int(np.argmax(diffs))

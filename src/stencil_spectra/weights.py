@@ -2,7 +2,8 @@
 
 All generators return weights as `fractions.Fraction` (always reduced,
 positive denominator), so every stated identity can be checked bit-exactly.
-Floating point enters only when a consumer converts a weight for evaluation.
+Floating point enters only when a consumer converts a weight for evaluation
+(`limit_coefficients` is that conversion for the infinite-family limits).
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+import numpy as np
 
 
 class StencilFormatError(ValueError):
@@ -47,6 +50,8 @@ class Stencil:
             raise ValueError("offsets and weights must have equal length")
         if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
             raise ValueError("offsets must be strictly increasing")
+        if self.derivative_order < 0 or self.h_power < 0:
+            raise ValueError("derivative_order and h_power must be >= 0")
 
     @property
     def nodes(self) -> tuple[tuple[int, Fraction], ...]:
@@ -245,18 +250,58 @@ def product_form_one_sided(m: int, n: int) -> Fraction:
     return 1 / (Fraction(m) * prod)
 
 
+def _limit_term(kind: StencilKind, j):
+    """Term j >= 0 of an infinite-family weight sequence as (offset, signed
+    numerator, denominator); j may be an int or an array of whole numbers.
+
+    central-first: offset m = j+1, weight (-1)**(m+1) * 2 / m
+    central-second: offset m = j+1, weight (-1)**(m+1) * 2 / m**2
+    half-point-first: offset 2j+1, weight (-1)**j * 4 / ((2j+1)**2 * pi),
+    whose 1/pi is left to the caller.
+    """
+    sign = 1 - 2 * (j % 2)  # (-1)**j without a power per term
+    if kind is StencilKind.HALF_POINT_FIRST:
+        odd = 2 * j + 1
+        return odd, 4 * sign, odd * odd
+    m = j + 1
+    if kind is StencilKind.CENTRAL_FIRST:
+        return m, 2 * sign, m
+    if kind is StencilKind.CENTRAL_SECOND:
+        return m, 2 * sign, m * m
+    raise ValueError(f"{kind.value} has no infinite-family limit")
+
+
+def limit_coefficients(kind: StencilKind, stop: int, start: int = 0, scale: float = 1.0):
+    """Offsets and float coefficients scale * numerator / denominator of the
+    infinite-family terms j = start..stop-1 (see _limit_term), as arrays.
+
+    With scale = 1 each coefficient is the correctly rounded weight; the
+    half-point family still lacks its factor 1/pi.
+    """
+    # float terms are exact below 2**53, where int64 squares would wrap
+    offsets, numerators, denominators = _limit_term(kind, np.arange(start, stop, dtype=float))
+    return offsets.astype(np.int64), (scale * numerators) / denominators
+
+
+def _limit_weight(kind: StencilKind, j: int, pi_power: int = 0) -> LimitWeight:
+    offset, numerator, denominator = _limit_term(kind, j)
+    return LimitWeight(
+        index=offset, rational_part=Fraction(numerator, denominator), pi_power=pi_power
+    )
+
+
 def central_first_limit(m: int) -> LimitWeight:
     """Infinite-family central first-derivative coefficient (-1)**(m+1)*2/m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return LimitWeight(index=m, rational_part=Fraction((-1) ** (m + 1) * 2, m))
+    return _limit_weight(StencilKind.CENTRAL_FIRST, m - 1)
 
 
 def central_second_limit(m: int) -> LimitWeight:
     """Infinite-family central second-derivative coefficient (-1)**(m+1)*2/m**2."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return LimitWeight(index=m, rational_part=Fraction((-1) ** (m + 1) * 2, m * m))
+    return _limit_weight(StencilKind.CENTRAL_SECOND, m - 1)
 
 
 def half_point_limit(m: int) -> LimitWeight:
@@ -264,11 +309,7 @@ def half_point_limit(m: int) -> LimitWeight:
     (-1)**m * 4 / ((2m+1)**2 * pi), kept exact as rational_part / pi."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return LimitWeight(
-        index=2 * m + 1,
-        rational_part=Fraction((-1) ** m * 4, (2 * m + 1) ** 2),
-        pi_power=-1,
-    )
+    return _limit_weight(StencilKind.HALF_POINT_FIRST, m, pi_power=-1)
 
 
 _KIND_BUILDERS = {

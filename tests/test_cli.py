@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,8 +186,11 @@ _GOOD_STENCIL = {"kind": "central-first", "n": 1, "derivative_order": 1,
     {**_GOOD_STENCIL, "nodes": [{"offset": 1, "weight": None}]},
     {**_GOOD_STENCIL, "prefactor": "half"},
     {**_GOOD_STENCIL, "nodes": [{"offset": 1, "weight": "1"}, {"offset": 1, "weight": "2"}]},
+    {**_GOOD_STENCIL, "derivative_order": -1},
+    {**_GOOD_STENCIL, "h_power": -3},
 ], ids=["not-object", "missing-key", "empty-nodes", "zero-denominator",
-        "null-weight", "bad-prefactor", "duplicate-offset"])
+        "null-weight", "bad-prefactor", "duplicate-offset", "negative-order",
+        "negative-h-power"])
 def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -195,6 +199,33 @@ def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload
     )
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "1a", "--h", "1e-320", "--N", "16", "--M", "100"],
+    ["spectrum", "--kind", "central-first", "--n", "2", "--N", "16", "--h", "1e308",
+     "--ref", "second-deriv-limit", "--part", "re"],
+    ["spectrum", "--limit", "central-first", "--N", "16", "--h", "1e-320"],
+    ["spectrum", "--kind", "central-second", "--n", "1", "--N", "16", "--h", "1e-160",
+     "--ref", "second-deriv-limit", "--part", "re"],
+], ids=["figure-tiny-h", "spectrum-huge-h", "limit-tiny-h", "second-deriv-tiny-h"])
+def test_overflowing_h_is_one_line_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: h=") and err.count("\n") == 1
+
+
+def test_spectrum_first_deriv_reference_is_nan_at_nyquist(capsys):
+    code, out, _ = run_capture(
+        capsys, ["spectrum", "--kind", "central-first", "--n", "3", "--N", "64",
+                 "--h", "0.7", "--ref", "first-deriv-limit"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[-1][0] == "32"
+    assert rows[-1][4:] == ["nan", "nan"]
+    assert float(rows[10][4]) == pytest.approx(2 * (2 * math.pi * 10 / 64), rel=1e-12)
 
 
 # --- figure -----------------------------------------------------------------------

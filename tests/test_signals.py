@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stencil_spectra import weights
 from stencil_spectra.signals import (
@@ -194,6 +195,96 @@ def test_h_scaling_is_exact():
     s_fine = differentiate(SampledSignal(h=0.2, samples=base, origin=0), 2, 2)
     defined = [i for i in range(20) if s_fine.policy[i] != SKIPPED]
     assert all(s_fine.values[i] == 4.0 * s_coarse.values[i] for i in defined)
+
+
+def _loop_value(signal, nodes, prefactor, h_power, index):
+    """One rule at one index in Python floats, smallest |offset| first."""
+    total = 0.0
+    for o, w in sorted(nodes, key=lambda ow: (abs(ow[0]), ow[0])):
+        total += float(w) * signal.samples[index + o]
+    return (float(prefactor) * total) / signal.h ** h_power
+
+
+def _loop_differentiate(signal, n, order):
+    """differentiate written as the plain per-index loop."""
+    length = len(signal)
+    central = weights.central_first(n) if order == 1 else weights.central_second(n)
+    forward = weights.one_sided_first(n)
+    rules = {
+        "central": (central.nodes, central.prefactor, central.h_power),
+        "forward": (forward.nodes, forward.prefactor, 1),
+        "backward": ([(-o, -w) for o, w in forward.nodes], forward.prefactor, 1),
+    }
+    values, policy = [], []
+    for i in range(length):
+        if n <= i <= length - 1 - n:
+            name = "central"
+        elif order == 1 and i + n <= length - 1:
+            name = "forward"
+        elif order == 1 and i - n >= 0:
+            name = "backward"
+        else:
+            values.append(math.nan)
+            policy.append(SKIPPED)
+            continue
+        values.append(_loop_value(signal, *rules[name], i))
+        policy.append(f"{name}({n})")
+    return values, tuple(policy)
+
+
+def _loop_apply_stencil(signal, stencil):
+    """apply_stencil written as the plain per-index loop."""
+    length = len(signal)
+    values, policy = [], []
+    for i in range(length):
+        if all(0 <= i + o < length for o in stencil.offsets):
+            values.append(_loop_value(
+                signal, stencil.nodes, stencil.prefactor, stencil.h_power, i))
+            policy.append(stencil.label())
+        else:
+            values.append(math.nan)
+            policy.append(SKIPPED)
+    return values, tuple(policy)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+_SAMPLES = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30)
+_SPACING = st.one_of(st.sampled_from([1.0, 0.5, 0.1, 0.3]), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=_SAMPLES, h=_SPACING, n=st.integers(1, 8), order=st.sampled_from([1, 2]))
+def test_differentiate_matches_per_index_loop(samples, h, n, order):
+    signal = SampledSignal(h=h, samples=tuple(samples), origin=0)
+    if len(samples) < n + 1:
+        with pytest.raises(ValueError):
+            differentiate(signal, n, order)
+        return
+    result = differentiate(signal, n, order)
+    values, policy = _loop_differentiate(signal, n, order)
+    assert result.policy == policy
+    assert _hex(result.values) == _hex(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=_SAMPLES, h=_SPACING, n=st.integers(1, 6),
+       kind=st.sampled_from(list(weights.StencilKind)), index=st.integers(-2, 32))
+def test_apply_stencil_matches_per_index_loop(samples, h, n, kind, index):
+    signal = SampledSignal(h=h, samples=tuple(samples), origin=0)
+    stencil = weights.build(kind, n)
+    result = apply_stencil(signal, stencil)
+    values, policy = _loop_apply_stencil(signal, stencil)
+    assert result.policy == policy
+    assert _hex(result.values) == _hex(values)
+    if all(0 <= index + o < len(signal) for o in stencil.offsets):
+        assert _hex([apply_stencil_at(signal, stencil, index)]) == _hex(
+            [_loop_value(signal, stencil.nodes, stencil.prefactor, stencil.h_power, index)])
+    else:
+        with pytest.raises(BoundaryError, match=r"outside 0\.\."):
+            apply_stencil_at(signal, stencil, index)
 
 
 # --- half-point differentiation ------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stencil_spectra import weights
 from stencil_spectra.spectra import (
@@ -17,6 +18,7 @@ from stencil_spectra.spectra import (
     freq_differentiate,
     omega_grid,
     reference_value,
+    reference_values,
     truncated_limit_spectrum,
     truncated_limit_spectrum_dft_grid,
     truncated_limit_spectrum_grid,
@@ -133,6 +135,74 @@ def test_index_curve_domain():
 def test_index_curves_require_N():
     with pytest.raises(ValueError):
         ReferenceCurve(CurveFamily.LINEAR_RAMP)
+
+
+def _pointwise_curve(curve, at):
+    """One curve value in plain Python floats and complexes; None where the
+    first-derivative limit excludes omega = pi/h."""
+    fam, h, n = curve.family, curve.h, curve.N
+    if fam is CurveFamily.FIRST_DERIV_LIMIT:
+        return None if at >= math.pi / h else -2j * at * h * h
+    if fam is CurveFamily.SECOND_DERIV_LIMIT:
+        return -(at ** 2) * h ** 3 + (math.pi ** 2 / 3) * h
+    if fam is CurveFamily.HALF_POINT_LIMIT:
+        theta = min(at * h, math.pi)
+        return -2j * h * (theta if theta <= math.pi / 2 else math.pi - theta)
+    if fam is CurveFamily.HALF_POINT_FOLD:
+        return 2 * math.pi * at / n if at <= n / 4 else math.pi - 2 * math.pi * at / n
+    if fam is CurveFamily.LINEAR_RAMP:
+        return 2 * math.pi * at / n
+    return 0.0
+
+
+def _bits(value):
+    z = complex(value)
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(list(CurveFamily)),
+    h=st.one_of(st.sampled_from([1.0, 0.5, 0.7, 0.3, 2.0]), st.floats(1e-3, 1e3)),
+    half_n=st.integers(1, 3000),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=20),
+)
+def test_reference_values_match_pointwise_evaluation(family, h, half_n, fractions):
+    curve = ReferenceCurve(family, h=h, N=2 * half_n)
+    if family in (CurveFamily.FIRST_DERIV_LIMIT, CurveFamily.SECOND_DERIV_LIMIT,
+                  CurveFamily.HALF_POINT_LIMIT):
+        nyquist = math.pi / h
+        extra = [nyquist] + [f * nyquist for f in fractions]
+        xs = omega_grid(2 * half_n, h).tolist() + extra
+    else:
+        extra = [f * half_n for f in fractions]
+        xs = list(range(half_n + 1)) + extra
+    expected = [_pointwise_curve(curve, x) for x in xs]
+    assert [_bits(v) for v in reference_values(curve, xs)] == [
+        _bits(complex(math.nan, math.nan) if e is None else e) for e in expected
+    ]
+    for x in [xs[0], xs[half_n // 2], *extra]:
+        if _pointwise_curve(curve, x) is None:
+            with pytest.raises(CurveDomainError, match="excludes omega = pi/h"):
+                reference_value(curve, x)
+        else:
+            assert _bits(reference_value(curve, x)) == _bits(_pointwise_curve(curve, x))
+
+
+def test_reference_values_domain_error_names_the_point():
+    curve = ReferenceCurve(CurveFamily.HALF_POINT_LIMIT, h=1.0)
+    with pytest.raises(CurveDomainError, match=r"omega=-0.5 outside"):
+        reference_values(curve, [0.0, -0.5, 1.0])
+    ramp = ReferenceCurve(CurveFamily.LINEAR_RAMP, N=8)
+    with pytest.raises(CurveDomainError, match=r"r=5 outside \[0, 4.0\]"):
+        reference_values(ramp, [0, 5])
+
+
+@pytest.mark.parametrize("h", [1e-320, 1e-160, 1e308, 1e103])
+def test_reference_curve_rejects_overflowing_h(h):
+    for family in CurveFamily:
+        with pytest.raises(ValueError, match="overflows"):
+            ReferenceCurve(family, h=h, N=16)
 
 
 # --- truncated limit series --------------------------------------------------

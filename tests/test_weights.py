@@ -17,6 +17,7 @@ from stencil_spectra.weights import (
     half_point,
     half_point_limit,
     harmonic_number,
+    limit_coefficients,
     one_sided_first,
     one_sided_nth,
     product_form_one_sided,
@@ -201,6 +202,32 @@ def test_limit_invalid_arguments():
         half_point_limit(-1)
     # m = 0 is valid for the half-point family (offset 1)
     assert half_point_limit(0).index == 1
+    with pytest.raises(ValueError):
+        limit_coefficients(StencilKind.ONE_SIDED_FIRST, 3)
+
+
+_LIMIT_FAMILIES = {
+    StencilKind.CENTRAL_FIRST: lambda j: central_first_limit(j + 1),
+    StencilKind.CENTRAL_SECOND: lambda j: central_second_limit(j + 1),
+    StencilKind.HALF_POINT_FIRST: half_point_limit,
+}
+
+
+@settings(max_examples=200)
+@given(kind=st.sampled_from(sorted(_LIMIT_FAMILIES, key=lambda k: k.value)),
+       start=st.integers(0, 10 ** 6), count=st.integers(0, 300),
+       scale=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+def test_limit_coefficients_match_exact_limits(kind, start, count, scale):
+    offsets, values = limit_coefficients(kind, start + count, start, scale)
+    exact = [_LIMIT_FAMILIES[kind](j) for j in range(start, start + count)]
+    assert offsets.tolist() == [lw.index for lw in exact]
+    # bit for bit: one rounding of scale * rational (2 or 4 times scale is exact)
+    rationals = [lw.rational_part for lw in exact]
+    assert values.tolist() == [(scale * q.numerator) / q.denominator for q in rationals]
+    if scale == 1.0:
+        if kind is StencilKind.HALF_POINT_FIRST:
+            values = values / math.pi
+        assert values.tolist() == [lw.value() for lw in exact]
 
 
 # --- half point -----------------------------------------------------------
