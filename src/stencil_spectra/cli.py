@@ -460,6 +460,7 @@ def run(argv: list[str]) -> int:
         spectra.CurveDomainError,
         signals.BoundaryError,
         ValueError,
+        OverflowError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -92,11 +92,21 @@ class _CompiledRule:
     def apply_range(self, samples: np.ndarray, start: int, stop: int, h: float) -> np.ndarray:
         """The rule at indices start..stop-1, all of whose sample indices
         must lie in the array; each index accumulates its nodes in the
-        stored order, exactly as one scalar application would."""
+        stored order, exactly as one scalar application would. Raises
+        ValueError when h**h_power overflows or underflows to zero."""
+        try:
+            divisor = h ** self.h_power
+        except OverflowError:
+            divisor = math.inf
+        if not 0 < divisor < math.inf:
+            raise ValueError(
+                f"h={h} is out of range for {self.label}: "
+                f"h**{self.h_power} must be a finite nonzero float"
+            )
         total = np.zeros(stop - start)
         for o, w in zip(self.offsets, self.weights):
             total += w * samples[start + o:stop + o]
-        return (self.scale * total) / h ** self.h_power
+        return (self.scale * total) / divisor
 
 
 def _apply_spans(signal: SampledSignal, order: int, spans) -> DerivativeResult:

@@ -1,9 +1,10 @@
 """Discrete Fourier spectra of weight sequences and their limit curves.
 
-The DFT is evaluated by direct sparse summation (weight sequences have few
-nonzeros and N is small), never by an FFT library. The module follows the
-plotting convention of conjugated spectra: accessors expose Re[b*(r)] and
-Im[b*(r)].
+The DFT is evaluated by direct sparse summation, never by an FFT library:
+one length-N table of exp(-2i pi p/N) is built per call, and each tap then
+costs one gather from it and one multiply-add over the N bins. The module
+follows the plotting convention of conjugated spectra: accessors expose
+Re[b*(r)] and Im[b*(r)].
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ from .weights import Stencil, StencilKind, limit_coefficients
 # Sign-block bounds fall back to coarse tail estimates past this length.
 _MAX_BLOCK = 4096
 _CHUNK_ELEMS = 8_000_000
+# Bins per block of the residue-bucket fold. gemv rounds the rows of one
+# product in groups of its row unroll and the leftover last rows on another
+# path; a product shorter than one unroll takes a third path (numpy computes
+# a one-row product as a dot). So blocks start at multiples of _FOLD_BLOCK,
+# which every unroll must divide (4 rows in the OpenBLAS SkylakeX kernel; 64
+# leaves room for wider ones), and the last block takes the remainder whole:
+# each bin is then rounded as in one full-table product. Blocks of 500 bins,
+# or a last block of 1 to 3 bins, changed some bins.
+_FOLD_BLOCK = 64
 
 
 class EmbeddingOverflowError(ValueError):
@@ -158,11 +168,11 @@ def _embed(entries, N: int, mode: EmbeddingMode):
 
 def _accumulate(embedded, N):
     k = np.arange(N)
+    # twiddle[p] = exp(-2i pi p/N); reducing idx*k mod N indexes it exactly
+    twiddle = np.exp((-2j * np.pi / N) * k)
     acc = np.zeros(N, dtype=complex)
     for idx, w in embedded:
-        # reduce idx*k mod N so the phase never leaves one turn
-        phase = (idx * k) % N
-        acc += float(w) * np.exp((-2j * np.pi / N) * phase)
+        acc += float(w) * twiddle[(idx * k) % N]
     return acc
 
 
@@ -248,20 +258,9 @@ def _series_terms(family: CurveFamily, h: float, stop: int, start: int = 0):
     return limit_coefficients(_OMEGA_FAMILIES[family][0], stop, start, scale)
 
 
-def _series_bound(family: CurveFamily, theta: float, h: float, M: int) -> float:
-    """Remainder bound: the truncated series alternates in blocks of equal
-    sign; one full omitted block bounds the tail. Falls back to an absolute
-    or Abel-type tail estimate when the blocks grow too long."""
-    if family is CurveFamily.HALF_POINT_LIMIT:
-        psi = abs(math.pi - 2.0 * theta)
-    else:
-        psi = math.pi - theta
-    if psi > 1e-9:
-        block = math.ceil(math.pi / psi) + 1
-        if block <= _MAX_BLOCK:
-            offsets, coef = _series_terms(family, h, M + block, M)
-            trig = _OMEGA_FAMILIES[family][1]
-            return float(np.sum(np.abs(coef * trig(offsets * theta))))
+def _tail_estimate(family: CurveFamily, theta: float, h: float, M: int) -> float:
+    """Absolute or Abel-type remainder bound, for theta whose sign blocks are
+    too long to sum."""
     if family is CurveFamily.FIRST_DERIV_LIMIT:
         return 4.0 * h / ((M + 1) * max(math.cos(theta / 2.0), 1e-12))
     if family is CurveFamily.SECOND_DERIV_LIMIT:
@@ -269,6 +268,37 @@ def _series_bound(family: CurveFamily, theta: float, h: float, M: int) -> float:
     # integral tail of 1/(2m+1)^2, slackened so the asymptotically tight
     # estimate also absorbs the partial sum's accumulation round-off
     return (8.0 * h / math.pi) / (4.0 * M - 2.0)
+
+
+def _series_bounds(family: CurveFamily, thetas: np.ndarray, h: float, M: int) -> np.ndarray:
+    """Remainder bound at each theta = omega h: the truncated series
+    alternates in blocks of equal sign, and one full omitted block bounds
+    the tail. The terms are computed once, for the longest block; the thetas
+    are summed in groups of equal block length. Falls back to _tail_estimate
+    where a block would be longer than _MAX_BLOCK."""
+    if family is CurveFamily.HALF_POINT_LIMIT:
+        psi = np.abs(math.pi - 2.0 * thetas)
+    else:
+        psi = math.pi - thetas
+    near = psi > 1e-9
+    blocks = np.zeros(len(thetas), dtype=np.int64)
+    blocks[near] = np.ceil(math.pi / psi[near]) + 1
+    summed = (blocks > 0) & (blocks <= _MAX_BLOCK)
+
+    bounds = np.empty(len(thetas))
+    if summed.any():
+        offsets, coef = _series_terms(family, h, M + blocks[summed].max(), M)
+        trig = _OMEGA_FAMILIES[family][1]
+        for b in np.unique(blocks[summed]):
+            group = np.flatnonzero(blocks == b)
+            rows = max(1, _CHUNK_ELEMS // b)
+            for lo in range(0, len(group), rows):
+                at = group[lo:lo + rows]
+                terms = coef[:b] * trig(np.outer(thetas[at], offsets[:b]))
+                bounds[at] = np.sum(np.abs(terms), axis=1)
+    for i in np.flatnonzero(~summed):
+        bounds[i] = _tail_estimate(family, float(thetas[i]), h, M)
+    return bounds
 
 
 def truncated_limit_spectrum(
@@ -307,8 +337,7 @@ def truncated_limit_spectrum_grid(
         sums += coef @ trig(np.outer(offsets, thetas))
 
     values = phase * sums
-    bounds = np.array([_series_bound(family, t, h, M) for t in thetas])
-    return values, bounds
+    return values, _series_bounds(family, thetas, h, M)
 
 
 def truncated_limit_spectrum_dft_grid(
@@ -319,7 +348,10 @@ def truncated_limit_spectrum_dft_grid(
 
     On this grid the trigonometric factors are N-periodic in the summation
     index, so the M terms fold into N residue buckets: cost O(M + N^2)
-    instead of O(M N), and no large sine arguments are ever formed.
+    instead of O(M N), and no large sine arguments are ever formed. The
+    buckets meet the trigonometric table one block of _FOLD_BLOCK bins at a
+    time (the last block up to twice that), so memory is O(M + _FOLD_BLOCK N)
+    and not O(N^2).
     """
     if family not in _OMEGA_FAMILIES:
         raise ValueError(f"{family.value} has no defining series")
@@ -333,10 +365,13 @@ def truncated_limit_spectrum_dft_grid(
     _, trig, phase = _OMEGA_FAMILIES[family]
     offsets, coef = _series_terms(family, h, M)
     buckets = np.bincount(offsets % N, weights=coef, minlength=N)
+    k = np.arange(N)
     thetas = 2.0 * math.pi * np.arange(N // 2 + 1) / N
-    values = phase * (buckets @ trig(np.outer(np.arange(N), thetas)))
-    bounds = np.array([_series_bound(family, t, h, M) for t in thetas])
-    return values, bounds
+    edges = [*range(0, max(len(thetas) - _FOLD_BLOCK, 1), _FOLD_BLOCK), len(thetas)]
+    sums = np.concatenate(
+        [buckets @ trig(np.outer(k, thetas[lo:hi])) for lo, hi in zip(edges, edges[1:])]
+    )
+    return phase * sums, _series_bounds(family, thetas, h, M)
 
 
 def omega_grid(N: int, h: float) -> np.ndarray:

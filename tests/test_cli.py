@@ -208,7 +208,10 @@ def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload
     ["spectrum", "--limit", "central-first", "--N", "16", "--h", "1e-320"],
     ["spectrum", "--kind", "central-second", "--n", "1", "--N", "16", "--h", "1e-160",
      "--ref", "second-deriv-limit", "--part", "re"],
-], ids=["figure-tiny-h", "spectrum-huge-h", "limit-tiny-h", "second-deriv-tiny-h"])
+    ["diff", "--fn", "sin:omega=1", "--h", "1e200", "--order", "2", "--points", "5"],
+    ["diff", "--fn", "sin:omega=1", "--h", "1e-200", "--order", "2", "--points", "5"],
+], ids=["figure-tiny-h", "spectrum-huge-h", "limit-tiny-h", "second-deriv-tiny-h",
+        "diff-huge-h", "diff-tiny-h"])
 def test_overflowing_h_is_one_line_error(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

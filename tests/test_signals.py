@@ -287,6 +287,19 @@ def test_apply_stencil_matches_per_index_loop(samples, h, n, kind, index):
             apply_stencil_at(signal, stencil, index)
 
 
+@pytest.mark.parametrize("h", [1e200, 1e-200])
+def test_rules_reject_h_whose_power_leaves_the_floats(h):
+    signal = SampledSignal(h=h, samples=(0.0, 1.0, 4.0, 9.0, 16.0), origin=0)
+    second = weights.central_second(1)
+    calls = [lambda: differentiate(signal, 1, 2), lambda: apply_stencil(signal, second),
+             lambda: apply_stencil_at(signal, second, 2)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^h=.*h\*\*2 must be a finite nonzero float"):
+            call()
+    # the first power of the same h is still a float
+    assert differentiate(signal, 1, 1).values[2] == 4.0 / h
+
+
 # --- half-point differentiation ------------------------------------------------
 
 

@@ -1,11 +1,17 @@
 """Spectrum evaluation, reference curves, deviations, band differentiation."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stencil_spectra
 from stencil_spectra import weights
 from stencil_spectra.spectra import (
     CurveDomainError,
@@ -86,6 +92,40 @@ def test_embedding_validation():
         dft_spectrum(weights.one_sided_first(2), 15)  # odd N
     with pytest.raises(ValueError):
         dft_spectrum({-1: 1.0}, 16)  # negative index in a raw sequence
+
+
+def _per_tap_dft(taps, N, mode):
+    """The sparse DFT with one complex exp over all N bins per embedded tap,
+    taps in ascending offset order, each followed by its mirror."""
+    k = np.arange(N)
+    acc = np.zeros(N, dtype=complex)
+    for m, w in sorted(taps.items()):
+        embedded = [(m, w)]
+        if mode is not EmbeddingMode.HALF_SEQUENCE and m >= 1:
+            embedded.append((N - m, -w if mode is EmbeddingMode.FULL_ANTISYMMETRIC else w))
+        for idx, v in embedded:
+            acc += float(v) * np.exp((-2j * np.pi / N) * ((idx * k) % N))
+    return acc
+
+
+@st.composite
+def _weight_sequences(draw):
+    N = 2 * draw(st.integers(1, 300))
+    weight = draw(st.sampled_from([
+        st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    ]))
+    offsets = st.integers(0, max(0, N // 2 - 1))
+    return N, draw(st.dictionaries(offsets, weight, min_size=1, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequence=_weight_sequences(), mode=st.sampled_from(list(EmbeddingMode)))
+def test_dft_spectrum_matches_per_tap_exp_loop(sequence, mode):
+    N, taps = sequence
+    values = dft_spectrum(taps, N, mode).values
+    # bin 0 is the exact weight sum, checked by the DC tests
+    assert values[1:].tobytes() == _per_tap_dft(taps, N, mode)[1:].tobytes()
 
 
 # --- reference curves ------------------------------------------------------
@@ -269,6 +309,142 @@ def test_dft_grid_series_matches_scalar():
             v, b = truncated_limit_spectrum(family, omega, h, M)
             assert complex(values[r]) == pytest.approx(v, abs=1e-9)
             assert float(bounds[r]) == pytest.approx(b, rel=1e-6)
+
+
+_SERIES_FAMILIES = (
+    CurveFamily.FIRST_DERIV_LIMIT,
+    CurveFamily.SECOND_DERIV_LIMIT,
+    CurveFamily.HALF_POINT_LIMIT,
+)
+# weight family, trigonometric factor and phase of each defining series
+_SERIES = {
+    CurveFamily.FIRST_DERIV_LIMIT: (weights.StencilKind.CENTRAL_FIRST, np.sin, -1j),
+    CurveFamily.SECOND_DERIV_LIMIT: (weights.StencilKind.CENTRAL_SECOND, np.cos, 1.0 + 0j),
+    CurveFamily.HALF_POINT_LIMIT: (weights.StencilKind.HALF_POINT_FIRST, np.sin, -1j),
+}
+
+
+def _series_coefficients(family, h, stop, start=0):
+    """Offsets and terms j = start..stop-1 of a defining series: the limit
+    weights times 2h, over pi for the half-point family."""
+    scale = 2.0 * h / math.pi if family is CurveFamily.HALF_POINT_LIMIT else 2.0 * h
+    return weights.limit_coefficients(_SERIES[family][0], stop, start, scale)
+
+
+def _full_table_fold(family, N, h, M):
+    """The residue-bucket fold on the DFT grid as one product with the whole
+    N x (N/2+1) trigonometric table."""
+    _, trig, phase = _SERIES[family]
+    offsets, coef = _series_coefficients(family, h, M)
+    buckets = np.bincount(offsets % N, weights=coef, minlength=N)
+    thetas = 2.0 * math.pi * np.arange(N // 2 + 1) / N
+    table = np.outer(np.arange(N), thetas)
+    return phase * (buckets @ trig(table, out=table))
+
+
+def _fold_mismatches():
+    """(family, N, M) cases where truncated_limit_spectrum_dft_grid differs
+    from the full-table fold in any bit. N/2+1 runs below, at and past the
+    edges of the fold's first and second blocks."""
+    bad = []
+    for family in _SERIES_FAMILIES:
+        for N in (2, 4, 6, 126, 128, 130, 132, 254, 256, 258, 4732, 8000):
+            for M in ((7, 3 * N + 5) if N < 1000 else (3 * N + 5,)):
+                values, _ = truncated_limit_spectrum_dft_grid(family, N, 0.7, M)
+                if values.tobytes() != _full_table_fold(family, N, 0.7, M).tobytes():
+                    bad.append([family.value, N, M])
+    return bad
+
+
+_FOLD_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("spectra_tests", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+print(json.dumps(module._fold_mismatches()))
+"""
+
+
+def test_blocked_fold_matches_full_table_fold():
+    # gemv rounds a bin by how its threads split the rows: one thread each
+    src = os.path.dirname(os.path.dirname(stencil_spectra.__file__))
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", _FOLD_CHILD, __file__],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == []
+
+
+def test_dft_grid_fold_memory_is_bounded():
+    # one N x (N/2+1) float table alone is 256 MB at N = 8000
+    tracemalloc.start()
+    try:
+        truncated_limit_spectrum_dft_grid(CurveFamily.FIRST_DERIV_LIMIT, 8000, 1.0, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 10 ** 6
+
+
+def _scalar_bound(family, theta, h, M):
+    """The remainder bound at one theta = omega h: one omitted block of
+    equal-sign terms, or a tail estimate where that block is too long."""
+    if family is CurveFamily.HALF_POINT_LIMIT:
+        psi = abs(math.pi - 2.0 * theta)
+    else:
+        psi = math.pi - theta
+    if psi > 1e-9:
+        block = math.ceil(math.pi / psi) + 1
+        if block <= 4096:
+            offsets, coef = _series_coefficients(family, h, M + block, M)
+            return float(np.sum(np.abs(coef * _SERIES[family][1](offsets * theta))))
+    if family is CurveFamily.FIRST_DERIV_LIMIT:
+        return 4.0 * h / ((M + 1) * max(math.cos(theta / 2.0), 1e-12))
+    if family is CurveFamily.SECOND_DERIV_LIMIT:
+        return 4.0 * h / M
+    return (8.0 * h / math.pi) / (4.0 * M - 2.0)
+
+
+# thetas on the tail-estimate branches: the singular point of each family,
+# within 1e-9 of it, and blocks longer than 4096 terms
+_FALLBACK_THETAS = [
+    math.pi, math.pi * (1 - 1e-10), math.pi - 1e-6,
+    math.pi / 2, math.pi / 2 * (1 + 1e-11), math.pi / 2 + 1e-6,
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(_SERIES_FAMILIES),
+    h=st.one_of(st.sampled_from([0.5, 0.7, 1.0, 2.0]), st.floats(1e-3, 1e3)),
+    M=st.one_of(st.sampled_from([1, 7, 1000]), st.integers(1, 3000)),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=20),
+)
+def test_grid_bounds_match_per_theta_bounds(family, h, M, fractions):
+    omegas = np.array([f * math.pi for f in fractions] + _FALLBACK_THETAS + [0.0]) / h
+    _, bounds = truncated_limit_spectrum_grid(family, omegas, h, M)
+    expected = [_scalar_bound(family, theta, h, M) for theta in omegas * h]
+    assert [b.hex() for b in bounds.tolist()] == [b.hex() for b in expected]
+    _, bound = truncated_limit_spectrum(family, omegas[0], h, M)
+    assert bound.hex() == expected[0].hex()
+
+
+@pytest.mark.parametrize("N", [64, 2000, 4732])
+@pytest.mark.parametrize("M", [1, 10 ** 6])
+def test_dft_grid_bounds_match_per_theta_bounds(N, M):
+    thetas = 2.0 * math.pi * np.arange(N // 2 + 1) / N
+    for family in _SERIES_FAMILIES:
+        _, bounds = truncated_limit_spectrum_dft_grid(family, N, 0.7, M)
+        expected = [_scalar_bound(family, theta, 0.7, M) for theta in thetas]
+        assert [b.hex() for b in bounds.tolist()] == [b.hex() for b in expected]
 
 
 def test_series_validation():
