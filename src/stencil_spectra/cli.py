@@ -15,6 +15,9 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
+
+import numpy as np
 
 from . import oracle, signals, spectra, weights
 from .spectra import CurveFamily, EmbeddingMode, ReferenceCurve
@@ -29,10 +32,6 @@ _LIMIT_CHOICES = [
 _CURVE_CHOICES = [c.value for c in CurveFamily]
 _EMBED_CHOICES = [m.value for m in EmbeddingMode]
 _SPECTRUM_COLUMNS = ["r", "omega", "re_b_conj", "im_b_conj", "ref_value", "abs_dev"]
-
-
-def _fmt(x) -> str:
-    return format(float(x) + 0.0, ".17g")  # +0.0 normalizes negative zero
 
 
 def _positive_int(text: str) -> int:
@@ -133,16 +132,55 @@ def _build_parser() -> argparse.ArgumentParser:
 # --- table rendering ------------------------------------------------------
 
 
-def _render_table(columns, rows, fmt: str) -> str:
+def _render_table(names, columns, fmt: str) -> str:
+    """Equal-length columns as CSV or as a JSON list of records: the bytes
+    of json.dumps(records, indent=2) and of one csv.writer row per record
+    with floats as format(v + 0.0, ".17g"). A float column is a numpy
+    array, an int column a list or range, a string column a sequence of
+    str; each is encoded column-wise, strings once per distinct value."""
+    rows = len(columns[0]) if columns else 0
     if fmt == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
+        if not rows:
+            return "[]\n"
+        keys = (json.dumps(name).replace("%", "%%") for name in names)
+        template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+        cells = zip(*map(_json_cells, columns))
+        return "[\n" + ",\n".join(template % row for row in cells) + "\n]\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+    csv.writer(buf, lineterminator="\n").writerow(names)
+    if rows:
+        cells = zip(*(_csv_cells(column, len(columns) == 1) for column in columns))
+        buf.write("\n".join(map(",".join, cells)) + "\n")
     return buf.getvalue()
+
+
+def _is_text(column) -> bool:
+    return not isinstance(column, (np.ndarray, range)) and isinstance(column[0], str)
+
+
+def _json_cells(column) -> list[str]:
+    if _is_text(column):
+        encoded = {text: json.dumps(text) for text in set(column)}
+        return list(map(encoded.__getitem__, column))
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    return json.dumps(values)[1:-1].split(", ")  # no number contains ", "
+
+
+def _csv_cells(column, alone: bool) -> list[str]:
+    if isinstance(column, np.ndarray):
+        return list(map(format, (column + 0.0).tolist(), repeat(".17g")))  # +0.0: no -0
+    if _is_text(column):
+        encoded = {text: _csv_field(text, alone) for text in set(column)}
+        return list(map(encoded.__getitem__, column))
+    return list(map(str, column))
+
+
+def _csv_field(text: str, alone: bool) -> str:
+    """text as csv.writer writes it in a row of one field (alone) or more:
+    an empty field is quoted only when it is the row's only one."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text] if alone else [text, ""])
+    return buf.getvalue()[:-1 if alone else -2]
 
 
 def _write(text: str, out: str | None) -> None:
@@ -204,16 +242,15 @@ def _reference_column(curve: ReferenceCurve, part: str, N: int, measure: float =
     return (-values.imag if part == "im" else values.real) / measure
 
 
-def _spectrum_rows(values, ref, part: str, N: int, h: float) -> list[list]:
-    """Rows r, omega, Re[b*(r)], Im[b*(r)], ref, |part - ref| for
+def _spectrum_columns(values, ref, part: str, N: int, h: float) -> list:
+    """Columns r, omega, Re[b*(r)], Im[b*(r)], ref, |part - ref| for
     r = 0..N/2, where values holds b(r) and ref the reference column in
     the same units."""
     half = N // 2 + 1
     re_part = values[:half].real
     im_part = -values[:half].imag
     abs_dev = abs((im_part if part == "im" else re_part) - ref)
-    columns = (spectra.omega_grid(N, h), re_part, im_part, ref, abs_dev)
-    return [[r, *row] for r, row in enumerate(zip(*(c.tolist() for c in columns)))]
+    return [range(half), spectra.omega_grid(N, h), re_part, im_part, ref, abs_dev]
 
 
 def _cmd_spectrum(args) -> str:
@@ -234,8 +271,8 @@ def _cmd_spectrum(args) -> str:
     curve = ReferenceCurve(family=ref_family, h=args.h, N=args.N)
     # frequency curves carry the transform's measure h
     ref = _reference_column(curve, args.part, args.N, measure=args.h)
-    rows = _spectrum_rows(spectrum.values, ref, args.part, args.N, args.h)
-    return _render_table(_SPECTRUM_COLUMNS, rows, args.format)
+    columns = _spectrum_columns(spectrum.values, ref, args.part, args.N, args.h)
+    return _render_table(_SPECTRUM_COLUMNS, columns, args.format)
 
 
 def _cmd_diff(args) -> str:
@@ -255,12 +292,14 @@ def _cmd_diff(args) -> str:
     else:
         result = signals.differentiate(signal, args.n or 1, args.order)
 
-    columns = ["index", "x", "value", "policy"]
-    rows = [
-        [i, signal.x(i), float(result.values[i]), result.policy[i]]
-        for i in range(len(signal))
-    ]
-    return _render_table(columns, rows, args.format)
+    columns = [range(len(signal)), _x_column(signal), result.values, result.policy]
+    return _render_table(["index", "x", "value", "policy"], columns, args.format)
+
+
+def _x_column(signal) -> np.ndarray:
+    """signal.x(i) at every index; overflows to +-inf as the scalar does."""
+    with np.errstate(over="ignore"):
+        return signal.x(np.arange(len(signal)))
 
 
 def _figure_limit_curve(args, figure_id: str) -> str:
@@ -276,8 +315,8 @@ def _figure_limit_curve(args, figure_id: str) -> str:
     values, _bounds = spectra.truncated_limit_spectrum_dft_grid(
         family, args.N, args.h, args.M
     )
-    rows = _spectrum_rows(values, ref, part, args.N, args.h)
-    return _render_table(_SPECTRUM_COLUMNS, rows, args.format)
+    columns = _spectrum_columns(values, ref, part, args.N, args.h)
+    return _render_table(_SPECTRUM_COLUMNS, columns, args.format)
 
 
 def _figure_finite_spectra(args, figure_id: str) -> str:
@@ -296,11 +335,15 @@ def _figure_finite_spectra(args, figure_id: str) -> str:
         kind, family, part = (StencilKind.ONE_SIDED_FIRST, CurveFamily.ZERO, "re")
     curve = ReferenceCurve(family=family, h=args.h, N=args.N)
     ref = _reference_column(curve, part, args.N)
-    rows = []
-    for n in ns:
-        spectrum = spectra.dft_spectrum(weights.build(kind, n), args.N)
-        rows += [[n, *row] for row in _spectrum_rows(spectrum.values, ref, part, args.N, args.h)]
-    return _render_table(["n", *_SPECTRUM_COLUMNS], rows, args.format)
+    blocks = [
+        _spectrum_columns(spectra.dft_spectrum(weights.build(kind, n), args.N).values,
+                          ref, part, args.N, args.h)
+        for n in ns
+    ]
+    half = args.N // 2 + 1
+    columns = [[n for n in ns for _ in range(half)], list(range(half)) * len(ns),
+               *(np.concatenate(parts) for parts in zip(*(b[1:] for b in blocks)))]
+    return _render_table(["n", *_SPECTRUM_COLUMNS], columns, args.format)
 
 
 def _figure_envelope_demo(args) -> str:
@@ -310,17 +353,15 @@ def _figure_envelope_demo(args) -> str:
     n = (args.n or [2])[0]
     signal = signals.make_signal(fn, args.h, args.points)
     result = signals.differentiate_half_point_signal(signal, n)
-    columns = ["index", "x", "signal", "envelope_upper", "envelope_lower",
-               "half_point_raw", "half_point_corrected"]
-    rows = []
-    for i in range(len(signal)):
-        x = signal.x(i)
-        envelope = fn.envelope(x)
-        raw = float(result.values[i])
-        corrected = -raw if (i - signal.origin) % 2 == 0 else raw
-        rows.append([i, x, signal.samples[i], abs(envelope), -abs(envelope),
-                     raw, corrected])
-    return _render_table(columns, rows, args.format)
+    x = _x_column(signal)
+    envelope = np.abs(fn.envelope(x))  # the scalar Horner steps, element-wise
+    raw = result.values
+    even = (np.arange(len(signal)) - signal.origin) % 2 == 0
+    columns = [range(len(signal)), x, np.asarray(signal.samples), envelope, -envelope,
+               raw, np.where(even, -raw, raw)]
+    names = ["index", "x", "signal", "envelope_upper", "envelope_lower",
+             "half_point_raw", "half_point_corrected"]
+    return _render_table(names, columns, args.format)
 
 
 def _cmd_figure(args) -> str:

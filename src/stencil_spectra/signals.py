@@ -5,14 +5,14 @@ rules of the same family parameter (order 1 only; order-2 boundary points
 are skipped). Weight-to-float conversion is correctly rounded and the
 per-application accumulation runs from the smallest |offset| outward, so
 antisymmetric cancellations (e.g. on the alternating Nyquist signal) are
-bit-exact.
+bit-exact. Half-point differentiation is exact: samples, weights and h are
+scaled to integers and each value is rounded once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,12 +35,15 @@ class SampledSignal:
     origin: int = 0
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"h={self.h} must be a positive finite float")
         if len(self.samples) < 2:
             raise ValueError("need at least two samples")
         if not 0 <= self.origin < len(self.samples):
             raise ValueError("origin must index into the samples")
+        if not all(map(math.isfinite, self.samples)):
+            index = next(i for i, v in enumerate(self.samples) if not math.isfinite(v))
+            raise ValueError(f"sample {index} is {self.samples[index]}: samples must be finite")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -93,7 +96,8 @@ class _CompiledRule:
         """The rule at indices start..stop-1, all of whose sample indices
         must lie in the array; each index accumulates its nodes in the
         stored order, exactly as one scalar application would. Raises
-        ValueError when h**h_power overflows or underflows to zero."""
+        ValueError when h**h_power overflows or underflows to zero, or when
+        a value leaves the floats."""
         try:
             divisor = h ** self.h_power
         except OverflowError:
@@ -104,9 +108,13 @@ class _CompiledRule:
                 f"h**{self.h_power} must be a finite nonzero float"
             )
         total = np.zeros(stop - start)
-        for o, w in zip(self.offsets, self.weights):
-            total += w * samples[start + o:stop + o]
-        return (self.scale * total) / divisor
+        with np.errstate(over="ignore", invalid="ignore"):
+            for o, w in zip(self.offsets, self.weights):
+                total += w * samples[start + o:stop + o]
+            values = (self.scale * total) / divisor
+        if not np.isfinite(values).all():
+            raise ValueError(f"h={h}: {self.label} values overflow the floats")
+        return values
 
 
 def _apply_spans(signal: SampledSignal, order: int, spans) -> DerivativeResult:
@@ -164,22 +172,47 @@ def differentiate(signal: SampledSignal, n: int, order: int) -> DerivativeResult
     return _apply_spans(signal, order, spans)
 
 
-def _half_point_value(signal: SampledSignal, stencil: Stencil, index: int) -> float:
-    total = Fraction(0)
-    for k, w in stencil.nodes:
-        if k > 0:
-            diff = Fraction(signal.samples[index + k]) - Fraction(signal.samples[index - k])
-            total += w * diff
-    return float(total / (2 * Fraction(signal.h)))
+def _half_point_range(signal: SampledSignal, stencil: Stencil, start: int,
+                      stop: int) -> np.ndarray:
+    """1/(2h) * sum over the positive offsets k of w(k) * (f[i+k] - f[i-k])
+    at indices start..stop-1, all of whose sample indices must lie in the
+    signal; exact, with one rounding per value.
+
+    The samples of the window are scaled by their common denominator S (a
+    power of two) to exact ints F, the weights by theirs, D, to ints a(k),
+    and h = hp/hq; each value is then the int quotient
+    sum a(k) (F[i+k] - F[i-k]) * hq / (2 D S hp), which int true division
+    rounds correctly. Raises ValueError when a value leaves the floats.
+    """
+    count = stop - start
+    if count <= 0:
+        return np.empty(0)
+    positive = [(k, w) for k, w in stencil.nodes if k > 0]
+    reach = max(k for k, _ in positive)
+    ratios = [v.as_integer_ratio() for v in signal.samples[start - reach:stop + reach]]
+    S = math.lcm(*{q for _, q in ratios})
+    F = np.array([p * (S // q) for p, q in ratios], dtype=object)
+    D = math.lcm(*(w.denominator for _, w in positive))
+    total = np.zeros(count, dtype=object)
+    for k, w in positive:
+        a = w.numerator * (D // w.denominator)
+        total += a * (F[reach + k:reach + k + count] - F[reach - k:reach - k + count])
+    hp, hq = signal.h.as_integer_ratio()
+    try:
+        values = total * hq / (2 * D * S * hp)
+    except OverflowError:
+        raise ValueError(
+            f"h={signal.h}: {stencil.label()} values overflow the floats") from None
+    return values.astype(float)
 
 
 def differentiate_half_point(signal: SampledSignal, n: int, index: int) -> float:
     """First derivative from the odd offsets only:
     1/(2h) * sum_m w(2m+1) * (f[index+2m+1] - f[index-2m-1]).
 
-    Accumulated in exact rational arithmetic (samples are dyadic rationals),
-    so the first-moment cancellation on linear alternating envelopes is
-    bit-exact; rounding happens once on return.
+    Computed exactly (samples are dyadic rationals) and rounded once on
+    return, so the first-moment cancellation on linear alternating
+    envelopes is bit-exact.
     """
     stencil = half_point(n)
     reach = 2 * n - 1
@@ -189,7 +222,7 @@ def differentiate_half_point(signal: SampledSignal, n: int, index: int) -> float
             raise BoundaryError(
                 f"stencil needs sample index {j}, outside 0..{length - 1}"
             )
-    return _half_point_value(signal, stencil, index)
+    return float(_half_point_range(signal, stencil, index, index + 1)[0])
 
 
 def differentiate_half_point_signal(signal: SampledSignal, n: int) -> DerivativeResult:
@@ -198,15 +231,13 @@ def differentiate_half_point_signal(signal: SampledSignal, n: int) -> Derivative
     stencil = half_point(n)
     reach = 2 * n - 1
     length = len(signal)
+    start = min(reach, length)
+    stop = max(start, length - reach)
     values = np.full(length, math.nan)
-    policy = []
-    for i in range(length):
-        if reach <= i < length - reach:
-            values[i] = _half_point_value(signal, stencil, i)
-            policy.append(f"half-point({n})")
-        else:
-            policy.append(SKIPPED)
-    return DerivativeResult(values=values, policy=tuple(policy), order=1)
+    values[start:stop] = _half_point_range(signal, stencil, start, stop)
+    policy = ((SKIPPED,) * start + (f"half-point({n})",) * (stop - start)
+              + (SKIPPED,) * (length - stop))
+    return DerivativeResult(values=values, policy=policy, order=1)
 
 
 def alternating_second_derivative_check(M: int, h: float) -> float:

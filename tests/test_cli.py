@@ -1,5 +1,6 @@
 """CLI surface: exit codes, schemas, determinism, round trips."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,9 +9,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stencil_spectra import weights
-from stencil_spectra.cli import run
+from stencil_spectra.cli import _render_table, run
 from stencil_spectra.signals import SampledSignal, Sinusoid, apply_stencil, make_signal
 
 
@@ -127,6 +129,20 @@ def test_diff_half_point_kind(capsys):
     assert float(center[2]) == -0.25
 
 
+@pytest.mark.parametrize("argv", [
+    ["diff", "--fn", "poly:1e308,1e308", "--h", "10", "--points", "5"],
+    ["diff", "--fn", "poly:1e308,1e308", "--h", "10", "--points", "5",
+     "--kind", "half-point-first"],
+    ["diff", "--fn", "sin:omega=nan", "--points", "5"],
+], ids=["inf-samples", "inf-samples-half-point", "nan-samples"])
+def test_non_finite_samples_are_one_line_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: sample ") and err.endswith("samples must be finite\n")
+
+
 def test_diff_half_point_rejects_second_order(capsys):
     code, _, err = run_capture(
         capsys,
@@ -210,8 +226,11 @@ def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload
      "--ref", "second-deriv-limit", "--part", "re"],
     ["diff", "--fn", "sin:omega=1", "--h", "1e200", "--order", "2", "--points", "5"],
     ["diff", "--fn", "sin:omega=1", "--h", "1e-200", "--order", "2", "--points", "5"],
+    ["diff", "--fn", "altpoly:1", "--h", "1e-320", "--points", "5"],
+    ["diff", "--fn", "poly:0,0,1e308", "--h", "0.25", "--points", "11",
+     "--kind", "half-point-first"],
 ], ids=["figure-tiny-h", "spectrum-huge-h", "limit-tiny-h", "second-deriv-tiny-h",
-        "diff-huge-h", "diff-tiny-h"])
+        "diff-huge-h", "diff-tiny-h", "diff-values-overflow", "half-point-values-overflow"])
 def test_overflowing_h_is_one_line_error(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -346,3 +365,105 @@ def test_out_file_writing(capsys, tmp_path):
     assert out == ""
     text = path.read_text(encoding="utf-8")
     assert text.startswith("index,x,value,policy")
+
+
+# --- table rendering --------------------------------------------------------------
+
+
+def _per_row_render(names, columns, fmt):
+    """The table as one record per row: json.dumps(indent=2) or csv.writer."""
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    if fmt == "json":
+        return json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    for row in rows:
+        writer.writerow([format(v + 0.0, ".17g") if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+_CELL_TEXT = st.text(st.one_of(st.sampled_from(list(',"\r\n %xé€')), st.characters()),
+                     max_size=4)
+
+
+@st.composite
+def _tables(draw):
+    names = draw(st.lists(st.sampled_from(["index", "x", "a,b", 'q"', "%s", "ü", ""]),
+                          min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(0, 6))
+    columns = []
+    for _ in names:
+        kind = draw(st.sampled_from(["float", "int", "range", "text"]))
+        if kind == "float":
+            columns.append(np.array(draw(st.lists(st.floats(), min_size=rows, max_size=rows)),
+                                    dtype=float))
+        elif kind == "int":
+            columns.append(draw(st.lists(st.integers(), min_size=rows, max_size=rows)))
+        elif kind == "range":
+            start = draw(st.integers(-3, 3))
+            columns.append(range(start, start + rows))
+        else:
+            columns.append(tuple(draw(st.lists(_CELL_TEXT, min_size=rows, max_size=rows))))
+    return names, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables(), fmt=st.sampled_from(["csv", "json"]))
+@example(table=(["policy"], [("", "", "")]), fmt="csv")
+@example(table=(["x", "v"], [np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324]),
+                             [0, -1, 2 ** 64, -2 ** 70, 3]]), fmt="csv")
+@example(table=(["x", "v"], [np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324]),
+                             [0, -1, 2 ** 64, -2 ** 70, 3]]), fmt="json")
+def test_render_table_matches_per_row_rendering(table, fmt):
+    names, columns = table
+    assert _render_table(names, columns, fmt) == _per_row_render(names, columns, fmt)
+
+
+# --- CLI fuzz -------------------------------------------------------------------------
+
+
+_COEFFICIENTS = st.sampled_from(["0", "1", "-0.5", "0.25", "3", "1e-300", "1e308", "-1e308",
+                                 "nan", "inf", "-inf"])
+_FUNCTIONS = st.one_of(
+    st.builds(lambda omega, phase: f"sin:omega={omega}" + (f",phase={phase}" if phase else ""),
+              _COEFFICIENTS, st.none() | _COEFFICIENTS),
+    st.builds(lambda family, coeffs: f"{family}:{','.join(coeffs)}",
+              st.sampled_from(["poly", "altpoly"]),
+              st.lists(_COEFFICIENTS, min_size=1, max_size=4)),
+)
+_SPACINGS = st.one_of(st.sampled_from(["1e-320", "5e-324", "1e-200", "0.25", "1", "1e200",
+                                       "1e308"]),
+                      st.floats(1e-320, 1e308).map(repr))
+
+
+@st.composite
+def _signal_argvs(draw):
+    fn, h = draw(_FUNCTIONS), draw(_SPACINGS)
+    points, n = draw(st.integers(1, 64)), draw(st.integers(1, 5))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    if draw(st.booleans()):
+        return ["figure", "2b", f"--fn={fn}", f"--h={h}", f"--points={points}", f"--n={n}",
+                f"--format={fmt}"]
+    kind = draw(st.sampled_from(["central", "half-point-first"]))
+    order = draw(st.sampled_from(["1", "2"]))
+    return ["diff", f"--fn={fn}", f"--h={h}", f"--points={points}", f"--n={n}",
+            f"--order={order}", f"--kind={kind}", f"--format={fmt}"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_signal_argvs())
+@example(argv=["diff", "--fn", "poly:1e308,1e308", "--h", "10", "--points", "5"])
+@example(argv=["diff", "--fn", "poly:1e308,1e308", "--h", "10", "--points", "5",
+               "--kind", "half-point-first"])
+@example(argv=["diff", "--fn", "sin:omega=nan", "--points", "5"])
+def test_signal_commands_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    assert (err.getvalue() == "") == (code == 0)

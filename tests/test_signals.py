@@ -1,6 +1,7 @@
 """Stencil application, boundary policy, envelope and convergence behavior."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -300,6 +301,17 @@ def test_rules_reject_h_whose_power_leaves_the_floats(h):
     assert differentiate(signal, 1, 1).values[2] == 4.0 / h
 
 
+def test_rules_reject_values_that_leave_the_floats():
+    # the one-sided rules at h = 1e-320 divide a difference of 2 by h
+    signal = make_signal(ModulatedAlternating((1.0,)), 1e-320, 5)
+    with pytest.raises(ValueError, match=r"^h=1e-320: forward\(1\) values overflow the floats$"):
+        differentiate(signal, 1, 1)
+    # the sum itself overflows before the division
+    huge = SampledSignal(h=1.0, samples=(1.5e308, -1.5e308, 1.5e308), origin=0)
+    with pytest.raises(ValueError, match=r"^h=1\.0: central-second\(n=1\) values overflow"):
+        apply_stencil(huge, weights.central_second(1))
+
+
 # --- half-point differentiation ------------------------------------------------
 
 
@@ -349,6 +361,73 @@ def test_half_point_signal_matches_per_index(n):
         else:
             assert result.policy[i] == SKIPPED
             assert math.isnan(result.values[i])
+
+
+def _fraction_half_point(signal, n, index):
+    """One half-point value as a plain Fraction sum, rounded once."""
+    total = Fraction(0)
+    for k, w in weights.half_point(n).nodes:
+        if k > 0:
+            diff = Fraction(signal.samples[index + k]) - Fraction(signal.samples[index - k])
+            total += w * diff
+    return float(total / (2 * Fraction(signal.h)))
+
+
+_EXACT_SAMPLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e-300]),
+)
+_WIDE_SPACING = st.one_of(
+    st.sampled_from([5e-324, 1e-320, 0.001, 0.5, 1.0, 2.0 ** 1000]),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1000)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), h=_WIDE_SPACING, n=st.integers(1, 8))
+def test_half_point_is_the_exact_fraction_sum(data, h, n):
+    reach = 2 * n - 1
+    length = data.draw(st.integers(2, 2 * reach + 4))
+    samples = data.draw(st.lists(_EXACT_SAMPLES, min_size=length, max_size=length))
+    signal = SampledSignal(h=h, samples=tuple(samples), origin=0)
+    interior = range(reach, length - reach)
+    expected = []
+    for i in interior:
+        try:
+            expected.append(_fraction_half_point(signal, n, i))
+        except OverflowError:
+            expected.append(None)
+    if None in expected:
+        with pytest.raises(ValueError, match=r"^h=.*overflow the floats$"):
+            differentiate_half_point_signal(signal, n)
+    else:
+        result = differentiate_half_point_signal(signal, n)
+        assert _hex(result.values[reach:length - reach]) == _hex(expected)
+        assert all(math.isnan(v) for i, v in enumerate(result.values) if i not in interior)
+        assert result.policy == tuple(
+            f"half-point({n})" if i in interior else SKIPPED for i in range(length))
+    index = data.draw(st.integers(0, length - 1))
+    if index not in interior:
+        with pytest.raises(BoundaryError):
+            differentiate_half_point(signal, n, index)
+    elif expected[index - reach] is None:
+        with pytest.raises(ValueError, match=r"^h=.*overflow the floats$"):
+            differentiate_half_point(signal, n, index)
+    else:
+        assert _hex([differentiate_half_point(signal, n, index)]) == _hex(
+            [expected[index - reach]])
+
+
+def test_half_point_overflow_is_a_value_error():
+    # d(1e308 x^2)/dx = 2e308 at x = 1, from samples that are all floats
+    signal = make_signal(Polynomial((0.0, 0.0, 1e308)), 0.25, 11)
+    with pytest.raises(OverflowError):
+        _fraction_half_point(signal, 1, 9)
+    for call in (lambda: differentiate_half_point_signal(signal, 1),
+                 lambda: differentiate_half_point(signal, 1, 9)):
+        with pytest.raises(ValueError, match=r"^h=0\.25: half-point-first\(n=1\) values "
+                                             r"overflow the floats$"):
+            call()
 
 
 # --- alternating second derivative ------------------------------------------------
@@ -438,3 +517,9 @@ def test_sampled_signal_validation():
         SampledSignal(h=1.0, samples=(1.0,), origin=0)
     with pytest.raises(ValueError):
         SampledSignal(h=1.0, samples=(1.0, 2.0), origin=5)
+    for h in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"must be a positive finite float"):
+            SampledSignal(h=h, samples=(1.0, 2.0), origin=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^sample 1 is .*: samples must be finite$"):
+            SampledSignal(h=1.0, samples=(1.0, bad, 2.0), origin=0)
