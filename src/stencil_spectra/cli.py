@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
@@ -195,19 +194,16 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_stencil(args) -> str:
-    stencil = weights.build(StencilKind(args.kind), args.n)
+    data = weights.stencil_to_dict(weights.build(StencilKind(args.kind), args.n))
     if args.format == "json":
-        return json.dumps(weights.stencil_to_dict(stencil), indent=2) + "\n"
+        return json.dumps(data, indent=2) + "\n"
     buf = io.StringIO()
-    buf.write(
-        f"# kind={stencil.kind.value},n={stencil.n},"
-        f"derivative_order={stencil.derivative_order},"
-        f"h_power={stencil.h_power},prefactor={stencil.prefactor}\n"
-    )
+    header = ("kind", "n", "derivative_order", "h_power", "prefactor")
+    buf.write("# " + ",".join(f"{key}={data[key]}" for key in header) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["offset", "weight"])
-    for offset, weight in stencil.nodes:
-        writer.writerow([offset, str(weight)])
+    for node in data["nodes"]:
+        writer.writerow([node["offset"], node["weight"]])
     return buf.getvalue()
 
 
@@ -292,14 +288,9 @@ def _cmd_diff(args) -> str:
     else:
         result = signals.differentiate(signal, args.n or 1, args.order)
 
-    columns = [range(len(signal)), _x_column(signal), result.values, result.policy]
+    columns = [range(len(signal)), signal.x(np.arange(len(signal))), result.values,
+               result.policy]
     return _render_table(["index", "x", "value", "policy"], columns, args.format)
-
-
-def _x_column(signal) -> np.ndarray:
-    """signal.x(i) at every index; overflows to +-inf as the scalar does."""
-    with np.errstate(over="ignore"):
-        return signal.x(np.arange(len(signal)))
 
 
 def _figure_limit_curve(args, figure_id: str) -> str:
@@ -353,7 +344,7 @@ def _figure_envelope_demo(args) -> str:
     n = (args.n or [2])[0]
     signal = signals.make_signal(fn, args.h, args.points)
     result = signals.differentiate_half_point_signal(signal, n)
-    x = _x_column(signal)
+    x = signal.x(np.arange(len(signal)))
     envelope = np.abs(fn.envelope(x))  # the scalar Horner steps, element-wise
     raw = result.values
     even = (np.arange(len(signal)) - signal.origin) % 2 == 0
@@ -375,99 +366,18 @@ def _cmd_figure(args) -> str:
 # --- verify ---------------------------------------------------------------
 
 
-def _verify_checks(max_n: int):
-    """Yield (name, ok, detail) for the oracle cross-check suite."""
-    table = {
-        StencilKind.CENTRAL_FIRST: lambda n: 2 * n,
-        StencilKind.CENTRAL_SECOND: lambda n: 2 * n + 1,
-        StencilKind.HALF_POINT_FIRST: lambda n: 2 * n,
-        StencilKind.ONE_SIDED_FIRST: lambda n: n,
-        StencilKind.ONE_SIDED_NTH: lambda n: n,
-    }
-    for n in range(1, max_n + 1):
-        for kind in StencilKind:
-            stencil = weights.build(kind, n)
-            label = stencil.label()
-
-            system = oracle.MomentSystem(
-                offsets=stencil.offsets,
-                degree=len(stencil.offsets) - 1,
-                target_order=stencil.derivative_order,
-            )
-            solution = oracle.solve_moment_system(system)
-            scale = stencil.prefactor / math.factorial(stencil.derivative_order)
-            ok = all(
-                solution[i] == stencil.weight_at(o) * scale
-                for i, o in enumerate(system.offsets)
-            )
-            yield f"moment-system {label}", ok, "oracle solver reproduces the weights"
-
-            expected = table[kind](n)
-            report = oracle.exactness_check(stencil, expected + 1)
-            ok = report.max_exact_degree == expected
-            yield (
-                f"exactness {label}",
-                ok,
-                f"max exact degree {report.max_exact_degree}, expected {expected}",
-            )
-
-        cf = weights.central_first(n)
-        ok = all(
-            cf.weight_at(m)
-            == Fraction(
-                (-1) ** (m + 1) * 2 * math.factorial(n) ** 2,
-                m * math.factorial(n - m) * math.factorial(n + m),
-            )
-            for m in range(1, n + 1)
-        )
-        yield f"closed-form central-first(n={n})", ok, "factorial ratio form"
-
-        os1 = weights.one_sided_first(n)
-        ok = (
-            os1.weight_at(1) == n
-            and os1.weight_at(0) == -weights.harmonic_number(n)
-            and all(
-                os1.weight_at(m) == weights.product_form_one_sided(m, n)
-                for m in range(1, n + 1)
-            )
-            and sum(os1.weights, Fraction(0)) == 0
-        )
-        yield f"closed-form one-sided-first(n={n})", ok, "binomial/product/harmonic forms"
-
-        det = oracle.vandermonde_det(n)
-        closed = math.factorial(n)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                closed *= j - i
-        ok = det == closed and all(
-            Fraction(oracle.delta_m1_closed_form(m, n), det) == os1.weight_at(m)
-            for m in range(1, n + 1)
-        )
-        yield f"determinants(n={n})", ok, "Vandermonde product and numerator ratios"
-
-
 def _cmd_verify(args) -> tuple[str, int]:
-    results = [
-        {"check": name, "ok": bool(ok), "detail": detail}
-        for name, ok, detail in _verify_checks(args.max_n)
-    ]
-    failed = [r for r in results if not r["ok"]]
+    results = [{"check": name, "ok": ok, "detail": detail}
+               for name, ok, detail in oracle.cross_checks(args.max_n)]
+    passed = sum(r["ok"] for r in results)
     if args.format == "json":
-        text = json.dumps(
-            {"max_n": args.max_n, "passed": len(results) - len(failed),
-             "failed": len(failed), "checks": results},
-            indent=2,
-        ) + "\n"
+        text = json.dumps({"max_n": args.max_n, "passed": passed,
+                           "failed": len(results) - passed, "checks": results},
+                          indent=2) + "\n"
     else:
-        lines = [
-            f"{'PASS' if r['ok'] else 'FAIL'} {r['check']}: {r['detail']}"
-            for r in results
-        ]
-        lines.append(
-            f"{len(results) - len(failed)}/{len(results)} checks passed"
-        )
-        text = "\n".join(lines) + "\n"
-    return text, 0 if not failed else 1
+        lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['check']}: {r['detail']}" for r in results]
+        text = "\n".join(lines + [f"{passed}/{len(results)} checks passed"]) + "\n"
+    return text, 0 if passed == len(results) else 1
 
 
 class _Usage(Exception):

@@ -1,9 +1,10 @@
 """Independent brute-force verifiers for the weight families.
 
 Everything here is deliberately plain: exact fraction-free elimination for
-the moment systems, literal determinant formulas, degree-by-degree
-polynomial exactness, and unaccelerated partial sums. The point is to have
-a second route that shares no code with the generators in `weights`.
+the moment systems, the paper's product forms, literal determinant
+formulas, degree-by-degree polynomial exactness, and unaccelerated partial
+sums. The point is to have a second route that shares no code with the
+generators in `weights` (`build` only makes the stencils under test).
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
-from .weights import Stencil
+from .weights import Stencil, StencilKind, build
 
 
 class SingularSystemError(ValueError):
@@ -125,6 +126,33 @@ def delta_m1_closed_form(m: int, n: int) -> int:
     return (-1) ** (m + 1) * (math.factorial(n) // m) ** 2 * prod
 
 
+def _product_form(m: int, nodes, power: int) -> Fraction:
+    """1 / (m * prod over nodes k != m of (1 - (m/k)**power))."""
+    prod = Fraction(1)
+    for k in nodes:
+        if k != m:
+            prod *= 1 - Fraction(m, k) ** power
+    return 1 / (Fraction(m) * prod)
+
+
+def product_form_one_sided(m: int, n: int) -> Fraction:
+    """One-sided first-derivative weight at offset m via the product form
+    1 / (m * prod over k = 1..n, k != m of (1 - m/k)); equals
+    one_sided_first(n)'s weight at m."""
+    if not 1 <= m <= n:
+        raise ValueError("require 1 <= m <= n")
+    return _product_form(m, range(1, n + 1), 1)
+
+
+def product_form_half_point(m: int, n: int) -> Fraction:
+    """Half-point weight at offset 2m+1 via the paper's product form
+    1 / ((2m+1) * prod over k = 0..n-1, k != m of (1 - (2m+1)**2/(2k+1)**2));
+    equals half_point(n)'s weight at 2m+1."""
+    if not 0 <= m < n:
+        raise ValueError("require 0 <= m < n")
+    return _product_form(2 * m + 1, range(1, 2 * n, 2), 2)
+
+
 def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
     """Apply the stencil symbolically to x**k for k = 0..max_degree and
     compare with the exact derivative at 0.
@@ -166,3 +194,63 @@ def alternating_series_sum(
     value = math.fsum(float(term(m)) for m in range(1, count + 1))
     bound = abs(float(term(count + 1)))
     return value, bound
+
+
+# the degree through which each family differentiates polynomials exactly
+_EXACT_DEGREE = {
+    StencilKind.CENTRAL_FIRST: lambda n: 2 * n,
+    StencilKind.CENTRAL_SECOND: lambda n: 2 * n + 1,
+    StencilKind.HALF_POINT_FIRST: lambda n: 2 * n,
+    StencilKind.ONE_SIDED_FIRST: lambda n: n,
+    StencilKind.ONE_SIDED_NTH: lambda n: n,
+}
+
+
+def cross_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
+    """Yield (name, ok, detail) for the cross-check suite, 13 checks for
+    each n = 1..max_n: the moment system and the polynomial exactness of
+    every family, then the factorial-ratio central-first weights, the
+    binomial, product and harmonic forms of the one-sided weights, and the
+    Vandermonde and numerator determinants."""
+    fact = math.factorial
+    for n in range(1, max_n + 1):
+        built = {kind: build(kind, n) for kind in StencilKind}
+        for kind, stencil in built.items():
+            label, order = stencil.label(), stencil.derivative_order
+            solution = solve_moment_system(MomentSystem(
+                offsets=stencil.offsets, degree=len(stencil.offsets) - 1, target_order=order
+            ))
+            scale = stencil.prefactor / fact(order)
+            ok = solution == [w * scale for w in stencil.weights]
+            yield f"moment-system {label}", ok, "oracle solver reproduces the weights"
+
+            expected = _EXACT_DEGREE[kind](n)
+            got = exactness_check(stencil, expected + 1).max_exact_degree
+            yield (f"exactness {label}", got == expected,
+                   f"max exact degree {got}, expected {expected}")
+
+        cf = built[StencilKind.CENTRAL_FIRST]
+        ok = all(
+            cf.weight_at(m)
+            == Fraction((-1) ** (m + 1) * 2 * fact(n) ** 2, m * fact(n - m) * fact(n + m))
+            for m in range(1, n + 1)
+        )
+        yield f"closed-form central-first(n={n})", ok, "factorial ratio form"
+
+        os1 = built[StencilKind.ONE_SIDED_FIRST]
+        harmonic = sum((Fraction(1, m) for m in range(1, n + 1)), Fraction(0))
+        ok = (
+            os1.weight_at(1) == n
+            and os1.weight_at(0) == -harmonic
+            and all(os1.weight_at(m) == product_form_one_sided(m, n) for m in range(1, n + 1))
+            and sum(os1.weights, Fraction(0)) == 0
+        )
+        yield f"closed-form one-sided-first(n={n})", ok, "binomial/product/harmonic forms"
+
+        det = vandermonde_det(n)
+        # prod over 0 <= i < j <= n of (j - i) is the superfactorial 1! 2! ... n!
+        ok = det == math.prod(map(fact, range(1, n + 1))) and all(
+            Fraction(delta_m1_closed_form(m, n), det) == os1.weight_at(m)
+            for m in range(1, n + 1)
+        )
+        yield f"determinants(n={n})", ok, "Vandermonde product and numerator ratios"

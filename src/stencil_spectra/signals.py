@@ -41,6 +41,9 @@ class SampledSignal:
             raise ValueError("need at least two samples")
         if not 0 <= self.origin < len(self.samples):
             raise ValueError("origin must index into the samples")
+        reach = max(self.origin, len(self.samples) - 1 - self.origin)
+        if not math.isfinite(reach * self.h):
+            raise ValueError(f"h={self.h}: x = {reach}*h at the far end overflows the floats")
         if not all(map(math.isfinite, self.samples)):
             index = next(i for i, v in enumerate(self.samples) if not math.isfinite(v))
             raise ValueError(f"sample {index} is {self.samples[index]}: samples must be finite")

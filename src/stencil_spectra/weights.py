@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -57,11 +58,12 @@ class Stencil:
     def nodes(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple(zip(self.offsets, self.weights))
 
+    @cached_property
+    def _weight_by_offset(self) -> dict[int, Fraction]:
+        return dict(zip(self.offsets, self.weights))
+
     def weight_at(self, offset: int) -> Fraction:
-        for o, w in zip(self.offsets, self.weights):
-            if o == offset:
-                return w
-        return Fraction(0)
+        return self._weight_by_offset.get(offset, Fraction(0))
 
     def label(self) -> str:
         return f"{self.kind.value}(n={self.n})"
@@ -163,20 +165,20 @@ def central_second(n: int) -> Stencil:
 def half_point(n: int) -> Stencil:
     """First-derivative weights using only the odd offsets +-1, +-3, ...
 
-    Weight at offset 2m+1 is 1 / ((2m+1) * p) where p is the exact product
-    over k != m of (1 - (2m+1)**2 / (2k+1)**2).  Even offsets carry weight
-    zero and are not stored.  Evaluation rule matches central_first:
+    The paper's weight at offset 2m+1, 1 / ((2m+1) * prod over k != m of
+    (1 - (2m+1)**2 / (2k+1)**2)), in closed form: (-1)**m * 2n C(2n, n)
+    C(2n-1, n+m) / (4**(2n-1) (2m+1)**2), m = 0..n-1.  Even offsets carry
+    weight zero and are not stored.  Evaluation rule matches central_first:
     1/(2h) * sum over stored offsets.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    positive = []
-    for m in range(n):
-        prod = Fraction(1)
-        for k in range(n):
-            if k != m:
-                prod *= 1 - Fraction((2 * m + 1) ** 2, (2 * k + 1) ** 2)
-        positive.append(Fraction(1, 2 * m + 1) / prod)
+    top = 2 * n * math.comb(2 * n, n)
+    bottom = 4 ** (2 * n - 1)
+    positive = [
+        Fraction((-1) ** m * top * math.comb(2 * n - 1, n + m), bottom * (2 * m + 1) ** 2)
+        for m in range(n)
+    ]
     offsets = tuple(-(2 * m + 1) for m in reversed(range(n)))
     offsets += tuple(2 * m + 1 for m in range(n))
     weights = tuple(-w for w in reversed(positive)) + tuple(positive)
@@ -235,19 +237,6 @@ def one_sided_nth(n: int) -> Stencil:
         h_power=n,
         prefactor=Fraction(fact),
     )
-
-
-def product_form_one_sided(m: int, n: int) -> Fraction:
-    """One-sided first-derivative weight at offset m via the product form
-    1 / (m * prod over k != m of (1 - m/k)); equals one_sided_first(n)'s
-    weight at m."""
-    if not 1 <= m <= n:
-        raise ValueError("require 1 <= m <= n")
-    prod = Fraction(1)
-    for k in range(1, n + 1):
-        if k != m:
-            prod *= 1 - Fraction(m, k)
-    return 1 / (Fraction(m) * prod)
 
 
 def _limit_term(kind: StencilKind, j):
@@ -327,16 +316,23 @@ def build(kind: StencilKind, n: int) -> Stencil:
 
 
 def stencil_to_dict(stencil: Stencil) -> dict:
-    """JSON-ready form with weights as exact fraction strings."""
+    """JSON-ready form with weights as exact fraction strings. A weight with
+    more digits than Python converts to a string is a ValueError naming its
+    offset (a built stencil's prefactor is never longer than its weights)."""
+    nodes = []
+    for o, w in stencil.nodes:
+        try:
+            nodes.append({"offset": o, "weight": str(w)})
+        except ValueError:  # Python's int-to-str digit limit
+            raise ValueError(f"{stencil.label()}: the weight at offset {o} has more "
+                             "digits than Python prints exactly") from None
     return {
         "kind": stencil.kind.value,
         "n": stencil.n,
         "derivative_order": stencil.derivative_order,
         "h_power": stencil.h_power,
         "prefactor": str(stencil.prefactor),
-        "nodes": [
-            {"offset": o, "weight": str(w)} for o, w in stencil.nodes
-        ],
+        "nodes": nodes,
     }
 
 

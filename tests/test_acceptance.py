@@ -51,7 +51,8 @@ def test_criterion_1_one_sided_weight_tables():
         stencil = weights.one_sided_first(n)
         if stencil.weight_at(1) != n:
             failures.append(f"a1 != n at n={n}")
-        if stencil.weight_at(0) != -weights.harmonic_number(n):
+        harmonic = sum(F(1, m) for m in range(1, n + 1))
+        if stencil.weight_at(0) != -harmonic:
             failures.append(f"a0 != -H_n at n={n}")
         for m in range(1, n + 1):
             if stencil.weight_at(m) != F((-1) ** (m + 1) * math.comb(n, m), m):

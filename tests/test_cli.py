@@ -2,10 +2,13 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from stencil_spectra import weights
 from stencil_spectra.cli import _render_table, run
 from stencil_spectra.signals import SampledSignal, Sinusoid, apply_stencil, make_signal
+from stencil_spectra.weights import StencilKind
 
 
 def run_capture(capsys, argv):
@@ -55,6 +59,19 @@ def test_stencil_csv_has_exact_fractions(capsys):
     assert lines[0].startswith("# kind=central-first,n=2")
     assert lines[1] == "offset,weight"
     assert "4/3" in out and "-1/6" in out and "." not in out.split("\n", 1)[1]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stencil_too_long_to_print_is_one_line_error(capsys, fmt):
+    # 1/3000! has more digits than Python's default int-to-str limit
+    code, out, err = run_capture(
+        capsys, ["stencil", "--kind", "one-sided-nth", "--n", "3000", "--format", fmt]
+    )
+    assert code == 1 and out == ""
+    assert err == ("error: one-sided-nth(n=3000): the weight at offset 0 has more "
+                   "digits than Python prints exactly\n")
 
 
 # --- spectrum ----------------------------------------------------------------
@@ -229,8 +246,10 @@ def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload
     ["diff", "--fn", "altpoly:1", "--h", "1e-320", "--points", "5"],
     ["diff", "--fn", "poly:0,0,1e308", "--h", "0.25", "--points", "11",
      "--kind", "half-point-first"],
+    ["diff", "--fn", "sin:omega=1e-10", "--h", "1e308", "--points", "4"],
 ], ids=["figure-tiny-h", "spectrum-huge-h", "limit-tiny-h", "second-deriv-tiny-h",
-        "diff-huge-h", "diff-tiny-h", "diff-values-overflow", "half-point-values-overflow"])
+        "diff-huge-h", "diff-tiny-h", "diff-values-overflow", "half-point-values-overflow",
+        "diff-x-overflow"])
 def test_overflowing_h_is_one_line_error(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -325,12 +344,52 @@ def test_verify_passes(capsys):
 
 
 def test_verify_json(capsys):
-    code, out, _ = run_capture(capsys, ["verify", "--max-n", "2",
-                                        "--format", "json"])
+    for max_n in (1, 2, 3):
+        code, out, _ = run_capture(capsys, ["verify", "--max-n", str(max_n),
+                                            "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["failed"] == 0
+        assert payload["passed"] == len(payload["checks"]) == 13 * max_n
+        assert all(check["ok"] for check in payload["checks"])
+
+
+def test_verify_text_is_pinned(capsys):
+    code, out, _ = run_capture(capsys, ["verify", "--max-n", "1"])
     assert code == 0
-    payload = json.loads(out)
-    assert payload["failed"] == 0
-    assert all(check["ok"] for check in payload["checks"])
+    assert out == """\
+PASS moment-system central-first(n=1): oracle solver reproduces the weights
+PASS exactness central-first(n=1): max exact degree 2, expected 2
+PASS moment-system central-second(n=1): oracle solver reproduces the weights
+PASS exactness central-second(n=1): max exact degree 3, expected 3
+PASS moment-system half-point-first(n=1): oracle solver reproduces the weights
+PASS exactness half-point-first(n=1): max exact degree 2, expected 2
+PASS moment-system one-sided-first(n=1): oracle solver reproduces the weights
+PASS exactness one-sided-first(n=1): max exact degree 1, expected 1
+PASS moment-system one-sided-nth(n=1): oracle solver reproduces the weights
+PASS exactness one-sided-nth(n=1): max exact degree 1, expected 1
+PASS closed-form central-first(n=1): factorial ratio form
+PASS closed-form one-sided-first(n=1): binomial/product/harmonic forms
+PASS determinants(n=1): Vandermonde product and numerator ratios
+13/13 checks passed
+"""
+
+
+def test_verify_fails_on_a_wrong_half_point_weight(capsys, monkeypatch):
+    def bent_half_point(n):
+        stencil = weights.half_point(n)
+        bent = list(stencil.weights)
+        bent[n] += Fraction(1, 10 ** 6)  # the weight at offset +1 only
+        return dataclasses.replace(stencil, weights=tuple(bent))
+
+    monkeypatch.setitem(weights._KIND_BUILDERS, StencilKind.HALF_POINT_FIRST,
+                        bent_half_point)
+    code, out, _ = run_capture(capsys, ["verify", "--max-n", "3"])
+    assert code == 1
+    failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == [f"FAIL {check} half-point-first(n={n})"
+                      for n in (1, 2, 3) for check in ("moment-system", "exactness")]
+    assert out.endswith("\n33/39 checks passed\n")
 
 
 # --- general behavior ------------------------------------------------------------------

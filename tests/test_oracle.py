@@ -12,6 +12,8 @@ from stencil_spectra.oracle import (
     alternating_series_sum,
     delta_m1_closed_form,
     exactness_check,
+    product_form_half_point,
+    product_form_one_sided,
     solve_moment_system,
     vandermonde_det,
 )
@@ -126,6 +128,50 @@ def test_delta_m1_range_errors():
         delta_m1_closed_form(0, 3)
     with pytest.raises(ValueError):
         delta_m1_closed_form(4, 3)
+
+
+# --- product forms ----------------------------------------------------------
+
+
+def test_product_form_examples():
+    assert product_form_one_sided(1, 2) == 2  # p1 = 1/2
+    assert product_form_one_sided(2, 2) == F(-1, 2)  # p2 = -1
+    assert product_form_one_sided(1, 1) == 1  # empty product
+
+
+def test_product_form_matches_binomial_form():
+    for n in range(1, 13):
+        s = weights.one_sided_first(n)
+        for m in range(1, n + 1):
+            assert product_form_one_sided(m, n) == s.weight_at(m)
+
+
+def test_product_form_range_errors():
+    with pytest.raises(ValueError):
+        product_form_one_sided(0, 3)
+    with pytest.raises(ValueError):
+        product_form_one_sided(4, 3)
+
+
+def test_half_point_product_form_examples():
+    # n=2: pi_0 = 1 - 1/9 = 8/9 and pi_1 = 1 - 9 = -8
+    assert product_form_half_point(0, 1) == 1  # empty product
+    assert product_form_half_point(0, 2) == F(9, 8)
+    assert product_form_half_point(1, 2) == F(-1, 24)
+    with pytest.raises(ValueError):
+        product_form_half_point(-1, 3)
+    with pytest.raises(ValueError):
+        product_form_half_point(3, 3)
+
+
+def test_half_point_closed_form_matches_product_form():
+    for n in range(1, 61):
+        s = weights.half_point(n)
+        assert s.offsets == tuple(range(1 - 2 * n, 2 * n, 2))
+        for m in range(n):
+            w = product_form_half_point(m, n)
+            assert s.weight_at(2 * m + 1) == w, (n, m)
+            assert s.weight_at(-2 * m - 1) == -w, (n, m)
 
 
 # --- polynomial exactness ----------------------------------------------------

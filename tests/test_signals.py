@@ -520,6 +520,8 @@ def test_sampled_signal_validation():
     for h in (math.inf, math.nan):
         with pytest.raises(ValueError, match=r"must be a positive finite float"):
             SampledSignal(h=h, samples=(1.0, 2.0), origin=0)
+    with pytest.raises(ValueError, match=r"^h=1e\+308: x = 2\*h at the far end overflows"):
+        SampledSignal(h=1e308, samples=(1.0, 2.0, 3.0, 4.0), origin=1)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"^sample 1 is .*: samples must be finite$"):
             SampledSignal(h=1.0, samples=(1.0, bad, 2.0), origin=0)

@@ -20,7 +20,6 @@ from stencil_spectra.weights import (
     limit_coefficients,
     one_sided_first,
     one_sided_nth,
-    product_form_one_sided,
     stencil_from_dict,
     stencil_to_dict,
 )
@@ -145,12 +144,18 @@ def test_central_second_structure(n):
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_central_families_match_fornberg(n):
-    # Fornberg's recursion (sympy) on the grid -n..n, derivative orders 1, 2
+    # Fornberg's recursion (sympy) on the grid -n..n, derivative orders 1, 2,
+    # and on the odd grid -(2n-1)..2n-1 for the half-point first derivative
     grid = list(range(-n, n + 1))
+    odd_grid = list(range(1 - 2 * n, 2 * n, 2))
     table = finite_diff_weights(2, grid, 0)
-    for order, stencil in ((1, central_first(n)), (2, central_second(n))):
-        fornberg = [F(int(w.p), int(w.q)) for w in table[order][-1]]
-        assert fornberg == [stencil.prefactor * stencil.weight_at(o) for o in grid]
+    for stencil, points, weights_by_grid in (
+        (central_first(n), grid, table[1][-1]),
+        (central_second(n), grid, table[2][-1]),
+        (half_point(n), odd_grid, finite_diff_weights(1, odd_grid, 0)[1][-1]),
+    ):
+        fornberg = [F(int(w.p), int(w.q)) for w in weights_by_grid]
+        assert fornberg == [stencil.prefactor * stencil.weight_at(o) for o in points]
 
 
 @settings(max_examples=30, deadline=None)
@@ -310,19 +315,6 @@ def test_one_sided_moment_conditions(n):
             assert total == (1 if k == l else 0), (n, l, k)
 
 
-def test_product_form_examples():
-    assert product_form_one_sided(1, 2) == 2  # p1 = 1/2
-    assert product_form_one_sided(2, 2) == F(-1, 2)  # p2 = -1
-    assert product_form_one_sided(1, 1) == 1  # empty product
-
-
-def test_product_form_matches_binomial_form():
-    for n in range(1, 13):
-        s = one_sided_first(n)
-        for m in range(1, n + 1):
-            assert product_form_one_sided(m, n) == s.weight_at(m)
-
-
 def test_alternating_binomial_harmonic_identity():
     for n in range(1, 65):
         total = sum(
@@ -341,13 +333,6 @@ def test_alternating_binomial_harmonic_identity():
 def test_invalid_family_parameter(builder):
     with pytest.raises(ValueError):
         builder(0)
-
-
-def test_product_form_range_errors():
-    with pytest.raises(ValueError):
-        product_form_one_sided(0, 3)
-    with pytest.raises(ValueError):
-        product_form_one_sided(4, 3)
 
 
 def test_build_dispatch():
