@@ -225,19 +225,6 @@ def _limit_sequence(kind_value: str, N: int, M: int | None) -> dict[int, float]:
     return dict(zip(offsets.tolist(), coefficients.tolist()))
 
 
-_INDEX_CURVES = (CurveFamily.HALF_POINT_FOLD, CurveFamily.LINEAR_RAMP, CurveFamily.ZERO)
-
-
-def _reference_column(curve: ReferenceCurve, part: str, N: int, measure: float = 1.0):
-    """The curve at r = 0..N/2, as the real column compared with `part`:
-    an index curve as it is, a frequency curve's conjugated part at omega_r
-    divided by measure (NaN where the curve excludes omega_r)."""
-    if curve.family in _INDEX_CURVES:
-        return spectra.reference_values(curve, range(N // 2 + 1))
-    values = spectra.reference_values(curve, spectra.omega_grid(N, curve.h))
-    return (-values.imag if part == "im" else values.real) / measure
-
-
 def _spectrum_columns(values, ref, part: str, N: int, h: float) -> list:
     """Columns r, omega, Re[b*(r)], Im[b*(r)], ref, |part - ref| for
     r = 0..N/2, where values holds b(r) and ref the reference column in
@@ -266,7 +253,7 @@ def _cmd_spectrum(args) -> str:
     ref_family = CurveFamily(args.ref) if args.ref else _default_ref(kind_value, args.part)
     curve = ReferenceCurve(family=ref_family, h=args.h, N=args.N)
     # frequency curves carry the transform's measure h
-    ref = _reference_column(curve, args.part, args.N, measure=args.h)
+    ref = spectra.reference_column(curve, args.part, args.N, measure=args.h)
     columns = _spectrum_columns(spectrum.values, ref, args.part, args.N, args.h)
     return _render_table(_SPECTRUM_COLUMNS, columns, args.format)
 
@@ -281,7 +268,8 @@ def _cmd_diff(args) -> str:
 
     if args.stencil_file:
         with open(args.stencil_file, "r", encoding="utf-8") as fh:
-            stencil = weights.stencil_from_dict(json.load(fh))
+            # ints as text: stencil_from_dict reads them and names one too long
+            stencil = weights.stencil_from_dict(json.load(fh, parse_int=str))
         result = signals.apply_stencil(signal, stencil)
     elif args.kind == StencilKind.HALF_POINT_FIRST.value:
         result = signals.differentiate_half_point_signal(signal, args.n or 1)
@@ -300,7 +288,7 @@ def _figure_limit_curve(args, figure_id: str) -> str:
     )
     part = "im" if figure_id == "1a" else "re"
     curve = ReferenceCurve(family=family, h=args.h)
-    ref = _reference_column(curve, part, args.N)
+    ref = spectra.reference_column(curve, part, args.N)
     if figure_id == "1a":
         ref[-1] = math.nan  # the first-derivative limit excludes omega = pi/h
     values, _bounds = spectra.truncated_limit_spectrum_dft_grid(
@@ -325,7 +313,7 @@ def _figure_finite_spectra(args, figure_id: str) -> str:
         ns = args.n or [1, 3, 5]
         kind, family, part = (StencilKind.ONE_SIDED_FIRST, CurveFamily.ZERO, "re")
     curve = ReferenceCurve(family=family, h=args.h, N=args.N)
-    ref = _reference_column(curve, part, args.N)
+    ref = spectra.reference_column(curve, part, args.N)
     blocks = [
         _spectrum_columns(spectra.dft_spectrum(weights.build(kind, n), args.N).values,
                           ref, part, args.N, args.h)
@@ -348,7 +336,7 @@ def _figure_envelope_demo(args) -> str:
     envelope = np.abs(fn.envelope(x))  # the scalar Horner steps, element-wise
     raw = result.values
     even = (np.arange(len(signal)) - signal.origin) % 2 == 0
-    columns = [range(len(signal)), x, np.asarray(signal.samples), envelope, -envelope,
+    columns = [range(len(signal)), x, signal.samples, envelope, -envelope,
                raw, np.where(even, -raw, raw)]
     names = ["index", "x", "signal", "envelope_upper", "envelope_lower",
              "half_point_raw", "half_point_corrected"]

@@ -12,7 +12,7 @@ scaled to integers and each value is rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,27 +26,31 @@ class BoundaryError(IndexError):
     """A stencil offset fell outside the sampled range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSignal:
-    """Equidistant samples; index `origin` maps to x = 0."""
+    """Equidistant samples; index `origin` maps to x = 0. The samples are
+    held as a read-only float64 copy of the sequence given."""
 
     h: float
-    samples: tuple[float, ...]
+    samples: np.ndarray
     origin: int = 0
 
     def __post_init__(self):
+        samples = np.array(self.samples, dtype=float)
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
         if not 0 < self.h < math.inf:
             raise ValueError(f"h={self.h} must be a positive finite float")
-        if len(self.samples) < 2:
+        if len(samples) < 2:
             raise ValueError("need at least two samples")
-        if not 0 <= self.origin < len(self.samples):
+        if not 0 <= self.origin < len(samples):
             raise ValueError("origin must index into the samples")
-        reach = max(self.origin, len(self.samples) - 1 - self.origin)
+        reach = max(self.origin, len(samples) - 1 - self.origin)
         if not math.isfinite(reach * self.h):
             raise ValueError(f"h={self.h}: x = {reach}*h at the far end overflows the floats")
-        if not all(map(math.isfinite, self.samples)):
-            index = next(i for i, v in enumerate(self.samples) if not math.isfinite(v))
-            raise ValueError(f"sample {index} is {self.samples[index]}: samples must be finite")
+        if not np.isfinite(samples).all():
+            index = int(np.argmin(np.isfinite(samples)))
+            raise ValueError(f"sample {index} is {samples[index].item()}: samples must be finite")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -68,87 +72,119 @@ class DerivativeResult:
 
 
 class _CompiledRule:
-    """Float view of a stencil, nodes ordered smallest |offset| first."""
+    """Float view of a stencil, nodes ordered smallest |offset| first.
 
-    def __init__(self, nodes, prefactor, h_power, label):
-        ordered = sorted(nodes, key=lambda ow: (abs(ow[0]), ow[0]))
-        self.offsets = [o for o, _ in ordered]
-        self.weights = [float(w) for _, w in ordered]
-        self.scale = float(prefactor)
-        self.h_power = h_power
-        self.label = label
-        self.min_offset = min(self.offsets)
-        self.max_offset = max(self.offsets)
+    A rule is what _apply_spans applies: a policy label, the offsets
+    min_offset..max_offset it reads, and apply_range."""
 
-    @classmethod
-    def from_stencil(cls, stencil: Stencil, label=None):
-        return cls(
-            stencil.nodes,
-            stencil.prefactor,
-            stencil.h_power,
-            label or stencil.label(),
-        )
+    def __init__(self, stencil: Stencil, label: str | None = None):
+        ordered = sorted(stencil.nodes, key=lambda ow: (abs(ow[0]), ow[0]))
+        self.nodes = [(o, float(w)) for o, w in ordered]
+        self.scale = float(stencil.prefactor)
+        self.h_power = stencil.h_power
+        self.label = label or stencil.label()
+        self.min_offset, self.max_offset = stencil.offsets[0], stencil.offsets[-1]
 
-    def mirrored(self, label):
-        nodes = [(-o, -w) for o, w in zip(self.offsets, self.weights)]
-        rule = _CompiledRule(nodes, 1, self.h_power, label)
-        rule.scale = self.scale
-        return rule
-
-    def apply_range(self, samples: np.ndarray, start: int, stop: int, h: float) -> np.ndarray:
+    def apply_range(self, signal: SampledSignal, start: int, stop: int) -> np.ndarray:
         """The rule at indices start..stop-1, all of whose sample indices
-        must lie in the array; each index accumulates its nodes in the
+        must lie in the signal; each index accumulates its nodes in the
         stored order, exactly as one scalar application would. Raises
         ValueError when h**h_power overflows or underflows to zero, or when
         a value leaves the floats."""
         try:
-            divisor = h ** self.h_power
+            divisor = signal.h ** self.h_power
         except OverflowError:
             divisor = math.inf
         if not 0 < divisor < math.inf:
             raise ValueError(
-                f"h={h} is out of range for {self.label}: "
+                f"h={signal.h} is out of range for {self.label}: "
                 f"h**{self.h_power} must be a finite nonzero float"
             )
         total = np.zeros(stop - start)
         with np.errstate(over="ignore", invalid="ignore"):
-            for o, w in zip(self.offsets, self.weights):
-                total += w * samples[start + o:stop + o]
+            for o, w in self.nodes:
+                total += w * signal.samples[start + o:stop + o]
             values = (self.scale * total) / divisor
         if not np.isfinite(values).all():
-            raise ValueError(f"h={h}: {self.label} values overflow the floats")
+            raise ValueError(f"h={signal.h}: {self.label} values overflow the floats")
         return values
+
+
+class _HalfPointRule:
+    """half_point(n) as a rule, applied exactly: 1/(2h) * sum over the
+    positive offsets k of w(k) * (f[i+k] - f[i-k]), rounded once per value.
+
+    The weights are scaled by their common denominator D to ints a(k), a
+    window of samples by its common denominator S (a power of two) to ints
+    F, and h = hp/hq; each value is the int quotient
+    sum a(k) (F[i+k] - F[i-k]) * hq / (2 D S hp), correctly rounded.
+    """
+
+    def __init__(self, n: int):
+        self.stencil = half_point(n)
+        self.label = f"half-point({n})"
+        self.min_offset, self.max_offset = self.stencil.offsets[0], self.stencil.offsets[-1]
+        positive = [(k, w) for k, w in self.stencil.nodes if k > 0]
+        self.D = math.lcm(*(w.denominator for _, w in positive))
+        self.scaled = [(k, w.numerator * (self.D // w.denominator)) for k, w in positive]
+
+    def apply_range(self, signal: SampledSignal, start: int, stop: int) -> np.ndarray:
+        """The values at indices start..stop-1, all of whose sample indices
+        must lie in the signal. Raises ValueError when a value leaves the
+        floats."""
+        count, reach = stop - start, self.max_offset
+        window = signal.samples[start - reach:stop + reach].tolist()
+        ratios = [v.as_integer_ratio() for v in window]
+        S = math.lcm(*{q for _, q in ratios})
+        F = np.array([p * (S // q) for p, q in ratios], dtype=object)
+        total = np.zeros(count, dtype=object)
+        for k, a in self.scaled:
+            total += a * (F[reach + k:reach + k + count] - F[reach - k:reach - k + count])
+        hp, hq = signal.h.as_integer_ratio()
+        try:
+            values = total * hq / (2 * self.D * S * hp)
+        except OverflowError:
+            raise ValueError(
+                f"h={signal.h}: {self.stencil.label()} values overflow the floats") from None
+        return values.astype(float)
 
 
 def _apply_spans(signal: SampledSignal, order: int, spans) -> DerivativeResult:
     """Each (rule, start, stop) span applied at indices start..stop-1; the
     indices no span covers are skipped (NaN)."""
-    samples = np.asarray(signal.samples, dtype=float)
     values = np.full(len(signal), math.nan)
     policy = [SKIPPED] * len(signal)
     for rule, start, stop in spans:
         if start < stop:
-            values[start:stop] = rule.apply_range(samples, start, stop, signal.h)
+            values[start:stop] = rule.apply_range(signal, start, stop)
             policy[start:stop] = [rule.label] * (stop - start)
     return DerivativeResult(values=values, policy=tuple(policy), order=order)
 
 
+def _apply_where_it_fits(signal: SampledSignal, order: int, rule) -> DerivativeResult:
+    """The rule at every index whose offsets all read a sample."""
+    span = (rule, max(0, -rule.min_offset), len(signal) - max(0, rule.max_offset))
+    return _apply_spans(signal, order, [span])
+
+
+def _apply_at(signal: SampledSignal, rule, index: int) -> float:
+    """The rule at one index; BoundaryError names the outermost sample index
+    it would read outside the signal."""
+    length = len(signal)
+    for j in (index + rule.min_offset, index + rule.max_offset):
+        if not 0 <= j < length:
+            raise BoundaryError(f"stencil needs sample index {j}, outside 0..{length - 1}")
+    return float(rule.apply_range(signal, index, index + 1)[0])
+
+
 def apply_stencil_at(signal: SampledSignal, stencil: Stencil, index: int) -> float:
     """Evaluate one stencil at one sample index."""
-    rule = _CompiledRule.from_stencil(stencil)
-    length = len(signal)
-    missing = [index + o for o in rule.offsets if not 0 <= index + o < length]
-    if missing:
-        raise BoundaryError(f"stencil needs sample index {missing[0]}, outside 0..{length - 1}")
-    samples = np.asarray(signal.samples, dtype=float)
-    return float(rule.apply_range(samples, index, index + 1, signal.h)[0])
+    return _apply_at(signal, _CompiledRule(stencil), index)
 
 
 def apply_stencil(signal: SampledSignal, stencil: Stencil) -> DerivativeResult:
     """Apply a single stencil at every index where it fits."""
-    rule = _CompiledRule.from_stencil(stencil)
-    span = (rule, max(0, -rule.min_offset), len(signal) - max(0, rule.max_offset))
-    return _apply_spans(signal, stencil.derivative_order, [span])
+    return _apply_where_it_fits(signal, stencil.derivative_order, _CompiledRule(stencil))
 
 
 def differentiate(signal: SampledSignal, n: int, order: int) -> DerivativeResult:
@@ -164,49 +200,17 @@ def differentiate(signal: SampledSignal, n: int, order: int) -> DerivativeResult
         raise ValueError(f"need at least n+1 = {n + 1} samples")
 
     central_stencil = central_first(n) if order == 1 else central_second(n)
-    central = _CompiledRule.from_stencil(central_stencil, f"central({n})")
-    spans = [(central, n, length - n)]
+    spans = [(_CompiledRule(central_stencil, f"central({n})"), n, length - n)]
     if order == 1:
-        # forward below the central span, backward above it, as far as each
-        # fits: a signal shorter than 2n+1 leaves a skipped middle
-        forward = _CompiledRule.from_stencil(one_sided_first(n), f"forward({n})")
-        backward = forward.mirrored(f"backward({n})")
-        spans += [(forward, 0, min(n, length - n)), (backward, max(n, length - n), length)]
+        # forward below the central span, backward (the forward stencil
+        # mirrored) above it, as far as each fits: a signal shorter than
+        # 2n+1 leaves a skipped middle
+        forward = one_sided_first(n)
+        backward = replace(forward, offsets=tuple(-o for o in reversed(forward.offsets)),
+                           weights=tuple(-w for w in reversed(forward.weights)))
+        spans += [(_CompiledRule(forward, f"forward({n})"), 0, min(n, length - n)),
+                  (_CompiledRule(backward, f"backward({n})"), max(n, length - n), length)]
     return _apply_spans(signal, order, spans)
-
-
-def _half_point_range(signal: SampledSignal, stencil: Stencil, start: int,
-                      stop: int) -> np.ndarray:
-    """1/(2h) * sum over the positive offsets k of w(k) * (f[i+k] - f[i-k])
-    at indices start..stop-1, all of whose sample indices must lie in the
-    signal; exact, with one rounding per value.
-
-    The samples of the window are scaled by their common denominator S (a
-    power of two) to exact ints F, the weights by theirs, D, to ints a(k),
-    and h = hp/hq; each value is then the int quotient
-    sum a(k) (F[i+k] - F[i-k]) * hq / (2 D S hp), which int true division
-    rounds correctly. Raises ValueError when a value leaves the floats.
-    """
-    count = stop - start
-    if count <= 0:
-        return np.empty(0)
-    positive = [(k, w) for k, w in stencil.nodes if k > 0]
-    reach = max(k for k, _ in positive)
-    ratios = [v.as_integer_ratio() for v in signal.samples[start - reach:stop + reach]]
-    S = math.lcm(*{q for _, q in ratios})
-    F = np.array([p * (S // q) for p, q in ratios], dtype=object)
-    D = math.lcm(*(w.denominator for _, w in positive))
-    total = np.zeros(count, dtype=object)
-    for k, w in positive:
-        a = w.numerator * (D // w.denominator)
-        total += a * (F[reach + k:reach + k + count] - F[reach - k:reach - k + count])
-    hp, hq = signal.h.as_integer_ratio()
-    try:
-        values = total * hq / (2 * D * S * hp)
-    except OverflowError:
-        raise ValueError(
-            f"h={signal.h}: {stencil.label()} values overflow the floats") from None
-    return values.astype(float)
 
 
 def differentiate_half_point(signal: SampledSignal, n: int, index: int) -> float:
@@ -217,30 +221,13 @@ def differentiate_half_point(signal: SampledSignal, n: int, index: int) -> float
     return, so the first-moment cancellation on linear alternating
     envelopes is bit-exact.
     """
-    stencil = half_point(n)
-    reach = 2 * n - 1
-    length = len(signal)
-    for j in (index - reach, index + reach):
-        if not 0 <= j < length:
-            raise BoundaryError(
-                f"stencil needs sample index {j}, outside 0..{length - 1}"
-            )
-    return float(_half_point_range(signal, stencil, index, index + 1)[0])
+    return _apply_at(signal, _HalfPointRule(n), index)
 
 
 def differentiate_half_point_signal(signal: SampledSignal, n: int) -> DerivativeResult:
     """differentiate_half_point at every index where the odd-offset stencil
     fits; the 2n-1 indices at each edge are skipped (NaN)."""
-    stencil = half_point(n)
-    reach = 2 * n - 1
-    length = len(signal)
-    start = min(reach, length)
-    stop = max(start, length - reach)
-    values = np.full(length, math.nan)
-    values[start:stop] = _half_point_range(signal, stencil, start, stop)
-    policy = ((SKIPPED,) * start + (f"half-point({n})",) * (stop - start)
-              + (SKIPPED,) * (length - stop))
-    return DerivativeResult(values=values, policy=policy, order=1)
+    return _apply_where_it_fits(signal, 1, _HalfPointRule(n))
 
 
 def alternating_second_derivative_check(M: int, h: float) -> float:
@@ -276,8 +263,8 @@ class Sinusoid:
     omega: float
     phase: float = 0.0
 
-    def sample_node(self, m: int, h: float) -> float:
-        return math.sin(self.omega * m * h + self.phase)
+    def sample(self, m: np.ndarray, h: float) -> np.ndarray:
+        return np.sin(self.omega * m * h + self.phase)
 
     def derivative(self, x: float, order: int, h: float | None = None) -> float:
         if order == 1:
@@ -289,7 +276,7 @@ class Sinusoid:
 class Polynomial:
     coeffs: tuple[float, ...]
 
-    def sample_node(self, m: int, h: float) -> float:
+    def sample(self, m: np.ndarray, h: float) -> np.ndarray:
         return _poly_eval(self.coeffs, m * h)
 
     def derivative(self, x: float, order: int, h: float | None = None) -> float:
@@ -312,9 +299,8 @@ class ModulatedAlternating:
     def envelope_derivative(self, x: float) -> float:
         return _poly_eval(_poly_diff(self.coeffs), x)
 
-    def sample_node(self, m: int, h: float) -> float:
-        carrier = -1.0 if m % 2 else 1.0
-        return carrier * self.envelope(m * h)
+    def sample(self, m: np.ndarray, h: float) -> np.ndarray:
+        return np.where(m % 2, -1.0, 1.0) * self.envelope(m * h)
 
     def derivative(self, x: float, order: int, h: float | None = None) -> float:
         # derivative of cos(pi x / h) g(x) evaluated on the grid
@@ -354,12 +340,15 @@ def parse_test_function(expr: str):
 
 def make_signal(fn, h: float, points: int, origin: int | None = None) -> SampledSignal:
     """Sample a test function on an equidistant grid (origin at the center
-    by default)."""
+    by default): fn.sample at the grid indices m = -origin..points-1-origin.
+    A sample that overflows to inf or NaN is left to SampledSignal to
+    reject."""
     if points < 2:
         raise ValueError("need at least two points")
     if origin is None:
         origin = points // 2
-    samples = tuple(fn.sample_node(i - origin, h) for i in range(points))
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = fn.sample(np.arange(-origin, points - origin), h)
     return SampledSignal(h=h, samples=samples, origin=origin)
 
 

@@ -379,8 +379,15 @@ def omega_grid(N: int, h: float) -> np.ndarray:
     return 2.0 * math.pi * np.arange(N // 2 + 1) / (N * h)
 
 
-def _conj_part(values: np.ndarray, part: str) -> np.ndarray:
-    return -np.imag(values) if part == "im" else np.real(values)
+def reference_column(curve: ReferenceCurve, part: str, N: int, measure: float = 1.0) -> np.ndarray:
+    """The curve at r = 0..N/2, as the real column compared with Im[b*(r)]
+    (part "im", the negated imaginary part) or Re[b*(r)] (part "re"): an
+    index curve as it is, a frequency curve's part at omega_r divided by
+    measure (NaN where the curve excludes omega_r)."""
+    if curve.family not in _OMEGA_FAMILIES:
+        return reference_values(curve, range(N // 2 + 1))
+    values = reference_values(curve, omega_grid(N, curve.h))
+    return (-values.imag if part == "im" else values.real) / measure
 
 
 def deviation(
@@ -407,22 +414,18 @@ def deviation(
         raise ValueError("r range must lie within [0, N/2]")
 
     sides = spectrum.im_conj if part == "im" else spectrum.re_conj
-    half = np.arange(N // 2 + 1)
-
+    band = reference_column(curve, part, N)
+    ref = band[rs]
     if curve.family in _OMEGA_FAMILIES:
         got = sides[rs] * curve.h
-        band = _conj_part(reference_values(curve, omega_grid(N, curve.h)), part)
-        ref = band[rs]
         if np.isnan(ref).any():
             raise CurveDomainError(_EXCLUDES_NYQUIST)
         if curve.family is CurveFamily.FIRST_DERIV_LIMIT:
             band = band[:-1]
     else:
         got = sides[rs]
-        band = reference_values(curve, half)
-        ref = band[rs]
         if curve.family is CurveFamily.ZERO:
-            band = sides[half]
+            band = sides[:N // 2 + 1]
     norm = float(np.max(np.abs(band)))
 
     diffs = np.abs(got - ref)

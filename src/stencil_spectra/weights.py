@@ -336,25 +336,41 @@ def stencil_to_dict(stencil: Stencil) -> dict:
     }
 
 
+def _parse_field(parse, value, field: str):
+    """parse(value); a ValueError naming the field when the value has more
+    digits than Python's int-from-str limit lets it read."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ValueError(f"{field} has more digits than Python reads exactly") from None
+
+
 def stencil_from_dict(data: dict) -> Stencil:
     """Inverse of stencil_to_dict; reconstruction is bit-exact.
 
     Raises StencilFormatError when data is not an object, lacks a key, has
     no nodes, or holds a field that does not parse (weights and prefactor
-    must be rationals with a nonzero denominator).
+    must be rationals with a nonzero denominator); a field with more digits
+    than Python reads is named, a weight by its offset.
     """
     if not isinstance(data, dict):
         raise StencilFormatError(f"stencil must be an object, not {type(data).__name__}")
     try:
-        nodes = sorted((int(d["offset"]), Fraction(d["weight"])) for d in data["nodes"])
+        nodes = []
+        for i, d in enumerate(data["nodes"]):
+            o = _parse_field(int, d["offset"], f"the offset of node {i}")
+            nodes.append((o, _parse_field(Fraction, d["weight"], f"the weight at offset {o}")))
+        nodes.sort()
+        number = {key: _parse_field(int, data[key], f"the {key}")
+                  for key in ("n", "derivative_order", "h_power")}
         stencil = Stencil(
             kind=StencilKind(data["kind"]),
-            n=int(data["n"]),
-            derivative_order=int(data["derivative_order"]),
             offsets=tuple(o for o, _ in nodes),
             weights=tuple(w for _, w in nodes),
-            h_power=int(data["h_power"]),
-            prefactor=Fraction(data["prefactor"]),
+            prefactor=_parse_field(Fraction, data["prefactor"], "the prefactor"),
+            **number,
         )
     except KeyError as exc:
         raise StencilFormatError(f"stencil is missing key {exc}") from None

@@ -151,7 +151,8 @@ def test_diff_half_point_kind(capsys):
     ["diff", "--fn", "poly:1e308,1e308", "--h", "10", "--points", "5",
      "--kind", "half-point-first"],
     ["diff", "--fn", "sin:omega=nan", "--points", "5"],
-], ids=["inf-samples", "inf-samples-half-point", "nan-samples"])
+    ["diff", "--fn", "sin:omega=1e308", "--h", "10", "--points", "5"],
+], ids=["inf-samples", "inf-samples-half-point", "nan-samples", "sin-of-inf"])
 def test_non_finite_samples_are_one_line_error(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -221,17 +222,24 @@ _GOOD_STENCIL = {"kind": "central-first", "n": 1, "derivative_order": 1,
     {**_GOOD_STENCIL, "nodes": [{"offset": 1, "weight": "1"}, {"offset": 1, "weight": "2"}]},
     {**_GOOD_STENCIL, "derivative_order": -1},
     {**_GOOD_STENCIL, "h_power": -3},
+    {**_GOOD_STENCIL, "nodes": [{"offset": 1, "weight": "1/" + "7" * 5000}]},
+    json.dumps(_GOOD_STENCIL).replace('"n": 1', '"n": ' + "7" * 5000),
 ], ids=["not-object", "missing-key", "empty-nodes", "zero-denominator",
         "null-weight", "bad-prefactor", "duplicate-offset", "negative-order",
-        "negative-h-power"])
+        "negative-h-power", "too-long-weight", "too-long-int-literal"])
 def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload),
+                    encoding="utf-8")
     code, out, err = run_capture(
         capsys, ["diff", "--fn", "sin:omega=1", "--stencil-file", str(path)]
     )
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "7" * 5000 in path.read_text(encoding="utf-8"):
+        field = "weight at offset 1" if isinstance(payload, dict) else "n"
+        assert err == (f"error: malformed stencil: the {field} has more digits than "
+                       "Python reads exactly\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -390,6 +398,45 @@ def test_verify_fails_on_a_wrong_half_point_weight(capsys, monkeypatch):
     assert failed == [f"FAIL {check} half-point-first(n={n})"
                       for n in (1, 2, 3) for check in ("moment-system", "exactness")]
     assert out.endswith("\n33/39 checks passed\n")
+
+
+def _bent_builder(kind, position):
+    """The builder of kind with the weight at index position(n) of the
+    stored weights off by 10**-6."""
+    build = weights._KIND_BUILDERS[kind]
+
+    def bent(n):
+        stencil = build(n)
+        bent_weights = list(stencil.weights)
+        bent_weights[position(n)] += Fraction(1, 10 ** 6)
+        return dataclasses.replace(stencil, weights=tuple(bent_weights))
+    return bent
+
+
+# Each bent weight fails exactly its family's lines. The one-sided closed-form
+# line compares the centre weight with -(1 + 1/2 + ... + 1/n), but that term
+# is implied by the product-form terms at m >= 1 and by sum == 0: a bent
+# centre weight breaks the sum and a bent weight at m >= 1 its product form,
+# so no fault can fail the harmonic term alone (and, the same way, none can
+# fail sum == 0 alone).
+@pytest.mark.parametrize("kind, position, checks", [
+    (StencilKind.CENTRAL_FIRST, lambda n: n,  # offset +1
+     ["moment-system central-first", "exactness central-first", "closed-form central-first"]),
+    (StencilKind.ONE_SIDED_FIRST, lambda n: 0,  # the centre, offset 0
+     ["moment-system one-sided-first", "exactness one-sided-first",
+      "closed-form one-sided-first"]),
+    (StencilKind.ONE_SIDED_FIRST, lambda n: n,  # offset m = n >= 1
+     ["moment-system one-sided-first", "exactness one-sided-first",
+      "closed-form one-sided-first", "determinants"]),
+], ids=["central-first-offset-1", "one-sided-centre", "one-sided-offset-n"])
+def test_verify_fails_exactly_the_lines_of_a_bent_weight(capsys, monkeypatch, kind,
+                                                        position, checks):
+    monkeypatch.setitem(weights._KIND_BUILDERS, kind, _bent_builder(kind, position))
+    code, out, _ = run_capture(capsys, ["verify", "--max-n", "3"])
+    assert code == 1
+    failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == [f"FAIL {check}(n={n})" for n in (1, 2, 3) for check in checks]
+    assert out.endswith(f"\n{39 - 3 * len(checks)}/39 checks passed\n")
 
 
 # --- general behavior ------------------------------------------------------------------

@@ -495,12 +495,66 @@ def test_parse_test_function():
 
 def test_modulated_alternating_sampling():
     fn = ModulatedAlternating(coeffs=(1.0, 0.5))
-    assert fn.sample_node(0, 1.0) == 1.0
-    assert fn.sample_node(1, 1.0) == -1.5
-    assert fn.sample_node(2, 1.0) == 2.0
+    assert fn.sample(np.arange(3), 1.0).tolist() == [1.0, -1.5, 2.0]
     assert fn.envelope(3.0) == 2.5
     assert fn.envelope_derivative(3.0) == 0.5
     assert fn.derivative(0.0, 1, h=1.0) == 0.5
+
+
+def _scalar_sample(fn, m, h):
+    """fn sampled at one int m with Python floats, one point at a time:
+    math.sin (NaN where it has a domain error, at an infinite argument),
+    Horner on m*h, and a Python carrier."""
+    if isinstance(fn, Sinusoid):
+        t = fn.omega * m * h + fn.phase
+        return math.nan if math.isinf(t) else math.sin(t)
+    x = m * h
+    acc = 0.0
+    for c in reversed(fn.coeffs):
+        acc = acc * x + c
+    if isinstance(fn, ModulatedAlternating):
+        return (-1.0 if m % 2 else 1.0) * acc
+    return acc
+
+
+def _same_float(a, b):
+    """a and b are the same float bit for bit, or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or float(a).hex() == float(b).hex()
+
+
+_ANY_FLOAT = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 5e-324]))
+_COEFFS = st.lists(_ANY_FLOAT, min_size=1, max_size=6).map(tuple)
+_FAMILIES = st.one_of(st.builds(Sinusoid, _ANY_FLOAT, _ANY_FLOAT),
+                      st.builds(Polynomial, _COEFFS), st.builds(ModulatedAlternating, _COEFFS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(fn=_FAMILIES, h=_ANY_FLOAT,
+       ms=st.lists(st.one_of(st.just(0), st.integers(-2 ** 20, 2 ** 20)), min_size=1, max_size=20))
+def test_sample_matches_the_scalar_per_point_loop(fn, h, ms):
+    # signed zeros, and samples that overflow to inf or NaN, included
+    with np.errstate(all="ignore"):
+        got = fn.sample(np.array(ms), h)
+    assert got.dtype == np.float64 and got.shape == (len(ms),)
+    for m, value in zip(ms, got.tolist()):
+        assert _same_float(value, _scalar_sample(fn, m, h)), (m, value)
+
+
+def test_samples_are_a_read_only_copy():
+    given_samples = np.array([1.0, 2.0, 3.0])
+    signal = SampledSignal(h=1.0, samples=given_samples, origin=0)
+    with pytest.raises(ValueError, match="read-only"):
+        signal.samples[0] = 5.0
+    given_samples[0] = 5.0
+    assert signal.samples.tolist() == [1.0, 2.0, 3.0]
+    assert SampledSignal(h=1.0, samples=(1, 2), origin=0).samples.dtype == np.float64
+
+
+def test_make_signal_rejects_overflowing_samples_without_a_warning():
+    # omega*m overflows to inf at m = -2 and sin(inf) is NaN
+    with pytest.raises(ValueError, match=r"^sample 0 is nan: samples must be finite$"):
+        make_signal(Sinusoid(omega=1e308), 10.0, 5)
 
 
 def test_make_signal_centers_origin():

@@ -1,5 +1,6 @@
 """Exact-value and identity tests for the weight generators."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -347,6 +348,55 @@ def test_json_round_trip_is_exact():
         assert all("/" in node["weight"] or "." not in node["weight"]
                    for node in d["nodes"])
         assert stencil_from_dict(d) == s
+
+
+_RATIONALS = st.builds(Fraction, st.integers(), st.integers(1, 10 ** 40))
+
+
+@st.composite
+def _hand_built_stencils(draw):
+    offsets = sorted(draw(st.sets(st.integers(), min_size=1, max_size=12)))
+    return weights.Stencil(
+        kind=draw(st.sampled_from(list(StencilKind))),
+        n=draw(st.integers()),
+        derivative_order=draw(st.integers(0, 10)),
+        offsets=tuple(offsets),
+        weights=tuple(draw(st.lists(_RATIONALS, min_size=len(offsets),
+                                    max_size=len(offsets)))),
+        h_power=draw(st.integers(0, 10)),
+        prefactor=draw(_RATIONALS),
+    )
+
+
+_STENCILS = st.one_of(
+    st.builds(weights.build, st.sampled_from(list(StencilKind)), st.integers(1, 40)),
+    _hand_built_stencils(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stencil=_STENCILS)
+def test_json_round_trip_property(stencil):
+    text = json.dumps(stencil_to_dict(stencil))
+    assert stencil_from_dict(json.loads(text)) == stencil
+    # the CLI reads stencil files with the ints left as text
+    assert stencil_from_dict(json.loads(text, parse_int=str)) == stencil
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("the weight at offset 1", lambda d: d["nodes"][1].update(weight="1/" + "7" * 5000)),
+    ("the weight at offset -1", lambda d: d["nodes"][0].update(weight="0." + "7" * 5000)),
+    ("the offset of node 1", lambda d: d["nodes"][1].update(offset="7" * 5000)),
+    ("the prefactor", lambda d: d.update(prefactor="7" * 5000)),
+    ("the h_power", lambda d: d.update(h_power="7" * 5000)),
+])
+def test_stencil_from_dict_names_a_field_too_long_to_read(field, edit):
+    data = stencil_to_dict(central_first(1))
+    edit(data)
+    with pytest.raises(weights.StencilFormatError) as info:
+        stencil_from_dict(data)
+    assert str(info.value) == (f"malformed stencil: {field} has more digits than "
+                               "Python reads exactly")
 
 
 def test_weights_are_reduced_fractions():
