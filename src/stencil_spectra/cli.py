@@ -229,11 +229,10 @@ def _spectrum_columns(values, ref, part: str, N: int, h: float) -> list:
     """Columns r, omega, Re[b*(r)], Im[b*(r)], ref, |part - ref| for
     r = 0..N/2, where values holds b(r) and ref the reference column in
     the same units."""
-    half = N // 2 + 1
-    re_part = values[:half].real
-    im_part = -values[:half].imag
+    re_part = values.real
+    im_part = -values.imag
     abs_dev = abs((im_part if part == "im" else re_part) - ref)
-    return [range(half), spectra.omega_grid(N, h), re_part, im_part, ref, abs_dev]
+    return [range(N // 2 + 1), spectra.omega_grid(N, h), re_part, im_part, ref, abs_dev]
 
 
 def _cmd_spectrum(args) -> str:
@@ -289,8 +288,6 @@ def _figure_limit_curve(args, figure_id: str) -> str:
     part = "im" if figure_id == "1a" else "re"
     curve = ReferenceCurve(family=family, h=args.h)
     ref = spectra.reference_column(curve, part, args.N)
-    if figure_id == "1a":
-        ref[-1] = math.nan  # the first-derivative limit excludes omega = pi/h
     values, _bounds = spectra.truncated_limit_spectrum_dft_grid(
         family, args.N, args.h, args.M
     )
@@ -394,14 +391,8 @@ def run(argv: list[str]) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (
-        spectra.EmbeddingOverflowError,
-        spectra.CurveDomainError,
-        signals.BoundaryError,
-        ValueError,
-        OverflowError,
-        OSError,
-    ) as exc:
+    # spectra's EmbeddingOverflowError and CurveDomainError are ValueErrors
+    except (signals.BoundaryError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write(text, args.out)

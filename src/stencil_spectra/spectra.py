@@ -2,9 +2,10 @@
 
 The DFT is evaluated by direct sparse summation, never by an FFT library:
 one length-N table of exp(-2i pi p/N) is built per call, and each tap then
-costs one gather from it and one multiply-add over the N bins. The module
-follows the plotting convention of conjugated spectra: accessors expose
-Re[b*(r)] and Im[b*(r)].
+costs one gather from it and one multiply-add over the N/2+1 bins
+r = 0..N/2 (the half band; a real sequence's other bins are its conjugate
+mirror b(N-r) = conj b(r)). The module follows the plotting convention of
+conjugated spectra: accessors expose Re[b*(r)] and Im[b*(r)].
 """
 
 from __future__ import annotations
@@ -105,21 +106,20 @@ class ReferenceCurve:
 
 @dataclass(frozen=True)
 class FilterSpectrum:
-    """Length-N DFT of an embedded weight sequence."""
+    """The half band b(r), r = 0..N/2, of the length-N DFT of an embedded
+    weight sequence."""
 
     N: int
-    mode: EmbeddingMode
     values: np.ndarray
-    source: str
 
     @property
     def re_conj(self) -> np.ndarray:
-        """Re[b*(r)] for all r."""
+        """Re[b*(r)] for r = 0..N/2."""
         return self.values.real
 
     @property
     def im_conj(self) -> np.ndarray:
-        """Im[b*(r)] for all r."""
+        """Im[b*(r)] for r = 0..N/2."""
         return -self.values.imag
 
 
@@ -139,15 +139,10 @@ def _base_entries(source: WeightSource):
     """Normalize to a sorted list of (index, weight); weights may be exact
     Fractions (stencils) or floats (truncated limit sequences)."""
     if isinstance(source, Stencil):
-        label = source.label()
-        entries = [(o, w) for o, w in source.nodes if o >= 0]
-    elif isinstance(source, Mapping):
-        label = f"sequence({len(source)} taps)"
-        entries = sorted(source.items())
-    else:
-        entries = sorted(source)
-        label = f"sequence({len(entries)} taps)"
-    return entries, label
+        return [(o, w) for o, w in source.nodes if o >= 0]
+    if isinstance(source, Mapping):
+        return sorted(source.items())
+    return sorted(source)
 
 
 def _embed(entries, N: int, mode: EmbeddingMode):
@@ -167,10 +162,11 @@ def _embed(entries, N: int, mode: EmbeddingMode):
 
 
 def _accumulate(embedded, N):
-    k = np.arange(N)
+    """b(r) for r = 0..N/2."""
     # twiddle[p] = exp(-2i pi p/N); reducing idx*k mod N indexes it exactly
-    twiddle = np.exp((-2j * np.pi / N) * k)
-    acc = np.zeros(N, dtype=complex)
+    twiddle = np.exp((-2j * np.pi / N) * np.arange(N))
+    k = np.arange(N // 2 + 1)
+    acc = np.zeros(N // 2 + 1, dtype=complex)
     for idx, w in embedded:
         acc += float(w) * twiddle[(idx * k) % N]
     return acc
@@ -179,7 +175,8 @@ def _accumulate(embedded, N):
 def dft_spectrum(
     source: WeightSource, N: int, mode: EmbeddingMode = EmbeddingMode.HALF_SEQUENCE
 ) -> FilterSpectrum:
-    """Sparse direct DFT b(r) = sum_m a_m exp(-2i pi m r / N), r = 0..N-1.
+    """Sparse direct DFT b(r) = sum_m a_m exp(-2i pi m r / N) on the half
+    band r = 0..N/2: N/2+1 values.
 
     The DC bin is recomputed from the exact rational weight sum when the
     source carries exact weights, so zero-sum stencils report b(0) = 0
@@ -187,8 +184,7 @@ def dft_spectrum(
     """
     if N < 2 or N % 2:
         raise ValueError("N must be even and >= 2")
-    entries, label = _base_entries(source)
-    embedded = _embed(entries, N, mode)
+    embedded = _embed(_base_entries(source), N, mode)
 
     values = _accumulate(embedded, N)
     if all(isinstance(w, (Fraction, int)) for _, w in embedded):
@@ -196,7 +192,7 @@ def dft_spectrum(
     else:
         dc = math.fsum(float(w) for _, w in embedded)
     values[0] = complex(dc, 0.0)
-    return FilterSpectrum(N=N, mode=mode, values=values, source=label)
+    return FilterSpectrum(N=N, values=values)
 
 
 _EXCLUDES_NYQUIST = "first-derivative limit excludes omega = pi/h"
@@ -383,11 +379,15 @@ def reference_column(curve: ReferenceCurve, part: str, N: int, measure: float = 
     """The curve at r = 0..N/2, as the real column compared with Im[b*(r)]
     (part "im", the negated imaginary part) or Re[b*(r)] (part "re"): an
     index curve as it is, a frequency curve's part at omega_r divided by
-    measure (NaN where the curve excludes omega_r)."""
+    measure. The first-derivative limit is NaN at r = N/2, which it
+    excludes, however omega_{N/2} rounds against pi/h."""
     if curve.family not in _OMEGA_FAMILIES:
         return reference_values(curve, range(N // 2 + 1))
     values = reference_values(curve, omega_grid(N, curve.h))
-    return (-values.imag if part == "im" else values.real) / measure
+    column = (-values.imag if part == "im" else values.real) / measure
+    if curve.family is CurveFamily.FIRST_DERIV_LIMIT:
+        column[-1] = math.nan
+    return column
 
 
 def deviation(
@@ -401,8 +401,8 @@ def deviation(
     For frequency-domain curves the spectrum side is scaled by h (the
     measure of the underlying transform) and compared at omega_r. The
     relative deviation is normalized by the curve's maximum over the half
-    band [0, N/2]; for the identically-zero curve the spectrum's own
-    maximum is used instead.
+    band [0, N/2] (where the curve is defined); for the identically-zero
+    curve the spectrum's own maximum is used instead.
     """
     if part not in ("im", "re"):
         raise ValueError("part must be 'im' or 're'")
@@ -420,13 +420,11 @@ def deviation(
         got = sides[rs] * curve.h
         if np.isnan(ref).any():
             raise CurveDomainError(_EXCLUDES_NYQUIST)
-        if curve.family is CurveFamily.FIRST_DERIV_LIMIT:
-            band = band[:-1]
     else:
         got = sides[rs]
         if curve.family is CurveFamily.ZERO:
-            band = sides[:N // 2 + 1]
-    norm = float(np.max(np.abs(band)))
+            band = sides
+    norm = float(np.nanmax(np.abs(band)))
 
     diffs = np.abs(got - ref)
     imax = int(np.argmax(diffs))

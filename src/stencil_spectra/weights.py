@@ -9,6 +9,7 @@ Floating point enters only when a consumer converts a weight for evaluation
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -337,23 +338,32 @@ def stencil_to_dict(stencil: Stencil) -> dict:
 
 
 def _parse_field(parse, value, field: str):
-    """parse(value); a ValueError naming the field when the value has more
-    digits than Python's int-from-str limit lets it read."""
-    try:
-        return parse(value)
-    except ValueError as exc:
-        if "integer string conversion" not in str(exc):
-            raise
-        raise ValueError(f"{field} has more digits than Python reads exactly") from None
+    """parse(value): int reads a JSON integer or its text, Fraction a JSON
+    number or a rational's text. Anything else, a boolean included, is a
+    ValueError naming the field, as is a value with more digits than
+    Python's int-from-str limit lets it read."""
+    if parse is int:
+        valid = type(value) is int or (
+            isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value) is not None)
+    else:
+        valid = type(value) in (int, float, str)
+    if valid:
+        try:
+            return parse(value)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            if "integer string conversion" in str(exc):
+                raise ValueError(f"{field} has more digits than Python reads exactly") from None
+    raise ValueError(f"{field} is not {'an integer' if parse is int else 'a rational'}")
 
 
 def stencil_from_dict(data: dict) -> Stencil:
     """Inverse of stencil_to_dict; reconstruction is bit-exact.
 
     Raises StencilFormatError when data is not an object, lacks a key, has
-    no nodes, or holds a field that does not parse (weights and prefactor
-    must be rationals with a nonzero denominator); a field with more digits
-    than Python reads is named, a weight by its offset.
+    no nodes, or holds a field that does not parse: offsets, n,
+    derivative_order and h_power must be integers, weights and prefactor
+    rationals with a nonzero denominator, and none a boolean. A field that
+    does not parse is named, a weight by its offset.
     """
     if not isinstance(data, dict):
         raise StencilFormatError(f"stencil must be an object, not {type(data).__name__}")
@@ -374,8 +384,6 @@ def stencil_from_dict(data: dict) -> Stencil:
         )
     except KeyError as exc:
         raise StencilFormatError(f"stencil is missing key {exc}") from None
-    except ZeroDivisionError:
-        raise StencilFormatError("stencil has a rational with denominator 0") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise StencilFormatError(f"malformed stencil: {exc}") from None
     if not stencil.offsets:

@@ -155,7 +155,7 @@ def test_criterion_6_figure_reproduction():
     failures = []
 
     spectrum = dft_spectrum(weights.half_point(1), N)
-    r = np.arange(N)
+    r = np.arange(N // 2 + 1)
     gap = np.abs(spectrum.im_conj - np.sin(2 * np.pi * r / N)).max()
     if gap > 1e-10:
         failures.append(f"(a) half-point n=1 vs sine: {gap:.2e}")

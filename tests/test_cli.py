@@ -224,9 +224,16 @@ _GOOD_STENCIL = {"kind": "central-first", "n": 1, "derivative_order": 1,
     {**_GOOD_STENCIL, "h_power": -3},
     {**_GOOD_STENCIL, "nodes": [{"offset": 1, "weight": "1/" + "7" * 5000}]},
     json.dumps(_GOOD_STENCIL).replace('"n": 1', '"n": ' + "7" * 5000),
+    {**_GOOD_STENCIL, "n": 1.7,
+     "nodes": [{"offset": -1.5, "weight": "-1"}, {"offset": 1.9, "weight": "1"}]},
+    {**_GOOD_STENCIL, "h_power": True, "nodes": [{"offset": True, "weight": "1"}]},
+    {**_GOOD_STENCIL, "nodes": [{"offset": 1, "weight": True}]},
+    {**_GOOD_STENCIL, "prefactor": False},
 ], ids=["not-object", "missing-key", "empty-nodes", "zero-denominator",
         "null-weight", "bad-prefactor", "duplicate-offset", "negative-order",
-        "negative-h-power", "too-long-weight", "too-long-int-literal"])
+        "negative-h-power", "too-long-weight", "too-long-int-literal",
+        "fractional-offset-and-n", "boolean-offset-and-h-power", "boolean-weight",
+        "boolean-prefactor"])
 def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload):
     path = tmp_path / "bad.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload),
@@ -275,6 +282,18 @@ def test_spectrum_first_deriv_reference_is_nan_at_nyquist(capsys):
     assert rows[-1][0] == "32"
     assert rows[-1][4:] == ["nan", "nan"]
     assert float(rows[10][4]) == pytest.approx(2 * (2 * math.pi * 10 / 64), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", ["22", "16"])
+def test_first_deriv_reference_is_nan_at_nyquist_however_omega_rounds(capsys, N):
+    # at N = 22, h = 0.5 omega_{N/2} rounds below pi/h, at N = 16 it does not
+    code, out, _ = run_capture(
+        capsys, ["spectrum", "--kind", "central-first", "--n", "1", "--N", N,
+                 "--h", "0.5", "--ref", "first-deriv-limit"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[-1][0] == str(int(N) // 2)
+    assert rows[-1][4:] == ["nan", "nan"]
 
 
 # --- figure -----------------------------------------------------------------------

@@ -18,11 +18,13 @@ from stencil_spectra.spectra import (
     CurveFamily,
     EmbeddingMode,
     EmbeddingOverflowError,
+    FilterSpectrum,
     ReferenceCurve,
     deviation,
     dft_spectrum,
     freq_differentiate,
     omega_grid,
+    reference_column,
     reference_value,
     reference_values,
     truncated_limit_spectrum,
@@ -44,7 +46,7 @@ def test_one_sided_dc_bin_is_exactly_zero():
 
 def test_half_point_n1_spectrum_is_a_sine():
     spectrum = dft_spectrum(weights.half_point(1), N)
-    r = np.arange(N)
+    r = np.arange(N // 2 + 1)
     assert np.abs(spectrum.im_conj - np.sin(2 * np.pi * r / N)).max() <= 1e-10
 
 
@@ -52,13 +54,6 @@ def test_truncated_limit_sequence_nyquist_bin_is_real():
     taps = {m: weights.central_first_limit(m).value() for m in range(1, 700)}
     spectrum = dft_spectrum(taps, N, EmbeddingMode.HALF_SEQUENCE)
     assert abs(spectrum.im_conj[N // 2]) <= 1e-10
-
-
-def test_conjugate_symmetry():
-    for source in (weights.one_sided_first(5), weights.half_point(3)):
-        values = dft_spectrum(source, 256).values
-        for r in range(1, 128):
-            assert abs(values[256 - r] - np.conj(values[r])) <= 1e-10
 
 
 def test_full_antisymmetric_embedding_is_purely_imaginary():
@@ -124,8 +119,9 @@ def _weight_sequences(draw):
 def test_dft_spectrum_matches_per_tap_exp_loop(sequence, mode):
     N, taps = sequence
     values = dft_spectrum(taps, N, mode).values
+    assert len(values) == N // 2 + 1
     # bin 0 is the exact weight sum, checked by the DC tests
-    assert values[1:].tobytes() == _per_tap_dft(taps, N, mode)[1:].tobytes()
+    assert values[1:].tobytes() == _per_tap_dft(taps, N, mode)[1:N // 2 + 1].tobytes()
 
 
 # --- reference curves ------------------------------------------------------
@@ -516,6 +512,18 @@ def test_central_first_residual_shrinks_with_n():
         )
         residuals[n] = abs(spectrum.im_conj[r] * h - target)
     assert residuals[10] < residuals[1]
+
+
+def test_first_limit_excludes_nyquist_bin_however_omega_rounds():
+    # omega_{N/2} = 2 pi (N/2) / (N h) rounds below pi/h for some N and h
+    # (N = 22, h = 0.5), to it or above for others (N = 16)
+    for h in (0.5, 0.7, 1.0, 2.0):
+        curve = ReferenceCurve(CurveFamily.FIRST_DERIV_LIMIT, h=h)
+        for N in range(2, 401, 2):
+            assert math.isnan(reference_column(curve, "im", N)[-1])
+            spectrum = FilterSpectrum(N=N, values=np.zeros(N // 2 + 1, dtype=complex))
+            with pytest.raises(CurveDomainError):
+                deviation(spectrum, curve, "im", range(N // 2 + 1))
 
 
 def test_deviation_against_frequency_curve():

@@ -399,6 +399,29 @@ def test_stencil_from_dict_names_a_field_too_long_to_read(field, edit):
                                "Python reads exactly")
 
 
+@pytest.mark.parametrize("message, edit", [
+    ("the offset of node 0 is not an integer", lambda d: d["nodes"][0].update(offset=-1.5)),
+    ("the offset of node 1 is not an integer", lambda d: d["nodes"][1].update(offset=True)),
+    ("the offset of node 1 is not an integer", lambda d: d["nodes"][1].update(offset="1.9")),
+    ("the n is not an integer", lambda d: d.update(n=1.7)),
+    ("the n is not an integer", lambda d: d.update(n=1.0)),
+    ("the derivative_order is not an integer", lambda d: d.update(derivative_order=" 1")),
+    ("the h_power is not an integer", lambda d: d.update(h_power=True)),
+    ("the weight at offset 1 is not a rational", lambda d: d["nodes"][1].update(weight=True)),
+    ("the weight at offset -1 is not a rational", lambda d: d["nodes"][0].update(weight=None)),
+    ("the weight at offset 1 is not a rational", lambda d: d["nodes"][1].update(weight="one")),
+    ("the weight at offset 1 is not a rational", lambda d: d["nodes"][1].update(weight="1/0")),
+    ("the prefactor is not a rational", lambda d: d.update(prefactor=False)),
+    ("the prefactor is not a rational", lambda d: d.update(prefactor=float("inf"))),
+])
+def test_stencil_from_dict_names_a_field_of_the_wrong_type(message, edit):
+    data = stencil_to_dict(central_first(1))
+    edit(data)
+    with pytest.raises(weights.StencilFormatError) as info:
+        stencil_from_dict(data)
+    assert str(info.value) == f"malformed stencil: {message}"
+
+
 def test_weights_are_reduced_fractions():
     s = one_sided_first(12)
     for _, w in s.nodes:
