@@ -12,14 +12,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from itertools import repeat
 
 import numpy as np
 
 from . import oracle, signals, spectra, weights
-from .spectra import CurveFamily, EmbeddingMode, ReferenceCurve
+from .spectra import CurveFamily, EmbeddingMode, FilterSpectrum, ReferenceCurve
 from .weights import StencilKind
 
 _KIND_CHOICES = [k.value for k in StencilKind]
@@ -220,17 +219,14 @@ def _limit_sequence(kind_value: str, N: int, M: int | None) -> dict[int, float]:
     half_point = kind is StencilKind.HALF_POINT_FIRST
     taps = M if M is not None else (N // 4 if half_point else N // 2 - 1)
     offsets, coefficients = weights.limit_coefficients(kind, taps)
-    if half_point:
-        coefficients = coefficients / math.pi
     return dict(zip(offsets.tolist(), coefficients.tolist()))
 
 
-def _spectrum_columns(values, ref, part: str, N: int, h: float) -> list:
+def _spectrum_columns(spectrum: FilterSpectrum, ref, part: str, h: float) -> list:
     """Columns r, omega, Re[b*(r)], Im[b*(r)], ref, |part - ref| for
-    r = 0..N/2, where values holds b(r) and ref the reference column in
-    the same units."""
-    re_part = values.real
-    im_part = -values.imag
+    r = 0..N/2, where ref is the reference column in the units of the
+    spectrum."""
+    re_part, im_part, N = spectrum.re_conj, spectrum.im_conj, spectrum.N
     abs_dev = abs((im_part if part == "im" else re_part) - ref)
     return [range(N // 2 + 1), spectra.omega_grid(N, h), re_part, im_part, ref, abs_dev]
 
@@ -250,10 +246,10 @@ def _cmd_spectrum(args) -> str:
         kind_value = args.limit
     spectrum = spectra.dft_spectrum(source, args.N, EmbeddingMode(args.embedding))
     ref_family = CurveFamily(args.ref) if args.ref else _default_ref(kind_value, args.part)
-    curve = ReferenceCurve(family=ref_family, h=args.h, N=args.N)
+    curve = ReferenceCurve(family=ref_family, h=args.h)
     # frequency curves carry the transform's measure h
     ref = spectra.reference_column(curve, args.part, args.N, measure=args.h)
-    columns = _spectrum_columns(spectrum.values, ref, args.part, args.N, args.h)
+    columns = _spectrum_columns(spectrum, ref, args.part, args.h)
     return _render_table(_SPECTRUM_COLUMNS, columns, args.format)
 
 
@@ -291,7 +287,7 @@ def _figure_limit_curve(args, figure_id: str) -> str:
     values, _bounds = spectra.truncated_limit_spectrum_dft_grid(
         family, args.N, args.h, args.M
     )
-    columns = _spectrum_columns(values, ref, part, args.N, args.h)
+    columns = _spectrum_columns(FilterSpectrum(values), ref, part, args.h)
     return _render_table(_SPECTRUM_COLUMNS, columns, args.format)
 
 
@@ -309,11 +305,11 @@ def _figure_finite_spectra(args, figure_id: str) -> str:
     else:
         ns = args.n or [1, 3, 5]
         kind, family, part = (StencilKind.ONE_SIDED_FIRST, CurveFamily.ZERO, "re")
-    curve = ReferenceCurve(family=family, h=args.h, N=args.N)
+    curve = ReferenceCurve(family=family, h=args.h)
     ref = spectra.reference_column(curve, part, args.N)
     blocks = [
-        _spectrum_columns(spectra.dft_spectrum(weights.build(kind, n), args.N).values,
-                          ref, part, args.N, args.h)
+        _spectrum_columns(spectra.dft_spectrum(weights.build(kind, n), args.N), ref, part,
+                          args.h)
         for n in ns
     ]
     half = args.N // 2 + 1

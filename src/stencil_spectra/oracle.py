@@ -157,7 +157,7 @@ def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
     """Apply the stencil symbolically to x**k for k = 0..max_degree and
     compare with the exact derivative at 0.
 
-    h is factored out through h_power, so the residuals are h-independent
+    h is factored out through h**d, so the residuals are h-independent
     rationals: residual(k) = prefactor * sum w_m m**k - d! * delta(k, d).
     """
     if max_degree > 2 * stencil.n + 4:

@@ -67,9 +67,6 @@ class DerivativeResult:
     policy: tuple[str, ...]
     order: int
 
-    def defined(self, index: int) -> bool:
-        return self.policy[index] != SKIPPED
-
 
 class _CompiledRule:
     """Float view of a stencil, nodes ordered smallest |offset| first.
@@ -81,7 +78,7 @@ class _CompiledRule:
         ordered = sorted(stencil.nodes, key=lambda ow: (abs(ow[0]), ow[0]))
         self.nodes = [(o, float(w)) for o, w in ordered]
         self.scale = float(stencil.prefactor)
-        self.h_power = stencil.h_power
+        self.order = stencil.derivative_order
         self.label = label or stencil.label()
         self.min_offset, self.max_offset = stencil.offsets[0], stencil.offsets[-1]
 
@@ -89,16 +86,16 @@ class _CompiledRule:
         """The rule at indices start..stop-1, all of whose sample indices
         must lie in the signal; each index accumulates its nodes in the
         stored order, exactly as one scalar application would. Raises
-        ValueError when h**h_power overflows or underflows to zero, or when
+        ValueError when h**order overflows or underflows to zero, or when
         a value leaves the floats."""
         try:
-            divisor = signal.h ** self.h_power
+            divisor = signal.h ** self.order
         except OverflowError:
             divisor = math.inf
         if not 0 < divisor < math.inf:
             raise ValueError(
                 f"h={signal.h} is out of range for {self.label}: "
-                f"h**{self.h_power} must be a finite nonzero float"
+                f"h**{self.order} must be a finite nonzero float"
             )
         total = np.zeros(stop - start)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -338,15 +335,14 @@ def parse_test_function(expr: str):
     raise ValueError(f"unknown test function family {head!r}")
 
 
-def make_signal(fn, h: float, points: int, origin: int | None = None) -> SampledSignal:
-    """Sample a test function on an equidistant grid (origin at the center
-    by default): fn.sample at the grid indices m = -origin..points-1-origin.
-    A sample that overflows to inf or NaN is left to SampledSignal to
-    reject."""
+def make_signal(fn, h: float, points: int) -> SampledSignal:
+    """Sample a test function on an equidistant grid with its origin at the
+    center, index points // 2: fn.sample at the grid indices
+    m = -origin..points-1-origin. A sample that overflows to inf or NaN is
+    left to SampledSignal to reject."""
     if points < 2:
         raise ValueError("need at least two points")
-    if origin is None:
-        origin = points // 2
+    origin = points // 2
     with np.errstate(over="ignore", invalid="ignore"):
         samples = fn.sample(np.arange(-origin, points - origin), h)
     return SampledSignal(h=h, samples=samples, origin=origin)

@@ -32,6 +32,7 @@ _CHUNK_ELEMS = 8_000_000
 # each bin is then rounded as in one full-table product. Blocks of 500 bins,
 # or a last block of 1 to 3 bins, changed some bins.
 _FOLD_BLOCK = 64
+_TERM_CHUNK = 1 << 16
 
 
 class EmbeddingOverflowError(ValueError):
@@ -83,9 +84,10 @@ _OMEGA_FAMILIES = {
 
 @dataclass(frozen=True)
 class ReferenceCurve:
+    """An analytic curve; an index curve takes N where it is evaluated."""
+
     family: CurveFamily
     h: float = 1.0
-    N: int | None = None
 
     def __post_init__(self):
         if self.h <= 0:
@@ -100,17 +102,18 @@ class ReferenceCurve:
             raise ValueError(
                 f"h={self.h} overflows the curves: pi/h, (pi/h)**2 and h**3 must be finite"
             )
-        if self.family not in _OMEGA_FAMILIES and self.N is None:
-            raise ValueError(f"{self.family.value} needs the DFT length N")
 
 
 @dataclass(frozen=True)
 class FilterSpectrum:
     """The half band b(r), r = 0..N/2, of the length-N DFT of an embedded
-    weight sequence."""
+    weight sequence; N is read from the N/2+1 values."""
 
-    N: int
     values: np.ndarray
+
+    @property
+    def N(self) -> int:
+        return 2 * (len(self.values) - 1)
 
     @property
     def re_conj(self) -> np.ndarray:
@@ -192,18 +195,19 @@ def dft_spectrum(
     else:
         dc = math.fsum(float(w) for _, w in embedded)
     values[0] = complex(dc, 0.0)
-    return FilterSpectrum(N=N, values=values)
+    return FilterSpectrum(values)
 
 
 _EXCLUDES_NYQUIST = "first-derivative limit excludes omega = pi/h"
 
 
-def reference_values(curve: ReferenceCurve, at) -> np.ndarray:
+def reference_values(curve: ReferenceCurve, at, N: int | None = None) -> np.ndarray:
     """Evaluate an analytic reference curve at each omega (frequency
     families, complex except the real second-derivative curve) or at each
-    DFT index r (index families, real). Raises CurveDomainError for a point
-    outside the stated domain; the first-derivative limit is complex(nan, nan)
-    at omega >= pi/h, which it excludes."""
+    DFT index r of a length-N DFT (index families, real; N is required).
+    Raises CurveDomainError for a point outside the stated domain; the
+    first-derivative limit is complex(nan, nan) at omega >= pi/h, which it
+    excludes."""
     at = np.asarray(at)
     fam = curve.family
     if fam in _OMEGA_FAMILIES:
@@ -225,7 +229,9 @@ def reference_values(curve: ReferenceCurve, at) -> np.ndarray:
         folded = np.where(theta <= math.pi / 2, theta, math.pi - theta)
         return -2j * h * folded
 
-    r, N = at, curve.N
+    if N is None:
+        raise ValueError(f"{fam.value} needs the DFT length N")
+    r = at
     outside = (r < 0) | (r > N / 2)
     if outside.any():
         raise CurveDomainError(f"r={r[outside][0]} outside [0, {N / 2}]")
@@ -237,10 +243,10 @@ def reference_values(curve: ReferenceCurve, at) -> np.ndarray:
     return np.zeros(r.shape)
 
 
-def reference_value(curve: ReferenceCurve, at: float):
+def reference_value(curve: ReferenceCurve, at: float, N: int | None = None):
     """reference_values at one point. Raises CurveDomainError outside the
     stated domain, including omega = pi/h for the first-derivative limit."""
-    value = reference_values(curve, [at])[0].item()
+    value = reference_values(curve, [at], N)[0].item()
     if curve.family is CurveFamily.FIRST_DERIV_LIMIT and math.isnan(value.real):
         raise CurveDomainError(_EXCLUDES_NYQUIST)
     return value
@@ -249,9 +255,8 @@ def reference_value(curve: ReferenceCurve, at: float):
 def _series_terms(family: CurveFamily, h: float, stop: int, start: int = 0):
     """Offsets and signed value-contributions of the defining-series terms
     j = start..stop-1: the limit weight times 2h (the mirrored pair and the
-    transform's measure h), over pi for the half-point family."""
-    scale = 2.0 * h / math.pi if family is CurveFamily.HALF_POINT_LIMIT else 2.0 * h
-    return limit_coefficients(_OMEGA_FAMILIES[family][0], stop, start, scale)
+    transform's measure h)."""
+    return limit_coefficients(_OMEGA_FAMILIES[family][0], stop, start, 2.0 * h)
 
 
 def _tail_estimate(family: CurveFamily, theta: float, h: float, M: int) -> float:
@@ -345,9 +350,10 @@ def truncated_limit_spectrum_dft_grid(
     On this grid the trigonometric factors are N-periodic in the summation
     index, so the M terms fold into N residue buckets: cost O(M + N^2)
     instead of O(M N), and no large sine arguments are ever formed. The
+    terms are made and added in term order, _TERM_CHUNK at a time, and the
     buckets meet the trigonometric table one block of _FOLD_BLOCK bins at a
-    time (the last block up to twice that), so memory is O(M + _FOLD_BLOCK N)
-    and not O(N^2).
+    time (the last block up to twice that), so memory is
+    O(_TERM_CHUNK + _FOLD_BLOCK N), whatever M.
     """
     if family not in _OMEGA_FAMILIES:
         raise ValueError(f"{family.value} has no defining series")
@@ -359,8 +365,10 @@ def truncated_limit_spectrum_dft_grid(
         raise ValueError("h must be positive")
 
     _, trig, phase = _OMEGA_FAMILIES[family]
-    offsets, coef = _series_terms(family, h, M)
-    buckets = np.bincount(offsets % N, weights=coef, minlength=N)
+    buckets = np.zeros(N)
+    for lo in range(0, M, _TERM_CHUNK):
+        offsets, coef = _series_terms(family, h, min(lo + _TERM_CHUNK, M), lo)
+        np.add.at(buckets, offsets % N, coef)
     k = np.arange(N)
     thetas = 2.0 * math.pi * np.arange(N // 2 + 1) / N
     edges = [*range(0, max(len(thetas) - _FOLD_BLOCK, 1), _FOLD_BLOCK), len(thetas)]
@@ -382,7 +390,7 @@ def reference_column(curve: ReferenceCurve, part: str, N: int, measure: float = 
     measure. The first-derivative limit is NaN at r = N/2, which it
     excludes, however omega_{N/2} rounds against pi/h."""
     if curve.family not in _OMEGA_FAMILIES:
-        return reference_values(curve, range(N // 2 + 1))
+        return reference_values(curve, range(N // 2 + 1), N)
     values = reference_values(curve, omega_grid(N, curve.h))
     column = (-values.imag if part == "im" else values.real) / measure
     if curve.family is CurveFamily.FIRST_DERIV_LIMIT:

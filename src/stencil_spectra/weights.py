@@ -35,8 +35,9 @@ class Stencil:
     """A derivative-approximation rule on integer grid offsets.
 
     The rule reads: d^order f / dx^order at the anchor point is approximated
-    by  prefactor / h**h_power * sum_m weights[m] * f[anchor + offsets[m]].
-    Only nonzero weights are stored; absent offsets count as zero.
+    by  prefactor / h**order * sum_m weights[m] * f[anchor + offsets[m]],
+    where order is derivative_order: a rule for the d-th derivative divides
+    by h**d. Only nonzero weights are stored; absent offsets count as zero.
     """
 
     kind: StencilKind
@@ -44,7 +45,6 @@ class Stencil:
     derivative_order: int
     offsets: tuple[int, ...]
     weights: tuple[Fraction, ...]
-    h_power: int
     prefactor: Fraction
 
     def __post_init__(self):
@@ -52,8 +52,8 @@ class Stencil:
             raise ValueError("offsets and weights must have equal length")
         if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
             raise ValueError("offsets must be strictly increasing")
-        if self.derivative_order < 0 or self.h_power < 0:
-            raise ValueError("derivative_order and h_power must be >= 0")
+        if self.derivative_order < 0:
+            raise ValueError("derivative_order must be >= 0")
 
     @property
     def nodes(self) -> tuple[tuple[int, Fraction], ...]:
@@ -129,7 +129,6 @@ def central_first(n: int) -> Stencil:
         derivative_order=1,
         offsets=offsets,
         weights=weights,
-        h_power=1,
         prefactor=Fraction(1, 2),
     )
 
@@ -158,7 +157,6 @@ def central_second(n: int) -> Stencil:
         derivative_order=2,
         offsets=offsets,
         weights=weights,
-        h_power=2,
         prefactor=Fraction(1),
     )
 
@@ -189,7 +187,6 @@ def half_point(n: int) -> Stencil:
         derivative_order=1,
         offsets=offsets,
         weights=weights,
-        h_power=1,
         prefactor=Fraction(1, 2),
     )
 
@@ -212,7 +209,6 @@ def one_sided_first(n: int) -> Stencil:
         derivative_order=1,
         offsets=tuple(range(n + 1)),
         weights=tuple(weights),
-        h_power=1,
         prefactor=Fraction(1),
     )
 
@@ -235,46 +231,45 @@ def one_sided_nth(n: int) -> Stencil:
         derivative_order=n,
         offsets=tuple(range(n + 1)),
         weights=weights,
-        h_power=n,
         prefactor=Fraction(fact),
     )
 
 
 def _limit_term(kind: StencilKind, j):
     """Term j >= 0 of an infinite-family weight sequence as (offset, signed
-    numerator, denominator); j may be an int or an array of whole numbers.
+    numerator, denominator, pi_power); j may be an int or an array of whole
+    numbers.
 
     central-first: offset m = j+1, weight (-1)**(m+1) * 2 / m
     central-second: offset m = j+1, weight (-1)**(m+1) * 2 / m**2
-    half-point-first: offset 2j+1, weight (-1)**j * 4 / ((2j+1)**2 * pi),
-    whose 1/pi is left to the caller.
+    half-point-first: offset 2j+1, weight (-1)**j * 4 / ((2j+1)**2 * pi)
     """
     sign = 1 - 2 * (j % 2)  # (-1)**j without a power per term
     if kind is StencilKind.HALF_POINT_FIRST:
         odd = 2 * j + 1
-        return odd, 4 * sign, odd * odd
+        return odd, 4 * sign, odd * odd, -1
     m = j + 1
     if kind is StencilKind.CENTRAL_FIRST:
-        return m, 2 * sign, m
+        return m, 2 * sign, m, 0
     if kind is StencilKind.CENTRAL_SECOND:
-        return m, 2 * sign, m * m
+        return m, 2 * sign, m * m, 0
     raise ValueError(f"{kind.value} has no infinite-family limit")
 
 
 def limit_coefficients(kind: StencilKind, stop: int, start: int = 0, scale: float = 1.0):
-    """Offsets and float coefficients scale * numerator / denominator of the
-    infinite-family terms j = start..stop-1 (see _limit_term), as arrays.
+    """Offsets and float coefficients scale * weight of the infinite-family
+    terms j = start..stop-1 (see _limit_term), as arrays: scale * numerator
+    / denominator, rounded once, then over pi for the half-point family.
 
-    With scale = 1 each coefficient is the correctly rounded weight; the
-    half-point family still lacks its factor 1/pi.
+    With scale = 1 each coefficient is LimitWeight.value() of its term.
     """
     # float terms are exact below 2**53, where int64 squares would wrap
-    offsets, numerators, denominators = _limit_term(kind, np.arange(start, stop, dtype=float))
-    return offsets.astype(np.int64), (scale * numerators) / denominators
+    offsets, numerators, denominators, pi_power = _limit_term(kind, np.arange(start, stop, 1.0))
+    return offsets.astype(np.int64), (scale * numerators) / denominators / math.pi ** -pi_power
 
 
-def _limit_weight(kind: StencilKind, j: int, pi_power: int = 0) -> LimitWeight:
-    offset, numerator, denominator = _limit_term(kind, j)
+def _limit_weight(kind: StencilKind, j: int) -> LimitWeight:
+    offset, numerator, denominator, pi_power = _limit_term(kind, j)
     return LimitWeight(
         index=offset, rational_part=Fraction(numerator, denominator), pi_power=pi_power
     )
@@ -299,7 +294,7 @@ def half_point_limit(m: int) -> LimitWeight:
     (-1)**m * 4 / ((2m+1)**2 * pi), kept exact as rational_part / pi."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _limit_weight(StencilKind.HALF_POINT_FIRST, m, pi_power=-1)
+    return _limit_weight(StencilKind.HALF_POINT_FIRST, m)
 
 
 _KIND_BUILDERS = {
@@ -317,7 +312,8 @@ def build(kind: StencilKind, n: int) -> Stencil:
 
 
 def stencil_to_dict(stencil: Stencil) -> dict:
-    """JSON-ready form with weights as exact fraction strings. A weight with
+    """JSON-ready form with weights as exact fraction strings; h_power, the
+    power of h the rule divides by, is the derivative_order. A weight with
     more digits than Python converts to a string is a ValueError naming its
     offset (a built stencil's prefactor is never longer than its weights)."""
     nodes = []
@@ -331,7 +327,7 @@ def stencil_to_dict(stencil: Stencil) -> dict:
         "kind": stencil.kind.value,
         "n": stencil.n,
         "derivative_order": stencil.derivative_order,
-        "h_power": stencil.h_power,
+        "h_power": stencil.derivative_order,
         "prefactor": str(stencil.prefactor),
         "nodes": nodes,
     }
@@ -363,7 +359,8 @@ def stencil_from_dict(data: dict) -> Stencil:
     no nodes, or holds a field that does not parse: offsets, n,
     derivative_order and h_power must be integers, weights and prefactor
     rationals with a nonzero denominator, and none a boolean. A field that
-    does not parse is named, a weight by its offset.
+    does not parse is named, a weight by its offset. The h_power, the power
+    of h a rule divides by, must equal the derivative_order.
     """
     if not isinstance(data, dict):
         raise StencilFormatError(f"stencil must be an object, not {type(data).__name__}")
@@ -375,6 +372,8 @@ def stencil_from_dict(data: dict) -> Stencil:
         nodes.sort()
         number = {key: _parse_field(int, data[key], f"the {key}")
                   for key in ("n", "derivative_order", "h_power")}
+        if number.pop("h_power") != number["derivative_order"]:
+            raise ValueError("the h_power must equal the derivative_order")
         stencil = Stencil(
             kind=StencilKind(data["kind"]),
             offsets=tuple(o for o, _ in nodes),

@@ -163,7 +163,7 @@ def test_criterion_6_figure_reproduction():
     golden = GOLDEN["2a_half_point_vs_fold"]
     report = deviation(
         dft_spectrum(weights.half_point(golden["n"]), N),
-        ReferenceCurve(CurveFamily.HALF_POINT_FOLD, N=N),
+        ReferenceCurve(CurveFamily.HALF_POINT_FOLD),
         "im",
         range(0, golden["r_max"] + 1),
     )
@@ -178,7 +178,7 @@ def test_criterion_6_figure_reproduction():
     golden = GOLDEN["3a_one_sided_im_vs_ramp"]
     report = deviation(
         dft_spectrum(weights.one_sided_first(golden["n"]), N),
-        ReferenceCurve(CurveFamily.LINEAR_RAMP, N=N),
+        ReferenceCurve(CurveFamily.LINEAR_RAMP),
         "im",
         range(0, golden["r_max"] + 1),
     )
@@ -189,7 +189,7 @@ def test_criterion_6_figure_reproduction():
     for n_text, observed in golden["observed"].items():
         report = deviation(
             dft_spectrum(weights.one_sided_first(int(n_text)), N),
-            ReferenceCurve(CurveFamily.ZERO, N=N),
+            ReferenceCurve(CurveFamily.ZERO),
             "re",
             range(0, golden["r_max"] + 1),
         )

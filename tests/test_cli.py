@@ -229,11 +229,12 @@ _GOOD_STENCIL = {"kind": "central-first", "n": 1, "derivative_order": 1,
     {**_GOOD_STENCIL, "h_power": True, "nodes": [{"offset": True, "weight": "1"}]},
     {**_GOOD_STENCIL, "nodes": [{"offset": 1, "weight": True}]},
     {**_GOOD_STENCIL, "prefactor": False},
+    {**_GOOD_STENCIL, "h_power": 2},
 ], ids=["not-object", "missing-key", "empty-nodes", "zero-denominator",
         "null-weight", "bad-prefactor", "duplicate-offset", "negative-order",
         "negative-h-power", "too-long-weight", "too-long-int-literal",
         "fractional-offset-and-n", "boolean-offset-and-h-power", "boolean-weight",
-        "boolean-prefactor"])
+        "boolean-prefactor", "h-power-not-derivative-order"])
 def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload):
     path = tmp_path / "bad.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload),

@@ -212,7 +212,7 @@ def _loop_differentiate(signal, n, order):
     central = weights.central_first(n) if order == 1 else weights.central_second(n)
     forward = weights.one_sided_first(n)
     rules = {
-        "central": (central.nodes, central.prefactor, central.h_power),
+        "central": (central.nodes, central.prefactor, central.derivative_order),
         "forward": (forward.nodes, forward.prefactor, 1),
         "backward": ([(-o, -w) for o, w in forward.nodes], forward.prefactor, 1),
     }
@@ -240,7 +240,7 @@ def _loop_apply_stencil(signal, stencil):
     for i in range(length):
         if all(0 <= i + o < length for o in stencil.offsets):
             values.append(_loop_value(
-                signal, stencil.nodes, stencil.prefactor, stencil.h_power, i))
+                signal, stencil.nodes, stencil.prefactor, stencil.derivative_order, i))
             policy.append(stencil.label())
         else:
             values.append(math.nan)
@@ -282,7 +282,7 @@ def test_apply_stencil_matches_per_index_loop(samples, h, n, kind, index):
     assert _hex(result.values) == _hex(values)
     if all(0 <= index + o < len(signal) for o in stencil.offsets):
         assert _hex([apply_stencil_at(signal, stencil, index)]) == _hex(
-            [_loop_value(signal, stencil.nodes, stencil.prefactor, stencil.h_power, index)])
+            [_loop_value(signal, stencil.nodes, stencil.prefactor, stencil.derivative_order, index)])
     else:
         with pytest.raises(BoundaryError, match=r"outside 0\.\."):
             apply_stencil_at(signal, stencil, index)

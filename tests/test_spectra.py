@@ -143,14 +143,14 @@ def test_half_point_limit_curve_branches_agree_at_junction():
 
 
 def test_fold_curve_values():
-    curve = ReferenceCurve(CurveFamily.HALF_POINT_FOLD, N=N)
-    assert reference_value(curve, N // 4) == pytest.approx(math.pi / 2)
-    assert reference_value(curve, 0) == 0.0
-    assert reference_value(curve, N // 2) == pytest.approx(0.0)
-    ramp = ReferenceCurve(CurveFamily.LINEAR_RAMP, N=N)
-    assert reference_value(ramp, 100) == pytest.approx(2 * math.pi * 100 / N)
-    zero = ReferenceCurve(CurveFamily.ZERO, N=N)
-    assert reference_value(zero, 123) == 0.0
+    curve = ReferenceCurve(CurveFamily.HALF_POINT_FOLD)
+    assert reference_value(curve, N // 4, N) == pytest.approx(math.pi / 2)
+    assert reference_value(curve, 0, N) == 0.0
+    assert reference_value(curve, N // 2, N) == pytest.approx(0.0)
+    ramp = ReferenceCurve(CurveFamily.LINEAR_RAMP)
+    assert reference_value(ramp, 100, N) == pytest.approx(2 * math.pi * 100 / N)
+    zero = ReferenceCurve(CurveFamily.ZERO)
+    assert reference_value(zero, 123, N) == 0.0
 
 
 def test_first_limit_curve_domain_excludes_nyquist():
@@ -163,20 +163,25 @@ def test_first_limit_curve_domain_excludes_nyquist():
 
 
 def test_index_curve_domain():
-    curve = ReferenceCurve(CurveFamily.LINEAR_RAMP, N=N)
+    curve = ReferenceCurve(CurveFamily.LINEAR_RAMP)
     with pytest.raises(CurveDomainError):
-        reference_value(curve, N // 2 + 1)
+        reference_value(curve, N // 2 + 1, N)
 
 
 def test_index_curves_require_N():
-    with pytest.raises(ValueError):
-        ReferenceCurve(CurveFamily.LINEAR_RAMP)
+    for family in (CurveFamily.HALF_POINT_FOLD, CurveFamily.LINEAR_RAMP, CurveFamily.ZERO):
+        curve = ReferenceCurve(family)
+        with pytest.raises(ValueError, match=f"^{family.value} needs the DFT length N$"):
+            reference_values(curve, [0, 1])
+        with pytest.raises(ValueError, match=f"^{family.value} needs the DFT length N$"):
+            reference_value(curve, 0)
 
 
-def _pointwise_curve(curve, at):
-    """One curve value in plain Python floats and complexes; None where the
-    first-derivative limit excludes omega = pi/h."""
-    fam, h, n = curve.family, curve.h, curve.N
+def _pointwise_curve(curve, at, n):
+    """One curve value in plain Python floats and complexes, an index curve
+    of a length-n DFT; None where the first-derivative limit excludes
+    omega = pi/h."""
+    fam, h = curve.family, curve.h
     if fam is CurveFamily.FIRST_DERIV_LIMIT:
         return None if at >= math.pi / h else -2j * at * h * h
     if fam is CurveFamily.SECOND_DERIV_LIMIT:
@@ -204,7 +209,7 @@ def _bits(value):
     fractions=st.lists(st.floats(0.0, 1.0), max_size=20),
 )
 def test_reference_values_match_pointwise_evaluation(family, h, half_n, fractions):
-    curve = ReferenceCurve(family, h=h, N=2 * half_n)
+    curve, n = ReferenceCurve(family, h=h), 2 * half_n
     if family in (CurveFamily.FIRST_DERIV_LIMIT, CurveFamily.SECOND_DERIV_LIMIT,
                   CurveFamily.HALF_POINT_LIMIT):
         nyquist = math.pi / h
@@ -213,32 +218,32 @@ def test_reference_values_match_pointwise_evaluation(family, h, half_n, fraction
     else:
         extra = [f * half_n for f in fractions]
         xs = list(range(half_n + 1)) + extra
-    expected = [_pointwise_curve(curve, x) for x in xs]
-    assert [_bits(v) for v in reference_values(curve, xs)] == [
+    expected = [_pointwise_curve(curve, x, n) for x in xs]
+    assert [_bits(v) for v in reference_values(curve, xs, n)] == [
         _bits(complex(math.nan, math.nan) if e is None else e) for e in expected
     ]
     for x in [xs[0], xs[half_n // 2], *extra]:
-        if _pointwise_curve(curve, x) is None:
+        if _pointwise_curve(curve, x, n) is None:
             with pytest.raises(CurveDomainError, match="excludes omega = pi/h"):
-                reference_value(curve, x)
+                reference_value(curve, x, n)
         else:
-            assert _bits(reference_value(curve, x)) == _bits(_pointwise_curve(curve, x))
+            assert _bits(reference_value(curve, x, n)) == _bits(_pointwise_curve(curve, x, n))
 
 
 def test_reference_values_domain_error_names_the_point():
     curve = ReferenceCurve(CurveFamily.HALF_POINT_LIMIT, h=1.0)
     with pytest.raises(CurveDomainError, match=r"omega=-0.5 outside"):
         reference_values(curve, [0.0, -0.5, 1.0])
-    ramp = ReferenceCurve(CurveFamily.LINEAR_RAMP, N=8)
+    ramp = ReferenceCurve(CurveFamily.LINEAR_RAMP)
     with pytest.raises(CurveDomainError, match=r"r=5 outside \[0, 4.0\]"):
-        reference_values(ramp, [0, 5])
+        reference_values(ramp, [0, 5], 8)
 
 
 @pytest.mark.parametrize("h", [1e-320, 1e-160, 1e308, 1e103])
 def test_reference_curve_rejects_overflowing_h(h):
     for family in CurveFamily:
         with pytest.raises(ValueError, match="overflows"):
-            ReferenceCurve(family, h=h, N=16)
+            ReferenceCurve(family, h=h)
 
 
 # --- truncated limit series --------------------------------------------------
@@ -322,9 +327,8 @@ _SERIES = {
 
 def _series_coefficients(family, h, stop, start=0):
     """Offsets and terms j = start..stop-1 of a defining series: the limit
-    weights times 2h, over pi for the half-point family."""
-    scale = 2.0 * h / math.pi if family is CurveFamily.HALF_POINT_LIMIT else 2.0 * h
-    return weights.limit_coefficients(_SERIES[family][0], stop, start, scale)
+    weights times 2h."""
+    return weights.limit_coefficients(_SERIES[family][0], stop, start, 2.0 * h)
 
 
 def _full_table_fold(family, N, h, M):
@@ -341,14 +345,17 @@ def _full_table_fold(family, N, h, M):
 def _fold_mismatches():
     """(family, N, M) cases where truncated_limit_spectrum_dft_grid differs
     from the full-table fold in any bit. N/2+1 runs below, at and past the
-    edges of the fold's first and second blocks."""
+    edges of the fold's first and second blocks, and M past several chunks
+    of the fold's terms."""
+    cases = [(N, M) for N in (2, 4, 6, 126, 128, 130, 132, 254, 256, 258, 4732, 8000)
+             for M in ((7, 3 * N + 5) if N < 1000 else (3 * N + 5,))]
+    cases += [(N, 3 * 2 ** 16 + 5) for N in (130, 4732)]
     bad = []
     for family in _SERIES_FAMILIES:
-        for N in (2, 4, 6, 126, 128, 130, 132, 254, 256, 258, 4732, 8000):
-            for M in ((7, 3 * N + 5) if N < 1000 else (3 * N + 5,)):
-                values, _ = truncated_limit_spectrum_dft_grid(family, N, 0.7, M)
-                if values.tobytes() != _full_table_fold(family, N, 0.7, M).tobytes():
-                    bad.append([family.value, N, M])
+        for N, M in cases:
+            values, _ = truncated_limit_spectrum_dft_grid(family, N, 0.7, M)
+            if values.tobytes() != _full_table_fold(family, N, 0.7, M).tobytes():
+                bad.append([family.value, N, M])
     return bad
 
 
@@ -384,6 +391,18 @@ def test_dft_grid_fold_memory_is_bounded():
     tracemalloc.start()
     try:
         truncated_limit_spectrum_dft_grid(CurveFamily.FIRST_DERIV_LIMIT, 8000, 1.0, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 10 ** 6
+
+
+@pytest.mark.parametrize("family", _SERIES_FAMILIES)
+def test_dft_grid_fold_memory_is_bounded_in_M(family):
+    # all 10**7 series terms at once would take 320 MB and more
+    tracemalloc.start()
+    try:
+        truncated_limit_spectrum_dft_grid(family, 8000, 1.0, 10 ** 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -457,7 +476,7 @@ def test_series_validation():
 
 def test_deviation_small_r_taylor_bound():
     spectrum = dft_spectrum(weights.half_point(1), N)
-    curve = ReferenceCurve(CurveFamily.HALF_POINT_FOLD, N=N)
+    curve = ReferenceCurve(CurveFamily.HALF_POINT_FOLD)
     report = deviation(spectrum, curve, "im", range(0, 51))
     assert report.max_abs <= (2 * math.pi * 50 / N) ** 3 / 6
     assert 0 <= report.argmax <= 50
@@ -465,7 +484,7 @@ def test_deviation_small_r_taylor_bound():
 
 def test_deviation_zero_curve_at_dc_is_exact():
     spectrum = dft_spectrum(weights.one_sided_first(4), N)
-    curve = ReferenceCurve(CurveFamily.ZERO, N=N)
+    curve = ReferenceCurve(CurveFamily.ZERO)
     report = deviation(spectrum, curve, "re", [0])
     assert report.max_abs == 0.0
     assert report.max_rel == 0.0
@@ -473,14 +492,14 @@ def test_deviation_zero_curve_at_dc_is_exact():
 
 def test_deviation_half_point_linearity_window():
     spectrum = dft_spectrum(weights.half_point(10), N)
-    curve = ReferenceCurve(CurveFamily.HALF_POINT_FOLD, N=N)
+    curve = ReferenceCurve(CurveFamily.HALF_POINT_FOLD)
     report = deviation(spectrum, curve, "im", range(0, 351))
     assert report.max_rel <= 0.05
 
 
 def test_deviation_validation():
     spectrum = dft_spectrum(weights.half_point(1), N)
-    curve = ReferenceCurve(CurveFamily.HALF_POINT_FOLD, N=N)
+    curve = ReferenceCurve(CurveFamily.HALF_POINT_FOLD)
     with pytest.raises(ValueError):
         deviation(spectrum, curve, "im", [])
     with pytest.raises(ValueError):
@@ -514,6 +533,19 @@ def test_central_first_residual_shrinks_with_n():
     assert residuals[10] < residuals[1]
 
 
+def test_filter_spectrum_reads_N_from_its_half_band():
+    for length in (2, 3, 1001):
+        assert FilterSpectrum(np.zeros(length, dtype=complex)).N == 2 * (length - 1)
+    for n in (4, 16, 2000):
+        assert dft_spectrum(weights.one_sided_first(1), n).N == n
+
+
+def test_index_reference_column_takes_N_from_its_grid():
+    r = np.arange(1001)
+    column = reference_column(ReferenceCurve(CurveFamily.LINEAR_RAMP), "im", 2000)
+    assert column.tolist() == (2 * math.pi * r / 2000).tolist()
+
+
 def test_first_limit_excludes_nyquist_bin_however_omega_rounds():
     # omega_{N/2} = 2 pi (N/2) / (N h) rounds below pi/h for some N and h
     # (N = 22, h = 0.5), to it or above for others (N = 16)
@@ -521,7 +553,7 @@ def test_first_limit_excludes_nyquist_bin_however_omega_rounds():
         curve = ReferenceCurve(CurveFamily.FIRST_DERIV_LIMIT, h=h)
         for N in range(2, 401, 2):
             assert math.isnan(reference_column(curve, "im", N)[-1])
-            spectrum = FilterSpectrum(N=N, values=np.zeros(N // 2 + 1, dtype=complex))
+            spectrum = FilterSpectrum(values=np.zeros(N // 2 + 1, dtype=complex))
             with pytest.raises(CurveDomainError):
                 deviation(spectrum, curve, "im", range(N // 2 + 1))
 

@@ -39,7 +39,8 @@ def moment_sum(stencil, k):
 def test_central_first_two_point():
     s = central_first(1)
     assert s.nodes == ((-1, F(-1)), (1, F(1)))
-    assert s.prefactor == F(1, 2) and s.h_power == 1 and s.derivative_order == 1
+    assert s.prefactor == F(1, 2) and stencil_to_dict(s)["h_power"] == 1
+    assert s.derivative_order == 1
 
 
 def test_central_first_five_point():
@@ -116,7 +117,8 @@ def test_central_first_converges_to_limit():
 def test_central_second_three_point():
     s = central_second(1)
     assert s.nodes == ((-1, F(1)), (0, F(-2)), (1, F(1)))
-    assert s.derivative_order == 2 and s.h_power == 2 and s.prefactor == 1
+    assert s.derivative_order == 2 and stencil_to_dict(s)["h_power"] == 2
+    assert s.prefactor == 1
 
 
 def test_central_second_five_point():
@@ -227,13 +229,21 @@ def test_limit_coefficients_match_exact_limits(kind, start, count, scale):
     offsets, values = limit_coefficients(kind, start + count, start, scale)
     exact = [_LIMIT_FAMILIES[kind](j) for j in range(start, start + count)]
     assert offsets.tolist() == [lw.index for lw in exact]
-    # bit for bit: one rounding of scale * rational (2 or 4 times scale is exact)
+    # bit for bit: one rounding of scale * rational (2 or 4 times scale is
+    # exact), then the half-point family's division by pi
     rationals = [lw.rational_part for lw in exact]
-    assert values.tolist() == [(scale * q.numerator) / q.denominator for q in rationals]
+    expected = [(scale * q.numerator) / q.denominator for q in rationals]
+    if kind is StencilKind.HALF_POINT_FIRST:
+        expected = [v / math.pi for v in expected]
+    assert values.tolist() == expected
     if scale == 1.0:
-        if kind is StencilKind.HALF_POINT_FIRST:
-            values = values / math.pi
         assert values.tolist() == [lw.value() for lw in exact]
+
+
+@pytest.mark.parametrize("kind", list(_LIMIT_FAMILIES))
+def test_limit_coefficients_are_the_limit_weights(kind):
+    _, values = limit_coefficients(kind, 500)
+    assert values.tolist() == [_LIMIT_FAMILIES[kind](j).value() for j in range(500)]
 
 
 # --- half point -----------------------------------------------------------
@@ -300,7 +310,7 @@ def test_one_sided_nth_small_families():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_one_sided_nth_is_forward_difference(n):
     s = one_sided_nth(n)
-    assert s.derivative_order == n and s.h_power == n
+    assert s.derivative_order == n and stencil_to_dict(s)["h_power"] == n
     assert sum(s.weights, F(0)) == 0
     for m in range(n + 1):
         assert s.prefactor * s.weight_at(m) == (-1) ** (m + n) * math.comb(n, m)
@@ -363,7 +373,6 @@ def _hand_built_stencils(draw):
         offsets=tuple(offsets),
         weights=tuple(draw(st.lists(_RATIONALS, min_size=len(offsets),
                                     max_size=len(offsets)))),
-        h_power=draw(st.integers(0, 10)),
         prefactor=draw(_RATIONALS),
     )
 
@@ -407,6 +416,7 @@ def test_stencil_from_dict_names_a_field_too_long_to_read(field, edit):
     ("the n is not an integer", lambda d: d.update(n=1.0)),
     ("the derivative_order is not an integer", lambda d: d.update(derivative_order=" 1")),
     ("the h_power is not an integer", lambda d: d.update(h_power=True)),
+    ("the h_power must equal the derivative_order", lambda d: d.update(h_power=2)),
     ("the weight at offset 1 is not a rational", lambda d: d["nodes"][1].update(weight=True)),
     ("the weight at offset -1 is not a rational", lambda d: d["nodes"][0].update(weight=None)),
     ("the weight at offset 1 is not a rational", lambda d: d["nodes"][1].update(weight="one")),
