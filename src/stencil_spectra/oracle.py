@@ -1,10 +1,10 @@
-"""Independent brute-force verifiers for the weight families.
+"""Independent exact verifiers for the weight families.
 
-Everything here is deliberately plain: exact fraction-free elimination for
-the moment systems, the paper's product forms, literal determinant
-formulas, degree-by-degree polynomial exactness, and unaccelerated partial
-sums. The point is to have a second route that shares no code with the
-generators in `weights` (`build` only makes the stencils under test).
+They share no code with the generators in `weights` (`build` only makes the
+stencils under test): Bjorck-Pereyra solves of the moment systems, Bareiss
+(fraction-free) elimination for the Vandermonde determinant only, the
+paper's product forms and polynomial exactness on integers, and
+unaccelerated partial sums.
 """
 
 from __future__ import annotations
@@ -82,25 +82,26 @@ def _bareiss_eliminate(rows):
 
 
 def solve_moment_system(system: MomentSystem) -> list[Fraction]:
-    """Exact solution of the moment system by fraction-free elimination.
+    """Exact solution of the moment system for offsets in any order, by the
+    Bjorck-Pereyra algorithm (Golub & Van Loan, Alg. 4.6.2): O(n^2) exact
+    operations, the first of its two sweeps on integers.
 
     Raises SingularSystemError for repeated offsets.
     """
-    if len(set(system.offsets)) != len(system.offsets):
+    x, n = system.offsets, system.degree
+    if len(set(x)) != len(x):
         raise SingularSystemError("repeated offsets")
-    size = system.degree + 1
-    rows = [
-        [o ** k for o in system.offsets] + [1 if k == system.target_order else 0]
-        for k in range(size)
-    ]
-    _bareiss_eliminate(rows)
-    solution = [Fraction(0)] * size
-    for i in reversed(range(size)):
-        acc = Fraction(rows[i][size])
-        for j in range(i + 1, size):
-            acc -= rows[i][j] * solution[j]
-        solution[i] = acc / rows[i][i]
-    return solution
+    b = [1 if k == system.target_order else 0 for k in range(n + 1)]
+    for k in range(n):
+        for i in range(n, k, -1):
+            b[i] -= x[k] * b[i - 1]
+    z = [Fraction(v) for v in b]
+    for k in range(n - 1, -1, -1):
+        for i in range(k + 1, n + 1):
+            z[i] /= x[i] - x[i - k - 1]
+        for i in range(k, n):
+            z[i] -= z[i + 1]
+    return z
 
 
 def vandermonde_det(n: int) -> int:
@@ -127,12 +128,9 @@ def delta_m1_closed_form(m: int, n: int) -> int:
 
 
 def _product_form(m: int, nodes, power: int) -> Fraction:
-    """1 / (m * prod over nodes k != m of (1 - (m/k)**power))."""
-    prod = Fraction(1)
-    for k in nodes:
-        if k != m:
-            prod *= 1 - Fraction(m, k) ** power
-    return 1 / (Fraction(m) * prod)
+    """1 / (m * prod over nodes k != m of (1 - (m/k)**power)), on integers."""
+    powers = [k ** power for k in nodes if k != m]
+    return Fraction(math.prod(powers), m * math.prod(p - m ** power for p in powers))
 
 
 def product_form_one_sided(m: int, n: int) -> Fraction:
@@ -159,21 +157,23 @@ def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
 
     h is factored out through h**d, so the residuals are h-independent
     rationals: residual(k) = prefactor * sum w_m m**k - d! * delta(k, d).
+    The sums run on the integers L * prefactor * w_m * m**k, L the lcm of
+    the denominators of prefactor * w_m: one Fraction(..., L) per degree.
     """
     if max_degree > 2 * stencil.n + 4:
         raise ValueError("bounded search: max_degree must be <= 2n + 4")
     d = stencil.derivative_order
-    exact_at_d = Fraction(math.factorial(d))
+    scaled = [stencil.prefactor * w for w in stencil.weights]
+    lcm = math.lcm(*(w.denominator for w in scaled))
+    terms = [w.numerator * (lcm // w.denominator) for w in scaled]
     residuals = []
     first_failing = None
     for k in range(max_degree + 1):
-        applied = stencil.prefactor * sum(
-            (w * o ** k for o, w in stencil.nodes), Fraction(0)
-        )
-        res = applied - (exact_at_d if k == d else 0)
-        residuals.append(res)
-        if res != 0 and first_failing is None:
+        total = sum(terms) - (lcm * math.factorial(d) if k == d else 0)
+        residuals.append(Fraction(total, lcm))
+        if total != 0 and first_failing is None:
             first_failing = k
+        terms = [t * o for t, o in zip(terms, stencil.offsets)]
     max_exact = max_degree if first_failing is None else first_failing - 1
     return ExactnessReport(
         stencil=stencil,

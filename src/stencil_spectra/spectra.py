@@ -43,6 +43,11 @@ class CurveDomainError(ValueError):
     pass
 
 
+def _check_dft_length(N) -> None:
+    if N < 2 or N % 2:
+        raise ValueError("N must be even and >= 2")
+
+
 class EmbeddingMode(Enum):
     """How a one-sided weight list a_m (m >= 0) is placed into N DFT slots.
 
@@ -110,6 +115,10 @@ class FilterSpectrum:
     weight sequence; N is read from the N/2+1 values."""
 
     values: np.ndarray
+
+    def __post_init__(self):
+        if len(self.values) < 2:
+            raise ValueError("a half band needs at least 2 values (N >= 2)")
 
     @property
     def N(self) -> int:
@@ -185,8 +194,7 @@ def dft_spectrum(
     source carries exact weights, so zero-sum stencils report b(0) = 0
     exactly.
     """
-    if N < 2 or N % 2:
-        raise ValueError("N must be even and >= 2")
+    _check_dft_length(N)
     embedded = _embed(_base_entries(source), N, mode)
 
     values = _accumulate(embedded, N)
@@ -231,6 +239,7 @@ def reference_values(curve: ReferenceCurve, at, N: int | None = None) -> np.ndar
 
     if N is None:
         raise ValueError(f"{fam.value} needs the DFT length N")
+    _check_dft_length(N)
     r = at
     outside = (r < 0) | (r > N / 2)
     if outside.any():
@@ -357,8 +366,7 @@ def truncated_limit_spectrum_dft_grid(
     """
     if family not in _OMEGA_FAMILIES:
         raise ValueError(f"{family.value} has no defining series")
-    if N < 2 or N % 2:
-        raise ValueError("N must be even and >= 2")
+    _check_dft_length(N)
     if M < 1:
         raise ValueError("M must be >= 1")
     if h <= 0:

@@ -382,6 +382,13 @@ def test_verify_json(capsys):
         assert all(check["ok"] for check in payload["checks"])
 
 
+def test_verify_identities_hold_through_max_n_24(capsys):
+    code, out, _ = run_capture(capsys, ["verify", "--max-n", "24", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["passed"], payload["failed"]) == (312, 0)
+
+
 def test_verify_text_is_pinned(capsys):
     code, out, _ = run_capture(capsys, ["verify", "--max-n", "1"])
     assert code == 0

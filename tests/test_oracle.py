@@ -4,11 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stencil_spectra import weights
 from stencil_spectra.oracle import (
     MomentSystem,
     SingularSystemError,
+    _bareiss_eliminate,
     alternating_series_sum,
     delta_m1_closed_form,
     exactness_check,
@@ -78,6 +80,51 @@ def test_solver_general_order_moment_conditions(n):
 def test_solver_rejects_repeated_offsets():
     with pytest.raises(SingularSystemError):
         solve_moment_system(MomentSystem(offsets=(0, 1, 1), degree=2, target_order=1))
+
+
+def _bareiss_solve(system):
+    """The moment-system solver before Bjorck-Pereyra, kept as the reference:
+    fraction-free elimination, then Fraction back-substitution."""
+    if len(set(system.offsets)) != len(system.offsets):
+        raise SingularSystemError("repeated offsets")
+    size = system.degree + 1
+    rows = [
+        [o ** k for o in system.offsets] + [1 if k == system.target_order else 0]
+        for k in range(size)
+    ]
+    _bareiss_eliminate(rows)
+    solution = [Fraction(0)] * size
+    for i in reversed(range(size)):
+        acc = Fraction(rows[i][size])
+        for j in range(i + 1, size):
+            acc -= rows[i][j] * solution[j]
+        solution[i] = acc / rows[i][i]
+    return solution
+
+
+_OFFSETS = st.lists(st.integers(-60, 60), min_size=1, max_size=14, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(offsets=_OFFSETS)
+@example(offsets=[3, -2, 0, 7, -5, 1])
+@example(offsets=list(range(13, -1, -1)))
+def test_solver_matches_bareiss_reference(offsets):
+    # distinct offsets in any order, every target order
+    for order in range(len(offsets)):
+        system = MomentSystem(offsets=tuple(offsets), degree=len(offsets) - 1,
+                              target_order=order)
+        assert solve_moment_system(system) == _bareiss_solve(system), order
+
+
+@settings(max_examples=100, deadline=None)
+@given(offsets=_OFFSETS, data=st.data())
+def test_solver_rejects_repeated_offsets_in_any_order(offsets, data):
+    repeated = data.draw(st.permutations(offsets + [data.draw(st.sampled_from(offsets))]))
+    system = MomentSystem(offsets=tuple(repeated), degree=len(repeated) - 1,
+                          target_order=data.draw(st.integers(0, len(repeated) - 1)))
+    with pytest.raises(SingularSystemError):
+        solve_moment_system(system)
 
 
 def test_moment_system_validation():
@@ -164,6 +211,26 @@ def test_half_point_product_form_examples():
         product_form_half_point(3, 3)
 
 
+def _fraction_product_form(m, nodes, power):
+    """The product form as a Fraction loop, kept as the reference for the
+    integer product."""
+    prod = Fraction(1)
+    for k in nodes:
+        if k != m:
+            prod *= 1 - Fraction(m, k) ** power
+    return 1 / (Fraction(m) * prod)
+
+
+def test_product_forms_match_fraction_loop():
+    for n in range(1, 41):
+        for m in range(1, n + 1):
+            assert product_form_one_sided(m, n) == _fraction_product_form(
+                m, range(1, n + 1), 1), (n, m)
+        for m in range(n):
+            assert product_form_half_point(m, n) == _fraction_product_form(
+                2 * m + 1, range(1, 2 * n, 2), 2), (n, m)
+
+
 def test_half_point_closed_form_matches_product_form():
     for n in range(1, 61):
         s = weights.half_point(n)
@@ -213,6 +280,58 @@ def test_exactness_bounded_search():
     report = exactness_check(stencil, 2)
     assert report.max_exact_degree == 2
     assert report.first_failing_degree is None
+
+
+def _fraction_exactness(stencil, max_degree):
+    """(max exact degree, first failing degree, residuals) by the per-degree
+    Fraction sum exactness_check made before its integer scaling, kept as
+    the reference."""
+    d = stencil.derivative_order
+    exact_at_d = Fraction(math.factorial(d))
+    residuals = []
+    first_failing = None
+    for k in range(max_degree + 1):
+        applied = stencil.prefactor * sum(
+            (w * o ** k for o, w in stencil.nodes), Fraction(0)
+        )
+        res = applied - (exact_at_d if k == d else 0)
+        residuals.append(res)
+        if res != 0 and first_failing is None:
+            first_failing = k
+    max_exact = max_degree if first_failing is None else first_failing - 1
+    return max_exact, first_failing, tuple(residuals)
+
+
+_RATIONALS = st.one_of(st.just(F(0)), st.fractions(-100, 100, max_denominator=10 ** 4))
+
+
+@st.composite
+def _hand_built_stencils(draw):
+    offsets = sorted(draw(st.sets(st.integers(-30, 30), min_size=1, max_size=12)))
+    return weights.Stencil(
+        kind=draw(st.sampled_from(list(StencilKind))),
+        n=draw(st.integers(0, 8)),
+        derivative_order=draw(st.integers(0, 8)),
+        offsets=tuple(offsets),
+        weights=tuple(draw(st.lists(_RATIONALS, min_size=len(offsets),
+                                    max_size=len(offsets)))),
+        prefactor=draw(_RATIONALS),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stencil=st.one_of(
+        st.builds(weights.build, st.sampled_from(list(StencilKind)), st.integers(1, 12)),
+        _hand_built_stencils(),
+    ),
+    data=st.data(),
+)
+def test_exactness_matches_fraction_reference(stencil, data):
+    max_degree = data.draw(st.integers(0, 2 * stencil.n + 4))
+    report = exactness_check(stencil, max_degree)
+    got = (report.max_exact_degree, report.first_failing_degree, report.residuals)
+    assert got == _fraction_exactness(stencil, max_degree)
 
 
 def test_exactness_report_describe():

@@ -177,6 +177,17 @@ def test_index_curves_require_N():
             reference_value(curve, 0)
 
 
+@pytest.mark.parametrize("n", [3, 0, -4, 2.5], ids=["odd", "zero", "negative", "non-integer"])
+def test_index_curves_need_an_even_N_of_at_least_2(n):
+    # the check dft_spectrum makes, before the domain check on r
+    for family in (CurveFamily.HALF_POINT_FOLD, CurveFamily.LINEAR_RAMP, CurveFamily.ZERO):
+        curve = ReferenceCurve(family)
+        with pytest.raises(ValueError, match="^N must be even and >= 2$"):
+            reference_values(curve, [0, 1], n)
+        with pytest.raises(ValueError, match="^N must be even and >= 2$"):
+            reference_value(curve, 0, n)
+
+
 def _pointwise_curve(curve, at, n):
     """One curve value in plain Python floats and complexes, an index curve
     of a length-n DFT; None where the first-derivative limit excludes
@@ -538,6 +549,12 @@ def test_filter_spectrum_reads_N_from_its_half_band():
         assert FilterSpectrum(np.zeros(length, dtype=complex)).N == 2 * (length - 1)
     for n in (4, 16, 2000):
         assert dft_spectrum(weights.one_sided_first(1), n).N == n
+
+
+@pytest.mark.parametrize("length", [0, 1])
+def test_filter_spectrum_rejects_fewer_than_2_values(length):
+    with pytest.raises(ValueError, match="at least 2 values"):
+        FilterSpectrum(np.zeros(length, dtype=complex))
 
 
 def test_index_reference_column_takes_N_from_its_grid():
