@@ -3,8 +3,7 @@
 They share no code with the generators in `weights` (`build` only makes the
 stencils under test): Bjorck-Pereyra solves of the moment systems, Bareiss
 (fraction-free) elimination for the Vandermonde determinant only, the
-paper's product forms and polynomial exactness on integers, and
-unaccelerated partial sums.
+paper's product forms and polynomial exactness on integers.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .weights import Stencil, StencilKind, build
 
@@ -181,19 +180,6 @@ def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
         first_failing_degree=first_failing,
         residuals=tuple(residuals),
     )
-
-
-def alternating_series_sum(
-    term: Callable[[int], float], count: int
-) -> tuple[float, float]:
-    """Partial sum of term(1..count) with the magnitude of the first omitted
-    term as the error bound. Summation uses math.fsum for a correctly
-    rounded result."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    value = math.fsum(float(term(m)) for m in range(1, count + 1))
-    bound = abs(float(term(count + 1)))
-    return value, bound
 
 
 # the degree through which each family differentiates polynomials exactly

@@ -11,6 +11,7 @@ conjugated spectra: accessors expose Re[b*(r)] and Im[b*(r)].
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -30,8 +31,15 @@ _CHUNK_ELEMS = 8_000_000
 # which every unroll must divide (4 rows in the OpenBLAS SkylakeX kernel; 64
 # leaves room for wider ones), and the last block takes the remainder whole:
 # each bin is then rounded as in one full-table product. Blocks of 500 bins,
-# or a last block of 1 to 3 bins, changed some bins.
+# or a last block of 1 to 3 bins, changed some bins. Each fold thread fills
+# one table in place, as wide as its widest block, so with two threads the
+# fold's memory is O(2^16 + 2*64*N).
 _FOLD_BLOCK = 64
+# Threads that fold blocks at once; np.sin and gemv release the GIL. Fixed
+# at two, not tunable: each thread holds one block-wide table, and two keep
+# the memory bound above. A bin's bits do not depend on which thread folds
+# its block.
+_FOLD_WORKERS = 2
 _TERM_CHUNK = 1 << 16
 
 
@@ -360,9 +368,9 @@ def truncated_limit_spectrum_dft_grid(
     index, so the M terms fold into N residue buckets: cost O(M + N^2)
     instead of O(M N), and no large sine arguments are ever formed. The
     terms are made and added in term order, _TERM_CHUNK at a time, and the
-    buckets meet the trigonometric table one block of _FOLD_BLOCK bins at a
-    time (the last block up to twice that), so memory is
-    O(_TERM_CHUNK + _FOLD_BLOCK N), whatever M.
+    buckets meet the trigonometric table in blocks of _FOLD_BLOCK bins (the
+    last block up to twice that), which two threads fold in two in-place
+    tables, so memory is O(2^16 + 2*64*N), whatever M.
     """
     if family not in _OMEGA_FAMILIES:
         raise ValueError(f"{family.value} has no defining series")
@@ -377,13 +385,54 @@ def truncated_limit_spectrum_dft_grid(
     for lo in range(0, M, _TERM_CHUNK):
         offsets, coef = _series_terms(family, h, min(lo + _TERM_CHUNK, M), lo)
         np.add.at(buckets, offsets % N, coef)
-    k = np.arange(N)
     thetas = 2.0 * math.pi * np.arange(N // 2 + 1) / N
+    return phase * _fold(buckets, trig, thetas), _series_bounds(family, thetas, h, M)
+
+
+def _fold(buckets: np.ndarray, trig, thetas: np.ndarray) -> np.ndarray:
+    """buckets @ trig(outer(k, thetas)), k = 0..N-1, one block of bins per
+    product: blocks start at multiples of _FOLD_BLOCK, the last takes the
+    remainder, and block i goes to thread i % _FOLD_WORKERS.
+
+    The tables are allocated here, before any thread starts, as anonymous
+    maps that are unmapped when the last view of them dies. A table that a
+    thread allocated stayed in that thread's malloc arena, and a table
+    from np.empty stayed in the heap after the call; either raised the
+    peak RSS of later work. An exception in any thread is raised here once
+    all have stopped.
+    """
+    import mmap  # here, so that importing the package does not load it
+
+    N = len(buckets)
+    k = np.arange(N, dtype=float)[:, None]
     edges = [*range(0, max(len(thetas) - _FOLD_BLOCK, 1), _FOLD_BLOCK), len(thetas)]
-    sums = np.concatenate(
-        [buckets @ trig(np.outer(k, thetas[lo:hi])) for lo, hi in zip(edges, edges[1:])]
-    )
-    return phase * sums, _series_bounds(family, thetas, h, M)
+    blocks = list(zip(edges, edges[1:]))
+    shares = [blocks[w::_FOLD_WORKERS] for w in range(min(_FOLD_WORKERS, len(blocks)))]
+    tables = [np.frombuffer(mmap.mmap(-1, 8 * N * max(hi - lo for lo, hi in share)))
+              for share in shares]
+    sums = np.empty(len(thetas))
+    errors = []
+
+    def fold(share, buffer):
+        try:
+            for lo, hi in share:
+                if errors:
+                    return
+                table = buffer[:N * (hi - lo)].reshape(N, hi - lo)
+                np.multiply(k, thetas[lo:hi], out=table)
+                sums[lo:hi] = buckets @ trig(table, out=table)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fold, args=pair) for pair in zip(shares[1:], tables[1:])]
+    for thread in threads:
+        thread.start()
+    fold(shares[0], tables[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return sums
 
 
 def omega_grid(N: int, h: float) -> np.ndarray:
@@ -456,29 +505,3 @@ def deviation(
         max_rel=max_rel,
         argmax=int(rs[imax]),
     )
-
-
-def freq_differentiate(values: np.ndarray, order: int, h: float) -> np.ndarray:
-    """Band-limited derivative of a sampled-signal DFT.
-
-    Bin r is multiplied by i*omega_r (order 1) or -omega_r**2 (order 2),
-    with omega_r wrapping to negative frequencies for r > N/2. Order 1
-    zeroes the Nyquist bin (the first-derivative limit spectrum excludes
-    omega = pi/h); order 2 keeps it.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    c = np.asarray(values, dtype=complex)
-    N = c.shape[0]
-    if N < 2 or N % 2:
-        raise ValueError("spectrum length must be even and >= 2")
-    r = np.arange(N)
-    signed = np.where(r <= N // 2, r, r - N)
-    omega = 2.0 * math.pi * signed / (N * h)
-    if order == 1:
-        out = 1j * omega * c
-        out[N // 2] = 0.0
-        return out
-    return -(omega ** 2) * c

@@ -11,7 +11,6 @@ from stencil_spectra.oracle import (
     MomentSystem,
     SingularSystemError,
     _bareiss_eliminate,
-    alternating_series_sum,
     delta_m1_closed_form,
     exactness_check,
     product_form_half_point,
@@ -337,31 +336,3 @@ def test_exactness_matches_fraction_reference(stencil, data):
 def test_exactness_report_describe():
     text = exactness_check(weights.one_sided_first(3), 5).describe()
     assert "one-sided-first(n=3)" in text and "degree 3" in text
-
-
-# --- series -------------------------------------------------------------------
-
-
-def test_alternating_series_second_limit_family():
-    value, bound = alternating_series_sum(
-        lambda m: (-1) ** (m + 1) * 2.0 / (m * m), 10 ** 6
-    )
-    assert bound == pytest.approx(2.0 / (10 ** 6 + 1) ** 2)
-    assert abs(value - math.pi ** 2 / 6) <= 2e-12
-
-
-def test_alternating_series_odd_reciprocal_squares():
-    value, _ = alternating_series_sum(lambda j: 8.0 / (2 * j - 1) ** 2, 10 ** 5)
-    assert abs(value - math.pi ** 2) <= 1e-4
-
-
-def test_alternating_series_single_term():
-    term = lambda m: (-1) ** (m + 1) / m
-    value, bound = alternating_series_sum(term, 1)
-    assert value == term(1)
-    assert bound == abs(term(2))
-
-
-def test_alternating_series_rejects_empty():
-    with pytest.raises(ValueError):
-        alternating_series_sum(lambda m: 1.0 / m, 0)

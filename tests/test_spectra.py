@@ -1,10 +1,12 @@
-"""Spectrum evaluation, reference curves, deviations, band differentiation."""
+"""Spectrum evaluation, reference curves, deviations and the limit-series fold."""
 
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stencil_spectra
-from stencil_spectra import weights
+from stencil_spectra import spectra, weights
 from stencil_spectra.spectra import (
     CurveDomainError,
     CurveFamily,
@@ -22,7 +24,6 @@ from stencil_spectra.spectra import (
     ReferenceCurve,
     deviation,
     dft_spectrum,
-    freq_differentiate,
     omega_grid,
     reference_column,
     reference_value,
@@ -353,20 +354,42 @@ def _full_table_fold(family, N, h, M):
     return phase * (buckets @ trig(table, out=table))
 
 
-def _fold_mismatches():
-    """(family, N, M) cases where truncated_limit_spectrum_dft_grid differs
-    from the full-table fold in any bit. N/2+1 runs below, at and past the
+def _fold_cases():
+    """(family, N, M) cases for the fold: N/2+1 runs below, at and past the
     edges of the fold's first and second blocks, and M past several chunks
     of the fold's terms."""
-    cases = [(N, M) for N in (2, 4, 6, 126, 128, 130, 132, 254, 256, 258, 4732, 8000)
+    sizes = [(N, M) for N in (2, 4, 6, 126, 128, 130, 132, 254, 256, 258, 4732, 8000)
              for M in ((7, 3 * N + 5) if N < 1000 else (3 * N + 5,))]
-    cases += [(N, 3 * 2 ** 16 + 5) for N in (130, 4732)]
+    sizes += [(N, 3 * 2 ** 16 + 5) for N in (130, 4732)]
+    return [(family, N, M) for family in _SERIES_FAMILIES for N, M in sizes]
+
+
+def _fold_mismatches():
+    """(family, N, M) cases where truncated_limit_spectrum_dft_grid differs
+    from the full-table fold in any bit."""
     bad = []
-    for family in _SERIES_FAMILIES:
-        for N, M in cases:
-            values, _ = truncated_limit_spectrum_dft_grid(family, N, 0.7, M)
-            if values.tobytes() != _full_table_fold(family, N, 0.7, M).tobytes():
+    for family, N, M in _fold_cases():
+        values, _ = truncated_limit_spectrum_dft_grid(family, N, 0.7, M)
+        if values.tobytes() != _full_table_fold(family, N, 0.7, M).tobytes():
+            bad.append([family.value, N, M])
+    return bad
+
+
+def _worker_mismatches():
+    """(family, N, M) cases where the fold on one thread and on two threads
+    differ in any bit."""
+    bad = []
+    default = spectra._FOLD_WORKERS
+    try:
+        for family, N, M in _fold_cases():
+            folds = set()
+            for workers in (1, 2):
+                spectra._FOLD_WORKERS = workers
+                folds.add(truncated_limit_spectrum_dft_grid(family, N, 0.7, M)[0].tobytes())
+            if len(folds) != 1:
                 bad.append([family.value, N, M])
+    finally:
+        spectra._FOLD_WORKERS = default
     return bad
 
 
@@ -375,26 +398,100 @@ import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("spectra_tests", sys.argv[1])
 module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(module)
-print(json.dumps(module._fold_mismatches()))
+print(json.dumps(getattr(module, sys.argv[2])()))
 """
+
+
+def _mismatches_in_child(helper, blas_threads):
+    """Run a mismatch helper of this module in a fresh interpreter whose
+    BLAS runs on blas_threads threads."""
+    src = os.path.dirname(os.path.dirname(stencil_spectra.__file__))
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": blas_threads,
+        "OMP_NUM_THREADS": blas_threads,
+        "MKL_NUM_THREADS": blas_threads,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", _FOLD_CHILD, __file__, helper],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
 
 
 def test_blocked_fold_matches_full_table_fold():
     # gemv rounds a bin by how its threads split the rows: one thread each
-    src = os.path.dirname(os.path.dirname(stencil_spectra.__file__))
-    env = {
-        **os.environ,
-        "OPENBLAS_NUM_THREADS": "1",
-        "OMP_NUM_THREADS": "1",
-        "MKL_NUM_THREADS": "1",
-        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-    }
-    child = subprocess.run(
-        [sys.executable, "-c", _FOLD_CHILD, __file__],
-        env=env, capture_output=True, text=True, timeout=600,
+    assert _mismatches_in_child("_fold_mismatches", "1") == []
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_fold_bytes_do_not_depend_on_its_threads(blas_threads):
+    # with two BLAS threads, each of the fold's threads calls a threaded gemv
+    assert _mismatches_in_child("_worker_mismatches", blas_threads) == []
+
+
+def test_fold_threads_under_contention_write_every_bin_once(monkeypatch):
+    # more fold threads than cores, switching every microsecond: a lost or
+    # misplaced block write would change some bin
+    family = CurveFamily.SECOND_DERIV_LIMIT
+    monkeypatch.setattr(spectra, "_FOLD_WORKERS", 1)
+    serial, _ = truncated_limit_spectrum_dft_grid(family, 4732, 0.7, 10 ** 4)
+    monkeypatch.setattr(spectra, "_FOLD_WORKERS", 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded, _ = truncated_limit_spectrum_dft_grid(family, 4732, 0.7, 10 ** 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.tobytes() == serial.tobytes()
+
+
+# at N = 2000 the fold has 15 blocks: block 0 is folded by the calling
+# thread, block 1 by the other, and block 14 is the wide last block
+@pytest.mark.parametrize("bad_block", [0, 1, 14])
+def test_fold_error_in_either_thread_reaches_the_caller(monkeypatch, bad_block):
+    N = 2000
+    bad_theta = 2.0 * math.pi * (64 * bad_block) / N
+
+    def failing_sin(x, out=None):
+        # row k = 1 of a block's table holds its thetas
+        if x.ndim == 2 and x[1, 0] == bad_theta:
+            raise FloatingPointError(f"block {bad_block}")
+        return np.sin(x, out=out)
+
+    kind, _, phase = spectra._OMEGA_FAMILIES[CurveFamily.FIRST_DERIV_LIMIT]
+    monkeypatch.setitem(
+        spectra._OMEGA_FAMILIES, CurveFamily.FIRST_DERIV_LIMIT, (kind, failing_sin, phase)
     )
-    assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == []
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"block {bad_block}"):
+        truncated_limit_spectrum_dft_grid(CurveFamily.FIRST_DERIV_LIMIT, N, 1.0, 100)
+    assert threading.active_count() == threads
+
+
+def test_dft_grid_fold_peak_is_two_in_place_tables(monkeypatch):
+    # tracemalloc does not see the fold's tables, which are anonymous maps:
+    # count their bytes beside the traced peak. One thread's outer product
+    # and its sine took 12.9 MB; the two threads' tables, as wide as their
+    # widest blocks (64 and 97 bins), take 10.3 MB
+    mapped = []
+
+    class CountedMap(mmap.mmap):
+        def __new__(cls, fileno, length, *args, **kwargs):
+            mapped.append(length)
+            return super().__new__(cls, fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", CountedMap)
+    tracemalloc.start()
+    try:
+        truncated_limit_spectrum_dft_grid(CurveFamily.FIRST_DERIV_LIMIT, 8000, 1.0, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(mapped) == [8 * 8000 * 64, 8 * 8000 * 97]
+    assert peak + sum(mapped) < 16 * 10 ** 6
 
 
 def test_dft_grid_fold_memory_is_bounded():
@@ -583,49 +680,3 @@ def test_deviation_against_frequency_curve():
     curve = ReferenceCurve(CurveFamily.FIRST_DERIV_LIMIT, h=h)
     report = deviation(spectrum, curve, "im", range(0, 200))
     assert report.max_rel <= 0.01
-
-
-# --- band-limited differentiation -----------------------------------------------
-
-
-def test_freq_differentiate_constant_is_zero():
-    c = np.fft.fft(np.ones(64))
-    out = freq_differentiate(c, 1, 0.5)
-    assert np.abs(out).max() == 0.0
-
-
-def test_freq_differentiate_pure_tone_round_trip():
-    n, h = 64, 0.5
-    k = np.arange(n)
-    omega0 = 2 * math.pi * 5 / (n * h)
-    samples = np.cos(omega0 * k * h)
-    out = np.fft.ifft(freq_differentiate(np.fft.fft(samples), 1, h))
-    expected = -omega0 * np.sin(omega0 * k * h)
-    assert np.abs(out.real - expected).max() <= 1e-10
-    assert np.abs(out.imag).max() <= 1e-10
-
-
-def test_freq_differentiate_alternating_tone_second_order():
-    n, h = 32, 0.5
-    k = np.arange(n)
-    samples = (-1.0) ** k
-    out = np.fft.ifft(freq_differentiate(np.fft.fft(samples), 2, h))
-    expected = -((math.pi / h) ** 2) * samples
-    assert np.abs(out.real - expected).max() <= 1e-9 * (math.pi / h) ** 2
-
-
-def test_freq_differentiate_first_order_kills_nyquist():
-    n = 32
-    samples = (-1.0) ** np.arange(n)
-    out = np.fft.ifft(freq_differentiate(np.fft.fft(samples), 1, 1.0))
-    assert np.abs(out).max() <= 1e-12
-
-
-def test_freq_differentiate_validation():
-    c = np.zeros(8, dtype=complex)
-    with pytest.raises(ValueError):
-        freq_differentiate(c, 3, 1.0)
-    with pytest.raises(ValueError):
-        freq_differentiate(np.zeros(7, dtype=complex), 1, 1.0)
-    with pytest.raises(ValueError):
-        freq_differentiate(c, 1, 0.0)
