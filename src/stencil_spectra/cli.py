@@ -263,8 +263,12 @@ def _cmd_diff(args) -> str:
 
     if args.stencil_file:
         with open(args.stencil_file, "r", encoding="utf-8") as fh:
-            # ints as text: stencil_from_dict reads them and names one too long
-            stencil = weights.stencil_from_dict(json.load(fh, parse_int=str))
+            try:
+                # ints as text: stencil_from_dict reads them and names one too long
+                data = json.load(fh, parse_int=str)
+            except RecursionError:
+                raise ValueError("the stencil file nests too deeply to read") from None
+        stencil = weights.stencil_from_dict(data)
         result = signals.apply_stencil(signal, stencil)
     elif args.kind == StencilKind.HALF_POINT_FIRST.value:
         result = signals.differentiate_half_point_signal(signal, args.n or 1)
@@ -372,6 +376,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        code = 0
         if args.command == "stencil":
             text = _cmd_stencil(args)
         elif args.command == "spectrum":
@@ -382,8 +387,7 @@ def run(argv: list[str]) -> int:
             text = _cmd_figure(args)
         else:
             text, code = _cmd_verify(args)
-            _write(text, args.out)
-            return code
+        _write(text, args.out)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -391,8 +395,7 @@ def run(argv: list[str]) -> int:
     except (signals.BoundaryError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write(text, args.out)
-    return 0
+    return code
 
 
 def main() -> None:

@@ -43,17 +43,6 @@ class ExactnessReport:
     first_failing_degree: int | None
     residuals: tuple[Fraction, ...]
 
-    def describe(self) -> str:
-        tail = (
-            f"first failure at degree {self.first_failing_degree}"
-            if self.first_failing_degree is not None
-            else "no failure within the searched range"
-        )
-        return (
-            f"{self.stencil.label()}: exact through degree "
-            f"{self.max_exact_degree}, {tail}"
-        )
-
 
 def _bareiss_eliminate(rows):
     """Fraction-free forward elimination in place; returns the sign of the

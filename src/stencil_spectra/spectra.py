@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -152,17 +152,12 @@ class DeviationReport:
     argmax: int
 
 
-WeightSource = Union[Stencil, Mapping[int, object], Iterable[tuple[int, object]]]
-
-
-def _base_entries(source: WeightSource):
+def _base_entries(source: Stencil | Mapping[int, object]):
     """Normalize to a sorted list of (index, weight); weights may be exact
     Fractions (stencils) or floats (truncated limit sequences)."""
     if isinstance(source, Stencil):
         return [(o, w) for o, w in source.nodes if o >= 0]
-    if isinstance(source, Mapping):
-        return sorted(source.items())
-    return sorted(source)
+    return sorted(source.items())
 
 
 def _embed(entries, N: int, mode: EmbeddingMode):
@@ -193,7 +188,8 @@ def _accumulate(embedded, N):
 
 
 def dft_spectrum(
-    source: WeightSource, N: int, mode: EmbeddingMode = EmbeddingMode.HALF_SEQUENCE
+    source: Stencil | Mapping[int, object], N: int,
+    mode: EmbeddingMode = EmbeddingMode.HALF_SEQUENCE,
 ) -> FilterSpectrum:
     """Sparse direct DFT b(r) = sum_m a_m exp(-2i pi m r / N) on the half
     band r = 0..N/2: N/2+1 values.
@@ -212,9 +208,6 @@ def dft_spectrum(
         dc = math.fsum(float(w) for _, w in embedded)
     values[0] = complex(dc, 0.0)
     return FilterSpectrum(values)
-
-
-_EXCLUDES_NYQUIST = "first-derivative limit excludes omega = pi/h"
 
 
 def reference_values(curve: ReferenceCurve, at, N: int | None = None) -> np.ndarray:
@@ -258,15 +251,6 @@ def reference_values(curve: ReferenceCurve, at, N: int | None = None) -> np.ndar
     if fam is CurveFamily.LINEAR_RAMP:
         return ramp
     return np.zeros(r.shape)
-
-
-def reference_value(curve: ReferenceCurve, at: float, N: int | None = None):
-    """reference_values at one point. Raises CurveDomainError outside the
-    stated domain, including omega = pi/h for the first-derivative limit."""
-    value = reference_values(curve, [at], N)[0].item()
-    if curve.family is CurveFamily.FIRST_DERIV_LIMIT and math.isnan(value.real):
-        raise CurveDomainError(_EXCLUDES_NYQUIST)
-    return value
 
 
 def _series_terms(family: CurveFamily, h: float, stop: int, start: int = 0):
@@ -319,6 +303,15 @@ def _series_bounds(family: CurveFamily, thetas: np.ndarray, h: float, M: int) ->
     return bounds
 
 
+def _check_series(family: CurveFamily, h: float, M: int) -> None:
+    if family not in _OMEGA_FAMILIES:
+        raise ValueError(f"{family.value} has no defining series")
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    if h <= 0:
+        raise ValueError("h must be positive")
+
+
 def truncated_limit_spectrum(
     family: CurveFamily, omega: float, h: float, M: int
 ) -> tuple[complex, float]:
@@ -326,36 +319,20 @@ def truncated_limit_spectrum(
     with a rigorous remainder bound.
 
     Returns (value, bound) where |value - limit| <= bound + accumulation
-    round-off for omega interior to the curve's domain.
+    round-off for omega interior to the curve's domain. The terms are made
+    and summed _TERM_CHUNK at a time, each chunk by numpy's pairwise sum.
     """
-    values, bounds = truncated_limit_spectrum_grid(family, np.array([omega]), h, M)
-    return complex(values[0]), float(bounds[0])
-
-
-def truncated_limit_spectrum_grid(
-    family: CurveFamily, omegas: np.ndarray, h: float, M: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized truncated_limit_spectrum over a frequency grid."""
-    if family not in _OMEGA_FAMILIES:
-        raise ValueError(f"{family.value} has no defining series")
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    omegas = np.asarray(omegas, dtype=float)
-    thetas = omegas * h
-    if np.any(thetas < 0) or np.any(thetas > math.pi * (1 + 1e-12)):
+    _check_series(family, h, M)
+    theta = omega * h
+    if not 0 <= theta <= math.pi * (1 + 1e-12):
         raise ValueError("omega must lie in [0, pi/h]")
 
     _, trig, phase = _OMEGA_FAMILIES[family]
-    sums = np.zeros(len(thetas))
-    chunk = max(1, _CHUNK_ELEMS // max(1, len(thetas)))
-    for lo in range(0, M, chunk):
-        offsets, coef = _series_terms(family, h, min(lo + chunk, M), lo)
-        sums += coef @ trig(np.outer(offsets, thetas))
-
-    values = phase * sums
-    return values, _series_bounds(family, thetas, h, M)
+    total = 0.0
+    for lo in range(0, M, _TERM_CHUNK):
+        offsets, coef = _series_terms(family, h, min(lo + _TERM_CHUNK, M), lo)
+        total += np.sum(coef * trig(offsets * theta))
+    return complex(phase * total), float(_series_bounds(family, np.array([theta]), h, M)[0])
 
 
 def truncated_limit_spectrum_dft_grid(
@@ -372,13 +349,8 @@ def truncated_limit_spectrum_dft_grid(
     last block up to twice that), which two threads fold in two in-place
     tables, so memory is O(2^16 + 2*64*N), whatever M.
     """
-    if family not in _OMEGA_FAMILIES:
-        raise ValueError(f"{family.value} has no defining series")
+    _check_series(family, h, M)
     _check_dft_length(N)
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if h <= 0:
-        raise ValueError("h must be positive")
 
     _, trig, phase = _OMEGA_FAMILIES[family]
     buckets = np.zeros(N)
@@ -484,7 +456,7 @@ def deviation(
     if curve.family in _OMEGA_FAMILIES:
         got = sides[rs] * curve.h
         if np.isnan(ref).any():
-            raise CurveDomainError(_EXCLUDES_NYQUIST)
+            raise CurveDomainError("first-derivative limit excludes omega = pi/h")
     else:
         got = sides[rs]
         if curve.family is CurveFamily.ZERO:

@@ -70,28 +70,6 @@ class Stencil:
         return f"{self.kind.value}(n={self.n})"
 
 
-@dataclass(frozen=True)
-class LimitWeight:
-    """One coefficient of an infinite-family weight sequence.
-
-    The numeric value is rational_part * pi**pi_power; the pi factor is kept
-    symbolic so the half-point limit stays exact until evaluation.
-    """
-
-    index: int
-    rational_part: Fraction
-    pi_power: int = 0
-
-    def __post_init__(self):
-        if self.pi_power not in (0, -1):
-            raise ValueError("pi_power must be 0 or -1")
-
-    def value(self) -> float:
-        if self.pi_power == 0:
-            return float(self.rational_part)
-        return float(self.rational_part) / math.pi
-
-
 def harmonic_number(n: int) -> Fraction:
     """Exact n-th harmonic number sum(1/m, m=1..n)."""
     if n < 0:
@@ -260,41 +238,10 @@ def limit_coefficients(kind: StencilKind, stop: int, start: int = 0, scale: floa
     """Offsets and float coefficients scale * weight of the infinite-family
     terms j = start..stop-1 (see _limit_term), as arrays: scale * numerator
     / denominator, rounded once, then over pi for the half-point family.
-
-    With scale = 1 each coefficient is LimitWeight.value() of its term.
     """
     # float terms are exact below 2**53, where int64 squares would wrap
     offsets, numerators, denominators, pi_power = _limit_term(kind, np.arange(start, stop, 1.0))
     return offsets.astype(np.int64), (scale * numerators) / denominators / math.pi ** -pi_power
-
-
-def _limit_weight(kind: StencilKind, j: int) -> LimitWeight:
-    offset, numerator, denominator, pi_power = _limit_term(kind, j)
-    return LimitWeight(
-        index=offset, rational_part=Fraction(numerator, denominator), pi_power=pi_power
-    )
-
-
-def central_first_limit(m: int) -> LimitWeight:
-    """Infinite-family central first-derivative coefficient (-1)**(m+1)*2/m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return _limit_weight(StencilKind.CENTRAL_FIRST, m - 1)
-
-
-def central_second_limit(m: int) -> LimitWeight:
-    """Infinite-family central second-derivative coefficient (-1)**(m+1)*2/m**2."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return _limit_weight(StencilKind.CENTRAL_SECOND, m - 1)
-
-
-def half_point_limit(m: int) -> LimitWeight:
-    """Infinite-family half-point coefficient at odd offset 2m+1:
-    (-1)**m * 4 / ((2m+1)**2 * pi), kept exact as rational_part / pi."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return _limit_weight(StencilKind.HALF_POINT_FIRST, m)
 
 
 _KIND_BUILDERS = {

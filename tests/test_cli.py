@@ -6,7 +6,9 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
 
@@ -230,11 +232,12 @@ _GOOD_STENCIL = {"kind": "central-first", "n": 1, "derivative_order": 1,
     {**_GOOD_STENCIL, "nodes": [{"offset": 1, "weight": True}]},
     {**_GOOD_STENCIL, "prefactor": False},
     {**_GOOD_STENCIL, "h_power": 2},
+    "[" * 100_000,
 ], ids=["not-object", "missing-key", "empty-nodes", "zero-denominator",
         "null-weight", "bad-prefactor", "duplicate-offset", "negative-order",
         "negative-h-power", "too-long-weight", "too-long-int-literal",
         "fractional-offset-and-n", "boolean-offset-and-h-power", "boolean-weight",
-        "boolean-prefactor", "h-power-not-derivative-order"])
+        "boolean-prefactor", "h-power-not-derivative-order", "too-deeply-nested"])
 def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload):
     path = tmp_path / "bad.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload),
@@ -500,6 +503,34 @@ def test_out_file_writing(capsys, tmp_path):
     assert text.startswith("index,x,value,policy")
 
 
+# one cheap argv per subcommand
+_CHEAP_ARGVS = {
+    "stencil": ["stencil", "--kind", "central-first", "--n", "2"],
+    "spectrum": ["spectrum", "--kind", "central-first", "--n", "3", "--N", "16"],
+    "diff": ["diff", "--fn", "poly:1,2", "--points", "5"],
+    "figure": ["figure", "1a", "--N", "16", "--M", "100"],
+    "verify": ["verify", "--max-n", "1"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", list(_CHEAP_ARGVS))
+def test_out_to_an_unwritable_path_is_one_line_error(capsys, tmp_path, command, target):
+    out = tmp_path / "missing" / "table" if target == "missing-directory" else tmp_path
+    code, stdout, err = run_capture(capsys, _CHEAP_ARGVS[command] + ["--out", str(out)])
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fn, key", [("sin:omega=1,omega=2", "omega"),
+                                     ("sin:phase=0,omega=1,phase=1", "phase")])
+def test_repeated_sinusoid_parameter_is_one_line_error(capsys, fn, key):
+    code, out, err = run_capture(capsys, ["diff", "--fn", fn, "--points", "5"])
+    assert code == 1 and out == ""
+    assert err == f"error: sinusoid parameter {key} is given twice\n"
+
+
 # --- table rendering --------------------------------------------------------------
 
 
@@ -565,6 +596,11 @@ _FUNCTIONS = st.one_of(
               st.sampled_from(["poly", "altpoly"]),
               st.lists(_COEFFICIENTS, min_size=1, max_size=4)),
 )
+_KINDS = [kind.value for kind in StencilKind]
+_LIMITS = ["central-first", "central-second", "half-point-first"]
+_EMBEDDINGS = ["half-sequence", "full-antisymmetric", "full-symmetric"]
+_CURVES = ["first-deriv-limit", "second-deriv-limit", "half-point-limit", "half-point-fold",
+           "linear-ramp", "zero"]
 _SPACINGS = st.one_of(st.sampled_from(["1e-320", "5e-324", "1e-200", "0.25", "1", "1e200",
                                        "1e308"]),
                       st.floats(1e-320, 1e308).map(repr))
@@ -591,6 +627,12 @@ def _signal_argvs(draw):
                "--kind", "half-point-first"])
 @example(argv=["diff", "--fn", "sin:omega=nan", "--points", "5"])
 def test_signal_commands_exit_cleanly(argv):
+    _assert_exits_cleanly(argv)
+
+
+def _assert_exits_cleanly(argv) -> int:
+    """run(argv) exits 0, 1 or 2, warns nothing and writes at most one
+    stderr line, which is empty exactly when the exit is 0."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -600,3 +642,109 @@ def test_signal_commands_exit_cleanly(argv):
     assert not caught, [str(w.message) for w in caught]
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
     assert (err.getvalue() == "") == (code == 0)
+    return code
+
+
+_FORMATS = st.sampled_from(["csv", "json"])
+_EVEN_N = st.integers(1, 128).map(lambda half: str(2 * half))
+# the fuzz test writes the drawn stencil file and puts its path here
+_STENCIL_FILE = "<stencil-file>"
+
+
+@st.composite
+def _stencil_argvs(draw):
+    return ["stencil", f"--kind={draw(st.sampled_from(_KINDS))}",
+            f"--n={draw(st.integers(1, 12))}", f"--format={draw(_FORMATS)}"]
+
+
+@st.composite
+def _spectrum_argvs(draw):
+    argv = ["spectrum", f"--N={draw(_EVEN_N)}", f"--h={draw(_SPACINGS)}",
+            f"--embedding={draw(st.sampled_from(_EMBEDDINGS))}",
+            f"--part={draw(st.sampled_from(['im', 're']))}", f"--format={draw(_FORMATS)}"]
+    if draw(st.booleans()):
+        argv.append(f"--kind={draw(st.sampled_from(_KINDS))}")
+        wanted, other = [f"--n={draw(st.integers(1, 12))}"], ["--M=7"]
+    else:
+        argv.append(f"--limit={draw(st.sampled_from(_LIMITS))}")
+        wanted, other = [f"--M={draw(st.integers(1, 2000))}"] * draw(st.booleans()), ["--n=3"]
+    # one draw in five takes the other source's flag instead: a usage error
+    argv += other if draw(st.integers(0, 4)) == 4 else wanted
+    if draw(st.booleans()):
+        argv.append(f"--ref={draw(st.sampled_from(_CURVES))}")
+    return argv
+
+
+@st.composite
+def _figure_argvs(draw):
+    argv = ["figure", draw(st.sampled_from(["1a", "1b", "2a", "3a", "3b"])),
+            f"--N={draw(_EVEN_N)}", f"--h={draw(_SPACINGS)}",
+            f"--M={draw(st.integers(1, 2000))}", f"--format={draw(_FORMATS)}"]
+    if draw(st.booleans()):
+        ns = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+        argv.append(f"--n={','.join(map(str, ns))}")
+    return argv
+
+
+@st.composite
+def _verify_argvs(draw):
+    return ["verify", f"--max-n={draw(st.integers(1, 3))}",
+            f"--format={draw(st.sampled_from(['text', 'json']))}"]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _stencil_payloads(draw):
+    """A stencil file's bytes: a built stencil, the good stencil with one
+    field or one node field replaced by any JSON value, any JSON document,
+    or any bytes."""
+    choice = draw(st.sampled_from(["built", "field", "node", "document", "bytes"]))
+    if choice == "bytes":
+        return draw(st.binary(max_size=64))
+    if choice == "built":
+        payload = weights.stencil_to_dict(
+            weights.build(draw(st.sampled_from(list(StencilKind))), draw(st.integers(1, 12))))
+    elif choice == "document":
+        payload = draw(_JSON)
+    else:
+        payload = json.loads(json.dumps(_GOOD_STENCIL))
+        target = payload if choice == "field" else payload["nodes"][draw(st.integers(0, 1))]
+        target[draw(st.sampled_from(sorted(target)))] = draw(_JSON)
+    return json.dumps(payload).encode()
+
+
+@st.composite
+def _stencil_file_argvs(draw):
+    # a signal that samples cleanly, so that the file is read
+    fn = draw(st.sampled_from(["sin:omega=1", "poly:1,-2,0.5", "altpoly:1,0.25"]))
+    return ["diff", f"--fn={fn}", f"--h={draw(st.sampled_from(['0.25', '1', '3']))}",
+            f"--points={draw(st.integers(2, 64))}", f"--stencil-file={_STENCIL_FILE}",
+            f"--format={draw(_FORMATS)}"], draw(_stencil_payloads())
+
+
+def _without_file(argvs):
+    return st.tuples(argvs, st.just(None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(_without_file(_stencil_argvs()), _without_file(_spectrum_argvs()),
+                      _without_file(_figure_argvs()), _without_file(_verify_argvs()),
+                      _stencil_file_argvs()),
+       out_dir=st.booleans())
+def test_other_commands_exit_cleanly(case, out_dir):
+    argv, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        stencil_file = os.path.join(tmp, "stencil.json")
+        if payload is not None:
+            with open(stencil_file, "wb") as fh:
+                fh.write(payload)
+        argv = [arg.replace(_STENCIL_FILE, stencil_file) for arg in argv]
+        code = _assert_exits_cleanly(argv + [f"--out={tmp}"] * out_dir)
+    if out_dir:
+        assert code != 0

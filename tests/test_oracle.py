@@ -331,8 +331,3 @@ def test_exactness_matches_fraction_reference(stencil, data):
     report = exactness_check(stencil, max_degree)
     got = (report.max_exact_degree, report.first_failing_degree, report.residuals)
     assert got == _fraction_exactness(stencil, max_degree)
-
-
-def test_exactness_report_describe():
-    text = exactness_check(weights.one_sided_first(3), 5).describe()
-    assert "one-sided-first(n=3)" in text and "degree 3" in text

@@ -491,14 +491,15 @@ def test_parse_test_function():
     for bad in ("sin", "sin:2.5", "sin:freq=1", "noise:1", "poly:"):
         with pytest.raises(ValueError):
             parse_test_function(bad)
+    for key, expr in [("omega", "sin:omega=1,omega=2"), ("phase", "sin:phase=1,omega=2,phase=1")]:
+        with pytest.raises(ValueError, match=f"^sinusoid parameter {key} is given twice$"):
+            parse_test_function(expr)
 
 
 def test_modulated_alternating_sampling():
     fn = ModulatedAlternating(coeffs=(1.0, 0.5))
     assert fn.sample(np.arange(3), 1.0).tolist() == [1.0, -1.5, 2.0]
     assert fn.envelope(3.0) == 2.5
-    assert fn.envelope_derivative(3.0) == 0.5
-    assert fn.derivative(0.0, 1, h=1.0) == 0.5
 
 
 def _scalar_sample(fn, m, h):

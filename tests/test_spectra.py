@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,11 +27,9 @@ from stencil_spectra.spectra import (
     dft_spectrum,
     omega_grid,
     reference_column,
-    reference_value,
     reference_values,
     truncated_limit_spectrum,
     truncated_limit_spectrum_dft_grid,
-    truncated_limit_spectrum_grid,
 )
 
 N = 2000
@@ -52,7 +51,8 @@ def test_half_point_n1_spectrum_is_a_sine():
 
 
 def test_truncated_limit_sequence_nyquist_bin_is_real():
-    taps = {m: weights.central_first_limit(m).value() for m in range(1, 700)}
+    # 2 (-1)**(m+1) / m, the central first-derivative limit weights
+    taps = {m: float(Fraction(2 * (-1) ** (m + 1), m)) for m in range(1, 700)}
     spectrum = dft_spectrum(taps, N, EmbeddingMode.HALF_SEQUENCE)
     assert abs(spectrum.im_conj[N // 2]) <= 1e-10
 
@@ -130,43 +130,43 @@ def test_dft_spectrum_matches_per_tap_exp_loop(sequence, mode):
 
 def test_second_limit_curve_at_dc():
     curve = ReferenceCurve(CurveFamily.SECOND_DERIV_LIMIT, h=0.7)
-    assert reference_value(curve, 0.0) == pytest.approx(math.pi ** 2 * 0.7 / 3)
+    assert reference_values(curve, [0.0])[0] == pytest.approx(math.pi ** 2 * 0.7 / 3)
 
 
 def test_half_point_limit_curve_branches_agree_at_junction():
     h = 0.5
     curve = ReferenceCurve(CurveFamily.HALF_POINT_LIMIT, h=h)
     junction = math.pi / (2 * h)
-    assert reference_value(curve, junction) == pytest.approx(-1j * math.pi * h)
-    assert reference_value(curve, junction * 0.999) == pytest.approx(
-        -2j * h * (0.999 * math.pi / 2), rel=1e-12
-    )
+    at_junction, below = reference_values(curve, [junction, junction * 0.999])
+    assert at_junction == pytest.approx(-1j * math.pi * h)
+    assert below == pytest.approx(-2j * h * (0.999 * math.pi / 2), rel=1e-12)
 
 
 def test_fold_curve_values():
     curve = ReferenceCurve(CurveFamily.HALF_POINT_FOLD)
-    assert reference_value(curve, N // 4, N) == pytest.approx(math.pi / 2)
-    assert reference_value(curve, 0, N) == 0.0
-    assert reference_value(curve, N // 2, N) == pytest.approx(0.0)
+    quarter, dc, nyquist = reference_values(curve, [N // 4, 0, N // 2], N)
+    assert quarter == pytest.approx(math.pi / 2)
+    assert dc == 0.0
+    assert nyquist == pytest.approx(0.0)
     ramp = ReferenceCurve(CurveFamily.LINEAR_RAMP)
-    assert reference_value(ramp, 100, N) == pytest.approx(2 * math.pi * 100 / N)
+    assert reference_values(ramp, [100], N)[0] == pytest.approx(2 * math.pi * 100 / N)
     zero = ReferenceCurve(CurveFamily.ZERO)
-    assert reference_value(zero, 123, N) == 0.0
+    assert reference_values(zero, [123], N)[0] == 0.0
 
 
 def test_first_limit_curve_domain_excludes_nyquist():
     curve = ReferenceCurve(CurveFamily.FIRST_DERIV_LIMIT, h=1.0)
-    assert reference_value(curve, 1.0) == -2j
+    assert reference_values(curve, [1.0])[0] == -2j
+    # excluded at omega = pi/h: NaN, where deviation raises
+    assert _bits(reference_values(curve, [math.pi])[0]) == _bits(complex(math.nan, math.nan))
     with pytest.raises(CurveDomainError):
-        reference_value(curve, math.pi)
-    with pytest.raises(CurveDomainError):
-        reference_value(curve, -0.1)
+        reference_values(curve, [-0.1])
 
 
 def test_index_curve_domain():
     curve = ReferenceCurve(CurveFamily.LINEAR_RAMP)
     with pytest.raises(CurveDomainError):
-        reference_value(curve, N // 2 + 1, N)
+        reference_values(curve, [N // 2 + 1], N)
 
 
 def test_index_curves_require_N():
@@ -175,7 +175,7 @@ def test_index_curves_require_N():
         with pytest.raises(ValueError, match=f"^{family.value} needs the DFT length N$"):
             reference_values(curve, [0, 1])
         with pytest.raises(ValueError, match=f"^{family.value} needs the DFT length N$"):
-            reference_value(curve, 0)
+            reference_values(curve, [0])
 
 
 @pytest.mark.parametrize("n", [3, 0, -4, 2.5], ids=["odd", "zero", "negative", "non-integer"])
@@ -186,7 +186,7 @@ def test_index_curves_need_an_even_N_of_at_least_2(n):
         with pytest.raises(ValueError, match="^N must be even and >= 2$"):
             reference_values(curve, [0, 1], n)
         with pytest.raises(ValueError, match="^N must be even and >= 2$"):
-            reference_value(curve, 0, n)
+            reference_values(curve, [0], n)
 
 
 def _pointwise_curve(curve, at, n):
@@ -235,11 +235,10 @@ def test_reference_values_match_pointwise_evaluation(family, h, half_n, fraction
         _bits(complex(math.nan, math.nan) if e is None else e) for e in expected
     ]
     for x in [xs[0], xs[half_n // 2], *extra]:
-        if _pointwise_curve(curve, x, n) is None:
-            with pytest.raises(CurveDomainError, match="excludes omega = pi/h"):
-                reference_value(curve, x, n)
-        else:
-            assert _bits(reference_value(curve, x, n)) == _bits(_pointwise_curve(curve, x, n))
+        expected = _pointwise_curve(curve, x, n)
+        if expected is None:
+            expected = complex(math.nan, math.nan)
+        assert _bits(reference_values(curve, [x], n)[0]) == _bits(expected)
 
 
 def test_reference_values_domain_error_names_the_point():
@@ -295,17 +294,6 @@ def test_half_point_limit_series_at_junction():
         CurveFamily.HALF_POINT_LIMIT, omega, h, 10 ** 5
     )
     assert abs(value - (-1j * omega * 2 * h ** 2)) <= bound
-
-
-def test_grid_matches_scalar_evaluation():
-    omegas = np.array([0.3, 1.1, 2.5])
-    values, bounds = truncated_limit_spectrum_grid(
-        CurveFamily.FIRST_DERIV_LIMIT, omegas, 1.0, 500
-    )
-    for i, omega in enumerate(omegas):
-        v, b = truncated_limit_spectrum(CurveFamily.FIRST_DERIV_LIMIT, omega, 1.0, 500)
-        assert v == pytest.approx(complex(values[i]), rel=1e-12, abs=1e-15)
-        assert b == pytest.approx(float(bounds[i]), rel=1e-12)
 
 
 def test_dft_grid_series_matches_scalar():
@@ -403,8 +391,8 @@ print(json.dumps(getattr(module, sys.argv[2])()))
 
 
 def _mismatches_in_child(helper, blas_threads):
-    """Run a mismatch helper of this module in a fresh interpreter whose
-    BLAS runs on blas_threads threads."""
+    """Run a helper of this module in a fresh interpreter whose BLAS runs on
+    blas_threads threads, and return what it returns."""
     src = os.path.dirname(os.path.dirname(stencil_spectra.__file__))
     env = {
         **os.environ,
@@ -419,6 +407,23 @@ def _mismatches_in_child(helper, blas_threads):
     )
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout)
+
+
+def _scalar_series_bits():
+    """Hex bits of truncated_limit_spectrum for each family at a few omega,
+    M = 10**6."""
+    bits = []
+    for family in _SERIES_FAMILIES:
+        for fraction in (0.0, 0.125, 0.5, 0.75, 1.0):
+            value, bound = truncated_limit_spectrum(family, fraction * math.pi / 0.7, 0.7,
+                                                    10 ** 6)
+            bits.append([value.real.hex(), value.imag.hex(), bound.hex()])
+    return bits
+
+
+def test_scalar_series_bits_do_not_depend_on_blas_threads():
+    assert _mismatches_in_child("_scalar_series_bits", "1") == _mismatches_in_child(
+        "_scalar_series_bits", "2")
 
 
 def test_blocked_fold_matches_full_table_fold():
@@ -553,7 +558,7 @@ _FALLBACK_THETAS = [
 )
 def test_grid_bounds_match_per_theta_bounds(family, h, M, fractions):
     omegas = np.array([f * math.pi for f in fractions] + _FALLBACK_THETAS + [0.0]) / h
-    _, bounds = truncated_limit_spectrum_grid(family, omegas, h, M)
+    bounds = spectra._series_bounds(family, omegas * h, h, M)
     expected = [_scalar_bound(family, theta, h, M) for theta in omegas * h]
     assert [b.hex() for b in bounds.tolist()] == [b.hex() for b in expected]
     _, bound = truncated_limit_spectrum(family, omegas[0], h, M)
@@ -620,7 +625,8 @@ def test_second_limit_dc_invariant():
     # symmetric full embedding of the truncated second-derivative limit
     # sequence: b(0) within one omitted term of pi^2/3
     M = 800
-    taps = {m: weights.central_second_limit(m).value() for m in range(1, M + 1)}
+    # 2 (-1)**(m+1) / m**2, the central second-derivative limit weights
+    taps = {m: float(Fraction(2 * (-1) ** (m + 1), m * m)) for m in range(1, M + 1)}
     spectrum = dft_spectrum(taps, N, EmbeddingMode.FULL_SYMMETRIC)
     b0 = float(spectrum.values[0].real)
     assert abs(b0 - math.pi ** 2 / 3) <= 4.0 / (M + 1) ** 2
@@ -631,7 +637,7 @@ def test_central_first_residual_shrinks_with_n():
     curve = ReferenceCurve(CurveFamily.FIRST_DERIV_LIMIT, h=h)
     r = 100
     omega = omega_grid(N, h)[r]
-    target = -complex(reference_value(curve, omega)).imag
+    target = -complex(reference_values(curve, [omega])[0]).imag
     residuals = {}
     for n in (1, 10):
         spectrum = dft_spectrum(

@@ -12,11 +12,8 @@ from stencil_spectra import oracle, weights
 from stencil_spectra.weights import (
     StencilKind,
     central_first,
-    central_first_limit,
     central_second,
-    central_second_limit,
     half_point,
-    half_point_limit,
     harmonic_number,
     limit_coefficients,
     one_sided_first,
@@ -105,7 +102,7 @@ def test_central_first_antisymmetric():
 
 def test_central_first_converges_to_limit():
     for m in (1, 2, 3):
-        lim = central_first_limit(m).rational_part
+        _, lim, _ = _LIMIT_TERMS[StencilKind.CENTRAL_FIRST](m - 1)
         gaps = [abs(central_first(n).weight_at(m) - lim) for n in (8, 16, 32, 64)]
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < F(1, 10)
@@ -180,70 +177,90 @@ def test_central_closed_forms_match_oracle(n, kind):
 # --- limits ---------------------------------------------------------------
 
 
-def test_central_first_limit_values():
-    assert central_first_limit(1).rational_part == 2
-    assert central_first_limit(2).rational_part == -1
-    assert central_first_limit(3).rational_part == F(2, 3)
-    assert central_first_limit(5).pi_power == 0
-
-
-def test_central_second_limit_values():
-    assert central_second_limit(1).rational_part == 2
-    assert central_second_limit(2).rational_part == F(-1, 2)
-    assert central_second_limit(4).rational_part == F(-1, 8)
-
-
-def test_half_point_limit_values():
-    assert half_point_limit(0).rational_part == 4
-    assert half_point_limit(1).rational_part == F(-4, 9)
-    assert half_point_limit(2).rational_part == F(4, 25)
-    lw = half_point_limit(0)
-    assert lw.pi_power == -1
-    assert lw.value() == pytest.approx(4 / math.pi, rel=1e-15)
-
-
-def test_limit_invalid_arguments():
-    for fn in (central_first_limit, central_second_limit):
-        with pytest.raises(ValueError):
-            fn(0)
-    with pytest.raises(ValueError):
-        half_point_limit(-1)
-    # m = 0 is valid for the half-point family (offset 1)
-    assert half_point_limit(0).index == 1
-    with pytest.raises(ValueError):
-        limit_coefficients(StencilKind.ONE_SIDED_FIRST, 3)
-
-
-_LIMIT_FAMILIES = {
-    StencilKind.CENTRAL_FIRST: lambda j: central_first_limit(j + 1),
-    StencilKind.CENTRAL_SECOND: lambda j: central_second_limit(j + 1),
-    StencilKind.HALF_POINT_FIRST: half_point_limit,
+# Term j of each infinite-family weight sequence, written here from the
+# paper's closed forms apart from the library's _limit_term: (offset, the
+# exact rational weight, or its rational part when the weight is that over pi,
+# and whether it is over pi).
+_LIMIT_TERMS = {
+    # 2 (-1)**(m+1) / m at offset m = j + 1
+    StencilKind.CENTRAL_FIRST: lambda j: (j + 1, F(2 * (-1) ** (j + 2), j + 1), False),
+    # 2 (-1)**(m+1) / m**2 at offset m = j + 1
+    StencilKind.CENTRAL_SECOND: lambda j: (j + 1, F(2 * (-1) ** (j + 2), (j + 1) ** 2), False),
+    # 4 (-1)**j / ((2j+1)**2 pi) at offset 2j + 1
+    StencilKind.HALF_POINT_FIRST: lambda j: (2 * j + 1, F(4 * (-1) ** j, (2 * j + 1) ** 2), True),
 }
 
 
+def _library_term(kind, j):
+    """The library's exact term j, in the form of _LIMIT_TERMS."""
+    offset, numerator, denominator, pi_power = weights._limit_term(kind, j)
+    return offset, F(numerator, denominator), pi_power == -1
+
+
+def test_central_first_limit_values():
+    table = [_LIMIT_TERMS[StencilKind.CENTRAL_FIRST](j) for j in (0, 1, 2, 4)]
+    assert table == [(1, F(2), False), (2, F(-1), False), (3, F(2, 3), False),
+                     (5, F(2, 5), False)]
+    assert [_library_term(StencilKind.CENTRAL_FIRST, j) for j in (0, 1, 2, 4)] == table
+
+
+def test_central_second_limit_values():
+    table = [_LIMIT_TERMS[StencilKind.CENTRAL_SECOND](j) for j in (0, 1, 3)]
+    assert table == [(1, F(2), False), (2, F(-1, 2), False), (4, F(-1, 8), False)]
+    assert [_library_term(StencilKind.CENTRAL_SECOND, j) for j in (0, 1, 3)] == table
+
+
+def test_half_point_limit_values():
+    table = [_LIMIT_TERMS[StencilKind.HALF_POINT_FIRST](j) for j in (0, 1, 2)]
+    assert table == [(1, F(4), True), (3, F(-4, 9), True), (5, F(4, 25), True)]
+    assert [_library_term(StencilKind.HALF_POINT_FIRST, j) for j in (0, 1, 2)] == table
+    offsets, values = limit_coefficients(StencilKind.HALF_POINT_FIRST, 1)
+    assert offsets.tolist() == [1]
+    assert values[0] == pytest.approx(4 / math.pi, rel=1e-15)
+
+
+def test_limit_invalid_arguments():
+    # j = 0 is the first term of every family: offset 1
+    for kind in _LIMIT_TERMS:
+        assert limit_coefficients(kind, 1)[0].tolist() == [1]
+    with pytest.raises(ValueError):
+        limit_coefficients(StencilKind.ONE_SIDED_FIRST, 3)
+    with pytest.raises(ValueError):
+        weights._limit_term(StencilKind.ONE_SIDED_NTH, 0)
+
+
+def _exact_values(kind, start, stop):
+    """Offsets and exact parts of the table terms j = start..stop-1."""
+    terms = [_LIMIT_TERMS[kind](j) for j in range(start, stop)]
+    return [o for o, _, _ in terms], [q for _, q, _ in terms]
+
+
 @settings(max_examples=200)
-@given(kind=st.sampled_from(sorted(_LIMIT_FAMILIES, key=lambda k: k.value)),
+@given(kind=st.sampled_from(sorted(_LIMIT_TERMS, key=lambda k: k.value)),
        start=st.integers(0, 10 ** 6), count=st.integers(0, 300),
        scale=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
 def test_limit_coefficients_match_exact_limits(kind, start, count, scale):
     offsets, values = limit_coefficients(kind, start + count, start, scale)
-    exact = [_LIMIT_FAMILIES[kind](j) for j in range(start, start + count)]
-    assert offsets.tolist() == [lw.index for lw in exact]
+    exact_offsets, rationals = _exact_values(kind, start, start + count)
+    assert offsets.tolist() == exact_offsets
     # bit for bit: one rounding of scale * rational (2 or 4 times scale is
     # exact), then the half-point family's division by pi
-    rationals = [lw.rational_part for lw in exact]
     expected = [(scale * q.numerator) / q.denominator for q in rationals]
     if kind is StencilKind.HALF_POINT_FIRST:
         expected = [v / math.pi for v in expected]
     assert values.tolist() == expected
-    if scale == 1.0:
-        assert values.tolist() == [lw.value() for lw in exact]
+    assert [_library_term(kind, j) for j in range(start, start + count)] == [
+        _LIMIT_TERMS[kind](j) for j in range(start, start + count)]
 
 
-@pytest.mark.parametrize("kind", list(_LIMIT_FAMILIES))
+@pytest.mark.parametrize("kind", list(_LIMIT_TERMS))
 def test_limit_coefficients_are_the_limit_weights(kind):
+    # with scale 1, each coefficient is its exact weight rounded once, over
+    # pi for the half-point family
     _, values = limit_coefficients(kind, 500)
-    assert values.tolist() == [_LIMIT_FAMILIES[kind](j).value() for j in range(500)]
+    expected = [float(q) / math.pi if over_pi else float(q)
+                for _, q, over_pi in map(_LIMIT_TERMS[kind], range(500))]
+    assert values.tolist() == expected
 
 
 # --- half point -----------------------------------------------------------
