@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -61,70 +62,6 @@ def _n_list(text: str) -> list[int]:
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("must be positive integers")
     return values
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stencil-spectra",
-        description="Differentiation weight sequences, their DFT spectra, "
-        "signal derivatives, and figure datasets.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stencil", help="generate one stencil")
-    p.add_argument("--kind", required=True, choices=_KIND_CHOICES)
-    p.add_argument("--n", required=True, type=_positive_int)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
-
-    p = sub.add_parser("spectrum", help="DFT spectrum of a weight sequence")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--kind", choices=_KIND_CHOICES)
-    group.add_argument("--limit", choices=_LIMIT_CHOICES,
-                       help="truncated infinite-family sequence")
-    p.add_argument("--n", type=_positive_int)
-    p.add_argument("--M", type=_positive_int,
-                   help="taps kept from a limit sequence (default: largest fitting)")
-    p.add_argument("--N", type=_even_int, default=2000)
-    p.add_argument("--h", type=_positive_float, default=1.0)
-    p.add_argument("--embedding", choices=_EMBED_CHOICES,
-                   default=EmbeddingMode.HALF_SEQUENCE.value)
-    p.add_argument("--ref", choices=_CURVE_CHOICES,
-                   help="reference curve (default chosen from the sequence)")
-    p.add_argument("--part", choices=["im", "re"], default="im")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
-
-    p = sub.add_parser("diff", help="differentiate a sampled test function")
-    p.add_argument("--fn", required=True,
-                   help="sin:omega=...[,phase=...] | poly:c0,c1,... | altpoly:c0,c1,...")
-    p.add_argument("--h", type=_positive_float, default=1.0)
-    p.add_argument("--points", type=_positive_int, default=65)
-    p.add_argument("--n", type=_positive_int)
-    p.add_argument("--order", type=int, choices=[1, 2], default=1)
-    p.add_argument("--kind", choices=["central", StencilKind.HALF_POINT_FIRST.value],
-                   default="central")
-    p.add_argument("--stencil-file", help="apply a JSON stencil instead")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
-
-    p = sub.add_parser("figure", help="figure-reproduction dataset")
-    p.add_argument("id", choices=["1a", "1b", "2a", "2b", "3a", "3b"])
-    p.add_argument("--n", type=_n_list, help="family parameter(s), comma separated")
-    p.add_argument("--N", type=_even_int, default=2000)
-    p.add_argument("--h", type=_positive_float, default=1.0)
-    p.add_argument("--M", type=_positive_int, default=10 ** 6)
-    p.add_argument("--fn", default="altpoly:1,0.25",
-                   help="modulated envelope for figure 2b")
-    p.add_argument("--points", type=_positive_int, default=65)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
-
-    p = sub.add_parser("verify", help="run the oracle cross-check suite")
-    p.add_argument("--max-n", type=_positive_int, default=8)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
-    return parser
 
 
 # --- table rendering ------------------------------------------------------
@@ -189,21 +126,18 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-# --- subcommands ----------------------------------------------------------
+# --- subcommands: each handler returns (text, exit code) ------------------
 
 
-def _cmd_stencil(args) -> str:
+def _cmd_stencil(args) -> tuple[str, int]:
     data = weights.stencil_to_dict(weights.build(StencilKind(args.kind), args.n))
     if args.format == "json":
-        return json.dumps(data, indent=2) + "\n"
-    buf = io.StringIO()
+        return json.dumps(data, indent=2) + "\n", 0
     header = ("kind", "n", "derivative_order", "h_power", "prefactor")
-    buf.write("# " + ",".join(f"{key}={data[key]}" for key in header) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["offset", "weight"])
-    for node in data["nodes"]:
-        writer.writerow([node["offset"], node["weight"]])
-    return buf.getvalue()
+    comment = "# " + ",".join(f"{key}={data[key]}" for key in header) + "\n"
+    columns = [[node["offset"] for node in data["nodes"]],
+               [node["weight"] for node in data["nodes"]]]
+    return comment + _render_table(["offset", "weight"], columns, "csv"), 0
 
 
 def _default_ref(kind_value: str, part: str) -> CurveFamily:
@@ -231,7 +165,7 @@ def _spectrum_columns(spectrum: FilterSpectrum, ref, part: str, h: float) -> lis
     return [range(N // 2 + 1), spectra.omega_grid(N, h), re_part, im_part, ref, abs_dev]
 
 
-def _cmd_spectrum(args) -> str:
+def _cmd_spectrum(args) -> tuple[str, int]:
     if args.kind and args.n is None:
         raise _Usage("--kind requires --n")
     if args.kind and args.M is not None:
@@ -250,13 +184,15 @@ def _cmd_spectrum(args) -> str:
     # frequency curves carry the transform's measure h
     ref = spectra.reference_column(curve, args.part, args.N, measure=args.h)
     columns = _spectrum_columns(spectrum, ref, args.part, args.h)
-    return _render_table(_SPECTRUM_COLUMNS, columns, args.format)
+    return _render_table(_SPECTRUM_COLUMNS, columns, args.format), 0
 
 
-def _cmd_diff(args) -> str:
-    if args.stencil_file and (args.n is not None or args.kind != "central"):
-        raise _Usage("--stencil-file cannot be combined with --n/--kind")
-    if args.kind == StencilKind.HALF_POINT_FIRST.value and args.order != 1:
+def _cmd_diff(args) -> tuple[str, int]:
+    if args.stencil_file and (args.n is not None or args.kind != "central"
+                              or args.order is not None):
+        raise _Usage("--stencil-file cannot be combined with --n/--kind/--order")
+    order = args.order or 1
+    if args.kind == StencilKind.HALF_POINT_FIRST.value and order != 1:
         raise _Usage("half-point differentiation supports --order 1 only")
     fn = signals.parse_test_function(args.fn)
     signal = signals.make_signal(fn, args.h, args.points)
@@ -273,62 +209,44 @@ def _cmd_diff(args) -> str:
     elif args.kind == StencilKind.HALF_POINT_FIRST.value:
         result = signals.differentiate_half_point_signal(signal, args.n or 1)
     else:
-        result = signals.differentiate(signal, args.n or 1, args.order)
+        result = signals.differentiate(signal, args.n or 1, order)
 
     columns = [range(len(signal)), signal.x(np.arange(len(signal))), result.values,
                result.policy]
-    return _render_table(["index", "x", "value", "policy"], columns, args.format)
+    return _render_table(["index", "x", "value", "policy"], columns, args.format), 0
 
 
-def _figure_limit_curve(args, figure_id: str) -> str:
-    family = (
-        CurveFamily.FIRST_DERIV_LIMIT if figure_id == "1a"
-        else CurveFamily.SECOND_DERIV_LIMIT
-    )
-    part = "im" if figure_id == "1a" else "re"
+def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[str, int]:
     curve = ReferenceCurve(family=family, h=args.h)
     ref = spectra.reference_column(curve, part, args.N)
     values, _bounds = spectra.truncated_limit_spectrum_dft_grid(
         family, args.N, args.h, args.M
     )
     columns = _spectrum_columns(FilterSpectrum(values), ref, part, args.h)
-    return _render_table(_SPECTRUM_COLUMNS, columns, args.format)
+    return _render_table(_SPECTRUM_COLUMNS, columns, args.format), 0
 
 
-def _figure_finite_spectra(args, figure_id: str) -> str:
-    if figure_id == "2a":
-        ns = args.n or [1, 10]
-        kind, family, part = (
-            StencilKind.HALF_POINT_FIRST, CurveFamily.HALF_POINT_FOLD, "im"
-        )
-    elif figure_id == "3a":
-        ns = args.n or [1, 3, 5]
-        kind, family, part = (
-            StencilKind.ONE_SIDED_FIRST, CurveFamily.LINEAR_RAMP, "im"
-        )
-    else:
-        ns = args.n or [1, 3, 5]
-        kind, family, part = (StencilKind.ONE_SIDED_FIRST, CurveFamily.ZERO, "re")
+def _figure_finite_spectra(kind: StencilKind, family: CurveFamily, part: str,
+                           args) -> tuple[str, int]:
     curve = ReferenceCurve(family=family, h=args.h)
     ref = spectra.reference_column(curve, part, args.N)
     blocks = [
         _spectrum_columns(spectra.dft_spectrum(weights.build(kind, n), args.N), ref, part,
                           args.h)
-        for n in ns
+        for n in args.n
     ]
     half = args.N // 2 + 1
-    columns = [[n for n in ns for _ in range(half)], list(range(half)) * len(ns),
+    columns = [[n for n in args.n for _ in range(half)], list(range(half)) * len(args.n),
                *(np.concatenate(parts) for parts in zip(*(b[1:] for b in blocks)))]
-    return _render_table(["n", *_SPECTRUM_COLUMNS], columns, args.format)
+    return _render_table(["n", *_SPECTRUM_COLUMNS], columns, args.format), 0
 
 
-def _figure_envelope_demo(args) -> str:
+def _figure_envelope_demo(args) -> tuple[str, int]:
     fn = signals.parse_test_function(args.fn)
     if not isinstance(fn, signals.ModulatedAlternating):
         raise _Usage("figure 2b needs an altpoly: test function")
-    n = (args.n or [2])[0]
     signal = signals.make_signal(fn, args.h, args.points)
-    result = signals.differentiate_half_point_signal(signal, n)
+    result = signals.differentiate_half_point_signal(signal, args.n)
     x = signal.x(np.arange(len(signal)))
     envelope = np.abs(fn.envelope(x))  # the scalar Horner steps, element-wise
     raw = result.values
@@ -337,18 +255,7 @@ def _figure_envelope_demo(args) -> str:
                raw, np.where(even, -raw, raw)]
     names = ["index", "x", "signal", "envelope_upper", "envelope_lower",
              "half_point_raw", "half_point_corrected"]
-    return _render_table(names, columns, args.format)
-
-
-def _cmd_figure(args) -> str:
-    if args.id in ("1a", "1b"):
-        return _figure_limit_curve(args, args.id)
-    if args.id == "2b":
-        return _figure_envelope_demo(args)
-    return _figure_finite_spectra(args, args.id)
-
-
-# --- verify ---------------------------------------------------------------
+    return _render_table(names, columns, args.format), 0
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -365,28 +272,112 @@ def _cmd_verify(args) -> tuple[str, int]:
     return text, 0 if passed == len(results) else 1
 
 
+# --- the parser -----------------------------------------------------------
+
+_GRID = {"--h": dict(type=_positive_float, default=1.0),
+         "--N": dict(type=_even_int, default=2000)}
+_TAPS = {**_GRID, "--M": dict(type=_positive_int, default=10 ** 6)}
+
+
+def _grid_with_ns(default: list[int]) -> dict:
+    return {**_GRID, "--n": dict(type=_n_list, default=default,
+                                 help="family parameters, comma separated")}
+
+
+# figure id -> (handler, its flags as add_argument keywords): an id takes
+# only the flags its handler reads
+_FIGURES = {
+    "1a": (partial(_figure_limit_curve, CurveFamily.FIRST_DERIV_LIMIT, "im"), _TAPS),
+    "1b": (partial(_figure_limit_curve, CurveFamily.SECOND_DERIV_LIMIT, "re"), _TAPS),
+    "2a": (partial(_figure_finite_spectra, StencilKind.HALF_POINT_FIRST,
+                   CurveFamily.HALF_POINT_FOLD, "im"), _grid_with_ns([1, 10])),
+    "2b": (_figure_envelope_demo,
+           {"--h": _GRID["--h"], "--n": dict(type=_positive_int, default=2),
+            "--fn": dict(default="altpoly:1,0.25", help="altpoly:c0,c1,..."),
+            "--points": dict(type=_positive_int, default=65)}),
+    "3a": (partial(_figure_finite_spectra, StencilKind.ONE_SIDED_FIRST,
+                   CurveFamily.LINEAR_RAMP, "im"), _grid_with_ns([1, 3, 5])),
+    "3b": (partial(_figure_finite_spectra, StencilKind.ONE_SIDED_FIRST, CurveFamily.ZERO,
+                   "re"), _grid_with_ns([1, 3, 5])),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=["csv", "json"], default="csv")
+    table.add_argument("--out")
+
+    parser = argparse.ArgumentParser(
+        prog="stencil-spectra",
+        description="Differentiation weight sequences, their DFT spectra, "
+        "signal derivatives, and figure datasets.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("stencil", parents=[table], help="generate one stencil")
+    p.set_defaults(handler=_cmd_stencil)
+    p.add_argument("--kind", required=True, choices=_KIND_CHOICES)
+    p.add_argument("--n", required=True, type=_positive_int)
+
+    p = sub.add_parser("spectrum", parents=[table], help="DFT spectrum of a weight sequence")
+    p.set_defaults(handler=_cmd_spectrum)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--kind", choices=_KIND_CHOICES)
+    group.add_argument("--limit", choices=_LIMIT_CHOICES,
+                       help="truncated infinite-family sequence")
+    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--M", type=_positive_int,
+                   help="taps kept from a limit sequence (default: largest fitting)")
+    p.add_argument("--N", type=_even_int, default=2000)
+    p.add_argument("--h", type=_positive_float, default=1.0)
+    p.add_argument("--embedding", choices=_EMBED_CHOICES,
+                   default=EmbeddingMode.HALF_SEQUENCE.value)
+    p.add_argument("--ref", choices=_CURVE_CHOICES,
+                   help="reference curve (default chosen from the sequence)")
+    p.add_argument("--part", choices=["im", "re"], default="im")
+
+    p = sub.add_parser("diff", parents=[table], help="differentiate a sampled test function")
+    p.set_defaults(handler=_cmd_diff)
+    p.add_argument("--fn", required=True,
+                   help="sin:omega=...[,phase=...] | poly:c0,c1,... | altpoly:c0,c1,...")
+    p.add_argument("--h", type=_positive_float, default=1.0)
+    p.add_argument("--points", type=_positive_int, default=65)
+    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--order", type=int, choices=[1, 2], help="default: 1")
+    p.add_argument("--kind", choices=["central", StencilKind.HALF_POINT_FIRST.value],
+                   default="central")
+    p.add_argument("--stencil-file", help="apply a JSON stencil instead")
+
+    figures = sub.add_parser("figure", help="figure-reproduction dataset").add_subparsers(
+        dest="id", required=True)
+    for figure_id, (handler, flags) in _FIGURES.items():
+        p = figures.add_parser(figure_id, parents=[table])
+        p.set_defaults(handler=handler)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
+
+    p = sub.add_parser("verify", help="run the oracle cross-check suite")
+    p.set_defaults(handler=_cmd_verify)
+    p.add_argument("--max-n", type=_positive_int, default=8)
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--out")
+    return parser
+
+
 class _Usage(Exception):
     pass
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = 0
-        if args.command == "stencil":
-            text = _cmd_stencil(args)
-        elif args.command == "spectrum":
-            text = _cmd_spectrum(args)
-        elif args.command == "diff":
-            text = _cmd_diff(args)
-        elif args.command == "figure":
-            text = _cmd_figure(args)
-        else:
-            text, code = _cmd_verify(args)
+        text, code = args.handler(args)
         _write(text, args.out)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, schemas, determinism, round trips."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -202,11 +203,13 @@ def test_diff_stencil_file_conflicts(capsys, tmp_path):
     path = tmp_path / "s.json"
     run_capture(capsys, ["stencil", "--kind", "central-first", "--n", "1",
                          "--format", "json", "--out", str(path)])
-    code, _, _ = run_capture(
-        capsys,
-        ["diff", "--fn", "sin:omega=1", "--stencil-file", str(path), "--n", "2"],
-    )
-    assert code == 2
+    # the file's derivative_order decides, so --order 1 conflicts as well
+    for flags in (["--n", "2"], ["--kind", "half-point-first"], ["--order", "2"],
+                  ["--order", "1"]):
+        code, out, err = run_capture(
+            capsys, ["diff", "--fn", "sin:omega=1", "--stencil-file", str(path), *flags])
+        assert (code, out) == (2, "")
+        assert err == "usage error: --stencil-file cannot be combined with --n/--kind/--order\n"
 
 
 _GOOD_STENCIL = {"kind": "central-first", "n": 1, "derivative_order": 1,
@@ -364,6 +367,24 @@ def test_figure_unknown_id(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["figure", "1a", "--fn", "poly:1"], "--fn"),
+    (["figure", "1b", "--n", "3"], "--n"),
+    (["figure", "2a", "--M", "5"], "--M"),
+    (["figure", "3a", "--points", "7"], "--points"),
+    (["figure", "2b", "--N", "64"], "--N"),
+    (["figure", "2b", "--n", "3,4"], "--n"),
+], ids=["1a-fn", "1b-n", "2a-M", "3a-points", "2b-N", "2b-n-list"])
+def test_figure_flag_its_id_does_not_read_exits_2(capsys, argv, flag):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert flag in err.splitlines()[-1]
+
+
+def test_figure_flag_before_the_id_exits_2(capsys):
+    assert run_capture(capsys, ["figure", "--N", "64", "1a"])[:2] == (2, "")
+
+
 # --- verify -------------------------------------------------------------------------
 
 
@@ -482,6 +503,30 @@ def test_bad_flag_values_exit_2(capsys):
     assert run_capture(capsys, ["stencil", "--kind", "central-first", "--n", "0"])[0] == 2
     assert run_capture(capsys, ["spectrum", "--kind", "central-first", "--n", "1",
                                 "--N", "15"])[0] == 2
+
+
+def test_run_builds_no_parser_per_call(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in [*_CHEAP_ARGVS.values(), ["figure", "3a", "--M", "5"], []]:
+        run_capture(capsys, argv)
+    assert built == []
+
+
+def test_parse_errors_leave_the_parser_as_it_was(capsys):
+    argv = ["figure", "2a", "--N", "64"]
+    _, alone, _ = run_capture(capsys, argv)
+    for earlier in (["figure", "2a", "--n", "3", "--N", "64"], ["figure", "2a", "--M", "5"],
+                    ["figure", "2a", "--n", "0"], ["figure", "2b", "--n", "3,4"],
+                    ["stencil", "--kind", "nope", "--n", "1"], []):
+        run_capture(capsys, earlier)
+        assert run_capture(capsys, argv) == (0, alone, "")
 
 
 def test_output_is_deterministic(capsys):
@@ -677,10 +722,12 @@ def _spectrum_argvs(draw):
 
 @st.composite
 def _figure_argvs(draw):
-    argv = ["figure", draw(st.sampled_from(["1a", "1b", "2a", "3a", "3b"])),
-            f"--N={draw(_EVEN_N)}", f"--h={draw(_SPACINGS)}",
-            f"--M={draw(st.integers(1, 2000))}", f"--format={draw(_FORMATS)}"]
-    if draw(st.booleans()):
+    figure_id = draw(st.sampled_from(["1a", "1b", "2a", "3a", "3b"]))
+    argv = ["figure", figure_id, f"--N={draw(_EVEN_N)}", f"--h={draw(_SPACINGS)}",
+            f"--format={draw(_FORMATS)}"]
+    if figure_id in ("1a", "1b"):
+        argv.append(f"--M={draw(st.integers(1, 2000))}")
+    elif draw(st.booleans()):
         ns = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
         argv.append(f"--n={','.join(map(str, ns))}")
     return argv
