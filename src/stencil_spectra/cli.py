@@ -2,8 +2,8 @@
 reports, and figure-reproduction CSV datasets.
 
 All output is deterministic: identical argv produces byte-identical bytes.
-Floats are printed with 17 significant digits; rational weights are printed
-as exact "p/q" strings, never as floats.
+CSV floats are printed with 17 significant digits, JSON floats as json's
+shortest round-trip text; rational weights are exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import io
 import json
 import sys
 from functools import partial
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -72,42 +72,34 @@ def _render_table(names, columns, fmt: str) -> str:
     of json.dumps(records, indent=2) and of one csv.writer row per record
     with floats as format(v + 0.0, ".17g"). A float column is a numpy
     array, an int column a list or range, a string column a sequence of
-    str; each is encoded column-wise, strings once per distinct value."""
-    rows = len(columns[0]) if columns else 0
-    if fmt == "json":
-        if not rows:
-            return "[]\n"
-        keys = (json.dumps(name).replace("%", "%%") for name in names)
-        template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-        cells = zip(*map(_json_cells, columns))
-        return "[\n" + ",\n".join(template % row for row in cells) + "\n]\n"
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(names)
-    if rows:
-        cells = zip(*(_csv_cells(column, len(columns) == 1) for column in columns))
-        buf.write("\n".join(map(",".join, cells)) + "\n")
-    return buf.getvalue()
+    str; each gives one % spec of the row template and the values it
+    formats (see _cells)."""
+    rows = len(columns[0])
+    specs, cells = zip(*(_cells(column, fmt, len(columns) == 1) for column in columns))
+    if fmt == "csv":
+        header = ",".join(_csv_field(name, len(names) == 1) for name in names) + "\n"
+        row = ",".join(specs) + "\n"
+        return header + row * rows % tuple(chain.from_iterable(zip(*cells)))
+    if not rows:
+        return "[]\n"
+    keys = (json.dumps(name).replace("%", "%%") for name in names)
+    record = "  {\n" + ",\n".join(f"    {key}: {spec}" for key, spec in zip(keys, specs)) + "\n  }"
+    return "[\n" + ",\n".join(map(record.__mod__, zip(*cells))) + "\n]\n"
 
 
-def _is_text(column) -> bool:
-    return not isinstance(column, (np.ndarray, range)) and isinstance(column[0], str)
-
-
-def _json_cells(column) -> list[str]:
-    if _is_text(column):
-        encoded = {text: json.dumps(text) for text in set(column)}
-        return list(map(encoded.__getitem__, column))
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    return json.dumps(values)[1:-1].split(", ")  # no number contains ", "
-
-
-def _csv_cells(column, alone: bool) -> list[str]:
+def _cells(column, fmt: str, alone: bool) -> tuple[str, object]:
+    """The % spec of a column and the values it formats: floats as %.17g
+    (CSV) or as json's float text, ints as %d, strings encoded once per
+    distinct value."""
     if isinstance(column, np.ndarray):
-        return list(map(format, (column + 0.0).tolist(), repeat(".17g")))  # +0.0: no -0
-    if _is_text(column):
-        encoded = {text: _csv_field(text, alone) for text in set(column)}
-        return list(map(encoded.__getitem__, column))
-    return list(map(str, column))
+        if fmt == "csv":
+            return "%.17g", (column + 0.0).tolist()  # +0.0: no -0
+        return "%s", json.dumps(column.tolist())[1:-1].split(", ")  # no number contains ", "
+    if not (column and isinstance(column[0], str)):
+        return "%d", column
+    encode = json.dumps if fmt == "json" else partial(_csv_field, alone=alone)
+    encoded = {text: encode(text) for text in set(column)}
+    return "%s", list(map(encoded.__getitem__, column))
 
 
 def _csv_field(text: str, alone: bool) -> str:
@@ -140,18 +132,19 @@ def _cmd_stencil(args) -> tuple[str, int]:
     return comment + _render_table(["offset", "weight"], columns, "csv"), 0
 
 
-def _default_ref(kind_value: str, part: str) -> CurveFamily:
+def _default_ref(kind: StencilKind, part: str) -> CurveFamily:
     if part == "re":
         return CurveFamily.ZERO
-    if kind_value == StencilKind.HALF_POINT_FIRST.value:
+    if kind is StencilKind.HALF_POINT_FIRST:
         return CurveFamily.HALF_POINT_FOLD
     return CurveFamily.LINEAR_RAMP
 
 
-def _limit_sequence(kind_value: str, N: int, M: int | None) -> dict[int, float]:
-    kind = StencilKind(kind_value)
+def _limit_sequence(kind: StencilKind, N: int, M: int | None) -> dict[int, float]:
     half_point = kind is StencilKind.HALF_POINT_FIRST
     taps = M if M is not None else (N // 4 if half_point else N // 2 - 1)
+    if not taps:
+        raise ValueError(f"--limit {kind.value} fits no taps at N = {N}: it needs N >= 4")
     offsets, coefficients = weights.limit_coefficients(kind, taps)
     return dict(zip(offsets.tolist(), coefficients.tolist()))
 
@@ -172,14 +165,13 @@ def _cmd_spectrum(args) -> tuple[str, int]:
         raise _Usage("--M applies to --limit sequences only")
     if args.limit and args.n is not None:
         raise _Usage("--n applies to --kind stencils only")
+    kind = StencilKind(args.kind or args.limit)
     if args.kind:
-        source = weights.build(StencilKind(args.kind), args.n)
-        kind_value = args.kind
+        source = weights.build(kind, args.n)
     else:
-        source = _limit_sequence(args.limit, args.N, args.M)
-        kind_value = args.limit
+        source = _limit_sequence(kind, args.N, args.M)
     spectrum = spectra.dft_spectrum(source, args.N, EmbeddingMode(args.embedding))
-    ref_family = CurveFamily(args.ref) if args.ref else _default_ref(kind_value, args.part)
+    ref_family = CurveFamily(args.ref) if args.ref else _default_ref(kind, args.part)
     curve = ReferenceCurve(family=ref_family, h=args.h)
     # frequency curves carry the transform's measure h
     ref = spectra.reference_column(curve, args.part, args.N, measure=args.h)
@@ -226,9 +218,8 @@ def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[str, int]
     return _render_table(_SPECTRUM_COLUMNS, columns, args.format), 0
 
 
-def _figure_finite_spectra(kind: StencilKind, family: CurveFamily, part: str,
-                           args) -> tuple[str, int]:
-    curve = ReferenceCurve(family=family, h=args.h)
+def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[str, int]:
+    curve = ReferenceCurve(family=_default_ref(kind, part), h=args.h)
     ref = spectra.reference_column(curve, part, args.N)
     blocks = [
         _spectrum_columns(spectra.dft_spectrum(weights.build(kind, n), args.N), ref, part,
@@ -279,9 +270,10 @@ _GRID = {"--h": dict(type=_positive_float, default=1.0),
 _TAPS = {**_GRID, "--M": dict(type=_positive_int, default=10 ** 6)}
 
 
-def _grid_with_ns(default: list[int]) -> dict:
-    return {**_GRID, "--n": dict(type=_n_list, default=default,
-                                 help="family parameters, comma separated")}
+def _finite_figure(kind: StencilKind, part: str, default_ns: list[int]) -> tuple:
+    return (partial(_figure_finite_spectra, kind, part),
+            {**_GRID, "--n": dict(type=_n_list, default=default_ns,
+                                  help="family parameters, comma separated")})
 
 
 # figure id -> (handler, its flags as add_argument keywords): an id takes
@@ -289,17 +281,25 @@ def _grid_with_ns(default: list[int]) -> dict:
 _FIGURES = {
     "1a": (partial(_figure_limit_curve, CurveFamily.FIRST_DERIV_LIMIT, "im"), _TAPS),
     "1b": (partial(_figure_limit_curve, CurveFamily.SECOND_DERIV_LIMIT, "re"), _TAPS),
-    "2a": (partial(_figure_finite_spectra, StencilKind.HALF_POINT_FIRST,
-                   CurveFamily.HALF_POINT_FOLD, "im"), _grid_with_ns([1, 10])),
+    "2a": _finite_figure(StencilKind.HALF_POINT_FIRST, "im", [1, 10]),
     "2b": (_figure_envelope_demo,
            {"--h": _GRID["--h"], "--n": dict(type=_positive_int, default=2),
             "--fn": dict(default="altpoly:1,0.25", help="altpoly:c0,c1,..."),
             "--points": dict(type=_positive_int, default=65)}),
-    "3a": (partial(_figure_finite_spectra, StencilKind.ONE_SIDED_FIRST,
-                   CurveFamily.LINEAR_RAMP, "im"), _grid_with_ns([1, 3, 5])),
-    "3b": (partial(_figure_finite_spectra, StencilKind.ONE_SIDED_FIRST, CurveFamily.ZERO,
-                   "re"), _grid_with_ns([1, 3, 5])),
+    "3a": _finite_figure(StencilKind.ONE_SIDED_FIRST, "im", [1, 3, 5]),
+    "3b": _finite_figure(StencilKind.ONE_SIDED_FIRST, "re", [1, 3, 5]),
 }
+
+
+class _Usage(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises each error as one _Usage line; sub-parsers are of this class."""
+
+    def error(self, message):
+        raise _Usage(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -307,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=["csv", "json"], default="csv")
     table.add_argument("--out")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stencil-spectra",
         description="Differentiation weight sequences, their DFT spectra, "
         "signal derivatives, and figure datasets.",
@@ -348,8 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="central")
     p.add_argument("--stencil-file", help="apply a JSON stencil instead")
 
+    # flags follow the id: an argparse error about the id names that order
     figures = sub.add_parser("figure", help="figure-reproduction dataset").add_subparsers(
-        dest="id", required=True)
+        dest="id", required=True, metavar="ID [flags]")
     for figure_id, (handler, flags) in _FIGURES.items():
         p = figures.add_parser(figure_id, parents=[table])
         p.set_defaults(handler=handler)
@@ -364,21 +365,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Usage(Exception):
-    pass
-
-
 _PARSER = _build_parser()
 
 
 def run(argv: list[str]) -> int:
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         text, code = args.handler(args)
         _write(text, args.out)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -114,6 +115,15 @@ def test_spectrum_embedding_overflow_is_domain_error(capsys):
     assert "offset" in err
 
 
+@pytest.mark.parametrize("family", ["central-first", "central-second", "half-point-first"])
+def test_spectrum_limit_without_taps_is_one_line_error(capsys, family):
+    # the largest fitting M, N/2 - 1 or N/4, is 0 at N = 2
+    code, out, err = run_capture(capsys, ["spectrum", "--limit", family, "--N", "2"])
+    assert (code, out) == (1, "")
+    assert err == f"error: --limit {family} fits no taps at N = 2: it needs N >= 4\n"
+    assert run_capture(capsys, ["spectrum", "--limit", family, "--N", "4"])[0] == 0
+
+
 def test_spectrum_kind_requires_n(capsys):
     code, _, err = run_capture(capsys, ["spectrum", "--kind", "central-first"])
     assert code == 2
@@ -133,6 +143,22 @@ def test_diff_csv_schema_and_policy(capsys):
     assert rows[0][3] == "forward(2)"
     assert rows[4][3] == "central(2)"
     assert float(rows[4][2]) == 0.0  # d(x^2)/dx at the origin
+
+
+def test_diff_table_memory_is_bounded(tmp_path):
+    # the table is 5.4 MB of CSV; with every cell held as a string it
+    # peaked at 36 MB
+    path = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        code = run(["diff", "--fn", "sin:omega=1", "--h", "0.001", "--points", "100001",
+                    "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert path.read_text(encoding="utf-8").count("\n") == 100002
+    assert peak < 28 * 10 ** 6
 
 
 def test_diff_half_point_kind(capsys):
@@ -382,7 +408,12 @@ def test_figure_flag_its_id_does_not_read_exits_2(capsys, argv, flag):
 
 
 def test_figure_flag_before_the_id_exits_2(capsys):
-    assert run_capture(capsys, ["figure", "--N", "64", "1a"])[:2] == (2, "")
+    for flag in (["--N", "64"], ["--format", "json"]):
+        code, out, err = run_capture(capsys, ["figure", *flag, "1a"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: stencil-spectra figure: argument ID [flags]: "
+                              "invalid choice: ")
+        assert flag[1] in err and err.count("\n") == 1
 
 
 # --- verify -------------------------------------------------------------------------
@@ -503,6 +534,24 @@ def test_bad_flag_values_exit_2(capsys):
     assert run_capture(capsys, ["stencil", "--kind", "central-first", "--n", "0"])[0] == 2
     assert run_capture(capsys, ["spectrum", "--kind", "central-first", "--n", "1",
                                 "--N", "15"])[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["stencil", "--kind", "nope", "--n", "1"],
+    ["figure", "3a", "--M", "5"],
+    ["spectrum", "--kind", "central-first", "--n", "1", "--N", "15"],
+    [],
+], ids=["unknown-kind", "flag-the-id-does-not-read", "odd-N", "no-command"])
+def test_argparse_error_is_one_usage_line(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: stencil-spectra") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run_capture(capsys, ["figure", "1a", "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: stencil-spectra figure 1a ")
 
 
 def test_run_builds_no_parser_per_call(capsys, monkeypatch):
@@ -665,8 +714,22 @@ def _signal_argvs(draw):
             f"--order={order}", f"--kind={kind}", f"--format={fmt}"]
 
 
+# flags argparse rejects, whatever the command: the last --N, --n, --kind or
+# --format given wins, and a flag that the command lacks is unrecognized
+_ARGPARSE_ERRORS = ["--N=15", "--N=0", "--n=0", "--kind=nope", "--format=xml"]
+
+
+@st.composite
+def _with_argparse_errors(draw, argvs):
+    """An argv of argvs that, one draw in eight, ends in an argparse error."""
+    argv = draw(argvs)
+    if draw(st.integers(0, 7)) == 7:
+        argv = argv + [draw(st.sampled_from(_ARGPARSE_ERRORS))]
+    return argv
+
+
 @settings(max_examples=300, deadline=None)
-@given(argv=_signal_argvs())
+@given(argv=_with_argparse_errors(_signal_argvs()))
 @example(argv=["diff", "--fn", "poly:1e308,1e308", "--h", "10", "--points", "5"])
 @example(argv=["diff", "--fn", "poly:1e308,1e308", "--h", "10", "--points", "5",
                "--kind", "half-point-first"])
@@ -687,6 +750,8 @@ def _assert_exits_cleanly(argv) -> int:
     assert not caught, [str(w.message) for w in caught]
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
     assert (err.getvalue() == "") == (code == 0)
+    if set(argv) & set(_ARGPARSE_ERRORS):
+        assert code == 2 and err.getvalue().startswith("usage error: ")
     return code
 
 
@@ -780,8 +845,9 @@ def _without_file(argvs):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=st.one_of(_without_file(_stencil_argvs()), _without_file(_spectrum_argvs()),
-                      _without_file(_figure_argvs()), _without_file(_verify_argvs()),
+@given(case=st.one_of(*(_without_file(_with_argparse_errors(argvs))
+                        for argvs in (_stencil_argvs(), _spectrum_argvs(), _figure_argvs(),
+                                      _verify_argvs())),
                       _stencil_file_argvs()),
        out_dir=st.booleans())
 def test_other_commands_exit_cleanly(case, out_dir):
