@@ -1,9 +1,11 @@
 """Independent exact verifiers for the weight families.
 
 They share no code with the generators in `weights` (`build` only makes the
-stencils under test): Bjorck-Pereyra solves of the moment systems, Bareiss
-(fraction-free) elimination for the Vandermonde determinant only, the
-paper's product forms and polynomial exactness on integers.
+stencils under test): the moment systems solved from their node polynomial,
+Bareiss (fraction-free) elimination for the Vandermonde determinant only,
+the paper's product forms and polynomial exactness on integers. The hot
+loops run on Python ints; `cross_checks` compares a rational with a weight
+by cross-multiplication, so it builds no `Fraction` of its own there.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ class MomentSystem:
     target_order: int
 
     def __post_init__(self):
+        # a float offset would turn the exact solution into floats
+        if any(isinstance(v, bool) or not isinstance(v, int)
+               for v in (*self.offsets, self.degree, self.target_order)):
+            raise ValueError("offsets, degree and target_order must be integers")
         if len(self.offsets) != self.degree + 1:
             raise ValueError("need degree+1 offsets for a square system")
         if not 0 <= self.target_order <= self.degree:
@@ -69,27 +75,44 @@ def _bareiss_eliminate(rows):
     return sign
 
 
-def solve_moment_system(system: MomentSystem) -> list[Fraction]:
-    """Exact solution of the moment system for offsets in any order, by the
-    Bjorck-Pereyra algorithm (Golub & Van Loan, Alg. 4.6.2): O(n^2) exact
-    operations, the first of its two sweeps on integers.
+def _moment_solution(offsets, target_order: int) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of the moment-system solution on integers.
+
+    With P(t) = prod_j (t - x_j), the Lagrange polynomial of node m is
+    P(t) / ((t - x_m) P'(x_m)), and its t**d coefficient is the solution
+    a_m = [t**d](P(t) / (t - x_m)) / prod_{j != m} (x_m - x_j). P is built
+    once in O(n^2) integer operations; each numerator is a synthetic
+    division of P by (t - x_m) from the top down to t**d, i.e. Horner's rule
+    on the coefficients of t**(n+1) .. t**(d+1). Denominators may be
+    negative.
 
     Raises SingularSystemError for repeated offsets.
     """
-    x, n = system.offsets, system.degree
-    if len(set(x)) != len(x):
+    if len(set(offsets)) != len(offsets):
         raise SingularSystemError("repeated offsets")
-    b = [1 if k == system.target_order else 0 for k in range(n + 1)]
-    for k in range(n):
-        for i in range(n, k, -1):
-            b[i] -= x[k] * b[i - 1]
-    z = [Fraction(v) for v in b]
-    for k in range(n - 1, -1, -1):
-        for i in range(k + 1, n + 1):
-            z[i] /= x[i] - x[i - k - 1]
-        for i in range(k, n):
-            z[i] -= z[i + 1]
-    return z
+    poly = [1]  # coefficients of P, highest power first
+    for x in offsets:
+        poly = [a - x * b for a, b in zip(poly + [0], [0] + poly)]
+    head = poly[:len(offsets) - target_order]
+    numerators, denominators = [], []
+    for x in offsets:
+        acc = 0
+        for c in head:
+            acc = acc * x + c
+        numerators.append(acc)
+        denominators.append(math.prod(x - y for y in offsets if y != x))
+    return numerators, denominators
+
+
+def solve_moment_system(system: MomentSystem) -> list[Fraction]:
+    """Exact solution of the moment system for offsets in any order, from the
+    node polynomial (`_moment_solution`): O(n^2) integer operations and one
+    `Fraction` per weight.
+
+    Raises SingularSystemError for repeated offsets.
+    """
+    numerators, denominators = _moment_solution(system.offsets, system.target_order)
+    return [Fraction(a, b) for a, b in zip(numerators, denominators)]
 
 
 def vandermonde_det(n: int) -> int:
@@ -139,36 +162,46 @@ def product_form_half_point(m: int, n: int) -> Fraction:
     return _product_form(2 * m + 1, range(1, 2 * n, 2), 2)
 
 
-def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
-    """Apply the stencil symbolically to x**k for k = 0..max_degree and
-    compare with the exact derivative at 0.
+def _scaled_residuals(stencil: Stencil, max_degree: int) -> tuple[list[int], int]:
+    """The exactness residuals times a common scale, and that scale.
 
     h is factored out through h**d, so the residuals are h-independent
     rationals: residual(k) = prefactor * sum w_m m**k - d! * delta(k, d).
-    The sums run on the integers L * prefactor * w_m * m**k, L the lcm of
-    the denominators of prefactor * w_m: one Fraction(..., L) per degree.
+    With L the lcm of the weight denominators and the prefactor p = a/b,
+    residual(k) * b * L = a * sum (L * w_m) m**k - b * L * d! * delta(k, d):
+    integer sums over running integer powers.
     """
+    d, p = stencil.derivative_order, stencil.prefactor
+    lcm = math.lcm(*(w.denominator for w in stencil.weights))
+    terms = [w.numerator * (lcm // w.denominator) for w in stencil.weights]
+    scale = p.denominator * lcm
+    totals = []
+    for k in range(max_degree + 1):
+        totals.append(p.numerator * sum(terms) - (scale * math.factorial(d) if k == d else 0))
+        terms = [t * o for t, o in zip(terms, stencil.offsets)]
+    return totals, scale
+
+
+def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
+    """Apply the stencil symbolically to x**k for k = 0..max_degree and
+    compare with the exact derivative at 0 (`_scaled_residuals`); the
+    report holds each residual as one `Fraction`."""
     if max_degree > 2 * stencil.n + 4:
         raise ValueError("bounded search: max_degree must be <= 2n + 4")
-    d = stencil.derivative_order
-    scaled = [stencil.prefactor * w for w in stencil.weights]
-    lcm = math.lcm(*(w.denominator for w in scaled))
-    terms = [w.numerator * (lcm // w.denominator) for w in scaled]
-    residuals = []
-    first_failing = None
-    for k in range(max_degree + 1):
-        total = sum(terms) - (lcm * math.factorial(d) if k == d else 0)
-        residuals.append(Fraction(total, lcm))
-        if total != 0 and first_failing is None:
-            first_failing = k
-        terms = [t * o for t, o in zip(terms, stencil.offsets)]
+    totals, scale = _scaled_residuals(stencil, max_degree)
+    first_failing = next((k for k, total in enumerate(totals) if total), None)
     max_exact = max_degree if first_failing is None else first_failing - 1
     return ExactnessReport(
         stencil=stencil,
         max_exact_degree=max_exact,
         first_failing_degree=first_failing,
-        residuals=tuple(residuals),
+        residuals=tuple(Fraction(total, scale) for total in totals),
     )
+
+
+def _is_ratio(value: Fraction, numerator: int, denominator: int) -> bool:
+    """value == numerator / denominator (denominator != 0), on integers."""
+    return value.numerator * denominator == numerator * value.denominator
 
 
 # the degree through which each family differentiates polynomials exactly
@@ -191,23 +224,26 @@ def cross_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
     for n in range(1, max_n + 1):
         built = {kind: build(kind, n) for kind in StencilKind}
         for kind, stencil in built.items():
-            label, order = stencil.label(), stencil.derivative_order
-            solution = solve_moment_system(MomentSystem(
-                offsets=stencil.offsets, degree=len(stencil.offsets) - 1, target_order=order
-            ))
-            scale = stencil.prefactor / fact(order)
-            ok = solution == [w * scale for w in stencil.weights]
+            label, order, p = stencil.label(), stencil.derivative_order, stencil.prefactor
+            # a_m == w_m * p / order!, cross-multiplied
+            numerators, denominators = _moment_solution(stencil.offsets, order)
+            scale = p.denominator * fact(order)
+            ok = all(
+                a * w.denominator * scale == w.numerator * p.numerator * b
+                for a, b, w in zip(numerators, denominators, stencil.weights)
+            )
             yield f"moment-system {label}", ok, "oracle solver reproduces the weights"
 
             expected = _EXACT_DEGREE[kind](n)
-            got = exactness_check(stencil, expected + 1).max_exact_degree
+            totals, _ = _scaled_residuals(stencil, expected + 1)
+            got = next((k for k, total in enumerate(totals) if total), len(totals)) - 1
             yield (f"exactness {label}", got == expected,
                    f"max exact degree {got}, expected {expected}")
 
         cf = built[StencilKind.CENTRAL_FIRST]
         ok = all(
-            cf.weight_at(m)
-            == Fraction((-1) ** (m + 1) * 2 * fact(n) ** 2, m * fact(n - m) * fact(n + m))
+            _is_ratio(cf.weight_at(m), (-1) ** (m + 1) * 2 * fact(n) ** 2,
+                      m * fact(n - m) * fact(n + m))
             for m in range(1, n + 1)
         )
         yield f"closed-form central-first(n={n})", ok, "factorial ratio form"
@@ -225,7 +261,7 @@ def cross_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
         det = vandermonde_det(n)
         # prod over 0 <= i < j <= n of (j - i) is the superfactorial 1! 2! ... n!
         ok = det == math.prod(map(fact, range(1, n + 1))) and all(
-            Fraction(delta_m1_closed_form(m, n), det) == os1.weight_at(m)
+            _is_ratio(os1.weight_at(m), delta_m1_closed_form(m, n), det)
             for m in range(1, n + 1)
         )
         yield f"determinants(n={n})", ok, "Vandermonde product and numerator ratios"

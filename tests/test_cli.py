@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -437,11 +438,22 @@ def test_verify_json(capsys):
         assert all(check["ok"] for check in payload["checks"])
 
 
-def test_verify_identities_hold_through_max_n_24(capsys):
-    code, out, _ = run_capture(capsys, ["verify", "--max-n", "24", "--format", "json"])
+def test_verify_identities_hold_through_max_n_30(capsys):
+    code, out, _ = run_capture(capsys, ["verify", "--max-n", "30", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert (payload["passed"], payload["failed"]) == (312, 0)
+    assert (payload["passed"], payload["failed"]) == (390, 0)
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "7ad5935b91ee5c45abaeb487988a80dfd5ebdba085c88d9a8548c702300c09cc"),
+    ("json", "f8a2bbcc78a66d092c8dc8f495a293aeff996fd1cae5ac377aa419e3c28614cc"),
+])
+def test_verify_max_n_16_bytes_are_pinned(capsys, fmt, digest):
+    # the SHA-256 of the stdout that the benchmark's golden digests record
+    code, out, _ = run_capture(capsys, ["verify", "--max-n", "16", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_text_is_pinned(capsys):

@@ -82,8 +82,9 @@ def test_solver_rejects_repeated_offsets():
 
 
 def _bareiss_solve(system):
-    """The moment-system solver before Bjorck-Pereyra, kept as the reference:
-    fraction-free elimination, then Fraction back-substitution."""
+    """A second route to the moment-system solution, kept as the reference:
+    fraction-free elimination of the power matrix, then Fraction
+    back-substitution. It shares nothing with the node-polynomial solver."""
     if len(set(system.offsets)) != len(system.offsets):
         raise SingularSystemError("repeated offsets")
     size = system.degree + 1
@@ -116,6 +117,21 @@ def test_solver_matches_bareiss_reference(offsets):
         assert solve_moment_system(system) == _bareiss_solve(system), order
 
 
+# the node sets verify solves are larger than the strategy's 14 offsets:
+# central-second at n = 16, half-point at n = 16, one-sided at n = 16, and
+# central-second in descending order
+@pytest.mark.parametrize("offsets", [
+    tuple(range(-16, 17)),
+    tuple(range(-31, 32, 2)),
+    tuple(range(17)),
+    tuple(range(16, -17, -1)),
+], ids=["central-33", "half-point-odd-32", "one-sided-17", "descending-33"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_solver_matches_bareiss_reference_on_verify_node_sets(offsets, order):
+    system = MomentSystem(offsets=offsets, degree=len(offsets) - 1, target_order=order)
+    assert solve_moment_system(system) == _bareiss_solve(system)
+
+
 @settings(max_examples=100, deadline=None)
 @given(offsets=_OFFSETS, data=st.data())
 def test_solver_rejects_repeated_offsets_in_any_order(offsets, data):
@@ -131,6 +147,18 @@ def test_moment_system_validation():
         MomentSystem(offsets=(0, 1), degree=2, target_order=1)
     with pytest.raises(ValueError):
         MomentSystem(offsets=(0, 1, 2), degree=2, target_order=3)
+
+
+@pytest.mark.parametrize("offsets, degree, order", [
+    ((0, 0.5, 1), 2, 1), ((0, 1.0), 1, 1), ((0, True), 1, 1), ((False, 1), 1, 1),
+    ((0, F(1)), 1, 1), ((0, "1"), 1, 1), ((0, 1), 1.0, 1), ((0, 1), 1, 1.0),
+    ((0, 1), 1, True),
+])
+def test_moment_system_rejects_non_integers(offsets, degree, order):
+    # a float offset would make the exact solver return floats; a bool is
+    # not an integer here either
+    with pytest.raises(ValueError, match="must be integers"):
+        MomentSystem(offsets=offsets, degree=degree, target_order=order)
 
 
 # --- determinants -----------------------------------------------------------
