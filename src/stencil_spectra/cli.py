@@ -249,7 +249,14 @@ def _figure_envelope_demo(args) -> tuple[str, int]:
     return _render_table(names, columns, args.format), 0
 
 
+# `cross_checks` eliminates a (max-n + 1)**2 integer matrix up front, in
+# O(max-n**3) operations on integers that grow with max-n
+_VERIFY_MAX_N = 100
+
+
 def _cmd_verify(args) -> tuple[str, int]:
+    if args.max_n > _VERIFY_MAX_N:
+        raise ValueError(f"--max-n {args.max_n} is above the limit of {_VERIFY_MAX_N}")
     results = [{"check": name, "ok": ok, "detail": detail}
                for name, ok, detail in oracle.cross_checks(args.max_n)]
     passed = sum(r["ok"] for r in results)

@@ -2,10 +2,11 @@
 
 They share no code with the generators in `weights` (`build` only makes the
 stencils under test): the moment systems solved from their node polynomial,
-Bareiss (fraction-free) elimination for the Vandermonde determinant only,
-the paper's product forms and polynomial exactness on integers. The hot
-loops run on Python ints; `cross_checks` compares a rational with a weight
-by cross-multiplication, so it builds no `Fraction` of its own there.
+Bareiss (fraction-free) elimination for the Vandermonde determinants only
+(one elimination whose pivots serve every n), the paper's product forms and
+polynomial exactness on integers. The hot loops run on Python ints;
+`cross_checks` compares a rational with a weight by cross-multiplication, so
+it builds no `Fraction` of its own there.
 """
 
 from __future__ import annotations
@@ -65,13 +66,15 @@ def _bareiss_eliminate(rows):
                 raise SingularSystemError("zero pivot column")
             rows[col], rows[swap] = rows[swap], rows[col]
             sign = -sign
+        pivot_row = rows[col]
+        pivot, tail = pivot_row[col], pivot_row[col + 1:]
         for r in range(col + 1, size):
-            for c in range(col + 1, len(rows[r])):
-                rows[r][c] = (
-                    rows[r][c] * rows[col][col] - rows[r][col] * rows[col][c]
-                ) // prev
-            rows[r][col] = 0
-        prev = rows[col][col]
+            row = rows[r]
+            lead = row[col]
+            row[col + 1:] = [(a * pivot - lead * b) // prev
+                             for a, b in zip(row[col + 1:], tail)]
+            row[col] = 0
+        prev = pivot
     return sign
 
 
@@ -115,33 +118,55 @@ def solve_moment_system(system: MomentSystem) -> list[Fraction]:
     return [Fraction(a, b) for a, b in zip(numerators, denominators)]
 
 
+def _leading_minors(max_n: int) -> list[int]:
+    """The Vandermonde determinants over nodes 0..n for every n = 0..max_n,
+    from one fraction-free elimination of the (max_n+1) x (max_n+1) power
+    matrix over nodes 0..max_n.
+
+    Bareiss's pivot rows[n][n] is the leading (n+1) x (n+1) minor (Bareiss,
+    Math. Comp. 22, 1968), and that block is the power matrix over nodes
+    0..n. Each leading minor is thus a nonzero Vandermonde determinant, so
+    no row is swapped and no sign is lost.
+    """
+    rows = [[m ** k for m in range(max_n + 1)] for k in range(max_n + 1)]
+    _bareiss_eliminate(rows)
+    return [rows[n][n] for n in range(max_n + 1)]
+
+
 def vandermonde_det(n: int) -> int:
-    """Determinant of the (n+1) x (n+1) power matrix over nodes 0..n,
-    computed by fraction-free elimination (never zero)."""
+    """Determinant of the (n+1) x (n+1) power matrix over nodes 0..n, the
+    last leading minor of its fraction-free elimination (`_leading_minors`,
+    never zero)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rows = [[m ** k for m in range(n + 1)] for k in range(n + 1)]
-    sign = _bareiss_eliminate(rows)
-    return sign * rows[n][n]
+    return _leading_minors(n)[n]
+
+
+def _delta_m1(m: int, n: int, pairs: int) -> int:
+    """`delta_m1_closed_form(m, n)` from pairs, the product over
+    1 <= i < j <= n of (j - i): the pairs that hold m contribute (m-1)!
+    (i < m) and (n-m)! (j > m), and dividing them out leaves the rest."""
+    fact = math.factorial
+    return (-1) ** (m + 1) * (fact(n) // m) ** 2 * (pairs // (fact(m - 1) * fact(n - m)))
 
 
 def delta_m1_closed_form(m: int, n: int) -> int:
     """Numerator determinant for the first-derivative weight at offset m:
-    (-1)**(m+1) * (n!/m)**2 * prod over 1 <= i < j <= n, i,j != m of (j-i)."""
+    (-1)**(m+1) * (n!/m)**2 * prod over 1 <= i < j <= n, i,j != m of (j-i).
+    The product over all pairs is 1! 2! ... (n-1)!, so this takes O(n)
+    multiplications (`_delta_m1`)."""
     if not 1 <= m <= n:
         raise ValueError("require 1 <= m <= n")
-    prod = 1
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if i != m and j != m:
-                prod *= j - i
-    return (-1) ** (m + 1) * (math.factorial(n) // m) ** 2 * prod
+    return _delta_m1(m, n, math.prod([math.factorial(k) for k in range(1, n)]))
 
 
-def _product_form(m: int, nodes, power: int) -> Fraction:
-    """1 / (m * prod over nodes k != m of (1 - (m/k)**power)), on integers."""
+def _product_form(m: int, nodes, power: int) -> tuple[int, int]:
+    """Numerator and denominator of
+    1 / (m * prod over nodes k != m of (1 - (m/k)**power)), on integers;
+    the denominator may be negative."""
     powers = [k ** power for k in nodes if k != m]
-    return Fraction(math.prod(powers), m * math.prod(p - m ** power for p in powers))
+    m_power = m ** power
+    return math.prod(powers), m * math.prod([p - m_power for p in powers])
 
 
 def product_form_one_sided(m: int, n: int) -> Fraction:
@@ -150,7 +175,7 @@ def product_form_one_sided(m: int, n: int) -> Fraction:
     one_sided_first(n)'s weight at m."""
     if not 1 <= m <= n:
         raise ValueError("require 1 <= m <= n")
-    return _product_form(m, range(1, n + 1), 1)
+    return Fraction(*_product_form(m, range(1, n + 1), 1))
 
 
 def product_form_half_point(m: int, n: int) -> Fraction:
@@ -159,7 +184,7 @@ def product_form_half_point(m: int, n: int) -> Fraction:
     equals half_point(n)'s weight at 2m+1."""
     if not 0 <= m < n:
         raise ValueError("require 0 <= m < n")
-    return _product_form(2 * m + 1, range(1, 2 * n, 2), 2)
+    return Fraction(*_product_form(2 * m + 1, range(1, 2 * n, 2), 2))
 
 
 def _scaled_residuals(stencil: Stencil, max_degree: int) -> tuple[list[int], int]:
@@ -219,10 +244,19 @@ def cross_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
     each n = 1..max_n: the moment system and the polynomial exactness of
     every family, then the factorial-ratio central-first weights, the
     binomial, product and harmonic forms of the one-sided weights, and the
-    Vandermonde and numerator determinants."""
+    Vandermonde and numerator determinants.
+
+    Work shared across n is done once: one elimination at max_n gives every
+    Vandermonde determinant (`_leading_minors`), and the superfactorial and
+    the harmonic number are a running product and a running sum. So the
+    checks for n do not depend on max_n, and `verify --max-n N` does O(N^3)
+    big-integer operations in the elimination."""
     fact = math.factorial
+    minors = _leading_minors(max_n)
+    superfactorial, harmonic = 1, Fraction(0)
     for n in range(1, max_n + 1):
         built = {kind: build(kind, n) for kind in StencilKind}
+        degree_0 = {}  # the degree-0 scaled residual of each family
         for kind, stencil in built.items():
             label, order, p = stencil.label(), stencil.derivative_order, stencil.prefactor
             # a_m == w_m * p / order!, cross-multiplied
@@ -236,32 +270,38 @@ def cross_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
 
             expected = _EXACT_DEGREE[kind](n)
             totals, _ = _scaled_residuals(stencil, expected + 1)
+            degree_0[kind] = totals[0]
             got = next((k for k, total in enumerate(totals) if total), len(totals)) - 1
             yield (f"exactness {label}", got == expected,
                    f"max exact degree {got}, expected {expected}")
 
         cf = built[StencilKind.CENTRAL_FIRST]
+        top = 2 * fact(n) ** 2
         ok = all(
-            _is_ratio(cf.weight_at(m), (-1) ** (m + 1) * 2 * fact(n) ** 2,
-                      m * fact(n - m) * fact(n + m))
+            _is_ratio(cf.weight_at(m), (-1) ** (m + 1) * top, m * fact(n - m) * fact(n + m))
             for m in range(1, n + 1)
         )
         yield f"closed-form central-first(n={n})", ok, "factorial ratio form"
 
         os1 = built[StencilKind.ONE_SIDED_FIRST]
-        harmonic = sum((Fraction(1, m) for m in range(1, n + 1)), Fraction(0))
+        harmonic += Fraction(1, n)
         ok = (
             os1.weight_at(1) == n
             and os1.weight_at(0) == -harmonic
-            and all(os1.weight_at(m) == product_form_one_sided(m, n) for m in range(1, n + 1))
-            and sum(os1.weights, Fraction(0)) == 0
+            and all(_is_ratio(os1.weight_at(m), *_product_form(m, range(1, n + 1), 1))
+                    for m in range(1, n + 1))
+            # the prefactor 1 times the weight sum, scaled by an lcm
+            and degree_0[StencilKind.ONE_SIDED_FIRST] == 0
         )
         yield f"closed-form one-sided-first(n={n})", ok, "binomial/product/harmonic forms"
 
-        det = vandermonde_det(n)
-        # prod over 0 <= i < j <= n of (j - i) is the superfactorial 1! 2! ... n!
-        ok = det == math.prod(map(fact, range(1, n + 1))) and all(
-            _is_ratio(os1.weight_at(m), delta_m1_closed_form(m, n), det)
+        # prod over 1 <= i < j <= n of (j - i) is 1! 2! ... (n-1)!, and over
+        # 0 <= i < j <= n it is the superfactorial 1! 2! ... n!
+        pairs = superfactorial
+        superfactorial *= fact(n)
+        det = minors[n]
+        ok = det == superfactorial and all(
+            _is_ratio(os1.weight_at(m), _delta_m1(m, n, pairs), det)
             for m in range(1, n + 1)
         )
         yield f"determinants(n={n})", ok, "Vandermonde product and numerator ratios"

@@ -451,9 +451,30 @@ def test_verify_identities_hold_through_max_n_30(capsys):
 ])
 def test_verify_max_n_16_bytes_are_pinned(capsys, fmt, digest):
     # the SHA-256 of the stdout that the benchmark's golden digests record
-    code, out, _ = run_capture(capsys, ["verify", "--max-n", "16", "--format", fmt])
+    assert _verify_digest(capsys, 16, fmt) == digest
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "55f6b408c0665c5a8d44d3ff7d94601ae6c7cc921f2318e88cba27a5c34d1382"),
+    ("json", "2f8da1f95b778aeb843c18ab3a26453b458ff7eaf15fd0d5a25ae99596e365fa"),
+])
+def test_verify_max_n_60_bytes_are_pinned(capsys, fmt, digest):
+    # the SHA-256 of the stdout when each determinant had its own
+    # elimination; CI compares the console script's text with it too
+    assert _verify_digest(capsys, 60, fmt) == digest
+
+
+def _verify_digest(capsys, max_n, fmt):
+    code, out, _ = run_capture(capsys, ["verify", "--max-n", str(max_n), "--format", fmt])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_verify_max_n_above_the_limit_is_one_line_error(capsys):
+    # the shared elimination holds (max-n + 1)**2 integers from the start
+    code, out, err = run_capture(capsys, ["verify", "--max-n", "101"])
+    assert (code, out) == (1, "")
+    assert err == "error: --max-n 101 is above the limit of 100\n"
 
 
 def test_verify_text_is_pinned(capsys):

@@ -11,6 +11,8 @@ from stencil_spectra.oracle import (
     MomentSystem,
     SingularSystemError,
     _bareiss_eliminate,
+    _leading_minors,
+    cross_checks,
     delta_m1_closed_form,
     exactness_check,
     product_form_half_point,
@@ -180,6 +182,41 @@ def test_vandermonde_closed_form(n):
     det = vandermonde_det(n)
     assert det == closed
     assert det != 0
+
+
+def test_leading_minors_match_fresh_eliminations_and_superfactorial():
+    # the pivots of one elimination at n = 60 against the determinant of the
+    # (n+1)-sized power matrix by its own elimination, for every n
+    minors = _leading_minors(60)
+    superfactorial = 1
+    for n in range(1, 61):
+        superfactorial *= math.factorial(n)
+        rows = [[m ** k for m in range(n + 1)] for k in range(n + 1)]
+        sign = _bareiss_eliminate(rows)
+        assert minors[n] == sign * rows[n][n] == superfactorial, n
+
+
+def test_cross_checks_for_n_do_not_depend_on_max_n():
+    # the determinants come from an elimination of max-n's size
+    assert list(cross_checks(20))[:13 * 12] == list(cross_checks(12))
+
+
+def _pair_loop_delta_m1(m, n):
+    """The numerator determinant by the loop over every pair i < j, kept as
+    the reference for the product 1! 2! ... (n-1)! with the pairs holding m
+    divided out."""
+    prod = 1
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if i != m and j != m:
+                prod *= j - i
+    return (-1) ** (m + 1) * (math.factorial(n) // m) ** 2 * prod
+
+
+def test_delta_m1_matches_pair_loop():
+    for n in range(1, 41):
+        for m in range(1, n + 1):
+            assert delta_m1_closed_form(m, n) == _pair_loop_delta_m1(m, n), (n, m)
 
 
 def test_delta_m1_examples():
