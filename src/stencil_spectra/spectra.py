@@ -1,11 +1,14 @@
 """Discrete Fourier spectra of weight sequences and their limit curves.
 
 The DFT is evaluated by direct sparse summation, never by an FFT library:
-one length-N table of exp(-2i pi p/N) is built per call, and each tap then
-costs one gather from it and one multiply-add over the N/2+1 bins
-r = 0..N/2 (the half band; a real sequence's other bins are its conjugate
-mirror b(N-r) = conj b(r)). The module follows the plotting convention of
-conjugated spectra: accessors expose Re[b*(r)] and Im[b*(r)].
+one table of exp(-2i pi p/N), p = 0..N, is built per call, and each tap
+gathers from it over the N/2+1 bins r = 0..N/2 (the half band; a real
+sequence's other bins are its conjugate mirror b(N-r) = conj b(r)), then
+is scaled and added in place. No tap takes a modulo: its indices
+p = (m r) mod N step from the previous tap's by the row of the gap, and a
+mirror N - m reads entry N - p (see _accumulate). The module follows the
+plotting convention of conjugated spectra: accessors expose Re[b*(r)] and
+Im[b*(r)].
 """
 
 from __future__ import annotations
@@ -177,13 +180,48 @@ def _embed(entries, N: int, mode: EmbeddingMode):
 
 
 def _accumulate(embedded, N):
-    """b(r) for r = 0..N/2."""
-    # twiddle[p] = exp(-2i pi p/N); reducing idx*k mod N indexes it exactly
-    twiddle = np.exp((-2j * np.pi / N) * np.arange(N))
-    k = np.arange(N // 2 + 1)
-    acc = np.zeros(N // 2 + 1, dtype=complex)
+    """b(r) for r = 0..N/2, as _embed lists the taps: offsets m ascending,
+    each mirror N - m right after its m.
+
+    Tap m reads twiddle[p] = exp(-2i pi p/N) at p = (m k) mod N over the
+    bins k, and no tap reduces m k: p steps from the previous offset's row
+    by the row (d k) mod N of the gap d, made once per distinct gap, and
+    wraps by one subtraction of N. The mirror reads entry N - p, which is
+    entry p of the table reversed (entry N is a copy of entry 0). Each term
+    is gathered into one buffer and scaled there through its real view: its
+    parts are those of the complex product but for the sign of a zero, which
+    no sum from +0.0 keeps.
+    """
+    half = N // 2
+    twiddle = np.empty(N + 1, dtype=complex)
+    np.exp((-2j * np.pi / N) * np.arange(N), out=twiddle[:N])
+    twiddle[N] = twiddle[0]
+    reversed_twiddle = twiddle[::-1].copy()
+    k = np.arange(half + 1)
+    acc = np.zeros(half + 1, dtype=complex)
+    term = np.empty_like(acc)
+    parts = term.view(float)
+    p, spill = np.zeros_like(k), np.empty_like(k)
+    p_bits, spill_bits = p.view(np.uint64), spill.view(np.uint64)
+    steps = {}
+    m = 0
     for idx, w in embedded:
-        acc += float(w) * twiddle[(idx * k) % N]
+        table = twiddle
+        if idx > half:
+            table = reversed_twiddle
+        elif idx != m:
+            step = steps.get(idx - m)
+            if step is None:
+                step = steps[idx - m] = (idx - m) * k % N
+            p += step
+            # as unsigned, p - N wraps past 2**64 where p < N: the smaller
+            # of p and p - N is p mod N
+            np.subtract(p_bits, N, out=spill_bits)
+            np.minimum(p_bits, spill_bits, out=p_bits)
+            m = idx
+        np.take(table, p, out=term, mode="clip")
+        parts *= float(w)
+        acc += term
     return acc
 
 

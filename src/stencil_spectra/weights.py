@@ -18,6 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 
+# the weight of an absent offset, shared: Fractions are immutable
+_ZERO = Fraction(0)
+
+
 class StencilFormatError(ValueError):
     """A stencil dict (e.g. a parsed JSON file) does not describe a stencil."""
 
@@ -64,7 +68,7 @@ class Stencil:
         return dict(zip(self.offsets, self.weights))
 
     def weight_at(self, offset: int) -> Fraction:
-        return self._weight_by_offset.get(offset, Fraction(0))
+        return self._weight_by_offset.get(offset, _ZERO)
 
     def label(self) -> str:
         return f"{self.kind.value}(n={self.n})"
@@ -215,14 +219,20 @@ def one_sided_nth(n: int) -> Stencil:
 
 def _limit_term(kind: StencilKind, j):
     """Term j >= 0 of an infinite-family weight sequence as (offset, signed
-    numerator, denominator, pi_power); j may be an int or an array of whole
-    numbers.
+    numerator, denominator, pi_power); j may be an int, which gives ints, or
+    an int64 array, which gives float offsets and magnitudes (exact below
+    2**53, where int64 squares would wrap).
 
     central-first: offset m = j+1, weight (-1)**(m+1) * 2 / m
     central-second: offset m = j+1, weight (-1)**(m+1) * 2 / m**2
     half-point-first: offset 2j+1, weight (-1)**j * 4 / ((2j+1)**2 * pi)
+
+    (-1)**j is read from the low bit of j: no power and no float remainder
+    per term.
     """
-    sign = 1 - 2 * (j % 2)  # (-1)**j without a power per term
+    sign = 1 - 2 * (j & 1)
+    if isinstance(j, np.ndarray):
+        j = j.astype(float)
     if kind is StencilKind.HALF_POINT_FIRST:
         odd = 2 * j + 1
         return odd, 4 * sign, odd * odd, -1
@@ -239,9 +249,10 @@ def limit_coefficients(kind: StencilKind, stop: int, start: int = 0, scale: floa
     terms j = start..stop-1 (see _limit_term), as arrays: scale * numerator
     / denominator, rounded once, then over pi for the half-point family.
     """
-    # float terms are exact below 2**53, where int64 squares would wrap
-    offsets, numerators, denominators, pi_power = _limit_term(kind, np.arange(start, stop, 1.0))
-    return offsets.astype(np.int64), (scale * numerators) / denominators / math.pi ** -pi_power
+    offsets, numerators, denominators, pi_power = _limit_term(kind, np.arange(start, stop))
+    values = (scale * numerators) / denominators
+    # the central families are over pi**0 = 1.0: no division
+    return offsets.astype(np.int64), values / math.pi ** -pi_power if pi_power else values
 
 
 _KIND_BUILDERS = {

@@ -1,0 +1,82 @@
+"""Replay every argv of perfbench/golden.json through `cli.run` and compare
+its exit code and stdout digest (the first 16 hex digits of its SHA-256)
+with the recorded ones.
+
+    python tests/replay_golden.py
+
+Runs from any directory, in one process, with one BLAS thread (the digests
+were recorded that way, and gemv's rounding depends on the thread count).
+It first writes the stencil files that the `diff --stencil-file` argvs read,
+with the program's own `stencil --format json`, at the paths
+perfbench/workloads.py names. golden.json is only read. Exits 1 naming each
+mismatch, or prints one summary line. The digests hold for the numpy
+version golden.json records; the summary and the failure report name both.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+# before numpy loads BLAS
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import numpy  # noqa: E402
+import workloads  # noqa: E402
+from stencil_spectra import cli  # noqa: E402
+
+
+def replay(argv: list[str]) -> tuple[int | str, str]:
+    """Exit code (or the exception `cli.run` raised) and stdout of one run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.run(argv)
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, out.getvalue()
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def main() -> int:
+    os.chdir(ROOT)  # the stencil file paths are relative to the checkout
+    with open(os.path.join("perfbench", "golden.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    os.makedirs(workloads.STENCIL_DIR, exist_ok=True)
+    for path, argv in workloads.stencil_file_argvs():
+        code, text = replay(argv)
+        if code != 0:
+            print(f"{' '.join(argv)}: exit {code}, so {path} was not written", file=sys.stderr)
+            return 1
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    mismatches = []
+    for key, expected in golden["digests"].items():
+        code, text = replay(key.split(" "))  # no argument holds a space
+        got = [code, digest(text)]
+        if got != expected:
+            mismatches.append(f"{key}: expected {expected}, got {got}")
+    recorded = golden["environment"]["numpy"]
+    versions = f"numpy {numpy.__version__}, golden.json recorded with {recorded}"
+    if mismatches:
+        print("\n".join(mismatches), file=sys.stderr)
+        print(f"{len(mismatches)} of {len(golden['digests'])} argvs differ from "
+              f"golden.json ({versions})", file=sys.stderr)
+        return 1
+    print(f"{len(golden['digests'])} argvs match golden.json in exit code and digest ({versions})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stencil_spectra
-from stencil_spectra import spectra, weights
+from stencil_spectra import cli, spectra, weights
 from stencil_spectra.spectra import (
     CurveDomainError,
     CurveFamily,
@@ -122,6 +122,29 @@ def test_dft_spectrum_matches_per_tap_exp_loop(sequence, mode):
     values = dft_spectrum(taps, N, mode).values
     assert len(values) == N // 2 + 1
     # bin 0 is the exact weight sum, checked by the DC tests
+    assert values[1:].tobytes() == _per_tap_dft(taps, N, mode)[1:N // 2 + 1].tobytes()
+
+
+@pytest.mark.parametrize("N, kind, mode", [
+    *((4000, weights.StencilKind(kind), mode)
+      for kind in cli._LIMIT_CHOICES for mode in EmbeddingMode),
+    (8000, weights.StencilKind.HALF_POINT_FIRST, EmbeddingMode.FULL_ANTISYMMETRIC),
+], ids=lambda v: getattr(v, "value", v))
+def test_dense_limit_spectrum_matches_per_tap_exp_loop(N, kind, mode):
+    # the `spectrum --limit` sequence at its default length: N/2-1 central
+    # taps (gap 1) or N/4 half-point taps (gap 2), whose rows wrap many times
+    taps = cli._limit_sequence(kind, N, None)
+    values = dft_spectrum(taps, N, mode).values
+    assert values[1:].tobytes() == _per_tap_dft(taps, N, mode)[1:N // 2 + 1].tobytes()
+
+
+@pytest.mark.parametrize("mode", list(EmbeddingMode), ids=lambda m: m.value)
+def test_sparse_gaps_spectrum_matches_per_tap_exp_loop(mode):
+    # gaps of 1, 2 and more, from offset 0 to the last that fits, N/2 - 1
+    N = 6000
+    offsets = [0, 1, 2, 4, 6, 7, 8, 11, 500, 501, 503, 1777, 2998, N // 2 - 1]
+    taps = {m: (-1) ** m * (1.5 + m / 7) for m in offsets}
+    values = dft_spectrum(taps, N, mode).values
     assert values[1:].tobytes() == _per_tap_dft(taps, N, mode)[1:N // 2 + 1].tobytes()
 
 
