@@ -76,10 +76,14 @@ class _CompiledRule:
 
     def __init__(self, stencil: Stencil, label: str | None = None):
         ordered = sorted(stencil.nodes, key=lambda ow: (abs(ow[0]), ow[0]))
-        self.nodes = [(o, float(w)) for o, w in ordered]
-        self.scale = float(stencil.prefactor)
-        self.order = stencil.derivative_order
         self.label = label or stencil.label()
+        try:
+            self.nodes = [(o, float(w)) for o, w in ordered]
+            self.scale = float(stencil.prefactor)
+        except OverflowError:
+            raise ValueError(f"{self.label}: a weight or the prefactor "
+                             "overflows the floats") from None
+        self.order = stencil.derivative_order
         self.min_offset, self.max_offset = stencil.offsets[0], stencil.offsets[-1]
 
     def apply_range(self, signal: SampledSignal, start: int, stop: int) -> np.ndarray:

@@ -9,12 +9,16 @@ p = (m r) mod N step from the previous tap's by the row of the gap, and a
 mirror N - m reads entry N - p (see _accumulate). The module follows the
 plotting convention of conjugated spectra: accessors expose Re[b*(r)] and
 Im[b*(r)].
+
+The infinite-family series on the DFT grid (figure 1a/1b) add their terms
+into N residue buckets a turn of offsets at a time, and fold the buckets
+with the trigonometric table in blocks of bins, which the calling thread
+and a thread pool share (see truncated_limit_spectrum_dft_grid and _fold).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,7 +40,7 @@ _CHUNK_ELEMS = 8_000_000
 # each bin is then rounded as in one full-table product. Blocks of 500 bins,
 # or a last block of 1 to 3 bins, changed some bins. Each fold thread fills
 # one table in place, as wide as its widest block, so with two threads the
-# fold's memory is O(2^16 + 2*64*N).
+# fold's memory is O(N + 2*64*N).
 _FOLD_BLOCK = 64
 # Threads that fold blocks at once; np.sin and gemv release the GIL. Fixed
 # at two, not tunable: each thread holds one block-wide table, and two keep
@@ -44,6 +48,9 @@ _FOLD_BLOCK = 64
 # its block.
 _FOLD_WORKERS = 2
 _TERM_CHUNK = 1 << 16
+# Least terms per step of the residue buckets, in whole turns (no bit depends
+# on it): a step's arrays stay in cache, and a short turn is not a step.
+_TURN_TERMS = 1 << 14
 
 
 class EmbeddingOverflowError(ValueError):
@@ -234,17 +241,26 @@ def dft_spectrum(
 
     The DC bin is recomputed from the exact rational weight sum when the
     source carries exact weights, so zero-sum stencils report b(0) = 0
-    exactly.
+    exactly. A weight or a bin that leaves the floats is a ValueError
+    naming the stencil and N.
     """
     _check_dft_length(N)
     embedded = _embed(_base_entries(source), N, mode)
 
-    values = _accumulate(embedded, N)
-    if all(isinstance(w, (Fraction, int)) for _, w in embedded):
-        dc = float(sum(Fraction(w) for _, w in embedded))
-    else:
-        dc = math.fsum(float(w) for _, w in embedded)
-    values[0] = complex(dc, 0.0)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _accumulate(embedded, N)
+        if all(isinstance(w, (Fraction, int)) for _, w in embedded):
+            dc = float(sum(Fraction(w) for _, w in embedded))
+        else:
+            dc = math.fsum(float(w) for _, w in embedded)
+        values[0] = complex(dc, 0.0)
+        finite = np.isfinite(values).all()
+    except OverflowError:  # a weight or the exact DC sum
+        finite = False
+    if not finite:
+        name = source.label() if isinstance(source, Stencil) else "weight sequence"
+        raise ValueError(f"{name}: the spectrum at N={N} overflows the floats")
     return FilterSpectrum(values)
 
 
@@ -381,20 +397,32 @@ def truncated_limit_spectrum_dft_grid(
 
     On this grid the trigonometric factors are N-periodic in the summation
     index, so the M terms fold into N residue buckets: cost O(M + N^2)
-    instead of O(M N), and no large sine arguments are ever formed. The
-    terms are made and added in term order, _TERM_CHUNK at a time, and the
-    buckets meet the trigonometric table in blocks of _FOLD_BLOCK bins (the
-    last block up to twice that), which two threads fold in two in-place
-    tables, so memory is O(2^16 + 2*64*N), whatever M.
+    instead of O(M N), and no large sine arguments are ever formed. In a
+    turn, N terms (offsets step 1) or N/2 (half-point, step 2), each
+    reachable residue occurs once, at the same place in every turn: the
+    terms are made in whole turns, a row each, and np.add.accumulate adds
+    the rows down each column, so a bucket adds its terms in term order
+    from +0.0. The buckets meet the trigonometric table in blocks of
+    _FOLD_BLOCK bins (the last up to twice that), which two threads fold
+    in two in-place tables, so memory is O(N + 2*64*N), whatever M.
     """
     _check_series(family, h, M)
     _check_dft_length(N)
 
     _, trig, phase = _OMEGA_FAMILIES[family]
+    turn = N // 2 if family is CurveFamily.HALF_POINT_LIMIT else N
+    span = -(-_TURN_TERMS // turn) * turn
+    sums = np.zeros(turn)  # bucket sums by position in the turn
+    for lo in range(0, M, span):
+        offsets, coef = _series_terms(family, h, min(lo + span, M), lo)
+        if lo == 0:
+            residues = offsets[:turn] % N
+        # the sums so far, a row per turn, and +0.0 (a sum from +0.0 is
+        # never -0.0, so adding +0.0 changes no bit) to fill the last turn
+        rows = np.concatenate((sums, coef, np.zeros(-len(coef) % turn)))
+        sums = np.add.accumulate(rows.reshape(-1, turn))[-1]
     buckets = np.zeros(N)
-    for lo in range(0, M, _TERM_CHUNK):
-        offsets, coef = _series_terms(family, h, min(lo + _TERM_CHUNK, M), lo)
-        np.add.at(buckets, offsets % N, coef)
+    buckets[residues] = sums[:len(residues)]
     thetas = 2.0 * math.pi * np.arange(N // 2 + 1) / N
     return phase * _fold(buckets, trig, thetas), _series_bounds(family, thetas, h, M)
 
@@ -402,16 +430,18 @@ def truncated_limit_spectrum_dft_grid(
 def _fold(buckets: np.ndarray, trig, thetas: np.ndarray) -> np.ndarray:
     """buckets @ trig(outer(k, thetas)), k = 0..N-1, one block of bins per
     product: blocks start at multiples of _FOLD_BLOCK, the last takes the
-    remainder, and block i goes to thread i % _FOLD_WORKERS.
+    remainder, and block i goes to share i % _FOLD_WORKERS. The calling
+    thread folds share 0 and a thread pool the others; an exception in any
+    share is raised here once all have stopped.
 
-    The tables are allocated here, before any thread starts, as anonymous
-    maps that are unmapped when the last view of them dies. A table that a
-    thread allocated stayed in that thread's malloc arena, and a table
+    Each share's table is allocated here, before any share starts, as an
+    anonymous map that is unmapped when the last view of it dies. A table
+    that a thread allocated stayed in that thread's malloc arena, and one
     from np.empty stayed in the heap after the call; either raised the
-    peak RSS of later work. An exception in any thread is raised here once
-    all have stopped.
+    peak RSS of later work.
     """
-    import mmap  # here, so that importing the package does not load it
+    import mmap  # here, as the pool, so that importing the package loads neither
+    from concurrent.futures import ThreadPoolExecutor
 
     N = len(buckets)
     k = np.arange(N, dtype=float)[:, None]
@@ -421,27 +451,18 @@ def _fold(buckets: np.ndarray, trig, thetas: np.ndarray) -> np.ndarray:
     tables = [np.frombuffer(mmap.mmap(-1, 8 * N * max(hi - lo for lo, hi in share)))
               for share in shares]
     sums = np.empty(len(thetas))
-    errors = []
 
     def fold(share, buffer):
-        try:
-            for lo, hi in share:
-                if errors:
-                    return
-                table = buffer[:N * (hi - lo)].reshape(N, hi - lo)
-                np.multiply(k, thetas[lo:hi], out=table)
-                sums[lo:hi] = buckets @ trig(table, out=table)
-        except BaseException as exc:
-            errors.append(exc)
+        for lo, hi in share:
+            table = buffer[:N * (hi - lo)].reshape(N, hi - lo)
+            np.multiply(k, thetas[lo:hi], out=table)
+            sums[lo:hi] = buckets @ trig(table, out=table)
 
-    threads = [threading.Thread(target=fold, args=pair) for pair in zip(shares[1:], tables[1:])]
-    for thread in threads:
-        thread.start()
-    fold(shares[0], tables[0])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(max(1, len(shares) - 1)) as pool:
+        others = [pool.submit(fold, *pair) for pair in zip(shares[1:], tables[1:])]
+        fold(shares[0], tables[0])
+    for future in others:
+        future.result()
     return sums
 
 

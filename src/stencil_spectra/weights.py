@@ -217,42 +217,33 @@ def one_sided_nth(n: int) -> Stencil:
     )
 
 
-def _limit_term(kind: StencilKind, j):
-    """Term j >= 0 of an infinite-family weight sequence as (offset, signed
-    numerator, denominator, pi_power); j may be an int, which gives ints, or
-    an int64 array, which gives float offsets and magnitudes (exact below
-    2**53, where int64 squares would wrap).
+def limit_coefficients(kind: StencilKind, stop: int, start: int = 0, scale: float = 1.0):
+    """Offsets (int64) and float coefficients scale * weight of the terms
+    j = start..stop-1 of an infinite-family weight sequence:
 
     central-first: offset m = j+1, weight (-1)**(m+1) * 2 / m
     central-second: offset m = j+1, weight (-1)**(m+1) * 2 / m**2
     half-point-first: offset 2j+1, weight (-1)**j * 4 / ((2j+1)**2 * pi)
 
-    (-1)**j is read from the low bit of j: no power and no float remainder
-    per term.
+    Each coefficient is scale * numerator / denominator rounded once, then
+    over pi for the half-point family. (-1)**j is read from the low bit of
+    j; the offsets and denominators are floats, exact below 2**53, where
+    int64 squares would wrap.
     """
+    j = np.arange(start, stop)
     sign = 1 - 2 * (j & 1)
-    if isinstance(j, np.ndarray):
-        j = j.astype(float)
+    j = j.astype(float)
     if kind is StencilKind.HALF_POINT_FIRST:
-        odd = 2 * j + 1
-        return odd, 4 * sign, odd * odd, -1
-    m = j + 1
+        offsets = 2 * j + 1
+        return offsets.astype(np.int64), (scale * (4 * sign)) / (offsets * offsets) / math.pi
+    offsets = j + 1
     if kind is StencilKind.CENTRAL_FIRST:
-        return m, 2 * sign, m, 0
-    if kind is StencilKind.CENTRAL_SECOND:
-        return m, 2 * sign, m * m, 0
-    raise ValueError(f"{kind.value} has no infinite-family limit")
-
-
-def limit_coefficients(kind: StencilKind, stop: int, start: int = 0, scale: float = 1.0):
-    """Offsets and float coefficients scale * weight of the infinite-family
-    terms j = start..stop-1 (see _limit_term), as arrays: scale * numerator
-    / denominator, rounded once, then over pi for the half-point family.
-    """
-    offsets, numerators, denominators, pi_power = _limit_term(kind, np.arange(start, stop))
-    values = (scale * numerators) / denominators
-    # the central families are over pi**0 = 1.0: no division
-    return offsets.astype(np.int64), values / math.pi ** -pi_power if pi_power else values
+        denominators = offsets
+    elif kind is StencilKind.CENTRAL_SECOND:
+        denominators = offsets * offsets
+    else:
+        raise ValueError(f"{kind.value} has no infinite-family limit")
+    return offsets.astype(np.int64), (scale * (2 * sign)) / denominators
 
 
 _KIND_BUILDERS = {

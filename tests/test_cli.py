@@ -307,6 +307,30 @@ def test_overflowing_h_is_one_line_error(capsys, argv):
     assert err.startswith("error: h=") and err.count("\n") == 1
 
 
+# one-sided-first(1034)'s bins at N = 4000 overflow in the sum, and the
+# weights of n = 1100 (and of the forward rule diff uses) do not fit in a
+# float; no golden argv comes near these n
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--kind", "one-sided-first", "--n", "1034", "--N", "4000"],
+     "one-sided-first(n=1034)"),
+    (["spectrum", "--kind", "one-sided-first", "--n", "1100", "--N", "4000"],
+     "one-sided-first(n=1100)"),
+    (["spectrum", "--kind", "one-sided-first", "--n", "1034", "--N", "4000",
+      "--embedding", "full-antisymmetric"], "one-sided-first(n=1034)"),
+    (["figure", "3a", "--n", "1,1034", "--N", "4000"], "one-sided-first(n=1034)"),
+    (["figure", "3b", "--n", "1100", "--N", "4000"], "one-sided-first(n=1100)"),
+    (["diff", "--fn", "sin:omega=1", "--n", "1100", "--points", "2300"], "forward(1100)"),
+], ids=["spectrum-bins", "spectrum-weights", "spectrum-full-antisymmetric", "figure-3a",
+        "figure-3b", "diff-weights"])
+def test_overflowing_spectrum_or_weights_is_one_line_error(capsys, argv, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
+    assert argv[0] == "diff" or "N=4000" in err
+
+
 def test_spectrum_first_deriv_reference_is_nan_at_nyquist(capsys):
     code, out, _ = run_capture(
         capsys, ["spectrum", "--kind", "central-first", "--n", "3", "--N", "64",

@@ -367,11 +367,15 @@ def _full_table_fold(family, N, h, M):
 
 def _fold_cases():
     """(family, N, M) cases for the fold: N/2+1 runs below, at and past the
-    edges of the fold's first and second blocks, and M past several chunks
-    of the fold's terms."""
+    edges of the fold's first and second blocks, M past several steps of
+    the bucketed terms, and M at the edges of the first two turns."""
     sizes = [(N, M) for N in (2, 4, 6, 126, 128, 130, 132, 254, 256, 258, 4732, 8000)
              for M in ((7, 3 * N + 5) if N < 1000 else (3 * N + 5,))]
     sizes += [(N, 3 * 2 ** 16 + 5) for N in (130, 4732)]
+    # M at the edges of the first and second turn of N/2 (half-point) and N
+    # (central) terms, so that the last turn is partial or whole
+    sizes += [(N, M) for N in (2, 6, 130)
+              for M in sorted({N // 2 - 1, N // 2, N // 2 + 1, N - 1, N, N + 1} - {0})]
     return [(family, N, M) for family in _SERIES_FAMILIES for N, M in sizes]
 
 
@@ -413,23 +417,25 @@ print(json.dumps(getattr(module, sys.argv[2])()))
 """
 
 
-def _mismatches_in_child(helper, blas_threads):
-    """Run a helper of this module in a fresh interpreter whose BLAS runs on
-    blas_threads threads, and return what it returns."""
+def _in_child(code, *args, **env):
+    """Run code with args in a fresh interpreter that imports this package,
+    with env added to its environment, and return the JSON it prints."""
     src = os.path.dirname(os.path.dirname(stencil_spectra.__file__))
-    env = {
-        **os.environ,
-        "OPENBLAS_NUM_THREADS": blas_threads,
-        "OMP_NUM_THREADS": blas_threads,
-        "MKL_NUM_THREADS": blas_threads,
-        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-    }
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     child = subprocess.run(
-        [sys.executable, "-c", _FOLD_CHILD, __file__, helper],
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout)
+
+
+def _mismatches_in_child(helper, blas_threads):
+    """Run a helper of this module in a fresh interpreter whose BLAS runs on
+    blas_threads threads, and return what it returns."""
+    return _in_child(_FOLD_CHILD, __file__, helper, OPENBLAS_NUM_THREADS=blas_threads,
+                     OMP_NUM_THREADS=blas_threads, MKL_NUM_THREADS=blas_threads)
 
 
 def _scalar_series_bits():
@@ -497,6 +503,32 @@ def test_fold_error_in_either_thread_reaches_the_caller(monkeypatch, bad_block):
     with pytest.raises(FloatingPointError, match=f"block {bad_block}"):
         truncated_limit_spectrum_dft_grid(CurveFamily.FIRST_DERIV_LIMIT, N, 1.0, 100)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("turn_terms", [1, 7, 1 << 20])
+def test_buckets_do_not_depend_on_the_step(monkeypatch, turn_terms):
+    # one turn per step, a few turns, and every term in one step
+    def folds():
+        return [truncated_limit_spectrum_dft_grid(family, N, 0.7, M)[0].tobytes()
+                for family in _SERIES_FAMILIES
+                for N, M in ((2, 41), (6, 40), (130, 1000), (130, 3 * 2 ** 16 + 5))]
+
+    default = folds()
+    monkeypatch.setattr(spectra, "_TURN_TERMS", turn_terms)
+    assert folds() == default
+
+
+_IMPORT_CHILD = """
+import json, sys
+import stencil_spectra.cli
+print(json.dumps([name in sys.modules for name in ("mmap", "concurrent.futures")]))
+"""
+
+
+def test_importing_the_cli_loads_neither_mmap_nor_the_thread_pool():
+    # the fold imports both when it runs: every command start-up would pay
+    # for them otherwise
+    assert _in_child(_IMPORT_CHILD) == [False, False]
 
 
 def test_dft_grid_fold_peak_is_two_in_place_tables(monkeypatch):

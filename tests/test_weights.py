@@ -178,9 +178,9 @@ def test_central_closed_forms_match_oracle(n, kind):
 
 
 # Term j of each infinite-family weight sequence, written here from the
-# paper's closed forms apart from the library's _limit_term: (offset, the
-# exact rational weight, or its rational part when the weight is that over pi,
-# and whether it is over pi).
+# paper's closed forms apart from the library's limit_coefficients: (offset,
+# the exact rational weight, or its rational part when the weight is that
+# over pi, and whether it is over pi).
 _LIMIT_TERMS = {
     # 2 (-1)**(m+1) / m at offset m = j + 1
     StencilKind.CENTRAL_FIRST: lambda j: (j + 1, F(2 * (-1) ** (j + 2), j + 1), False),
@@ -192,28 +192,38 @@ _LIMIT_TERMS = {
 
 
 def _library_term(kind, j):
-    """The library's exact term j, in the form of _LIMIT_TERMS."""
-    offset, numerator, denominator, pi_power = weights._limit_term(kind, j)
-    return offset, F(numerator, denominator), pi_power == -1
+    """The library's term j alone: (offset, coefficient)."""
+    offsets, values = limit_coefficients(kind, j + 1, j)
+    return offsets.item(), values.item()
+
+
+def _rounded(term):
+    """A _LIMIT_TERMS entry as the library's term: (offset, the weight
+    rounded once, then over pi)."""
+    offset, q, over_pi = term
+    return offset, float(q) / math.pi if over_pi else float(q)
 
 
 def test_central_first_limit_values():
     table = [_LIMIT_TERMS[StencilKind.CENTRAL_FIRST](j) for j in (0, 1, 2, 4)]
     assert table == [(1, F(2), False), (2, F(-1), False), (3, F(2, 3), False),
                      (5, F(2, 5), False)]
-    assert [_library_term(StencilKind.CENTRAL_FIRST, j) for j in (0, 1, 2, 4)] == table
+    assert [_library_term(StencilKind.CENTRAL_FIRST, j) for j in (0, 1, 2, 4)] == [
+        _rounded(t) for t in table]
 
 
 def test_central_second_limit_values():
     table = [_LIMIT_TERMS[StencilKind.CENTRAL_SECOND](j) for j in (0, 1, 3)]
     assert table == [(1, F(2), False), (2, F(-1, 2), False), (4, F(-1, 8), False)]
-    assert [_library_term(StencilKind.CENTRAL_SECOND, j) for j in (0, 1, 3)] == table
+    assert [_library_term(StencilKind.CENTRAL_SECOND, j) for j in (0, 1, 3)] == [
+        _rounded(t) for t in table]
 
 
 def test_half_point_limit_values():
     table = [_LIMIT_TERMS[StencilKind.HALF_POINT_FIRST](j) for j in (0, 1, 2)]
     assert table == [(1, F(4), True), (3, F(-4, 9), True), (5, F(4, 25), True)]
-    assert [_library_term(StencilKind.HALF_POINT_FIRST, j) for j in (0, 1, 2)] == table
+    assert [_library_term(StencilKind.HALF_POINT_FIRST, j) for j in (0, 1, 2)] == [
+        _rounded(t) for t in table]
     offsets, values = limit_coefficients(StencilKind.HALF_POINT_FIRST, 1)
     assert offsets.tolist() == [1]
     assert values[0] == pytest.approx(4 / math.pi, rel=1e-15)
@@ -225,8 +235,8 @@ def test_limit_invalid_arguments():
         assert limit_coefficients(kind, 1)[0].tolist() == [1]
     with pytest.raises(ValueError):
         limit_coefficients(StencilKind.ONE_SIDED_FIRST, 3)
-    with pytest.raises(ValueError):
-        weights._limit_term(StencilKind.ONE_SIDED_NTH, 0)
+    with pytest.raises(ValueError):  # even for no terms
+        limit_coefficients(StencilKind.ONE_SIDED_NTH, 0)
 
 
 def _exact_values(kind, start, stop):
@@ -249,8 +259,9 @@ def test_limit_coefficients_match_exact_limits(kind, start, count, scale):
     if kind is StencilKind.HALF_POINT_FIRST:
         expected = [v / math.pi for v in expected]
     assert values.tolist() == expected
-    assert [_library_term(kind, j) for j in range(start, start + count)] == [
-        _LIMIT_TERMS[kind](j) for j in range(start, start + count)]
+    # a term made alone, at scale 1, is its weight rounded once
+    assert [_library_term(kind, j) for j in range(start, start + min(count, 3))] == [
+        _rounded(_LIMIT_TERMS[kind](j)) for j in range(start, start + min(count, 3))]
 
 
 @pytest.mark.parametrize("kind", list(_LIMIT_TERMS))
