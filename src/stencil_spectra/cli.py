@@ -141,12 +141,17 @@ def _default_ref(kind: StencilKind, part: str) -> CurveFamily:
 
 
 def _limit_sequence(kind: StencilKind, N: int, M: int | None) -> dict[int, float]:
-    half_point = kind is StencilKind.HALF_POINT_FIRST
-    taps = M if M is not None else (N // 4 if half_point else N // 2 - 1)
-    if not taps:
+    """The first M taps of a limit sequence, or every tap that fits in a
+    length-N embedding (offsets below N/2); an M above those is an error
+    before any of its taps is made."""
+    offsets, coefficients = weights.limit_coefficients(kind, N // 2)
+    fitting = int(np.count_nonzero(offsets < N // 2))
+    if not fitting:
         raise ValueError(f"--limit {kind.value} fits no taps at N = {N}: it needs N >= 4")
-    offsets, coefficients = weights.limit_coefficients(kind, taps)
-    return dict(zip(offsets.tolist(), coefficients.tolist()))
+    if M is not None and M > fitting:
+        raise ValueError(f"--limit {kind.value} fits {fitting} taps at N = {N}, not --M {M}")
+    taps = fitting if M is None else M
+    return dict(zip(offsets[:taps].tolist(), coefficients[:taps].tolist()))
 
 
 def _spectrum_columns(spectrum: FilterSpectrum, ref, part: str, h: float) -> list:

@@ -52,30 +52,20 @@ class ExactnessReport:
 
 
 def _bareiss_eliminate(rows):
-    """Fraction-free forward elimination in place; returns the sign of the
-    row permutation. Integer entries stay integer (divisions are exact)."""
-    size = len(rows)
-    sign = 1
+    """Fraction-free forward elimination in place, without row swaps: every
+    caller eliminates a power matrix over distinct nodes, whose leading
+    minors, the pivots, are nonzero Vandermonde determinants. Integer
+    entries stay integer (divisions are exact)."""
     prev = 1
-    for col in range(size - 1):
-        if rows[col][col] == 0:
-            swap = next(
-                (r for r in range(col + 1, size) if rows[r][col] != 0), None
-            )
-            if swap is None:
-                raise SingularSystemError("zero pivot column")
-            rows[col], rows[swap] = rows[swap], rows[col]
-            sign = -sign
+    for col in range(len(rows) - 1):
         pivot_row = rows[col]
         pivot, tail = pivot_row[col], pivot_row[col + 1:]
-        for r in range(col + 1, size):
-            row = rows[r]
+        for row in rows[col + 1:]:
             lead = row[col]
             row[col + 1:] = [(a * pivot - lead * b) // prev
                              for a, b in zip(row[col + 1:], tail)]
             row[col] = 0
         prev = pivot
-    return sign
 
 
 def _moment_solution(offsets, target_order: int) -> tuple[list[int], list[int]]:
@@ -125,8 +115,8 @@ def _leading_minors(max_n: int) -> list[int]:
 
     Bareiss's pivot rows[n][n] is the leading (n+1) x (n+1) minor (Bareiss,
     Math. Comp. 22, 1968), and that block is the power matrix over nodes
-    0..n. Each leading minor is thus a nonzero Vandermonde determinant, so
-    no row is swapped and no sign is lost.
+    0..n. Each leading minor is thus a nonzero Vandermonde determinant,
+    which is why `_bareiss_eliminate` needs no row swap.
     """
     rows = [[m ** k for m in range(max_n + 1)] for k in range(max_n + 1)]
     _bareiss_eliminate(rows)

@@ -11,9 +11,10 @@ plotting convention of conjugated spectra: accessors expose Re[b*(r)] and
 Im[b*(r)].
 
 The infinite-family series on the DFT grid (figure 1a/1b) add their terms
-into N residue buckets a turn of offsets at a time, and fold the buckets
-with the trigonometric table in blocks of bins, which the calling thread
-and a thread pool share (see truncated_limit_spectrum_dft_grid and _fold).
+into N residue buckets with one np.bincount per chunk of terms, and fold
+the buckets with the trigonometric table in blocks of bins, which the
+calling thread and a thread pool share (see
+truncated_limit_spectrum_dft_grid and _fold).
 """
 
 from __future__ import annotations
@@ -47,10 +48,9 @@ _FOLD_BLOCK = 64
 # the memory bound above. A bin's bits do not depend on which thread folds
 # its block.
 _FOLD_WORKERS = 2
-_TERM_CHUNK = 1 << 16
-# Least terms per step of the residue buckets, in whole turns (no bit depends
-# on it): a step's arrays stay in cache, and a short turn is not a step.
-_TURN_TERMS = 1 << 14
+# Series terms made per step of either series loop: a step's arrays stay in
+# cache. No bucket of the DFT grid depends on it.
+_TERM_CHUNK = 1 << 14
 
 
 class EmbeddingOverflowError(ValueError):
@@ -397,32 +397,24 @@ def truncated_limit_spectrum_dft_grid(
 
     On this grid the trigonometric factors are N-periodic in the summation
     index, so the M terms fold into N residue buckets: cost O(M + N^2)
-    instead of O(M N), and no large sine arguments are ever formed. In a
-    turn, N terms (offsets step 1) or N/2 (half-point, step 2), each
-    reachable residue occurs once, at the same place in every turn: the
-    terms are made in whole turns, a row each, and np.add.accumulate adds
-    the rows down each column, so a bucket adds its terms in term order
-    from +0.0. The buckets meet the trigonometric table in blocks of
-    _FOLD_BLOCK bins (the last up to twice that), which two threads fold
-    in two in-place tables, so memory is O(N + 2*64*N), whatever M.
+    instead of O(M N), and no large sine arguments are ever formed. The
+    terms are made _TERM_CHUNK at a time, and one np.bincount per chunk
+    adds them to the buckets so far: it adds each bin's weights in index
+    order, so a bucket is the sum of its terms in term order from +0.0. The
+    buckets meet the trigonometric table in blocks of _FOLD_BLOCK bins (the
+    last up to twice that), which two threads fold in two in-place tables,
+    so memory is O(N + 2*64*N), whatever M.
     """
     _check_series(family, h, M)
     _check_dft_length(N)
 
     _, trig, phase = _OMEGA_FAMILIES[family]
-    turn = N // 2 if family is CurveFamily.HALF_POINT_LIMIT else N
-    span = -(-_TURN_TERMS // turn) * turn
-    sums = np.zeros(turn)  # bucket sums by position in the turn
-    for lo in range(0, M, span):
-        offsets, coef = _series_terms(family, h, min(lo + span, M), lo)
-        if lo == 0:
-            residues = offsets[:turn] % N
-        # the sums so far, a row per turn, and +0.0 (a sum from +0.0 is
-        # never -0.0, so adding +0.0 changes no bit) to fill the last turn
-        rows = np.concatenate((sums, coef, np.zeros(-len(coef) % turn)))
-        sums = np.add.accumulate(rows.reshape(-1, turn))[-1]
+    bins = np.arange(N)
     buckets = np.zeros(N)
-    buckets[residues] = sums[:len(residues)]
+    for lo in range(0, M, _TERM_CHUNK):
+        offsets, coef = _series_terms(family, h, min(lo + _TERM_CHUNK, M), lo)
+        buckets = np.bincount(np.concatenate((bins, offsets % N)),
+                              np.concatenate((buckets, coef)), N)
     thetas = 2.0 * math.pi * np.arange(N // 2 + 1) / N
     return phase * _fold(buckets, trig, thetas), _series_bounds(family, thetas, h, M)
 

@@ -8,16 +8,15 @@ Runs from any directory, in one process, with one BLAS thread (the digests
 were recorded that way, and gemv's rounding depends on the thread count).
 It first writes the stencil files that the `diff --stencil-file` argvs read,
 with the program's own `stencil --format json`, at the paths
-perfbench/workloads.py names. golden.json is only read. Exits 1 naming each
-mismatch, or prints one summary line. The digests hold for the numpy
-version golden.json records; the summary and the failure report name both.
+perfbench/workloads.py names. Each argv runs through `execute` and
+`digest` of perfbench/child.py, the functions perfbench/record.py recorded
+the digests with; perfbench/ is only read. Exits 1 naming each mismatch, or
+prints one summary line. The digests hold for the numpy version golden.json
+records; the summary and the failure report name both.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
 import json
 import os
 import sys
@@ -30,22 +29,14 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy  # noqa: E402
 import workloads  # noqa: E402
+from child import digest, execute  # noqa: E402
 from stencil_spectra import cli  # noqa: E402
 
 
 def replay(argv: list[str]) -> tuple[int | str, str]:
     """Exit code (or the exception `cli.run` raised) and stdout of one run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.run(argv)
-        except Exception as exc:
-            code = f"raised {type(exc).__name__}: {exc}"
-    return code, out.getvalue()
-
-
-def digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    _, code, text, error = execute(cli, argv)
+    return (f"raised {error}" if code is None else code), text
 
 
 def main() -> int:

@@ -125,6 +125,26 @@ def test_spectrum_limit_without_taps_is_one_line_error(capsys, family):
     assert run_capture(capsys, ["spectrum", "--limit", family, "--N", "4"])[0] == 0
 
 
+@pytest.mark.parametrize("family, fitting", [("central-first", 3), ("central-second", 3),
+                                             ("half-point-first", 2)])
+def test_spectrum_limit_oversized_M_is_rejected_before_its_taps(capsys, family, fitting):
+    # each of 10**6 taps made before the embedding refused the first one
+    # that does not fit took about 180 B: a 162 MB traced peak
+    argv = ["spectrum", "--limit", family, "--N", "8", "--M", str(10 ** 6)]
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: --limit {family} fits {fitting} taps at N = 8, not --M 1000000\n"
+    assert peak < 10 ** 6
+    assert run_capture(capsys, [*argv[:-1], str(fitting)])[0] == 0
+    assert run_capture(capsys, [*argv[:-1], str(fitting + 1)])[0] == 1
+
+
 def test_spectrum_kind_requires_n(capsys):
     code, _, err = run_capture(capsys, ["spectrum", "--kind", "central-first"])
     assert code == 2

@@ -505,16 +505,21 @@ def test_fold_error_in_either_thread_reaches_the_caller(monkeypatch, bad_block):
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("turn_terms", [1, 7, 1 << 20])
-def test_buckets_do_not_depend_on_the_step(monkeypatch, turn_terms):
-    # one turn per step, a few turns, and every term in one step
+@pytest.mark.parametrize("chunk", [1, 7, 129, 1 << 20])
+def test_buckets_do_not_depend_on_the_step(monkeypatch, chunk):
+    # one term per chunk (on the short series only: it takes seconds on the
+    # long one), a few terms, more than N = 130 terms, and every term in one
+    # chunk
+    cases = [(family, N, M) for family in _SERIES_FAMILIES
+             for N, M in ((2, 41), (6, 40), (130, 1000), (130, 3 * 2 ** 16 + 5))
+             if chunk > 1 or M <= 1000]
+
     def folds():
         return [truncated_limit_spectrum_dft_grid(family, N, 0.7, M)[0].tobytes()
-                for family in _SERIES_FAMILIES
-                for N, M in ((2, 41), (6, 40), (130, 1000), (130, 3 * 2 ** 16 + 5))]
+                for family, N, M in cases]
 
     default = folds()
-    monkeypatch.setattr(spectra, "_TURN_TERMS", turn_terms)
+    monkeypatch.setattr(spectra, "_TERM_CHUNK", chunk)
     assert folds() == default
 
 
