@@ -1,6 +1,18 @@
-"""Finite-difference weight sequences, their spectra, and differentiation."""
+"""Finite-difference weight sequences, their spectra, and differentiation.
+
+The exact layer (`weights`, `oracle`) is bound at import and needs no
+numpy. The numeric layer's modules (`spectra`, `signals`) and their names
+resolve on first access through the module `__getattr__` (PEP 562), which
+imports the module, so `import stencil_spectra` and
+`import stencil_spectra.cli` load no numpy.
+"""
+
+from importlib import import_module as _import_module
 
 from .weights import (
+    BoundaryError,
+    CurveFamily,
+    EmbeddingMode,
     Stencil,
     StencilFormatError,
     StencilKind,
@@ -27,39 +39,60 @@ from .oracle import (
     solve_moment_system,
     vandermonde_det,
 )
-from .spectra import (
-    CurveDomainError,
-    CurveFamily,
-    DeviationReport,
-    EmbeddingMode,
-    EmbeddingOverflowError,
-    FilterSpectrum,
-    ReferenceCurve,
-    deviation,
-    dft_spectrum,
-    omega_grid,
-    reference_column,
-    reference_values,
-    truncated_limit_spectrum,
-    truncated_limit_spectrum_dft_grid,
-)
-from .signals import (
-    BoundaryError,
-    ConvergenceStudy,
-    DerivativeResult,
-    ModulatedAlternating,
-    Polynomial,
-    SampledSignal,
-    Sinusoid,
-    alternating_second_derivative_check,
-    apply_stencil,
-    apply_stencil_at,
-    convergence_study,
-    differentiate,
-    differentiate_half_point,
-    differentiate_half_point_signal,
-    make_signal,
-    parse_test_function,
-)
+
+# name -> the numeric-layer module that defines it; a module maps to itself
+_LAZY = {
+    "signals": "signals",
+    "spectra": "spectra",
+    **dict.fromkeys([
+        "CurveDomainError",
+        "DeviationReport",
+        "EmbeddingOverflowError",
+        "FilterSpectrum",
+        "ReferenceCurve",
+        "deviation",
+        "dft_spectrum",
+        "omega_grid",
+        "reference_column",
+        "reference_values",
+        "truncated_limit_spectrum",
+        "truncated_limit_spectrum_dft_grid",
+    ], "spectra"),
+    **dict.fromkeys([
+        "ConvergenceStudy",
+        "DerivativeResult",
+        "ModulatedAlternating",
+        "Polynomial",
+        "SampledSignal",
+        "Sinusoid",
+        "alternating_second_derivative_check",
+        "apply_stencil",
+        "apply_stencil_at",
+        "convergence_study",
+        "differentiate",
+        "differentiate_half_point",
+        "differentiate_half_point_signal",
+        "make_signal",
+        "parse_test_function",
+    ], "signals"),
+}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # an unknown name is an AttributeError, so that `from stencil_spectra
+    # import <submodule>` falls back to importing the submodule
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
+
+# every public name, the lazy ones included: `from stencil_spectra import *`
+# would otherwise see only the names bound so far
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_LAZY))

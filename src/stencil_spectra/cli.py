@@ -4,6 +4,10 @@ reports, and figure-reproduction CSV datasets.
 All output is deterministic: identical argv produces byte-identical bytes.
 CSV floats are printed with 17 significant digits, JSON floats as json's
 shortest round-trip text; rational weights are exact "p/q" strings.
+
+The module imports without numpy, so `stencil`, `verify`, `--help` and
+every usage error run on the exact layer alone; `run` loads numpy,
+`spectra` and `signals` when it dispatches `spectrum`, `diff` or `figure`.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ import sys
 from functools import partial
 from itertools import chain
 
-import numpy as np
+from . import oracle, weights
+from .weights import BoundaryError, CurveFamily, EmbeddingMode, StencilKind
 
-from . import oracle, signals, spectra, weights
-from .spectra import CurveFamily, EmbeddingMode, FilterSpectrum, ReferenceCurve
-from .weights import StencilKind
+# the numeric layer, bound by run for the subcommands that use it
+np = signals = spectra = None
+_NUMERIC_COMMANDS = {"spectrum", "diff", "figure"}
 
 _KIND_CHOICES = [k.value for k in StencilKind]
 _LIMIT_CHOICES = [
@@ -71,9 +76,9 @@ def _render_table(names, columns, fmt: str) -> str:
     """Equal-length columns as CSV or as a JSON list of records: the bytes
     of json.dumps(records, indent=2) and of one csv.writer row per record
     with floats as format(v + 0.0, ".17g"). A float column is a numpy
-    array, an int column a list or range, a string column a sequence of
-    str; each gives one % spec of the row template and the values it
-    formats (see _cells)."""
+    array (known by its dtype), an int column a list or range, a string
+    column a sequence of str; each gives one % spec of the row template and
+    the values it formats (see _cells)."""
     rows = len(columns[0])
     specs, cells = zip(*(_cells(column, fmt, len(columns) == 1) for column in columns))
     if fmt == "csv":
@@ -91,7 +96,7 @@ def _cells(column, fmt: str, alone: bool) -> tuple[str, object]:
     """The % spec of a column and the values it formats: floats as %.17g
     (CSV) or as json's float text, ints as %d, strings encoded once per
     distinct value."""
-    if isinstance(column, np.ndarray):
+    if hasattr(column, "dtype"):  # a float array; diff's policy column is a tuple
         if fmt == "csv":
             return "%.17g", (column + 0.0).tolist()  # +0.0: no -0
         return "%s", json.dumps(column.tolist())[1:-1].split(", ")  # no number contains ", "
@@ -145,7 +150,7 @@ def _limit_sequence(kind: StencilKind, N: int, M: int | None) -> dict[int, float
     length-N embedding (offsets below N/2); an M above those is an error
     before any of its taps is made."""
     offsets, coefficients = weights.limit_coefficients(kind, N // 2)
-    fitting = int(np.count_nonzero(offsets < N // 2))
+    fitting = int((offsets < N // 2).sum())
     if not fitting:
         raise ValueError(f"--limit {kind.value} fits no taps at N = {N}: it needs N >= 4")
     if M is not None and M > fitting:
@@ -154,7 +159,7 @@ def _limit_sequence(kind: StencilKind, N: int, M: int | None) -> dict[int, float
     return dict(zip(offsets[:taps].tolist(), coefficients[:taps].tolist()))
 
 
-def _spectrum_columns(spectrum: FilterSpectrum, ref, part: str, h: float) -> list:
+def _spectrum_columns(spectrum: spectra.FilterSpectrum, ref, part: str, h: float) -> list:
     """Columns r, omega, Re[b*(r)], Im[b*(r)], ref, |part - ref| for
     r = 0..N/2, where ref is the reference column in the units of the
     spectrum."""
@@ -177,7 +182,7 @@ def _cmd_spectrum(args) -> tuple[str, int]:
         source = _limit_sequence(kind, args.N, args.M)
     spectrum = spectra.dft_spectrum(source, args.N, EmbeddingMode(args.embedding))
     ref_family = CurveFamily(args.ref) if args.ref else _default_ref(kind, args.part)
-    curve = ReferenceCurve(family=ref_family, h=args.h)
+    curve = spectra.ReferenceCurve(family=ref_family, h=args.h)
     # frequency curves carry the transform's measure h
     ref = spectra.reference_column(curve, args.part, args.N, measure=args.h)
     columns = _spectrum_columns(spectrum, ref, args.part, args.h)
@@ -214,17 +219,17 @@ def _cmd_diff(args) -> tuple[str, int]:
 
 
 def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[str, int]:
-    curve = ReferenceCurve(family=family, h=args.h)
+    curve = spectra.ReferenceCurve(family=family, h=args.h)
     ref = spectra.reference_column(curve, part, args.N)
     values, _bounds = spectra.truncated_limit_spectrum_dft_grid(
         family, args.N, args.h, args.M
     )
-    columns = _spectrum_columns(FilterSpectrum(values), ref, part, args.h)
+    columns = _spectrum_columns(spectra.FilterSpectrum(values), ref, part, args.h)
     return _render_table(_SPECTRUM_COLUMNS, columns, args.format), 0
 
 
 def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[str, int]:
-    curve = ReferenceCurve(family=_default_ref(kind, part), h=args.h)
+    curve = spectra.ReferenceCurve(family=_default_ref(kind, part), h=args.h)
     ref = spectra.reference_column(curve, part, args.N)
     blocks = [
         _spectrum_columns(spectra.dft_spectrum(weights.build(kind, n), args.N), ref, part,
@@ -381,8 +386,12 @@ _PARSER = _build_parser()
 
 
 def run(argv: list[str]) -> int:
+    global np, signals, spectra
     try:
         args = _PARSER.parse_args(argv)
+        if args.command in _NUMERIC_COMMANDS:
+            import numpy as np
+            from . import signals, spectra
         text, code = args.handler(args)
         _write(text, args.out)
     except SystemExit as exc:  # --help
@@ -391,7 +400,7 @@ def run(argv: list[str]) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     # spectra's EmbeddingOverflowError and CurveDomainError are ValueErrors
-    except (signals.BoundaryError, ValueError, OverflowError, OSError) as exc:
+    except (BoundaryError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

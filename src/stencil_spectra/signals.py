@@ -16,14 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .weights import (Stencil, StencilKind, central_first, central_second, half_point,
-                      limit_coefficients, one_sided_first)
+# BoundaryError lives in weights, which imports without numpy
+from .weights import (BoundaryError, Stencil, StencilKind, central_first, central_second,
+                      half_point, limit_coefficients, one_sided_first)
 
 SKIPPED = "skipped"
-
-
-class BoundaryError(IndexError):
-    """A stencil offset fell outside the sampled range."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .weights import Stencil, StencilKind, limit_coefficients
+# CurveFamily and EmbeddingMode live in weights, which imports without numpy
+from .weights import CurveFamily, EmbeddingMode, Stencil, StencilKind, limit_coefficients
 
 # Sign-block bounds fall back to coarse tail estimates past this length.
 _MAX_BLOCK = 4096
@@ -64,35 +64,6 @@ class CurveDomainError(ValueError):
 def _check_dft_length(N) -> None:
     if N < 2 or N % 2:
         raise ValueError("N must be even and >= 2")
-
-
-class EmbeddingMode(Enum):
-    """How a one-sided weight list a_m (m >= 0) is placed into N DFT slots.
-
-    HALF_SEQUENCE puts a_m at index m and nothing else (the convention used
-    for the finite-spectrum figures). FULL_ANTISYMMETRIC additionally puts
-    -a_m at index N-m for m >= 1, FULL_SYMMETRIC puts +a_m there; these give
-    the complete filter response of the central families.
-    """
-
-    HALF_SEQUENCE = "half-sequence"
-    FULL_ANTISYMMETRIC = "full-antisymmetric"
-    FULL_SYMMETRIC = "full-symmetric"
-
-
-class CurveFamily(Enum):
-    """Analytic reference curves.
-
-    The first three live on the frequency axis omega (units of the sampled
-    signal); the last three live on the integer DFT index r.
-    """
-
-    FIRST_DERIV_LIMIT = "first-deriv-limit"    # -2i omega h^2,  0 <= omega < pi/h
-    SECOND_DERIV_LIMIT = "second-deriv-limit"  # -omega^2 h^3 + pi^2 h / 3
-    HALF_POINT_LIMIT = "half-point-limit"      # -2ih * folded(omega h)
-    HALF_POINT_FOLD = "half-point-fold"        # 2 pi r/N folded at N/4
-    LINEAR_RAMP = "linear-ramp"                # 2 pi r / N
-    ZERO = "zero"
 
 
 # The frequency curves are the limits of the infinite-family series; each

@@ -4,6 +4,12 @@ All generators return weights as `fractions.Fraction` (always reduced,
 positive denominator), so every stated identity can be checked bit-exactly.
 Floating point enters only when a consumer converts a weight for evaluation
 (`limit_coefficients` is that conversion for the infinite-family limits).
+
+The module imports without numpy: only `limit_coefficients` needs it and
+imports it when called. It also holds the names that the CLI parses with
+and catches (`CurveFamily`, `EmbeddingMode`, `BoundaryError`), so that
+`stencil` and `verify` start without numpy; `spectra` and `signals`
+re-export them.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-
-import numpy as np
 
 
 # the weight of an absent offset, shared: Fractions are immutable
@@ -32,6 +36,39 @@ class StencilKind(Enum):
     HALF_POINT_FIRST = "half-point-first"
     ONE_SIDED_FIRST = "one-sided-first"
     ONE_SIDED_NTH = "one-sided-nth"
+
+
+class CurveFamily(Enum):
+    """Analytic reference curves.
+
+    The first three live on the frequency axis omega (units of the sampled
+    signal); the last three live on the integer DFT index r.
+    """
+
+    FIRST_DERIV_LIMIT = "first-deriv-limit"    # -2i omega h^2,  0 <= omega < pi/h
+    SECOND_DERIV_LIMIT = "second-deriv-limit"  # -omega^2 h^3 + pi^2 h / 3
+    HALF_POINT_LIMIT = "half-point-limit"      # -2ih * folded(omega h)
+    HALF_POINT_FOLD = "half-point-fold"        # 2 pi r/N folded at N/4
+    LINEAR_RAMP = "linear-ramp"                # 2 pi r / N
+    ZERO = "zero"
+
+
+class EmbeddingMode(Enum):
+    """How a one-sided weight list a_m (m >= 0) is placed into N DFT slots.
+
+    HALF_SEQUENCE puts a_m at index m and nothing else (the convention used
+    for the finite-spectrum figures). FULL_ANTISYMMETRIC additionally puts
+    -a_m at index N-m for m >= 1, FULL_SYMMETRIC puts +a_m there; these give
+    the complete filter response of the central families.
+    """
+
+    HALF_SEQUENCE = "half-sequence"
+    FULL_ANTISYMMETRIC = "full-antisymmetric"
+    FULL_SYMMETRIC = "full-symmetric"
+
+
+class BoundaryError(IndexError):
+    """A stencil offset fell outside the sampled range."""
 
 
 @dataclass(frozen=True)
@@ -230,6 +267,8 @@ def limit_coefficients(kind: StencilKind, stop: int, start: int = 0, scale: floa
     j; the offsets and denominators are floats, exact below 2**53, where
     int64 squares would wrap.
     """
+    import numpy as np  # here, so that the exact layer imports without it
+
     j = np.arange(start, stop)
     sign = 1 - 2 * (j & 1)
     j = j.astype(float)

@@ -525,15 +525,19 @@ def test_buckets_do_not_depend_on_the_step(monkeypatch, chunk):
 
 _IMPORT_CHILD = """
 import json, sys
+import stencil_spectra
+loaded = ["numpy" in sys.modules]
 import stencil_spectra.cli
-print(json.dumps([name in sys.modules for name in ("mmap", "concurrent.futures")]))
+print(json.dumps(loaded + [name in sys.modules
+                           for name in ("numpy", "mmap", "concurrent.futures")]))
 """
 
 
 def test_importing_the_cli_loads_neither_mmap_nor_the_thread_pool():
-    # the fold imports both when it runs: every command start-up would pay
-    # for them otherwise
-    assert _in_child(_IMPORT_CHILD) == [False, False]
+    # the fold imports both when it runs, and run imports numpy for the
+    # numeric subcommands only: every command start-up would pay for them
+    # otherwise. Neither the package nor the CLI loads numpy
+    assert _in_child(_IMPORT_CHILD) == [False, False, False, False]
 
 
 def test_dft_grid_fold_peak_is_two_in_place_tables(monkeypatch):
