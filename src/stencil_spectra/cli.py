@@ -2,12 +2,18 @@
 reports, and figure-reproduction CSV datasets.
 
 All output is deterministic: identical argv produces byte-identical bytes.
-CSV floats are printed with 17 significant digits, JSON floats as json's
-shortest round-trip text; rational weights are exact "p/q" strings.
+CSV floats are printed as format(v + 0.0, ".17g"), JSON floats as json's
+shortest round-trip text; rational weights are exact "p/q" strings. The
+CSV tables of `spectrum`, `diff` and `figure` are rendered by csvblocks in
+numpy, in blocks of rows: a float in 1e-29 <= |v| < 1e16 gets its 17
+digits from an error-free scaling by a power of ten, and zero, nan, ±inf,
+other magnitudes and roundings too close to a tie to decide that way take
+Python's format.
 
 The module imports without numpy, so `stencil`, `verify`, `--help` and
 every usage error run on the exact layer alone; `run` loads numpy,
-`spectra` and `signals` when it dispatches `spectrum`, `diff` or `figure`.
+`spectra`, `signals` and `csvblocks` when it dispatches `spectrum`, `diff`
+or `figure`.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from itertools import chain
 from . import oracle, weights
 from .weights import BoundaryError, CurveFamily, EmbeddingMode, StencilKind
 
-# the numeric layer, bound by run for the subcommands that use it
-np = signals = spectra = None
+# the numeric layer, bound by _load_numeric for the subcommands that use it
+np = csvblocks = signals = spectra = None
 _NUMERIC_COMMANDS = {"spectrum", "diff", "figure"}
 
 _KIND_CHOICES = [k.value for k in StencilKind]
@@ -77,12 +83,23 @@ def _render_table(names, columns, fmt: str) -> str:
     of json.dumps(records, indent=2) and of one csv.writer row per record
     with floats as format(v + 0.0, ".17g"). A float column is a numpy
     array (known by its dtype), an int column a list or range, a string
-    column a sequence of str; each gives one % spec of the row template and
-    the values it formats (see _cells)."""
+    column a sequence of str.
+
+    A CSV table with a float column is rendered by csvblocks in blocks of
+    rows, each one numpy byte matrix: floats in 1e-29 <= |v| < 1e16 get
+    their 17 digits from an error-free scaling by a power of ten, and
+    zero, nan, ±inf, other magnitudes and the rare rounding too close to a
+    tie to decide that way fall back to Python's format. Every other table
+    fills one % row template per row, each column giving one % spec and the
+    values it formats (see _cells)."""
+    if fmt == "csv":
+        header = ",".join(_csv_field(name, len(names) == 1) for name in names) + "\n"
+        if any(hasattr(column, "dtype") for column in columns):
+            encode = partial(_csv_field, alone=len(columns) == 1)
+            return header + csvblocks.render_rows(columns, encode)
     rows = len(columns[0])
     specs, cells = zip(*(_cells(column, fmt, len(columns) == 1) for column in columns))
     if fmt == "csv":
-        header = ",".join(_csv_field(name, len(names) == 1) for name in names) + "\n"
         row = ",".join(specs) + "\n"
         return header + row * rows % tuple(chain.from_iterable(zip(*cells)))
     if not rows:
@@ -93,12 +110,10 @@ def _render_table(names, columns, fmt: str) -> str:
 
 
 def _cells(column, fmt: str, alone: bool) -> tuple[str, object]:
-    """The % spec of a column and the values it formats: floats as %.17g
-    (CSV) or as json's float text, ints as %d, strings encoded once per
-    distinct value."""
+    """The % spec of a column and the values it formats: floats (JSON only)
+    as json's float text, ints as %d, strings encoded once per distinct
+    value."""
     if hasattr(column, "dtype"):  # a float array; diff's policy column is a tuple
-        if fmt == "csv":
-            return "%.17g", (column + 0.0).tolist()  # +0.0: no -0
         return "%s", json.dumps(column.tolist())[1:-1].split(", ")  # no number contains ", "
     if not (column and isinstance(column[0], str)):
         return "%d", column
@@ -385,13 +400,18 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _load_numeric() -> None:
+    """Bind numpy, spectra, signals and the CSV block renderer."""
+    global np, csvblocks, signals, spectra
+    import numpy as np
+    from . import csvblocks, signals, spectra
+
+
 def run(argv: list[str]) -> int:
-    global np, signals, spectra
     try:
         args = _PARSER.parse_args(argv)
         if args.command in _NUMERIC_COMMANDS:
-            import numpy as np
-            from . import signals, spectra
+            _load_numeric()
         text, code = args.handler(args)
         _write(text, args.out)
     except SystemExit as exc:  # --help
@@ -402,6 +422,10 @@ def run(argv: list[str]) -> int:
     # spectra's EmbeddingOverflowError and CurveDomainError are ValueErrors
     except (BoundaryError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy refuses an array too large at once
+        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 1
     return code
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stencil_spectra import weights
+from stencil_spectra import cli, csvblocks, weights
 from stencil_spectra.cli import _render_table, run
 from stencil_spectra.signals import SampledSignal, Sinusoid, apply_stencil, make_signal
 from stencil_spectra.weights import StencilKind
@@ -718,15 +718,18 @@ def _per_row_render(names, columns, fmt):
     return buf.getvalue()
 
 
-_CELL_TEXT = st.text(st.one_of(st.sampled_from(list(',"\r\n %xé€')), st.characters()),
+_CELL_TEXT = st.text(st.one_of(st.sampled_from(list(',"\r\n %xé€\x00')), st.characters()),
                      max_size=4)
+# ints either side of the uint32 digit loop's bound 2^31, and any
+_INTS = st.one_of(st.integers(), st.integers(-2 ** 31 - 2, -2 ** 31 + 2),
+                  st.integers(2 ** 31 - 2, 2 ** 31 + 2))
 
 
 @st.composite
 def _tables(draw):
     names = draw(st.lists(st.sampled_from(["index", "x", "a,b", 'q"', "%s", "ü", ""]),
                           min_size=1, max_size=4, unique=True))
-    rows = draw(st.integers(0, 6))
+    rows = draw(st.integers(0, 9))
     columns = []
     for _ in names:
         kind = draw(st.sampled_from(["float", "int", "range", "text"]))
@@ -734,7 +737,7 @@ def _tables(draw):
             columns.append(np.array(draw(st.lists(st.floats(), min_size=rows, max_size=rows)),
                                     dtype=float))
         elif kind == "int":
-            columns.append(draw(st.lists(st.integers(), min_size=rows, max_size=rows)))
+            columns.append(draw(st.lists(_INTS, min_size=rows, max_size=rows)))
         elif kind == "range":
             start = draw(st.integers(-3, 3))
             columns.append(range(start, start + rows))
@@ -743,16 +746,37 @@ def _tables(draw):
     return names, columns
 
 
-@settings(max_examples=300, deadline=None)
-@given(table=_tables(), fmt=st.sampled_from(["csv", "json"]))
-@example(table=(["policy"], [("", "", "")]), fmt="csv")
+# block sizes that split a table of up to 9 rows, and the default one
+@settings(max_examples=500, deadline=None)
+@given(table=_tables(), fmt=st.sampled_from(["csv", "json"]),
+       block=st.sampled_from([1, 2, 3, 4, csvblocks.BLOCK_ROWS]))
+@example(table=(["policy"], [("", "", "")]), fmt="csv", block=4096)
 @example(table=(["x", "v"], [np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324]),
-                             [0, -1, 2 ** 64, -2 ** 70, 3]]), fmt="csv")
+                             [0, -1, 2 ** 64, -2 ** 70, 3]]), fmt="csv", block=2)
 @example(table=(["x", "v"], [np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324]),
-                             [0, -1, 2 ** 64, -2 ** 70, 3]]), fmt="json")
-def test_render_table_matches_per_row_rendering(table, fmt):
+                             [0, -1, 2 ** 64, -2 ** 70, 3]]), fmt="json", block=4096)
+@example(table=(["x", "t", "i"], [np.array([1.5, -2.0, 3e-30]), ("\x00", "a\x00b", ""),
+                                  [2 ** 31 - 1, -2 ** 31 + 1, 2 ** 31]]), fmt="csv", block=2)
+def test_render_table_matches_per_row_rendering(table, fmt, block):
     names, columns = table
-    assert _render_table(names, columns, fmt) == _per_row_render(names, columns, fmt)
+    cli._load_numeric()  # as run does before a numeric command
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csvblocks, "BLOCK_ROWS", block)
+        assert _render_table(names, columns, fmt) == _per_row_render(names, columns, fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff", "--fn", "sin:omega=1", "--points", "10000000000000"],
+    ["figure", "2b", "--points", "10000000000000"],
+    ["spectrum", "--kind", "central-first", "--n", "2", "--N", "10000000000000"],
+], ids=["diff", "figure-2b", "spectrum"])
+def test_oversized_allocation_is_one_line_error(capsys, argv):
+    # numpy refuses each of these arrays (73 to 146 TiB) at once, so the
+    # test allocates nothing
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of memory (Unable to allocate ")
+    assert err.count("\n") == 1
 
 
 # --- CLI fuzz -------------------------------------------------------------------------

@@ -1,0 +1,100 @@
+"""The CSV float slot: format(v + 0.0, ".17g") byte for byte, on random bit
+patterns and on the values where its scaling, rounding or layout turns."""
+
+import os
+import struct
+import sys
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from stencil_spectra import csvblocks
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from check_g17 import edge_values, mismatch, near_ties, ties  # noqa: E402
+
+
+def _texts(values):
+    slots, lengths = csvblocks.float_slots(np.asarray(values, dtype=float))
+    return [bytes(slot[:length]).decode() for slot, length in zip(slots, lengths)]
+
+
+def _python(values):
+    return [format(v + 0.0, ".17g") for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _rounded(values):
+    return csvblocks._rounded(values, np.floor(np.log10(values)).astype(np.intp))
+
+
+def _exponent(v):
+    """floor(log10 |v|) of a float in the fast range, exactly."""
+    return len(str(int(abs(Fraction(v)) * 10 ** 30))) - 31
+
+
+def _fraction(v):
+    """The fraction of |v| · 10^(16 - E), exactly."""
+    return abs(Fraction(v)) * Fraction(10) ** (16 - _exponent(v)) % 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_random_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert _texts(values) == _python(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-29, 1e16, exclude_max=True) | st.floats(-1e16, -1e-29,
+                                                                     exclude_min=True),
+                min_size=1, max_size=64))
+def test_fast_range(values):
+    assert _texts(values) == _python(values)
+
+
+def test_edge_families():
+    assert mismatch(edge_values()) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-29, 1e16, exclude_max=True), min_size=1, max_size=32),
+       st.sampled_from([-1, 1]))
+def test_exponent_that_misses_by_one_is_fixed_up(values, miss):
+    values = np.array(values)
+    exact = np.array([_exponent(v) for v in values.tolist()])
+    D, E, certain = csvblocks._rounded(values, exact)
+    for fixed, right in zip(csvblocks._rounded(values, exact + miss), (D, E, certain)):
+        assert (fixed == right).all()
+    for v, d, e, sure in zip(values.tolist(), D.tolist(), E.tolist(), certain.tolist()):
+        if sure:  # D · 10^(E - 16) is the 17-digit text
+            assert f"{v:.16e}" == f"{d // 10 ** 16}.{d % 10 ** 16:016d}e{e:+03d}"
+
+
+def test_dyadic_ties_are_exact_ties_and_fall_back():
+    values = ties()
+    assert 3 * 2.0 ** -24 in values.tolist()
+    assert Fraction(3 * 2.0 ** -24) * 10 ** 23 == Fraction(35762786865234375, 2)
+    assert all(_fraction(v) == Fraction(1, 2) for v in values.tolist())
+    assert not _rounded(values)[2].any()
+    assert _texts(values) == _python(values)
+
+
+def test_near_ties_are_certain_only_outside_the_margin():
+    values = near_ties()
+    offsets = [abs(_fraction(v) - Fraction(1, 2)) for v in values.tolist()]
+    assert all(0 < offset <= Fraction(3, 2 ** 8) for offset in offsets)
+    certain = _rounded(values)[2].tolist()
+    assert certain == [offset > Fraction(1, 2 ** 40) for offset in offsets]
+    assert any(certain) and not all(certain)
+    assert _texts(values) == _python(values)
+    assert _texts(-values) == _python(-values)
+
+
+def test_power_split_is_exact():
+    for k in range(47):
+        assert int(csvblocks._HI[k]) + int(csvblocks._LO[k]) == 10 ** k
+        assert csvblocks._HH[k] + csvblocks._HL[k] == csvblocks._HI[k]
+        for half in (csvblocks._HH[k], csvblocks._HL[k]):  # 26 significant bits at most
+            mantissa = struct.unpack("<Q", struct.pack("<d", half))[0] & (2 ** 52 - 1)
+            assert half == 0 or mantissa % 2 ** 26 == 0
