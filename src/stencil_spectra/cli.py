@@ -4,16 +4,17 @@ reports, and figure-reproduction CSV datasets.
 All output is deterministic: identical argv produces byte-identical bytes.
 CSV floats are printed as format(v + 0.0, ".17g"), JSON floats as json's
 shortest round-trip text; rational weights are exact "p/q" strings. The
-CSV tables of `spectrum`, `diff` and `figure` are rendered by csvblocks in
-numpy, in blocks of rows: a float in 1e-29 <= |v| < 1e16 gets its 17
-digits from an error-free scaling by a power of ten, and zero, nan, ±inf,
-other magnitudes and roundings too close to a tie to decide that way take
-Python's format.
+JSON tables and the CSV tables with a float column (`spectrum`, `diff`,
+`figure`) are rendered by tableblocks in numpy, in blocks of rows: a float
+in 1e-29 <= |v| < 1e16 gets its 17 digits from an error-free scaling by a
+power of ten, and JSON's shortest digits from the 17 and their fraction;
+nan, ±inf, other magnitudes and roundings or round trips too close to
+their edge to decide that way take Python's text.
 
 The module imports without numpy, so `stencil`, `verify`, `--help` and
 every usage error run on the exact layer alone; `run` loads numpy,
-`spectra`, `signals` and `csvblocks` when it dispatches `spectrum`, `diff`
-or `figure`.
+`spectra`, `signals` and `tableblocks` when it dispatches `spectrum`,
+`diff` or `figure`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import oracle, weights
 from .weights import BoundaryError, CurveFamily, EmbeddingMode, StencilKind
 
 # the numeric layer, bound by _load_numeric for the subcommands that use it
-np = csvblocks = signals = spectra = None
+np = signals = spectra = tableblocks = None
 _NUMERIC_COMMANDS = {"spectrum", "diff", "figure"}
 
 _KIND_CHOICES = [k.value for k in StencilKind]
@@ -80,45 +81,37 @@ def _n_list(text: str) -> list[int]:
 
 def _render_table(names, columns, fmt: str) -> str:
     """Equal-length columns as CSV or as a JSON list of records: the bytes
-    of json.dumps(records, indent=2) and of one csv.writer row per record
-    with floats as format(v + 0.0, ".17g"). A float column is a numpy
-    array (known by its dtype), an int column a list or range, a string
-    column a sequence of str.
+    of one csv.writer row per record with floats as format(v + 0.0, ".17g"),
+    and of json.dumps(records, indent=2). A float column is a numpy array
+    (known by its dtype), an int column a list or range, a string column a
+    sequence of str or tableblocks.Labels.
 
-    A CSV table with a float column is rendered by csvblocks in blocks of
-    rows, each one numpy byte matrix: floats in 1e-29 <= |v| < 1e16 get
-    their 17 digits from an error-free scaling by a power of ten, and
-    zero, nan, ±inf, other magnitudes and the rare rounding too close to a
-    tie to decide that way fall back to Python's format. Every other table
-    fills one % row template per row, each column giving one % spec and the
-    values it formats (see _cells)."""
-    if fmt == "csv":
-        header = ",".join(_csv_field(name, len(names) == 1) for name in names) + "\n"
-        if any(hasattr(column, "dtype") for column in columns):
-            encode = partial(_csv_field, alone=len(columns) == 1)
-            return header + csvblocks.render_rows(columns, encode)
-    rows = len(columns[0])
-    specs, cells = zip(*(_cells(column, fmt, len(columns) == 1) for column in columns))
-    if fmt == "csv":
-        row = ",".join(specs) + "\n"
-        return header + row * rows % tuple(chain.from_iterable(zip(*cells)))
-    if not rows:
-        return "[]\n"
-    keys = (json.dumps(name).replace("%", "%%") for name in names)
-    record = "  {\n" + ",\n".join(f"    {key}: {spec}" for key, spec in zip(keys, specs)) + "\n  }"
-    return "[\n" + ",\n".join(map(record.__mod__, zip(*cells))) + "\n]\n"
+    JSON tables and CSV tables with a float column are rendered by
+    tableblocks in blocks of rows, each one numpy byte matrix: floats in
+    1e-29 <= |v| < 1e16 get their digits from an error-free scaling by a
+    power of ten, the shortest digits that read back for JSON, and nan,
+    ±inf, other magnitudes and the rare rounding or round trip too close
+    to its edge to decide that way take Python's text. The other CSV
+    tables, which `stencil` prints without numpy, fill one % row template
+    per row, each column giving one % spec and the values it formats (see
+    _cells)."""
+    if fmt == "json":
+        return tableblocks.json_records(names, columns)
+    header = ",".join(_csv_field(name, len(names) == 1) for name in names) + "\n"
+    if any(hasattr(column, "dtype") for column in columns):
+        return header + tableblocks.csv_rows(columns, partial(_csv_field, alone=len(columns) == 1))
+    specs, cells = zip(*(_cells(column, len(columns) == 1) for column in columns))
+    row = ",".join(specs) + "\n"
+    return header + row * len(columns[0]) % tuple(chain.from_iterable(zip(*cells)))
 
 
-def _cells(column, fmt: str, alone: bool) -> tuple[str, object]:
-    """The % spec of a column and the values it formats: floats (JSON only)
-    as json's float text, ints as %d, strings encoded once per distinct
+def _cells(column, alone: bool) -> tuple[str, object]:
+    """The % spec of a float-free CSV column and the values it formats:
+    ints as %d, strings as csv.writer's fields, encoded once per distinct
     value."""
-    if hasattr(column, "dtype"):  # a float array; diff's policy column is a tuple
-        return "%s", json.dumps(column.tolist())[1:-1].split(", ")  # no number contains ", "
     if not (column and isinstance(column[0], str)):
         return "%d", column
-    encode = json.dumps if fmt == "json" else partial(_csv_field, alone=alone)
-    encoded = {text: encode(text) for text in set(column)}
+    encoded = {text: _csv_field(text, alone) for text in set(column)}
     return "%s", list(map(encoded.__getitem__, column))
 
 
@@ -228,8 +221,13 @@ def _cmd_diff(args) -> tuple[str, int]:
     else:
         result = signals.differentiate(signal, args.n or 1, order)
 
-    columns = [range(len(signal)), signal.x(np.arange(len(signal))), result.values,
-               result.policy]
+    # the policy column as codes into (SKIPPED, each span's label)
+    codes = np.zeros(len(signal), np.uint8)
+    for code, (_, start, stop) in enumerate(result.spans, 1):
+        codes[start:stop] = code
+    policy = tableblocks.Labels([signals.SKIPPED, *(label for label, _, _ in result.spans)],
+                                codes)
+    columns = [range(len(signal)), signal.x(np.arange(len(signal))), result.values, policy]
     return _render_table(["index", "x", "value", "policy"], columns, args.format), 0
 
 
@@ -401,10 +399,10 @@ _PARSER = _build_parser()
 
 
 def _load_numeric() -> None:
-    """Bind numpy, spectra, signals and the CSV block renderer."""
-    global np, csvblocks, signals, spectra
+    """Bind numpy, spectra, signals and the table block renderer."""
+    global np, signals, spectra, tableblocks
     import numpy as np
-    from . import csvblocks, signals, spectra
+    from . import signals, spectra, tableblocks
 
 
 def run(argv: list[str]) -> int:

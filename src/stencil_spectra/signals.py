@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -58,11 +59,21 @@ class SampledSignal:
 
 @dataclass(frozen=True)
 class DerivativeResult:
-    """Per-index derivative values; NaN where the policy says skipped."""
+    """Per-index derivative values; NaN where the policy says skipped. Each
+    span (label, start, stop) names the rule applied at indices
+    start..stop-1, and the indices no span covers are skipped."""
 
     values: np.ndarray
-    policy: tuple[str, ...]
+    spans: tuple[tuple[str, int, int], ...]
     order: int
+
+    @cached_property
+    def policy(self) -> tuple[str, ...]:
+        """The label of each index: its span's, or SKIPPED."""
+        policy = [SKIPPED] * len(self.values)
+        for label, start, stop in self.spans:
+            policy[start:stop] = [label] * (stop - start)
+        return tuple(policy)
 
 
 class _CompiledRule:
@@ -151,12 +162,11 @@ def _apply_spans(signal: SampledSignal, order: int, spans) -> DerivativeResult:
     """Each (rule, start, stop) span applied at indices start..stop-1; the
     indices no span covers are skipped (NaN)."""
     values = np.full(len(signal), math.nan)
-    policy = [SKIPPED] * len(signal)
+    spans = [(rule, start, stop) for rule, start, stop in spans if start < stop]
     for rule, start, stop in spans:
-        if start < stop:
-            values[start:stop] = rule.apply_range(signal, start, stop)
-            policy[start:stop] = [rule.label] * (stop - start)
-    return DerivativeResult(values=values, policy=tuple(policy), order=order)
+        values[start:stop] = rule.apply_range(signal, start, stop)
+    return DerivativeResult(values=values, order=order,
+                            spans=tuple((rule.label, start, stop) for rule, start, stop in spans))
 
 
 def _apply_where_it_fits(signal: SampledSignal, order: int, rule) -> DerivativeResult:

@@ -1,0 +1,465 @@
+"""CSV rows and JSON records of a table, rendered in numpy a block of rows
+at a time.
+
+Each block of at most BLOCK_ROWS rows is one uint8 matrix. A row is the
+row's fields, each a fixed-width slot with a stored length, with constant
+byte fields around them: `,` and `\\n` in CSV, and in JSON the record's
+braces, keys and separators (`,\\n  {\\n    "key": `, `,\\n    "key": `,
+`\\n  }`). A boolean mask built from the lengths (not from zero bytes, which
+a text cell may hold) keeps the text, and the kept bytes are decoded once
+per block.
+
+A CSV float slot holds exactly format(v + 0.0, ".17g"), the text of
+Python's correctly rounded dtoa:
+
+- E starts at floor(log10|v|). D = round-half-even(|v|·10^(16−E)) comes
+  from Dekker's error-free product (Numer. Math. 18, 1971) of |v| and hi,
+  where 10^k = hi + lo is a split that is exact for k ≤ 46, so the fast
+  range is 1e−29 ≤ |v| < 1e16. The rounding counts as certain when the
+  fraction f = |v|·10^k − D lies more than 2^−40 from ±½; the arithmetic
+  errs by less than 2^−44.
+- Where D falls outside [10^16, 10^17], E moves by one and D is made
+  again, so log10 and floor may miss by one. D = 10^17 is the carry 10^16
+  at E + 1, and D = 10^16 may round a value below 10^E, which D at E − 1
+  decides.
+- D's 17 digits are its lead digit and four 4-digit groups, each group
+  one lookup in a table of 10^4 four-byte texts. A layout table indexed by
+  (sign, E, digit count) places them, trailing zeros cut, in %g's fixed
+  form (−4 ≤ E < 17) or its e-XX form, with one flat take per 1,024
+  values.
+- Zero prints as 0. Every other value (nan, ±inf, a value outside the fast
+  range, a rounding that is not certain) takes Python's own format.
+
+A JSON float slot holds exactly json's text, float.__repr__(v): the
+shortest decimal that reads back as v (Steele & White, PLDI 1990), made
+from the same D and f. The 16- and 15-digit decimals next to v come
+from D + f and D's last two digits. A decimal reads back as v when it
+lies within the half-gaps about v: ulp/2 above, and ulp/2 below, or
+ulp/4 below a power of two. repr is D15, the nearest 15-digit decimal,
+if that reads back (every decimal of at most 15 digits that does is
+D15, since DBL_DIG = 15); else the nearer of the two 16-digit neighbours
+that reads back (below a power of two the lower may not while the
+upper does); else D. It is laid out in the fixed form for −4 ≤ E < 16,
+with `.0` when no fraction digit is left, and as d.ddde±XX otherwise.
+Zero prints as 0.0 or -0.0; nan, ±inf, a value outside the fast range,
+and a value within 2^−40 of a half-gap edge, or of a tie between two
+16-digit neighbours that both read back, take json's own text.
+
+An int column takes a uint32 digit loop when every |value| < 2^31, and %d
+otherwise; a string column is encoded once per distinct value, or comes
+as Labels with each row's code.
+"""
+
+from __future__ import annotations
+
+import json
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass
+
+import numpy as np
+
+# A block's temporaries take about 150 bytes per float, and they set the
+# renderer's peak memory: with 2,048-row blocks the spectra benchmark's
+# peak RSS stayed within 2 MB of the per-row template renderer's
+BLOCK_ROWS = 2048
+
+# 10^k = _HI[k] + _LO[k] exactly for k = 0..46 (5^46 < 2^107), and
+# Dekker's split of _HI into two halves of at most 26 bits
+_HI = np.array([float(10 ** k) for k in range(47)])
+_LO = np.array([float(10 ** k - int(float(10 ** k))) for k in range(47)])
+_SPLIT = 134217729.0  # 2^27 + 1
+_HH = _SPLIT * _HI - (_SPLIT * _HI - _HI)
+_HL = _HI - _HH
+# a rounding or a round trip decided closer than this to its edge is not
+# certain: the fraction errs by less than 2^-44
+_MARGIN = 2.0 ** -40
+# a float's exponent field, ulp/2 of 1.0 (2^-53) times 10^k, and the
+# last digit of 0..99
+_EXPONENT_BITS = np.uint64(0x7FF << 52)
+_HALF_ULP = _HI * 2.0 ** -53
+_LAST_DIGIT = np.arange(100.0) % 10
+
+# E of a layout runs over -30..16: a value at 1e-29 lies below 10^-29, and
+# D is made at E = 16 where log10 of a value below 1e16 rounds up to 16
+_E_MIN, _E_MAX = -30, 16
+
+# A value's source row: digits 1..16 as four 4-digit groups, digit 0, then
+# the constants of the layouts. Little-endian words hold the groups.
+_CONSTANTS = b"-.e+0123456789"
+_ROW = np.frombuffer(b"0" * 17 + _CONSTANTS + b"\0", np.uint8)
+_GROUP = np.arange(10 ** 4, dtype=np.int16)
+# _GROUP_TEXT[g]: the four digits of g, one word
+_GROUP_TEXT = np.stack([_GROUP // 10 ** (3 - place) % 10 + ord("0") for place in range(4)],
+                       axis=1).astype(np.uint8).view("<u4")[:, 0]
+# _TAIL[p, g]: the digit count through group p's last nonzero digit, or 0
+_TAIL = np.zeros((4, 10 ** 4), np.uint8)
+_TAIL[:, 1:] = 5 - sum(_GROUP[1:] % 10 ** z == 0 for z in (1, 2, 3))
+_TAIL[:, 1:] += 4 * np.arange(4, dtype=np.uint8)[:, None]
+
+# the longest text of the fast range (-1.2345678901234567e-29 and
+# -0.00012345678901234567), and the longest text of all
+# (-1.2345678901234567e-308)
+_WIDTH = 23
+_FALLBACK_WIDTH = 24
+_TAKE = 1024  # values per take of the layout
+
+
+@dataclass(frozen=True)
+class _FloatText:
+    """How one format writes a float: its layouts (rows of _WIDTH indices
+    into a value's source row, at (sign · 47 + E + 30) · 17 + digits − 1,
+    then +0's and -0's), their lengths, whether it writes the shortest
+    digits that read back, and the text of a value the fast path leaves."""
+
+    layout: np.ndarray
+    length: np.ndarray
+    shortest: bool
+    fallback: Callable[[float], str]
+
+
+def _float_text(shortest: bool) -> _FloatText:
+    """CSV's text, %g with 17 digits, or with `shortest` json's: repr's
+    digits, laid out in the fixed form up to E = 15 with `.0` when no
+    fraction digit is left, and with an exponent sign and two digits
+    after e."""
+    byte = {chr(c): 17 + i for i, c in enumerate(_CONSTANTS)}
+    E = np.arange(_E_MIN, _E_MAX + 1, dtype=np.int8)[:, None, None]
+    digits = np.arange(1, 18, dtype=np.int8)[None, :, None]
+    j = np.arange(_WIDTH - 1, dtype=np.int8)[None, None, :]
+
+    def digit(d):  # digit 0 sits after digits 1..16; d past the text is a placeholder
+        return np.where(d == 0, 16, np.clip(d, 1, 16) - 1)
+
+    # the fixed form for E >= 0: the point after digit E, digits past the
+    # last significant one (zeros in the row) up to it, and none (%g) or
+    # one zero (repr) if nothing follows it
+    fixed = np.select([j <= E, j == E + 1], [digit(j), byte["."]], digit(j - 1))
+    fixed_length = np.where(digits > E + 1, digits + 1, E + 3 if shortest else E + 1)
+    # for -4 <= E < 0: 0. and -E - 1 zeros
+    small = np.select([j == 1, j < 1 - E], [byte["."], byte["0"]], digit(j + E - 1))
+    small_length = 1 - E + digits
+    # the exponent form: the mark e after digit 0, or after the point and
+    # the other digits, then the sign and two digits of |E|
+    mark = np.where(digits > 1, digits + 1, 1)
+    scientific = np.select(
+        [j == 0, j == mark, j == mark + 1, j == mark + 2, j == mark + 3, j == 1],
+        [digit(j), byte["e"], np.where(E < 0, byte["-"], byte["+"]),
+         byte["0"] + abs(E) // 10, byte["0"] + abs(E) % 10, byte["."]], digit(j - 1))
+    forms = [(E < -4) | (E >= 16) if shortest else E < -4, E < 0]
+    unsigned = np.select(forms, [scientific, small], fixed).reshape(-1, _WIDTH - 1)
+    lengths = np.select(forms, [mark + 4, small_length], fixed_length).reshape(-1)
+    table = np.zeros((2 * len(unsigned) + 2, _WIDTH), np.uint8)
+    table[:len(unsigned), :-1] = unsigned
+    table[len(unsigned):-2] = np.insert(unsigned, 0, byte["-"], axis=1)
+    zeros = ("0.0", "-0.0") if shortest else ("0", "0")
+    for row, text in zip(table[-2:], zeros):
+        row[:len(text)] = [byte[c] for c in text]
+    length = np.concatenate([lengths, lengths + 1, list(map(len, zeros))]).astype(np.uint8)
+    fallback = json.dumps if shortest else (lambda v: format(v + 0.0, ".17g"))
+    return _FloatText(table, length, shortest, fallback)
+
+
+_G17, _REPR = _float_text(False), _float_text(True)
+
+
+def _scaled(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D = round-half-even(a · 10^(16 − E)) as int64, whether that rounding
+    is certain, and the fraction a · 10^(16 − E) − D, for a > 0 with
+    0 <= 16 − E <= 46 and a · 10^(16 − E) < 2^60."""
+    k = 16 - E
+    # TwoProduct: a · hi = p + e exactly, in place to keep few temporaries
+    p = a * _HI[k]
+    ah = _SPLIT * a
+    ah -= ah - a
+    al = a - ah
+    hh, hl = _HH[k], _HL[k]
+    e = hh * ah
+    e -= p
+    ah *= hl
+    e += ah
+    hh *= al
+    e += hh
+    hl *= al
+    e += hl
+    del ah, al, hh, hl
+    # a · 10^k = p + e + a · lo, where p is an integer from 2^53 on, |e| <=
+    # 2^7, and a · lo (below 2^7) errs by < 2^-46: f errs by < 2^-44
+    e += a * _LO[k]
+    n = np.rint(p)
+    f = p  # the fraction, made in p's place
+    f -= n
+    f += e
+    r = np.rint(f)
+    f -= r
+    certain = np.abs(f) < 0.5 - _MARGIN
+    D = n.astype(np.int64)
+    D += r.astype(np.int64)
+    return D, certain, f
+
+
+def _rounded(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(D, E, certain, f): D · 10^(E − 16) with 10^16 <= D < 10^17 is the
+    17-digit rounding of each a in the fast range, from an E that is
+    floor(log10 a) or misses it by one, and f = a · 10^(16 − E) − D."""
+    E = np.clip(E, _E_MIN, _E_MAX)
+    D, certain, f = _scaled(a, E)
+    for _ in range(2):
+        off = np.flatnonzero((D < 10 ** 16) | (D > 10 ** 17))
+        if not off.size:
+            break
+        E[off] += np.where(D[off] > 10 ** 17, 1, -1)
+        D[off], certain[off], f[off] = _scaled(a[off], np.clip(E[off], _E_MIN, _E_MAX))
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    E[carry] += 1
+    f[carry] /= 10
+    edge = np.flatnonzero(D == 10 ** 16)
+    if edge.size:
+        below, sure, below_f = _scaled(a[edge], np.clip(E[edge] - 1, _E_MIN, _E_MAX))
+        take = below < 10 ** 17
+        D[edge] = np.where(take, below, D[edge])
+        f[edge] = np.where(take, below_f, f[edge])
+        E[edge] -= take
+        certain[edge] &= sure
+    certain &= (D >= 10 ** 16) & (D < 10 ** 17) & (E >= _E_MIN) & (E <= _E_MAX)
+    return D, E, certain, f
+
+
+def _shortest(a, D, E, certain, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, E, certain): repr(a)'s digits as a 17-digit integer R (D15 · 100,
+    D16 · 10 or D17, at 10^(E − 16) a unit), from the 17-digit rounding
+    (D, E, certain, f) of each a in the fast range."""
+    # the half-gaps about a in units of D: ulp/2 = 2^(e - 53) for a in
+    # [2^e, 2^(e+1)) above, and below too unless a is 2^e
+    binade = (a.view(np.uint64) & _EXPONENT_BITS).view(np.float64)  # 2^e
+    above = binade * _HALF_ULP.take(16 - E, mode="clip")
+    below = np.where(a == binade, above * 0.5, above)
+    # each edge, as far in as a certain decision lies and as far out
+    below_in, below_out = below - _MARGIN, below + _MARGIN
+    m100 = D % 100
+    offset = np.zeros(len(a))  # R - D
+    for step, m in ((10, _LAST_DIGIT.take(m100)), (100, m100.astype(np.float64))):
+        t = m + f  # a less the candidate q · step below it, in units of D
+        # q · step reads back where t < below, and (q + 1) · step where
+        # step - t < above. Where both do (only at step 10, as the gaps
+        # are below 23 units), the nearer is repr's, and a tie is dtoa's
+        low, low_out = t < below_in, t < below_out
+        high, high_out = t > step - above + _MARGIN, t > step - above - _MARGIN
+        up = high & ~(low & (t < step / 2))
+        tie = low_out & high_out & (np.abs(t - step / 2) < _MARGIN)
+        sure = ~((low ^ low_out) | (high ^ high_out) | tie)
+        reads = low | high
+        np.copyto(offset, up * float(step) - m, where=reads)
+        certain = sure & (reads | certain)
+    R = D + offset.astype(np.int64)
+    carry = R == 10 ** 17
+    R[carry] = 10 ** 16
+    return R, E + carry, certain
+
+
+def _float_slots(values: np.ndarray, text: _FloatText) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each v of a float64 vector, as the rows of a uint8
+    matrix, left-aligned, and the text lengths."""
+    n = len(values)
+    a = np.abs(values)
+    fast = (a >= 1e-29) & (a < 1e16)
+    a[~fast] = 1.0  # a placeholder: these take the fallback text
+    D, E, certain, f = _rounded(a, np.floor(np.log10(a)).astype(np.intp))
+    if text.shortest:
+        D, E, certain = _shortest(a, D, E, certain, f)
+    del a, f
+    certain &= fast
+    high, low = np.divmod(D, 10 ** 8)
+    lead, high = np.divmod(high.astype(np.int32), 10 ** 8)
+    groups = (*np.divmod(high, 10 ** 4), *np.divmod(low.astype(np.int32), 10 ** 4))
+    del D, high, low  # a block's temporaries set the renderer's peak memory
+    source = np.empty((n, len(_ROW)), np.uint8)
+    source[:] = _ROW
+    source[:, 16] += lead.astype(np.uint8)
+    digits = np.ones(n, np.uint8)
+    for place, group in enumerate(groups):
+        source.view("<u4")[:, place] = _GROUP_TEXT.take(group)
+        np.maximum(digits, _TAIL[place].take(group), out=digits)
+    sign = np.signbit(values)
+    layout = (sign * 47 + E - _E_MIN) * 17 + digits - 1
+    # zero's text, and a placeholder for the rest
+    np.copyto(layout, len(text.layout) - 2 + sign, where=~certain)
+    slots = np.empty((n, _WIDTH), np.uint8)
+    for start in range(0, n, _TAKE):  # each take's intp indices are 8 bytes per text byte
+        stop = min(start + _TAKE, n)
+        flat = text.layout.take(layout[start:stop], axis=0)
+        flat = flat + np.arange(start * len(_ROW), stop * len(_ROW), len(_ROW))[:, None]
+        source.reshape(-1).take(flat, out=slots[start:stop])
+    lengths = text.length[layout]
+    slow = np.flatnonzero(~certain & (values != 0))
+    if slow.size:
+        texts = [text.fallback(v).encode() for v in values[slow].tolist()]
+        slots = np.pad(slots, ((0, 0), (0, _FALLBACK_WIDTH - _WIDTH)))
+        for i, fallback in zip(slow.tolist(), texts):
+            slots[i, :len(fallback)] = np.frombuffer(fallback, np.uint8)
+        lengths[slow] = list(map(len, texts))
+    return slots, lengths
+
+
+def float_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """format(v + 0.0, ".17g") of each v of a float64 vector, as the rows
+    of a uint8 matrix, left-aligned, and the text lengths."""
+    return _float_slots(values, _G17)
+
+
+def json_float_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """json.dumps(v) of each v of a float64 vector (float.__repr__, NaN,
+    Infinity, -Infinity), as the rows of a uint8 matrix, left-aligned, and
+    the text lengths."""
+    return _float_slots(values, _REPR)
+
+
+# powers of ten 10..10^9, below which an int has 1..9 digits
+_POWERS = 10 ** np.arange(1, 10, dtype=np.uint32)
+
+
+def _int_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """%d of each int64 with |v| < 2^31 as right-aligned rows, and the
+    text lengths."""
+    magnitude = np.abs(values).astype(np.uint32)
+    digits = np.searchsorted(_POWERS, magnitude, side="right") + 1
+    negative = values < 0
+    most = int(digits.max(initial=1))
+    width = most + bool(negative.any())
+    slots = np.empty((len(values), width), np.uint8)
+    for j in range(width - 1, width - 1 - most, -1):
+        magnitude, slots[:, j] = np.divmod(magnitude, np.uint32(10))
+    slots += ord("0")
+    rows = np.flatnonzero(negative)
+    slots[rows, width - 1 - digits[rows]] = ord("-")
+    return slots, digits + negative
+
+
+@dataclass(frozen=True)
+class Labels:
+    """A string column as its distinct values and each row's index into
+    them, so that no row's string is hashed."""
+
+    names: Sequence[str]
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+def _text_column(labels: Labels, encode: Callable[[str], str]):
+    """The encoded values of a string column as left-aligned rows with
+    their lengths, and each row's index into them."""
+    encoded = [encode(text).encode() for text in labels.names]
+    lengths = np.array(list(map(len, encoded)), np.intp)
+    table = np.zeros((len(encoded), int(lengths.max(initial=0))), np.uint8)
+    for row, text in zip(table, encoded):
+        row[:len(text)] = np.frombuffer(text, np.uint8)
+    return table, lengths, labels.codes
+
+
+def _labels(texts: Sequence[str]) -> Labels:
+    index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    return Labels(list(index), np.fromiter(map(index.__getitem__, texts), np.intp, len(texts)))
+
+
+def _column(column, encode: Callable[[str], str]):
+    """How a column renders: ("float", array), ("int", int64 array) or
+    ("text", (table, lengths, codes))."""
+    if isinstance(column, Labels):
+        return "text", _text_column(column, encode)
+    if hasattr(column, "dtype"):
+        return "float", column
+    if column and isinstance(column[0], str):
+        return "text", _text_column(_labels(column), encode)
+    if isinstance(column, range):
+        if all(-2 ** 31 < bound < 2 ** 31 for bound in (column.start, column.stop)):
+            return "int", np.arange(column.start, column.stop, column.step, dtype=np.int64)
+    elif -2 ** 31 < min(column, default=0) and max(column, default=0) < 2 ** 31:
+        return "int", np.array(column, np.int64)
+    return "text", _text_column(_labels(["%d" % v for v in column]), str)
+
+
+def _block(columns: list, fixed: list[bytes], float_text, start: int, stop: int,
+           skip: int) -> str:
+    """Rows start..stop-1: fixed[i] before column i's slot, fixed[-1] after
+    the last one, and the table's first row without its first `skip`
+    bytes."""
+    floats = [values[start:stop] for kind, values in columns if kind == "float"]
+    rows = stop - start
+    if floats:
+        slots, lengths = float_text(np.concatenate(floats))
+    fields, k = [], 0
+    for kind, values in columns:
+        if kind == "float":
+            fields.append((slots[k:k + rows], lengths[k:k + rows], False))
+            k += rows
+        elif kind == "int":
+            fields.append((*_int_slots(values[start:stop]), True))
+        else:
+            table, text_lengths, codes = values
+            block_codes = codes[start:stop]
+            fields.append((table.take(block_codes, axis=0),
+                           text_lengths.take(block_codes), False))
+    width = sum(map(len, fixed)) + sum(slot.shape[1] for slot, _, _ in fields)
+    matrix = np.empty((rows, width), np.uint8)
+    keep = np.ones((rows, width), bool)
+    col = 0
+    for text, field in zip(fixed, [*fields, None]):
+        matrix[:, col:col + len(text)] = np.frombuffer(text, np.uint8)
+        col += len(text)
+        if field:
+            slot, length, right = field
+            w = slot.shape[1]
+            matrix[:, col:col + w] = slot
+            keep[:, col:col + w] = _kept(length, w, right)
+            col += w
+    if start == 0:
+        keep[0, :skip] = False
+    return str(matrix[keep], "utf-8")
+
+
+# _FIRST[length, j]: whether byte j of a left-aligned slot is text
+_FIRST = np.arange(_FALLBACK_WIDTH) < np.arange(_FALLBACK_WIDTH + 1)[:, None]
+
+
+def _kept(lengths: np.ndarray, width: int, right: bool) -> np.ndarray:
+    """Which bytes of each slot of a field are text, from the lengths."""
+    if width <= _FALLBACK_WIDTH:
+        first = _FIRST[:, :width]
+        return (first[:, ::-1] if right else first).take(lengths, axis=0)
+    position = np.arange(width)
+    return (position[::-1] if right else position) < lengths[:, None]
+
+
+def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
+            float_text, skip: int = 0) -> Iterator[str]:
+    """The text of a table's rows, one str per block (see _block)."""
+    specs = [_column(column, encode) for column in columns]
+    fixed = [text.encode() for text in fixed]
+    rows = len(columns[0])
+    for start in range(0, rows, BLOCK_ROWS):
+        yield _block(specs, fixed, float_text, start, min(start + BLOCK_ROWS, rows), skip)
+
+
+def csv_rows(columns: Sequence, encode: Callable[[str], str]) -> str:
+    """The CSV rows, each ending in a newline, of equal-length columns: a
+    float column is a float64 array, an int column a list or range, a
+    string column a sequence of str or Labels, whose values `encode` turns
+    into fields."""
+    separators = [""] + [","] * (len(columns) - 1) + ["\n"]
+    return "".join(_blocks(columns, encode, separators, float_slots))
+
+
+def json_records(names: Sequence[str], columns: Sequence) -> str:
+    """json.dumps of the list of records {name: value} of equal-length
+    columns, with indent=2 and a final newline; the columns as for
+    csv_rows."""
+    if not len(columns[0]):
+        return "[]\n"
+    keys = [json.dumps(name) for name in names]
+    # each record opens with the separator after the one before it, which
+    # the first record drops
+    fixed = [f",\n  {{\n    {keys[0]}: ", *(f",\n    {key}: " for key in keys[1:]), "\n  }"]
+    records = _blocks(columns, json.dumps, fixed, json_float_slots, skip=2)
+    return "".join(["[\n", *records, "\n]\n"])

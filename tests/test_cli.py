@@ -19,9 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stencil_spectra import cli, csvblocks, weights
+from stencil_spectra import cli, tableblocks, weights
 from stencil_spectra.cli import _render_table, run
-from stencil_spectra.signals import SampledSignal, Sinusoid, apply_stencil, make_signal
+from stencil_spectra.signals import (SKIPPED, SampledSignal, Sinusoid, apply_stencil,
+                                     differentiate, differentiate_half_point_signal,
+                                     make_signal, parse_test_function)
 from stencil_spectra.weights import StencilKind
 
 
@@ -131,6 +133,7 @@ def test_spectrum_limit_oversized_M_is_rejected_before_its_taps(capsys, family, 
     # each of 10**6 taps made before the embedding refused the first one
     # that does not fit took about 180 B: a 162 MB traced peak
     argv = ["spectrum", "--limit", family, "--N", "8", "--M", str(10 ** 6)]
+    cli._load_numeric()  # the numeric layer's first import is not the taps' memory
     tracemalloc.start()
     try:
         code = run(argv)
@@ -180,6 +183,24 @@ def test_diff_table_memory_is_bounded(tmp_path):
     assert code == 0
     assert path.read_text(encoding="utf-8").count("\n") == 100002
     assert peak < 28 * 10 ** 6
+
+
+def test_diff_json_table_memory_is_bounded(tmp_path):
+    # the table is 10.8 MB of JSON; with json's text of every float cell and
+    # one record string per row it peaked at 45.2 MB. The bound allows two
+    # copies of the text (the blocks and their join) and one block
+    path = tmp_path / "table.json"
+    cli._load_numeric()
+    tracemalloc.start()
+    try:
+        code = run(["diff", "--fn", "sin:omega=1", "--h", "0.001", "--points", "100001",
+                    "--format", "json", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(path.read_text(encoding="utf-8"))) == 100001
+    assert peak < 27 * 10 ** 6
 
 
 def test_diff_half_point_kind(capsys):
@@ -749,7 +770,7 @@ def _tables(draw):
 # block sizes that split a table of up to 9 rows, and the default one
 @settings(max_examples=500, deadline=None)
 @given(table=_tables(), fmt=st.sampled_from(["csv", "json"]),
-       block=st.sampled_from([1, 2, 3, 4, csvblocks.BLOCK_ROWS]))
+       block=st.sampled_from([1, 2, 3, 4, tableblocks.BLOCK_ROWS]))
 @example(table=(["policy"], [("", "", "")]), fmt="csv", block=4096)
 @example(table=(["x", "v"], [np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324]),
                              [0, -1, 2 ** 64, -2 ** 70, 3]]), fmt="csv", block=2)
@@ -757,12 +778,56 @@ def _tables(draw):
                              [0, -1, 2 ** 64, -2 ** 70, 3]]), fmt="json", block=4096)
 @example(table=(["x", "t", "i"], [np.array([1.5, -2.0, 3e-30]), ("\x00", "a\x00b", ""),
                                   [2 ** 31 - 1, -2 ** 31 + 1, 2 ** 31]]), fmt="csv", block=2)
+# JSON records across block boundaries, with json's NaN and Infinity, -0.0,
+# a 16-digit tie and the ulp/4 gap below a power of two
+@example(table=(["x", "%s", "i"],
+                [np.array([math.nan, 1.0, math.inf, -math.inf, -0.0, 612857683458612.75,
+                           2.0 ** -24]),
+                 ("a", "é", "\x00", "a", "", '"', "a"), range(-3, 4)]), fmt="json", block=2)
+@example(table=(["v", "w"], [np.array([-math.inf, 1e-05, 0.0001, 9999999999999998.0]),
+                             np.array([1e16, math.nan, 0.1, -1e300])]), fmt="json", block=3)
+@example(table=(["i"], [[2 ** 40, -1, 0]]), fmt="json", block=2)
+@example(table=(["x", "i"], [np.array([]), []]), fmt="json", block=2)
 def test_render_table_matches_per_row_rendering(table, fmt, block):
     names, columns = table
     cli._load_numeric()  # as run does before a numeric command
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(csvblocks, "BLOCK_ROWS", block)
+        patch.setattr(tableblocks, "BLOCK_ROWS", block)
         assert _render_table(names, columns, fmt) == _per_row_render(names, columns, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_labels_column_renders_as_its_strings(fmt):
+    cli._load_numeric()
+    names, codes = ["skipped", "a,b", "é"], np.array([1, 1, 0, 2, 1], np.uint8)
+    texts = tuple(names[code] for code in codes.tolist())
+    x = np.linspace(-1, 1, 5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tableblocks, "BLOCK_ROWS", 2)
+        labels = _render_table(["x", "policy"], [x, tableblocks.Labels(names, codes)], fmt)
+    assert labels == _render_table(["x", "policy"], [x, texts], fmt)
+
+
+@pytest.mark.parametrize("argv, kind, n, order", [
+    (["--points", "9", "--n", "2"], "central", 2, 1),
+    (["--points", "9", "--n", "2", "--order", "2"], "central", 2, 2),
+    (["--points", "5", "--n", "3"], "central", 3, 1),  # a skipped middle
+    (["--points", "12", "--n", "2", "--kind", "half-point-first"], "half-point-first", 2, 1),
+])
+def test_diff_policy_column_is_the_result_policy(capsys, argv, kind, n, order):
+    fn, h = "poly:0,1,0.5", 0.25
+    signal = make_signal(parse_test_function(fn), h, int(argv[1]))
+    if kind == "central":
+        result = differentiate(signal, n, order)
+    else:
+        result = differentiate_half_point_signal(signal, n)
+    base = ["diff", "--fn", fn, "--h", str(h), *argv]
+    code, out, _ = run_capture(capsys, [*base, "--format", "json"])
+    assert code == 0
+    assert [record["policy"] for record in json.loads(out)] == list(result.policy)
+    code, out, _ = run_capture(capsys, base)
+    assert [row[3] for row in parse_csv(out)[1]] == list(result.policy)
+    assert len(set(result.policy)) == len(result.spans) + (SKIPPED in result.policy)
 
 
 @pytest.mark.parametrize("argv", [

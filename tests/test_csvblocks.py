@@ -9,14 +9,14 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from stencil_spectra import csvblocks
+from stencil_spectra import tableblocks
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from check_g17 import edge_values, mismatch, near_ties, ties  # noqa: E402
 
 
 def _texts(values):
-    slots, lengths = csvblocks.float_slots(np.asarray(values, dtype=float))
+    slots, lengths = tableblocks.float_slots(np.asarray(values, dtype=float))
     return [bytes(slot[:length]).decode() for slot, length in zip(slots, lengths)]
 
 
@@ -25,7 +25,7 @@ def _python(values):
 
 
 def _rounded(values):
-    return csvblocks._rounded(values, np.floor(np.log10(values)).astype(np.intp))
+    return tableblocks._rounded(values, np.floor(np.log10(values)).astype(np.intp))
 
 
 def _exponent(v):
@@ -63,8 +63,8 @@ def test_edge_families():
 def test_exponent_that_misses_by_one_is_fixed_up(values, miss):
     values = np.array(values)
     exact = np.array([_exponent(v) for v in values.tolist()])
-    D, E, certain = csvblocks._rounded(values, exact)
-    for fixed, right in zip(csvblocks._rounded(values, exact + miss), (D, E, certain)):
+    D, E, certain, _ = tableblocks._rounded(values, exact)
+    for fixed, right in zip(tableblocks._rounded(values, exact + miss), (D, E, certain)):
         assert (fixed == right).all()
     for v, d, e, sure in zip(values.tolist(), D.tolist(), E.tolist(), certain.tolist()):
         if sure:  # D · 10^(E - 16) is the 17-digit text
@@ -93,8 +93,8 @@ def test_near_ties_are_certain_only_outside_the_margin():
 
 def test_power_split_is_exact():
     for k in range(47):
-        assert int(csvblocks._HI[k]) + int(csvblocks._LO[k]) == 10 ** k
-        assert csvblocks._HH[k] + csvblocks._HL[k] == csvblocks._HI[k]
-        for half in (csvblocks._HH[k], csvblocks._HL[k]):  # 26 significant bits at most
+        assert int(tableblocks._HI[k]) + int(tableblocks._LO[k]) == 10 ** k
+        assert tableblocks._HH[k] + tableblocks._HL[k] == tableblocks._HI[k]
+        for half in (tableblocks._HH[k], tableblocks._HL[k]):  # 26 significant bits at most
             mantissa = struct.unpack("<Q", struct.pack("<d", half))[0] & (2 ** 52 - 1)
             assert half == 0 or mantissa % 2 ** 26 == 0

@@ -34,7 +34,7 @@ import contextlib, io, json, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None
 from stencil_spectra.cli import run
-numeric = ["numpy", "stencil_spectra.csvblocks", "stencil_spectra.signals",
+numeric = ["numpy", "stencil_spectra.tableblocks", "stencil_spectra.signals",
            "stencil_spectra.spectra"]
 loaded = [[name for name in numeric if sys.modules.get(name) is not None]]
 results = []
@@ -68,8 +68,9 @@ def test_exact_commands_give_the_same_bytes_without_numpy(tmp_path):
     blocked, blocked_written, _ = _in_child(_CLI_CHILD, "blocked", argvs, out_path)
     assert blocked == normal
     assert blocked_written == normal_written
-    # neither importing the CLI nor the exact commands (stencil --format csv
-    # among them) load numpy or the numeric modules in a normal interpreter
+    # neither importing the CLI nor the exact commands (stencil and verify
+    # in every format among them) load numpy or the numeric modules, the
+    # table block renderer among them, in a normal interpreter
     assert normal_loaded == [[], []]
     codes = [code for code, _, _ in normal]
     assert codes == [0] * 12 + [0, 2, 0]
