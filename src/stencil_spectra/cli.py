@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable
 from functools import partial
 from itertools import chain
 
@@ -79,30 +80,32 @@ def _n_list(text: str) -> list[int]:
 # --- table rendering ------------------------------------------------------
 
 
-def _render_table(names, columns, fmt: str) -> str:
+def _render_table(names, columns, fmt: str) -> Iterable[str]:
     """Equal-length columns as CSV or as a JSON list of records: the bytes
     of one csv.writer row per record with floats as format(v + 0.0, ".17g"),
-    and of json.dumps(records, indent=2). A float column is a numpy array
-    (known by its dtype), an int column a list or range, a string column a
-    sequence of str or tableblocks.Labels.
+    and of json.dumps(records, indent=2), in chunks of text to be written
+    in order. A float column is a numpy array (known by its dtype), an int
+    column a list or range, a string column a sequence of str or
+    tableblocks.Labels.
 
     JSON tables and CSV tables with a float column are rendered by
-    tableblocks in blocks of rows, each one numpy byte matrix: floats in
-    1e-29 <= |v| < 1e16 get their digits from an error-free scaling by a
-    power of ten, the shortest digits that read back for JSON, and nan,
-    ±inf, other magnitudes and the rare rounding or round trip too close
-    to its edge to decide that way take Python's text. The other CSV
-    tables, which `stencil` prints without numpy, fill one % row template
-    per row, each column giving one % spec and the values it formats (see
-    _cells)."""
+    tableblocks in blocks of rows, each one numpy byte matrix made only
+    when its chunk is read: floats in 1e-29 <= |v| < 1e16 get their digits
+    from an error-free scaling by a power of ten, the shortest digits that
+    read back for JSON, and nan, ±inf, other magnitudes and the rare
+    rounding or round trip too close to its edge to decide that way take
+    Python's text. The other CSV tables, which `stencil` prints without
+    numpy, are one chunk that fills one % row template per row, each column
+    giving one % spec and the values it formats (see _cells)."""
     if fmt == "json":
         return tableblocks.json_records(names, columns)
     header = ",".join(_csv_field(name, len(names) == 1) for name in names) + "\n"
     if any(hasattr(column, "dtype") for column in columns):
-        return header + tableblocks.csv_rows(columns, partial(_csv_field, alone=len(columns) == 1))
+        return chain([header],
+                     tableblocks.csv_rows(columns, partial(_csv_field, alone=len(columns) == 1)))
     specs, cells = zip(*(_cells(column, len(columns) == 1) for column in columns))
     row = ",".join(specs) + "\n"
-    return header + row * len(columns[0]) % tuple(chain.from_iterable(zip(*cells)))
+    return [header + row * len(columns[0]) % tuple(chain.from_iterable(zip(*cells)))]
 
 
 def _cells(column, alone: bool) -> tuple[str, object]:
@@ -123,26 +126,31 @@ def _csv_field(text: str, alone: bool) -> str:
     return buf.getvalue()[:-1 if alone else -2]
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Write each chunk as it is made, to the file out or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-# --- subcommands: each handler returns (text, exit code) ------------------
+# --- subcommands: each handler returns (chunks of text, exit code) --------
+#
+# A handler computes every value before it returns, so that an error exits
+# before any byte is written; only the text of each block of rows is made
+# as it is written.
 
 
-def _cmd_stencil(args) -> tuple[str, int]:
+def _cmd_stencil(args) -> tuple[Iterable[str], int]:
     data = weights.stencil_to_dict(weights.build(StencilKind(args.kind), args.n))
     if args.format == "json":
-        return json.dumps(data, indent=2) + "\n", 0
+        return [json.dumps(data, indent=2) + "\n"], 0
     header = ("kind", "n", "derivative_order", "h_power", "prefactor")
     comment = "# " + ",".join(f"{key}={data[key]}" for key in header) + "\n"
     columns = [[node["offset"] for node in data["nodes"]],
                [node["weight"] for node in data["nodes"]]]
-    return comment + _render_table(["offset", "weight"], columns, "csv"), 0
+    return [comment, *_render_table(["offset", "weight"], columns, "csv")], 0
 
 
 def _default_ref(kind: StencilKind, part: str) -> CurveFamily:
@@ -176,7 +184,7 @@ def _spectrum_columns(spectrum: spectra.FilterSpectrum, ref, part: str, h: float
     return [range(N // 2 + 1), spectra.omega_grid(N, h), re_part, im_part, ref, abs_dev]
 
 
-def _cmd_spectrum(args) -> tuple[str, int]:
+def _cmd_spectrum(args) -> tuple[Iterable[str], int]:
     if args.kind and args.n is None:
         raise _Usage("--kind requires --n")
     if args.kind and args.M is not None:
@@ -197,7 +205,7 @@ def _cmd_spectrum(args) -> tuple[str, int]:
     return _render_table(_SPECTRUM_COLUMNS, columns, args.format), 0
 
 
-def _cmd_diff(args) -> tuple[str, int]:
+def _cmd_diff(args) -> tuple[Iterable[str], int]:
     if args.stencil_file and (args.n is not None or args.kind != "central"
                               or args.order is not None):
         raise _Usage("--stencil-file cannot be combined with --n/--kind/--order")
@@ -231,7 +239,7 @@ def _cmd_diff(args) -> tuple[str, int]:
     return _render_table(["index", "x", "value", "policy"], columns, args.format), 0
 
 
-def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[str, int]:
+def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[Iterable[str], int]:
     curve = spectra.ReferenceCurve(family=family, h=args.h)
     ref = spectra.reference_column(curve, part, args.N)
     values, _bounds = spectra.truncated_limit_spectrum_dft_grid(
@@ -241,7 +249,7 @@ def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[str, int]
     return _render_table(_SPECTRUM_COLUMNS, columns, args.format), 0
 
 
-def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[str, int]:
+def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[Iterable[str], int]:
     curve = spectra.ReferenceCurve(family=_default_ref(kind, part), h=args.h)
     ref = spectra.reference_column(curve, part, args.N)
     blocks = [
@@ -255,7 +263,7 @@ def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[str, int
     return _render_table(["n", *_SPECTRUM_COLUMNS], columns, args.format), 0
 
 
-def _figure_envelope_demo(args) -> tuple[str, int]:
+def _figure_envelope_demo(args) -> tuple[Iterable[str], int]:
     fn = signals.parse_test_function(args.fn)
     if not isinstance(fn, signals.ModulatedAlternating):
         raise _Usage("figure 2b needs an altpoly: test function")
@@ -277,7 +285,7 @@ def _figure_envelope_demo(args) -> tuple[str, int]:
 _VERIFY_MAX_N = 100
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[Iterable[str], int]:
     if args.max_n > _VERIFY_MAX_N:
         raise ValueError(f"--max-n {args.max_n} is above the limit of {_VERIFY_MAX_N}")
     results = [{"check": name, "ok": ok, "detail": detail}
@@ -290,7 +298,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     else:
         lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['check']}: {r['detail']}" for r in results]
         text = "\n".join(lines + [f"{passed}/{len(results)} checks passed"]) + "\n"
-    return text, 0 if passed == len(results) else 1
+    return [text], 0 if passed == len(results) else 1
 
 
 # --- the parser -----------------------------------------------------------
@@ -410,8 +418,8 @@ def run(argv: list[str]) -> int:
         args = _PARSER.parse_args(argv)
         if args.command in _NUMERIC_COMMANDS:
             _load_numeric()
-        text, code = args.handler(args)
-        _write(text, args.out)
+        chunks, code = args.handler(args)
+        _write(chunks, args.out)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except _Usage as exc:

@@ -12,9 +12,10 @@ Im[b*(r)].
 
 The infinite-family series on the DFT grid (figure 1a/1b) add their terms
 into N residue buckets with one np.bincount per chunk of terms, and fold
-the buckets with the trigonometric table in blocks of bins, which the
-calling thread and a thread pool share (see
-truncated_limit_spectrum_dft_grid and _fold).
+the buckets with the trigonometric table in blocks of 32 bins, which the
+calling thread and a thread pool share, each in one N x 32 table that it
+fills in place (see truncated_limit_spectrum_dft_grid, _fold and
+_FOLD_BLOCK): 4.2 MB at N = 8000.
 """
 
 from __future__ import annotations
@@ -36,13 +37,18 @@ _CHUNK_ELEMS = 8_000_000
 # product in groups of its row unroll and the leftover last rows on another
 # path; a product shorter than one unroll takes a third path (numpy computes
 # a one-row product as a dot). So blocks start at multiples of _FOLD_BLOCK,
-# which every unroll must divide (4 rows in the OpenBLAS SkylakeX kernel; 64
+# which every unroll must divide (4 rows in the OpenBLAS SkylakeX kernel; 32
 # leaves room for wider ones), and the last block takes the remainder whole:
 # each bin is then rounded as in one full-table product. Blocks of 500 bins,
 # or a last block of 1 to 3 bins, changed some bins. Each fold thread fills
 # one table in place, as wide as its widest block, so with two threads the
-# fold's memory is O(N + 2*64*N).
-_FOLD_BLOCK = 64
+# fold's memory is O(N + 2*32*N): at N = 8000 the tables are 2.05 + 2.11 MB
+# (32 and 33 bins), against 4.10 + 6.21 MB at 64 bins. The fold is bound by
+# np.sin, so its time moved by under 4 % either way (N = 2000 and 8000, one
+# BLAS thread). Widths 4 to 128 all gave the same bits with numpy 2.4.6's
+# OpenBLAS; that the bits also hold with two BLAS threads was measured on
+# the benchmark's figure 1a/1b argvs only.
+_FOLD_BLOCK = 32
 # Threads that fold blocks at once; np.sin and gemv release the GIL. Fixed
 # at two, not tunable: each thread holds one block-wide table, and two keep
 # the memory bound above. A bin's bits do not depend on which thread folds
@@ -374,7 +380,7 @@ def truncated_limit_spectrum_dft_grid(
     order, so a bucket is the sum of its terms in term order from +0.0. The
     buckets meet the trigonometric table in blocks of _FOLD_BLOCK bins (the
     last up to twice that), which two threads fold in two in-place tables,
-    so memory is O(N + 2*64*N), whatever M.
+    so memory is O(N + 2*32*N), whatever M.
     """
     _check_series(family, h, M)
     _check_dft_length(N)

@@ -7,7 +7,10 @@ byte fields around them: `,` and `\\n` in CSV, and in JSON the record's
 braces, keys and separators (`,\\n  {\\n    "key": `, `,\\n    "key": `,
 `\\n  }`). A boolean mask built from the lengths (not from zero bytes, which
 a text cell may hold) keeps the text, and the kept bytes are decoded once
-per block.
+per block. The matrix and the mask are made once per table, with the
+constant bytes set, and each block writes only its slots and their mask.
+csv_rows and json_records return the blocks' text as an iterator that
+makes each block when it is read, so a table's text is never held whole.
 
 A CSV float slot holds exactly format(v + 0.0, ".17g"), the text of
 Python's correctly rounded dtoa:
@@ -55,6 +58,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -209,6 +213,8 @@ def _rounded(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, ...]:
             break
         E[off] += np.where(D[off] > 10 ** 17, 1, -1)
         D[off], certain[off], f[off] = _scaled(a[off], np.clip(E[off], _E_MIN, _E_MAX))
+    # fl(1e-14), 0.118 units of D below 10^-14, reaches the carry from its
+    # exact exponent -15
     carry = D == 10 ** 17
     D[carry] = 10 ** 16
     E[carry] += 1
@@ -380,43 +386,44 @@ def _column(column, encode: Callable[[str], str]):
     return "text", _text_column(_labels(["%d" % v for v in column]), str)
 
 
-def _block(columns: list, fixed: list[bytes], float_text, start: int, stop: int,
-           skip: int) -> str:
-    """Rows start..stop-1: fixed[i] before column i's slot, fixed[-1] after
-    the last one, and the table's first row without its first `skip`
-    bytes."""
+def _block(columns: list, widths: list[int], at: list[int], matrix: np.ndarray,
+           keep: np.ndarray, float_text, start: int, stop: int, skip: int) -> str:
+    """Rows start..stop-1 in the table's byte matrix and keep mask, whose
+    constant bytes are set: column i's slot goes in its field of widths[i]
+    bytes from column at[i], left-aligned or (an int) right-aligned. The
+    table's first row drops its first `skip` bytes."""
     floats = [values[start:stop] for kind, values in columns if kind == "float"]
     rows = stop - start
     if floats:
         slots, lengths = float_text(np.concatenate(floats))
-    fields, k = [], 0
-    for kind, values in columns:
+    matrix, keep = matrix[:rows], keep[:rows]
+    k = 0
+    for (kind, values), width, col in zip(columns, widths, at):
+        right = kind == "int"
         if kind == "float":
-            fields.append((slots[k:k + rows], lengths[k:k + rows], False))
+            slot, length = slots[k:k + rows], lengths[k:k + rows]
             k += rows
-        elif kind == "int":
-            fields.append((*_int_slots(values[start:stop]), True))
+        elif right:
+            slot, length = _int_slots(values[start:stop])
         else:
             table, text_lengths, codes = values
             block_codes = codes[start:stop]
-            fields.append((table.take(block_codes, axis=0),
-                           text_lengths.take(block_codes), False))
-    width = sum(map(len, fixed)) + sum(slot.shape[1] for slot, _, _ in fields)
-    matrix = np.empty((rows, width), np.uint8)
-    keep = np.ones((rows, width), bool)
-    col = 0
-    for text, field in zip(fixed, [*fields, None]):
-        matrix[:, col:col + len(text)] = np.frombuffer(text, np.uint8)
-        col += len(text)
-        if field:
-            slot, length, right = field
-            w = slot.shape[1]
-            matrix[:, col:col + w] = slot
-            keep[:, col:col + w] = _kept(length, w, right)
-            col += w
-    if start == 0:
-        keep[0, :skip] = False
-    return str(matrix[keep], "utf-8")
+            slot, length = table.take(block_codes, axis=0), text_lengths.take(block_codes)
+        w = slot.shape[1]
+        left = col + width - w if right else col
+        matrix[:, left:left + w] = slot
+        keep[:, col:col + width] = _kept(length, width, right)
+    text = str(matrix[keep], "utf-8")
+    return text if start else text[skip:]
+
+
+def _width(kind: str, values) -> int:
+    """The bytes of a column's field: the widest slot of any block."""
+    if kind == "float":
+        return _FALLBACK_WIDTH
+    if kind == "int":  # _int_slots' digits and sign place
+        return len("%d" % np.abs(values).max(initial=0)) + bool(values.min(initial=0) < 0)
+    return values[0].shape[1]
 
 
 # _FIRST[length, j]: whether byte j of a left-aligned slot is text
@@ -434,32 +441,45 @@ def _kept(lengths: np.ndarray, width: int, right: bool) -> np.ndarray:
 
 def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
             float_text, skip: int = 0) -> Iterator[str]:
-    """The text of a table's rows, one str per block (see _block)."""
+    """The text of a table's rows, one str per block (see _block). The
+    columns, and the byte matrix and keep mask with the constant bytes that
+    every block shares, are made here; each block is made only as it is
+    read."""
     specs = [_column(column, encode) for column in columns]
-    fixed = [text.encode() for text in fixed]
-    rows = len(columns[0])
-    for start in range(0, rows, BLOCK_ROWS):
-        yield _block(specs, fixed, float_text, start, min(start + BLOCK_ROWS, rows), skip)
+    widths = [_width(kind, values) for kind, values in specs]
+    rows, step = len(columns[0]), BLOCK_ROWS
+    matrix = np.empty((min(rows, step), sum(map(len, fixed)) + sum(widths)), np.uint8)
+    keep = np.zeros(matrix.shape, bool)
+    at, col = [], 0
+    for text, width in zip(fixed, [*widths, 0]):
+        matrix[:, col:col + len(text)] = np.frombuffer(text.encode(), np.uint8)
+        keep[:, col:col + len(text)] = True
+        col += len(text)
+        at.append(col)
+        col += width
+    return (_block(specs, widths, at, matrix, keep, float_text, start, min(start + step, rows),
+                   skip)
+            for start in range(0, rows, step))
 
 
-def csv_rows(columns: Sequence, encode: Callable[[str], str]) -> str:
-    """The CSV rows, each ending in a newline, of equal-length columns: a
-    float column is a float64 array, an int column a list or range, a
-    string column a sequence of str or Labels, whose values `encode` turns
-    into fields."""
+def csv_rows(columns: Sequence, encode: Callable[[str], str]) -> Iterator[str]:
+    """The CSV rows, each ending in a newline, of equal-length columns, one
+    str per block of rows: a float column is a float64 array, an int
+    column a list or range, a string column a sequence of str or Labels,
+    whose values `encode` turns into fields."""
     separators = [""] + [","] * (len(columns) - 1) + ["\n"]
-    return "".join(_blocks(columns, encode, separators, float_slots))
+    return _blocks(columns, encode, separators, float_slots)
 
 
-def json_records(names: Sequence[str], columns: Sequence) -> str:
+def json_records(names: Sequence[str], columns: Sequence) -> Iterator[str]:
     """json.dumps of the list of records {name: value} of equal-length
-    columns, with indent=2 and a final newline; the columns as for
-    csv_rows."""
+    columns, with indent=2 and a final newline, one str per block of rows
+    and one for each bracket; the columns as for csv_rows."""
     if not len(columns[0]):
-        return "[]\n"
+        return iter(["[]\n"])
     keys = [json.dumps(name) for name in names]
     # each record opens with the separator after the one before it, which
     # the first record drops
     fixed = [f",\n  {{\n    {keys[0]}: ", *(f",\n    {key}: " for key in keys[1:]), "\n  }"]
     records = _blocks(columns, json.dumps, fixed, json_float_slots, skip=2)
-    return "".join(["[\n", *records, "\n]\n"])
+    return chain(["[\n"], records, ["\n]\n"])

@@ -169,38 +169,44 @@ def test_diff_csv_schema_and_policy(capsys):
     assert float(rows[4][2]) == 0.0  # d(x^2)/dx at the origin
 
 
+# Each table is written a block of rows at a time, so a request's traced
+# peak is its numeric columns (3.2 MB per float column at 400,001 points)
+# and one block: one bound holds from 100,001 points, where the peak was
+# 13.3 MB (CSV) and 24.2 MB (JSON) with the blocks joined, to 400,001
+# points, whose text alone is above it (21.7 MB of CSV, 43.9 MB of JSON).
+_DIFF_TABLE_PEAK = 18 * 10 ** 6
+
+
+def _diff_table_peak(points, out, fmt):
+    """The tracemalloc peak of one `diff` table written to out."""
+    cli._load_numeric()  # the numeric layer's first import is not the table's memory
+    tracemalloc.start()
+    try:
+        code = run(["diff", "--fn", "sin:omega=1", "--h", "0.001", "--points", str(points),
+                    "--format", fmt, "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
 def test_diff_table_memory_is_bounded(tmp_path):
     # the table is 5.4 MB of CSV; with every cell held as a string it
     # peaked at 36 MB
     path = tmp_path / "table.csv"
-    tracemalloc.start()
-    try:
-        code = run(["diff", "--fn", "sin:omega=1", "--h", "0.001", "--points", "100001",
-                    "--out", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
+    assert _diff_table_peak(100001, str(path), "csv") < _DIFF_TABLE_PEAK
     assert path.read_text(encoding="utf-8").count("\n") == 100002
-    assert peak < 28 * 10 ** 6
+    assert _diff_table_peak(400001, os.devnull, "csv") < _DIFF_TABLE_PEAK
 
 
 def test_diff_json_table_memory_is_bounded(tmp_path):
     # the table is 10.8 MB of JSON; with json's text of every float cell and
-    # one record string per row it peaked at 45.2 MB. The bound allows two
-    # copies of the text (the blocks and their join) and one block
+    # one record string per row it peaked at 45.2 MB
     path = tmp_path / "table.json"
-    cli._load_numeric()
-    tracemalloc.start()
-    try:
-        code = run(["diff", "--fn", "sin:omega=1", "--h", "0.001", "--points", "100001",
-                    "--format", "json", "--out", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
+    assert _diff_table_peak(100001, str(path), "json") < _DIFF_TABLE_PEAK
     assert len(json.loads(path.read_text(encoding="utf-8"))) == 100001
-    assert peak < 27 * 10 ** 6
+    assert _diff_table_peak(400001, os.devnull, "json") < _DIFF_TABLE_PEAK
 
 
 def test_diff_half_point_kind(capsys):
@@ -715,6 +721,27 @@ def test_out_to_an_unwritable_path_is_one_line_error(capsys, tmp_path, command, 
     assert list(tmp_path.iterdir()) == []
 
 
+# one argv per subcommand whose handler raises after the arguments parse
+_FAILING_ARGVS = {
+    "stencil": ["stencil", "--kind", "one-sided-nth", "--n", "3000"],
+    "spectrum": ["spectrum", "--limit", "central-first", "--N", "2"],
+    "diff": ["diff", "--fn", "sin:omega=1", "--h", "1e200", "--order", "2", "--points", "5"],
+    "figure": ["figure", "1a", "--h", "1e-320", "--N", "16", "--M", "100"],
+    "verify": ["verify", "--max-n", "101"],
+}
+
+
+@pytest.mark.parametrize("command", list(_FAILING_ARGVS))
+def test_handler_error_writes_nothing(capsys, tmp_path, command):
+    # a handler computes every value before the first chunk is written
+    out = tmp_path / "table"
+    for argv in (_FAILING_ARGVS[command], _FAILING_ARGVS[command] + ["--out", str(out)]):
+        code, stdout, err = run_capture(capsys, argv)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("fn, key", [("sin:omega=1,omega=2", "omega"),
                                      ("sin:phase=0,omega=1,phase=1", "phase")])
 def test_repeated_sinusoid_parameter_is_one_line_error(capsys, fn, key):
@@ -793,7 +820,8 @@ def test_render_table_matches_per_row_rendering(table, fmt, block):
     cli._load_numeric()  # as run does before a numeric command
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tableblocks, "BLOCK_ROWS", block)
-        assert _render_table(names, columns, fmt) == _per_row_render(names, columns, fmt)
+        assert "".join(_render_table(names, columns, fmt)) == _per_row_render(names, columns,
+                                                                               fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -804,8 +832,9 @@ def test_labels_column_renders_as_its_strings(fmt):
     x = np.linspace(-1, 1, 5)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tableblocks, "BLOCK_ROWS", 2)
-        labels = _render_table(["x", "policy"], [x, tableblocks.Labels(names, codes)], fmt)
-    assert labels == _render_table(["x", "policy"], [x, texts], fmt)
+        labels = "".join(_render_table(["x", "policy"], [x, tableblocks.Labels(names, codes)],
+                                       fmt))
+        assert labels == "".join(_render_table(["x", "policy"], [x, texts], fmt))
 
 
 @pytest.mark.parametrize("argv, kind, n, order", [

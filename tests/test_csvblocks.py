@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stencil_spectra import tableblocks
@@ -98,3 +99,32 @@ def test_power_split_is_exact():
         for half in (tableblocks._HH[k], tableblocks._HL[k]):  # 26 significant bits at most
             mantissa = struct.unpack("<Q", struct.pack("<d", half))[0] & (2 ** 52 - 1)
             assert half == 0 or mantissa % 2 ** 26 == 0
+
+
+def _near_powers_of_ten():
+    """The 18,045 floats within 200 ulp of each 10^k, k = -29..15."""
+    centres = np.array([float(Fraction(10) ** k) for k in range(-29, 16)])
+    return (centres.view(np.int64)[:, None] + np.arange(-200, 201)).reshape(-1).view(np.float64)
+
+
+@pytest.mark.parametrize("source", ["log10", "exact", "exact-1", "exact+1"])
+def test_rounded_fraction_is_exact_near_powers_of_ten(source):
+    # the fix-ups of the fraction f: with numpy's log10, 34 of these values
+    # reach D = 10^16, which D at E - 1 decides (7 take it, all with f != 0),
+    # and from its exact exponent -15, fl(1e-14) = 10^-14 - 0.118 units of
+    # its 17th digit rounds to D = 10^17, the carry to E + 1, with f / 10
+    values = _near_powers_of_ten()
+    if source == "log10":
+        E = np.floor(np.log10(values)).astype(np.intp)
+    else:
+        E = np.array([_exponent(v) for v in values.tolist()]) + int(source[5:] or 0)
+    D, E, certain, f = tableblocks._rounded(values, E)
+    for v, d, e, sure, fraction in zip(values.tolist(), D.tolist(), E.tolist(),
+                                       certain.tolist(), f.tolist()):
+        exact = Fraction(v) * Fraction(10) ** (16 - e) - d
+        assert abs(exact - Fraction(fraction)) < 2 ** -44
+        # only a tie is left to Python: 10^15 + 0.25 among these
+        assert sure == (abs(abs(exact) - Fraction(1, 2)) > 2 ** -40)
+        if sure:
+            assert f"{v:.16e}" == f"{d // 10 ** 16}.{d % 10 ** 16:016d}e{e:+03d}"
+

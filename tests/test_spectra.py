@@ -369,7 +369,8 @@ def _fold_cases():
     """(family, N, M) cases for the fold: N/2+1 runs below, at and past the
     edges of the fold's first and second blocks, M past several steps of
     the bucketed terms, and M at the edges of the first two turns."""
-    sizes = [(N, M) for N in (2, 4, 6, 126, 128, 130, 132, 254, 256, 258, 4732, 8000)
+    sizes = [(N, M) for N in (2, 4, 6, 62, 64, 66, 126, 128, 130, 132, 254, 256, 258, 4732,
+                              8000)
              for M in ((7, 3 * N + 5) if N < 1000 else (3 * N + 5,))]
     sizes += [(N, 3 * 2 ** 16 + 5) for N in (130, 4732)]
     # M at the edges of the first and second turn of N/2 (half-point) and N
@@ -466,6 +467,34 @@ def test_fold_bytes_do_not_depend_on_its_threads(blas_threads):
     assert _mismatches_in_child("_worker_mismatches", blas_threads) == []
 
 
+# replays the golden figure 1a/1b argvs through perfbench/child.py's
+# execute and digest, and prints how many ran and the mismatches
+_GOLDEN_FIGURE_CHILD = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from child import digest, execute
+from stencil_spectra import cli
+with open(os.path.join(sys.argv[1], "golden.json"), encoding="utf-8") as fh:
+    golden = json.load(fh)["digests"]
+keys = [key for key in golden if key.split(" ")[:2] in (["figure", "1a"], ["figure", "1b"])]
+bad = []
+for key in keys:
+    _, code, text, _ = execute(cli, key.split(" "))
+    if [code, digest(text)] != golden[key]:
+        bad.append(key)
+print(json.dumps([len(keys), bad]))
+"""
+
+
+def test_golden_figure_1_bytes_hold_with_two_blas_threads():
+    # the fold's gemv with two BLAS threads of its own on each fold thread;
+    # the digests were recorded with one BLAS thread
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    assert _in_child(_GOLDEN_FIGURE_CHILD, perfbench, OPENBLAS_NUM_THREADS="2",
+                     OMP_NUM_THREADS="2") == [12, []]
+
+
 def test_fold_threads_under_contention_write_every_bin_once(monkeypatch):
     # more fold threads than cores, switching every microsecond: a lost or
     # misplaced block write would change some bin
@@ -482,12 +511,12 @@ def test_fold_threads_under_contention_write_every_bin_once(monkeypatch):
     assert threaded.tobytes() == serial.tobytes()
 
 
-# at N = 2000 the fold has 15 blocks: block 0 is folded by the calling
+# at N = 1000 the fold has 15 blocks: block 0 is folded by the calling
 # thread, block 1 by the other, and block 14 is the wide last block
 @pytest.mark.parametrize("bad_block", [0, 1, 14])
 def test_fold_error_in_either_thread_reaches_the_caller(monkeypatch, bad_block):
-    N = 2000
-    bad_theta = 2.0 * math.pi * (64 * bad_block) / N
+    N = 1000
+    bad_theta = 2.0 * math.pi * (spectra._FOLD_BLOCK * bad_block) / N
 
     def failing_sin(x, out=None):
         # row k = 1 of a block's table holds its thetas
@@ -544,7 +573,8 @@ def test_dft_grid_fold_peak_is_two_in_place_tables(monkeypatch):
     # tracemalloc does not see the fold's tables, which are anonymous maps:
     # count their bytes beside the traced peak. One thread's outer product
     # and its sine took 12.9 MB; the two threads' tables, as wide as their
-    # widest blocks (64 and 97 bins), take 10.3 MB
+    # widest blocks (32 and 33 bins), take 4.16 MB, and the traced peak
+    # besides is about 1.4 MB
     mapped = []
 
     class CountedMap(mmap.mmap):
@@ -552,6 +582,8 @@ def test_dft_grid_fold_peak_is_two_in_place_tables(monkeypatch):
             mapped.append(length)
             return super().__new__(cls, fileno, length, *args, **kwargs)
 
+    # the fold's first run imports its thread pool, which is not its memory
+    truncated_limit_spectrum_dft_grid(CurveFamily.FIRST_DERIV_LIMIT, 64, 1.0, 10)
     monkeypatch.setattr(mmap, "mmap", CountedMap)
     tracemalloc.start()
     try:
@@ -559,8 +591,8 @@ def test_dft_grid_fold_peak_is_two_in_place_tables(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sorted(mapped) == [8 * 8000 * 64, 8 * 8000 * 97]
-    assert peak + sum(mapped) < 16 * 10 ** 6
+    assert sorted(mapped) == [8 * 8000 * 32, 8 * 8000 * 33]
+    assert peak + sum(mapped) < 6 * 10 ** 6
 
 
 def test_dft_grid_fold_memory_is_bounded():
