@@ -4,12 +4,15 @@ reports, and figure-reproduction CSV datasets.
 All output is deterministic: identical argv produces byte-identical bytes.
 CSV floats are printed as format(v + 0.0, ".17g"), JSON floats as json's
 shortest round-trip text; rational weights are exact "p/q" strings. The
-JSON tables and the CSV tables with a float column (`spectrum`, `diff`,
-`figure`) are rendered by tableblocks in numpy, in blocks of rows: a float
-in 1e-29 <= |v| < 1e16 gets its 17 digits from an error-free scaling by a
+tables of `spectrum`, `diff` and `figure`, in either format, are written
+by tableblocks.table, which owns their CSV header and quoting and their
+JSON records, and renders their rows in numpy in blocks: a float in
+1e-29 <= |v| < 1e16 gets its 17 digits from an error-free scaling by a
 power of ten, and JSON's shortest digits from the 17 and their fraction;
 nan, ±inf, other magnitudes and roundings or round trips too close to
-their edge to decide that way take Python's text.
+their edge to decide that way take Python's text. `stencil` writes its
+`# kind=...` line and its rows through csv.writer, and its JSON and
+`verify`'s through json.dumps.
 
 The module imports without numpy, so `stencil`, `verify`, `--help` and
 every usage error run on the exact layer alone; `run` loads numpy,
@@ -26,7 +29,6 @@ import json
 import sys
 from collections.abc import Iterable
 from functools import partial
-from itertools import chain
 
 from . import oracle, weights
 from .weights import BoundaryError, CurveFamily, EmbeddingMode, StencilKind
@@ -77,53 +79,7 @@ def _n_list(text: str) -> list[int]:
     return values
 
 
-# --- table rendering ------------------------------------------------------
-
-
-def _render_table(names, columns, fmt: str) -> Iterable[str]:
-    """Equal-length columns as CSV or as a JSON list of records: the bytes
-    of one csv.writer row per record with floats as format(v + 0.0, ".17g"),
-    and of json.dumps(records, indent=2), in chunks of text to be written
-    in order. A float column is a numpy array (known by its dtype), an int
-    column a list or range, a string column a sequence of str or
-    tableblocks.Labels.
-
-    JSON tables and CSV tables with a float column are rendered by
-    tableblocks in blocks of rows, each one numpy byte matrix made only
-    when its chunk is read: floats in 1e-29 <= |v| < 1e16 get their digits
-    from an error-free scaling by a power of ten, the shortest digits that
-    read back for JSON, and nan, ±inf, other magnitudes and the rare
-    rounding or round trip too close to its edge to decide that way take
-    Python's text. The other CSV tables, which `stencil` prints without
-    numpy, are one chunk that fills one % row template per row, each column
-    giving one % spec and the values it formats (see _cells)."""
-    if fmt == "json":
-        return tableblocks.json_records(names, columns)
-    header = ",".join(_csv_field(name, len(names) == 1) for name in names) + "\n"
-    if any(hasattr(column, "dtype") for column in columns):
-        return chain([header],
-                     tableblocks.csv_rows(columns, partial(_csv_field, alone=len(columns) == 1)))
-    specs, cells = zip(*(_cells(column, len(columns) == 1) for column in columns))
-    row = ",".join(specs) + "\n"
-    return [header + row * len(columns[0]) % tuple(chain.from_iterable(zip(*cells)))]
-
-
-def _cells(column, alone: bool) -> tuple[str, object]:
-    """The % spec of a float-free CSV column and the values it formats:
-    ints as %d, strings as csv.writer's fields, encoded once per distinct
-    value."""
-    if not (column and isinstance(column[0], str)):
-        return "%d", column
-    encoded = {text: _csv_field(text, alone) for text in set(column)}
-    return "%s", list(map(encoded.__getitem__, column))
-
-
-def _csv_field(text: str, alone: bool) -> str:
-    """text as csv.writer writes it in a row of one field (alone) or more:
-    an empty field is quoted only when it is the row's only one."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text] if alone else [text, ""])
-    return buf.getvalue()[:-1 if alone else -2]
+# --- output ---------------------------------------------------------------
 
 
 def _write(chunks: Iterable[str], out: str | None) -> None:
@@ -147,10 +103,11 @@ def _cmd_stencil(args) -> tuple[Iterable[str], int]:
     if args.format == "json":
         return [json.dumps(data, indent=2) + "\n"], 0
     header = ("kind", "n", "derivative_order", "h_power", "prefactor")
-    comment = "# " + ",".join(f"{key}={data[key]}" for key in header) + "\n"
-    columns = [[node["offset"] for node in data["nodes"]],
-               [node["weight"] for node in data["nodes"]]]
-    return [comment, *_render_table(["offset", "weight"], columns, "csv")], 0
+    buf = io.StringIO()
+    buf.write("# " + ",".join(f"{key}={data[key]}" for key in header) + "\n")
+    csv.writer(buf, lineterminator="\n").writerows(
+        [("offset", "weight"), *((node["offset"], node["weight"]) for node in data["nodes"])])
+    return [buf.getvalue()], 0
 
 
 def _default_ref(kind: StencilKind, part: str) -> CurveFamily:
@@ -202,7 +159,7 @@ def _cmd_spectrum(args) -> tuple[Iterable[str], int]:
     # frequency curves carry the transform's measure h
     ref = spectra.reference_column(curve, args.part, args.N, measure=args.h)
     columns = _spectrum_columns(spectrum, ref, args.part, args.h)
-    return _render_table(_SPECTRUM_COLUMNS, columns, args.format), 0
+    return tableblocks.table(_SPECTRUM_COLUMNS, columns, args.format), 0
 
 
 def _cmd_diff(args) -> tuple[Iterable[str], int]:
@@ -236,7 +193,7 @@ def _cmd_diff(args) -> tuple[Iterable[str], int]:
     policy = tableblocks.Labels([signals.SKIPPED, *(label for label, _, _ in result.spans)],
                                 codes)
     columns = [range(len(signal)), signal.x(np.arange(len(signal))), result.values, policy]
-    return _render_table(["index", "x", "value", "policy"], columns, args.format), 0
+    return tableblocks.table(["index", "x", "value", "policy"], columns, args.format), 0
 
 
 def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[Iterable[str], int]:
@@ -246,7 +203,7 @@ def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[Iterable[
         family, args.N, args.h, args.M
     )
     columns = _spectrum_columns(spectra.FilterSpectrum(values), ref, part, args.h)
-    return _render_table(_SPECTRUM_COLUMNS, columns, args.format), 0
+    return tableblocks.table(_SPECTRUM_COLUMNS, columns, args.format), 0
 
 
 def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[Iterable[str], int]:
@@ -260,7 +217,7 @@ def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[Iterable
     half = args.N // 2 + 1
     columns = [[n for n in args.n for _ in range(half)], list(range(half)) * len(args.n),
                *(np.concatenate(parts) for parts in zip(*(b[1:] for b in blocks)))]
-    return _render_table(["n", *_SPECTRUM_COLUMNS], columns, args.format), 0
+    return tableblocks.table(["n", *_SPECTRUM_COLUMNS], columns, args.format), 0
 
 
 def _figure_envelope_demo(args) -> tuple[Iterable[str], int]:
@@ -277,7 +234,7 @@ def _figure_envelope_demo(args) -> tuple[Iterable[str], int]:
                raw, np.where(even, -raw, raw)]
     names = ["index", "x", "signal", "envelope_upper", "envelope_lower",
              "half_point_raw", "half_point_corrected"]
-    return _render_table(names, columns, args.format), 0
+    return tableblocks.table(names, columns, args.format), 0
 
 
 # `cross_checks` eliminates a (max-n + 1)**2 integer matrix up front, in

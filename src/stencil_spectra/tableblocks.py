@@ -1,5 +1,9 @@
-"""CSV rows and JSON records of a table, rendered in numpy a block of rows
-at a time.
+"""The CSV or JSON text of every numeric table, its rows rendered in numpy
+a block of rows at a time.
+
+`table` is the one entry, and this module owns the format: the CSV
+header and each field quoted as csv.writer quotes it, and the JSON
+records' keys and strings as json.dumps writes them.
 
 Each block of at most BLOCK_ROWS rows is one uint8 matrix. A row is the
 row's fields, each a fixed-width slot with a stored length, with constant
@@ -9,8 +13,8 @@ braces, keys and separators (`,\\n  {\\n    "key": `, `,\\n    "key": `,
 a text cell may hold) keeps the text, and the kept bytes are decoded once
 per block. The matrix and the mask are made once per table, with the
 constant bytes set, and each block writes only its slots and their mask.
-csv_rows and json_records return the blocks' text as an iterator that
-makes each block when it is read, so a table's text is never held whole.
+`table` returns the blocks' text as an iterator that makes each block
+when it is read, so a table's text is never held whole.
 
 A CSV float slot holds exactly format(v + 0.0, ".17g"), the text of
 Python's correctly rounded dtoa:
@@ -55,9 +59,12 @@ as Labels with each row's code.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -462,24 +469,35 @@ def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
             for start in range(0, rows, step))
 
 
-def csv_rows(columns: Sequence, encode: Callable[[str], str]) -> Iterator[str]:
-    """The CSV rows, each ending in a newline, of equal-length columns, one
-    str per block of rows: a float column is a float64 array, an int
-    column a list or range, a string column a sequence of str or Labels,
-    whose values `encode` turns into fields."""
-    separators = [""] + [","] * (len(columns) - 1) + ["\n"]
-    return _blocks(columns, encode, separators, float_slots)
+def _csv_field(text: str, alone: bool) -> str:
+    """text as csv.writer writes it in a row of one field (alone) or more:
+    an empty field is quoted only when it is the row's only one."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text] if alone else [text, ""])
+    return buf.getvalue()[:-1 if alone else -2]
 
 
-def json_records(names: Sequence[str], columns: Sequence) -> Iterator[str]:
-    """json.dumps of the list of records {name: value} of equal-length
-    columns, with indent=2 and a final newline, one str per block of rows
-    and one for each bracket; the columns as for csv_rows."""
-    if not len(columns[0]):
-        return iter(["[]\n"])
-    keys = [json.dumps(name) for name in names]
-    # each record opens with the separator after the one before it, which
-    # the first record drops
-    fixed = [f",\n  {{\n    {keys[0]}: ", *(f",\n    {key}: " for key in keys[1:]), "\n  }"]
-    records = _blocks(columns, json.dumps, fixed, json_float_slots, skip=2)
-    return chain(["[\n"], records, ["\n]\n"])
+def table(names: Sequence[str], columns: Sequence, fmt: str) -> Iterator[str]:
+    """The text of a table of equal-length columns, one str per block of
+    rows and one for the CSV header or each JSON bracket: in CSV ("csv")
+    the bytes of csv.writer's rows, the names and then each record, with
+    floats as format(v + 0.0, ".17g"), and in JSON ("json") those of
+    json.dumps(records, indent=2) and a newline. A float column is a
+    float64 array, an int column a list or range, a string column a
+    sequence of str or Labels. The columns are read here; each block's
+    text is made only as it is read."""
+    if fmt == "json":
+        if not len(columns[0]):
+            return iter(["[]\n"])
+        keys = [json.dumps(name) for name in names]
+        # each record opens with the separator after the one before it,
+        # which the first record drops
+        fixed = [f",\n  {{\n    {keys[0]}: ", *(f",\n    {key}: " for key in keys[1:]),
+                 "\n  }"]
+        records = _blocks(columns, json.dumps, fixed, json_float_slots, skip=2)
+        return chain(["[\n"], records, ["\n]\n"])
+    alone = len(names) == 1
+    header = ",".join(_csv_field(name, alone) for name in names) + "\n"
+    separators = ["", *[","] * (len(columns) - 1), "\n"]
+    rows = _blocks(columns, partial(_csv_field, alone=alone), separators, float_slots)
+    return chain([header], rows)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stencil_spectra import cli, tableblocks, weights
-from stencil_spectra.cli import _render_table, run
+from stencil_spectra.cli import run
 from stencil_spectra.signals import (SKIPPED, SampledSignal, Sinusoid, apply_stencil,
                                      differentiate, differentiate_half_point_signal,
                                      make_signal, parse_test_function)
@@ -66,6 +66,47 @@ def test_stencil_csv_has_exact_fractions(capsys):
     assert lines[0].startswith("# kind=central-first,n=2")
     assert lines[1] == "offset,weight"
     assert "4/3" in out and "-1/6" in out and "." not in out.split("\n", 1)[1]
+
+
+def _stencil_digest(capsys, kind, fmt, ns):
+    """The SHA-256 of each stencil's exit code and stdout, in order of n."""
+    digest = hashlib.sha256()
+    for n in ns:
+        code, out, _ = run_capture(capsys, ["stencil", "--kind", kind, "--n", str(n),
+                                            "--format", fmt])
+        digest.update(f"{code}\n{out}".encode())
+    return digest.hexdigest()
+
+
+# n outside the 12..48 of the golden stencil argvs (perfbench/golden.json)
+_STENCIL_EDGE_NS = [*range(1, 12), *range(49, 61)]
+
+
+@pytest.mark.parametrize("kind, fmt, digest", [
+    ("central-first", "csv",
+     "72c588965fdca7327adac67365f11575e62231084f6a3821e814c5ce3dcc286c"),
+    ("central-first", "json",
+     "6b78372b277834095f02d4dd9ce0c7a675d0cbf14e3c06b422c4d1aaf94a82f1"),
+    ("central-second", "csv",
+     "5aa0d5feb79151b743d558e12df89fb5eee6904cea3da21243be2ce5f1e55908"),
+    ("central-second", "json",
+     "8d9d8bb929cc29ddbc3a72cc6e46d37fface197105577c8462eb782287f0dec8"),
+    ("half-point-first", "csv",
+     "6186aa39b3aa18eab9c007f632e9769f70fd13808539088edb01a47996b26fa9"),
+    ("half-point-first", "json",
+     "757ac7845cc59cc04be6c106b2833d05b60c93dc351012ade6b3265894360dd7"),
+    ("one-sided-first", "csv",
+     "e789dfb0331caf916b9b3d0880ed910a93f5a2af09e9598d2e2094025da79337"),
+    ("one-sided-first", "json",
+     "0f82e272e1f40914e66dcb07c616d6795dd78f29db7443f4757ba27586f3d90f"),
+    ("one-sided-nth", "csv",
+     "fe1d2ceba2badbca45126287fe6869ba019c60c2ecaa74341044b44f509566c6"),
+    ("one-sided-nth", "json",
+     "d4955393445a52cecdbe0f35ccc63448228949b5f88bf48fead2cf7af08a540c"),
+])
+def test_stencil_bytes_outside_the_golden_range_are_pinned(capsys, kind, fmt, digest):
+    # recorded when `stencil`'s CSV rows filled a % row template per row
+    assert _stencil_digest(capsys, kind, fmt, _STENCIL_EDGE_NS) == digest
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -817,24 +858,22 @@ def _tables(draw):
 @example(table=(["x", "i"], [np.array([]), []]), fmt="json", block=2)
 def test_render_table_matches_per_row_rendering(table, fmt, block):
     names, columns = table
-    cli._load_numeric()  # as run does before a numeric command
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tableblocks, "BLOCK_ROWS", block)
-        assert "".join(_render_table(names, columns, fmt)) == _per_row_render(names, columns,
-                                                                               fmt)
+        rendered = "".join(tableblocks.table(names, columns, fmt))
+        assert rendered == _per_row_render(names, columns, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_labels_column_renders_as_its_strings(fmt):
-    cli._load_numeric()
     names, codes = ["skipped", "a,b", "é"], np.array([1, 1, 0, 2, 1], np.uint8)
     texts = tuple(names[code] for code in codes.tolist())
     x = np.linspace(-1, 1, 5)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tableblocks, "BLOCK_ROWS", 2)
-        labels = "".join(_render_table(["x", "policy"], [x, tableblocks.Labels(names, codes)],
-                                       fmt))
-        assert labels == "".join(_render_table(["x", "policy"], [x, texts], fmt))
+        labels = "".join(tableblocks.table(["x", "policy"],
+                                           [x, tableblocks.Labels(names, codes)], fmt))
+        assert labels == "".join(tableblocks.table(["x", "policy"], [x, texts], fmt))
 
 
 @pytest.mark.parametrize("argv, kind, n, order", [

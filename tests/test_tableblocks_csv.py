@@ -1,5 +1,6 @@
-"""The CSV float slot: format(v + 0.0, ".17g") byte for byte, on random bit
-patterns and on the values where its scaling, rounding or layout turns."""
+"""The CSV float slot of tableblocks: format(v + 0.0, ".17g") byte for
+byte, on random bit patterns and on the values where its scaling, rounding
+or layout turns."""
 
 import os
 import struct
