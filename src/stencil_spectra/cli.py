@@ -138,7 +138,7 @@ def _spectrum_columns(spectrum: spectra.FilterSpectrum, ref, part: str, h: float
     spectrum."""
     re_part, im_part, N = spectrum.re_conj, spectrum.im_conj, spectrum.N
     abs_dev = abs((im_part if part == "im" else re_part) - ref)
-    return [range(N // 2 + 1), spectra.omega_grid(N, h), re_part, im_part, ref, abs_dev]
+    return [np.arange(N // 2 + 1), spectra.omega_grid(N, h), re_part, im_part, ref, abs_dev]
 
 
 def _cmd_spectrum(args) -> tuple[Iterable[str], int]:
@@ -186,13 +186,9 @@ def _cmd_diff(args) -> tuple[Iterable[str], int]:
     else:
         result = signals.differentiate(signal, args.n or 1, order)
 
-    # the policy column as codes into (SKIPPED, each span's label)
-    codes = np.zeros(len(signal), np.uint8)
-    for code, (_, start, stop) in enumerate(result.spans, 1):
-        codes[start:stop] = code
-    policy = tableblocks.Labels([signals.SKIPPED, *(label for label, _, _ in result.spans)],
-                                codes)
-    columns = [range(len(signal)), signal.x(np.arange(len(signal))), result.values, policy]
+    index = np.arange(len(signal))
+    columns = [index, signal.x(index), result.values,
+               tableblocks.Labels(*result.policy_codes())]
     return tableblocks.table(["index", "x", "value", "policy"], columns, args.format), 0
 
 
@@ -214,9 +210,7 @@ def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[Iterable
                           args.h)
         for n in args.n
     ]
-    half = args.N // 2 + 1
-    columns = [[n for n in args.n for _ in range(half)], list(range(half)) * len(args.n),
-               *(np.concatenate(parts) for parts in zip(*(b[1:] for b in blocks)))]
+    columns = [np.repeat(args.n, args.N // 2 + 1), *map(np.concatenate, zip(*blocks))]
     return tableblocks.table(["n", *_SPECTRUM_COLUMNS], columns, args.format), 0
 
 
@@ -226,12 +220,12 @@ def _figure_envelope_demo(args) -> tuple[Iterable[str], int]:
         raise _Usage("figure 2b needs an altpoly: test function")
     signal = signals.make_signal(fn, args.h, args.points)
     result = signals.differentiate_half_point_signal(signal, args.n)
-    x = signal.x(np.arange(len(signal)))
+    index = np.arange(len(signal))
+    x = signal.x(index)
     envelope = np.abs(fn.envelope(x))  # the scalar Horner steps, element-wise
     raw = result.values
-    even = (np.arange(len(signal)) - signal.origin) % 2 == 0
-    columns = [range(len(signal)), x, signal.samples, envelope, -envelope,
-               raw, np.where(even, -raw, raw)]
+    even = (index - signal.origin) % 2 == 0
+    columns = [index, x, signal.samples, envelope, -envelope, raw, np.where(even, -raw, raw)]
     names = ["index", "x", "signal", "envelope_upper", "envelope_lower",
              "half_point_raw", "half_point_corrected"]
     return tableblocks.table(names, columns, args.format), 0

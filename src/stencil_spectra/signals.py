@@ -61,19 +61,27 @@ class SampledSignal:
 class DerivativeResult:
     """Per-index derivative values; NaN where the policy says skipped. Each
     span (label, start, stop) names the rule applied at indices
-    start..stop-1, and the indices no span covers are skipped."""
+    start..stop-1, and the indices no span covers are skipped.
+    policy_codes() gives the policy as labels and a code per index, and
+    policy as the label of each index."""
 
     values: np.ndarray
     spans: tuple[tuple[str, int, int], ...]
     order: int
 
+    def policy_codes(self) -> tuple[list[str], np.ndarray]:
+        """The labels, SKIPPED and then each span's, and each index's uint8
+        code into them."""
+        codes = np.zeros(len(self.values), np.uint8)
+        for code, (_, start, stop) in enumerate(self.spans, 1):
+            codes[start:stop] = code
+        return [SKIPPED, *(label for label, _, _ in self.spans)], codes
+
     @cached_property
     def policy(self) -> tuple[str, ...]:
         """The label of each index: its span's, or SKIPPED."""
-        policy = [SKIPPED] * len(self.values)
-        for label, start, stop in self.spans:
-            policy[start:stop] = [label] * (stop - start)
-        return tuple(policy)
+        labels, codes = self.policy_codes()
+        return tuple(labels[code] for code in codes.tolist())
 
 
 class _CompiledRule:

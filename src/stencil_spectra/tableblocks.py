@@ -52,9 +52,10 @@ Zero prints as 0.0 or -0.0; nan, ±inf, a value outside the fast range,
 and a value within 2^−40 of a half-gap edge, or of a tie between two
 16-digit neighbours that both read back, take json's own text.
 
-An int column takes a uint32 digit loop when every |value| < 2^31, and %d
-otherwise; a string column is encoded once per distinct value, or comes
-as Labels with each row's code.
+A column is a float64 array, a signed-integer array or Labels. An int
+slot holds the digits of the value's uint64 magnitude, which covers every
+int64, and a Labels column is encoded once per distinct value and placed
+by each row's code.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ from itertools import chain
 import numpy as np
 
 # A block's temporaries take about 150 bytes per float, and they set the
-# renderer's peak memory: with 2,048-row blocks the spectra benchmark's
-# peak RSS stayed within 2 MB of the per-row template renderer's
+# renderer's peak memory: a 2,048-row block of a spectrum table's five
+# float columns takes about 1.5 MB
 BLOCK_ROWS = 2048
 
 # 10^k = _HI[k] + _LO[k] exactly for k = 0..46 (5^46 < 2^107), and
@@ -327,21 +328,20 @@ def json_float_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _float_slots(values, _REPR)
 
 
-# powers of ten 10..10^9, below which an int has 1..9 digits
-_POWERS = 10 ** np.arange(1, 10, dtype=np.uint32)
+# powers of ten 10..10^19, below which an int has 1..19 digits
+_POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
 def _int_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """%d of each int64 with |v| < 2^31 as right-aligned rows, and the
-    text lengths."""
-    magnitude = np.abs(values).astype(np.uint32)
+    """%d of each int64 as right-aligned rows, and the text lengths."""
+    magnitude = np.abs(values).view(np.uint64)  # |-2^63| wraps to -2^63, whose bits are 2^63
     digits = np.searchsorted(_POWERS, magnitude, side="right") + 1
     negative = values < 0
     most = int(digits.max(initial=1))
     width = most + bool(negative.any())
     slots = np.empty((len(values), width), np.uint8)
     for j in range(width - 1, width - 1 - most, -1):
-        magnitude, slots[:, j] = np.divmod(magnitude, np.uint32(10))
+        magnitude, slots[:, j] = np.divmod(magnitude, np.uint64(10))
     slots += ord("0")
     rows = np.flatnonzero(negative)
     slots[rows, width - 1 - digits[rows]] = ord("-")
@@ -360,77 +360,27 @@ class Labels:
         return len(self.codes)
 
 
-def _text_column(labels: Labels, encode: Callable[[str], str]):
-    """The encoded values of a string column as left-aligned rows with
-    their lengths, and each row's index into them."""
-    encoded = [encode(text).encode() for text in labels.names]
-    lengths = np.array(list(map(len, encoded)), np.intp)
-    table = np.zeros((len(encoded), int(lengths.max(initial=0))), np.uint8)
-    for row, text in zip(table, encoded):
-        row[:len(text)] = np.frombuffer(text, np.uint8)
-    return table, lengths, labels.codes
-
-
-def _labels(texts: Sequence[str]) -> Labels:
-    index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    return Labels(list(index), np.fromiter(map(index.__getitem__, texts), np.intp, len(texts)))
-
-
 def _column(column, encode: Callable[[str], str]):
-    """How a column renders: ("float", array), ("int", int64 array) or
-    ("text", (table, lengths, codes))."""
+    """How a column renders, and the bytes of its field (its widest slot in
+    any block): ("float", float64 array, width), ("int", int64 array, width)
+    or ("text", (encoded values as left-aligned rows, their lengths, each
+    row's code), width)."""
     if isinstance(column, Labels):
-        return "text", _text_column(column, encode)
-    if hasattr(column, "dtype"):
-        return "float", column
-    if column and isinstance(column[0], str):
-        return "text", _text_column(_labels(column), encode)
-    if isinstance(column, range):
-        if all(-2 ** 31 < bound < 2 ** 31 for bound in (column.start, column.stop)):
-            return "int", np.arange(column.start, column.stop, column.step, dtype=np.int64)
-    elif -2 ** 31 < min(column, default=0) and max(column, default=0) < 2 ** 31:
-        return "int", np.array(column, np.int64)
-    return "text", _text_column(_labels(["%d" % v for v in column]), str)
-
-
-def _block(columns: list, widths: list[int], at: list[int], matrix: np.ndarray,
-           keep: np.ndarray, float_text, start: int, stop: int, skip: int) -> str:
-    """Rows start..stop-1 in the table's byte matrix and keep mask, whose
-    constant bytes are set: column i's slot goes in its field of widths[i]
-    bytes from column at[i], left-aligned or (an int) right-aligned. The
-    table's first row drops its first `skip` bytes."""
-    floats = [values[start:stop] for kind, values in columns if kind == "float"]
-    rows = stop - start
-    if floats:
-        slots, lengths = float_text(np.concatenate(floats))
-    matrix, keep = matrix[:rows], keep[:rows]
-    k = 0
-    for (kind, values), width, col in zip(columns, widths, at):
-        right = kind == "int"
-        if kind == "float":
-            slot, length = slots[k:k + rows], lengths[k:k + rows]
-            k += rows
-        elif right:
-            slot, length = _int_slots(values[start:stop])
-        else:
-            table, text_lengths, codes = values
-            block_codes = codes[start:stop]
-            slot, length = table.take(block_codes, axis=0), text_lengths.take(block_codes)
-        w = slot.shape[1]
-        left = col + width - w if right else col
-        matrix[:, left:left + w] = slot
-        keep[:, col:col + width] = _kept(length, width, right)
-    text = str(matrix[keep], "utf-8")
-    return text if start else text[skip:]
-
-
-def _width(kind: str, values) -> int:
-    """The bytes of a column's field: the widest slot of any block."""
-    if kind == "float":
-        return _FALLBACK_WIDTH
-    if kind == "int":  # _int_slots' digits and sign place
-        return len("%d" % np.abs(values).max(initial=0)) + bool(values.min(initial=0) < 0)
-    return values[0].shape[1]
+        encoded = [encode(text).encode() for text in column.names]
+        lengths = np.array(list(map(len, encoded)), np.intp)
+        table = np.zeros((len(encoded), int(lengths.max(initial=0))), np.uint8)
+        for row, text in zip(table, encoded):
+            row[:len(text)] = np.frombuffer(text, np.uint8)
+        return "text", (table, lengths, column.codes), table.shape[1]
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return "float", column, _FALLBACK_WIDTH
+    if isinstance(column, np.ndarray) and column.dtype.kind == "i":
+        # _int_slots' digits and sign place, from two scalars and no
+        # full-size temporary
+        low, high = int(column.min(initial=0)), int(column.max(initial=0))
+        return "int", column.astype(np.int64, copy=False), len(str(max(-low, high))) + (low < 0)
+    kind = getattr(column, "dtype", type(column).__name__)
+    raise TypeError(f"a table column is a float64 or signed-integer array or Labels, not {kind}")
 
 
 # _FIRST[length, j]: whether byte j of a left-aligned slot is text
@@ -448,12 +398,12 @@ def _kept(lengths: np.ndarray, width: int, right: bool) -> np.ndarray:
 
 def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
             float_text, skip: int = 0) -> Iterator[str]:
-    """The text of a table's rows, one str per block (see _block). The
-    columns, and the byte matrix and keep mask with the constant bytes that
-    every block shares, are made here; each block is made only as it is
-    read."""
+    """The text of a table's rows, one str per block of at most BLOCK_ROWS
+    rows. The columns, and the byte matrix and keep mask with the constant
+    bytes that every block shares, are made here; each block is made only
+    as it is read."""
     specs = [_column(column, encode) for column in columns]
-    widths = [_width(kind, values) for kind, values in specs]
+    widths = [width for _, _, width in specs]
     rows, step = len(columns[0]), BLOCK_ROWS
     matrix = np.empty((min(rows, step), sum(map(len, fixed)) + sum(widths)), np.uint8)
     keep = np.zeros(matrix.shape, bool)
@@ -464,9 +414,37 @@ def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
         col += len(text)
         at.append(col)
         col += width
-    return (_block(specs, widths, at, matrix, keep, float_text, start, min(start + step, rows),
-                   skip)
-            for start in range(0, rows, step))
+
+    def block(start: int) -> str:
+        """Rows start.. in the shared matrix and mask: column i's slot goes
+        in its field of widths[i] bytes from column at[i], left-aligned or
+        (an int) right-aligned. The table's first row drops its first
+        `skip` bytes."""
+        stop = min(start + step, rows)
+        floats = [values[start:stop] for kind, values, _ in specs if kind == "float"]
+        if floats:
+            slots, lengths = float_text(np.concatenate(floats))
+        n = stop - start
+        k = 0
+        for (kind, values, width), col in zip(specs, at):
+            right = kind == "int"
+            if kind == "float":
+                slot, length = slots[k:k + n], lengths[k:k + n]
+                k += n
+            elif right:
+                slot, length = _int_slots(values[start:stop])
+            else:
+                table, text_lengths, codes = values
+                block_codes = codes[start:stop]
+                slot, length = table.take(block_codes, axis=0), text_lengths.take(block_codes)
+            w = slot.shape[1]
+            left = col + width - w if right else col
+            matrix[:n, left:left + w] = slot
+            keep[:n, col:col + width] = _kept(length, width, right)
+        text = str(matrix[:n][keep[:n]], "utf-8")
+        return text if start else text[skip:]
+
+    return map(block, range(0, rows, step))
 
 
 def _csv_field(text: str, alone: bool) -> str:
@@ -482,19 +460,19 @@ def table(names: Sequence[str], columns: Sequence, fmt: str) -> Iterator[str]:
     rows and one for the CSV header or each JSON bracket: in CSV ("csv")
     the bytes of csv.writer's rows, the names and then each record, with
     floats as format(v + 0.0, ".17g"), and in JSON ("json") those of
-    json.dumps(records, indent=2) and a newline. A float column is a
-    float64 array, an int column a list or range, a string column a
-    sequence of str or Labels. The columns are read here; each block's
-    text is made only as it is read."""
+    json.dumps(records, indent=2) and a newline. A column is a float64
+    array, a signed-integer array or Labels; any other column raises
+    TypeError here. The columns are read here; each block's text is made
+    only as it is read."""
     if fmt == "json":
-        if not len(columns[0]):
-            return iter(["[]\n"])
         keys = [json.dumps(name) for name in names]
         # each record opens with the separator after the one before it,
         # which the first record drops
         fixed = [f",\n  {{\n    {keys[0]}: ", *(f",\n    {key}: " for key in keys[1:]),
                  "\n  }"]
         records = _blocks(columns, json.dumps, fixed, json_float_slots, skip=2)
+        if not len(columns[0]):
+            return iter(["[]\n"])
         return chain(["[\n"], records, ["\n]\n"])
     alone = len(names) == 1
     header = ",".join(_csv_field(name, alone) for name in names) + "\n"

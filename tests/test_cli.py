@@ -807,11 +807,23 @@ def _per_row_render(names, columns, fmt):
     return buf.getvalue()
 
 
+def _as_column(values):
+    """A drawn column as tableblocks takes it: ints as an int64 array, str
+    as Labels, and a float64 array as it is."""
+    if isinstance(values, np.ndarray):
+        return values
+    if values and isinstance(values[0], str):
+        names = list(dict.fromkeys(values))
+        return tableblocks.Labels(names, np.array([names.index(v) for v in values], np.intp))
+    return np.array(values, np.int64)
+
+
 _CELL_TEXT = st.text(st.one_of(st.sampled_from(list(',"\r\n %xé€\x00')), st.characters()),
                      max_size=4)
-# ints either side of the uint32 digit loop's bound 2^31, and any
-_INTS = st.one_of(st.integers(), st.integers(-2 ** 31 - 2, -2 ** 31 + 2),
-                  st.integers(2 ** 31 - 2, 2 ** 31 + 2))
+# any int64, with ints about ±2^31 and at both ends of int64
+_INTS = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1), st.integers(-2 ** 31 - 2, -2 ** 31 + 2),
+                  st.integers(2 ** 31 - 2, 2 ** 31 + 2), st.integers(-2 ** 63, -2 ** 63 + 2),
+                  st.integers(2 ** 63 - 3, 2 ** 63 - 1))
 
 
 @st.composite
@@ -841,9 +853,9 @@ def _tables(draw):
        block=st.sampled_from([1, 2, 3, 4, tableblocks.BLOCK_ROWS]))
 @example(table=(["policy"], [("", "", "")]), fmt="csv", block=4096)
 @example(table=(["x", "v"], [np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324]),
-                             [0, -1, 2 ** 64, -2 ** 70, 3]]), fmt="csv", block=2)
+                             [0, -1, 2 ** 63 - 1, -2 ** 63, 3]]), fmt="csv", block=2)
 @example(table=(["x", "v"], [np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324]),
-                             [0, -1, 2 ** 64, -2 ** 70, 3]]), fmt="json", block=4096)
+                             [0, -1, 2 ** 63 - 1, -2 ** 63, 3]]), fmt="json", block=4096)
 @example(table=(["x", "t", "i"], [np.array([1.5, -2.0, 3e-30]), ("\x00", "a\x00b", ""),
                                   [2 ** 31 - 1, -2 ** 31 + 1, 2 ** 31]]), fmt="csv", block=2)
 # JSON records across block boundaries, with json's NaN and Infinity, -0.0,
@@ -860,7 +872,7 @@ def test_render_table_matches_per_row_rendering(table, fmt, block):
     names, columns = table
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tableblocks, "BLOCK_ROWS", block)
-        rendered = "".join(tableblocks.table(names, columns, fmt))
+        rendered = "".join(tableblocks.table(names, list(map(_as_column, columns)), fmt))
         assert rendered == _per_row_render(names, columns, fmt)
 
 
@@ -873,7 +885,19 @@ def test_labels_column_renders_as_its_strings(fmt):
         patch.setattr(tableblocks, "BLOCK_ROWS", 2)
         labels = "".join(tableblocks.table(["x", "policy"],
                                            [x, tableblocks.Labels(names, codes)], fmt))
-        assert labels == "".join(tableblocks.table(["x", "policy"], [x, texts], fmt))
+        assert labels == _per_row_render(["x", "policy"], [x, texts], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_int_array_column_renders_as_ints_and_other_columns_are_rejected(fmt):
+    for column in (np.arange(3), np.array([0, -1, 2 ** 63 - 1, -2 ** 63], np.int64),
+                   np.array([7, -8], np.int8)):
+        assert "".join(tableblocks.table(["n"], [column], fmt)) == \
+            _per_row_render(["n"], [column], fmt)
+    # raised by table itself, before any text is read
+    for column in ([0, 1], range(2), ("a", "b"), np.array([0.5, 1.0], np.float32), []):
+        with pytest.raises(TypeError, match="float64 or signed-integer array or Labels"):
+            tableblocks.table(["n"], [column], fmt)
 
 
 @pytest.mark.parametrize("argv, kind, n, order", [
