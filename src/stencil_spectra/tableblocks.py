@@ -10,8 +10,9 @@ row's fields, each a fixed-width slot with a stored length, with constant
 byte fields around them: `,` and `\\n` in CSV, and in JSON the record's
 braces, keys and separators (`,\\n  {\\n    "key": `, `,\\n    "key": `,
 `\\n  }`). A boolean mask built from the lengths (not from zero bytes, which
-a text cell may hold) keeps the text, and the kept bytes are decoded once
-per block. The matrix and the mask are made once per table, with the
+a text cell may hold), a row per slot from its field's table of one row
+per length, keeps the text, and the kept bytes are decoded once per
+block. The matrix and the mask are made once per table, with the
 constant bytes set, and each block writes only its slots and their mask.
 `table` returns the blocks' text as an iterator that makes each block
 when it is read, so a table's text is never held whole.
@@ -19,20 +20,20 @@ when it is read, so a table's text is never held whole.
 A CSV float slot holds exactly format(v + 0.0, ".17g"), the text of
 Python's correctly rounded dtoa:
 
-- E starts at floor(log10|v|). D = round-half-even(|v|·10^(16−E)) comes
+- E = floor(log10|v|) is exact: the count of a table's entries at or
+  below |v|, each the smallest float at or above a power of ten, found at
+  import by exact comparison. D = round-half-even(|v|·10^(16−E)) comes
   from Dekker's error-free product (Numer. Math. 18, 1971) of |v| and hi,
   where 10^k = hi + lo is a split that is exact for k ≤ 46, so the fast
-  range is 1e−29 ≤ |v| < 1e16. The rounding counts as certain when the
-  fraction f = |v|·10^k − D lies more than 2^−40 from ±½; the arithmetic
-  errs by less than 2^−44.
-- Where D falls outside [10^16, 10^17], E moves by one and D is made
-  again, so log10 and floor may miss by one. D = 10^17 is the carry 10^16
-  at E + 1, and D = 10^16 may round a value below 10^E, which D at E − 1
-  decides.
+  range is 1e−29 ≤ |v| < 1e16 and E runs over −30..15. The rounding
+  counts as certain when the fraction f = |v|·10^k − D lies more than
+  2^−40 from ±½; the arithmetic errs by less than 2^−44.
+- 10^16 ≤ D ≤ 10^17, and D = 10^17 is the carry 10^16 at E + 1 (fl(1e−14)
+  rounds up to it).
 - D's 17 digits are its lead digit and four 4-digit groups, each group
   one lookup in a table of 10^4 four-byte texts. A layout table indexed by
   (sign, E, digit count) places them, trailing zeros cut, in %g's fixed
-  form (−4 ≤ E < 17) or its e-XX form, with one flat take per 1,024
+  form (E ≥ −4) or its e-XX form, with one flat take per 1,024
   values.
 - Zero prints as 0. Every other value (nan, ±inf, a value outside the fast
   range, a rounding that is not certain) takes Python's own format.
@@ -52,10 +53,10 @@ Zero prints as 0.0 or -0.0; nan, ±inf, a value outside the fast range,
 and a value within 2^−40 of a half-gap edge, or of a tie between two
 16-digit neighbours that both read back, take json's own text.
 
-A column is a float64 array, a signed-integer array or Labels. An int
-slot holds the digits of the value's uint64 magnitude, which covers every
-int64, and a Labels column is encoded once per distinct value and placed
-by each row's code.
+A column is a 1-D float64 array, a 1-D signed-integer array or Labels,
+all of one length. An int slot holds the digits of the value's uint64
+magnitude, which covers every int64, and a Labels column is encoded once
+per distinct value and placed by each row's code.
 """
 
 from __future__ import annotations
@@ -63,8 +64,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import chain
 
@@ -75,10 +78,18 @@ import numpy as np
 # float columns takes about 1.5 MB
 BLOCK_ROWS = 2048
 
-# 10^k = _HI[k] + _LO[k] exactly for k = 0..46 (5^46 < 2^107), and
-# Dekker's split of _HI into two halves of at most 26 bits
-_HI = np.array([float(10 ** k) for k in range(47)])
-_LO = np.array([float(10 ** k - int(float(10 ** k))) for k in range(47)])
+# E = floor(log10 a) of the fast range, 1e-29 <= a < 1e16, runs over
+# -30..15: fl(1e-29) lies below 10^-29
+_E_MIN, _E_MAX = -30, 15
+# _DECADES[i]: the smallest float >= 10^(_E_MIN + 1 + i), from an exact
+# comparison, so that E is _E_MIN plus the count of entries <= a
+_DECADES = np.array([v if v >= Fraction(10) ** k else math.nextafter(v, math.inf)
+                     for k in range(_E_MIN + 1, _E_MAX + 1) for v in [float(Fraction(10) ** k)]])
+# 10^k = _HI[k] + _LO[k] exactly for k = 0..46 (5^46 < 2^107), which
+# covers the scales 10^(16 - E), and Dekker's split of _HI into two halves
+# of at most 26 bits
+_HI = np.array([float(10 ** k) for k in range(17 - _E_MIN)])
+_LO = np.array([float(10 ** k - int(float(10 ** k))) for k in range(17 - _E_MIN)])
 _SPLIT = 134217729.0  # 2^27 + 1
 _HH = _SPLIT * _HI - (_SPLIT * _HI - _HI)
 _HL = _HI - _HH
@@ -90,10 +101,6 @@ _MARGIN = 2.0 ** -40
 _EXPONENT_BITS = np.uint64(0x7FF << 52)
 _HALF_ULP = _HI * 2.0 ** -53
 _LAST_DIGIT = np.arange(100.0) % 10
-
-# E of a layout runs over -30..16: a value at 1e-29 lies below 10^-29, and
-# D is made at E = 16 where log10 of a value below 1e16 rounds up to 16
-_E_MIN, _E_MAX = -30, 16
 
 # A value's source row: digits 1..16 as four 4-digit groups, digit 0, then
 # the constants of the layouts. Little-endian words hold the groups.
@@ -119,7 +126,7 @@ _TAKE = 1024  # values per take of the layout
 @dataclass(frozen=True)
 class _FloatText:
     """How one format writes a float: its layouts (rows of _WIDTH indices
-    into a value's source row, at (sign · 47 + E + 30) · 17 + digits − 1,
+    into a value's source row, at (sign · 46 + E + 30) · 17 + digits − 1,
     then +0's and -0's), their lengths, whether it writes the shortest
     digits that read back, and the text of a value the fast path leaves."""
 
@@ -157,7 +164,7 @@ def _float_text(shortest: bool) -> _FloatText:
         [j == 0, j == mark, j == mark + 1, j == mark + 2, j == mark + 3, j == 1],
         [digit(j), byte["e"], np.where(E < 0, byte["-"], byte["+"]),
          byte["0"] + abs(E) // 10, byte["0"] + abs(E) % 10, byte["."]], digit(j - 1))
-    forms = [(E < -4) | (E >= 16) if shortest else E < -4, E < 0]
+    forms = [E < -4, E < 0]
     unsigned = np.select(forms, [scientific, small], fixed).reshape(-1, _WIDTH - 1)
     lengths = np.select(forms, [mark + 4, small_length], fixed_length).reshape(-1)
     table = np.zeros((2 * len(unsigned) + 2, _WIDTH), np.uint8)
@@ -209,33 +216,18 @@ def _scaled(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return D, certain, f
 
 
-def _rounded(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, ...]:
+def _rounded(a: np.ndarray) -> tuple[np.ndarray, ...]:
     """(D, E, certain, f): D · 10^(E − 16) with 10^16 <= D < 10^17 is the
-    17-digit rounding of each a in the fast range, from an E that is
-    floor(log10 a) or misses it by one, and f = a · 10^(16 − E) − D."""
-    E = np.clip(E, _E_MIN, _E_MAX)
+    17-digit rounding of each a in the fast range, and f = a · 10^(16 − E)
+    − D."""
+    E = np.searchsorted(_DECADES, a, side="right") + _E_MIN
     D, certain, f = _scaled(a, E)
-    for _ in range(2):
-        off = np.flatnonzero((D < 10 ** 16) | (D > 10 ** 17))
-        if not off.size:
-            break
-        E[off] += np.where(D[off] > 10 ** 17, 1, -1)
-        D[off], certain[off], f[off] = _scaled(a[off], np.clip(E[off], _E_MIN, _E_MAX))
     # fl(1e-14), 0.118 units of D below 10^-14, reaches the carry from its
-    # exact exponent -15
+    # exponent -15
     carry = D == 10 ** 17
     D[carry] = 10 ** 16
     E[carry] += 1
     f[carry] /= 10
-    edge = np.flatnonzero(D == 10 ** 16)
-    if edge.size:
-        below, sure, below_f = _scaled(a[edge], np.clip(E[edge] - 1, _E_MIN, _E_MAX))
-        take = below < 10 ** 17
-        D[edge] = np.where(take, below, D[edge])
-        f[edge] = np.where(take, below_f, f[edge])
-        E[edge] -= take
-        certain[edge] &= sure
-    certain &= (D >= 10 ** 16) & (D < 10 ** 17) & (E >= _E_MIN) & (E <= _E_MAX)
     return D, E, certain, f
 
 
@@ -246,7 +238,7 @@ def _shortest(a, D, E, certain, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the half-gaps about a in units of D: ulp/2 = 2^(e - 53) for a in
     # [2^e, 2^(e+1)) above, and below too unless a is 2^e
     binade = (a.view(np.uint64) & _EXPONENT_BITS).view(np.float64)  # 2^e
-    above = binade * _HALF_ULP.take(16 - E, mode="clip")
+    above = binade * _HALF_ULP[16 - E]
     below = np.where(a == binade, above * 0.5, above)
     # each edge, as far in as a certain decision lies and as far out
     below_in, below_out = below - _MARGIN, below + _MARGIN
@@ -278,7 +270,7 @@ def _float_slots(values: np.ndarray, text: _FloatText) -> tuple[np.ndarray, np.n
     a = np.abs(values)
     fast = (a >= 1e-29) & (a < 1e16)
     a[~fast] = 1.0  # a placeholder: these take the fallback text
-    D, E, certain, f = _rounded(a, np.floor(np.log10(a)).astype(np.intp))
+    D, E, certain, f = _rounded(a)
     if text.shortest:
         D, E, certain = _shortest(a, D, E, certain, f)
     del a, f
@@ -295,7 +287,7 @@ def _float_slots(values: np.ndarray, text: _FloatText) -> tuple[np.ndarray, np.n
         source.view("<u4")[:, place] = _GROUP_TEXT.take(group)
         np.maximum(digits, _TAIL[place].take(group), out=digits)
     sign = np.signbit(values)
-    layout = (sign * 47 + E - _E_MIN) * 17 + digits - 1
+    layout = (sign * (_E_MAX - _E_MIN + 1) + E - _E_MIN) * 17 + digits - 1
     # zero's text, and a placeholder for the rest
     np.copyto(layout, len(text.layout) - 2 + sign, where=~certain)
     slots = np.empty((n, _WIDTH), np.uint8)
@@ -332,15 +324,14 @@ def json_float_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
-def _int_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """%d of each int64 as right-aligned rows, and the text lengths."""
+def _int_slots(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """%d of each int64 as rows of `width` bytes, right-aligned, and the
+    text lengths."""
     magnitude = np.abs(values).view(np.uint64)  # |-2^63| wraps to -2^63, whose bits are 2^63
     digits = np.searchsorted(_POWERS, magnitude, side="right") + 1
     negative = values < 0
-    most = int(digits.max(initial=1))
-    width = most + bool(negative.any())
     slots = np.empty((len(values), width), np.uint8)
-    for j in range(width - 1, width - 1 - most, -1):
+    for j in range(width - 1, -1, -1):
         magnitude, slots[:, j] = np.divmod(magnitude, np.uint64(10))
     slots += ord("0")
     rows = np.flatnonzero(negative)
@@ -365,6 +356,9 @@ def _column(column, encode: Callable[[str], str]):
     any block): ("float", float64 array, width), ("int", int64 array, width)
     or ("text", (encoded values as left-aligned rows, their lengths, each
     row's code), width)."""
+    data = column.codes if isinstance(column, Labels) else column
+    if isinstance(data, np.ndarray) and data.ndim != 1:
+        raise TypeError(f"a table column is 1-D, not {data.ndim}-D")
     if isinstance(column, Labels):
         encoded = [encode(text).encode() for text in column.names]
         lengths = np.array(list(map(len, encoded)), np.intp)
@@ -383,19 +377,6 @@ def _column(column, encode: Callable[[str], str]):
     raise TypeError(f"a table column is a float64 or signed-integer array or Labels, not {kind}")
 
 
-# _FIRST[length, j]: whether byte j of a left-aligned slot is text
-_FIRST = np.arange(_FALLBACK_WIDTH) < np.arange(_FALLBACK_WIDTH + 1)[:, None]
-
-
-def _kept(lengths: np.ndarray, width: int, right: bool) -> np.ndarray:
-    """Which bytes of each slot of a field are text, from the lengths."""
-    if width <= _FALLBACK_WIDTH:
-        first = _FIRST[:, :width]
-        return (first[:, ::-1] if right else first).take(lengths, axis=0)
-    position = np.arange(width)
-    return (position[::-1] if right else position) < lengths[:, None]
-
-
 def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
             float_text, skip: int = 0) -> Iterator[str]:
     """The text of a table's rows, one str per block of at most BLOCK_ROWS
@@ -405,6 +386,8 @@ def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
     specs = [_column(column, encode) for column in columns]
     widths = [width for _, _, width in specs]
     rows, step = len(columns[0]), BLOCK_ROWS
+    if any(len(column) != rows for column in columns):
+        raise TypeError(f"a table's columns have one length, not {[*map(len, columns)]}")
     matrix = np.empty((min(rows, step), sum(map(len, fixed)) + sum(widths)), np.uint8)
     keep = np.zeros(matrix.shape, bool)
     at, col = [], 0
@@ -414,33 +397,34 @@ def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
         col += len(text)
         at.append(col)
         col += width
+    # masks[i][length]: which bytes of column i's field are text, from the
+    # left or (an int's) from the right
+    masks = [(np.arange(width) < np.arange(width + 1)[:, None])[:, ::-1 if kind == "int" else 1]
+             for kind, _, width in specs]
 
     def block(start: int) -> str:
         """Rows start.. in the shared matrix and mask: column i's slot goes
-        in its field of widths[i] bytes from column at[i], left-aligned or
-        (an int) right-aligned. The table's first row drops its first
-        `skip` bytes."""
+        in its field of widths[i] bytes from column at[i], and its mask row
+        keeps the slot's text. The table's first row drops its first `skip`
+        bytes."""
         stop = min(start + step, rows)
         floats = [values[start:stop] for kind, values, _ in specs if kind == "float"]
         if floats:
             slots, lengths = float_text(np.concatenate(floats))
         n = stop - start
         k = 0
-        for (kind, values, width), col in zip(specs, at):
-            right = kind == "int"
+        for (kind, values, width), col, mask in zip(specs, at, masks):
             if kind == "float":
                 slot, length = slots[k:k + n], lengths[k:k + n]
                 k += n
-            elif right:
-                slot, length = _int_slots(values[start:stop])
+            elif kind == "int":
+                slot, length = _int_slots(values[start:stop], width)
             else:
                 table, text_lengths, codes = values
                 block_codes = codes[start:stop]
                 slot, length = table.take(block_codes, axis=0), text_lengths.take(block_codes)
-            w = slot.shape[1]
-            left = col + width - w if right else col
-            matrix[:n, left:left + w] = slot
-            keep[:n, col:col + width] = _kept(length, width, right)
+            matrix[:n, col:col + slot.shape[1]] = slot
+            keep[:n, col:col + width] = mask.take(length, axis=0)
         text = str(matrix[:n][keep[:n]], "utf-8")
         return text if start else text[skip:]
 
@@ -460,10 +444,10 @@ def table(names: Sequence[str], columns: Sequence, fmt: str) -> Iterator[str]:
     rows and one for the CSV header or each JSON bracket: in CSV ("csv")
     the bytes of csv.writer's rows, the names and then each record, with
     floats as format(v + 0.0, ".17g"), and in JSON ("json") those of
-    json.dumps(records, indent=2) and a newline. A column is a float64
-    array, a signed-integer array or Labels; any other column raises
-    TypeError here. The columns are read here; each block's text is made
-    only as it is read."""
+    json.dumps(records, indent=2) and a newline. A column is a 1-D float64
+    array, a 1-D signed-integer array or Labels, all of one length; any
+    other column, or columns of two lengths, raise TypeError here. The
+    columns are read here; each block's text is made only as it is read."""
     if fmt == "json":
         keys = [json.dumps(name) for name in names]
         # each record opens with the separator after the one before it,

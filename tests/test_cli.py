@@ -898,6 +898,11 @@ def test_int_array_column_renders_as_ints_and_other_columns_are_rejected(fmt):
     for column in ([0, 1], range(2), ("a", "b"), np.array([0.5, 1.0], np.float32), []):
         with pytest.raises(TypeError, match="float64 or signed-integer array or Labels"):
             tableblocks.table(["n"], [column], fmt)
+    with pytest.raises(TypeError, match="one length, not"):
+        tableblocks.table(["a", "b"], [np.arange(3), np.arange(2.0)], fmt)
+    for column in (np.zeros((2, 2)), tableblocks.Labels(["a"], np.zeros((2, 1), np.intp))):
+        with pytest.raises(TypeError, match="1-D, not 2-D"):
+            tableblocks.table(["n"], [column], fmt)
 
 
 @pytest.mark.parametrize("argv, kind, n, order", [

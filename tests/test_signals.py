@@ -66,9 +66,9 @@ def test_one_sided_exact_on_quadratic():
 
 def test_apply_names_missing_index():
     signal = linear_signal(points=5)
-    with pytest.raises(BoundaryError, match=r"index 5"):
+    with pytest.raises(BoundaryError, match=r"^stencil needs sample index 5, outside 0\.\.4$"):
         apply_stencil_at(signal, weights.one_sided_first(2), 3)
-    with pytest.raises(BoundaryError, match=r"index -1"):
+    with pytest.raises(BoundaryError, match=r"^stencil needs sample index -1, outside 0\.\.4$"):
         apply_stencil_at(signal, weights.central_first(1), 0)
 
 
@@ -448,6 +448,9 @@ def test_alternating_check_converges():
     assert abs(value + math.pi ** 2) <= 8.0 / 10 ** 5
     with pytest.raises(ValueError):
         alternating_second_derivative_check(0, 1.0)
+    for h in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^h must be positive$"):
+            alternating_second_derivative_check(10, h)
 
 
 # --- convergence studies ----------------------------------------------------------
@@ -478,6 +481,18 @@ def test_convergence_validation():
         convergence_study(fn, 1, 1, [0.04, 0.02])
     with pytest.raises(ValueError):
         convergence_study(fn, 1, 1, [0.01, 0.02, 0.04])
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        convergence_study(fn, 1, 1, [0.04, 0.04, 0.02])
+
+
+def test_analytic_derivatives_away_from_the_origin():
+    # omega·x + phase = 2 and the polynomial's values are exact in floats
+    fn = Sinusoid(omega=2.0, phase=0.5)
+    assert fn.derivative(0.75, 1) == 2.0 * math.cos(2.0)
+    assert fn.derivative(0.75, 2) == -4.0 * math.sin(2.0)
+    # p = 1 - 2x + x^2/2 + 3x^3, p' = -2 + x + 9x^2 and p'' = 1 + 18x at x = 1/2
+    poly = Polynomial((1.0, -2.0, 0.5, 3.0))
+    assert [poly.derivative(0.5, order) for order in (0, 1, 2)] == [0.5, 0.75, 10.0]
 
 
 # --- test functions and plumbing -----------------------------------------------------
@@ -563,6 +578,10 @@ def test_make_signal_centers_origin():
     assert signal.origin == 5
     assert signal.x(5) == 0.0
     assert signal.samples[5] == 0.0
+    shortest = make_signal(Sinusoid(omega=1.0), 0.5, 2)
+    assert shortest.origin == 1 and shortest.samples.tolist() == [math.sin(-0.5), 0.0]
+    with pytest.raises(ValueError, match="^need at least two points$"):
+        make_signal(Sinusoid(omega=1.0), 0.5, 1)
 
 
 def test_sampled_signal_validation():

@@ -61,7 +61,7 @@ def test_json_float_slot_is_json_text(values, sign):
 
 def _certain(values):
     a = np.abs(values)
-    rounded = tableblocks._rounded(a, np.floor(np.log10(a)).astype(np.intp))
+    rounded = tableblocks._rounded(a)
     return tableblocks._shortest(a, *rounded)[2]
 
 
@@ -69,7 +69,7 @@ def test_shortest_ties_fall_back_where_both_neighbours_read_back():
     values = shortest_ties()
     assert 2.0 ** -24 in values.tolist()
     a = np.abs(values)
-    D, _, _, f = tableblocks._rounded(a, np.floor(np.log10(a)).astype(np.intp))
+    D, _, _, f = tableblocks._rounded(a)
     assert (f == 0).all() and (D % 10 == 5).all()  # 17 exact digits, the last a 5
     certain = _certain(values)
     assert certain.any() and not certain.all()
@@ -95,7 +95,7 @@ def _edge_distance(v, digits):
 def test_near_half_gaps_are_certain_only_outside_the_margin(digits):
     values = near_half_gaps(digits)
     a = np.abs(values)
-    rounded = tableblocks._rounded(a, np.floor(np.log10(a)).astype(np.intp))
+    rounded = tableblocks._rounded(a)
     certain = tableblocks._shortest(a, *rounded)[2].tolist()
     expected = [_edge_distance(v, digits) > Fraction(1, 2 ** 40) for v in values.tolist()]
     # a 17-digit tie is not certain either
