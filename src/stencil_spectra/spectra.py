@@ -13,8 +13,8 @@ Im[b*(r)].
 The infinite-family series on the DFT grid (figure 1a/1b) add their terms
 into N residue buckets with one np.bincount per chunk of terms, and fold
 the buckets with the trigonometric table in blocks of 32 bins, which the
-calling thread and a thread pool share, each in one N x 32 table that it
-fills in place (see truncated_limit_spectrum_dft_grid, _fold and
+two threads of a thread pool share, each in one N x 32 table that it fills
+in place (see truncated_limit_spectrum_dft_grid, _fold and
 _FOLD_BLOCK): 4.2 MB at N = 8000.
 """
 
@@ -49,10 +49,10 @@ _CHUNK_ELEMS = 8_000_000
 # OpenBLAS; that the bits also hold with two BLAS threads was measured on
 # the benchmark's figure 1a/1b argvs only.
 _FOLD_BLOCK = 32
-# Threads that fold blocks at once; np.sin and gemv release the GIL. Fixed
-# at two, not tunable: each thread holds one block-wide table, and two keep
-# the memory bound above. A bin's bits do not depend on which thread folds
-# its block.
+# Threads of the fold's pool, each folding every other block; np.sin and
+# gemv release the GIL, and the calling thread only waits. Fixed at two, not
+# tunable: each thread holds one block-wide table, and two keep the memory
+# bound above. A bin's bits do not depend on which thread folds its block.
 _FOLD_WORKERS = 2
 # Series terms made per step of either series loop: a step's arrays stay in
 # cache. No bucket of the DFT grid depends on it.
@@ -379,8 +379,9 @@ def truncated_limit_spectrum_dft_grid(
     adds them to the buckets so far: it adds each bin's weights in index
     order, so a bucket is the sum of its terms in term order from +0.0. The
     buckets meet the trigonometric table in blocks of _FOLD_BLOCK bins (the
-    last up to twice that), which two threads fold in two in-place tables,
-    so memory is O(N + 2*32*N), whatever M.
+    last up to twice that), which the two threads of a pool fold, every
+    other block each, in one in-place table per thread, so memory is
+    O(N + 2*32*N), whatever M.
     """
     _check_series(family, h, M)
     _check_dft_length(N)
@@ -399,15 +400,14 @@ def truncated_limit_spectrum_dft_grid(
 def _fold(buckets: np.ndarray, trig, thetas: np.ndarray) -> np.ndarray:
     """buckets @ trig(outer(k, thetas)), k = 0..N-1, one block of bins per
     product: blocks start at multiples of _FOLD_BLOCK, the last takes the
-    remainder, and block i goes to share i % _FOLD_WORKERS. The calling
-    thread folds share 0 and a thread pool the others; an exception in any
-    share is raised here once all have stopped.
+    remainder, and block i goes to share i % _FOLD_WORKERS. A thread pool
+    folds each share on a thread of its own; an exception in any share is
+    raised here once all have stopped.
 
-    Each share's table is allocated here, before any share starts, as an
-    anonymous map that is unmapped when the last view of it dies. A table
-    that a thread allocated stayed in that thread's malloc arena, and one
-    from np.empty stayed in the heap after the call; either raised the
-    peak RSS of later work.
+    Each thread allocates its share's table as an anonymous map, which is
+    unmapped when its last view dies. A table from a thread's malloc arena
+    stayed there, and one from np.empty stayed in the heap after the call;
+    either raised the peak RSS of later work.
     """
     import mmap  # here, as the pool, so that importing the package loads neither
     from concurrent.futures import ThreadPoolExecutor
@@ -416,22 +416,18 @@ def _fold(buckets: np.ndarray, trig, thetas: np.ndarray) -> np.ndarray:
     k = np.arange(N, dtype=float)[:, None]
     edges = [*range(0, max(len(thetas) - _FOLD_BLOCK, 1), _FOLD_BLOCK), len(thetas)]
     blocks = list(zip(edges, edges[1:]))
-    shares = [blocks[w::_FOLD_WORKERS] for w in range(min(_FOLD_WORKERS, len(blocks)))]
-    tables = [np.frombuffer(mmap.mmap(-1, 8 * N * max(hi - lo for lo, hi in share)))
-              for share in shares]
     sums = np.empty(len(thetas))
 
-    def fold(share, buffer):
+    def fold(share):
+        buffer = np.frombuffer(mmap.mmap(-1, 8 * N * max(hi - lo for lo, hi in share)))
         for lo, hi in share:
             table = buffer[:N * (hi - lo)].reshape(N, hi - lo)
             np.multiply(k, thetas[lo:hi], out=table)
             sums[lo:hi] = buckets @ trig(table, out=table)
 
-    with ThreadPoolExecutor(max(1, len(shares) - 1)) as pool:
-        others = [pool.submit(fold, *pair) for pair in zip(shares[1:], tables[1:])]
-        fold(shares[0], tables[0])
-    for future in others:
-        future.result()
+    shares = [blocks[w::_FOLD_WORKERS] for w in range(_FOLD_WORKERS)]
+    with ThreadPoolExecutor(_FOLD_WORKERS) as pool:
+        list(pool.map(fold, filter(None, shares)))
     return sums
 
 

@@ -53,10 +53,11 @@ Zero prints as 0.0 or -0.0; nan, ±inf, a value outside the fast range,
 and a value within 2^−40 of a half-gap edge, or of a tie between two
 16-digit neighbours that both read back, take json's own text.
 
-A column is a 1-D float64 array, a 1-D signed-integer array or Labels,
-all of one length. An int slot holds the digits of the value's uint64
-magnitude, which covers every int64, and a Labels column is encoded once
-per distinct value and placed by each row's code.
+A column is a 1-D float64 array, a 1-D signed-integer array or Labels
+whose codes are an integer array in range, all of one length. An int slot
+holds the digits of the value's uint64 magnitude, which covers every
+int64, and a Labels column is encoded once per distinct value and placed
+by each row's code.
 """
 
 from __future__ import annotations
@@ -360,6 +361,11 @@ def _column(column, encode: Callable[[str], str]):
     if isinstance(data, np.ndarray) and data.ndim != 1:
         raise TypeError(f"a table column is 1-D, not {data.ndim}-D")
     if isinstance(column, Labels):
+        codes, count = column.codes, len(column.names)
+        integers = isinstance(codes, np.ndarray) and codes.dtype.kind in "iu"
+        # from two scalars and no full-size temporary, as the int fields
+        if not integers or len(codes) and not 0 <= int(codes.min()) <= int(codes.max()) < count:
+            raise TypeError(f"a Labels column's codes are an integer array in 0..{count - 1}")
         encoded = [encode(text).encode() for text in column.names]
         lengths = np.array(list(map(len, encoded)), np.intp)
         table = np.zeros((len(encoded), int(lengths.max(initial=0))), np.uint8)
@@ -445,9 +451,10 @@ def table(names: Sequence[str], columns: Sequence, fmt: str) -> Iterator[str]:
     the bytes of csv.writer's rows, the names and then each record, with
     floats as format(v + 0.0, ".17g"), and in JSON ("json") those of
     json.dumps(records, indent=2) and a newline. A column is a 1-D float64
-    array, a 1-D signed-integer array or Labels, all of one length; any
-    other column, or columns of two lengths, raise TypeError here. The
-    columns are read here; each block's text is made only as it is read."""
+    array, a 1-D signed-integer array or Labels with integer codes that
+    index its names, all of one length; any other column, or columns of two
+    lengths, raise TypeError here. The columns are read here; each block's
+    text is made only as it is read."""
     if fmt == "json":
         keys = [json.dumps(name) for name in names]
         # each record opens with the separator after the one before it,

@@ -130,6 +130,27 @@ def _central_alpha(n: int, k: int) -> list[Fraction]:
     ]
 
 
+def _mirrored(kind: StencilKind, n: int, order: int, offsets, positive, center=None) -> Stencil:
+    """A central family's stencil from its positive half, the offsets > 0
+    ascending and their weights: the negative half mirrors it, negated for
+    the first derivative (antisymmetric) and as it is for the second
+    (symmetric), with the center weight at offset 0 if one is given. The
+    rule divides the sum by 2h for the first derivative and by h**2 for the
+    second."""
+    left = tuple(-o for o in reversed(offsets))
+    mirror = tuple(-w if order == 1 else w for w in reversed(positive))
+    if center is not None:
+        left, mirror = left + (0,), mirror + (center,)
+    return Stencil(
+        kind=kind,
+        n=n,
+        derivative_order=order,
+        offsets=left + tuple(offsets),
+        weights=mirror + tuple(positive),
+        prefactor=Fraction(1, 2) if order == 1 else Fraction(1),
+    )
+
+
 def central_first(n: int) -> Stencil:
     """Central first-derivative weights for offsets -n..-1, 1..n.
 
@@ -139,17 +160,7 @@ def central_first(n: int) -> Stencil:
     the negative side is the antisymmetric mirror.  Evaluation rule:
     1/(2h) * sum w_m (f_m - f_-m).
     """
-    alpha = _central_alpha(n, 1)
-    offsets = tuple(range(-n, 0)) + tuple(range(1, n + 1))
-    weights = tuple(-alpha[-m - 1] for m in range(-n, 0)) + tuple(alpha)
-    return Stencil(
-        kind=StencilKind.CENTRAL_FIRST,
-        n=n,
-        derivative_order=1,
-        offsets=offsets,
-        weights=weights,
-        prefactor=Fraction(1, 2),
-    )
+    return _mirrored(StencilKind.CENTRAL_FIRST, n, 1, range(1, n + 1), _central_alpha(n, 1))
 
 
 def central_second(n: int) -> Stencil:
@@ -163,21 +174,8 @@ def central_second(n: int) -> Stencil:
     offsets.
     """
     alpha = _central_alpha(n, 2)
-    center = -2 * sum(alpha)
-    offsets = tuple(range(-n, n + 1))
-    weights = (
-        tuple(alpha[-m - 1] for m in range(-n, 0))
-        + (center,)
-        + tuple(alpha)
-    )
-    return Stencil(
-        kind=StencilKind.CENTRAL_SECOND,
-        n=n,
-        derivative_order=2,
-        offsets=offsets,
-        weights=weights,
-        prefactor=Fraction(1),
-    )
+    return _mirrored(StencilKind.CENTRAL_SECOND, n, 2, range(1, n + 1), alpha,
+                     center=-2 * sum(alpha))
 
 
 def half_point(n: int) -> Stencil:
@@ -185,9 +183,9 @@ def half_point(n: int) -> Stencil:
 
     The paper's weight at offset 2m+1, 1 / ((2m+1) * prod over k != m of
     (1 - (2m+1)**2 / (2k+1)**2)), in closed form: (-1)**m * 2n C(2n, n)
-    C(2n-1, n+m) / (4**(2n-1) (2m+1)**2), m = 0..n-1.  Even offsets carry
-    weight zero and are not stored.  Evaluation rule matches central_first:
-    1/(2h) * sum over stored offsets.
+    C(2n-1, n+m) / (4**(2n-1) (2m+1)**2), m = 0..n-1, mirrored
+    antisymmetrically.  Even offsets carry weight zero and are not stored.
+    Evaluation rule matches central_first: 1/(2h) * sum over stored offsets.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -197,17 +195,7 @@ def half_point(n: int) -> Stencil:
         Fraction((-1) ** m * top * math.comb(2 * n - 1, n + m), bottom * (2 * m + 1) ** 2)
         for m in range(n)
     ]
-    offsets = tuple(-(2 * m + 1) for m in reversed(range(n)))
-    offsets += tuple(2 * m + 1 for m in range(n))
-    weights = tuple(-w for w in reversed(positive)) + tuple(positive)
-    return Stencil(
-        kind=StencilKind.HALF_POINT_FIRST,
-        n=n,
-        derivative_order=1,
-        offsets=offsets,
-        weights=weights,
-        prefactor=Fraction(1, 2),
-    )
+    return _mirrored(StencilKind.HALF_POINT_FIRST, n, 1, range(1, 2 * n, 2), positive)
 
 
 def one_sided_first(n: int) -> Stencil:

@@ -371,6 +371,15 @@ def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload
                        "Python reads exactly\n")
 
 
+def test_diff_stencil_file_of_negative_order_is_one_line_error(capsys, tmp_path):
+    # the h_power equals the derivative_order, so the order itself is checked
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({**_GOOD_STENCIL, "derivative_order": -1, "h_power": -1}),
+                    encoding="utf-8")
+    assert run_capture(capsys, ["diff", "--fn", "sin:omega=1", "--stencil-file", str(path)]) \
+        == (1, "", "error: malformed stencil: derivative_order must be >= 0\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["figure", "1a", "--h", "1e-320", "--N", "16", "--M", "100"],
     ["spectrum", "--kind", "central-first", "--n", "2", "--N", "16", "--h", "1e308",
@@ -693,6 +702,20 @@ def test_argparse_error_is_one_usage_line(capsys, argv):
     assert err.startswith("usage error: stencil-spectra") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["diff", "--fn", "sin:omega=1", "--h", "0"], 2,
+     "usage error: stencil-spectra diff: argument --h: must be positive\n"),
+    (["figure", "2a", "--n", "1,x"], 2,
+     "usage error: stencil-spectra figure 2a: argument --n: "
+     "invalid literal for int() with base 10: 'x'\n"),
+    (["spectrum", "--kind", "central-first", "--n", "2", "--M", "5"], 2,
+     "usage error: --M applies to --limit sequences only\n"),
+    (["diff", "--fn", "sin:phase=1"], 1, "error: sinusoid needs omega=\n"),
+], ids=["zero-h", "n-list-not-ints", "M-without-limit", "sinusoid-without-omega"])
+def test_flag_value_error_is_its_one_stderr_line(capsys, argv, code, err):
+    assert run_capture(capsys, argv) == (code, "", err)
+
+
 def test_help_exits_0(capsys):
     code, out, err = run_capture(capsys, ["figure", "1a", "--help"])
     assert (code, err) == (0, "")
@@ -807,6 +830,15 @@ def _per_row_render(names, columns, fmt):
     return buf.getvalue()
 
 
+def _encodes(text):
+    """Whether text has a UTF-8 encoding: a lone surrogate has none."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _as_column(values):
     """A drawn column as tableblocks takes it: ints as an int64 array, str
     as Labels, and a float64 array as it is."""
@@ -868,12 +900,20 @@ def _tables(draw):
                              np.array([1e16, math.nan, 0.1, -1e300])]), fmt="json", block=3)
 @example(table=(["i"], [[2 ** 40, -1, 0]]), fmt="json", block=2)
 @example(table=(["x", "i"], [np.array([]), []]), fmt="json", block=2)
+# a lone surrogate: no UTF-8 text holds it, and JSON escapes it
+@example(table=(["index"], [("\ud800",)]), fmt="csv", block=4096)
+@example(table=(["index"], [("\ud800",)]), fmt="json", block=4096)
 def test_render_table_matches_per_row_rendering(table, fmt, block):
     names, columns = table
+    expected = _per_row_render(names, columns, fmt)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tableblocks, "BLOCK_ROWS", block)
+        if fmt == "csv" and not _encodes(expected):
+            with pytest.raises(UnicodeEncodeError):
+                tableblocks.table(names, list(map(_as_column, columns)), fmt)
+            return
         rendered = "".join(tableblocks.table(names, list(map(_as_column, columns)), fmt))
-        assert rendered == _per_row_render(names, columns, fmt)
+        assert rendered == expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -903,6 +943,10 @@ def test_int_array_column_renders_as_ints_and_other_columns_are_rejected(fmt):
     for column in (np.zeros((2, 2)), tableblocks.Labels(["a"], np.zeros((2, 1), np.intp))):
         with pytest.raises(TypeError, match="1-D, not 2-D"):
             tableblocks.table(["n"], [column], fmt)
+    # a code past either end of the names, or not an integer
+    for codes in ([0, 3], [0.5, 0.0], [-1, 0]):
+        with pytest.raises(TypeError, match=r"codes are an integer array in 0\.\.0"):
+            tableblocks.table(["p"], [tableblocks.Labels(["a"], np.array(codes))], fmt)
 
 
 @pytest.mark.parametrize("argv, kind, n, order", [

@@ -171,6 +171,8 @@ def test_vandermonde_small_values():
     assert vandermonde_det(1) == 1
     assert vandermonde_det(2) == 2
     assert vandermonde_det(3) == 12
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        vandermonde_det(0)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -148,6 +148,12 @@ def test_differentiate_rejects_short_signal():
         differentiate(signal, 1, 3)
 
 
+def test_differentiate_rejects_n_below_1():
+    signal = SampledSignal(h=1.0, samples=(0.0, 1.0, 2.0), origin=0)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        differentiate(signal, 0, 1)
+
+
 def test_differentiate_short_signal_skips_unreachable_middle():
     # 4 samples with n=3: only the ends can host a one-sided rule
     signal = SampledSignal(h=1.0, samples=(0.0, 1.0, 2.0, 3.0), origin=0)

@@ -280,6 +280,11 @@ def test_reference_curve_rejects_overflowing_h(h):
             ReferenceCurve(family, h=h)
 
 
+def test_reference_curve_rejects_zero_h():
+    with pytest.raises(ValueError, match="^h must be positive$"):
+        ReferenceCurve(CurveFamily.LINEAR_RAMP, h=0)
+
+
 # --- truncated limit series --------------------------------------------------
 
 
@@ -511,7 +516,7 @@ def test_fold_threads_under_contention_write_every_bin_once(monkeypatch):
     assert threaded.tobytes() == serial.tobytes()
 
 
-# at N = 1000 the fold has 15 blocks: block 0 is folded by the calling
+# at N = 1000 the fold has 15 blocks: block 0 is folded by one pool
 # thread, block 1 by the other, and block 14 is the wide last block
 @pytest.mark.parametrize("bad_block", [0, 1, 14])
 def test_fold_error_in_either_thread_reaches_the_caller(monkeypatch, bad_block):
@@ -678,6 +683,8 @@ def test_series_validation():
         truncated_limit_spectrum(CurveFamily.LINEAR_RAMP, 1.0, 1.0, 10)
     with pytest.raises(ValueError):
         truncated_limit_spectrum(CurveFamily.FIRST_DERIV_LIMIT, 4.0, 1.0, 10)
+    with pytest.raises(ValueError, match="^h must be positive$"):
+        truncated_limit_spectrum(CurveFamily.FIRST_DERIV_LIMIT, 1.0, 0.0, 10)
 
 
 # --- deviations ----------------------------------------------------------------
@@ -697,6 +704,15 @@ def test_deviation_zero_curve_at_dc_is_exact():
     report = deviation(spectrum, curve, "re", [0])
     assert report.max_abs == 0.0
     assert report.max_rel == 0.0
+
+
+def test_deviation_against_an_all_zero_curve_part_is_infinitely_relative():
+    # the second-derivative limit is real: its "im" column is zero on the
+    # whole band, while the half-point spectrum's is not
+    spectrum = dft_spectrum(weights.half_point(1), N)
+    report = deviation(spectrum, ReferenceCurve(CurveFamily.SECOND_DERIV_LIMIT), "im",
+                       range(0, 11))
+    assert report.max_abs > 0 and report.max_rel == math.inf
 
 
 def test_deviation_half_point_linearity_window():

@@ -374,6 +374,17 @@ def test_invalid_family_parameter(builder):
         builder(0)
 
 
+def test_harmonic_number_rejects_negative_n():
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        harmonic_number(-1)
+
+
+def test_stencil_rejects_offsets_and_weights_of_unequal_length():
+    with pytest.raises(ValueError, match="^offsets and weights must have equal length$"):
+        weights.Stencil(kind=StencilKind.CENTRAL_FIRST, n=1, derivative_order=1,
+                        offsets=(-1, 1), weights=(F(1),), prefactor=F(1, 2))
+
+
 def test_build_dispatch():
     for kind in StencilKind:
         assert weights.build(kind, 3).kind is kind
