@@ -5,10 +5,16 @@ one table of exp(-2i pi p/N), p = 0..N, is built per call, and each tap
 gathers from it over the N/2+1 bins r = 0..N/2 (the half band; a real
 sequence's other bins are its conjugate mirror b(N-r) = conj b(r)), then
 is scaled and added in place. No tap takes a modulo: its indices
-p = (m r) mod N step from the previous tap's by the row of the gap, and a
-mirror N - m reads entry N - p (see _accumulate). The module follows the
-plotting convention of conjugated spectra: accessors expose Re[b*(r)] and
-Im[b*(r)].
+p = (m r) mod N step from the previous tap's by the row of the gap. The
+embedding is decided once, as a mirror sign s = 0, -1 or +1 (half
+sequence, full antisymmetric, full symmetric), and each tap m >= 1's
+mirror N - m, weight s a_m, is gathered right after it from entry N - p
+(see _accumulate). The DC bin is the exact sum of the embedded sequence,
+rounded once: a_0 + sum a_m, a_0, or a_0 + 2 sum a_m over m >= 1. A weight
+or a bin that leaves the floats is one ValueError, "<stencil label or
+'weight sequence'>: the spectrum at N=<N> overflows the floats", in every
+embedding. The module follows the plotting convention of conjugated
+spectra: accessors expose Re[b*(r)] and Im[b*(r)].
 
 The infinite-family series on the DFT grid (figure 1a/1b) add their terms
 into N residue buckets with one np.bincount per chunk of terms, and fold
@@ -32,7 +38,6 @@ from .weights import CurveFamily, EmbeddingMode, Stencil, StencilKind, limit_coe
 
 # Sign-block bounds fall back to coarse tail estimates past this length.
 _MAX_BLOCK = 4096
-_CHUNK_ELEMS = 8_000_000
 # Bins per block of the residue-bucket fold. gemv rounds the rows of one
 # product in groups of its row unroll and the leftover last rows on another
 # path; a product shorter than one unroll takes a third path (numpy computes
@@ -139,42 +144,30 @@ class DeviationReport:
     argmax: int
 
 
-def _base_entries(source: Stencil | Mapping[int, object]):
-    """Normalize to a sorted list of (index, weight); weights may be exact
-    Fractions (stencils) or floats (truncated limit sequences)."""
-    if isinstance(source, Stencil):
-        return [(o, w) for o, w in source.nodes if o >= 0]
-    return sorted(source.items())
+# The embedding's mirror sign s: each tap a_m, m >= 1, is mirrored to
+# index N - m with weight s a_m, and s = 0 mirrors nothing.
+_MIRROR_SIGN = {EmbeddingMode.HALF_SEQUENCE: 0, EmbeddingMode.FULL_ANTISYMMETRIC: -1,
+                EmbeddingMode.FULL_SYMMETRIC: 1}
 
 
-def _embed(entries, N: int, mode: EmbeddingMode):
-    out = []
-    for m, w in entries:
-        if m < 0:
-            raise ValueError("embedded sequences are indexed by m >= 0")
-        if m != 0 and m >= N // 2:
-            raise EmbeddingOverflowError(
-                f"offset {m} does not fit in a length-{N} embedding (need |m| < N/2)"
-            )
-        out.append((m, w))
-        if mode is not EmbeddingMode.HALF_SEQUENCE and m >= 1:
-            mirrored = -w if mode is EmbeddingMode.FULL_ANTISYMMETRIC else w
-            out.append((N - m, mirrored))
-    return out
-
-
-def _accumulate(embedded, N):
-    """b(r) for r = 0..N/2, as _embed lists the taps: offsets m ascending,
-    each mirror N - m right after its m.
+def _accumulate(taps, N, sign):
+    """b(r) for r = 0..N/2 of the taps (m, w), offsets m ascending in
+    0..N/2-1, each followed for sign s != 0 and m >= 1 by its mirror
+    (N - m, s w).
 
     Tap m reads twiddle[p] = exp(-2i pi p/N) at p = (m k) mod N over the
     bins k, and no tap reduces m k: p steps from the previous offset's row
     by the row (d k) mod N of the gap d, made once per distinct gap, and
-    wraps by one subtraction of N. The mirror reads entry N - p, which is
-    entry p of the table reversed (entry N is a copy of entry 0). Each term
-    is gathered into one buffer and scaled there through its real view: its
-    parts are those of the complex product but for the sign of a zero, which
-    no sum from +0.0 keeps.
+    wraps by one subtraction of N. Its mirror reads entry N - p at the same
+    row, which is entry p of the table reversed (entry N is a copy of entry
+    0). Each weight is converted to float once, and the mirror's weight is
+    s times that float. Each term is gathered into one buffer and scaled
+    there through its real view: its parts are those of the complex product
+    but for the sign of a zero, which no sum from +0.0 keeps. Bin 0 is the
+    float sum of every term; dft_spectrum replaces it by the exact DC sum,
+    a_0 + sum a_m for s = 0, a_0 for s = -1 and a_0 + 2 sum a_m for s = +1,
+    and raises its one ValueError for a weight or a bin outside the floats
+    (a weight's float() may raise OverflowError here).
     """
     half = N // 2
     twiddle = np.empty(N + 1, dtype=complex)
@@ -188,24 +181,26 @@ def _accumulate(embedded, N):
     p, spill = np.zeros_like(k), np.empty_like(k)
     p_bits, spill_bits = p.view(np.uint64), spill.view(np.uint64)
     steps = {}
-    m = 0
-    for idx, w in embedded:
-        table = twiddle
-        if idx > half:
-            table = reversed_twiddle
-        elif idx != m:
-            step = steps.get(idx - m)
+    previous = 0
+    for m, w in taps:
+        if m != previous:
+            step = steps.get(m - previous)
             if step is None:
-                step = steps[idx - m] = (idx - m) * k % N
+                step = steps[m - previous] = (m - previous) * k % N
             p += step
             # as unsigned, p - N wraps past 2**64 where p < N: the smaller
             # of p and p - N is p mod N
             np.subtract(p_bits, N, out=spill_bits)
             np.minimum(p_bits, spill_bits, out=p_bits)
-            m = idx
-        np.take(table, p, out=term, mode="clip")
-        parts *= float(w)
+            previous = m
+        weight = float(w)
+        np.take(twiddle, p, out=term, mode="clip")
+        parts *= weight
         acc += term
+        if sign and m:
+            np.take(reversed_twiddle, p, out=term, mode="clip")
+            parts *= sign * weight
+            acc += term
     return acc
 
 
@@ -216,27 +211,46 @@ def dft_spectrum(
     """Sparse direct DFT b(r) = sum_m a_m exp(-2i pi m r / N) on the half
     band r = 0..N/2: N/2+1 values.
 
-    The DC bin is recomputed from the exact rational weight sum when the
-    source carries exact weights, so zero-sum stencils report b(0) = 0
-    exactly. A weight or a bin that leaves the floats is a ValueError
-    naming the stencil and N.
+    The taps are a stencil's weights at offsets >= 0, or a mapping's items,
+    by ascending offset; each offset must lie in 0..N/2-1. The mode mirrors
+    each tap m >= 1 to N - m: not at all (HALF_SEQUENCE), negated
+    (FULL_ANTISYMMETRIC) or as it is (FULL_SYMMETRIC). The DC bin is the
+    exact sum of the embedded sequence, rounded once: a_0 + sum a_m, a_0
+    alone (each negated mirror cancels its tap) and a_0 + 2 sum a_m
+    respectively, over m >= 1. It is summed as Fractions when every weight
+    in it is a Fraction or an int, so zero-sum stencils report b(0) = 0
+    exactly, and by math.fsum otherwise. A weight or a bin that leaves the
+    floats is one ValueError, "<stencil label or 'weight sequence'>: the
+    spectrum at N=<N> overflows the floats".
     """
     _check_dft_length(N)
-    embedded = _embed(_base_entries(source), N, mode)
+    if isinstance(source, Stencil):
+        name, taps = source.label(), [(o, w) for o, w in source.nodes if o >= 0]
+    else:
+        name, taps = "weight sequence", sorted(source.items())
+    if taps and taps[0][0] < 0:
+        raise ValueError("embedded sequences are indexed by m >= 0")
+    for m, _ in taps:
+        if m >= N // 2:
+            raise EmbeddingOverflowError(
+                f"offset {m} does not fit in a length-{N} embedding (need |m| < N/2)"
+            )
+    sign = _MIRROR_SIGN[mode]
+    # a_0 once, and each a_m, m >= 1, 1 + s times: no Fraction is multiplied
+    dc_terms = [w for m, w in taps for _ in range(1 + sign * (m > 0))]
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _accumulate(embedded, N)
-        if all(isinstance(w, (Fraction, int)) for _, w in embedded):
-            dc = float(sum(Fraction(w) for _, w in embedded))
+            values = _accumulate(taps, N, sign)
+        if all(isinstance(w, (Fraction, int)) for w in dc_terms):
+            dc = float(sum(Fraction(w) for w in dc_terms))
         else:
-            dc = math.fsum(float(w) for _, w in embedded)
+            dc = math.fsum(float(w) for w in dc_terms)
         values[0] = complex(dc, 0.0)
         finite = np.isfinite(values).all()
     except OverflowError:  # a weight or the exact DC sum
         finite = False
     if not finite:
-        name = source.label() if isinstance(source, Stencil) else "weight sequence"
         raise ValueError(f"{name}: the spectrum at N={N} overflows the floats")
     return FilterSpectrum(values)
 
@@ -323,12 +337,9 @@ def _series_bounds(family: CurveFamily, thetas: np.ndarray, h: float, M: int) ->
         offsets, coef = _series_terms(family, h, M + blocks[summed].max(), M)
         trig = _OMEGA_FAMILIES[family][1]
         for b in np.unique(blocks[summed]):
-            group = np.flatnonzero(blocks == b)
-            rows = max(1, _CHUNK_ELEMS // b)
-            for lo in range(0, len(group), rows):
-                at = group[lo:lo + rows]
-                terms = coef[:b] * trig(np.outer(thetas[at], offsets[:b]))
-                bounds[at] = np.sum(np.abs(terms), axis=1)
+            at = np.flatnonzero(blocks == b)
+            terms = coef[:b] * trig(np.outer(thetas[at], offsets[:b]))
+            bounds[at] = np.sum(np.abs(terms), axis=1)
     for i in np.flatnonzero(~summed):
         bounds[i] = _tail_estimate(family, float(thetas[i]), h, M)
     return bounds

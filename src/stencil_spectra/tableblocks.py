@@ -452,9 +452,12 @@ def table(names: Sequence[str], columns: Sequence, fmt: str) -> Iterator[str]:
     floats as format(v + 0.0, ".17g"), and in JSON ("json") those of
     json.dumps(records, indent=2) and a newline. A column is a 1-D float64
     array, a 1-D signed-integer array or Labels with integer codes that
-    index its names, all of one length; any other column, or columns of two
-    lengths, raise TypeError here. The columns are read here; each block's
-    text is made only as it is read."""
+    index its names, all of one length, and each column has one name; any
+    other column, columns of two lengths, no column, or a count of names
+    other than that of columns raise TypeError here. The columns are read
+    here; each block's text is made only as it is read."""
+    if not columns or len(names) != len(columns):
+        raise TypeError(f"a table has one name per column, not {len(names)} for {len(columns)}")
     if fmt == "json":
         keys = [json.dumps(name) for name in names]
         # each record opens with the separator after the one before it,

@@ -352,7 +352,7 @@ _GOOD_STENCIL = {"kind": "central-first", "n": 1, "derivative_order": 1,
     {**_GOOD_STENCIL, "h_power": 2},
     "[" * 100_000,
 ], ids=["not-object", "missing-key", "empty-nodes", "zero-denominator",
-        "null-weight", "bad-prefactor", "duplicate-offset", "negative-order",
+        "null-weight", "bad-prefactor", "duplicate-offset", "negative-order-not-h-power",
         "negative-h-power", "too-long-weight", "too-long-int-literal",
         "fractional-offset-and-n", "boolean-offset-and-h-power", "boolean-weight",
         "boolean-prefactor", "h-power-not-derivative-order", "too-deeply-nested"])
@@ -365,6 +365,10 @@ def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload
     )
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # an h_power other than the derivative_order stops there, before the
+    # sign of either is checked
+    if isinstance(payload, dict) and payload["h_power"] != payload["derivative_order"]:
+        assert err == "error: malformed stencil: the h_power must equal the derivative_order\n"
     if "7" * 5000 in path.read_text(encoding="utf-8"):
         field = "weight at offset 1" if isinstance(payload, dict) else "n"
         assert err == (f"error: malformed stencil: the {field} has more digits than "
@@ -940,6 +944,11 @@ def test_int_array_column_renders_as_ints_and_other_columns_are_rejected(fmt):
             tableblocks.table(["n"], [column], fmt)
     with pytest.raises(TypeError, match="one length, not"):
         tableblocks.table(["a", "b"], [np.arange(3), np.arange(2.0)], fmt)
+    # a name for each column, and one column at least
+    for names, columns in ((["a", "b", "c"], [np.arange(2), np.arange(2.0)]),
+                           (["a"], [np.arange(2), np.arange(2.0)]), ([], [])):
+        with pytest.raises(TypeError, match=f"one name per column, not {len(names)} for "):
+            tableblocks.table(names, columns, fmt)
     for column in (np.zeros((2, 2)), tableblocks.Labels(["a"], np.zeros((2, 1), np.intp))):
         with pytest.raises(TypeError, match="1-D, not 2-D"):
             tableblocks.table(["n"], [column], fmt)

@@ -86,8 +86,43 @@ def test_embedding_overflow():
 def test_embedding_validation():
     with pytest.raises(ValueError):
         dft_spectrum(weights.one_sided_first(2), 15)  # odd N
-    with pytest.raises(ValueError):
-        dft_spectrum({-1: 1.0}, 16)  # negative index in a raw sequence
+    for taps in ({-1: 1.0}, {-1: 1.0, 2: 1.0}):  # a negative index in a raw sequence
+        with pytest.raises(ValueError, match="^embedded sequences are indexed by m >= 0$"):
+            dft_spectrum(taps, 16)
+
+
+def test_embedding_overflow_names_the_first_offset_from_n_over_2():
+    for taps in ({0: 1.0, 3: 1.0, 8: 1.0, 9: 1.0}, {8: Fraction(1)}):
+        with pytest.raises(EmbeddingOverflowError, match=r"^offset 8 does not fit in a length-16 "):
+            dft_spectrum(taps, 16, EmbeddingMode.FULL_SYMMETRIC)
+    assert len(dft_spectrum({0: 1.0, 7: 1.0}, 16, EmbeddingMode.FULL_SYMMETRIC).values) == 9
+
+
+@pytest.mark.parametrize("mode", list(EmbeddingMode))
+@pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+def test_weight_outside_the_floats_is_the_documented_error(mode, weight):
+    with pytest.raises(ValueError, match=r"^weight sequence: the spectrum at N=8 overflows the floats$"):
+        dft_spectrum({0: 0.0, 1: weight}, 8, mode)
+
+
+# per embedding, how many times the exact DC sum counts each a_m, m >= 1
+_DC_REPEATS = {EmbeddingMode.HALF_SEQUENCE: 1, EmbeddingMode.FULL_ANTISYMMETRIC: 0,
+               EmbeddingMode.FULL_SYMMETRIC: 2}
+
+
+@pytest.mark.parametrize("mode", list(EmbeddingMode))
+@pytest.mark.parametrize("sequence", [
+    [Fraction(1, 3), Fraction(1, 7), Fraction(-2, 5), Fraction(1, 10)],
+    [3, 2 ** 60 + 1, -2 ** 60, 5],
+    [0.1, 1e16, 1.0, -1e16],
+], ids=["fraction", "int", "float"])
+@pytest.mark.parametrize("with_dc_tap", [True, False])
+def test_dc_bin_is_the_rounded_exact_sum_of_the_embedded_sequence(mode, sequence, with_dc_tap):
+    # each sum rounds differently when added in floats tap by tap
+    taps = {m: w for m, w in enumerate(sequence) if m or with_dc_tap}
+    exact = Fraction(taps.get(0, 0)) + _DC_REPEATS[mode] * sum(
+        Fraction(w) for m, w in taps.items() if m)
+    assert dft_spectrum(taps, 16, mode).values[0] == complex(float(exact), 0.0)
 
 
 def _per_tap_dft(taps, N, mode):
@@ -643,10 +678,12 @@ def _scalar_bound(family, theta, h, M):
 
 
 # thetas on the tail-estimate branches: the singular point of each family,
-# within 1e-9 of it, and blocks longer than 4096 terms
+# within 1e-9 of it, and blocks longer than 4096 terms; and a block of
+# exactly 4096 terms, the longest one summed
 _FALLBACK_THETAS = [
     math.pi, math.pi * (1 - 1e-10), math.pi - 1e-6,
     math.pi / 2, math.pi / 2 * (1 + 1e-11), math.pi / 2 + 1e-6,
+    math.pi - math.pi / 4094.5, (math.pi - math.pi / 4094.5) / 2,
 ]
 
 
