@@ -5,14 +5,18 @@ rules of the same family parameter (order 1 only; order-2 boundary points
 are skipped). Weight-to-float conversion is correctly rounded and the
 per-application accumulation runs from the smallest |offset| outward, so
 antisymmetric cancellations (e.g. on the alternating Nyquist signal) are
-bit-exact. Half-point differentiation is exact: samples, weights and h are
-scaled to integers and each value is rounded once.
+bit-exact. Half-point differentiation is correctly rounded: each value is
+computed in float double-double arithmetic and kept where an error bound
+proves it is the exact value rounded once; every other value, and every
+value for n > 8, comes from the exact route, which scales samples, weights
+and h to integers and rounds one int quotient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -127,14 +131,106 @@ class _CompiledRule:
         return values
 
 
-class _HalfPointRule:
-    """half_point(n) as a rule, applied exactly: 1/(2h) * sum over the
-    positive offsets k of w(k) * (f[i+k] - f[i-k]), rounded once per value.
+# Veltkamp's splitter 2^27 + 1: a float becomes two halves of at most 26
+# significant bits, whose products are exact
+_SPLIT = 134217729.0
+# the certified half-point route: up to n = 8, D and every a(k) have at
+# most 41 bits, which its range conditions assume (|a(k)·d| < 2^1002); a
+# larger n keeps the exact route. The conditions, on the samples, on |s|
+# and on 2·D·h, are proved in _HalfPointRule's docstring
+_CERTIFIED_MAX_N = 8
+_SAMPLE_MIN, _SAMPLE_MAX = 2.0 ** -969, 2.0 ** 960
+_SUM_MIN = 2.0 ** -800
+_DIVISOR_MIN, _DIVISOR_MAX = 2.0 ** -60, 2.0 ** 80
 
-    The weights are scaled by their common denominator D to ints a(k), a
-    window of samples by its common denominator S (a power of two) to ints
-    F, and h = hp/hq; each value is the int quotient
-    sum a(k) (F[i+k] - F[i-k]) * hq / (2 D S hp), correctly rounded.
+
+def _split(x):
+    """Veltkamp's split: x = hi + lo exactly, each half with at most 26
+    significant bits (for 2^-1022 <= |x| <= 2^995, or x = 0)."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: a + b = s + e exactly, s = fl(a + b)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_product(x, y, y_hi, y_lo):
+    """Dekker's TwoProduct: x · y = p + e exactly, p = fl(x · y), for y
+    split beforehand as y_hi + y_lo (see _split); the y_lo terms are
+    skipped when y_lo is 0."""
+    p = x * y
+    x_hi, x_lo = _split(x)
+    e = y_hi * x_hi - p + y_hi * x_lo
+    if y_lo:
+        e = e + y_lo * x_hi + y_lo * x_lo
+    return p, e
+
+
+def _within_half_gap(q, deviation):
+    """Where deviation lies below the distance from q to the nearer of its
+    two rounding midpoints, which is half the gap below |q| (the smaller
+    gap when |q| is a power of two). Strictly: a value on a midpoint may
+    round away from q."""
+    return deviation < 0.5 * np.spacing(np.nextafter(np.abs(q), 0))
+
+
+class _HalfPointRule:
+    """half_point(n) as a rule, correctly rounded: with D the common
+    denominator of the weights w(k) over the positive offsets k, the ints
+    a(k) = D·w(k) and g = 2·D·h, each value is V = S / g rounded once, where
+    S = Σ a(k)·(f[i+k] − f[i−k]).
+
+    Up to n = 8 (_CERTIFIED_MAX_N) a certified float route computes each
+    value and keeps it where it is provably V rounded. Every other index,
+    and every index for a larger n, takes the exact route (`exact`) in one
+    call; that route is also the tests' reference. With u = 2^-53,
+    γ_m = m·u/(1 − m·u) (Higham, Accuracy and Stability, §2–§4) and
+    P = Σ|p| below, the route and its bound at one index:
+
+    1. The sum. TwoSum splits f[i+k] − f[i−k] into d + e, TwoProduct a·d
+       into p + π, both exactly, and c = fl(a·e) errs by at most u·|c|. A
+       cascade of TwoSums (Sum2's first stage: Ogita, Rump & Oishi,
+       SIAM J. Sci. Comput. 26, 2005) adds the p into s, with errors q and
+       Σp = s + Σq exactly; σ is the float sum of the N = 3n − 1 small
+       terms q, π and c. Since |q_j| <= u·|s_j| <= u·(1+u)^(j−1)·P,
+       Σ|q| <= γ_(n−1)·P; |π| <= u·|p|, and |e| <= u·|d| gives
+       |c| <= u·(1+u)²·|p|. The small terms thus sum to at most
+       (n+1)·u·P, σ errs by at most γ_(N−1) times that (Higham (4.3)), and
+       rounding the c costs u²·P in all:
+       |S − (s + σ)| <= ((3n − 2)(n + 1) + 1)·u²·P.
+    2. The residual. g = g_hi + g_lo exactly (2D < 2^54 and h are floats)
+       with |g_lo| <= u·g_hi. From q0 = fl(s / g_hi), TwoProduct
+       q0·g_hi = P' + Π and s − P' exact (Sterbenz),
+       r = (s − P' − Π + σ) − fl(q0·g_lo) is s + σ − q0·g after four
+       roundings, of terms at most u·|s|, u·|s| + |σ|, u·|s| and
+       2u·|s| + |σ|: it errs by at most 5u²·|s| + 2u·|σ|, which is
+       (2n + 7)·u²·P, and |r| <= (n + 3)·u·P.
+    3. The correction. TwoSum(q0, fl(r / g_hi)) gives q and its rounding
+       error err exactly, and fl(r / g_hi) lies within 2u·|r| / g_hi of
+       r / g, so |V − q − err| <= B = (3n² + 5n + 12)·u²·P / g_hi, each
+       coefficient above holding up to factors 1 + O(n·u).
+    4. The certificate. q is V rounded if |err| + B lies below the
+       distance from q to its nearer rounding midpoint, strictly, since V
+       may be a tie (`_within_half_gap`). The float bound
+       fl(Σ|p|)·fl((3n² + 5n + 13)·u² / g_hi) exceeds B: its extra
+       u²·P / g_hi covers the 1 + O(n·u) factors, its own two roundings
+       and an underflow of r / g_hi (2^-1075 at most).
+
+    The range conditions keep the exact steps exact (each intermediate lies
+    on a grid no finer than 2^-1074) and let every other rounding err
+    relatively: samples 0 or 2^-969 <= |f| <= 2^960 (d and e are 0 or
+    normal, and no split, product or sum overflows); a window holding any
+    other sample falls back. |s| >= 2^-800 and 2^-60 <= g_hi <= 2^80 (else
+    the whole call falls back) make q0 and q0·g_lo normal and q0·g_hi's
+    TwoProduct exact. A q0 above 2^995 or infinite makes q NaN, which no
+    certificate keeps. Zero, subnormal and overflowing values thus fall
+    back, and the exact route gives their sign of zero, their underflow
+    and its ValueError.
     """
 
     def __init__(self, n: int):
@@ -144,19 +240,82 @@ class _HalfPointRule:
         positive = [(k, w) for k, w in self.stencil.nodes if k > 0]
         self.D = math.lcm(*(w.denominator for _, w in positive))
         self.scaled = [(k, w.numerator * (self.D // w.denominator)) for k, w in positive]
+        # (k, a(k) and its halves) for the certified route, and its bound's coefficient
+        self.halves = ([(k, float(a), *_split(float(a))) for k, a in self.scaled]
+                       if n <= _CERTIFIED_MAX_N else None)
+        self.bound_coefficient = (3 * n * n + 5 * n + 13) * 2.0 ** -106
 
     def apply_range(self, signal: SampledSignal, start: int, stop: int) -> np.ndarray:
         """The values at indices start..stop-1, all of whose sample indices
         must lie in the signal. Raises ValueError when a value leaves the
         floats."""
+        # D is a float only up to n = 8, so 2·D·h is formed only there
+        if self.halves is None or not _DIVISOR_MIN <= 2.0 * self.D * signal.h <= _DIVISOR_MAX:
+            return self.exact(signal, np.arange(start, stop))
+        values, kept = self._certified(signal, start, stop)
+        missed = np.flatnonzero(~kept)
+        if len(missed):
+            values[missed] = self.exact(signal, missed + start)
+        return values
+
+    def _certified(self, signal: SampledSignal, start: int, stop: int):
+        """The certified route's values at indices start..stop-1 and where
+        each is kept (see the class docstring), for n <= 8 and 2·D·h in
+        the route's range."""
         count, reach = stop - start, self.max_offset
-        window = signal.samples[start - reach:stop + reach].tolist()
-        ratios = [v.as_integer_ratio() for v in window]
+        g_hi = 2.0 * self.D * signal.h
+        g_lo = float(2 * self.D * Fraction(signal.h) - Fraction(g_hi))
+        window = signal.samples[start - reach:stop + reach]
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = sigma = total = 0.0
+            for k, a, a_hi, a_lo in self.halves:
+                d, e = _two_sum(window[reach + k:reach + k + count],
+                                -window[reach - k:reach - k + count])
+                p, pi = _two_product(d, a, a_hi, a_lo)
+                s, q = _two_sum(s, p)
+                sigma = sigma + (q + (pi + a * e))
+                total = total + np.abs(p)
+            q0 = s / g_hi
+            product, pi = _two_product(q0, g_hi, *_split(g_hi))
+            r = (s - product - pi + sigma) - q0 * g_lo
+            q, err = _two_sum(q0, r / g_hi)
+            bound = total * (self.bound_coefficient / g_hi)
+            kept = _within_half_gap(q, np.abs(err) + bound) & (np.abs(s) >= _SUM_MIN)
+            magnitude = np.abs(window)
+            outside = (magnitude > _SAMPLE_MAX) | ((magnitude < _SAMPLE_MIN) & (magnitude > 0))
+            if outside.any():
+                kept &= np.convolve(outside, np.ones(2 * reach + 1, bool), "valid") == 0
+        return q, kept
+
+    def exact(self, signal: SampledSignal, indices: np.ndarray) -> np.ndarray:
+        """The values at the given ascending indices (at least one), all of
+        whose sample indices must lie in the signal, in exact rational
+        arithmetic: each sample needed is scaled by their common denominator
+        S (a power of two) to an int F, h = hp/hq, and each value is the int
+        quotient Σ a(k)·(F[i+k] − F[i−k])·hq / (2·D·S·hp), correctly
+        rounded. A run of indices converts its whole window and reads
+        slices; scattered indices convert only the samples they read, in a
+        window no wider than their span. Raises ValueError when a value
+        leaves the floats."""
+        reach = self.max_offset
+        low = indices[0] - reach
+        local = indices - low
+        stop = local[-1] + 1
+        window = signal.samples[low:low + stop + reach]
+        run = stop - reach == len(indices)
+        needed = slice(None)
+        if not run:
+            needed = np.zeros(len(window), bool)
+            for k, _ in self.scaled:
+                needed[local + k] = needed[local - k] = True
+        ratios = [v.as_integer_ratio() for v in window[needed].tolist()]
         S = math.lcm(*{q for _, q in ratios})
-        F = np.array([p * (S // q) for p, q in ratios], dtype=object)
-        total = np.zeros(count, dtype=object)
-        for k, a in self.scaled:
-            total += a * (F[reach + k:reach + k + count] - F[reach - k:reach - k + count])
+        F = np.empty(len(window), dtype=object)
+        F[needed] = np.array([p * (S // q) for p, q in ratios], dtype=object)
+
+        def at(k):
+            return F[reach + k:stop + k] if run else F[local + k]
+        total = sum(a * (at(k) - at(-k)) for k, a in self.scaled)
         hp, hq = signal.h.as_integer_ratio()
         try:
             values = total * hq / (2 * self.D * S * hp)
@@ -183,19 +342,20 @@ def _apply_where_it_fits(signal: SampledSignal, order: int, rule) -> DerivativeR
     return _apply_spans(signal, order, [span])
 
 
-def _apply_at(signal: SampledSignal, rule, index: int) -> float:
-    """The rule at one index; BoundaryError names the outermost sample index
-    it would read outside the signal."""
+def _check_reads(signal: SampledSignal, rule, index: int) -> None:
+    """BoundaryError naming the outermost sample index the rule would read
+    outside the signal at index."""
     length = len(signal)
     for j in (index + rule.min_offset, index + rule.max_offset):
         if not 0 <= j < length:
             raise BoundaryError(f"stencil needs sample index {j}, outside 0..{length - 1}")
-    return float(rule.apply_range(signal, index, index + 1)[0])
 
 
 def apply_stencil_at(signal: SampledSignal, stencil: Stencil, index: int) -> float:
     """Evaluate one stencil at one sample index."""
-    return _apply_at(signal, _CompiledRule(stencil), index)
+    rule = _CompiledRule(stencil)
+    _check_reads(signal, rule, index)
+    return float(rule.apply_range(signal, index, index + 1)[0])
 
 
 def apply_stencil(signal: SampledSignal, stencil: Stencil) -> DerivativeResult:
@@ -233,16 +393,27 @@ def differentiate_half_point(signal: SampledSignal, n: int, index: int) -> float
     """First derivative from the odd offsets only:
     1/(2h) * sum_m w(2m+1) * (f[index+2m+1] - f[index-2m-1]).
 
-    Computed exactly (samples are dyadic rationals) and rounded once on
-    return, so the first-moment cancellation on linear alternating
-    envelopes is bit-exact.
+    The exact value (samples are dyadic rationals) rounded once, so the
+    first-moment cancellation on linear alternating envelopes is bit-exact.
+    One value is computed in exact rational arithmetic (_HalfPointRule's
+    exact route), which for a single index is cheaper than the certified
+    float route that differentiate_half_point_signal runs for n <= 8; both
+    give the same bits.
     """
-    return _apply_at(signal, _HalfPointRule(n), index)
+    rule = _HalfPointRule(n)
+    _check_reads(signal, rule, index)
+    return float(rule.exact(signal, np.array([index]))[0])
 
 
 def differentiate_half_point_signal(signal: SampledSignal, n: int) -> DerivativeResult:
     """differentiate_half_point at every index where the odd-offset stencil
-    fits; the 2n-1 indices at each edge are skipped (NaN)."""
+    fits; the 2n-1 indices at each edge are skipped (NaN). For n <= 8 a
+    float double-double route gives each value where its result is certain:
+    where the result's own rounding error plus the bound
+    (3n² + 5n + 12)·u²·Σ|a(k)·(f[i+k] − f[i−k])| / (2·D·h) on the rest
+    (u = 2^-53, a(k) = D·w(k) the weights as ints) lies strictly below the
+    distance from the result to its nearer rounding midpoint. Elsewhere,
+    and for n > 8, exact rational arithmetic gives it (see _HalfPointRule)."""
     return _apply_where_it_fits(signal, 1, _HalfPointRule(n))
 
 

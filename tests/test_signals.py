@@ -1,11 +1,12 @@
 """Stencil application, boundary policy, envelope and convergence behavior."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stencil_spectra import weights
 from stencil_spectra.signals import (
@@ -25,6 +26,7 @@ from stencil_spectra.signals import (
     make_signal,
     parse_test_function,
 )
+from stencil_spectra.signals import _HalfPointRule, _within_half_gap
 
 
 def linear_signal(h=0.5, points=9, slope=1.0):
@@ -318,6 +320,18 @@ def test_rules_reject_values_that_leave_the_floats():
         apply_stencil(huge, weights.central_second(1))
 
 
+def test_one_value_reads_only_its_own_window():
+    # the value at index 2 is 0; at index 3, next to it, it overflows
+    signal = SampledSignal(h=0.25, samples=(0.0, 0.0, 0.0, 0.0, 1e308, 0.0), origin=0)
+    assert apply_stencil_at(signal, weights.central_first(1), 2) == 0.0
+    with pytest.raises(ValueError, match=r"overflow the floats$"):
+        apply_stencil_at(signal, weights.central_first(1), 3)
+    far = SampledSignal(h=2.0 ** -10, samples=(0.0,) * 7 + (1e308,), origin=0)
+    assert differentiate_half_point(far, 2, 3) == 0.0
+    with pytest.raises(ValueError, match=r"overflow the floats$"):
+        differentiate_half_point(far, 2, 4)
+
+
 # --- half-point differentiation ------------------------------------------------
 
 
@@ -434,6 +448,262 @@ def test_half_point_overflow_is_a_value_error():
         with pytest.raises(ValueError, match=r"^h=0\.25: half-point-first\(n=1\) values "
                                              r"overflow the floats$"):
             call()
+
+
+# --- the certified half-point route -------------------------------------------------
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The index count of each call the half-point rule makes to its exact
+    route."""
+    calls = []
+    exact = _HalfPointRule.exact
+
+    def spy(self, signal, indices):
+        calls.append(len(indices))
+        return exact(self, signal, indices)
+
+    monkeypatch.setattr(_HalfPointRule, "exact", spy)
+    return calls
+
+
+# floats of mixed exponents that the certified route takes; and these
+# mixed with any float and the edges of the route's sample range:
+# subnormals, ±0, 2^-969 and 2^960, and values near 2^1023 whose split
+# would overflow
+_MIXED_EXPONENTS = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-40, 40))
+_ROUTE_SAMPLES = st.one_of(
+    st.lists(_MIXED_EXPONENTS, min_size=31, max_size=40),
+    st.lists(st.one_of(
+        _MIXED_EXPONENTS,
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.0 ** -969, -(2.0 ** -970), 2.0 ** 960,
+                         -(2.0 ** 961), 2.0 ** 1023, -1.7976931348623157e308])),
+        min_size=31, max_size=40),
+)
+# dyadic h on both sides of the route's range of 2·D·h, and non-dyadic h
+_ROUTE_SPACING = st.one_of(
+    st.builds(math.ldexp, st.just(1.0), st.integers(-110, 90)),
+    st.floats(1e-3, 1e3),
+    st.sampled_from([0.001, 0.1, 0.3, 5e-324, 2.0 ** 1000]),
+)
+_SPLIT_OVERFLOW = [0.0] * 14 + [-(2.0 ** 959), 0.0, 2.0 ** 959] + [0.0] * 14
+
+
+@settings(max_examples=400, deadline=None)
+@given(samples=_ROUTE_SAMPLES, h=_ROUTE_SPACING, n=st.integers(1, 8))
+@example(samples=[1.0, 2.0, 1.0], h=0.5, n=1)  # an exact zero: +0.0
+@example(samples=[5e-324, 0.0, 0.0], h=2.0, n=1)  # -2^-1076 underflows to -0.0
+@example(samples=[-1.7e308, 0.0, 1.7e308], h=0.25, n=1)  # overflow: the ValueError
+@example(samples=_SPLIT_OVERFLOW, h=2.0 ** -46, n=8)  # q0 near 2^1005: its split overflows
+@example(samples=_SPLIT_OVERFLOW, h=2.0 ** -100, n=8)  # q0 overflows to inf
+def test_certified_half_point_is_the_exact_route(samples, h, n):
+    signal = SampledSignal(h=h, samples=samples)
+    rule = _HalfPointRule(n)
+    interior = np.arange(rule.max_offset, len(samples) - rule.max_offset)
+    try:
+        expected = rule.exact(signal, interior)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+            differentiate_half_point_signal(signal, n)
+        return
+    got = differentiate_half_point_signal(signal, n).values[interior]
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_certified_half_point_pinned_cases():
+    # the values the @examples above pin, as the exact route gives them, from
+    # the span (the certified route) and from one index (the exact route);
+    # test_half_point_overflow_is_a_value_error pins the overflow's line
+    cases = [([1.0, 2.0, 1.0], 0.5, 1, 0.0), ([5e-324, 0.0, 0.0], 2.0, 1, -0.0),
+             (_SPLIT_OVERFLOW, 2.0 ** -46, 8, float(dict(weights.half_point(8).nodes)[1]
+                                                    * 2 ** 960 / 2 ** -45))]
+    for samples, h, n, want in cases:
+        signal = SampledSignal(h=h, samples=samples)
+        index = 2 * n - 1
+        assert differentiate_half_point_signal(signal, n).values[index].hex() == want.hex()
+        assert differentiate_half_point(signal, n, index).hex() == want.hex()
+
+
+def test_within_half_gap_is_strict_and_takes_the_smaller_gap():
+    q = np.array([1.5, 1.5, -1.5, 1.0, 1.0, -1.0, 3.0, 1.7976931348623157e308])
+    deviation = np.array([2.0 ** -53, math.nextafter(2.0 ** -53, 0), 2.0 ** -53,
+                          2.0 ** -54, math.nextafter(2.0 ** -54, 0), 2.0 ** -54,
+                          math.nextafter(2.0 ** -52, 0), math.nextafter(2.0 ** 970, 0)])
+    assert _within_half_gap(q, deviation).tolist() == [False, True, False,
+                                                       False, True, False, True, True]
+
+
+def test_certificate_bound_is_the_derived_sum():
+    # _HalfPointRule's docstring: the sum's (3n − 2)(n + 1) + 1, the
+    # residual's 2n + 7 and the correction's 2(n + 3), plus 1 for the
+    # 1 + O(n·u) factors and the bound's own roundings, times u² = 2^-106.
+    # The true error is far below the bound on every input the tests can
+    # build, so no value would show a smaller coefficient
+    for n in range(1, 9):
+        derived = (3 * n - 2) * (n + 1) + 1 + (2 * n + 7) + 2 * (n + 3) + 1
+        assert _HalfPointRule(n).bound_coefficient == derived * 2.0 ** -106
+
+
+def _near_midpoints():
+    """(target, kind) for values at and near the rounding midpoints on
+    either side of a few floats q, 1.0's just below a power of two among
+    them: each midpoint ("tie"), each midpoint moved a quarter of the gap it
+    halves toward q's neighbour, none of which is a power of two
+    ("quarter"), and each midpoint plus or minus 1 and 3 times gap·2^-s for
+    30 <= s <= 60 ("near")."""
+    for q in (1.0, 1.5, 0.1, -3.0, 1.25 * 2.0 ** -700, 1e250):
+        for neighbour in (math.nextafter(q, math.inf), math.nextafter(q, -math.inf)):
+            midpoint = (Fraction(q) + Fraction(neighbour)) / 2
+            gap = abs(Fraction(neighbour) - Fraction(q))
+            yield midpoint, "tie"
+            yield midpoint + (Fraction(neighbour) - Fraction(q)) / 4, "quarter"
+            for s in (30, 50, 53, 56, 60):
+                for j in (-3, -1, 1, 3):
+                    yield midpoint + j * gap / 2 ** s, "near"
+
+
+def _one_difference_signal(n, h, target):
+    """2·reach + 1 samples whose one half-point value is `target` (a
+    Fraction) to within 2^-106 relative: f[reach + 1] − f[reach − 1] is
+    target·2·D·h / a(1) as a float pair, and every other sample is 0."""
+    rule = _HalfPointRule(n)
+    reach = rule.max_offset
+    difference = target * 2 * rule.D * Fraction(h) / rule.scaled[0][1]
+    high = float(difference)
+    samples = [0.0] * (2 * reach + 1)
+    samples[reach + 1], samples[reach - 1] = high, -float(difference - Fraction(high))
+    return SampledSignal(h=h, samples=samples, origin=reach)
+
+
+@pytest.mark.parametrize("h", [0.5, 0.3, 0.001])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_certified_half_point_near_midpoints(n, h, exact_calls):
+    reach = 2 * n - 1
+    ties = 0
+    for target, kind in _near_midpoints():
+        signal = _one_difference_signal(n, h, target)
+        exact_calls.clear()
+        got = differentiate_half_point_signal(signal, n).values[reach]
+        assert float(got).hex() == _fraction_half_point(signal, n, reach).hex()
+        value = (Fraction(signal.samples[reach + 1]) - Fraction(signal.samples[reach - 1])) \
+            * weights.half_point(n).nodes[n][1] / (2 * Fraction(h))
+        if kind == "tie" and value == target:
+            assert exact_calls == [1]
+            ties += 1
+        elif kind == "quarter":
+            assert exact_calls == []
+    assert ties > 0 or n > 1 or h != 0.5
+
+
+@pytest.mark.parametrize("fn", ["sin:omega=1", "sin:omega=2,phase=0.5",
+                                "poly:1,-0.5,0.25,0.125", "poly:0,2,-1"])
+def test_certified_half_point_keeps_every_smooth_value(fn, exact_calls):
+    # the signals benchmark's smooth test functions: the certificate keeps
+    # every value, so none takes the exact route
+    signal = make_signal(parse_test_function(fn), 0.001, 2001)
+    for n in range(1, 9):
+        differentiate_half_point_signal(signal, n)
+    assert exact_calls == []
+
+
+_ORDINARY = [1.0, -3.0, 0.5, 7.0, 2.25, -1.0]
+
+
+@pytest.mark.parametrize("h, samples, fallbacks", [
+    # n = 1: 2·D·h = 2h, at 2^-60 and 2^80, the ends of the route's range,
+    # and just outside them
+    (2.0 ** -61, _ORDINARY, 0), (2.0 ** 79, _ORDINARY, 0),
+    (math.nextafter(2.0 ** -61, 0), _ORDINARY, 4),
+    (math.nextafter(2.0 ** 79, math.inf), _ORDINARY, 4),
+    # samples at the ends of the route's sample range, and just outside:
+    # only the windows that hold such a sample fall back
+    (0.5, [2.0 ** 960, 1.0, -(2.0 ** -969)], 0),
+    (0.5, [math.nextafter(2.0 ** 960, math.inf), 1.0, 1.0], 1),
+    (0.5, [1.0, 1.0, -math.nextafter(2.0 ** -969, 0)], 1),
+    (0.5, [1e-310, *_ORDINARY], 1),
+    # s = f[2] - f[0] at 2^-800, the least |s| the route takes, and below
+    (0.5, [0.0, 5.0, 2.0 ** -800], 0),
+    (0.5, [0.0, 5.0, math.nextafter(2.0 ** -800, 0)], 1),
+])
+def test_certified_half_point_ranges_are_inclusive(h, samples, fallbacks, exact_calls):
+    signal = SampledSignal(h=h, samples=samples)
+    interior = range(1, len(samples) - 1)
+    result = differentiate_half_point_signal(signal, 1)
+    assert exact_calls == ([fallbacks] if fallbacks else [])
+    assert _hex(result.values[1:-1]) == _hex([_fraction_half_point(signal, 1, i) for i in interior])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_certified_route_takes_every_two_d_h_in_its_range(n, exact_calls):
+    # the least and the greatest h whose float 2·D·h lies in 2^-60..2^80,
+    # which the route takes, and their outer neighbours, which send the
+    # whole call to the exact route; the samples, of a smooth function at
+    # a fine step, differ exactly, so no value lies near a midpoint
+    D = _HalfPointRule(n).D
+    signal = make_signal(Sinusoid(1.0, 0.5), 0.001, 40)
+    interior = range(2 * n - 1, 41 - 2 * n)
+    low = math.ldexp(1.0, -60) / (2 * D)
+    while 2.0 * D * math.nextafter(low, 0) >= 2.0 ** -60:
+        low = math.nextafter(low, 0)
+    while 2.0 * D * low < 2.0 ** -60:
+        low = math.nextafter(low, math.inf)
+    high = math.ldexp(1.0, 80) / (2 * D)
+    while 2.0 * D * math.nextafter(high, math.inf) <= 2.0 ** 80:
+        high = math.nextafter(high, math.inf)
+    while 2.0 * D * high > 2.0 ** 80:
+        high = math.nextafter(high, 0)
+    for h, calls in [(low, []), (high, []), (math.nextafter(low, 0), [len(interior)]),
+                     (math.nextafter(high, math.inf), [len(interior)])]:
+        exact_calls.clear()
+        scaled = SampledSignal(h=h, samples=signal.samples)
+        result = differentiate_half_point_signal(scaled, n)
+        assert exact_calls == calls
+        assert _hex(result.values[interior.start:interior.stop]) == _hex(
+            [_fraction_half_point(scaled, n, i) for i in interior])
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_half_point_above_eight_takes_only_the_exact_route(n, exact_calls):
+    # D has 51 bits at n = 9 and 58 at n = 10, beyond the certified route
+    signal = make_signal(Sinusoid(1.0, 0.5), 0.001, 101)
+    reach = 2 * n - 1
+    result = differentiate_half_point_signal(signal, n)
+    assert exact_calls == [101 - 2 * reach]
+    assert _hex(result.values[reach:101 - reach]) == _hex(
+        [_fraction_half_point(signal, n, i) for i in range(reach, 101 - reach)])
+
+
+def test_half_point_at_large_n_takes_the_exact_route(exact_calls):
+    # D has 2,039 bits at n = 300, so 2·D·h is no float: the span and the
+    # one index go straight to the exact route
+    signal = make_signal(Sinusoid(1.0, 0.5), 0.001, 1201)
+    result = differentiate_half_point_signal(signal, 300)
+    assert exact_calls == [3]
+    want = _fraction_half_point(signal, 300, 600)
+    assert result.values[600].hex() == want.hex()
+    assert differentiate_half_point(signal, 300, 600).hex() == want.hex()
+
+
+def test_one_half_point_value_takes_the_exact_route(exact_calls):
+    # one index gains nothing from the certified route's vector setup
+    signal = make_signal(Sinusoid(1.0, 0.5), 0.001, 101)
+    for n in (1, 8):
+        assert differentiate_half_point(signal, n, 50) == \
+            differentiate_half_point_signal(signal, n).values[50]
+    assert exact_calls == [1, 1]
+
+
+def test_exact_route_at_scattered_indices():
+    # windows apart, overlapping and at both edges, with a subnormal and a
+    # huge sample in some of them
+    samples = np.sin(np.arange(40.0))
+    samples[[12, 30]] = 5e-324, 1e300
+    signal = SampledSignal(h=0.3, samples=samples)
+    indices = np.array([3, 10, 12, 16, 31, 36])
+    want = [_fraction_half_point(signal, 2, i) for i in indices]
+    assert _hex(_HalfPointRule(2).exact(signal, indices)) == _hex(want)
 
 
 # --- alternating second derivative ------------------------------------------------
