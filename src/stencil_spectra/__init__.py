@@ -1,10 +1,10 @@
 """Finite-difference weight sequences, their spectra, and differentiation.
 
-The exact layer (`weights`, `oracle`) is bound at import and needs no
-numpy. The numeric layer's modules (`spectra`, `signals`) and their names
-resolve on first access through the module `__getattr__` (PEP 562), which
-imports the module, so `import stencil_spectra` and
-`import stencil_spectra.cli` load no numpy.
+The generators (`weights`) are bound at import and need no numpy. The
+oracle (`oracle`) and the numeric layer's modules (`spectra`, `signals`),
+and their names, resolve on first access through the module `__getattr__`
+(PEP 562), which imports the module, so `import stencil_spectra` and
+`import stencil_spectra.cli` load neither numpy nor the oracle.
 """
 
 from importlib import import_module as _import_module
@@ -27,23 +27,24 @@ from .weights import (
     stencil_from_dict,
     stencil_to_dict,
 )
-from .oracle import (
-    ExactnessReport,
-    MomentSystem,
-    SingularSystemError,
-    cross_checks,
-    delta_m1_closed_form,
-    exactness_check,
-    product_form_half_point,
-    product_form_one_sided,
-    solve_moment_system,
-    vandermonde_det,
-)
-
-# name -> the numeric-layer module that defines it; a module maps to itself
+# name -> the module that defines it, loaded on first access; a module maps
+# to itself
 _LAZY = {
+    "oracle": "oracle",
     "signals": "signals",
     "spectra": "spectra",
+    **dict.fromkeys([
+        "ExactnessReport",
+        "MomentSystem",
+        "SingularSystemError",
+        "cross_checks",
+        "delta_m1_closed_form",
+        "exactness_check",
+        "product_form_half_point",
+        "product_form_one_sided",
+        "solve_moment_system",
+        "vandermonde_det",
+    ], "oracle"),
     **dict.fromkeys([
         "CurveDomainError",
         "DeviationReport",

@@ -14,10 +14,10 @@ their edge to decide that way take Python's text. `stencil` writes its
 `# kind=...` line and its rows through csv.writer, and its JSON and
 `verify`'s through json.dumps.
 
-The module imports without numpy, so `stencil`, `verify`, `--help` and
-every usage error run on the exact layer alone; `run` loads numpy,
-`spectra`, `signals` and `tableblocks` when it dispatches `spectrum`,
-`diff` or `figure`.
+The module imports without numpy or `oracle`, so `stencil`, `verify`,
+`--help` and every usage error run on the exact layer alone; `run` loads
+`oracle` when it dispatches `verify`, and numpy, `spectra`, `signals` and
+`tableblocks` when it dispatches `spectrum`, `diff` or `figure`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import sys
 from collections.abc import Iterable
 from functools import partial
 
-from . import oracle, weights
+from . import weights
 from .weights import BoundaryError, CurveFamily, EmbeddingMode, StencilKind
 
 # the numeric layer, bound by _load_numeric for the subcommands that use it
@@ -239,6 +239,8 @@ _VERIFY_MAX_N = 100
 def _cmd_verify(args) -> tuple[Iterable[str], int]:
     if args.max_n > _VERIFY_MAX_N:
         raise ValueError(f"--max-n {args.max_n} is above the limit of {_VERIFY_MAX_N}")
+    from . import oracle  # here, so that every other command starts without it
+
     results = [{"check": name, "ok": ok, "detail": detail}
                for name, ok, detail in oracle.cross_checks(args.max_n)]
     passed = sum(r["ok"] for r in results)

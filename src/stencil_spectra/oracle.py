@@ -7,48 +7,48 @@ Bareiss (fraction-free) elimination for the Vandermonde determinants only
 polynomial exactness on integers. The hot loops run on Python ints;
 `cross_checks` compares a rational with a weight by cross-multiplication, so
 it builds no `Fraction` of its own there.
+
+The package loads this module on first access to it or to one of its
+names, and the CLI only for `verify`, so that `stencil` starts without it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
-from .weights import Stencil, StencilKind, build
+from .weights import Stencil, StencilKind, _Record, build
 
 
 class SingularSystemError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MomentSystem:
+class MomentSystem(_Record):
     """Square system sum_m a_m * offset_m**k = delta(target_order, k),
     k = 0..degree, with the convention 0**0 = 1."""
 
-    offsets: tuple[int, ...]
-    degree: int
-    target_order: int
+    _fields = ("offsets", "degree", "target_order")
 
-    def __post_init__(self):
+    def __init__(self, offsets: tuple[int, ...], degree: int, target_order: int):
         # a float offset would turn the exact solution into floats
         if any(isinstance(v, bool) or not isinstance(v, int)
-               for v in (*self.offsets, self.degree, self.target_order)):
+               for v in (*offsets, degree, target_order)):
             raise ValueError("offsets, degree and target_order must be integers")
-        if len(self.offsets) != self.degree + 1:
+        if len(offsets) != degree + 1:
             raise ValueError("need degree+1 offsets for a square system")
-        if not 0 <= self.target_order <= self.degree:
+        if not 0 <= target_order <= degree:
             raise ValueError("target_order must lie in 0..degree")
+        self._init(offsets, degree, target_order)
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    stencil: Stencil
-    max_exact_degree: int
-    first_failing_degree: int | None
-    residuals: tuple[Fraction, ...]
+class ExactnessReport(_Record):
+    _fields = ("stencil", "max_exact_degree", "first_failing_degree", "residuals")
+
+    def __init__(self, stencil: Stencil, max_exact_degree: int,
+                 first_failing_degree: int | None, residuals: tuple[Fraction, ...]):
+        self._init(stencil, max_exact_degree, first_failing_degree, residuals)
 
 
 def _bareiss_eliminate(rows):

@@ -15,7 +15,7 @@ and h to integers and rounds one int quotient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -382,8 +382,8 @@ def differentiate(signal: SampledSignal, n: int, order: int) -> DerivativeResult
         # mirrored) above it, as far as each fits: a signal shorter than
         # 2n+1 leaves a skipped middle
         forward = one_sided_first(n)
-        backward = replace(forward, offsets=tuple(-o for o in reversed(forward.offsets)),
-                           weights=tuple(-w for w in reversed(forward.weights)))
+        backward = forward.replace(offsets=tuple(-o for o in reversed(forward.offsets)),
+                                   weights=tuple(-w for w in reversed(forward.weights)))
         spans += [(_CompiledRule(forward, f"forward({n})"), 0, min(n, length - n)),
                   (_CompiledRule(backward, f"backward({n})"), max(n, length - n), length)]
     return _apply_spans(signal, order, spans)

@@ -9,14 +9,15 @@ The module imports without numpy: only `limit_coefficients` needs it and
 imports it when called. It also holds the names that the CLI parses with
 and catches (`CurveFamily`, `EmbeddingMode`, `BoundaryError`), so that
 `stencil` and `verify` start without numpy; `spectra` and `signals`
-re-export them.
+re-export them. Its records are plain frozen classes (`_Record`), not
+dataclasses: importing `dataclasses`, and the `inspect` it loads, took
+about half of this module's import time.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
@@ -71,8 +72,45 @@ class BoundaryError(IndexError):
     """A stencil offset fell outside the sampled range."""
 
 
-@dataclass(frozen=True)
-class Stencil:
+class _Record:
+    """A frozen record, as a frozen dataclass would make it: the fields,
+    `_fields` in constructor order, are set once by `_init`; setting or
+    deleting an attribute raises AttributeError; equality and the hash are
+    field-wise within one class, and the repr is the dataclass form."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A new record with the given fields changed, validated as the
+        constructor validates one."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class Stencil(_Record):
     """A derivative-approximation rule on integer grid offsets.
 
     The rule reads: d^order f / dx^order at the anchor point is approximated
@@ -81,20 +119,17 @@ class Stencil:
     by h**d. Only nonzero weights are stored; absent offsets count as zero.
     """
 
-    kind: StencilKind
-    n: int
-    derivative_order: int
-    offsets: tuple[int, ...]
-    weights: tuple[Fraction, ...]
-    prefactor: Fraction
+    _fields = ("kind", "n", "derivative_order", "offsets", "weights", "prefactor")
 
-    def __post_init__(self):
-        if len(self.offsets) != len(self.weights):
+    def __init__(self, kind: StencilKind, n: int, derivative_order: int,
+                 offsets: tuple[int, ...], weights: tuple[Fraction, ...], prefactor: Fraction):
+        if len(offsets) != len(weights):
             raise ValueError("offsets and weights must have equal length")
-        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
+        if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ValueError("offsets must be strictly increasing")
-        if self.derivative_order < 0:
+        if derivative_order < 0:
             raise ValueError("derivative_order must be >= 0")
+        self._init(kind, n, derivative_order, offsets, weights, prefactor)
 
     @property
     def nodes(self) -> tuple[tuple[int, Fraction], ...]:

@@ -12,7 +12,10 @@ src/stencil_spectra/spectra.py. Each mutant changes one site of it:
   or an import
 
 `--function NAME` keeps the sites inside the named functions (give it once
-per function); `--list` prints the mutants and runs nothing.
+per function). NAME is a function's qualified name, its enclosing classes
+and functions joined by dots, such as `Stencil.__init__`, or its bare name,
+which takes every function of that name. `--list` prints the mutants, each
+with the qualified name of the function that holds it, and runs nothing.
 
 Otherwise the repository is copied to a temporary directory, and nothing in
 the tree the tool reads is written. In the copy, SOURCE is rewritten by
@@ -54,17 +57,33 @@ def _text(node: ast.AST) -> str:
     return f"`{ast.unparse(node).splitlines()[0][:60]}`"
 
 
+def _owners(tree: ast.Module) -> dict[int, str]:
+    """id(node) -> the qualified name of the innermost function that holds
+    the node (a def holds itself), such as `Stencil.__init__`, or
+    `<module>`."""
+    owner = {}
+
+    def visit(node, scope: tuple[str, ...], function: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope += (node.name,)
+            if not isinstance(node, ast.ClassDef):
+                function = ".".join(scope)
+        owner[id(node)] = function
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, function)
+
+    visit(tree, (), "<module>")
+    return owner
+
+
 def _sites(tree: ast.Module, functions: set[str]):
     """(node, function, label, apply) for each mutant; apply() changes the
-    tree in place."""
-    owner = {}
+    tree in place. A site is kept when functions is empty or names its
+    function, qualified or bare."""
+    owner = _owners(tree)
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for inner in ast.walk(node):
-                owner[id(inner)] = node.name  # the innermost def is walked last
-    for node in ast.walk(tree):
-        function = owner.get(id(node), "<module>")
-        if functions and function not in functions:
+        function = owner[id(node)]
+        if functions and not {function, function.rsplit(".", 1)[-1]} & functions:
             continue
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _SWAPS:
             old = type(node.op)
@@ -91,7 +110,7 @@ def _sites(tree: ast.Module, functions: set[str]):
                              and isinstance(statement.value.value, str))
                 if docstring or isinstance(statement, _KEPT):
                     continue
-                yield statement, owner.get(id(statement), "<module>"), f"delete {_text(statement)}", \
+                yield statement, owner[id(statement)], f"delete {_text(statement)}", \
                     lambda block=block, i=i: block.__setitem__(i, ast.Pass())
 
 

@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -628,7 +627,7 @@ def test_verify_fails_on_a_wrong_half_point_weight(capsys, monkeypatch):
         stencil = weights.half_point(n)
         bent = list(stencil.weights)
         bent[n] += Fraction(1, 10 ** 6)  # the weight at offset +1 only
-        return dataclasses.replace(stencil, weights=tuple(bent))
+        return stencil.replace(weights=tuple(bent))
 
     monkeypatch.setitem(weights._KIND_BUILDERS, StencilKind.HALF_POINT_FIRST,
                         bent_half_point)
@@ -649,7 +648,7 @@ def _bent_builder(kind, position):
         stencil = build(n)
         bent_weights = list(stencil.weights)
         bent_weights[position(n)] += Fraction(1, 10 ** 6)
-        return dataclasses.replace(stencil, weights=tuple(bent_weights))
+        return stencil.replace(weights=tuple(bent_weights))
     return bent
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stencil_spectra import weights
 from stencil_spectra.oracle import (
+    ExactnessReport,
     MomentSystem,
     SingularSystemError,
     _bareiss_eliminate,
@@ -161,6 +162,63 @@ def test_moment_system_rejects_non_integers(offsets, degree, order):
     # not an integer here either
     with pytest.raises(ValueError, match="must be integers"):
         MomentSystem(offsets=offsets, degree=degree, target_order=order)
+
+
+def test_moment_system_repr_is_the_dataclass_form():
+    # as the frozen dataclass that MomentSystem once was wrote it
+    assert repr(MomentSystem((-1, 0, 1), 2, 1)) == \
+        "MomentSystem(offsets=(-1, 0, 1), degree=2, target_order=1)"
+
+
+@pytest.mark.parametrize("changes", [
+    {"offsets": (-1, 0, 2)}, {"offsets": (0, 1), "degree": 1}, {"target_order": 2},
+])
+def test_moment_system_equality_and_hash_are_field_wise(changes):
+    system = MomentSystem((-1, 0, 1), 2, 1)
+    same = MomentSystem(offsets=(-1, 0, 1), degree=2, target_order=1)
+    assert same is not system and same == system and not same != system
+    assert hash(same) == hash(system)
+    changed = system.replace(**changes)
+    assert changed != system and not changed == system
+    assert system != (-1, 0, 1) and system.__eq__(((-1, 0, 1), 2, 1)) is NotImplemented
+
+
+@pytest.mark.parametrize("field", ["offsets", "degree", "target_order", "not_a_field"])
+def test_moment_system_is_frozen(field):
+    system = MomentSystem((-1, 0, 1), 2, 1)
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+        setattr(system, field, 0)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+        delattr(system, field)
+    assert (system.offsets, system.degree, system.target_order) == ((-1, 0, 1), 2, 1)
+
+
+def test_moment_system_replace_validates_as_the_constructor_does():
+    system = MomentSystem((-1, 0, 1), 2, 1)
+    with pytest.raises(ValueError, match="^need degree\\+1 offsets for a square system$"):
+        system.replace(degree=1)
+    with pytest.raises(ValueError, match="^target_order must lie in 0..degree$"):
+        system.replace(target_order=3)
+    with pytest.raises(ValueError, match="^target_order must lie in 0..degree$"):
+        system.replace(target_order=-1)
+    with pytest.raises(ValueError, match="must be integers"):
+        system.replace(offsets=(-1, 0, 0.5))
+
+
+def test_exactness_report_equality_hash_and_freezing():
+    stencil = weights.central_first(2)
+    report = exactness_check(stencil, 5)
+    assert report == exactness_check(weights.central_first(2), 5)
+    assert hash(report) == hash(exactness_check(stencil, 5))
+    assert report != exactness_check(stencil, 4)
+    assert report == ExactnessReport(stencil, 4, 5, report.residuals)
+    assert report != ExactnessReport(stencil, 4, None, report.residuals)
+    assert repr(report).startswith("ExactnessReport(stencil=Stencil(kind=")
+    assert repr(report).endswith(", max_exact_degree=4, first_failing_degree=5, residuals=("
+                                 "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), "
+                                 "Fraction(0, 1), Fraction(0, 1), Fraction(-4, 1)))")
+    with pytest.raises(AttributeError, match="^cannot assign to field 'residuals'$"):
+        report.residuals = ()
 
 
 # --- determinants -----------------------------------------------------------

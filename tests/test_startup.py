@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import stencil_spectra
-from stencil_spectra import signals, spectra, weights
+from stencil_spectra import oracle, signals, spectra, weights
 from stencil_spectra.weights import StencilKind
 
 
@@ -26,56 +26,60 @@ def _in_child(code, *args):
 
 
 # runs each argv through cli.run; with "blocked", every import of numpy
-# raises ImportError. Prints each (exit code, stdout, stderr), the --out
-# file, and which of the numeric modules were loaded after importing the
-# CLI and after the runs
+# raises ImportError. Prints each (exit code, stdout, stderr, the watched
+# modules loaded after it), the --out file, and the watched modules loaded
+# after importing the CLI: the numeric layer, `dataclasses` and the oracle
 _CLI_CHILD = """
 import contextlib, io, json, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None
+watched = ["numpy", "stencil_spectra.tableblocks", "stencil_spectra.signals",
+           "stencil_spectra.spectra", "dataclasses", "stencil_spectra.oracle"]
+def loaded():
+    return [name for name in watched if sys.modules.get(name) is not None]
 from stencil_spectra.cli import run
-numeric = ["numpy", "stencil_spectra.tableblocks", "stencil_spectra.signals",
-           "stencil_spectra.spectra"]
-loaded = [[name for name in numeric if sys.modules.get(name) is not None]]
+after_import = loaded()
 results = []
 for argv in json.loads(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
-    results.append([code, out.getvalue(), err.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue(), loaded()])
 with open(sys.argv[3], encoding="utf-8") as fh:
     written = fh.read()
-loaded.append([name for name in numeric if sys.modules.get(name) is not None])
-print(json.dumps([results, written, loaded]))
+print(json.dumps([results, written, after_import]))
 """
 
 
 def _exact_argvs(out_path):
     argvs = [["stencil", "--kind", kind.value, "--n", "5", "--format", fmt]
              for kind in StencilKind for fmt in ("csv", "json")]
-    argvs += [["verify", "--max-n", "8", "--format", fmt] for fmt in ("text", "json")]
     argvs += [["--help"], ["stencil", "--kind", "nope", "--n", "1"],
               ["stencil", "--kind", "central-first", "--n", "4", "--format", "json",
                "--out", out_path]]
+    argvs += [["verify", "--max-n", "8", "--format", fmt] for fmt in ("text", "json")]
     return argvs
 
 
 def test_exact_commands_give_the_same_bytes_without_numpy(tmp_path):
     out_path = str(tmp_path / "stencil.json")
     argvs = json.dumps(_exact_argvs(out_path))
-    normal, normal_written, normal_loaded = _in_child(_CLI_CHILD, "normal", argvs, out_path)
+    normal, normal_written, after_import = _in_child(_CLI_CHILD, "normal", argvs, out_path)
     os.remove(out_path)
     blocked, blocked_written, _ = _in_child(_CLI_CHILD, "blocked", argvs, out_path)
     assert blocked == normal
     assert blocked_written == normal_written
-    # neither importing the CLI nor the exact commands (stencil and verify
-    # in every format among them) load numpy or the numeric modules, the
-    # table block renderer among them, in a normal interpreter
-    assert normal_loaded == [[], []]
-    codes = [code for code, _, _ in normal]
-    assert codes == [0] * 12 + [0, 2, 0]
-    assert normal[-3][1].startswith("usage: stencil-spectra")
-    assert normal[-2][2].startswith("usage error: ")
+    # importing the CLI loads none of the numeric layer (the table block
+    # renderer among it), `dataclasses` or the oracle, in a normal
+    # interpreter; nor do `stencil` in every format, `--help` and a usage
+    # error. `verify`, the last two argvs, loads the oracle alone
+    assert after_import == []
+    assert [loaded for _, _, _, loaded in normal] == [[]] * 13 + [["stencil_spectra.oracle"]] * 2
+    codes = [code for code, _, _, _ in normal]
+    assert codes == [0] * 10 + [0, 2, 0] + [0, 0]
+    assert normal[10][1].startswith("usage: stencil-spectra")
+    assert normal[11][2].startswith("usage error: ")
+    assert normal[-1][1].startswith('{\n  "max_n": 8')
     assert json.loads(normal_written)["kind"] == "central-first"
 
 
@@ -111,6 +115,7 @@ def test_every_public_name_is_still_exported(name):
 def test_lazy_names_are_the_modules_own():
     assert stencil_spectra.dft_spectrum is spectra.dft_spectrum
     assert stencil_spectra.make_signal is signals.make_signal
+    assert stencil_spectra.cross_checks is oracle.cross_checks
     assert spectra.CurveFamily is weights.CurveFamily
     assert spectra.EmbeddingMode is weights.EmbeddingMode
     assert signals.BoundaryError is weights.BoundaryError

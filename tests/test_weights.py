@@ -385,6 +385,72 @@ def test_stencil_rejects_offsets_and_weights_of_unequal_length():
                         offsets=(-1, 1), weights=(F(1),), prefactor=F(1, 2))
 
 
+# --- the Stencil record ------------------------------------------------------
+
+
+# repr(central_first(2)) as the frozen dataclass that Stencil once was wrote it
+_CENTRAL_FIRST_2_REPR = (
+    "Stencil(kind=<StencilKind.CENTRAL_FIRST: 'central-first'>, n=2, derivative_order=1, "
+    "offsets=(-2, -1, 1, 2), weights=(Fraction(1, 6), Fraction(-4, 3), Fraction(4, 3), "
+    "Fraction(-1, 6)), prefactor=Fraction(1, 2))"
+)
+
+
+def test_stencil_repr_is_the_dataclass_form():
+    assert repr(central_first(2)) == _CENTRAL_FIRST_2_REPR
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kind", StencilKind.HALF_POINT_FIRST), ("n", 3), ("derivative_order", 2),
+    ("offsets", (-3, -1, 1, 2)), ("weights", (F(1, 6), F(-4, 3), F(4, 3), F(-1, 7))),
+    ("prefactor", F(1)),
+])
+def test_stencil_equality_and_hash_are_field_wise(field, value):
+    s = central_first(2)
+    same = weights.Stencil(StencilKind.CENTRAL_FIRST, 2, 1, (-2, -1, 1, 2),
+                           (F(1, 6), F(-4, 3), F(4, 3), F(-1, 6)), F(1, 2))
+    assert same is not s and same == s and not same != s
+    assert hash(same) == hash(s)
+    changed = s.replace(**{field: value})
+    assert getattr(changed, field) == value
+    assert changed != s and not changed == s
+    assert {f: getattr(changed, f) for f in weights.Stencil._fields if f != field} == \
+        {f: getattr(s, f) for f in weights.Stencil._fields if f != field}
+
+
+def test_stencil_equals_no_other_class():
+    s = central_first(1)
+    fields = tuple(getattr(s, f) for f in weights.Stencil._fields)
+    assert s != fields and s.__eq__(fields) is NotImplemented
+    assert s != oracle.MomentSystem((-1, 0, 1), 2, 1)
+
+
+@pytest.mark.parametrize("field", ["kind", "n", "offsets", "prefactor", "not_a_field"])
+def test_stencil_is_frozen(field):
+    s = central_first(2)
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+        setattr(s, field, 1)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+        delattr(s, field)
+    assert repr(s) == _CENTRAL_FIRST_2_REPR
+
+
+def test_stencil_replace_validates_as_the_constructor_does():
+    s = central_first(2)
+    assert s.replace() == s
+    with pytest.raises(ValueError, match="^offsets must be strictly increasing$"):
+        s.replace(offsets=(-2, -1, 1, 1))
+    with pytest.raises(ValueError, match="^offsets must be strictly increasing$"):
+        s.replace(offsets=(2, 1, -1, -2))
+    with pytest.raises(ValueError, match="^offsets and weights must have equal length$"):
+        s.replace(offsets=(-1, 1))
+    with pytest.raises(ValueError, match="^derivative_order must be >= 0$"):
+        s.replace(derivative_order=-1)
+    assert s.replace(derivative_order=0).derivative_order == 0
+    with pytest.raises(TypeError):
+        s.replace(order=1)
+
+
 def test_build_dispatch():
     for kind in StencilKind:
         assert weights.build(kind, 3).kind is kind
