@@ -11,8 +11,9 @@ JSON records, and renders their rows in numpy in blocks: a float in
 power of ten, and JSON's shortest digits from the 17 and their fraction;
 nan, ±inf, other magnitudes and roundings or round trips too close to
 their edge to decide that way take Python's text. `stencil` writes its
-`# kind=...` line and its rows through csv.writer, and its JSON and
-`verify`'s through json.dumps.
+`# kind=...` line and its rows through csv.writer. Its JSON and `verify`'s
+are written directly, every key and string through json's own escaper,
+byte for byte as json.dumps(indent=2) writes them.
 
 The module imports without numpy or `oracle`, so `stencil`, `verify`,
 `--help` and every usage error run on the exact layer alone; `run` loads
@@ -91,6 +92,37 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
+# the JSON text of a scalar by its type; any other type is a TypeError
+_JSON_SCALARS = {str: json.encoder.encode_basestring_ascii, int: str,
+                 bool: {True: "true", False: "false"}.__getitem__}
+
+
+def _json_document(header: dict, key: str, records: list[dict]) -> str:
+    """The bytes of json.dumps({**header, key: records}, indent=2) + "\n"
+    for scalar header values and records of scalars (str, int or bool) that
+    share their keys, in one order. They are written directly, since an
+    indent sends json.dumps to its pure-Python encoder: keys and strings go
+    through the escaper json.dumps uses under its default ensure_ascii,
+    ints through str, and every record is one %-template of its fields."""
+    escape = json.encoder.encode_basestring_ascii
+    scalars = _JSON_SCALARS
+    try:
+        lines = [f"  {escape(k)}: {scalars[type(v)](v)},\n" for k, v in header.items()]
+        values = tuple([scalars[type(v)](v) for record in records for v in record.values()])
+    except KeyError as exc:
+        raise TypeError(f"{exc.args[0].__name__} is not a JSON scalar here") from None
+    if not records:
+        return "{\n" + "".join(lines) + f"  {escape(key)}: []\n}}\n"
+    fields = list(records[0])
+    if any(list(record) != fields for record in records):
+        raise ValueError("the records do not share their keys in one order")
+    # a key's own % doubled, so that only the %s of each value formats
+    record = ("    {\n" + ",\n".join([f"      {escape(k).replace('%', '%%')}: %s"
+                                       for k in fields]) + "\n    }") if fields else "    {}"
+    body = ",\n".join([record] * len(records)) % values
+    return "{\n" + "".join(lines) + f"  {escape(key)}: [\n{body}\n  ]\n}}\n"
+
+
 # --- subcommands: each handler returns (chunks of text, exit code) --------
 #
 # A handler computes every value before it returns, so that an error exits
@@ -101,7 +133,8 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
 def _cmd_stencil(args) -> tuple[Iterable[str], int]:
     data = weights.stencil_to_dict(weights.build(StencilKind(args.kind), args.n))
     if args.format == "json":
-        return [json.dumps(data, indent=2) + "\n"], 0
+        nodes = data.pop("nodes")
+        return [_json_document(data, "nodes", nodes)], 0
     header = ("kind", "n", "derivative_order", "h_power", "prefactor")
     buf = io.StringIO()
     buf.write("# " + ",".join(f"{key}={data[key]}" for key in header) + "\n")
@@ -245,9 +278,8 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
                for name, ok, detail in oracle.cross_checks(args.max_n)]
     passed = sum(r["ok"] for r in results)
     if args.format == "json":
-        text = json.dumps({"max_n": args.max_n, "passed": passed,
-                           "failed": len(results) - passed, "checks": results},
-                          indent=2) + "\n"
+        text = _json_document({"max_n": args.max_n, "passed": passed,
+                               "failed": len(results) - passed}, "checks", results)
     else:
         lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['check']}: {r['detail']}" for r in results]
         text = "\n".join(lines + [f"{passed}/{len(results)} checks passed"]) + "\n"

@@ -147,10 +147,13 @@ class Stencil(_Record):
 
 
 def harmonic_number(n: int) -> Fraction:
-    """Exact n-th harmonic number sum(1/m, m=1..n)."""
+    """Exact n-th harmonic number sum(1/m, m=1..n): one integer sum of the
+    terms L/m over L = lcm(1..n), normalised once by one Fraction, where a
+    term-by-term Fraction sum would normalise after every term."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return sum((Fraction(1, m) for m in range(1, n + 1)), Fraction(0))
+    common = math.lcm(*range(1, n + 1))
+    return Fraction(sum(common // m for m in range(1, n + 1)), common)
 
 
 def _central_alpha(n: int, k: int) -> list[Fraction]:
@@ -204,13 +207,18 @@ def central_second(n: int) -> Stencil:
     The weight at offset m >= 1 is the closed form
     (-1)**(m+1) * 2 (n!)**2 / (m**2 (n-m)! (n+m)!), which satisfies the even
     moment conditions sum_m w_m * m**(2j) = delta(j, 1) for j = 1..n; the
-    center weight is -2 * sum of the positive-side weights and the negative
-    side mirrors symmetrically.  Evaluation rule: 1/h**2 * sum over all
-    offsets.
+    center weight is -2 * sum of the positive-side weights, one integer sum
+    over their common denominator lcm(1..n)**2 C(2n, n) normalised once, and
+    the negative side mirrors symmetrically.  Evaluation rule: 1/h**2 * sum
+    over all offsets.
     """
     alpha = _central_alpha(n, 2)
-    return _mirrored(StencilKind.CENTRAL_SECOND, n, 2, range(1, n + 1), alpha,
-                     center=-2 * sum(alpha))
+    common = math.lcm(*range(1, n + 1))
+    center = Fraction(
+        -4 * sum((-1) ** (m + 1) * math.comb(2 * n, n + m) * (common // m) ** 2
+                 for m in range(1, n + 1)),
+        common * common * math.comb(2 * n, n))
+    return _mirrored(StencilKind.CENTRAL_SECOND, n, 2, range(1, n + 1), alpha, center=center)
 
 
 def half_point(n: int) -> Stencil:

@@ -108,6 +108,62 @@ def test_stencil_bytes_outside_the_golden_range_are_pinned(capsys, kind, fmt, di
     assert _stencil_digest(capsys, kind, fmt, _STENCIL_EDGE_NS) == digest
 
 
+@pytest.mark.parametrize("kind", [k.value for k in StencilKind])
+def test_stencil_json_is_the_bytes_of_json_dumps(capsys, kind):
+    for n in range(1, 61):
+        code, out, _ = run_capture(capsys, ["stencil", "--kind", kind, "--n", str(n),
+                                            "--format", "json"])
+        stencil = weights.build(StencilKind(kind), n)
+        assert (code, out) == (0, json.dumps(weights.stencil_to_dict(stencil), indent=2) + "\n")
+
+
+# the JSON scalars the documents may hold: strings with every kind of
+# character json escapes, ints of any size, and booleans
+_JSON_TEXT = st.text(st.one_of(st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f",
+                                               "\u2028", "\u2029", "\ud800", "\xe9",
+                                               "\U0001f600", "%", "{"]),
+                               st.characters()), max_size=8)
+_JSON_SCALAR = st.one_of(_JSON_TEXT, st.integers(),
+                         st.integers(2 ** 64, 2 ** 200), st.integers(-2 ** 200, -2 ** 64),
+                         st.booleans())
+
+
+@st.composite
+def _json_documents(draw):
+    """(header, key, records): records share their keys, in one order."""
+    header = draw(st.dictionaries(_JSON_TEXT, _JSON_SCALAR, max_size=4))
+    key = draw(_JSON_TEXT.filter(lambda k: k not in header))
+    fields = draw(st.lists(_JSON_TEXT, unique=True, max_size=3))
+    rows = draw(st.lists(st.lists(_JSON_SCALAR, min_size=len(fields), max_size=len(fields)),
+                         max_size=5))
+    return header, key, [dict(zip(fields, row)) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=_json_documents())
+def test_json_document_is_the_bytes_of_json_dumps(document):
+    header, key, records = document
+    assert cli._json_document(header, key, records) == json.dumps(
+        {**header, key: records}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("header, records", [
+    ({"v": 0.5}, []), ({}, [{"v": 1}, {"v": 0.5}]), ({"v": None}, []),
+    ({}, [{"v": [1]}]), ({1: 1}, []),
+], ids=["float-in-header", "float-in-record", "none", "list", "int-key"])
+def test_json_document_takes_scalars_only(header, records):
+    with pytest.raises(TypeError):
+        cli._json_document(header, "records", records)
+
+
+@pytest.mark.parametrize("records", [
+    [{"a": 1, "b": 2}, {"b": 2, "a": 1}], [{"a": 1}, {"a": 1, "b": 2}], [{"a": 1}, {"b": 1}],
+], ids=["order", "count", "names"])
+def test_json_document_records_share_their_keys(records):
+    with pytest.raises(ValueError, match="^the records do not share their keys in one order$"):
+        cli._json_document({}, "records", records)
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python prints integers of any length")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -594,6 +650,24 @@ def _verify_digest(capsys, max_n, fmt):
     return hashlib.sha256(out.encode()).hexdigest()
 
 
+def _verify_document(max_n):
+    """The `verify --format json` document of oracle.cross_checks(max_n)."""
+    from stencil_spectra import oracle
+
+    checks = [{"check": name, "ok": ok, "detail": detail}
+              for name, ok, detail in oracle.cross_checks(max_n)]
+    passed = sum(check["ok"] for check in checks)
+    return {"max_n": max_n, "passed": passed, "failed": len(checks) - passed,
+            "checks": checks}
+
+
+def test_verify_json_is_the_bytes_of_json_dumps(capsys):
+    for max_n in range(1, 21):
+        code, out, _ = run_capture(capsys, ["verify", "--max-n", str(max_n),
+                                            "--format", "json"])
+        assert (code, out) == (0, json.dumps(_verify_document(max_n), indent=2) + "\n")
+
+
 def test_verify_max_n_above_the_limit_is_one_line_error(capsys):
     # the shared elimination holds (max-n + 1)**2 integers from the start
     code, out, err = run_capture(capsys, ["verify", "--max-n", "101"])
@@ -637,6 +711,22 @@ def test_verify_fails_on_a_wrong_half_point_weight(capsys, monkeypatch):
     assert failed == [f"FAIL {check} half-point-first(n={n})"
                       for n in (1, 2, 3) for check in ("moment-system", "exactness")]
     assert out.endswith("\n33/39 checks passed\n")
+
+
+def test_verify_json_with_a_failing_check_is_the_bytes_of_json_dumps(capsys, monkeypatch):
+    def bent_half_point(n):
+        stencil = weights.half_point(n)
+        bent = list(stencil.weights)
+        bent[n] += Fraction(1, 10 ** 6)  # the weight at offset +1 only
+        return stencil.replace(weights=tuple(bent))
+
+    monkeypatch.setitem(weights._KIND_BUILDERS, StencilKind.HALF_POINT_FIRST,
+                        bent_half_point)
+    code, out, _ = run_capture(capsys, ["verify", "--max-n", "3", "--format", "json"])
+    document = _verify_document(3)
+    assert (document["passed"], document["failed"]) == (33, 6)
+    assert (code, out) == (1, json.dumps(document, indent=2) + "\n")
+    assert out.count('"ok": false') == 6
 
 
 def _bent_builder(kind, position):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -831,6 +832,40 @@ def test_sample_matches_the_scalar_per_point_loop(fn, h, ms):
     assert got.dtype == np.float64 and got.shape == (len(ms),)
     for m, value in zip(ms, got.tolist()):
         assert _same_float(value, _scalar_sample(fn, m, h)), (m, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega=_ANY_FLOAT, phase=_ANY_FLOAT, h=_ANY_FLOAT,
+       ms=st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=20))
+def test_sinusoid_sample_is_the_bits_of_the_whole_expression(omega, phase, h, ms):
+    # the argument is built in one array, with the operations of the
+    # expression sin(omega * m * h + phase) in its order
+    m = np.array(ms)
+    with np.errstate(all="ignore"):
+        got = Sinusoid(omega, phase).sample(m, h)
+        want = np.sin(omega * m * h + phase)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sinusoid_sample_of_an_int_omega_is_float():
+    assert Sinusoid(2, 1).sample(np.arange(-1, 2), 0.5).tolist() == [0.0, math.sin(1.0),
+                                                                    math.sin(2.0)]
+
+
+def test_make_signal_memory_is_the_indices_and_two_sample_arrays():
+    # the int64 indices, the argument array that the sines overwrite and
+    # the signal's read-only copy: 9.6 MB at 400,001 points with a
+    # temporary per operation of the expression, 6.8 MB without
+    points = 400001
+    make_signal(Sinusoid(1.0, 0.5), 0.001, 11)  # numpy's first calls are not the samples
+    tracemalloc.start()
+    try:
+        make_signal(Sinusoid(1.0, 0.5), 0.001, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * points
 
 
 def test_samples_are_a_read_only_copy():

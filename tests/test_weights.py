@@ -139,6 +139,16 @@ def test_central_second_structure(n):
         assert total == (1 if j == 1 else 0)
 
 
+def test_central_second_centre_is_the_term_by_term_sum():
+    # the centre weight is one integer sum over lcm(1..n)**2 C(2n, n); here
+    # each positive-side weight, from factorials, is added as a Fraction
+    for n in range(1, 201):
+        positive = sum((F((-1) ** (m + 1) * 2 * math.factorial(n) ** 2,
+                          m * m * math.factorial(n - m) * math.factorial(n + m))
+                        for m in range(1, n + 1)), F(0))
+        assert central_second(n).weight_at(0) == -2 * positive
+
+
 # --- independent routes to the central families ---------------------------
 
 
@@ -372,6 +382,13 @@ def test_alternating_binomial_harmonic_identity():
 def test_invalid_family_parameter(builder):
     with pytest.raises(ValueError):
         builder(0)
+
+
+def test_harmonic_number_is_the_term_by_term_sum():
+    total = F(0)
+    for n in range(201):
+        assert harmonic_number(n) == total
+        total += F(1, n + 1)
 
 
 def test_harmonic_number_rejects_negative_n():
