@@ -9,18 +9,20 @@ bit-exact. Half-point differentiation is correctly rounded: each value is
 computed in float double-double arithmetic and kept where an error bound
 proves it is the exact value rounded once; every other value, and every
 value for n > 8, comes from the exact route, which scales samples, weights
-and h to integers and rounds one int quotient.
+and h to integers and rounds one int quotient. The float route's split,
+TwoSum and TwoProduct are those of `_eft`, which the table renderer's
+float text shares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
+from ._eft import split, two_product, two_sum
 # BoundaryError lives in weights, which imports without numpy
 from .weights import (BoundaryError, Stencil, StencilKind, central_first, central_second,
                       half_point, limit_coefficients, one_sided_first)
@@ -131,9 +133,6 @@ class _CompiledRule:
         return values
 
 
-# Veltkamp's splitter 2^27 + 1: a float becomes two halves of at most 26
-# significant bits, whose products are exact
-_SPLIT = 134217729.0
 # the certified half-point route: up to n = 8, D and every a(k) have at
 # most 41 bits, which its range conditions assume (|a(k)·d| < 2^1002); a
 # larger n keeps the exact route. The conditions, on the samples, on |s|
@@ -142,33 +141,6 @@ _CERTIFIED_MAX_N = 8
 _SAMPLE_MIN, _SAMPLE_MAX = 2.0 ** -969, 2.0 ** 960
 _SUM_MIN = 2.0 ** -800
 _DIVISOR_MIN, _DIVISOR_MAX = 2.0 ** -60, 2.0 ** 80
-
-
-def _split(x):
-    """Veltkamp's split: x = hi + lo exactly, each half with at most 26
-    significant bits (for 2^-1022 <= |x| <= 2^995, or x = 0)."""
-    c = _SPLIT * x
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-def _two_sum(a, b):
-    """Knuth's TwoSum: a + b = s + e exactly, s = fl(a + b)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_product(x, y, y_hi, y_lo):
-    """Dekker's TwoProduct: x · y = p + e exactly, p = fl(x · y), for y
-    split beforehand as y_hi + y_lo (see _split); the y_lo terms are
-    skipped when y_lo is 0."""
-    p = x * y
-    x_hi, x_lo = _split(x)
-    e = y_hi * x_hi - p + y_hi * x_lo
-    if y_lo:
-        e = e + y_lo * x_hi + y_lo * x_lo
-    return p, e
 
 
 def _within_half_gap(q, deviation):
@@ -203,12 +175,13 @@ class _HalfPointRule:
        (n+1)·u·P, σ errs by at most γ_(N−1) times that (Higham (4.3)), and
        rounding the c costs u²·P in all:
        |S − (s + σ)| <= ((3n − 2)(n + 1) + 1)·u²·P.
-    2. The residual. g = g_hi + g_lo exactly (2D < 2^54 and h are floats)
-       with |g_lo| <= u·g_hi. From q0 = fl(s / g_hi), TwoProduct
-       q0·g_hi = P' + Π and s − P' exact (Sterbenz),
-       r = (s − P' − Π + σ) − fl(q0·g_lo) is s + σ − q0·g after four
-       roundings, of terms at most u·|s|, u·|s| + |σ|, u·|s| and
-       2u·|s| + |σ|: it errs by at most 5u²·|s| + 2u·|σ|, which is
+    2. The residual. g = g_hi + g_lo exactly, TwoProduct's pair for 2D·h
+       (2D < 2^54 and h are floats, and in the route's range no product
+       of their halves underflows), with |g_lo| <= u·g_hi. From
+       q0 = fl(s / g_hi), TwoProduct q0·g_hi = P' + Π and s − P' exact
+       (Sterbenz), r = (s − P' − Π + σ) − fl(q0·g_lo) is s + σ − q0·g
+       after four roundings, of terms at most u·|s|, u·|s| + |σ|, u·|s|
+       and 2u·|s| + |σ|: it errs by at most 5u²·|s| + 2u·|σ|, which is
        (2n + 7)·u²·P, and |r| <= (n + 3)·u·P.
     3. The correction. TwoSum(q0, fl(r / g_hi)) gives q and its rounding
        error err exactly, and fl(r / g_hi) lies within 2u·|r| / g_hi of
@@ -241,7 +214,7 @@ class _HalfPointRule:
         self.D = math.lcm(*(w.denominator for _, w in positive))
         self.scaled = [(k, w.numerator * (self.D // w.denominator)) for k, w in positive]
         # (k, a(k) and its halves) for the certified route, and its bound's coefficient
-        self.halves = ([(k, float(a), *_split(float(a))) for k, a in self.scaled]
+        self.halves = ([(k, float(a), *split(float(a))) for k, a in self.scaled]
                        if n <= _CERTIFIED_MAX_N else None)
         self.bound_coefficient = (3 * n * n + 5 * n + 13) * 2.0 ** -106
 
@@ -264,21 +237,21 @@ class _HalfPointRule:
         the route's range."""
         count, reach = stop - start, self.max_offset
         g_hi = 2.0 * self.D * signal.h
-        g_lo = float(2 * self.D * Fraction(signal.h) - Fraction(g_hi))
+        g_lo = two_product(2.0 * self.D, signal.h, *split(signal.h))[1]
         window = signal.samples[start - reach:stop + reach]
         with np.errstate(over="ignore", invalid="ignore"):
             s = sigma = total = 0.0
             for k, a, a_hi, a_lo in self.halves:
-                d, e = _two_sum(window[reach + k:reach + k + count],
-                                -window[reach - k:reach - k + count])
-                p, pi = _two_product(d, a, a_hi, a_lo)
-                s, q = _two_sum(s, p)
+                d, e = two_sum(window[reach + k:reach + k + count],
+                               -window[reach - k:reach - k + count])
+                p, pi = two_product(d, a, a_hi, a_lo)
+                s, q = two_sum(s, p)
                 sigma = sigma + (q + (pi + a * e))
                 total = total + np.abs(p)
             q0 = s / g_hi
-            product, pi = _two_product(q0, g_hi, *_split(g_hi))
+            product, pi = two_product(q0, g_hi, *split(g_hi))
             r = (s - product - pi + sigma) - q0 * g_lo
-            q, err = _two_sum(q0, r / g_hi)
+            q, err = two_sum(q0, r / g_hi)
             bound = total * (self.bound_coefficient / g_hi)
             kept = _within_half_gap(q, np.abs(err) + bound) & (np.abs(s) >= _SUM_MIN)
             magnitude = np.abs(window)

@@ -24,6 +24,7 @@ Python's correctly rounded dtoa:
   below |v|, each the smallest float at or above a power of ten, found at
   import by exact comparison. D = round-half-even(|v|·10^(16−E)) comes
   from Dekker's error-free product (Numer. Math. 18, 1971) of |v| and hi,
+  `_eft.two_product`, the one the half-point route of `signals` uses,
   where 10^k = hi + lo is a split that is exact for k ≤ 46, so the fast
   range is 1e−29 ≤ |v| < 1e16 and E runs over −30..15. The rounding
   counts as certain when the fraction f = |v|·10^k − D lies more than
@@ -74,6 +75,8 @@ from itertools import chain
 
 import numpy as np
 
+from ._eft import split, two_product
+
 # A block's temporaries take about 150 bytes per float, and they set the
 # renderer's peak memory: a 2,048-row block of a spectrum table's five
 # float columns takes about 1.5 MB
@@ -87,13 +90,11 @@ _E_MIN, _E_MAX = -30, 15
 _DECADES = np.array([v if v >= Fraction(10) ** k else math.nextafter(v, math.inf)
                      for k in range(_E_MIN + 1, _E_MAX + 1) for v in [float(Fraction(10) ** k)]])
 # 10^k = _HI[k] + _LO[k] exactly for k = 0..46 (5^46 < 2^107), which
-# covers the scales 10^(16 - E), and Dekker's split of _HI into two halves
-# of at most 26 bits
+# covers the scales 10^(16 - E), and Veltkamp's split of _HI into two
+# halves of at most 26 bits
 _HI = np.array([float(10 ** k) for k in range(17 - _E_MIN)])
 _LO = np.array([float(10 ** k - int(float(10 ** k))) for k in range(17 - _E_MIN)])
-_SPLIT = 134217729.0  # 2^27 + 1
-_HH = _SPLIT * _HI - (_SPLIT * _HI - _HI)
-_HL = _HI - _HH
+_HH, _HL = split(_HI)
 # a rounding or a round trip decided closer than this to its edge is not
 # certain: the fraction errs by less than 2^-44
 _MARGIN = 2.0 ** -40
@@ -187,21 +188,7 @@ def _scaled(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     is certain, and the fraction a · 10^(16 − E) − D, for a > 0 with
     0 <= 16 − E <= 46 and a · 10^(16 − E) < 2^60."""
     k = 16 - E
-    # TwoProduct: a · hi = p + e exactly, in place to keep few temporaries
-    p = a * _HI[k]
-    ah = _SPLIT * a
-    ah -= ah - a
-    al = a - ah
-    hh, hl = _HH[k], _HL[k]
-    e = hh * ah
-    e -= p
-    ah *= hl
-    e += ah
-    hh *= al
-    e += hh
-    hl *= al
-    e += hl
-    del ah, al, hh, hl
+    p, e = two_product(a, _HI[k], _HH[k], _HL[k])
     # a · 10^k = p + e + a · lo, where p is an integer from 2^53 on, |e| <=
     # 2^7, and a · lo (below 2^7) errs by < 2^-46: f errs by < 2^-44
     e += a * _LO[k]

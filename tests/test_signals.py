@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stencil_spectra import weights
+from stencil_spectra._eft import split, two_product
 from stencil_spectra.signals import (
     SKIPPED,
     BoundaryError,
@@ -636,15 +637,9 @@ def test_certified_half_point_ranges_are_inclusive(h, samples, fallbacks, exact_
     assert _hex(result.values[1:-1]) == _hex([_fraction_half_point(signal, 1, i) for i in interior])
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_certified_route_takes_every_two_d_h_in_its_range(n, exact_calls):
-    # the least and the greatest h whose float 2·D·h lies in 2^-60..2^80,
-    # which the route takes, and their outer neighbours, which send the
-    # whole call to the exact route; the samples, of a smooth function at
-    # a fine step, differ exactly, so no value lies near a midpoint
-    D = _HalfPointRule(n).D
-    signal = make_signal(Sinusoid(1.0, 0.5), 0.001, 40)
-    interior = range(2 * n - 1, 41 - 2 * n)
+def _route_spacings(D):
+    """The least and the greatest h whose float 2·D·h lies in 2^-60..2^80,
+    the certified route's range."""
     low = math.ldexp(1.0, -60) / (2 * D)
     while 2.0 * D * math.nextafter(low, 0) >= 2.0 ** -60:
         low = math.nextafter(low, 0)
@@ -655,6 +650,19 @@ def test_certified_route_takes_every_two_d_h_in_its_range(n, exact_calls):
         high = math.nextafter(high, math.inf)
     while 2.0 * D * high > 2.0 ** 80:
         high = math.nextafter(high, 0)
+    return low, high
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_certified_route_takes_every_two_d_h_in_its_range(n, exact_calls):
+    # the least and the greatest h whose float 2·D·h lies in 2^-60..2^80,
+    # which the route takes, and their outer neighbours, which send the
+    # whole call to the exact route; the samples, of a smooth function at
+    # a fine step, differ exactly, so no value lies near a midpoint
+    D = _HalfPointRule(n).D
+    signal = make_signal(Sinusoid(1.0, 0.5), 0.001, 40)
+    interior = range(2 * n - 1, 41 - 2 * n)
+    low, high = _route_spacings(D)
     for h, calls in [(low, []), (high, []), (math.nextafter(low, 0), [len(interior)]),
                      (math.nextafter(high, math.inf), [len(interior)])]:
         exact_calls.clear()
@@ -663,6 +671,29 @@ def test_certified_route_takes_every_two_d_h_in_its_range(n, exact_calls):
         assert exact_calls == calls
         assert _hex(result.values[interior.start:interior.stop]) == _hex(
             [_fraction_half_point(scaled, n, i) for i in interior])
+
+
+def test_divisor_residual_is_the_exact_fraction_residual():
+    # the certified route's g_lo = 2·D·h − fl(2·D·h), from TwoProduct, is
+    # the residual it once took in Fraction arithmetic, for every n it
+    # certifies, at both ends of its range of 2·D·h and just inside them,
+    # and for non-dyadic h (0.1, 1/3 and 0.3 scaled by powers of two) in
+    # the binades at each end. 2D has at most 16 significant bits, so its
+    # low half is 0, and so are the two TwoProduct terms that take it
+    for n in range(1, 9):
+        D = _HalfPointRule(n).D
+        low, high = _route_spacings(D)
+        spacings = [low, math.nextafter(low, math.inf), high, math.nextafter(high, 0)]
+        for base in (0.1, 1 / 3, 0.3):
+            for end in (-60, 79):
+                h = math.ldexp(base, end - math.frexp(2.0 * D * base)[1] + 1)
+                assert 2.0 ** end <= 2.0 * D * h < 2.0 ** (end + 1)
+                spacings.append(h)
+        for h in spacings:
+            g_hi, g_lo = two_product(2.0 * D, h, *split(h))
+            assert g_hi == 2.0 * D * h
+            assert g_lo.hex() == float(2 * D * Fraction(h) - Fraction(g_hi)).hex()
+            assert Fraction(g_hi) + Fraction(g_lo) == 2 * D * Fraction(h)
 
 
 @pytest.mark.parametrize("n", [9, 10])

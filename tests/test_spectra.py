@@ -4,7 +4,6 @@ import json
 import math
 import mmap
 import os
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -31,6 +30,8 @@ from stencil_spectra.spectra import (
     truncated_limit_spectrum,
     truncated_limit_spectrum_dft_grid,
 )
+
+from _in_child import in_child
 
 N = 2000
 
@@ -450,7 +451,8 @@ def _worker_mismatches():
 
 
 _FOLD_CHILD = """
-import importlib.util, json, sys
+import importlib.util, json, os, sys
+sys.path.insert(0, os.path.dirname(sys.argv[1]))  # the module's own imports, as under pytest
 spec = importlib.util.spec_from_file_location("spectra_tests", sys.argv[1])
 module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(module)
@@ -458,24 +460,10 @@ print(json.dumps(getattr(module, sys.argv[2])()))
 """
 
 
-def _in_child(code, *args, **env):
-    """Run code with args in a fresh interpreter that imports this package,
-    with env added to its environment, and return the JSON it prints."""
-    src = os.path.dirname(os.path.dirname(stencil_spectra.__file__))
-    env = {**os.environ, **env,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    child = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert child.returncode == 0, child.stderr
-    return json.loads(child.stdout)
-
-
-def _mismatches_in_child(helper, blas_threads):
+def _mismatchesin_child(helper, blas_threads):
     """Run a helper of this module in a fresh interpreter whose BLAS runs on
     blas_threads threads, and return what it returns."""
-    return _in_child(_FOLD_CHILD, __file__, helper, OPENBLAS_NUM_THREADS=blas_threads,
+    return in_child(_FOLD_CHILD, __file__, helper, OPENBLAS_NUM_THREADS=blas_threads,
                      OMP_NUM_THREADS=blas_threads, MKL_NUM_THREADS=blas_threads)
 
 
@@ -492,19 +480,19 @@ def _scalar_series_bits():
 
 
 def test_scalar_series_bits_do_not_depend_on_blas_threads():
-    assert _mismatches_in_child("_scalar_series_bits", "1") == _mismatches_in_child(
+    assert _mismatchesin_child("_scalar_series_bits", "1") == _mismatchesin_child(
         "_scalar_series_bits", "2")
 
 
 def test_blocked_fold_matches_full_table_fold():
     # gemv rounds a bin by how its threads split the rows: one thread each
-    assert _mismatches_in_child("_fold_mismatches", "1") == []
+    assert _mismatchesin_child("_fold_mismatches", "1") == []
 
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 def test_fold_bytes_do_not_depend_on_its_threads(blas_threads):
     # with two BLAS threads, each of the fold's threads calls a threaded gemv
-    assert _mismatches_in_child("_worker_mismatches", blas_threads) == []
+    assert _mismatchesin_child("_worker_mismatches", blas_threads) == []
 
 
 # replays the golden figure 1a/1b argvs through perfbench/child.py's
@@ -531,7 +519,7 @@ def test_golden_figure_1_bytes_hold_with_two_blas_threads():
     # the digests were recorded with one BLAS thread
     perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench")
-    assert _in_child(_GOLDEN_FIGURE_CHILD, perfbench, OPENBLAS_NUM_THREADS="2",
+    assert in_child(_GOLDEN_FIGURE_CHILD, perfbench, OPENBLAS_NUM_THREADS="2",
                      OMP_NUM_THREADS="2") == [12, []]
 
 
@@ -606,7 +594,7 @@ def test_importing_the_cli_loads_neither_mmap_nor_the_thread_pool():
     # the fold imports both when it runs, and run imports numpy for the
     # numeric subcommands only: every command start-up would pay for them
     # otherwise. Neither the package nor the CLI loads numpy
-    assert _in_child(_IMPORT_CHILD) == [False, False, False, False]
+    assert in_child(_IMPORT_CHILD) == [False, False, False, False]
 
 
 def test_dft_grid_fold_peak_is_two_in_place_tables(monkeypatch):

@@ -3,8 +3,6 @@ package keeps its surface while the numeric layer loads on first use."""
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -12,17 +10,7 @@ import stencil_spectra
 from stencil_spectra import oracle, signals, spectra, weights
 from stencil_spectra.weights import StencilKind
 
-
-def _in_child(code, *args):
-    """Run code with args in a fresh interpreter that imports this package,
-    and return the JSON it prints."""
-    src = os.path.dirname(os.path.dirname(stencil_spectra.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    child = subprocess.run([sys.executable, "-c", code, *args],
-                           env=env, capture_output=True, text=True, timeout=600)
-    assert child.returncode == 0, child.stderr
-    return json.loads(child.stdout)
+from _in_child import in_child
 
 
 # runs each argv through cli.run; with "blocked", every import of numpy
@@ -64,9 +52,9 @@ def _exact_argvs(out_path):
 def test_exact_commands_give_the_same_bytes_without_numpy(tmp_path):
     out_path = str(tmp_path / "stencil.json")
     argvs = json.dumps(_exact_argvs(out_path))
-    normal, normal_written, after_import = _in_child(_CLI_CHILD, "normal", argvs, out_path)
+    normal, normal_written, after_import = in_child(_CLI_CHILD, "normal", argvs, out_path)
     os.remove(out_path)
-    blocked, blocked_written, _ = _in_child(_CLI_CHILD, "blocked", argvs, out_path)
+    blocked, blocked_written, _ = in_child(_CLI_CHILD, "blocked", argvs, out_path)
     assert blocked == normal
     assert blocked_written == normal_written
     # importing the CLI loads none of the numeric layer (the table block
@@ -150,6 +138,6 @@ print(json.dumps(loaded + [cli.__name__, signals.__name__, spectra.__name__,
 
 
 def test_numeric_layer_loads_on_first_access():
-    assert _in_child(_SURFACE_CHILD) == [False, True, "stencil_spectra.cli",
+    assert in_child(_SURFACE_CHILD) == [False, True, "stencil_spectra.cli",
                                          "stencil_spectra.signals",
                                          "stencil_spectra.spectra", True]
