@@ -265,7 +265,9 @@ def _figure_envelope_demo(args) -> tuple[Iterable[str], int]:
 
 
 # `cross_checks` eliminates a (max-n + 1)**2 integer matrix up front, in
-# O(max-n**3) operations on integers that grow with max-n
+# O(max-n**3) operations on integers that grow with max-n; the moment
+# systems add O(n) operations per family at each n, on node polynomials
+# grown across n
 _VERIFY_MAX_N = 100
 
 

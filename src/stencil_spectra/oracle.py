@@ -2,11 +2,12 @@
 
 They share no code with the generators in `weights` (`build` only makes the
 stencils under test): the moment systems solved from their node polynomial,
-Bareiss (fraction-free) elimination for the Vandermonde determinants only
-(one elimination whose pivots serve every n), the paper's product forms and
-polynomial exactness on integers. The hot loops run on Python ints;
-`cross_checks` compares a rational with a weight by cross-multiplication, so
-it builds no `Fraction` of its own there.
+which grows with the node set (`_NodePolynomial`), Bareiss (fraction-free)
+elimination for the Vandermonde determinants only (one elimination whose
+pivots serve every n), the paper's product forms and polynomial exactness
+on integers. The hot loops run on Python ints; `cross_checks` compares a
+rational with a weight by cross-multiplication, so it builds no `Fraction`
+of its own there.
 
 The package loads this module on first access to it or to one of its
 names, and the CLI only for `verify`, so that `stencil` starts without it.
@@ -68,43 +69,87 @@ def _bareiss_eliminate(rows):
         prev = pivot
 
 
-def _moment_solution(offsets, target_order: int) -> tuple[list[int], list[int]]:
-    """Numerators and denominators of the moment-system solution on integers.
+class _NodePolynomial:
+    """The node polynomial P(t) = prod_j (t - x_j) of a set of distinct
+    integer nodes that grows, and the moment-system solution it gives.
 
-    With P(t) = prod_j (t - x_j), the Lagrange polynomial of node m is
-    P(t) / ((t - x_m) P'(x_m)), and its t**d coefficient is the solution
-    a_m = [t**d](P(t) / (t - x_m)) / prod_{j != m} (x_m - x_j). P is built
-    once in O(n^2) integer operations; each numerator is a synthetic
-    division of P by (t - x_m) from the top down to t**d, i.e. Horner's rule
-    on the coefficients of t**(n+1) .. t**(d+1). Denominators may be
-    negative.
-
-    Raises SingularSystemError for repeated offsets.
+    With P'(x_m) = prod_{j != m} (x_m - x_j), the Lagrange polynomial of
+    node m is P(t) / ((t - x_m) P'(x_m)), and its t**d coefficient is the
+    solution a_m = [t**d](P(t) / (t - x_m)) / P'(x_m). The object keeps P's
+    coefficients, lowest power first, and P'(x_m) at each node. Adding a
+    node x multiplies P by (t - x) and each kept P'(y) by (y - x), and forms
+    P'(x) as one running product: O(nodes) integer operations.
     """
-    if len(set(offsets)) != len(offsets):
-        raise SingularSystemError("repeated offsets")
-    poly = [1]  # coefficients of P, highest power first
-    for x in offsets:
-        poly = [a - x * b for a, b in zip(poly + [0], [0] + poly)]
-    head = poly[:len(offsets) - target_order]
-    numerators, denominators = [], []
-    for x in offsets:
-        acc = 0
-        for c in head:
-            acc = acc * x + c
-        numerators.append(acc)
-        denominators.append(math.prod(x - y for y in offsets if y != x))
-    return numerators, denominators
+
+    __slots__ = ("coefficients", "derivatives")
+
+    def __init__(self):
+        self.coefficients = [1]
+        self.derivatives = {}  # node -> P'(node)
+
+    def grow(self, offsets) -> None:
+        """Multiply in the offsets not held yet, after starting again from
+        P = 1 when a node held is not among them.
+
+        Raises SingularSystemError for repeated offsets.
+        """
+        nodes = set(offsets)
+        if len(nodes) != len(offsets):
+            raise SingularSystemError("repeated offsets")
+        if not self.derivatives.keys() <= nodes:
+            self.coefficients, self.derivatives = [1], {}
+        derivatives = self.derivatives
+        for x in offsets:
+            if x in derivatives:
+                continue
+            p = self.coefficients
+            self.coefficients = [a - x * b for a, b in zip([0, *p], [*p, 0])]
+            running = 1
+            for y, value in derivatives.items():
+                derivatives[y] = value * (y - x)
+                running *= x - y
+            derivatives[x] = running
+
+    def solution(self, offsets, order: int) -> tuple[list[int], list[int]]:
+        """Numerators [t**order](P(t) / (t - x_m)) and denominators P'(x_m)
+        of the moment-system solution over `offsets` (grown first), in
+        their order; denominators may be negative.
+
+        Each numerator comes by synthetic division from the shorter end:
+        from the top, Horner's rule on the coefficients of
+        t**size .. t**(order+1); from the bottom, q_0 = -P_0 / x_m and
+        q_j = (q_{j-1} - P_j) / x_m for j <= order, each division exact.
+        A tie takes the top, which divides nothing, and so does the node 0,
+        where Horner's rule reads q_order = P_{order+1}.
+
+        Raises SingularSystemError for repeated offsets.
+        """
+        self.grow(offsets)
+        p = self.coefficients
+        top = len(offsets) - order <= order + 1
+        head, low = p[:order:-1], p[:order + 1]
+        numerators = []
+        for x in offsets:
+            q = 0
+            if top or not x:
+                for c in head:
+                    q = q * x + c
+            else:
+                for c in low:
+                    q = (q - c) // x
+            numerators.append(q)
+        return numerators, [self.derivatives[x] for x in offsets]
 
 
 def solve_moment_system(system: MomentSystem) -> list[Fraction]:
-    """Exact solution of the moment system for offsets in any order, from the
-    node polynomial (`_moment_solution`): O(n^2) integer operations and one
-    `Fraction` per weight.
+    """Exact solution of the moment system for offsets in any order, from
+    the node polynomial of a fresh `_NodePolynomial`: O(n^2) integer
+    operations for n offsets, and one `Fraction` per weight.
 
     Raises SingularSystemError for repeated offsets.
     """
-    numerators, denominators = _moment_solution(system.offsets, system.target_order)
+    numerators, denominators = _NodePolynomial().solution(system.offsets,
+                                                          system.target_order)
     return [Fraction(a, b) for a, b in zip(numerators, denominators)]
 
 
@@ -237,12 +282,17 @@ def cross_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
     Vandermonde and numerator determinants.
 
     Work shared across n is done once: one elimination at max_n gives every
-    Vandermonde determinant (`_leading_minors`), and the superfactorial and
-    the harmonic number are a running product and a running sum. So the
-    checks for n do not depend on max_n, and `verify --max-n N` does O(N^3)
-    big-integer operations in the elimination."""
+    Vandermonde determinant (`_leading_minors`); each family keeps one
+    `_NodePolynomial` and grows it by the one or two nodes that n adds, so
+    that its moment solution at n takes O(n) integer operations (at most
+    three quotient steps per node from the bottom, and one from the top for
+    one-sided-nth); and the superfactorial and the harmonic number are a
+    running product and a running sum. So the checks for n do not depend on
+    max_n, and `verify --max-n N` does O(N^3) big-integer operations in the
+    elimination."""
     fact = math.factorial
     minors = _leading_minors(max_n)
+    polynomials = {kind: _NodePolynomial() for kind in StencilKind}
     superfactorial, harmonic = 1, Fraction(0)
     for n in range(1, max_n + 1):
         built = {kind: build(kind, n) for kind in StencilKind}
@@ -250,7 +300,7 @@ def cross_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
         for kind, stencil in built.items():
             label, order, p = stencil.label(), stencil.derivative_order, stencil.prefactor
             # a_m == w_m * p / order!, cross-multiplied
-            numerators, denominators = _moment_solution(stencil.offsets, order)
+            numerators, denominators = polynomials[kind].solution(stencil.offsets, order)
             scale = p.denominator * fact(order)
             ok = all(
                 a * w.denominator * scale == w.numerator * p.numerator * b

@@ -1,16 +1,18 @@
 """Oracle cross-checks: the independent solver against the generators."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stencil_spectra import weights
+from stencil_spectra import oracle, weights
 from stencil_spectra.oracle import (
     ExactnessReport,
     MomentSystem,
     SingularSystemError,
+    _NodePolynomial,
     _bareiss_eliminate,
     _leading_minors,
     cross_checks,
@@ -121,18 +123,123 @@ def test_solver_matches_bareiss_reference(offsets):
 
 
 # the node sets verify solves are larger than the strategy's 14 offsets:
-# central-second at n = 16, half-point at n = 16, one-sided at n = 16, and
-# central-second in descending order
-@pytest.mark.parametrize("offsets", [
-    tuple(range(-16, 17)),
-    tuple(range(-31, 32, 2)),
-    tuple(range(17)),
-    tuple(range(16, -17, -1)),
-], ids=["central-33", "half-point-odd-32", "one-sided-17", "descending-33"])
+# central-second, half-point and one-sided at n = 16, and central-second in
+# descending order, each as the last of its family's sets for n = 1..16
+_VERIFY_NODE_SETS = {
+    "central-33": lambda n: tuple(range(-n, n + 1)),
+    "half-point-odd-32": lambda n: tuple(range(1 - 2 * n, 2 * n, 2)),
+    "one-sided-17": lambda n: tuple(range(n + 1)),
+    "descending-33": lambda n: tuple(range(n, -n - 1, -1)),
+}
+
+
+@pytest.mark.parametrize("nodes", _VERIFY_NODE_SETS.values(), ids=_VERIFY_NODE_SETS)
 @pytest.mark.parametrize("order", [0, 1, 2])
-def test_solver_matches_bareiss_reference_on_verify_node_sets(offsets, order):
+def test_solver_matches_bareiss_reference_on_verify_node_sets(nodes, order):
+    # fresh, and grown through n = 1..16 as cross_checks grows it
+    offsets = nodes(16)
     system = MomentSystem(offsets=offsets, degree=len(offsets) - 1, target_order=order)
-    assert solve_moment_system(system) == _bareiss_solve(system)
+    expected = _bareiss_solve(system)
+    assert solve_moment_system(system) == expected
+    grown = _NodePolynomial()
+    for n in range(1, 16):
+        grown.grow(nodes(n))
+    numerators, denominators = grown.solution(offsets, order)
+    assert [Fraction(a, b) for a, b in zip(numerators, denominators)] == expected
+
+
+@st.composite
+def _node_set_sequences(draw):
+    """A few node sets in a row, each either a superset of the one before
+    (new nodes in any place) or any other set, which restarts the grown
+    polynomial unless it happens to hold every earlier node."""
+    sets = [draw(st.lists(st.integers(-30, 30), min_size=1, max_size=8, unique=True))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            added = draw(st.lists(st.integers(-30, 30).filter(lambda x: x not in sets[-1]),
+                                  max_size=4, unique=True))
+            sets.append(draw(st.permutations(sets[-1] + added)))
+        else:
+            sets.append(draw(st.lists(st.integers(-30, 30), min_size=1, max_size=8,
+                                      unique=True)))
+    return sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets=_node_set_sequences())
+@example(sets=[[0, 1], [0, 1, 2], [2, 0, 1, 3]])
+@example(sets=[[-1, 1], [-2, -1, 1, 2], [-3, -2, -1, 0, 1, 2, 3]])
+@example(sets=[[0, 1, 2], [5, -3, 0], [5, -3, 0, 7, 1]])
+@example(sets=[[1, 2, 3], [1, 2], [1, 2, 3, 4]])
+def test_grown_node_polynomial_matches_fresh_and_bareiss(sets):
+    # every target order, so that the numerators come from the top (high
+    # orders) and from the bottom (low orders), through the node 0 too
+    grown = _NodePolynomial()
+    for offsets in sets:
+        for order in range(len(offsets)):
+            fresh = _NodePolynomial()
+            got = grown.solution(offsets, order)
+            assert got == fresh.solution(offsets, order), (offsets, order)
+            assert (grown.coefficients, grown.derivatives) == \
+                (fresh.coefficients, fresh.derivatives)
+            system = MomentSystem(offsets=tuple(offsets), degree=len(offsets) - 1,
+                                  target_order=order)
+            assert [Fraction(a, b) for a, b in zip(*got)] == _bareiss_solve(system)
+
+
+def test_grown_node_polynomial_rebuilds_nothing_for_the_nodes_it_holds():
+    # grow multiplies in only the missing offsets: the same node set in
+    # another order leaves P and every P'(x_m) as they were
+    grown = _NodePolynomial()
+    grown.grow((0, 1, 2))
+    coefficients, derivatives = grown.coefficients, grown.derivatives
+    assert grown.solution((2, 0, 1), 1) == ([-1, -3, -2], [2, 2, -1])
+    assert grown.coefficients is coefficients and grown.derivatives is derivatives
+
+
+class _CountedNode(int):
+    """An integer node that counts the Horner steps (an int times the node)
+    and the quotient steps (an int floor-divided by the node) taken with
+    it; int's operators try these reflected ones first for a subclass."""
+
+    steps = Counter()
+
+    def __rmul__(self, other):
+        self.steps["top"] += 1
+        return int(other) * int(self)
+
+    def __rfloordiv__(self, other):
+        self.steps["bottom"] += 1
+        return int(other) // int(self)
+
+
+@pytest.mark.parametrize("offsets", [
+    (-3, -2, -1, 0, 1, 2, 3), (0, 1, 2, 3, 4, 5), (-5, -3, -1, 1, 3, 5),
+])
+def test_numerators_come_from_the_shorter_end(offsets, monkeypatch):
+    # size - order Horner steps from the top, order + 1 quotient steps from
+    # the bottom; a tie and the node 0 take the top
+    size, zeros = len(offsets), offsets.count(0)
+    grown = _NodePolynomial()
+    grown.grow(offsets)
+    for order in range(size):
+        monkeypatch.setattr(_CountedNode, "steps", Counter())
+        got = grown.solution([_CountedNode(x) for x in offsets], order)
+        assert got == _NodePolynomial().solution(offsets, order)
+        if order + 1 < size - order:
+            expected = {"top": (size - order) * zeros, "bottom": (order + 1) * (size - zeros)}
+        else:
+            expected = {"top": (size - order) * size}
+        assert _CountedNode.steps == Counter(expected), order
+
+
+def test_grown_node_polynomial_rejects_repeated_offsets():
+    grown = _NodePolynomial()
+    grown.grow((0, 1, 2))
+    with pytest.raises(SingularSystemError, match="^repeated offsets$"):
+        grown.solution((0, 1, 2, 2), 1)
+    with pytest.raises(SingularSystemError, match="^repeated offsets$"):
+        grown.grow((3, 4, 3))
 
 
 @settings(max_examples=100, deadline=None)
@@ -259,6 +366,97 @@ def test_leading_minors_match_fresh_eliminations_and_superfactorial():
 def test_cross_checks_for_n_do_not_depend_on_max_n():
     # the determinants come from an elimination of max-n's size
     assert list(cross_checks(20))[:13 * 12] == list(cross_checks(12))
+
+
+def _checks_with(monkeypatch, max_n, kind, n, change):
+    """cross_checks(max_n) with the stencil of `kind` at `n` replaced by
+    change(stencil)."""
+    def build(k, size):
+        stencil = weights.build(k, size)
+        return change(stencil) if (k, size) == (kind, n) else stencil
+
+    monkeypatch.setattr(oracle, "build", build)
+    return list(cross_checks(max_n))
+
+
+@pytest.mark.parametrize("kind", list(StencilKind))
+def test_cross_checks_fail_exactly_the_checks_that_read_a_bad_weight(kind, monkeypatch):
+    # every weight at n = 4 in turn: the moment system and the exactness of
+    # its family fail, and so do the closed forms that read that offset,
+    # central-first's at m = 1..n and one-sided-first's at m = 0..n
+    n, label = 4, f"{kind.value}(n=4)"
+    for index, offset in enumerate(weights.build(kind, n).offsets):
+        def change(stencil):
+            bad = list(stencil.weights)
+            bad[index] += Fraction(1, 7)
+            return stencil.replace(weights=tuple(bad))
+
+        results = _checks_with(monkeypatch, n, kind, n, change)
+        expected = [f"moment-system {label}", f"exactness {label}"]
+        if kind is StencilKind.CENTRAL_FIRST and offset > 0:
+            expected.append(f"closed-form {label}")
+        if kind is StencilKind.ONE_SIDED_FIRST:
+            expected.append(f"closed-form {label}")
+            if offset > 0:
+                expected.append("determinants(n=4)")
+        assert [name for name, ok, _ in results if not ok] == expected, offset
+
+
+def test_cross_checks_catch_a_stencil_more_exact_than_its_family(monkeypatch):
+    # central-first's weights for n = 3 labelled n = 2 are exact through
+    # degree 6, not 4; the search looks one degree past the expected one
+    results = _checks_with(monkeypatch, 2, StencilKind.CENTRAL_FIRST, 2,
+                           lambda stencil: weights.build(StencilKind.CENTRAL_FIRST, 3)
+                           .replace(n=2))
+    details = {name: (ok, detail) for name, ok, detail in results}
+    assert details["exactness central-first(n=2)"] == \
+        (False, "max exact degree 5, expected 4")
+    assert [name for name, ok, _ in results if not ok] == [
+        "exactness central-first(n=2)", "closed-form central-first(n=2)"]
+
+
+def test_one_sided_closed_form_reads_the_weight_sum(monkeypatch):
+    # two taps past n whose weights cancel in the first moment but not in
+    # the sum: only the weight sum among the closed forms sees them
+    def change(stencil):
+        n = stencil.n
+        return stencil.replace(offsets=stencil.offsets + (n + 1, n + 2),
+                               weights=stencil.weights + (Fraction(n + 2), Fraction(-n - 1)))
+
+    results = _checks_with(monkeypatch, 3, StencilKind.ONE_SIDED_FIRST, 3, change)
+    assert [name for name, ok, _ in results if not ok] == [
+        "moment-system one-sided-first(n=3)", "exactness one-sided-first(n=3)",
+        "closed-form one-sided-first(n=3)"]
+
+
+@pytest.mark.parametrize("m", range(2, 5))
+def test_one_sided_closed_form_reads_every_weight(m, monkeypatch):
+    # a wrong weight at m whose error a tap past n cancels in the weight
+    # sum: the product form at m must still see it
+    def change(stencil):
+        bad = list(stencil.weights)
+        bad[m] += Fraction(1, 7)
+        return stencil.replace(offsets=stencil.offsets + (5,),
+                               weights=tuple(bad) + (Fraction(-1, 7),))
+
+    results = _checks_with(monkeypatch, 4, StencilKind.ONE_SIDED_FIRST, 4, change)
+    assert [name for name, ok, _ in results if not ok] == [
+        "moment-system one-sided-first(n=4)", "exactness one-sided-first(n=4)",
+        "closed-form one-sided-first(n=4)", "determinants(n=4)"]
+
+
+def test_cross_checks_grown_state_cannot_hide_a_bad_weight(monkeypatch):
+    # one wrong weight of central-second at n = 5 fails its own checks only;
+    # the polynomial carried from n = 4 into n = 6 stays right
+    def change(stencil):
+        bad = list(stencil.weights)
+        bad[3] += Fraction(1, 7)
+        return stencil.replace(weights=tuple(bad))
+
+    results = _checks_with(monkeypatch, 7, StencilKind.CENTRAL_SECOND, 5, change)
+    failed = [name for name, ok, _ in results if not ok]
+    assert failed == ["moment-system central-second(n=5)", "exactness central-second(n=5)"]
+    assert all(ok for name, ok, _ in results[13 * 3:13 * 4] + results[13 * 5:13 * 6])
 
 
 def _pair_loop_delta_m1(m, n):
