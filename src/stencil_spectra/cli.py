@@ -10,10 +10,11 @@ JSON records, and renders their rows in numpy in blocks: a float in
 1e-29 <= |v| < 1e16 gets its 17 digits from an error-free scaling by a
 power of ten, and JSON's shortest digits from the 17 and their fraction;
 nan, ±inf, other magnitudes and roundings or round trips too close to
-their edge to decide that way take Python's text. `stencil` writes its
-`# kind=...` line and its rows through csv.writer. Its JSON and `verify`'s
-are written directly, every key and string through json's own escaper,
-byte for byte as json.dumps(indent=2) writes them.
+their edge to decide that way take Python's text. `stencil` joins its
+`# kind=...` line and its CSV rows as plain text: an int offset and a
+"p/q" weight hold no character that CSV would quote. Its JSON and
+`verify`'s are written directly, every key and string through json's own
+escaper, byte for byte as json.dumps(indent=2) writes them.
 
 The module imports without numpy or `oracle`, so `stencil`, `verify`,
 `--help` and every usage error run on the exact layer alone; `run` loads
@@ -24,8 +25,6 @@ The module imports without numpy or `oracle`, so `stencil`, `verify`,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from collections.abc import Iterable
@@ -136,11 +135,9 @@ def _cmd_stencil(args) -> tuple[Iterable[str], int]:
         nodes = data.pop("nodes")
         return [_json_document(data, "nodes", nodes)], 0
     header = ("kind", "n", "derivative_order", "h_power", "prefactor")
-    buf = io.StringIO()
-    buf.write("# " + ",".join(f"{key}={data[key]}" for key in header) + "\n")
-    csv.writer(buf, lineterminator="\n").writerows(
-        [("offset", "weight"), *((node["offset"], node["weight"]) for node in data["nodes"])])
-    return [buf.getvalue()], 0
+    lines = ["# " + ",".join(f"{key}={data[key]}" for key in header) + "\n", "offset,weight\n"]
+    lines += [f"{node['offset']},{node['weight']}\n" for node in data["nodes"]]
+    return ["".join(lines)], 0
 
 
 def _default_ref(kind: StencilKind, part: str) -> CurveFamily:

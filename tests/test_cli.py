@@ -1019,6 +1019,10 @@ def test_labels_column_renders_as_its_strings(fmt):
         labels = "".join(tableblocks.table(["x", "policy"],
                                            [x, tableblocks.Labels(names, codes)], fmt))
         assert labels == _per_row_render(["x", "policy"], [x, texts], fmt)
+    # no names and no rows: the empty table
+    empty = tableblocks.Labels([], np.array([], np.intp))
+    assert "".join(tableblocks.table(["policy"], [empty], fmt)) == \
+        _per_row_render(["policy"], [()], fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1041,8 +1045,9 @@ def test_int_array_column_renders_as_ints_and_other_columns_are_rejected(fmt):
     for column in (np.zeros((2, 2)), tableblocks.Labels(["a"], np.zeros((2, 1), np.intp))):
         with pytest.raises(TypeError, match="1-D, not 2-D"):
             tableblocks.table(["n"], [column], fmt)
-    # a code past either end of the names, or not an integer
-    for codes in ([0, 3], [0.5, 0.0], [-1, 0]):
+    # a code past either end of the names (the count of names is the
+    # first), or not an integer
+    for codes in ([0, 1], [0, 3], [0.5, 0.0], [-1, 0]):
         with pytest.raises(TypeError, match=r"codes are an integer array in 0\.\.0"):
             tableblocks.table(["p"], [tableblocks.Labels(["a"], np.array(codes))], fmt)
 

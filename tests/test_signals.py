@@ -74,6 +74,8 @@ def test_apply_names_missing_index():
         apply_stencil_at(signal, weights.one_sided_first(2), 3)
     with pytest.raises(BoundaryError, match=r"^stencil needs sample index -1, outside 0\.\.4$"):
         apply_stencil_at(signal, weights.central_first(1), 0)
+    # callers that catch an IndexError catch it too
+    assert issubclass(BoundaryError, IndexError)
 
 
 def test_apply_stencil_everywhere():

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import stencil_spectra
 from stencil_spectra import cli, spectra, weights
 from stencil_spectra.spectra import (
     CurveDomainError,

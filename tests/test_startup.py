@@ -1,13 +1,16 @@
-"""Start-up: the exact layer and its commands run without numpy, and the
-package keeps its surface while the numeric layer loads on first use."""
+"""Start-up: the exact layer and its commands run without numpy, each
+public name imports from its one home module, and the package root loads
+no submodule."""
 
+import importlib
 import json
 import os
+import re
+import types
 
 import pytest
 
 import stencil_spectra
-from stencil_spectra import oracle, signals, spectra, weights
 from stencil_spectra.weights import StencilKind
 
 from _in_child import in_child
@@ -16,13 +19,14 @@ from _in_child import in_child
 # runs each argv through cli.run; with "blocked", every import of numpy
 # raises ImportError. Prints each (exit code, stdout, stderr, the watched
 # modules loaded after it), the --out file, and the watched modules loaded
-# after importing the CLI: the numeric layer, `dataclasses` and the oracle
+# after importing the CLI: the numeric layer, `dataclasses`, `csv` and the
+# oracle
 _CLI_CHILD = """
 import contextlib, io, json, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None
 watched = ["numpy", "stencil_spectra.tableblocks", "stencil_spectra.signals",
-           "stencil_spectra.spectra", "dataclasses", "stencil_spectra.oracle"]
+           "stencil_spectra.spectra", "dataclasses", "csv", "stencil_spectra.oracle"]
 def loaded():
     return [name for name in watched if sys.modules.get(name) is not None]
 from stencil_spectra.cli import run
@@ -58,7 +62,7 @@ def test_exact_commands_give_the_same_bytes_without_numpy(tmp_path):
     assert blocked == normal
     assert blocked_written == normal_written
     # importing the CLI loads none of the numeric layer (the table block
-    # renderer among it), `dataclasses` or the oracle, in a normal
+    # renderer among it), `dataclasses`, `csv` or the oracle, in a normal
     # interpreter; nor do `stencil` in every format, `--help` and a usage
     # error. `verify`, the last two argvs, loads the oracle alone
     assert after_import == []
@@ -71,50 +75,73 @@ def test_exact_commands_give_the_same_bytes_without_numpy(tmp_path):
     assert json.loads(normal_written)["kind"] == "central-first"
 
 
-# the public names of the package when it imported every layer eagerly
-_PUBLIC_NAMES = [
-    "BoundaryError", "ConvergenceStudy", "CurveDomainError", "CurveFamily",
-    "DerivativeResult", "DeviationReport", "EmbeddingMode", "EmbeddingOverflowError",
-    "ExactnessReport", "FilterSpectrum", "ModulatedAlternating", "MomentSystem",
-    "Polynomial", "ReferenceCurve", "SampledSignal", "SingularSystemError", "Sinusoid",
-    "Stencil", "StencilFormatError", "StencilKind", "alternating_second_derivative_check",
-    "apply_stencil", "apply_stencil_at", "build", "central_first", "central_second",
-    "convergence_study", "cross_checks", "delta_m1_closed_form", "deviation",
-    "dft_spectrum", "differentiate", "differentiate_half_point",
-    "differentiate_half_point_signal", "exactness_check", "half_point",
-    "harmonic_number", "limit_coefficients", "make_signal", "omega_grid",
-    "one_sided_first", "one_sided_nth", "oracle", "parse_test_function",
-    "product_form_half_point", "product_form_one_sided", "reference_column",
-    "reference_values", "signals", "solve_moment_system", "spectra",
-    "stencil_from_dict", "stencil_to_dict", "truncated_limit_spectrum",
-    "truncated_limit_spectrum_dft_grid", "vandermonde_det", "weights",
-]
+# each public name of the package when its root re-exported them -> the
+# module that is now its one home; a submodule's home is the package
+_HOMES = {
+    **dict.fromkeys(["oracle", "signals", "spectra", "weights"], "stencil_spectra"),
+    **dict.fromkeys([
+        "BoundaryError", "CurveFamily", "EmbeddingMode", "Stencil", "StencilFormatError",
+        "StencilKind", "build", "central_first", "central_second", "half_point",
+        "harmonic_number", "limit_coefficients", "one_sided_first", "one_sided_nth",
+        "stencil_from_dict", "stencil_to_dict",
+    ], "stencil_spectra.weights"),
+    **dict.fromkeys([
+        "ExactnessReport", "MomentSystem", "SingularSystemError", "cross_checks",
+        "delta_m1_closed_form", "exactness_check", "product_form_half_point",
+        "product_form_one_sided", "solve_moment_system", "vandermonde_det",
+    ], "stencil_spectra.oracle"),
+    **dict.fromkeys([
+        "CurveDomainError", "DeviationReport", "EmbeddingOverflowError", "FilterSpectrum",
+        "ReferenceCurve", "deviation", "dft_spectrum", "omega_grid", "reference_column",
+        "reference_values", "truncated_limit_spectrum", "truncated_limit_spectrum_dft_grid",
+    ], "stencil_spectra.spectra"),
+    **dict.fromkeys([
+        "ConvergenceStudy", "DerivativeResult", "ModulatedAlternating", "Polynomial",
+        "SampledSignal", "Sinusoid", "alternating_second_derivative_check", "apply_stencil",
+        "apply_stencil_at", "convergence_study", "differentiate", "differentiate_half_point",
+        "differentiate_half_point_signal", "make_signal", "parse_test_function",
+    ], "stencil_spectra.signals"),
+}
 
 
-@pytest.mark.parametrize("name", _PUBLIC_NAMES)
-def test_every_public_name_is_still_exported(name):
-    assert hasattr(stencil_spectra, name)
+# the names that a module passes through from `weights`, for the callers
+# of spectra's and signals' own signatures
+_PASSED_THROUGH = {"CurveFamily": "spectra", "EmbeddingMode": "spectra",
+                   "BoundaryError": "signals"}
+
+
+@pytest.mark.parametrize("name", sorted(_HOMES))
+def test_every_public_name_imports_from_its_home(name):
     namespace = {}
-    exec(f"from stencil_spectra import {name}", namespace)
-    assert namespace[name] is getattr(stencil_spectra, name)
-    assert name in dir(stencil_spectra)
+    exec(f"from {_HOMES[name]} import {name}", namespace)
+    value = namespace[name]
+    # defined in its home, not passed through it: a submodule of the
+    # package, or a name whose module is its home
+    if _HOMES[name] == "stencil_spectra":
+        assert value.__name__ == f"stencil_spectra.{name}"
+    else:
+        assert value.__module__ == _HOMES[name]
+    if name in _PASSED_THROUGH:
+        module = importlib.import_module(f"stencil_spectra.{_PASSED_THROUGH[name]}")
+        assert getattr(module, name) is value
 
 
-def test_lazy_names_are_the_modules_own():
-    assert stencil_spectra.dft_spectrum is spectra.dft_spectrum
-    assert stencil_spectra.make_signal is signals.make_signal
-    assert stencil_spectra.cross_checks is oracle.cross_checks
-    assert spectra.CurveFamily is weights.CurveFamily
-    assert spectra.EmbeddingMode is weights.EmbeddingMode
-    assert signals.BoundaryError is weights.BoundaryError
-    assert issubclass(stencil_spectra.BoundaryError, IndexError)
+# a fresh interpreter: the package root imports no submodule and no numpy,
+# and `from stencil_spectra import <submodule>` imports each as a submodule
+_SURFACE_CHILD = """
+import json, sys
+loaded = [sorted(name for name in sys.modules if name.startswith("stencil_spectra.")),
+          "numpy" in sys.modules]
+from stencil_spectra import cli, oracle, signals, spectra, weights
+print(json.dumps(loaded + [module.__name__
+                           for module in (cli, oracle, signals, spectra, weights)]))
+"""
 
 
-def test_star_import_binds_every_public_name():
-    namespace = {}
-    exec("from stencil_spectra import *", namespace)
-    assert set(_PUBLIC_NAMES) <= set(namespace)
-    assert sorted(stencil_spectra.__all__) == sorted(_PUBLIC_NAMES)
+def test_the_package_root_loads_no_submodule():
+    assert in_child(_SURFACE_CHILD) == [
+        [], False, "stencil_spectra.cli", "stencil_spectra.oracle",
+        "stencil_spectra.signals", "stencil_spectra.spectra", "stencil_spectra.weights"]
 
 
 def test_unknown_name_is_an_attribute_error():
@@ -122,22 +149,36 @@ def test_unknown_name_is_an_attribute_error():
         stencil_spectra.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         exec("from stencil_spectra import no_such_name", {})
+    # a name that the root once re-exported is now as unknown there
+    with pytest.raises(AttributeError, match="dft_spectrum"):
+        stencil_spectra.dft_spectrum  # noqa: B018
+    with pytest.raises(ImportError, match="dft_spectrum"):
+        exec("from stencil_spectra import dft_spectrum", {})
 
 
-# a fresh interpreter: the numeric layer loads on first access, and a
-# submodule that the package does not name is imported as one
-_SURFACE_CHILD = """
-import json, sys
+def test_the_package_root_binds_no_public_name():
+    # the submodules are bound once imported, as for any package; no other
+    # name of `_HOMES` is
+    bound = [name for name in _HOMES
+             if _HOMES[name] != "stencil_spectra" and hasattr(stencil_spectra, name)]
+    assert bound == []
+    assert [name for name, value in vars(stencil_spectra).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)] == []
+
+
+# a fresh interpreter: with no `__all__`, a star import of the bare package
+# binds no name, and `__version__` is the distribution's
+_STAR_CHILD = """
+import json
+namespace = {}
+exec("from stencil_spectra import *", namespace)
 import stencil_spectra
-loaded = ["numpy" in sys.modules]
-from stencil_spectra import cli, oracle, signals, spectra, weights
-loaded.append("numpy" in sys.modules)
-print(json.dumps(loaded + [cli.__name__, signals.__name__, spectra.__name__,
-                           stencil_spectra.dft_spectrum is spectra.dft_spectrum]))
+print(json.dumps([sorted(name for name in namespace if name != "__builtins__"),
+                  stencil_spectra.__version__]))
 """
 
 
-def test_numeric_layer_loads_on_first_access():
-    assert in_child(_SURFACE_CHILD) == [False, True, "stencil_spectra.cli",
-                                         "stencil_spectra.signals",
-                                         "stencil_spectra.spectra", True]
+def test_star_import_of_the_bare_package_binds_no_name():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")) as f:
+        version = re.search(r'^version = "(.*)"$', f.read(), re.MULTILINE).group(1)
+    assert in_child(_STAR_CHILD) == [[], version]
