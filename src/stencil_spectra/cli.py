@@ -31,7 +31,7 @@ from collections.abc import Iterable
 from functools import partial
 
 from . import weights
-from .weights import BoundaryError, CurveFamily, EmbeddingMode, StencilKind
+from .weights import CurveFamily, EmbeddingMode, StencilKind
 
 # the numeric layer, bound by _load_numeric for the subcommands that use it
 np = signals = spectra = tableblocks = None
@@ -410,7 +410,7 @@ def run(argv: list[str]) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     # spectra's EmbeddingOverflowError and CurveDomainError are ValueErrors
-    except (BoundaryError, ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy refuses an array too large at once

@@ -9,8 +9,8 @@ on integers. The hot loops run on Python ints; `cross_checks` compares a
 rational with a weight by cross-multiplication, so it builds no `Fraction`
 of its own there.
 
-The package loads this module on first access to it or to one of its
-names, and the CLI only for `verify`, so that `stencil` starts without it.
+Only the CLI's `verify` imports this module, when it runs, so that
+`stencil` starts without it.
 """
 
 from __future__ import annotations

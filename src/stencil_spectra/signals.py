@@ -23,11 +23,14 @@ from functools import cached_property
 import numpy as np
 
 from ._eft import split, two_product, two_sum
-# BoundaryError lives in weights, which imports without numpy
-from .weights import (BoundaryError, Stencil, StencilKind, central_first, central_second,
-                      half_point, limit_coefficients, one_sided_first)
+from .weights import (Stencil, StencilKind, central_first, central_second, half_point,
+                      limit_coefficients, one_sided_first)
 
 SKIPPED = "skipped"
+
+
+class BoundaryError(IndexError):
+    """A stencil offset fell outside the sampled range."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,10 +32,12 @@ Python's correctly rounded dtoa:
 - 10^16 ≤ D ≤ 10^17, and D = 10^17 is the carry 10^16 at E + 1 (fl(1e−14)
   rounds up to it).
 - D's 17 digits are its lead digit and four 4-digit groups, each group
-  one lookup in a table of 10^4 four-byte texts. A layout table indexed by
-  (sign, E, digit count) places them, trailing zeros cut, in %g's fixed
-  form (E ≥ −4) or its e-XX form, with one flat take per 1,024
-  values.
+  one lookup in a table of 10^4 four-byte texts, in one source row per
+  value with the constant bytes. The text is a layout, a row of indices
+  into the source row, picked by (sign, E, digit count) and taken with one
+  flat take per 1,024 values. Each layout is the text that %g's own rule
+  writes (`_text`: the fixed form for E ≥ −4, else the e-XX form,
+  trailing zeros cut) with placeholder digits, made at import.
 - Zero prints as 0. Every other value (nan, ±inf, a value outside the fast
   range, a rounding that is not certain) takes Python's own format.
 
@@ -48,8 +50,9 @@ ulp/4 below a power of two. repr is D15, the nearest 15-digit decimal,
 if that reads back (every decimal of at most 15 digits that does is
 D15, since DBL_DIG = 15); else the nearer of the two 16-digit neighbours
 that reads back (below a power of two the lower may not while the
-upper does); else D. It is laid out in the fixed form for −4 ≤ E < 16,
-with `.0` when no fraction digit is left, and as d.ddde±XX otherwise.
+upper does); else D. Its layouts are written by repr's rule: the fixed
+form for −4 ≤ E < 16, with `.0` when no fraction digit is left, and
+d.ddde±XX otherwise.
 Zero prints as 0.0 or -0.0; nan, ±inf, a value outside the fast range,
 and a value within 2^−40 of a half-gap edge, or of a tie between two
 16-digit neighbours that both read back, take json's own text.
@@ -108,6 +111,7 @@ _LAST_DIGIT = np.arange(100.0) % 10
 # the constants of the layouts. Little-endian words hold the groups.
 _CONSTANTS = b"-.e+0123456789"
 _ROW = np.frombuffer(b"0" * 17 + _CONSTANTS + b"\0", np.uint8)
+_DIGITS = bytes([16, *range(16)])  # the places of digits 0..16
 _GROUP = np.arange(10 ** 4, dtype=np.int16)
 # _GROUP_TEXT[g]: the four digits of g, one word
 _GROUP_TEXT = np.stack([_GROUP // 10 ** (3 - place) % 10 + ord("0") for place in range(4)],
@@ -125,62 +129,37 @@ _FALLBACK_WIDTH = 24
 _TAKE = 1024  # values per take of the layout
 
 
-@dataclass(frozen=True)
-class _FloatText:
-    """How one format writes a float: its layouts (rows of _WIDTH indices
-    into a value's source row, at (sign · 46 + E + 30) · 17 + digits − 1,
-    then +0's and -0's), their lengths, whether it writes the shortest
-    digits that read back, and the text of a value the fast path leaves."""
-
-    layout: np.ndarray
-    length: np.ndarray
-    shortest: bool
-    fallback: Callable[[float], str]
-
-
-def _float_text(shortest: bool) -> _FloatText:
-    """CSV's text, %g with 17 digits, or with `shortest` json's: repr's
-    digits, laid out in the fixed form up to E = 15 with `.0` when no
-    fraction digit is left, and with an exponent sign and two digits
-    after e."""
-    byte = {chr(c): 17 + i for i, c in enumerate(_CONSTANTS)}
-    E = np.arange(_E_MIN, _E_MAX + 1, dtype=np.int8)[:, None, None]
-    digits = np.arange(1, 18, dtype=np.int8)[None, :, None]
-    j = np.arange(_WIDTH - 1, dtype=np.int8)[None, None, :]
-
-    def digit(d):  # digit 0 sits after digits 1..16; d past the text is a placeholder
-        return np.where(d == 0, 16, np.clip(d, 1, 16) - 1)
-
-    # the fixed form for E >= 0: the point after digit E, digits past the
-    # last significant one (zeros in the row) up to it, and none (%g) or
-    # one zero (repr) if nothing follows it
-    fixed = np.select([j <= E, j == E + 1], [digit(j), byte["."]], digit(j - 1))
-    fixed_length = np.where(digits > E + 1, digits + 1, E + 3 if shortest else E + 1)
-    # for -4 <= E < 0: 0. and -E - 1 zeros
-    small = np.select([j == 1, j < 1 - E], [byte["."], byte["0"]], digit(j + E - 1))
-    small_length = 1 - E + digits
-    # the exponent form: the mark e after digit 0, or after the point and
-    # the other digits, then the sign and two digits of |E|
-    mark = np.where(digits > 1, digits + 1, 1)
-    scientific = np.select(
-        [j == 0, j == mark, j == mark + 1, j == mark + 2, j == mark + 3, j == 1],
-        [digit(j), byte["e"], np.where(E < 0, byte["-"], byte["+"]),
-         byte["0"] + abs(E) // 10, byte["0"] + abs(E) % 10, byte["."]], digit(j - 1))
-    forms = [E < -4, E < 0]
-    unsigned = np.select(forms, [scientific, small], fixed).reshape(-1, _WIDTH - 1)
-    lengths = np.select(forms, [mark + 4, small_length], fixed_length).reshape(-1)
-    table = np.zeros((2 * len(unsigned) + 2, _WIDTH), np.uint8)
-    table[:len(unsigned), :-1] = unsigned
-    table[len(unsigned):-2] = np.insert(unsigned, 0, byte["-"], axis=1)
-    zeros = ("0.0", "-0.0") if shortest else ("0", "0")
-    for row, text in zip(table[-2:], zeros):
-        row[:len(text)] = [byte[c] for c in text]
-    length = np.concatenate([lengths, lengths + 1, list(map(len, zeros))]).astype(np.uint8)
-    fallback = json.dumps if shortest else (lambda v: format(v + 0.0, ".17g"))
-    return _FloatText(table, length, shortest, fallback)
+def _text(E: int, d: int, shortest: bool) -> bytes:
+    """The text of a magnitude of exponent E with d significant digits,
+    CSV's or with `shortest` repr's, its digits as placeholders (their
+    places in the source row): d.ddde-XX below E = -4, 0.000ddd below
+    E = 0, else the fixed form, whose digits up to the point may be zeros
+    past the d-th, and where none follows the point, repr's `.0` (a zero
+    digit)."""
+    digits = _DIGITS[:d]
+    if E < -4:
+        return digits[:1] + b"." * (d > 1) + digits[1:] + b"e-%02d" % -E
+    if E < 0:
+        return b"0." + b"0" * (-E - 1) + digits
+    fraction = _DIGITS[E + 1:max(d, E + 1 + shortest)]
+    return _DIGITS[:E + 1] + b"." * bool(fraction) + fraction
 
 
-_G17, _REPR = _float_text(False), _float_text(True)
+def _float_text(shortest: bool) -> tuple[np.ndarray, np.ndarray]:
+    """CSV's layouts, or with `shortest` JSON's, and their lengths: row
+    (sign · 46 + E + 30) · 17 + digits − 1 is that text as _WIDTH indices
+    into a value's source row, and the last two rows are +0's and -0's."""
+    unsigned = [_text(E, d, shortest) for E in range(_E_MIN, _E_MAX + 1) for d in range(1, 18)]
+    zeros = [b"0.0", b"-0.0"] if shortest else [b"0", b"0"]
+    texts = [*unsigned, *(b"-" + text for text in unsigned), *zeros]
+    places = bytes.maketrans(_CONSTANTS, bytes(range(17, 17 + len(_CONSTANTS))))
+    layout = b"".join(text.ljust(_WIDTH, b"\0") for text in texts).translate(places)
+    return (np.frombuffer(layout, np.uint8).reshape(-1, _WIDTH),
+            np.array(list(map(len, texts)), np.uint8))
+
+
+# CSV's layouts and lengths, then JSON's
+_LAYOUTS = _float_text(False), _float_text(True)
 
 
 def _scaled(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,15 +230,16 @@ def _shortest(a, D, E, certain, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return R, E + carry, certain
 
 
-def _float_slots(values: np.ndarray, text: _FloatText) -> tuple[np.ndarray, np.ndarray]:
-    """The text of each v of a float64 vector, as the rows of a uint8
-    matrix, left-aligned, and the text lengths."""
+def _float_slots(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each v of a float64 vector, CSV's or with `shortest`
+    JSON's, as the rows of a uint8 matrix, left-aligned, and the text
+    lengths."""
     n = len(values)
     a = np.abs(values)
     fast = (a >= 1e-29) & (a < 1e16)
     a[~fast] = 1.0  # a placeholder: these take the fallback text
     D, E, certain, f = _rounded(a)
-    if text.shortest:
+    if shortest:
         D, E, certain = _shortest(a, D, E, certain, f)
     del a, f
     certain &= fast
@@ -276,21 +256,23 @@ def _float_slots(values: np.ndarray, text: _FloatText) -> tuple[np.ndarray, np.n
         np.maximum(digits, _TAIL[place].take(group), out=digits)
     sign = np.signbit(values)
     layout = (sign * (_E_MAX - _E_MIN + 1) + E - _E_MIN) * 17 + digits - 1
+    layouts, text_lengths = _LAYOUTS[shortest]
     # zero's text, and a placeholder for the rest
-    np.copyto(layout, len(text.layout) - 2 + sign, where=~certain)
+    np.copyto(layout, len(layouts) - 2 + sign, where=~certain)
     slots = np.empty((n, _WIDTH), np.uint8)
     for start in range(0, n, _TAKE):  # each take's intp indices are 8 bytes per text byte
         stop = min(start + _TAKE, n)
-        flat = text.layout.take(layout[start:stop], axis=0)
+        flat = layouts.take(layout[start:stop], axis=0)
         flat = flat + np.arange(start * len(_ROW), stop * len(_ROW), len(_ROW))[:, None]
         source.reshape(-1).take(flat, out=slots[start:stop])
-    lengths = text.length[layout]
+    lengths = text_lengths[layout]
     slow = np.flatnonzero(~certain & (values != 0))
     if slow.size:
-        texts = [text.fallback(v).encode() for v in values[slow].tolist()]
+        fallback = json.dumps if shortest else (lambda v: format(v + 0.0, ".17g"))
+        texts = [fallback(v).encode() for v in values[slow].tolist()]
         slots = np.pad(slots, ((0, 0), (0, _FALLBACK_WIDTH - _WIDTH)))
-        for i, fallback in zip(slow.tolist(), texts):
-            slots[i, :len(fallback)] = np.frombuffer(fallback, np.uint8)
+        for i, text in zip(slow.tolist(), texts):
+            slots[i, :len(text)] = np.frombuffer(text, np.uint8)
         lengths[slow] = list(map(len, texts))
     return slots, lengths
 
@@ -298,14 +280,14 @@ def _float_slots(values: np.ndarray, text: _FloatText) -> tuple[np.ndarray, np.n
 def float_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """format(v + 0.0, ".17g") of each v of a float64 vector, as the rows
     of a uint8 matrix, left-aligned, and the text lengths."""
-    return _float_slots(values, _G17)
+    return _float_slots(values, False)
 
 
 def json_float_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """json.dumps(v) of each v of a float64 vector (float.__repr__, NaN,
     Infinity, -Infinity), as the rows of a uint8 matrix, left-aligned, and
     the text lengths."""
-    return _float_slots(values, _REPR)
+    return _float_slots(values, True)
 
 
 # powers of ten 10..10^19, below which an int has 1..19 digits

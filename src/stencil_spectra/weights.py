@@ -7,9 +7,8 @@ Floating point enters only when a consumer converts a weight for evaluation
 
 The module imports without numpy: only `limit_coefficients` needs it and
 imports it when called. It also holds the names that the CLI parses with
-and catches (`CurveFamily`, `EmbeddingMode`, `BoundaryError`), so that
-`stencil` and `verify` start without numpy; `spectra` and `signals`
-re-export them. Its records are plain frozen classes (`_Record`), not
+(`CurveFamily`, `EmbeddingMode`), so that `stencil` and `verify` start
+without numpy; `spectra` re-exports them. Its records are plain frozen classes (`_Record`), not
 dataclasses: importing `dataclasses`, and the `inspect` it loads, took
 about half of this module's import time.
 """
@@ -66,10 +65,6 @@ class EmbeddingMode(Enum):
     HALF_SEQUENCE = "half-sequence"
     FULL_ANTISYMMETRIC = "full-antisymmetric"
     FULL_SYMMETRIC = "full-symmetric"
-
-
-class BoundaryError(IndexError):
-    """A stencil offset fell outside the sampled range."""
 
 
 class _Record:

@@ -12,13 +12,16 @@ perfbench/workloads.py names. Each argv runs through `execute` and
 `digest` of perfbench/child.py, the functions perfbench/record.py recorded
 the digests with; perfbench/ is only read. Exits 1 naming each mismatch, or
 prints one summary line. The digests hold for the numpy version golden.json
-records; the summary and the failure report name both.
+records; the summary and the failure report name both, and the OpenBLAS
+core that numpy's BLAS picks on this CPU (the fold's gemv rounds by it).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import subprocess
 import sys
 
 # before numpy loads BLAS
@@ -37,6 +40,15 @@ def replay(argv: list[str]) -> tuple[int | str, str]:
     """Exit code (or the exception `cli.run` raised) and stdout of one run."""
     _, code, text, error = execute(cli, argv)
     return (f"raised {error}" if code is None else code), text
+
+
+def openblas_core() -> str:
+    """The core OpenBLAS picks, as a child's `import numpy` names it on
+    stderr with OPENBLAS_VERBOSE=2 (`Core: SkylakeX`), or "unknown"."""
+    child = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                           text=True, env={**os.environ, "OPENBLAS_VERBOSE": "2"})
+    match = re.search(r"^Core: (\S+)", child.stderr, re.MULTILINE)
+    return match.group(1) if match else "unknown"
 
 
 def main() -> int:
@@ -59,7 +71,8 @@ def main() -> int:
         if got != expected:
             mismatches.append(f"{key}: expected {expected}, got {got}")
     recorded = golden["environment"]["numpy"]
-    versions = f"numpy {numpy.__version__}, golden.json recorded with {recorded}"
+    versions = (f"numpy {numpy.__version__}, OpenBLAS core {openblas_core()}, "
+                f"golden.json recorded with {recorded}")
     if mismatches:
         print("\n".join(mismatches), file=sys.stderr)
         print(f"{len(mismatches)} of {len(golden['digests'])} argvs differ from "

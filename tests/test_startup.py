@@ -80,7 +80,7 @@ def test_exact_commands_give_the_same_bytes_without_numpy(tmp_path):
 _HOMES = {
     **dict.fromkeys(["oracle", "signals", "spectra", "weights"], "stencil_spectra"),
     **dict.fromkeys([
-        "BoundaryError", "CurveFamily", "EmbeddingMode", "Stencil", "StencilFormatError",
+        "CurveFamily", "EmbeddingMode", "Stencil", "StencilFormatError",
         "StencilKind", "build", "central_first", "central_second", "half_point",
         "harmonic_number", "limit_coefficients", "one_sided_first", "one_sided_nth",
         "stencil_from_dict", "stencil_to_dict",
@@ -96,18 +96,18 @@ _HOMES = {
         "reference_values", "truncated_limit_spectrum", "truncated_limit_spectrum_dft_grid",
     ], "stencil_spectra.spectra"),
     **dict.fromkeys([
-        "ConvergenceStudy", "DerivativeResult", "ModulatedAlternating", "Polynomial",
-        "SampledSignal", "Sinusoid", "alternating_second_derivative_check", "apply_stencil",
-        "apply_stencil_at", "convergence_study", "differentiate", "differentiate_half_point",
-        "differentiate_half_point_signal", "make_signal", "parse_test_function",
+        "BoundaryError", "ConvergenceStudy", "DerivativeResult", "ModulatedAlternating",
+        "Polynomial", "SampledSignal", "Sinusoid", "alternating_second_derivative_check",
+        "apply_stencil", "apply_stencil_at", "convergence_study", "differentiate",
+        "differentiate_half_point", "differentiate_half_point_signal", "make_signal",
+        "parse_test_function",
     ], "stencil_spectra.signals"),
 }
 
 
 # the names that a module passes through from `weights`, for the callers
-# of spectra's and signals' own signatures
-_PASSED_THROUGH = {"CurveFamily": "spectra", "EmbeddingMode": "spectra",
-                   "BoundaryError": "signals"}
+# of spectra's own signatures
+_PASSED_THROUGH = {"CurveFamily": "spectra", "EmbeddingMode": "spectra"}
 
 
 @pytest.mark.parametrize("name", sorted(_HOMES))

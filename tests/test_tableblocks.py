@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from stencil_spectra import tableblocks
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from check_g17 import json_mismatch, near_half_gaps, shortest_ties  # noqa: E402
+from check_g17 import edge_values, json_mismatch, near_half_gaps, shortest_ties  # noqa: E402
 
 
 def _texts(values):
@@ -57,6 +58,13 @@ _VALUES = st.one_of(_BITS, _POWERS, _TWOS, _EDGES, st.floats())
 def test_json_float_slot_is_json_text(values, sign):
     values = np.array(values) * sign
     assert _texts(values) == _json(values)
+
+
+def test_json_edge_families():
+    # near 10^k the gaps are widest in units of the 17th digit, so both
+    # 16-digit neighbours of a value often read back, and repr takes the
+    # nearer; few of the property test's values reach that case
+    assert json_mismatch(edge_values()) is None
 
 
 def _certain(values):
@@ -111,3 +119,27 @@ def test_repr_layout_edges():
               9999999999999998.0, 1e-29, 2.5e-10, 0.1, 1 / 3]
     assert _texts(values) == [repr(v) for v in values]
     assert _texts([-v for v in values]) == [repr(-v) for v in values]
+
+
+# one value per sign, E = -30..15 and digit count 1..17, so that every
+# layout row a short decimal reaches is spelled once; random doubles
+# almost always print 16 or 17 digits
+_ROWS = np.array([float(sign + "1.2345678912345678"[:d + 1] + f"e{E}")
+                  for sign in ("", "-") for E in range(-30, 16) for d in range(1, 18)])
+
+
+def _cells(texts, certain):
+    """The (sign, E, digit count) of each text the fast path writes."""
+    return {(text[0] == "-", decimal.adjusted(), len(decimal.as_tuple().digits))
+            for text, sure in zip(texts, certain.tolist()) if sure
+            for decimal in [Decimal(text).normalize()]}
+
+
+def test_every_layout_row_spells_python_text():
+    csv_texts = [bytes(slot[:length]).decode()
+                 for slot, length in zip(*tableblocks.float_slots(_ROWS))]
+    assert csv_texts == [format(v + 0.0, ".17g") for v in _ROWS.tolist()]
+    assert _texts(_ROWS) == _json(_ROWS)
+    # the rows these values reach, of the 2 · 46 · 17 = 1,564 of each format
+    assert len(_cells(csv_texts, tableblocks._rounded(np.abs(_ROWS))[2])) == 998
+    assert len(_cells(_texts(_ROWS), _certain(_ROWS))) == 1552
