@@ -261,10 +261,12 @@ def _figure_envelope_demo(args) -> tuple[Iterable[str], int]:
     return tableblocks.table(names, columns, args.format), 0
 
 
-# `cross_checks` eliminates a (max-n + 1)**2 integer matrix up front, in
-# O(max-n**3) operations on integers that grow with max-n; the moment
-# systems add O(n) operations per family at each n, on node polynomials
-# grown across n
+# `cross_checks` reduces a (max-n + 1)**2 integer matrix up front, in
+# O(max-n**3) operations on integers of at most max-n * log2(max-n) bits,
+# and sums O(n**2) integer products per family at each n for the exactness
+# checks; the moment systems add O(n) operations per family at each n, on
+# node polynomials grown across n. At the limit, 100, `verify` takes about
+# 1 s on a 2-core x86-64 VM
 _VERIFY_MAX_N = 100
 
 

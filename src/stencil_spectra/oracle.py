@@ -2,12 +2,12 @@
 
 They share no code with the generators in `weights` (`build` only makes the
 stencils under test): the moment systems solved from their node polynomial,
-which grows with the node set (`_NodePolynomial`), Bareiss (fraction-free)
-elimination for the Vandermonde determinants only (one elimination whose
-pivots serve every n), the paper's product forms and polynomial exactness
-on integers. The hot loops run on Python ints; `cross_checks` compares a
-rational with a weight by cross-multiplication, so it builds no `Fraction`
-of its own there.
+which grows with the node set (`_NodePolynomial`), the Vandermonde
+determinants by Newton row operations on the power matrix (one reduction
+whose diagonal serves every n), the paper's product forms and polynomial
+exactness on integers. The hot loops run on Python ints; `cross_checks`
+compares a rational with a weight by cross-multiplication, so it builds no
+`Fraction` of its own there.
 
 Only the CLI's `verify` imports this module, when it runs, so that
 `stencil` starts without it.
@@ -16,6 +16,7 @@ Only the CLI's `verify` imports this module, when it runs, so that
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -50,23 +51,6 @@ class ExactnessReport(_Record):
     def __init__(self, stencil: Stencil, max_exact_degree: int,
                  first_failing_degree: int | None, residuals: tuple[Fraction, ...]):
         self._init(stencil, max_exact_degree, first_failing_degree, residuals)
-
-
-def _bareiss_eliminate(rows):
-    """Fraction-free forward elimination in place, without row swaps: every
-    caller eliminates a power matrix over distinct nodes, whose leading
-    minors, the pivots, are nonzero Vandermonde determinants. Integer
-    entries stay integer (divisions are exact)."""
-    prev = 1
-    for col in range(len(rows) - 1):
-        pivot_row = rows[col]
-        pivot, tail = pivot_row[col], pivot_row[col + 1:]
-        for row in rows[col + 1:]:
-            lead = row[col]
-            row[col + 1:] = [(a * pivot - lead * b) // prev
-                             for a, b in zip(row[col + 1:], tail)]
-            row[col] = 0
-        prev = pivot
 
 
 class _NodePolynomial:
@@ -153,25 +137,45 @@ def solve_moment_system(system: MomentSystem) -> list[Fraction]:
     return [Fraction(a, b) for a, b in zip(numerators, denominators)]
 
 
+def _newton_minors(nodes) -> list[int]:
+    """The leading minors of the power matrix rows[k][m] = nodes[m]**k over
+    distinct integer nodes, by Newton row operations (Björck & Pereyra,
+    Math. Comp. 24, 1970).
+
+    The operations rows[k] <- rows[k] - x_j * rows[k-1], for each node x_j
+    in turn and k from the last row down to j + 1, take row k to the
+    Newton basis polynomial prod_{i<k} (t - x_i) at the nodes. The
+    transform is unit lower-triangular, so it keeps every leading minor and
+    leaves the matrix upper triangular: minor n is the product of the first
+    n + 1 diagonal entries. Each entry below the diagonal is checked to end
+    at 0; from the first row where one does not, every minor reads 0, which
+    no Vandermonde determinant over distinct nodes is.
+    """
+    rows = [[x ** k for x in nodes] for k in range(len(nodes))]
+    for j, x in enumerate(nodes):
+        for k in range(len(rows) - 1, j, -1):
+            rows[k] = [a - x * b for a, b in zip(rows[k], rows[k - 1])]
+    minors, product = [], 1
+    for k, row in enumerate(rows):
+        product *= 0 if any(row[:k]) else row[k]
+        minors.append(product)
+    return minors
+
+
 def _leading_minors(max_n: int) -> list[int]:
     """The Vandermonde determinants over nodes 0..n for every n = 0..max_n,
-    from one fraction-free elimination of the (max_n+1) x (max_n+1) power
-    matrix over nodes 0..max_n.
-
-    Bareiss's pivot rows[n][n] is the leading (n+1) x (n+1) minor (Bareiss,
-    Math. Comp. 22, 1968), and that block is the power matrix over nodes
-    0..n. Each leading minor is thus a nonzero Vandermonde determinant,
-    which is why `_bareiss_eliminate` needs no row swap.
-    """
-    rows = [[m ** k for m in range(max_n + 1)] for k in range(max_n + 1)]
-    _bareiss_eliminate(rows)
-    return [rows[n][n] for n in range(max_n + 1)]
+    from one Newton reduction of the (max_n+1) x (max_n+1) power matrix
+    over nodes 0..max_n (`_newton_minors`): its leading (n+1) x (n+1) block
+    is the power matrix over nodes 0..n. The entries stay at most
+    max_n**max_n, so the reduction takes O(max_n**3) operations on
+    integers of at most max_n * log2(max_n) bits."""
+    return _newton_minors(range(max_n + 1))
 
 
 def vandermonde_det(n: int) -> int:
     """Determinant of the (n+1) x (n+1) power matrix over nodes 0..n, the
-    last leading minor of its fraction-free elimination (`_leading_minors`,
-    never zero)."""
+    last leading minor of its Newton reduction (`_leading_minors`, never
+    zero)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return _leading_minors(n)[n]
@@ -222,33 +226,57 @@ def product_form_half_point(m: int, n: int) -> Fraction:
     return Fraction(*_product_form(2 * m + 1, range(1, 2 * n, 2), 2))
 
 
-def _scaled_residuals(stencil: Stencil, max_degree: int) -> tuple[list[int], int]:
-    """The exactness residuals times a common scale, and that scale.
+def _power_table(bases, max_degree: int) -> tuple[dict[int, int], list[list[int]]]:
+    """The column of each base (a list or range of integers), and for
+    k = 0..max_degree the row of the bases' k-th powers (0**0 = 1), each
+    row the one before times the bases."""
+    powers = [[1] * len(bases)]
+    for _ in range(max_degree):
+        powers.append(list(map(operator.mul, powers[-1], bases)))
+    return {base: column for column, base in enumerate(bases)}, powers
+
+
+def _scaled_residuals(stencil: Stencil, max_degree: int,
+                      table: tuple[dict[int, int], list[list[int]]]) -> tuple[list[int], int]:
+    """The exactness residuals times a common scale, and that scale, with
+    the powers read from `table` (`_power_table`), whose bases hold every
+    |offset| and whose rows reach max_degree.
 
     h is factored out through h**d, so the residuals are h-independent
     rationals: residual(k) = prefactor * sum w_m m**k - d! * delta(k, d).
     With L the lcm of the weight denominators and the prefactor p = a/b,
     residual(k) * b * L = a * sum (L * w_m) m**k - b * L * d! * delta(k, d):
-    integer sums over running integer powers.
+    integer sums. With t_m = L * w_m, the taps at m and -m fold into the
+    even sum t_m + t_-m and the odd sum t_m - t_-m at the column of |m|, and
+    the degree-k sum is the sum of the matching parity times row k (the
+    tap at 0 joins the even sum, and 0**k is 0 at every odd k).
     """
     d, p = stencil.derivative_order, stencil.prefactor
     lcm = math.lcm(*(w.denominator for w in stencil.weights))
-    terms = [w.numerator * (lcm // w.denominator) for w in stencil.weights]
+    columns, powers = table
+    size = max([columns[abs(o)] + 1 for o in stencil.offsets], default=0)
+    even, odd = [0] * size, [0] * size
+    for o, w in zip(stencil.offsets, stencil.weights):
+        t, column = w.numerator * (lcm // w.denominator), columns[abs(o)]
+        even[column] += t
+        odd[column] += t if o > 0 else -t
+    totals = [p.numerator * sum(map(operator.mul, odd if k % 2 else even, powers[k]))
+              for k in range(max_degree + 1)]
     scale = p.denominator * lcm
-    totals = []
-    for k in range(max_degree + 1):
-        totals.append(p.numerator * sum(terms) - (scale * math.factorial(d) if k == d else 0))
-        terms = [t * o for t, o in zip(terms, stencil.offsets)]
+    if d <= max_degree:
+        totals[d] -= scale * math.factorial(d)
     return totals, scale
 
 
 def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
     """Apply the stencil symbolically to x**k for k = 0..max_degree and
-    compare with the exact derivative at 0 (`_scaled_residuals`); the
-    report holds each residual as one `Fraction`."""
+    compare with the exact derivative at 0 (`_scaled_residuals`, on a
+    power table over the stencil's own distinct |offsets|); the report
+    holds each residual as one `Fraction`."""
     if max_degree > 2 * stencil.n + 4:
         raise ValueError("bounded search: max_degree must be <= 2n + 4")
-    totals, scale = _scaled_residuals(stencil, max_degree)
+    table = _power_table(sorted({abs(o) for o in stencil.offsets}), max_degree)
+    totals, scale = _scaled_residuals(stencil, max_degree, table)
     first_failing = next((k for k, total in enumerate(totals) if total), None)
     max_exact = max_degree if first_failing is None else first_failing - 1
     return ExactnessReport(
@@ -281,17 +309,21 @@ def cross_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
     binomial, product and harmonic forms of the one-sided weights, and the
     Vandermonde and numerator determinants.
 
-    Work shared across n is done once: one elimination at max_n gives every
-    Vandermonde determinant (`_leading_minors`); each family keeps one
-    `_NodePolynomial` and grows it by the one or two nodes that n adds, so
-    that its moment solution at n takes O(n) integer operations (at most
-    three quotient steps per node from the bottom, and one from the top for
-    one-sided-nth); and the superfactorial and the harmonic number are a
-    running product and a running sum. So the checks for n do not depend on
-    max_n, and `verify --max-n N` does O(N^3) big-integer operations in the
-    elimination."""
+    Work shared across n is done once: one Newton reduction at max_n gives
+    every Vandermonde determinant (`_leading_minors`); one power table over
+    the bases 0..2*max_n-1 (every |offset|) and the degrees 0..2*max_n+2
+    (one past the highest expected degree) serves every exactness check;
+    each family keeps one `_NodePolynomial` and grows it by the one or two
+    nodes that n adds, so that its moment solution at n takes O(n) integer
+    operations (at most three quotient steps per node from the bottom, and
+    one from the top for one-sided-nth); and the superfactorial and the
+    harmonic number are a running product and a running sum. So the checks
+    for n do not depend on max_n, and `verify --max-n N` does O(N^3)
+    operations on integers of O(N log N) bits in the reduction, and O(n^2)
+    integer products per family at each n in the exactness sums."""
     fact = math.factorial
     minors = _leading_minors(max_n)
+    table = _power_table(range(2 * max_n), 2 * max_n + 2)
     polynomials = {kind: _NodePolynomial() for kind in StencilKind}
     superfactorial, harmonic = 1, Fraction(0)
     for n in range(1, max_n + 1):
@@ -309,7 +341,7 @@ def cross_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
             yield f"moment-system {label}", ok, "oracle solver reproduces the weights"
 
             expected = _EXACT_DEGREE[kind](n)
-            totals, _ = _scaled_residuals(stencil, expected + 1)
+            totals, _ = _scaled_residuals(stencil, expected + 1, table)
             degree_0[kind] = totals[0]
             got = next((k for k, total in enumerate(totals) if total), len(totals)) - 1
             yield (f"exactness {label}", got == expected,

@@ -644,6 +644,16 @@ def test_verify_max_n_60_bytes_are_pinned(capsys, fmt, digest):
     assert _verify_digest(capsys, 60, fmt) == digest
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "9c53ca8e2643434481344d5dd1097c0ddb8969bc519dc85deb2da409fd40b32e"),
+    ("json", "7c5bd4713cbef471b1bcc3d71b5c03a6c4a6afed365dd08c77c774613c643d40"),
+])
+def test_verify_max_n_100_bytes_are_pinned(capsys, fmt, digest):
+    # the SHA-256 of the stdout at the largest max-n, as the Bareiss
+    # elimination printed it; CI compares the console script's text with it
+    assert _verify_digest(capsys, 100, fmt) == digest
+
+
 def _verify_digest(capsys, max_n, fmt):
     code, out, _ = run_capture(capsys, ["verify", "--max-n", str(max_n), "--format", fmt])
     assert code == 0
@@ -669,7 +679,7 @@ def test_verify_json_is_the_bytes_of_json_dumps(capsys):
 
 
 def test_verify_max_n_above_the_limit_is_one_line_error(capsys):
-    # the shared elimination holds (max-n + 1)**2 integers from the start
+    # the shared reduction holds (max-n + 1)**2 integers from the start
     code, out, err = run_capture(capsys, ["verify", "--max-n", "101"])
     assert (code, out) == (1, "")
     assert err == "error: --max-n 101 is above the limit of 100\n"

@@ -1,6 +1,7 @@
 """Oracle cross-checks: the independent solver against the generators."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ from stencil_spectra.oracle import (
     MomentSystem,
     SingularSystemError,
     _NodePolynomial,
-    _bareiss_eliminate,
     _leading_minors,
+    _newton_minors,
+    _power_table,
+    _scaled_residuals,
     cross_checks,
     delta_m1_closed_form,
     exactness_check,
@@ -84,6 +87,24 @@ def test_solver_general_order_moment_conditions(n):
 def test_solver_rejects_repeated_offsets():
     with pytest.raises(SingularSystemError):
         solve_moment_system(MomentSystem(offsets=(0, 1, 1), degree=2, target_order=1))
+
+
+def _bareiss_eliminate(rows):
+    """Fraction-free forward elimination in place, without row swaps
+    (Bareiss, Math. Comp. 22, 1968), kept as the reference: every caller
+    eliminates a power matrix over distinct nodes, whose leading minors,
+    the pivots, are nonzero Vandermonde determinants. Integer entries stay
+    integer (divisions are exact)."""
+    prev = 1
+    for col in range(len(rows) - 1):
+        pivot_row = rows[col]
+        pivot, tail = pivot_row[col], pivot_row[col + 1:]
+        for row in rows[col + 1:]:
+            lead = row[col]
+            row[col + 1:] = [(a * pivot - lead * b) // prev
+                             for a, b in zip(row[col + 1:], tail)]
+            row[col] = 0
+        prev = pivot
 
 
 def _bareiss_solve(system):
@@ -363,6 +384,64 @@ def test_leading_minors_match_fresh_eliminations_and_superfactorial():
         assert minors[n] == rows[n][n] == superfactorial, n
 
 
+def _bareiss_minors(nodes):
+    """The leading minors of the power matrix over nodes, as the pivots of
+    its fraction-free elimination."""
+    rows = [[x ** k for x in nodes] for k in range(len(nodes))]
+    _bareiss_eliminate(rows)
+    return [rows[n][n] for n in range(len(nodes))]
+
+
+def test_leading_minors_match_bareiss_at_every_max_n_up_to_40():
+    # Bareiss's pivots do not depend on the size of the matrix, so one
+    # elimination at 40 serves every max-n
+    reference = _bareiss_minors(range(41))
+    for max_n in range(41):
+        assert _leading_minors(max_n) == reference[:max_n + 1], max_n
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=_OFFSETS)
+@example(nodes=[3, -2, 0, 7, -5, 1])
+@example(nodes=list(range(-6, 7)))
+@example(nodes=[-60, 60, 0, -1, 1])
+def test_newton_minors_match_bareiss_on_any_distinct_nodes(nodes):
+    assert _newton_minors(nodes) == _bareiss_minors(nodes)
+
+
+class _FaultyNode(int):
+    """A node whose products are one too large: each row operation that
+    subtracts a multiple of it leaves its row off by one everywhere, below
+    the diagonal too."""
+
+    def __mul__(self, other):
+        return int(self) * other + 1
+
+
+def test_newton_minors_read_zero_from_a_row_left_nonzero_below_the_diagonal():
+    # the rows after the faulty node's step keep a nonzero entry in column
+    # 0, so their minors read 0 and not the product of a wrong diagonal
+    nodes = [0, 1, 2, 3, 4, _FaultyNode(5), 6, 7, 8]
+    assert _newton_minors(nodes) == _leading_minors(5) + [0, 0, 0]
+
+
+def test_verify_reports_a_faulty_reduction_as_failed_determinants(capsys, monkeypatch):
+    # a reduction left nonzero below the diagonal fails the determinant
+    # checks of its rows, one line each, with no traceback
+    from stencil_spectra.cli import run
+
+    newton_minors = oracle._newton_minors
+    monkeypatch.setattr(oracle, "_newton_minors", lambda nodes: newton_minors(
+        [_FaultyNode(x) if x == 5 else x for x in nodes]))
+    code = run(["verify", "--max-n", "8"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL determinants(n={n}): Vandermonde product and numerator ratios"
+        for n in (6, 7, 8)]
+    assert out.endswith("\n101/104 checks passed\n")
+
+
 def test_cross_checks_for_n_do_not_depend_on_max_n():
     # the determinants come from an elimination of max-n's size
     assert list(cross_checks(20))[:13 * 12] == list(cross_checks(12))
@@ -622,6 +701,46 @@ def _fraction_exactness(stencil, max_degree):
             first_failing = k
     max_exact = max_degree if first_failing is None else first_failing - 1
     return max_exact, first_failing, tuple(residuals)
+
+
+@pytest.mark.parametrize("kind", list(StencilKind))
+def test_scaled_residuals_on_the_shared_table_match_the_stencils_own(kind):
+    # the table cross_checks(40) builds, against one over the stencil's
+    # own distinct |offsets|, through one degree past the highest checked
+    shared = _power_table(range(80), 82)
+    for n in range(1, 41):
+        stencil = weights.build(kind, n)
+        own = _power_table(sorted({abs(o) for o in stencil.offsets}), 2 * n + 2)
+        assert _scaled_residuals(stencil, 2 * n + 2, shared) == \
+            _scaled_residuals(stencil, 2 * n + 2, own), n
+
+
+def test_exactness_check_of_sparse_far_offsets_stays_small():
+    # the powers of the stencil's own three |offsets| only: a table over
+    # every base up to 10**6 would take tens of megabytes
+    stencil = weights.Stencil(
+        kind=StencilKind.CENTRAL_FIRST, n=1, derivative_order=1,
+        offsets=(-10 ** 6, 0, 10 ** 6), weights=(F(-1, 2), F(1, 7), F(1, 2)),
+        prefactor=F(1, 10 ** 6))
+    tracemalloc.start()
+    try:
+        report = exactness_check(stencil, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    got = (report.max_exact_degree, report.first_failing_degree, report.residuals)
+    assert got == _fraction_exactness(stencil, 1)
+
+
+@pytest.mark.parametrize("max_degree", range(5))
+def test_exactness_of_a_stencil_without_taps_matches_fraction_reference(max_degree):
+    # every sum is empty: only the d! term at degree d = 2 is left
+    stencil = weights.Stencil(kind=StencilKind.CENTRAL_SECOND, n=0, derivative_order=2,
+                              offsets=(), weights=(), prefactor=F(3))
+    report = exactness_check(stencil, max_degree)
+    got = (report.max_exact_degree, report.first_failing_degree, report.residuals)
+    assert got == _fraction_exactness(stencil, max_degree)
 
 
 _RATIONALS = st.one_of(st.just(F(0)), st.fractions(-100, 100, max_denominator=10 ** 4))
