@@ -6,18 +6,21 @@ are skipped). Weight-to-float conversion is correctly rounded and the
 per-application accumulation runs from the smallest |offset| outward, so
 antisymmetric cancellations (e.g. on the alternating Nyquist signal) are
 bit-exact. Half-point differentiation is correctly rounded: each value is
-computed in float double-double arithmetic and kept where an error bound
+computed in float double-double arithmetic, with each weight a
+double-double over the exact divisor 2h, and kept where an error bound
 proves it is the exact value rounded once; every other value, and every
-value for n > 8, comes from the exact route, which scales samples, weights
-and h to integers and rounds one int quotient. The float route's split,
-TwoSum and TwoProduct are those of `_eft`, which the table renderer's
-float text shares.
+value of a rule whose weights leave the float route's range (n >= 478),
+comes from the exact route, which scales samples, weights and h to
+integers and rounds one int quotient. The float route's split, TwoSum and
+TwoProduct are those of `_eft`, which the table renderer's float text
+shares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -136,14 +139,12 @@ class _CompiledRule:
         return values
 
 
-# the certified half-point route: up to n = 8, D and every a(k) have at
-# most 41 bits, which its range conditions assume (|a(k)·d| < 2^1002); a
-# larger n keeps the exact route. The conditions, on the samples, on |s|
-# and on 2·D·h, are proved in _HalfPointRule's docstring
-_CERTIFIED_MAX_N = 8
-_SAMPLE_MIN, _SAMPLE_MAX = 2.0 ** -969, 2.0 ** 960
-_SUM_MIN = 2.0 ** -800
-_DIVISOR_MIN, _DIVISOR_MAX = 2.0 ** -60, 2.0 ** 80
+# the certified half-point route's range conditions, proved in
+# _HalfPointRule's docstring: split's range, and 2^-968, the least |w_hi|,
+# nonzero |p| and |q0·2h| the route takes (u²·2^-968 = 2^-1074, the least
+# subnormal), and the least |q0|
+_SPLIT_MIN, _SPLIT_MAX = 2.0 ** -1022, 2.0 ** 995
+_TINY, _QUOTIENT_MIN = 2.0 ** -968, 2.0 ** -900
 
 
 def _within_half_gap(q, deviation):
@@ -155,58 +156,66 @@ def _within_half_gap(q, deviation):
 
 
 class _HalfPointRule:
-    """half_point(n) as a rule, correctly rounded: with D the common
-    denominator of the weights w(k) over the positive offsets k, the ints
-    a(k) = D·w(k) and g = 2·D·h, each value is V = S / g rounded once, where
-    S = Σ a(k)·(f[i+k] − f[i−k]).
+    """half_point(n) as a rule, correctly rounded: each value is
+    V = S / g rounded once, where S = Σ w(k)·(f[i+k] − f[i−k]) over the
+    positive offsets k and g = 2h, which is exact.
 
-    Up to n = 8 (_CERTIFIED_MAX_N) a certified float route computes each
-    value and keeps it where it is provably V rounded. Every other index,
-    and every index for a larger n, takes the exact route (`exact`) in one
-    call; that route is also the tests' reference. With u = 2^-53,
-    γ_m = m·u/(1 − m·u) (Higham, Accuracy and Stability, §2–§4) and
-    P = Σ|p| below, the route and its bound at one index:
+    A certified float route computes each value and keeps it where it is
+    provably V rounded. Every other index takes the exact route (`exact`)
+    in one call; that route is also the tests' reference. Each weight is
+    a double-double: w_hi = fl(w) and w_lo = fl(w − w_hi), taken from the
+    exact Fraction, so |w_lo| <= u·|w_hi| and w − w_hi − w_lo = δ with
+    |δ| <= u²·|w_hi| (for |w_hi| >= 2^-968, where rounding w − w_hi to a
+    subnormal costs 2^-1075 <= u²·|w_hi| at most). With u = 2^-53,
+    η = 2^-1074, γ_m = m·u/(1 − m·u) (Higham, Accuracy and Stability,
+    §2–§4) and P = Σ|p| below, the route and its bound at one index:
 
-    1. The sum. TwoSum splits f[i+k] − f[i−k] into d + e, TwoProduct a·d
-       into p + π, both exactly, and c = fl(a·e) errs by at most u·|c|. A
+    1. The sum. TwoSum splits f[i+k] − f[i−k] into d + e, TwoProduct
+       d·w_hi into p + π, both exactly, with |e| <= u·|d| and
+       |π| <= u·|p|. Then w·(d + e) = p + π + w_hi·e + w_lo·d + w_lo·e
+       + δ·(d + e). c = fl(fl(w_hi·e) + fl(w_lo·d)), two terms of at most
+       u·|p| each, errs by at most 4u²·|p| + η, which is 5u²·|p| since
+       |p| >= 2^-968 = η/u² where d is nonzero (each product may underflow
+       by η/2), and the last two terms, left out, are at most 2u²·|p|. A
        cascade of TwoSums (Sum2's first stage: Ogita, Rump & Oishi,
        SIAM J. Sci. Comput. 26, 2005) adds the p into s, with errors q and
        Σp = s + Σq exactly; σ is the float sum of the N = 3n − 1 small
        terms q, π and c. Since |q_j| <= u·|s_j| <= u·(1+u)^(j−1)·P,
-       Σ|q| <= γ_(n−1)·P; |π| <= u·|p|, and |e| <= u·|d| gives
-       |c| <= u·(1+u)²·|p|. The small terms thus sum to at most
-       (n+1)·u·P, σ errs by at most γ_(N−1) times that (Higham (4.3)), and
-       rounding the c costs u²·P in all:
-       |S − (s + σ)| <= ((3n − 2)(n + 1) + 1)·u²·P.
-    2. The residual. g = g_hi + g_lo exactly, TwoProduct's pair for 2D·h
-       (2D < 2^54 and h are floats, and in the route's range no product
-       of their halves underflows), with |g_lo| <= u·g_hi. From
-       q0 = fl(s / g_hi), TwoProduct q0·g_hi = P' + Π and s − P' exact
-       (Sterbenz), r = (s − P' − Π + σ) − fl(q0·g_lo) is s + σ − q0·g
-       after four roundings, of terms at most u·|s|, u·|s| + |σ|, u·|s|
-       and 2u·|s| + |σ|: it errs by at most 5u²·|s| + 2u·|σ|, which is
-       (2n + 7)·u²·P, and |r| <= (n + 3)·u·P.
-    3. The correction. TwoSum(q0, fl(r / g_hi)) gives q and its rounding
-       error err exactly, and fl(r / g_hi) lies within 2u·|r| / g_hi of
-       r / g, so |V − q − err| <= B = (3n² + 5n + 12)·u²·P / g_hi, each
-       coefficient above holding up to factors 1 + O(n·u).
+       Σ|q| <= γ_(n−1)·P; with |π| <= u·|p| and |c| <= 2u·|p|, the small
+       terms sum to at most (n + 2)·u·P, σ errs by at most γ_(N−1) times
+       that (Higham (4.3)), and
+       |S − (s + σ)| <= ((3n − 2)(n + 2) + 7)·u²·P.
+    2. The residual. From q0 = fl(s / g), TwoProduct q0·g = P' + Π and
+       s − P' exact (Sterbenz), r = (s − P' − Π) + σ is s + σ − q0·g
+       after two roundings, of terms at most u·|s| and u·|s| + |σ|: it
+       errs by at most 2u²·|s| + u·|σ|, which is (n + 4)·u²·P, and
+       |r| <= (n + 3)·u·P.
+    3. The correction. TwoSum(q0, fl(r / g)) gives q and its rounding
+       error err exactly, and fl(r / g) lies within u·|r| / g + η/2 of
+       r / g, so |V − q − err| <= B = (3n² + 6n + 10)·u²·P / g + η/2,
+       each coefficient above holding up to factors 1 + O(n·u).
     4. The certificate. q is V rounded if |err| + B lies below the
        distance from q to its nearer rounding midpoint, strictly, since V
-       may be a tie (`_within_half_gap`). The float bound
-       fl(Σ|p|)·fl((3n² + 5n + 13)·u² / g_hi) exceeds B: its extra
-       u²·P / g_hi covers the 1 + O(n·u) factors, its own two roundings
-       and an underflow of r / g_hi (2^-1075 at most).
+       may be a tie (`_within_half_gap`); that distance is a float, so a
+       float sum below it is below it exactly. The float bound
+       fl(fl(Σ|p|) / g)·(3n² + 6n + 11)·u² exceeds B: its extra
+       u²·P / g, above 2^-1007, covers the 1 + O(n·u) factors, its own
+       roundings and η/2.
 
-    The range conditions keep the exact steps exact (each intermediate lies
-    on a grid no finer than 2^-1074) and let every other rounding err
-    relatively: samples 0 or 2^-969 <= |f| <= 2^960 (d and e are 0 or
-    normal, and no split, product or sum overflows); a window holding any
-    other sample falls back. |s| >= 2^-800 and 2^-60 <= g_hi <= 2^80 (else
-    the whole call falls back) make q0 and q0·g_lo normal and q0·g_hi's
-    TwoProduct exact. A q0 above 2^995 or infinite makes q NaN, which no
-    certificate keeps. Zero, subnormal and overflowing values thus fall
-    back, and the exact route gives their sign of zero, their underflow
-    and its ValueError.
+    The range conditions keep the exact steps exact (the products' halves
+    lose no bits to underflow, and nothing overflows) and let every other
+    rounding err relatively, or by η/2 where stated. The whole call takes
+    the exact route unless every |w_hi| >= 2^-968 (half_point's least
+    weight falls below it from n = 478 on), Σ|w_hi| <= 2 and g lies in
+    split's range 2^-1022..2^995. A window falls back if it holds a sample
+    above 2^994 in magnitude or a nonzero d with |p| < 2^-968. Otherwise
+    |d| <= 2^995 (split's range), p, s, σ and Σ|p| stay below 2^997, and
+    each nonzero d is normal, with d·w_hi's exponents summing to −970 or
+    more. A value falls back unless max(2^-900, 2^-968 / g) <= |q0| <=
+    2^995: then q0 lies in split's range, |q0·g| > 2^-969 makes q0·g's
+    TwoProduct exact, and fl(Σ|p|) / g and the bound are normal. Zero,
+    subnormal and overflowing values thus fall back, and the exact route
+    gives their sign of zero, their underflow and its ValueError.
     """
 
     def __init__(self, n: int):
@@ -214,19 +223,22 @@ class _HalfPointRule:
         self.label = f"half-point({n})"
         self.min_offset, self.max_offset = self.stencil.offsets[0], self.stencil.offsets[-1]
         positive = [(k, w) for k, w in self.stencil.nodes if k > 0]
+        # the exact route's ints a(k) = D·w(k), D the weights' common denominator
         self.D = math.lcm(*(w.denominator for _, w in positive))
         self.scaled = [(k, w.numerator * (self.D // w.denominator)) for k, w in positive]
-        # (k, a(k) and its halves) for the certified route, and its bound's coefficient
-        self.halves = ([(k, float(a), *split(float(a))) for k, a in self.scaled]
-                       if n <= _CERTIFIED_MAX_N else None)
-        self.bound_coefficient = (3 * n * n + 5 * n + 13) * 2.0 ** -106
+        # (k, w_hi and its halves, w_lo) for the certified route, unless a
+        # weight leaves its range; and its bound's coefficient
+        highs = [(k, w, float(w)) for k, w in positive]
+        magnitudes = [abs(hi) for _, _, hi in highs]
+        self.weights = ([(k, hi, *split(hi), float(w - Fraction(hi))) for k, w, hi in highs]
+                        if min(magnitudes) >= _TINY and sum(magnitudes) <= 2 else None)
+        self.bound_coefficient = (3 * n * n + 6 * n + 11) * 2.0 ** -106
 
     def apply_range(self, signal: SampledSignal, start: int, stop: int) -> np.ndarray:
         """The values at indices start..stop-1, all of whose sample indices
         must lie in the signal. Raises ValueError when a value leaves the
         floats."""
-        # D is a float only up to n = 8, so 2·D·h is formed only there
-        if self.halves is None or not _DIVISOR_MIN <= 2.0 * self.D * signal.h <= _DIVISOR_MAX:
+        if self.weights is None or not _SPLIT_MIN <= 2.0 * signal.h <= _SPLIT_MAX:
             return self.exact(signal, np.arange(start, stop))
         values, kept = self._certified(signal, start, stop)
         missed = np.flatnonzero(~kept)
@@ -236,29 +248,32 @@ class _HalfPointRule:
 
     def _certified(self, signal: SampledSignal, start: int, stop: int):
         """The certified route's values at indices start..stop-1 and where
-        each is kept (see the class docstring), for n <= 8 and 2·D·h in
-        the route's range."""
+        each is kept (see the class docstring), for weights and 2h in the
+        route's range."""
         count, reach = stop - start, self.max_offset
-        g_hi = 2.0 * self.D * signal.h
-        g_lo = two_product(2.0 * self.D, signal.h, *split(signal.h))[1]
+        g = 2.0 * signal.h
         window = signal.samples[start - reach:stop + reach]
         with np.errstate(over="ignore", invalid="ignore"):
             s = sigma = total = 0.0
-            for k, a, a_hi, a_lo in self.halves:
+            tiny = False
+            for k, w_hi, hi, lo, w_lo in self.weights:
                 d, e = two_sum(window[reach + k:reach + k + count],
                                -window[reach - k:reach - k + count])
-                p, pi = two_product(d, a, a_hi, a_lo)
+                p, pi = two_product(d, w_hi, hi, lo)
                 s, q = two_sum(s, p)
-                sigma = sigma + (q + (pi + a * e))
-                total = total + np.abs(p)
-            q0 = s / g_hi
-            product, pi = two_product(q0, g_hi, *split(g_hi))
-            r = (s - product - pi + sigma) - q0 * g_lo
-            q, err = two_sum(q0, r / g_hi)
-            bound = total * (self.bound_coefficient / g_hi)
-            kept = _within_half_gap(q, np.abs(err) + bound) & (np.abs(s) >= _SUM_MIN)
-            magnitude = np.abs(window)
-            outside = (magnitude > _SAMPLE_MAX) | ((magnitude < _SAMPLE_MIN) & (magnitude > 0))
+                sigma = sigma + (q + (pi + (w_hi * e + w_lo * d)))
+                magnitude = np.abs(p)
+                total = total + magnitude
+                tiny = tiny | ((magnitude < _TINY) & (d != 0))
+            q0 = s / g
+            product, pi = two_product(q0, g, *split(g))
+            r = s - product - pi + sigma
+            q, err = two_sum(q0, r / g)
+            bound = total / g * self.bound_coefficient
+            magnitude = np.abs(q0)
+            kept = (_within_half_gap(q, np.abs(err) + bound) & ~tiny
+                    & (magnitude >= max(_QUOTIENT_MIN, _TINY / g)) & (magnitude <= _SPLIT_MAX))
+            outside = np.abs(window) > _SPLIT_MAX / 2
             if outside.any():
                 kept &= np.convolve(outside, np.ones(2 * reach + 1, bool), "valid") == 0
         return q, kept
@@ -266,32 +281,22 @@ class _HalfPointRule:
     def exact(self, signal: SampledSignal, indices: np.ndarray) -> np.ndarray:
         """The values at the given ascending indices (at least one), all of
         whose sample indices must lie in the signal, in exact rational
-        arithmetic: each sample needed is scaled by their common denominator
-        S (a power of two) to an int F, h = hp/hq, and each value is the int
-        quotient Σ a(k)·(F[i+k] − F[i−k])·hq / (2·D·S·hp), correctly
-        rounded. A run of indices converts its whole window and reads
-        slices; scattered indices convert only the samples they read, in a
-        window no wider than their span. Raises ValueError when a value
-        leaves the floats."""
+        arithmetic: each sample they read is scaled by the common
+        denominator S of those samples (a power of two) to an int F,
+        h = hp/hq, and each value is the int quotient
+        Σ a(k)·(F[i+k] − F[i−k])·hq / (2·D·S·hp), correctly rounded.
+        Raises ValueError when a value leaves the floats."""
         reach = self.max_offset
-        low = indices[0] - reach
-        local = indices - low
-        stop = local[-1] + 1
-        window = signal.samples[low:low + stop + reach]
-        run = stop - reach == len(indices)
-        needed = slice(None)
-        if not run:
-            needed = np.zeros(len(window), bool)
-            for k, _ in self.scaled:
-                needed[local + k] = needed[local - k] = True
+        local = indices - indices[0] + reach
+        window = signal.samples[indices[0] - reach:indices[-1] + reach + 1]
+        needed = np.zeros(len(window), bool)
+        for k, _ in self.scaled:
+            needed[local + k] = needed[local - k] = True
         ratios = [v.as_integer_ratio() for v in window[needed].tolist()]
         S = math.lcm(*{q for _, q in ratios})
         F = np.empty(len(window), dtype=object)
         F[needed] = np.array([p * (S // q) for p, q in ratios], dtype=object)
-
-        def at(k):
-            return F[reach + k:stop + k] if run else F[local + k]
-        total = sum(a * (at(k) - at(-k)) for k, a in self.scaled)
+        total = sum(a * (F[local + k] - F[local - k]) for k, a in self.scaled)
         hp, hq = signal.h.as_integer_ratio()
         try:
             values = total * hq / (2 * self.D * S * hp)
@@ -373,8 +378,8 @@ def differentiate_half_point(signal: SampledSignal, n: int, index: int) -> float
     first-moment cancellation on linear alternating envelopes is bit-exact.
     One value is computed in exact rational arithmetic (_HalfPointRule's
     exact route), which for a single index is cheaper than the certified
-    float route that differentiate_half_point_signal runs for n <= 8; both
-    give the same bits.
+    float route that differentiate_half_point_signal runs; both give the
+    same bits.
     """
     rule = _HalfPointRule(n)
     _check_reads(signal, rule, index)
@@ -383,13 +388,14 @@ def differentiate_half_point(signal: SampledSignal, n: int, index: int) -> float
 
 def differentiate_half_point_signal(signal: SampledSignal, n: int) -> DerivativeResult:
     """differentiate_half_point at every index where the odd-offset stencil
-    fits; the 2n-1 indices at each edge are skipped (NaN). For n <= 8 a
-    float double-double route gives each value where its result is certain:
-    where the result's own rounding error plus the bound
-    (3n² + 5n + 12)·u²·Σ|a(k)·(f[i+k] − f[i−k])| / (2·D·h) on the rest
-    (u = 2^-53, a(k) = D·w(k) the weights as ints) lies strictly below the
-    distance from the result to its nearer rounding midpoint. Elsewhere,
-    and for n > 8, exact rational arithmetic gives it (see _HalfPointRule)."""
+    fits; the 2n-1 indices at each edge are skipped (NaN). A float
+    double-double route, each weight w(k) held as w_hi + w_lo, gives each
+    value where its result is certain: where the result's own rounding
+    error plus the bound (3n² + 6n + 10)·u²·Σ|p| / (2h) + 2^-1075 on the
+    rest (u = 2^-53, p = fl(w_hi·fl(f[i+k] − f[i−k]))) lies strictly below
+    the distance from the result to its nearer rounding midpoint. Elsewhere,
+    and for a whole call whose weights or 2h leave the route's range, exact
+    rational arithmetic gives it (see _HalfPointRule)."""
     return _apply_where_it_fits(signal, 1, _HalfPointRule(n))
 
 

@@ -3,20 +3,24 @@ bit for bit.
 
     python tests/check_half_point.py [--count N] [--seed S]
 
-Runs from any directory. For each n = 1..8 it draws N (default 40,000)
-windows of each of three kinds of random 64-bit sample patterns, and the
-edge families of `edge_signals`, and compares
+Runs from any directory. For each n = 1..40 and n = 60, 100 and 300 it
+draws random windows of each of three kinds of random 64-bit sample
+patterns, and the edge families of `edge_signals`, and compares
 `differentiate_half_point_signal` with the exact route
 (`_HalfPointRule.exact`) at every index, as `.view(np.uint64)`:
 
 - any finite float, with h >= 2·Σ|w(k)|, so that no value overflows;
-- exponents anywhere in the route's sample range 2^-969..2^960;
+- exponents anywhere in 2^-969..2^960, where products d·w_hi near the
+  bottom fall below the route's 2^-968;
 - exponents within 2^±8 of a drawn scale, where nearly every value is
   certified.
 
-h is dyadic in every other chunk of 10^4 windows and non-dyadic in the
-others. Exits 1 naming the first index whose value differs, or prints one
-summary line with the count of values that fell back to the exact route.
+Each n up to 8 takes N (default 40,000) windows of each kind and the full
+edge families; each larger n takes the share (8/n)² of them, which keeps
+its cost, growing as n² per window, near n = 8's. h is dyadic in every
+other chunk of 10^4 windows and non-dyadic in the others. Exits 1
+naming the first index whose value differs, or prints the count of values
+that fell back to the exact route for each n and a summary line.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 from stencil_spectra.signals import (SampledSignal, _HalfPointRule,  # noqa: E402
                                      differentiate_half_point_signal)
+from stencil_spectra.weights import half_point  # noqa: E402
 
 CHUNK = 10 ** 4
-MAX_N = 8
+N_VALUES = [*range(1, 41), 60, 100, 300]
 
 
 def _patterns(rng: np.random.Generator, count: int, exponents: tuple[int, int] | None):
@@ -67,7 +72,7 @@ def _spacing(rng: np.random.Generator, dyadic: bool, low: float, high: float) ->
 def random_signals(rng: np.random.Generator, n: int, count: int):
     """(kind, signal) chunks of the three random kinds, `count` windows each."""
     reach = 2 * n - 1
-    bound = 2 * sum(abs(a) for _, a in _HalfPointRule(n).scaled) / _HalfPointRule(n).D
+    bound = float(sum(abs(w) for _, w in half_point(n).nodes))  # 2·Σ|w(k)| over k > 0
     for kind, exponents, h_range in (("any finite float", None, (bound, 2.0 ** 30)),
                                      ("route range", (-969, 960), (2.0 ** -20, 2.0 ** 20)),
                                      ("close exponents", (-8, 8), (2.0 ** -20, 2.0 ** 20))):
@@ -82,12 +87,11 @@ def random_signals(rng: np.random.Generator, n: int, count: int):
 def _midpoint_samples(n: int, h: float, targets: list[Fraction]) -> np.ndarray:
     """Samples whose half-point value at index (reach + 2)·j + reach is
     targets[j] to within 2^-106 relative: f at that index ± 1 is the
-    difference target·2·D·h / a(1) as a float pair, and every other sample
-    is 1.0, which the index's other offsets cancel."""
-    rule = _HalfPointRule(n)
-    reach, width = rule.max_offset, rule.max_offset + 2
+    difference target·2h / w(1) as a float pair, and every other sample is
+    1.0, which the index's other offsets cancel."""
+    reach, width = 2 * n - 1, 2 * n + 1
     samples = np.ones(width * len(targets) + reach)
-    scale = 2 * rule.D * Fraction(h) / rule.scaled[0][1]
+    scale = 2 * Fraction(h) / dict(half_point(n).nodes)[1]
     for j, target in enumerate(targets):
         difference = target * scale
         high = float(difference)
@@ -96,16 +100,17 @@ def _midpoint_samples(n: int, h: float, targets: list[Fraction]) -> np.ndarray:
     return samples
 
 
-def edge_signals(rng: np.random.Generator, n: int):
-    """(kind, signal) for the edge families:
+def edge_signals(rng: np.random.Generator, n: int, share: float = 1.0):
+    """(kind, signal) for the edge families, the first `share` of each:
     - values at and near rounding midpoints: for 300 random floats q
       (exponents -700..700) and 1.0, 1.5 and 0.1, each midpoint to either
       neighbour and the midpoint plus 1 and 3 times gap·2^-s either way for
       s = 30, 50, 53, 56, 60, the gap being the one the midpoint halves;
       1.0's lower midpoint lies just below a power of two;
-    - samples drawn from ±0, subnormals, 2^-1022, the route's sample range
-      edges 2^-969 and 2^960 and their neighbours, 2^995, 2^1023, the
-      largest float and small integers, with h >= 2·Σ|w(k)|."""
+    - 10^4 samples drawn from ±0, subnormals, 2^-1022, the route's least
+      product 2^-968 and its greatest sample 2^994 and their neighbours
+      outside, 2^995, 2^1023, the largest float and small integers, with
+      h >= 2·Σ|w(k)|."""
     qs = np.concatenate([[1.0, 1.5, 0.1], _patterns(rng, 300, (-700, 700))]).tolist()
     targets = []
     for q in qs:
@@ -115,16 +120,18 @@ def edge_signals(rng: np.random.Generator, n: int):
             targets.append(midpoint)
             targets += [midpoint + j * gap / 2 ** s
                         for s in (30, 50, 53, 56, 60) for j in (-3, -1, 1, 3)]
+    targets = targets[:max(1, round(len(targets) * share))]
     for h in (0.5, 0.001, _spacing(rng, False, 2.0 ** -10, 2.0 ** 10)):
         yield "midpoints", SampledSignal(h=h, samples=_midpoint_samples(n, h, targets))
-    specials = np.array([0.0, 5e-324, 1e-310, 2.0 ** -1022, 2.0 ** -969,
-                         math.nextafter(2.0 ** -969, 0), 2.0 ** 960,
-                         math.nextafter(2.0 ** 960, math.inf), 2.0 ** 995, 2.0 ** 1023,
+    specials = np.array([0.0, 5e-324, 1e-310, 2.0 ** -1022, 2.0 ** -968,
+                         math.nextafter(2.0 ** -968, 0), 2.0 ** 994,
+                         math.nextafter(2.0 ** 994, math.inf), 2.0 ** 995, 2.0 ** 1023,
                          1.7976931348623157e308, 1.0, 3.0])
     specials = np.concatenate([specials, -specials])
     for dyadic in (True, False):
         h = _spacing(rng, dyadic, 4 * n, 2.0 ** 20)
-        yield "specials", SampledSignal(h=h, samples=rng.choice(specials, CHUNK))
+        size = max(4 * n, round(CHUNK * share))
+        yield "specials", SampledSignal(h=h, samples=rng.choice(specials, size))
 
 
 def mismatch(signal: SampledSignal, n: int) -> tuple[str | None, int]:
@@ -159,21 +166,27 @@ def mismatch(signal: SampledSignal, n: int) -> tuple[str | None, int]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=40_000,
-                        help="random windows of each kind per n (default: 40,000)")
+                        help="random windows of each kind for each n up to 8 (default: 40,000)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
     checked = fallbacks = 0
-    for n in range(1, MAX_N + 1):
-        for kind, signal in [*edge_signals(rng, n), *random_signals(rng, n, args.count)]:
-            found, fell_back = mismatch(signal, n)
+    for n in N_VALUES:
+        share = min(1.0, (8 / n) ** 2)
+        count = max(1, round(args.count * share))
+        values = fell_back = 0
+        for kind, signal in [*edge_signals(rng, n, share), *random_signals(rng, n, count)]:
+            found, missed = mismatch(signal, n)
             if found:
                 print(f"{kind}: {found}", file=sys.stderr)
                 return 1
-            checked += len(signal) - 2 * (2 * n - 1)
-            fallbacks += fell_back
-    print(f"{checked} half-point values for n = 1..{MAX_N} match the exact route bit for bit; "
-          f"{fallbacks} fell back to it (seed {args.seed}, numpy {np.__version__})")
+            values += len(signal) - 2 * (2 * n - 1)
+            fell_back += missed
+        print(f"n = {n}: {values} values, {fell_back} fell back", flush=True)
+        checked += values
+        fallbacks += fell_back
+    print(f"{checked} half-point values for n = 1..40, 60, 100 and 300 match the exact route "
+          f"bit for bit; {fallbacks} fell back to it (seed {args.seed}, numpy {np.__version__})")
     return 0
 
 

@@ -1,7 +1,7 @@
 """The error-free transformations of `_eft`: each pair sums exactly to the
 value it splits, adds or multiplies, for Python floats and float64 arrays
 alike, over the ranges the half-point route and the float text use. The
-route's own use, its divisor's residual, is tested in test_signals.py."""
+route itself is tested in test_signals.py."""
 
 import math
 from fractions import Fraction
@@ -27,10 +27,10 @@ def _hex(values):
 
 
 _MANTISSAS = st.integers(2 ** 52, 2 ** 53 - 1)
-# the integer weights a(k) = D·w(k) of the certified route, with up to
-# 41 bits, and the powers of ten 10^0..10^46 of the float text, whose
-# splits the callers make beforehand
-_WEIGHTS = sorted({float(a) for n in range(1, 9) for _, a in _HalfPointRule(n).scaled})
+# the weights' high parts w_hi of the certified route for n <= 40, from
+# 2^-87.8 to 2^0.35 in magnitude, and the powers of ten 10^0..10^46 of the
+# float text, whose splits the callers make beforehand
+_WEIGHTS = sorted({w_hi for n in range(1, 41) for _, w_hi, *_ in _HalfPointRule(n).weights})
 _POWERS = [float(10 ** k) for k in range(47)]
 
 
@@ -40,39 +40,40 @@ def _any(exponents):
                      exponents, st.booleans())
 
 
-# split's range 2^-1022..2^995: the samples' differences of the route
-# (2^-969..2^961), its quotient q0 (up to 2^995) and 2·D·h, and the
-# float text's |v| (1e-29..1e16), and the constants above
+# split's range 2^-1022..2^995: the route's sample differences d (up to
+# 2^995), its quotient q0 (2^-900..2^995) and its divisor 2h (all of
+# split's range), the float text's |v| (1e-29..1e16), and the constants
+# above
 _SPLIT_INPUTS = st.one_of(_any(st.integers(-1022, 995)),
                           st.sampled_from([0.0, -0.0, *_WEIGHTS, *_POWERS]))
 
 # pairs (x, y) whose exponents sum to -970 or more and to 1,000 or less,
 # so that no partial product underflows or overflows: any such pair, and
 # the callers' products, each with its own ranges:
-# - a difference d (2^-969..2^961) times a weight a(k);
-# - q0 (2^-880..2^995) times 2·D·h (2^-60..2^80);
-# - 2D (D of n = 1..8) times h (2D·h in 2^-60..2^80);
+# - a difference d (up to 2^995) times a weight w_hi, their exponents
+#   summing to -970 or more (the route's |p| >= 2^-968);
+# - q0 (2^-900..2^995) times 2h (2^-1022..2^995), their exponents summing
+#   to -970 or more and below 997 (|q0·2h| > 2^-969, and near |s| < 2^997);
 # - the float text's |v| (1e-29..1e16) times 10^k, below 2^60
 _PRODUCTS = st.one_of(
     st.tuples(st.integers(-969, 995), st.integers(-969, 995))
     .filter(lambda e: -970 <= sum(e) <= 1000)
     .flatmap(lambda e: st.tuples(_any(st.just(e[0])), _any(st.just(e[1])))),
-    st.tuples(_any(st.integers(-969, 960)), st.sampled_from(_WEIGHTS)),
-    st.tuples(st.integers(-880, 995), st.integers(-60, 79)).filter(lambda e: sum(e) <= 1000)
+    st.sampled_from(_WEIGHTS).flatmap(lambda w: st.tuples(
+        _any(st.integers(-969 - math.frexp(w)[1], 994)), st.just(w))),
+    st.tuples(st.integers(-900, 994), st.integers(-1022, 994))
+    .filter(lambda e: -970 <= sum(e) <= 996)
     .flatmap(lambda e: st.tuples(_any(st.just(e[0])), _any(st.just(e[1])))),
-    st.tuples(st.sampled_from([2.0 * _HalfPointRule(n).D for n in range(1, 9)]),
-              st.integers(-60, 79)).flatmap(
-        lambda dg: st.tuples(st.just(dg[0]), _any(st.just(dg[1] - int(dg[0]).bit_length())))),
     st.integers(-30, 15).flatmap(
         lambda E: st.tuples(st.floats(10.0 ** E, 10.0 ** (E + 1), exclude_max=True),
                             st.just(float(10 ** (16 - E))))),
 )
 
 # TwoSum's operands: any two floats whose sum stays below 2^1023, the
-# route's samples, and subnormal and tiny floats
+# route's normal samples (up to 2^994), and subnormal and tiny floats
 _ADDENDS = st.one_of(
     st.tuples(st.floats(-(2.0 ** 1020), 2.0 ** 1020), st.floats(-(2.0 ** 1020), 2.0 ** 1020)),
-    st.tuples(_any(st.integers(-969, 960)), _any(st.integers(-969, 960))),
+    st.tuples(_any(st.integers(-1022, 994)), _any(st.integers(-1022, 994))),
     st.tuples(_any(st.integers(-1074, -1000)), _any(st.integers(-1074, -900))),
 )
 

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stencil_spectra import weights
-from stencil_spectra._eft import split, two_product
 from stencil_spectra.signals import (
     SKIPPED,
     BoundaryError,
@@ -474,35 +473,48 @@ def exact_calls(monkeypatch):
 
 # floats of mixed exponents that the certified route takes; and these
 # mixed with any float and the edges of the route's sample range:
-# subnormals, ±0, 2^-969 and 2^960, and values near 2^1023 whose split
-# would overflow
+# subnormals, ±0, 2^-968, 2^994 and its neighbour above, and values near
+# 2^1023 whose split would overflow. Each case is (samples, n), with 4n − 1
+# to 4n + 8 samples: one to ten interior indices
 _MIXED_EXPONENTS = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-40, 40))
-_ROUTE_SAMPLES = st.one_of(
-    st.lists(_MIXED_EXPONENTS, min_size=31, max_size=40),
-    st.lists(st.one_of(
-        _MIXED_EXPONENTS,
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.0 ** -969, -(2.0 ** -970), 2.0 ** 960,
-                         -(2.0 ** 961), 2.0 ** 1023, -1.7976931348623157e308])),
-        min_size=31, max_size=40),
-)
-# dyadic h on both sides of the route's range of 2·D·h, and non-dyadic h
+_ANY_SAMPLE = st.one_of(
+    _MIXED_EXPONENTS,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.0 ** -968, -(2.0 ** -969), 2.0 ** 994,
+                     -math.nextafter(2.0 ** 994, math.inf), 2.0 ** 1023,
+                     -1.7976931348623157e308]))
+_ROUTE_CASES = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.one_of(*(st.lists(element, min_size=4 * n - 1, max_size=4 * n + 8)
+                for element in (_MIXED_EXPONENTS, _ANY_SAMPLE))),
+    st.just(n)))
+# dyadic h near 1 and across split's range of 2h (2^-1022..2^995), and
+# non-dyadic h
 _ROUTE_SPACING = st.one_of(
     st.builds(math.ldexp, st.just(1.0), st.integers(-110, 90)),
+    st.builds(math.ldexp, st.just(1.0), st.integers(-1074, 1000)),
     st.floats(1e-3, 1e3),
     st.sampled_from([0.001, 0.1, 0.3, 5e-324, 2.0 ** 1000]),
 )
 _SPLIT_OVERFLOW = [0.0] * 14 + [-(2.0 ** 959), 0.0, 2.0 ** 959] + [0.0] * 14
+# the first n whose least weight, 2^-969.2, lies below the route's 2^-968
+_FIRST_UNCERTIFIED_N = 478
+
+
+def _smooth_samples(points):
+    return make_signal(Sinusoid(1.0, 0.5), 0.001, points).samples.tolist()
 
 
 @settings(max_examples=400, deadline=None)
-@given(samples=_ROUTE_SAMPLES, h=_ROUTE_SPACING, n=st.integers(1, 8))
-@example(samples=[1.0, 2.0, 1.0], h=0.5, n=1)  # an exact zero: +0.0
-@example(samples=[5e-324, 0.0, 0.0], h=2.0, n=1)  # -2^-1076 underflows to -0.0
-@example(samples=[-1.7e308, 0.0, 1.7e308], h=0.25, n=1)  # overflow: the ValueError
-@example(samples=_SPLIT_OVERFLOW, h=2.0 ** -46, n=8)  # q0 near 2^1005: its split overflows
-@example(samples=_SPLIT_OVERFLOW, h=2.0 ** -100, n=8)  # q0 overflows to inf
-def test_certified_half_point_is_the_exact_route(samples, h, n):
+@given(case=_ROUTE_CASES, h=_ROUTE_SPACING)
+@example(case=([1.0, 2.0, 1.0], 1), h=0.5)  # an exact zero: +0.0
+@example(case=([5e-324, 0.0, 0.0], 1), h=2.0)  # -2^-1076 underflows to -0.0
+@example(case=([-1.7e308, 0.0, 1.7e308], 1), h=0.25)  # overflow: the ValueError
+@example(case=(_SPLIT_OVERFLOW, 8), h=2.0 ** -46)  # q0 near 2^1005, above split's range
+@example(case=(_SPLIT_OVERFLOW, 8), h=2.0 ** -100)  # q0 overflows to inf
+@example(case=(_smooth_samples(1203), 300), h=0.001)
+@example(case=(_smooth_samples(4 * _FIRST_UNCERTIFIED_N + 1), _FIRST_UNCERTIFIED_N), h=0.001)
+def test_certified_half_point_is_the_exact_route(case, h):
+    samples, n = case
     signal = SampledSignal(h=h, samples=samples)
     rule = _HalfPointRule(n)
     interior = np.arange(rule.max_offset, len(samples) - rule.max_offset)
@@ -540,13 +552,13 @@ def test_within_half_gap_is_strict_and_takes_the_smaller_gap():
 
 
 def test_certificate_bound_is_the_derived_sum():
-    # _HalfPointRule's docstring: the sum's (3n − 2)(n + 1) + 1, the
-    # residual's 2n + 7 and the correction's 2(n + 3), plus 1 for the
-    # 1 + O(n·u) factors and the bound's own roundings, times u² = 2^-106.
-    # The true error is far below the bound on every input the tests can
-    # build, so no value would show a smaller coefficient
-    for n in range(1, 9):
-        derived = (3 * n - 2) * (n + 1) + 1 + (2 * n + 7) + 2 * (n + 3) + 1
+    # _HalfPointRule's docstring: the sum's (3n − 2)(n + 2) + 7, the
+    # residual's n + 4 and the correction's n + 3, plus 1 for the
+    # 1 + O(n·u) factors, the bound's own roundings and η/2, times
+    # u² = 2^-106. The true error is far below the bound on every input the
+    # tests can build, so no value would show a smaller coefficient
+    for n in [*range(1, 41), 300]:
+        derived = (3 * n - 2) * (n + 2) + 7 + (n + 4) + (n + 3) + 1
         assert _HalfPointRule(n).bound_coefficient == derived * 2.0 ** -106
 
 
@@ -556,7 +568,8 @@ def _near_midpoints():
     them: each midpoint ("tie"), each midpoint moved a quarter of the gap it
     halves toward q's neighbour, none of which is a power of two
     ("quarter"), and each midpoint plus or minus 1 and 3 times gap·2^-s for
-    30 <= s <= 60 ("near")."""
+    s = 30, 50 and 53 ("near") and s = 56 and 60, far inside the
+    certificate's bound ("within")."""
     for q in (1.0, 1.5, 0.1, -3.0, 1.25 * 2.0 ** -700, 1e250):
         for neighbour in (math.nextafter(q, math.inf), math.nextafter(q, -math.inf)):
             midpoint = (Fraction(q) + Fraction(neighbour)) / 2
@@ -565,16 +578,15 @@ def _near_midpoints():
             yield midpoint + (Fraction(neighbour) - Fraction(q)) / 4, "quarter"
             for s in (30, 50, 53, 56, 60):
                 for j in (-3, -1, 1, 3):
-                    yield midpoint + j * gap / 2 ** s, "near"
+                    yield midpoint + j * gap / 2 ** s, "within" if s >= 56 else "near"
 
 
 def _one_difference_signal(n, h, target):
     """2·reach + 1 samples whose one half-point value is `target` (a
     Fraction) to within 2^-106 relative: f[reach + 1] − f[reach − 1] is
-    target·2·D·h / a(1) as a float pair, and every other sample is 0."""
-    rule = _HalfPointRule(n)
-    reach = rule.max_offset
-    difference = target * 2 * rule.D * Fraction(h) / rule.scaled[0][1]
+    target·2h / w(1) as a float pair, and every other sample is 0."""
+    reach = 2 * n - 1
+    difference = target * 2 * Fraction(h) / weights.half_point(n).nodes[n][1]
     high = float(difference)
     samples = [0.0] * (2 * reach + 1)
     samples[reach + 1], samples[reach - 1] = high, -float(difference - Fraction(high))
@@ -582,66 +594,105 @@ def _one_difference_signal(n, h, target):
 
 
 @pytest.mark.parametrize("h", [0.5, 0.3, 0.001])
-@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 20])
 def test_certified_half_point_near_midpoints(n, h, exact_calls):
+    # a value within about 2^-106 of a midpoint, as every "tie" and
+    # "within" value is (the float pair of its samples rounds the target
+    # that finely), lies inside the certificate's bound, so it takes the
+    # exact route even where the float route's own error is zero
     reach = 2 * n - 1
-    ties = 0
     for target, kind in _near_midpoints():
         signal = _one_difference_signal(n, h, target)
         exact_calls.clear()
         got = differentiate_half_point_signal(signal, n).values[reach]
         assert float(got).hex() == _fraction_half_point(signal, n, reach).hex()
-        value = (Fraction(signal.samples[reach + 1]) - Fraction(signal.samples[reach - 1])) \
-            * weights.half_point(n).nodes[n][1] / (2 * Fraction(h))
-        if kind == "tie" and value == target:
+        if kind in ("tie", "within"):
             assert exact_calls == [1]
-            ties += 1
         elif kind == "quarter":
             assert exact_calls == []
-    assert ties > 0 or n > 1 or h != 0.5
 
 
 @pytest.mark.parametrize("fn", ["sin:omega=1", "sin:omega=2,phase=0.5",
                                 "poly:1,-0.5,0.25,0.125", "poly:0,2,-1"])
 def test_certified_half_point_keeps_every_smooth_value(fn, exact_calls):
     # the signals benchmark's smooth test functions: the certificate keeps
-    # every value, so none takes the exact route
+    # every value, so none takes the exact route, for every n up to 40 and
+    # at n = 300
     signal = make_signal(parse_test_function(fn), 0.001, 2001)
-    for n in range(1, 9):
+    for n in [*range(1, 41), 300]:
         differentiate_half_point_signal(signal, n)
     assert exact_calls == []
 
 
+def _factor(w, product):
+    """The float d nearest product / w whose float product d·w is
+    `product`."""
+    d = product / w
+    while d * w != product:
+        d = math.nextafter(d, math.inf if (d * w < product) == (w > 0) else -math.inf)
+    return d
+
+
+def _two_term_samples(d1, d3):
+    """Seven samples whose n = 2 differences at index 3 are d1 (offset 1)
+    and d3 (offset 3), exactly."""
+    return [0.0, 0.0, 0.0, 0.0, d1, 0.0, d3]
+
+
+# n = 2: p1 = fl(9/8·d1) at 2^-968, the least nonzero |p| the route takes,
+# and just below it, beside a large p3; and s = p1 + p3 = 2^-968 by
+# cancellation at g = 2^-100, so that q0 = s / g is 2^-868 = 2^-968 / g,
+# the least q0 there, and one step of p3 below it
+_P1_AT = _factor(9 / 8, 2.0 ** -968)
+_P1_BELOW = math.nextafter(_P1_AT, 0)
+_P3_WEIGHT = float(dict(weights.half_point(2).nodes)[3])
+_P3_AT = _factor(_P3_WEIGHT, 2.0 ** -968 - 9 * 2.0 ** -960)
+_P3_BELOW = _factor(_P3_WEIGHT, math.nextafter(2.0 ** -968 - 9 * 2.0 ** -960, -math.inf))
 _ORDINARY = [1.0, -3.0, 0.5, 7.0, 2.25, -1.0]
 
 
-@pytest.mark.parametrize("h, samples, fallbacks", [
-    # n = 1: 2·D·h = 2h, at 2^-60 and 2^80, the ends of the route's range,
-    # and just outside them
-    (2.0 ** -61, _ORDINARY, 0), (2.0 ** 79, _ORDINARY, 0),
-    (math.nextafter(2.0 ** -61, 0), _ORDINARY, 4),
-    (math.nextafter(2.0 ** 79, math.inf), _ORDINARY, 4),
-    # samples at the ends of the route's sample range, and just outside:
-    # only the windows that hold such a sample fall back
-    (0.5, [2.0 ** 960, 1.0, -(2.0 ** -969)], 0),
-    (0.5, [math.nextafter(2.0 ** 960, math.inf), 1.0, 1.0], 1),
-    (0.5, [1.0, 1.0, -math.nextafter(2.0 ** -969, 0)], 1),
-    (0.5, [1e-310, *_ORDINARY], 1),
-    # s = f[2] - f[0] at 2^-800, the least |s| the route takes, and below
-    (0.5, [0.0, 5.0, 2.0 ** -800], 0),
-    (0.5, [0.0, 5.0, math.nextafter(2.0 ** -800, 0)], 1),
+@pytest.mark.parametrize("n, h, samples, fallbacks", [
+    # n = 1: q0 = s / 2h at 2^995 and 2^-900, the ends of its range, and
+    # just outside them
+    (1, 2.0 ** -10, [0.0, 1.0, 2.0 ** 986], 0),
+    (1, 2.0 ** -10, [0.0, 1.0, math.nextafter(2.0 ** 986, math.inf)], 1),
+    (1, 0.5, [0.0, 5.0, 2.0 ** -900], 0),
+    (1, 0.5, [0.0, 5.0, math.nextafter(2.0 ** -900, 0)], 1),
+    # samples at 2^994, the end of the route's sample range, and just
+    # above: only the windows that hold such a sample fall back
+    (1, 0.5, [2.0 ** 994, 1.0, -(2.0 ** 994)], 0),
+    (1, 0.5, [math.nextafter(2.0 ** 994, math.inf), *_ORDINARY], 1),
+    # a subnormal sample beside ordinary ones
+    (1, 0.5, [1e-310, *_ORDINARY], 0),
+    # n = 2: |p1| at 2^-968 and below; q0 at 2^-968 / g and below; and
+    # d3 = 0, whose p3 = 0 the route takes
+    (2, 0.5, _two_term_samples(_P1_AT, 1.0), 0),
+    (2, 0.5, _two_term_samples(_P1_BELOW, 1.0), 1),
+    (2, 2.0 ** -101, _two_term_samples(8 * 2.0 ** -960, _P3_AT), 0),
+    (2, 2.0 ** -101, _two_term_samples(8 * 2.0 ** -960, _P3_BELOW), 1),
+    (2, 0.5, _two_term_samples(1.0, 0.0), 0),
 ])
-def test_certified_half_point_ranges_are_inclusive(h, samples, fallbacks, exact_calls):
+def test_certified_half_point_ranges_are_inclusive(n, h, samples, fallbacks, exact_calls):
     signal = SampledSignal(h=h, samples=samples)
-    interior = range(1, len(samples) - 1)
-    result = differentiate_half_point_signal(signal, 1)
+    reach = 2 * n - 1
+    interior = range(reach, len(samples) - reach)
+    result = differentiate_half_point_signal(signal, n)
     assert exact_calls == ([fallbacks] if fallbacks else [])
-    assert _hex(result.values[1:-1]) == _hex([_fraction_half_point(signal, 1, i) for i in interior])
+    assert _hex(result.values[interior.start:interior.stop]) == _hex(
+        [_fraction_half_point(signal, n, i) for i in interior])
+
+
+def test_two_term_cases_sit_on_their_range_ends():
+    # the n = 2 cases above are what they say
+    assert 9 / 8 * _P1_AT == 2.0 ** -968 > 9 / 8 * _P1_BELOW > 0
+    assert 9 / 8 * (8 * 2.0 ** -960) + _P3_WEIGHT * _P3_AT == 2.0 ** -968
+    assert 0 < 9 / 8 * (8 * 2.0 ** -960) + _P3_WEIGHT * _P3_BELOW < 2.0 ** -968
+    assert abs(_P3_WEIGHT * _P3_BELOW) >= 2.0 ** -968
 
 
 def _route_spacings(D):
     """The least and the greatest h whose float 2·D·h lies in 2^-60..2^80,
-    the certified route's range."""
+    the certified route's range while it divided by 2·D·h."""
     low = math.ldexp(1.0, -60) / (2 * D)
     while 2.0 * D * math.nextafter(low, 0) >= 2.0 ** -60:
         low = math.nextafter(low, 0)
@@ -656,77 +707,66 @@ def _route_spacings(D):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_certified_route_takes_every_two_d_h_in_its_range(n, exact_calls):
+def test_certified_route_keeps_its_old_two_d_h_range(n, exact_calls):
     # the least and the greatest h whose float 2·D·h lies in 2^-60..2^80,
-    # which the route takes, and their outer neighbours, which send the
-    # whole call to the exact route; the samples, of a smooth function at
-    # a fine step, differ exactly, so no value lies near a midpoint
+    # every h the route took up to n = 8 while it divided by 2·D·h, and
+    # their outer neighbours: the route takes all four. The samples, of a
+    # smooth function at a fine step, keep every value off the midpoints
     D = _HalfPointRule(n).D
     signal = make_signal(Sinusoid(1.0, 0.5), 0.001, 40)
     interior = range(2 * n - 1, 41 - 2 * n)
     low, high = _route_spacings(D)
-    for h, calls in [(low, []), (high, []), (math.nextafter(low, 0), [len(interior)]),
-                     (math.nextafter(high, math.inf), [len(interior)])]:
-        exact_calls.clear()
+    for h in (low, high, math.nextafter(low, 0), math.nextafter(high, math.inf)):
         scaled = SampledSignal(h=h, samples=signal.samples)
         result = differentiate_half_point_signal(scaled, n)
-        assert exact_calls == calls
         assert _hex(result.values[interior.start:interior.stop]) == _hex(
             [_fraction_half_point(scaled, n, i) for i in interior])
+    assert exact_calls == []
 
 
-def test_divisor_residual_is_the_exact_fraction_residual():
-    # the certified route's g_lo = 2·D·h − fl(2·D·h), from TwoProduct, is
-    # the residual it once took in Fraction arithmetic, for every n it
-    # certifies, at both ends of its range of 2·D·h and just inside them,
-    # and for non-dyadic h (0.1, 1/3 and 0.3 scaled by powers of two) in
-    # the binades at each end. 2D has at most 16 significant bits, so its
-    # low half is 0, and so are the two TwoProduct terms that take it
-    for n in range(1, 9):
-        D = _HalfPointRule(n).D
-        low, high = _route_spacings(D)
-        spacings = [low, math.nextafter(low, math.inf), high, math.nextafter(high, 0)]
-        for base in (0.1, 1 / 3, 0.3):
-            for end in (-60, 79):
-                h = math.ldexp(base, end - math.frexp(2.0 * D * base)[1] + 1)
-                assert 2.0 ** end <= 2.0 * D * h < 2.0 ** (end + 1)
-                spacings.append(h)
-        for h in spacings:
-            g_hi, g_lo = two_product(2.0 * D, h, *split(h))
-            assert g_hi == 2.0 * D * h
-            assert g_lo.hex() == float(2 * D * Fraction(h) - Fraction(g_hi)).hex()
-            assert Fraction(g_hi) + Fraction(g_lo) == 2 * D * Fraction(h)
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 20, 40])
+def test_certified_route_takes_every_two_h_in_split_range(n, exact_calls):
+    # 2h at 2^-1022 and 2^995, the ends of split's range, which the route
+    # takes, and just outside them, which send the whole call to the exact
+    # route; the samples are scaled by 2^-500 and 2^200, so that every q0
+    # lies in its range
+    points = 4 * n + 20
+    interior = range(2 * n - 1, points - 2 * n + 1)
+    smooth = np.array(_smooth_samples(points))
+    for h, scale, calls in [(2.0 ** -1023, 2.0 ** -500, []),
+                            (math.nextafter(2.0 ** -1023, 0), 2.0 ** -500, [len(interior)]),
+                            (2.0 ** 994, 2.0 ** 200, []),
+                            (math.nextafter(2.0 ** 994, math.inf), 2.0 ** 200, [len(interior)])]:
+        exact_calls.clear()
+        signal = SampledSignal(h=h, samples=smooth * scale)
+        result = differentiate_half_point_signal(signal, n)
+        assert exact_calls == calls
+        assert _hex(result.values[interior.start:interior.stop]) == _hex(
+            [_fraction_half_point(signal, n, i) for i in interior])
 
 
-@pytest.mark.parametrize("n", [9, 10])
-def test_half_point_above_eight_takes_only_the_exact_route(n, exact_calls):
-    # D has 51 bits at n = 9 and 58 at n = 10, beyond the certified route
-    signal = make_signal(Sinusoid(1.0, 0.5), 0.001, 101)
-    reach = 2 * n - 1
-    result = differentiate_half_point_signal(signal, n)
-    assert exact_calls == [101 - 2 * reach]
-    assert _hex(result.values[reach:101 - reach]) == _hex(
-        [_fraction_half_point(signal, n, i) for i in range(reach, 101 - reach)])
-
-
-def test_half_point_at_large_n_takes_the_exact_route(exact_calls):
-    # D has 2,039 bits at n = 300, so 2·D·h is no float: the span and the
-    # one index go straight to the exact route
-    signal = make_signal(Sinusoid(1.0, 0.5), 0.001, 1201)
-    result = differentiate_half_point_signal(signal, 300)
+def test_half_point_past_the_weight_range_takes_the_exact_route(exact_calls):
+    # n = 477's least weight is 2^-967.2, n = 478's 2^-969.2, below the
+    # route's 2^-968: there the span and the one index go straight to the
+    # exact route
+    assert _HalfPointRule(_FIRST_UNCERTIFIED_N - 1).weights is not None
+    assert _HalfPointRule(_FIRST_UNCERTIFIED_N).weights is None
+    reach = 2 * _FIRST_UNCERTIFIED_N - 1
+    signal = make_signal(Sinusoid(1.0, 0.5), 0.001, 2 * reach + 3)
+    result = differentiate_half_point_signal(signal, _FIRST_UNCERTIFIED_N)
     assert exact_calls == [3]
-    want = _fraction_half_point(signal, 300, 600)
-    assert result.values[600].hex() == want.hex()
-    assert differentiate_half_point(signal, 300, 600).hex() == want.hex()
+    want = _fraction_half_point(signal, _FIRST_UNCERTIFIED_N, reach + 1)
+    assert result.values[reach + 1].hex() == want.hex()
+    assert differentiate_half_point(signal, _FIRST_UNCERTIFIED_N, reach + 1).hex() == want.hex()
 
 
 def test_one_half_point_value_takes_the_exact_route(exact_calls):
     # one index gains nothing from the certified route's vector setup
     signal = make_signal(Sinusoid(1.0, 0.5), 0.001, 101)
-    for n in (1, 8):
+    for n in (1, 8, 20):
         assert differentiate_half_point(signal, n, 50) == \
             differentiate_half_point_signal(signal, n).values[50]
-    assert exact_calls == [1, 1]
+    assert exact_calls == [1, 1, 1]
 
 
 def test_exact_route_at_scattered_indices():
@@ -929,6 +969,7 @@ def test_make_signal_centers_origin():
 
 
 def test_sampled_signal_validation():
+    assert SampledSignal(h=0.5, samples=(1.0, 2.0)).x(1) == 0.5  # origin 0 by default
     with pytest.raises(ValueError):
         SampledSignal(h=0.0, samples=(1.0, 2.0), origin=0)
     with pytest.raises(ValueError):
