@@ -62,6 +62,24 @@ whose codes are an integer array in range, all of one length. An int slot
 holds the digits of the value's uint64 magnitude, which covers every
 int64, and a Labels column is encoded once per distinct value and placed
 by each row's code.
+
+A table plans once how each float column renders, from its uint64 bits;
+a whole-column comparison runs only where the first and last values
+agree, so a table that repeats no column pays a few scalar comparisons
+per pair of float columns:
+
+- A column whose bits equal an earlier column's takes that column's slots
+  and lengths: equal bits have equal text.
+- A column of one bit pattern renders its first value once per block, its
+  slot and length broadcast to every row: every row's text is that one.
+- A column whose bits equal an earlier column's with the sign bit cleared
+  takes that column's slots, and its mask drops their leading `-`: the
+  text of |v| is the text of v without its leading `-` in both formats
+  (CSV's v + 0.0 prints 0 for −0.0, and Python prints no sign on a nan),
+  which `tests/check_g17.py` checks on every value it draws.
+
+Only the other columns, and one value of each constant one, go through
+the block's one float text call.
 """
 
 from __future__ import annotations
@@ -127,6 +145,7 @@ _TAIL[:, 1:] += 4 * np.arange(4, dtype=np.uint8)[:, None]
 _WIDTH = 23
 _FALLBACK_WIDTH = 24
 _TAKE = 1024  # values per take of the layout
+_SIGN = np.uint64(1 << 63)  # a float's sign bit
 
 
 def _text(E: int, d: int, shortest: bool) -> bytes:
@@ -270,7 +289,8 @@ def _float_slots(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.nda
     if slow.size:
         fallback = json.dumps if shortest else (lambda v: format(v + 0.0, ".17g"))
         texts = [fallback(v).encode() for v in values[slow].tolist()]
-        slots = np.pad(slots, ((0, 0), (0, _FALLBACK_WIDTH - _WIDTH)))
+        if max(map(len, texts)) > _WIDTH:  # as -2.2250738585072014e-308; nan and ±inf fit
+            slots = np.pad(slots, ((0, 0), (0, _FALLBACK_WIDTH - _WIDTH)))
         for i, text in zip(slow.tolist(), texts):
             slots[i, :len(text)] = np.frombuffer(text, np.uint8)
         lengths[slow] = list(map(len, texts))
@@ -355,9 +375,9 @@ def _column(column, encode: Callable[[str], str]):
 def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
             float_text, skip: int = 0) -> Iterator[str]:
     """The text of a table's rows, one str per block of at most BLOCK_ROWS
-    rows. The columns, and the byte matrix and keep mask with the constant
-    bytes that every block shares, are made here; each block is made only
-    as it is read."""
+    rows. The columns, how each float column renders, and the byte matrix
+    and keep mask with the constant bytes that every block shares, are made
+    here; each block is made only as it is read."""
     specs = [_column(column, encode) for column in columns]
     widths = [width for _, _, width in specs]
     rows, step = len(columns[0]), BLOCK_ROWS
@@ -376,6 +396,28 @@ def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
     # left or (an int's) from the right
     masks = [(np.arange(width) < np.arange(width + 1)[:, None])[:, ::-1 if kind == "int" else 1]
              for kind, _, width in specs]
+    # source[j] = (i, strip): float column j takes column i's text, its own
+    # or an earlier column's, without the leading "-" where strip; the
+    # columns in `constant` render one value per block (see the module
+    # docstring)
+    bits = {j: values.view(np.uint64) for j, (kind, values, _) in enumerate(specs)
+            if kind == "float" and rows}
+    source, constant = {}, set()
+    for j, b in bits.items():
+        for i, (own, strip) in source.items():
+            a = bits[i]
+            if b[0] == a[0] and b[-1] == a[-1] and np.array_equal(a, b):
+                source[j] = own, strip
+                break
+            if (b[0] == a[0] & ~_SIGN and b[-1] == a[-1] & ~_SIGN
+                    and np.array_equal(a & ~_SIGN, b)):
+                source[j] = own, True
+                break
+        else:
+            source[j] = j, False
+            if b[0] == b[-1] and (b == b[0]).all():
+                constant.add(j)
+    rendered = [j for j, (i, _) in source.items() if i == j]
 
     def block(start: int) -> str:
         """Rows start.. in the shared matrix and mask: column i's slot goes
@@ -383,15 +425,18 @@ def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
         keeps the slot's text. The table's first row drops its first `skip`
         bytes."""
         stop = min(start + step, rows)
-        floats = [values[start:stop] for kind, values, _ in specs if kind == "float"]
-        if floats:
-            slots, lengths = float_text(np.concatenate(floats))
+        parts = [specs[j][1][start:start + 1 if j in constant else stop] for j in rendered]
+        if parts:
+            slots, lengths = float_text(np.concatenate(parts))
+        texts, k = {}, 0
+        for j, part in zip(rendered, parts):
+            texts[j] = slots[k:k + len(part)], lengths[k:k + len(part)]
+            k += len(part)
         n = stop - start
-        k = 0
-        for (kind, values, width), col, mask in zip(specs, at, masks):
+        for j, ((kind, values, width), col, mask) in enumerate(zip(specs, at, masks)):
             if kind == "float":
-                slot, length = slots[k:k + n], lengths[k:k + n]
-                k += n
+                i, strip = source[j]
+                slot, length = texts[i]  # one row, broadcast, for a constant column
             elif kind == "int":
                 slot, length = _int_slots(values[start:stop], width)
             else:
@@ -400,6 +445,8 @@ def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
                 slot, length = table.take(block_codes, axis=0), text_lengths.take(block_codes)
             matrix[:n, col:col + slot.shape[1]] = slot
             keep[:n, col:col + width] = mask.take(length, axis=0)
+            if kind == "float" and strip:
+                keep[:n, col] &= slot[:, 0] != ord("-")
         text = str(matrix[:n][keep[:n]], "utf-8")
         return text if start else text[skip:]
 

@@ -7,7 +7,9 @@
 Runs from any directory. It draws N (default 10^7) uniformly random 64-bit
 patterns, N more whose exponent field lies in the fast range
 1e-29 <= |v| < 1e16 (where the digits do not come from Python), and the
-edge families of `edge_values`, and compares both texts on each. Exits 1
+edge families of `edge_values`, and compares both texts on each. On each it
+also checks that Python's text of |v| is that of v without its leading
+"-", in both formats, as a table's column of |v| takes it. Exits 1
 naming the first value whose text differs, or prints one summary line.
 The comparison runs in chunks of 10^5 values; `float_slots` and
 `json_float_slots` are the only code of the program it calls.
@@ -148,11 +150,18 @@ def _g17(v: float) -> str:
 
 def mismatch(values: np.ndarray, make=float_slots, text=_g17) -> str | None:
     """The first value whose slot text (CSV's, or another format's made by
-    `make`) differs from Python's `text`, described."""
+    `make`) differs from Python's `text`, or whose |v| has a Python text
+    other than v's without its leading "-" (the text a table reuses for a
+    column of |v|), described."""
     slots, lengths = make(values)
     keep = np.arange(slots.shape[1]) < lengths[:, None]
     got = np.where(keep, slots, ord("\n")).tobytes().decode()
     expected = [text(v) for v in values.tolist()]
+    magnitudes = list(map(text, np.abs(values).tolist()))
+    if [t.removeprefix("-") for t in expected] != magnitudes:
+        i = next(i for i, (t, a) in enumerate(zip(expected, magnitudes))
+                 if t.removeprefix("-") != a)
+        return f"{float(values[i])!r}: its text is {expected[i]!r}, that of |v| {magnitudes[i]!r}"
     width = slots.shape[1]
     if got == "".join(t.ljust(width, "\n") for t in expected):
         return None
@@ -195,8 +204,8 @@ def main() -> int:
                 print(f"{name}, {form}: {found}", file=sys.stderr)
                 return 1
         checked += len(values)
-    print(f"{checked} values match format(v + 0.0, '.17g') in CSV and json.dumps(v) in JSON "
-          f"(seed {args.seed}, numpy {np.__version__})")
+    print(f"{checked} values match format(v + 0.0, '.17g') in CSV and json.dumps(v) in JSON, "
+          f"and |v| prints as v without its '-' (seed {args.seed}, numpy {np.__version__})")
     return 0
 
 

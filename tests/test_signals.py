@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stencil_spectra import weights
+from stencil_spectra import signals, weights
+from stencil_spectra.cli import run
 from stencil_spectra.signals import (
     SKIPPED,
     BoundaryError,
@@ -767,6 +768,25 @@ def test_one_half_point_value_takes_the_exact_route(exact_calls):
         assert differentiate_half_point(signal, n, 50) == \
             differentiate_half_point_signal(signal, n).values[50]
     assert exact_calls == [1, 1, 1]
+
+
+def test_half_point_rule_is_built_once_per_n(monkeypatch, capsys):
+    # the rule of each recent n is kept: a second call, of either entry,
+    # builds nothing and prints the same bytes
+    signals._half_point_rule.cache_clear()
+    builds = []
+    monkeypatch.setattr(signals, "half_point", lambda n: builds.append(n) or weights.half_point(n))
+    argv = ["diff", "--fn", "sin:omega=1,phase=0.3", "--h", "0.001", "--kind",
+            "half-point-first", "--n", "40", "--points", "400"]
+    outs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert builds == [40] and outs[0] == outs[1]
+    signal = make_signal(Sinusoid(1.0, 0.3), 0.001, 400)
+    row = outs[0].splitlines()[1 + 200].split(",")
+    assert float(row[2]) == differentiate_half_point(signal, 40, 200)
+    assert builds == [40]
 
 
 def test_exact_route_at_scattered_indices():

@@ -1,7 +1,10 @@
 """The JSON float slot: json.dumps(v) byte for byte, float.__repr__ for a
 finite v, on random bit patterns and on the values where its shortest
-digits, its round trip or its layout turn."""
+digits, its round trip or its layout turn; and how a table renders its
+float columns: once each, or from the text of the column it repeats."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stencil_spectra import tableblocks
+from stencil_spectra.cli import run
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from check_g17 import edge_values, json_mismatch, near_half_gaps, shortest_ties  # noqa: E402
@@ -143,3 +147,132 @@ def test_every_layout_row_spells_python_text():
     # the rows these values reach, of the 2 · 46 · 17 = 1,564 of each format
     assert len(_cells(csv_texts, tableblocks._rounded(np.abs(_ROWS))[2])) == 998
     assert len(_cells(_texts(_ROWS), _certain(_ROWS))) == 1552
+
+
+def test_fallback_widens_the_slots_only_for_a_longer_text():
+    # nan and ±inf take Python's text and fit the fast range's 23 bytes;
+    # -2.2250738585072014e-308 takes 24
+    for make in (tableblocks.float_slots, tableblocks.json_float_slots):
+        slots, lengths = make(np.array([1.5, math.nan, -math.inf, 1e300]))
+        assert slots.shape[1] == 23
+        slots, lengths = make(np.array([1.5, math.nan, -2.2250738585072014e-308]))
+        assert slots.shape[1] == 24 and lengths[2] == 24
+        assert bytes(slots[2]) == b"-2.2250738585072014e-308"
+
+
+def _per_row(names, columns, fmt):
+    """The table by json.dumps(indent=2) or csv.writer, one row at a time."""
+    rows = list(zip(*(column.tolist() for column in columns)))
+    if fmt == "json":
+        return json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([format(v + 0.0, ".17g") if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    return buf.getvalue()
+
+
+# the constants a column may hold: the signs of zero, nan and inf, subnormals,
+# the least normal (whose negative takes 24 bytes), and values outside the
+# fast range 1e-29..1e16
+_CONSTANTS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1e-320,
+              2.2250738585072014e-308, -2.2250738585072014e-308, 1e-30, -9.999e-30, 1e16,
+              -1.7976931348623157e308, 1.5, -0.1]
+
+
+@st.composite
+def _repeating_tables(draw):
+    """Float columns that copy, take |·| of, negate or nearly repeat an
+    earlier one, constant columns, and fresh ones, with an int column among
+    them, in tables of 0, 1, BLOCK_ROWS and BLOCK_ROWS + 1 rows."""
+    rows = draw(st.sampled_from([0, 1, tableblocks.BLOCK_ROWS, tableblocks.BLOCK_ROWS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    palette = np.array(draw(st.lists(_VALUES, min_size=1, max_size=6)) + _CONSTANTS)
+
+    def fresh():
+        values = rng.choice(palette, rows)
+        return np.where(rng.random(rows) < 0.5, np.negative(values), values)
+
+    columns = [fresh()]
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["copy", "abs", "negative", "constant", "fresh",
+                                     "near copy", "near abs", "near constant"]))
+        earlier = columns[draw(st.integers(0, len(columns) - 1))]
+        if kind == "fresh":
+            column = fresh()
+        elif kind.endswith("constant"):
+            column = np.full(rows, draw(st.sampled_from(_CONSTANTS)))
+        elif kind.endswith("abs"):
+            column = np.abs(earlier)
+        elif kind == "negative":
+            column = np.negative(earlier)
+        else:
+            column = earlier.copy()
+        if kind.startswith("near") and rows > 2:
+            # the same first and last values, and one other bit in between
+            column.view(np.uint64)[draw(st.integers(1, rows - 2))] ^= np.uint64(
+                1 << draw(st.sampled_from([0, 51, 62, 63])))
+        columns.append(column)
+    columns.insert(draw(st.integers(0, len(columns))), np.arange(rows))
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+@settings(max_examples=120, deadline=None)
+@given(_repeating_tables(), st.sampled_from(["csv", "json"]))
+def test_repeated_float_columns_render_as_per_row_text(table, fmt):
+    names, columns = table
+    assert "".join(tableblocks.table(names, columns, fmt)) == _per_row(names, columns, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_float_text_is_made_once_per_distinct_column(monkeypatch, fmt):
+    # how many values each table sends to the float text, one call per
+    # block of 2 rows: a copy, a |·| and a constant take none of their own
+    made = []
+    for name in ("float_slots", "json_float_slots"):
+        make = getattr(tableblocks, name)
+        monkeypatch.setattr(tableblocks, name,
+                            lambda values, make=make: made.append(len(values)) or make(values))
+    monkeypatch.setattr(tableblocks, "BLOCK_ROWS", 2)
+    x = np.array([-1.5, 2.0, -0.0, math.nan, -3.0])
+    near = x.copy()
+    near[2] = 1.0
+    cases = [([x, x.copy()], [2, 2, 1]), ([x, np.abs(x)], [2, 2, 1]),
+             ([x, np.full(5, -0.0)], [3, 3, 2]), ([x, np.full(5, 7.0), np.full(5, 7.0)], [3, 3, 2]),
+             ([x, np.negative(x)], [4, 4, 2]), ([x, near], [4, 4, 2]),
+             ([x, np.abs(near)], [4, 4, 2]), ([np.abs(x), x], [4, 4, 2])]
+    for columns, counts in cases:
+        made.clear()
+        names = [f"c{i}" for i in range(len(columns))]
+        assert "".join(tableblocks.table(names, columns, fmt)) == _per_row(names, columns, fmt)
+        assert made == counts
+
+
+def _texts_csv(values):
+    slots, lengths = tableblocks.float_slots(values)
+    return [bytes(slot[:length]).decode() for slot, length in zip(slots, lengths)]
+
+
+def test_spectrum_formats_each_repeated_column_once(monkeypatch, capsys):
+    # at h = 1 a central-second --part re table's ref_value is all zeros and
+    # its abs_dev is |re_b_conj|: each block formats omega, re_b_conj and
+    # im_b_conj, and one value of the zero column
+    calls = []
+    float_slots = tableblocks.float_slots
+    monkeypatch.setattr(tableblocks, "float_slots",
+                        lambda values: calls.append(values.copy()) or float_slots(values))
+    assert run(["spectrum", "--kind", "central-second", "--n", "8", "--N", "6000",
+                "--part", "re"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    step = tableblocks.BLOCK_ROWS
+    blocks = [(0, step), (step, 3001)]
+    assert [len(values) for values in calls] == [3 * (stop - start) + 1 for start, stop in blocks]
+    for values, (start, stop) in zip(calls, blocks):
+        n = stop - start
+        assert values[-1] == 0.0
+        fields = [[row[j] for row in rows[start:stop]] for j in (1, 2, 3)]
+        assert _texts_csv(values[:3 * n]) == [*fields[0], *fields[1], *fields[2]]
+    assert {row[4] for row in rows} == {"0"}
+    assert [row[5] for row in rows] == [row[2].lstrip("-") for row in rows]
+    assert any(row[2].startswith("-") for row in rows)
