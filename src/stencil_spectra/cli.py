@@ -4,8 +4,9 @@ reports, and figure-reproduction CSV datasets.
 All output is deterministic: identical argv produces byte-identical bytes.
 CSV floats are printed as format(v + 0.0, ".17g"), JSON floats as json's
 shortest round-trip text; rational weights are exact "p/q" strings. The
-tables of `spectrum`, `diff` and `figure`, in either format, are written
-by tableblocks.table, which owns their CSV header and quoting and their
+handlers of `spectrum`, `diff` and `figure` return their tables as names
+and columns, and `run` writes each, in either format, with
+tableblocks.table, which owns their CSV header and quoting and their
 JSON records, and renders their rows in numpy in blocks: a float in
 1e-29 <= |v| < 1e16 gets its 17 digits from an error-free scaling by a
 power of ten, and JSON's shortest digits from the 17 and their fraction;
@@ -122,22 +123,25 @@ def _json_document(header: dict, key: str, records: list[dict]) -> str:
     return "{\n" + "".join(lines) + f"  {escape(key)}: [\n{body}\n  ]\n}}\n"
 
 
-# --- subcommands: each handler returns (chunks of text, exit code) --------
+# --- subcommands ----------------------------------------------------------
 #
-# A handler computes every value before it returns, so that an error exits
-# before any byte is written; only the text of each block of rows is made
-# as it is written.
+# `stencil` and `verify` return (text, exit code) in the format asked for.
+# Every other handler returns its table as (names, columns) and never reads
+# --format: `run` renders it with tableblocks.table, and exits 0. A handler
+# computes every value before it returns, so that an error exits before any
+# byte is written; only the text of each block of rows is made as it is
+# written.
 
 
-def _cmd_stencil(args) -> tuple[Iterable[str], int]:
+def _cmd_stencil(args) -> tuple[str, int]:
     data = weights.stencil_to_dict(weights.build(StencilKind(args.kind), args.n))
     if args.format == "json":
         nodes = data.pop("nodes")
-        return [_json_document(data, "nodes", nodes)], 0
+        return _json_document(data, "nodes", nodes), 0
     header = ("kind", "n", "derivative_order", "h_power", "prefactor")
     lines = ["# " + ",".join(f"{key}={data[key]}" for key in header) + "\n", "offset,weight\n"]
     lines += [f"{node['offset']},{node['weight']}\n" for node in data["nodes"]]
-    return ["".join(lines)], 0
+    return "".join(lines), 0
 
 
 def _default_ref(kind: StencilKind, part: str) -> CurveFamily:
@@ -162,6 +166,17 @@ def _limit_sequence(kind: StencilKind, N: int, M: int | None) -> dict[int, float
     return dict(zip(offsets[:taps].tolist(), coefficients[:taps].tolist()))
 
 
+def _check_reach(kind: StencilKind, ns: list[int], N: int) -> None:
+    """Refuse a stencil of kind at any n of ns whose offsets reach past a
+    length-N embedding (offsets below N/2), before any is built: a large
+    n's weights alone take seconds to make."""
+    for n in ns:
+        if (reach := weights.reach(kind, n)) >= N // 2:
+            raise spectra.EmbeddingOverflowError(
+                f"{kind.value}(n={n}) reaches offset {reach}, which does not fit in a "
+                f"length-{N} embedding (need |m| < N/2)")
+
+
 def _spectrum_columns(spectrum: spectra.FilterSpectrum, ref, part: str, h: float) -> list:
     """Columns r, omega, Re[b*(r)], Im[b*(r)], ref, |part - ref| for
     r = 0..N/2, where ref is the reference column in the units of the
@@ -171,7 +186,7 @@ def _spectrum_columns(spectrum: spectra.FilterSpectrum, ref, part: str, h: float
     return [np.arange(N // 2 + 1), spectra.omega_grid(N, h), re_part, im_part, ref, abs_dev]
 
 
-def _cmd_spectrum(args) -> tuple[Iterable[str], int]:
+def _cmd_spectrum(args) -> tuple[list[str], list]:
     if args.kind and args.n is None:
         raise _Usage("--kind requires --n")
     if args.kind and args.M is not None:
@@ -180,6 +195,7 @@ def _cmd_spectrum(args) -> tuple[Iterable[str], int]:
         raise _Usage("--n applies to --kind stencils only")
     kind = StencilKind(args.kind or args.limit)
     if args.kind:
+        _check_reach(kind, [args.n], args.N)
         source = weights.build(kind, args.n)
     else:
         source = _limit_sequence(kind, args.N, args.M)
@@ -188,11 +204,10 @@ def _cmd_spectrum(args) -> tuple[Iterable[str], int]:
     curve = spectra.ReferenceCurve(family=ref_family, h=args.h)
     # frequency curves carry the transform's measure h
     ref = spectra.reference_column(curve, args.part, args.N, measure=args.h)
-    columns = _spectrum_columns(spectrum, ref, args.part, args.h)
-    return tableblocks.table(_SPECTRUM_COLUMNS, columns, args.format), 0
+    return _SPECTRUM_COLUMNS, _spectrum_columns(spectrum, ref, args.part, args.h)
 
 
-def _cmd_diff(args) -> tuple[Iterable[str], int]:
+def _cmd_diff(args) -> tuple[list[str], list]:
     if args.stencil_file and (args.n is not None or args.kind != "central"
                               or args.order is not None):
         raise _Usage("--stencil-file cannot be combined with --n/--kind/--order")
@@ -217,22 +232,21 @@ def _cmd_diff(args) -> tuple[Iterable[str], int]:
         result = signals.differentiate(signal, args.n or 1, order)
 
     index = np.arange(len(signal))
-    columns = [index, signal.x(index), result.values,
-               tableblocks.Labels(*result.policy_codes())]
-    return tableblocks.table(["index", "x", "value", "policy"], columns, args.format), 0
+    return ["index", "x", "value", "policy"], [index, signal.x(index), result.values,
+                                               tableblocks.Labels(*result.policy_codes())]
 
 
-def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[Iterable[str], int]:
+def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[list[str], list]:
     curve = spectra.ReferenceCurve(family=family, h=args.h)
     ref = spectra.reference_column(curve, part, args.N)
     values, _bounds = spectra.truncated_limit_spectrum_dft_grid(
         family, args.N, args.h, args.M
     )
-    columns = _spectrum_columns(spectra.FilterSpectrum(values), ref, part, args.h)
-    return tableblocks.table(_SPECTRUM_COLUMNS, columns, args.format), 0
+    return _SPECTRUM_COLUMNS, _spectrum_columns(spectra.FilterSpectrum(values), ref, part, args.h)
 
 
-def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[Iterable[str], int]:
+def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[list[str], list]:
+    _check_reach(kind, args.n, args.N)
     curve = spectra.ReferenceCurve(family=_default_ref(kind, part), h=args.h)
     ref = spectra.reference_column(curve, part, args.N)
     blocks = [
@@ -240,11 +254,11 @@ def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[Iterable
                           args.h)
         for n in args.n
     ]
-    columns = [np.repeat(args.n, args.N // 2 + 1), *map(np.concatenate, zip(*blocks))]
-    return tableblocks.table(["n", *_SPECTRUM_COLUMNS], columns, args.format), 0
+    return ["n", *_SPECTRUM_COLUMNS], [np.repeat(args.n, args.N // 2 + 1),
+                                       *map(np.concatenate, zip(*blocks))]
 
 
-def _figure_envelope_demo(args) -> tuple[Iterable[str], int]:
+def _figure_envelope_demo(args) -> tuple[list[str], list]:
     fn = signals.parse_test_function(args.fn)
     if not isinstance(fn, signals.ModulatedAlternating):
         raise _Usage("figure 2b needs an altpoly: test function")
@@ -255,10 +269,9 @@ def _figure_envelope_demo(args) -> tuple[Iterable[str], int]:
     envelope = np.abs(fn.envelope(x))  # the scalar Horner steps, element-wise
     raw = result.values
     even = (index - signal.origin) % 2 == 0
-    columns = [index, x, signal.samples, envelope, -envelope, raw, np.where(even, -raw, raw)]
-    names = ["index", "x", "signal", "envelope_upper", "envelope_lower",
-             "half_point_raw", "half_point_corrected"]
-    return tableblocks.table(names, columns, args.format), 0
+    return (["index", "x", "signal", "envelope_upper", "envelope_lower", "half_point_raw",
+             "half_point_corrected"],
+            [index, x, signal.samples, envelope, -envelope, raw, np.where(even, -raw, raw)])
 
 
 # `cross_checks` reduces a (max-n + 1)**2 integer matrix up front, in
@@ -270,7 +283,7 @@ def _figure_envelope_demo(args) -> tuple[Iterable[str], int]:
 _VERIFY_MAX_N = 100
 
 
-def _cmd_verify(args) -> tuple[Iterable[str], int]:
+def _cmd_verify(args) -> tuple[str, int]:
     if args.max_n > _VERIFY_MAX_N:
         raise ValueError(f"--max-n {args.max_n} is above the limit of {_VERIFY_MAX_N}")
     from . import oracle  # here, so that every other command starts without it
@@ -284,7 +297,7 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
     else:
         lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['check']}: {r['detail']}" for r in results]
         text = "\n".join(lines + [f"{passed}/{len(results)} checks passed"]) + "\n"
-    return [text], 0 if passed == len(results) else 1
+    return text, 0 if passed == len(results) else 1
 
 
 # --- the parser -----------------------------------------------------------
@@ -352,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--M", type=_positive_int,
                    help="taps kept from a limit sequence (default: largest fitting)")
-    p.add_argument("--N", type=_even_int, default=2000)
-    p.add_argument("--h", type=_positive_float, default=1.0)
+    p.add_argument("--N", **_GRID["--N"])
+    p.add_argument("--h", **_GRID["--h"])
     p.add_argument("--embedding", choices=_EMBED_CHOICES,
                    default=EmbeddingMode.HALF_SEQUENCE.value)
     p.add_argument("--ref", choices=_CURVE_CHOICES,
@@ -364,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_diff)
     p.add_argument("--fn", required=True,
                    help="sin:omega=...[,phase=...] | poly:c0,c1,... | altpoly:c0,c1,...")
-    p.add_argument("--h", type=_positive_float, default=1.0)
+    p.add_argument("--h", **_GRID["--h"])
     p.add_argument("--points", type=_positive_int, default=65)
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--order", type=int, choices=[1, 2], help="default: 1")
@@ -404,7 +417,9 @@ def run(argv: list[str]) -> int:
         args = _PARSER.parse_args(argv)
         if args.command in _NUMERIC_COMMANDS:
             _load_numeric()
-        chunks, code = args.handler(args)
+            chunks, code = tableblocks.table(*args.handler(args), args.format), 0
+        else:
+            *chunks, code = args.handler(args)  # chunks: the one text
         _write(chunks, args.out)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

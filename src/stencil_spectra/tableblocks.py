@@ -383,15 +383,17 @@ def _blocks(columns: Sequence, encode: Callable[[str], str], fixed: list[str],
     rows, step = len(columns[0]), BLOCK_ROWS
     if any(len(column) != rows for column in columns):
         raise TypeError(f"a table's columns have one length, not {[*map(len, columns)]}")
-    matrix = np.empty((min(rows, step), sum(map(len, fixed)) + sum(widths)), np.uint8)
-    keep = np.zeros(matrix.shape, bool)
+    # one row's constant bytes and their keep mask, then every row's
+    row = np.zeros(sum(map(len, fixed)) + sum(widths), np.uint8)
+    kept = np.zeros(len(row), bool)
     at, col = [], 0
     for text, width in zip(fixed, [*widths, 0]):
-        matrix[:, col:col + len(text)] = np.frombuffer(text.encode(), np.uint8)
-        keep[:, col:col + len(text)] = True
+        row[col:col + len(text)] = np.frombuffer(text.encode(), np.uint8)
+        kept[col:col + len(text)] = True
         col += len(text)
         at.append(col)
         col += width
+    matrix, keep = np.tile(row, (min(rows, step), 1)), np.tile(kept, (min(rows, step), 1))
     # masks[i][length]: which bytes of column i's field are text, from the
     # left or (an int's) from the right
     masks = [(np.arange(width) < np.arange(width + 1)[:, None])[:, ::-1 if kind == "int" else 1]

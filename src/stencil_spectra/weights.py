@@ -320,6 +320,13 @@ _KIND_BUILDERS = {
 }
 
 
+def reach(kind: StencilKind, n: int) -> int:
+    """The largest offset of build(kind, n), found without building it:
+    2n - 1 for the half-point family, whose offsets are the odd numbers
+    up to it, and n for every other family."""
+    return 2 * n - 1 if kind is StencilKind.HALF_POINT_FIRST else n
+
+
 def build(kind: StencilKind, n: int) -> Stencil:
     """Generate the stencil of the given kind and family parameter n."""
     return _KIND_BUILDERS[kind](n)

@@ -20,8 +20,13 @@ with the qualified name of the function that holds it, and runs nothing.
 Otherwise the repository is copied to a temporary directory, and nothing in
 the tree the tool reads is written. In the copy, SOURCE is rewritten by
 ast.unparse, first unmutated and then once per mutant, and each version runs
-`python -m pytest -x -q -p no:cacheprovider PYTEST_ARGS` with the copy's
-src/ first on the path and no bytecode written. The unmutated run must pass
+`python -m pytest -x -q -p no:cacheprovider --assert=plain PYTEST_ARGS` with
+the copy's src/ first on the path and no bytecode written. A failed test
+ends a mutant's run at once: the copy's root conftest.py loads a Hypothesis
+profile without the shrink and explain phases, and plain asserts spare
+pytest its diff of two whole tables (a failing 2,049-row example, replayed
+from the copy's example database, ran past 200 s with the diff and took
+3 s without it). The unmutated run must pass
 (the tool exits 2 otherwise), and it sets the timeout: three times its time
 plus 10 s. Each mutant prints as killed (a test failed or could not run),
 survived (every test passed) or timeout, and a last line counts each. Exits
@@ -50,6 +55,17 @@ _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mu
 _SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Lt: "<",
             ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
 _KEPT = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
+
+# appended to the copy's root conftest.py: a mutant that a property test
+# catches is killed as soon as the property fails, not after its example
+# is shrunk
+_CONFTEST = """
+from hypothesis import Phase, settings
+
+settings.register_profile("mutate", phases=[phase for phase in Phase
+                                            if phase not in (Phase.shrink, Phase.explain)])
+settings.load_profile("mutate")
+"""
 
 
 def _text(node: ast.AST) -> str:
@@ -138,7 +154,8 @@ def _pytest(copy: str, args: list[str], timeout: float | None):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([os.path.join(copy, "src"),
                                            *filter(None, [os.environ.get("PYTHONPATH")])]))
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "--assert=plain", *args]
     with subprocess.Popen(command, cwd=copy, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT, start_new_session=True) as process:
         try:
@@ -177,6 +194,8 @@ def main(argv: list[str]) -> int:
         copy = os.path.join(scratch, "repo")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_*"))
+        with open(os.path.join(copy, "conftest.py"), "a", encoding="utf-8") as fh:
+            fh.write(_CONFTEST)
         target = os.path.join(copy, relative)
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(ast.unparse(ast.parse(source)))

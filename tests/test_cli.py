@@ -244,9 +244,49 @@ def test_spectrum_limit_oversized_M_is_rejected_before_its_taps(capsys, family, 
     assert run_capture(capsys, [*argv[:-1], str(fitting + 1)])[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure", "2a", "--n", "10000", "--N", "8"],
+    ["figure", "3a", "--n", "1,3,4", "--N", "8"],
+    ["spectrum", "--kind", "central-second", "--n", "3000", "--N", "8"],
+    ["spectrum", "--kind", "half-point-first", "--n", "3", "--N", "10"],
+], ids=["2a", "3a-last-n", "spectrum", "spectrum-half-point"])
+def test_stencil_that_cannot_fit_N_is_refused_before_it_is_built(capsys, monkeypatch, argv):
+    # the check needs only n: a large n's stencil takes seconds to build
+    built = []
+    monkeypatch.setattr(weights, "build", lambda kind, n: built.append(n))
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out, built) == (1, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "does not fit in a length-" in err
+
+
+# the largest n whose offsets lie below N/2 = 8: 2n - 1 = 7, or n = 7
+@pytest.mark.parametrize("command, kind, n", [
+    *[(["spectrum", "--kind", kind.value], kind, 4 if kind is StencilKind.HALF_POINT_FIRST
+       else 7) for kind in StencilKind],
+    (["figure", "2a"], StencilKind.HALF_POINT_FIRST, 4),
+    (["figure", "3b"], StencilKind.ONE_SIDED_FIRST, 7),
+])
+def test_stencil_that_fits_N_at_its_edge_runs_and_the_next_n_is_refused(capsys, command,
+                                                                          kind, n):
+    assert run_capture(capsys, [*command, "--n", str(n), "--N", "16"])[0] == 0
+    code, out, err = run_capture(capsys, [*command, "--n", str(n + 1), "--N", "16"])
+    assert (code, out) == (1, "")
+    assert err == (f"error: {kind.value}(n={n + 1}) reaches offset {weights.reach(kind, n + 1)},"
+                   " which does not fit in a length-16 embedding (need |m| < N/2)\n")
+
+
 def test_spectrum_kind_requires_n(capsys):
     code, _, err = run_capture(capsys, ["spectrum", "--kind", "central-first"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "central-first", "--n", "3", "--M", "7"], "--M applies to --limit sequences only"),
+    (["--limit", "central-first", "--n", "3"], "--n applies to --kind stencils only"),
+])
+def test_spectrum_flag_of_the_other_source_exits_2(capsys, argv, message):
+    assert run_capture(capsys, ["spectrum", *argv]) == (2, "", f"usage error: {message}\n")
 
 
 # --- diff ----------------------------------------------------------------------
@@ -849,6 +889,41 @@ def test_parse_errors_leave_the_parser_as_it_was(capsys):
         assert run_capture(capsys, argv) == (0, alone, "")
 
 
+# --- the handler contract ----------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--kind", "half-point-first", "--n", "3", "--N", "64"],
+    ["spectrum", "--limit", "central-second", "--N", "64", "--part", "re"],
+    ["diff", "--fn", "sin:omega=1", "--h", "0.1", "--n", "2", "--points", "33"],
+    ["figure", "1a", "--N", "64", "--M", "100"],
+    ["figure", "2a", "--N", "64"],
+    ["figure", "2b", "--points", "33"],
+    ["figure", "3b", "--N", "64"],
+], ids=["spectrum-kind", "spectrum-limit", "diff", "1a", "2a", "2b", "3b"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_handler_returns_columns_that_run_renders(capsys, argv, fmt):
+    # a table handler never reads --format: run renders what it returns
+    cli._load_numeric()
+    args = cli._PARSER.parse_args([*argv, "--format", fmt])
+    del args.format
+    names, columns = args.handler(args)
+    code, out, _ = run_capture(capsys, [*argv, "--format", fmt])
+    assert (code, out) == (0, "".join(tableblocks.table(names, columns, fmt)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["stencil", "--kind", "central-first", "--n", "3"],
+    ["stencil", "--kind", "half-point-first", "--n", "2", "--format", "json"],
+    ["verify", "--max-n", "3"],
+    ["verify", "--max-n", "3", "--format", "json"],
+])
+def test_exact_handler_returns_its_text_and_exit_code(capsys, argv):
+    args = cli._PARSER.parse_args(argv)
+    text, code = args.handler(args)
+    assert run_capture(capsys, argv) == (code, text, "")
+
+
 def test_output_is_deterministic(capsys):
     argv = ["spectrum", "--kind", "one-sided-first", "--n", "3", "--N", "128"]
     _, first, _ = run_capture(capsys, argv)
@@ -1067,6 +1142,10 @@ def test_int_array_column_renders_as_ints_and_other_columns_are_rejected(fmt):
     (["--points", "9", "--n", "2", "--order", "2"], "central", 2, 2),
     (["--points", "5", "--n", "3"], "central", 3, 1),  # a skipped middle
     (["--points", "12", "--n", "2", "--kind", "half-point-first"], "half-point-first", 2, 1),
+    # --n defaults to 1 for either kind
+    (["--points", "9"], "central", 1, 1),
+    (["--points", "9", "--order", "2"], "central", 1, 2),
+    (["--points", "12", "--kind", "half-point-first"], "half-point-first", 1, 1),
 ])
 def test_diff_policy_column_is_the_result_policy(capsys, argv, kind, n, order):
     fn, h = "poly:0,1,0.5", 0.25

@@ -473,6 +473,12 @@ def test_build_dispatch():
         assert weights.build(kind, 3).kind is kind
 
 
+@pytest.mark.parametrize("kind", list(StencilKind))
+def test_reach_is_the_largest_built_offset(kind):
+    for n in range(1, 61):
+        assert weights.reach(kind, n) == weights.build(kind, n).offsets[-1]
+
+
 def test_json_round_trip_is_exact():
     for kind in StencilKind:
         s = weights.build(kind, 5)
