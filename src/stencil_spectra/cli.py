@@ -19,8 +19,17 @@ escaper, byte for byte as json.dumps(indent=2) writes them.
 
 The module imports without numpy or `oracle`, so `stencil`, `verify`,
 `--help` and every usage error run on the exact layer alone; `run` loads
-`oracle` when it dispatches `verify`, and numpy, `spectra`, `signals` and
-`tableblocks` when it dispatches `spectrum`, `diff` or `figure`.
+`oracle` when it dispatches `verify`. The handlers of `spectrum`, `diff`
+and `figure` first run every rule that reads no array: their usage
+errors, each stencil's reach against N (`weights.reach`), the taps a
+`--limit` sequence fits, a reference curve's h (`weights.ReferenceCurve`),
+and `diff`'s and `figure 2b`'s `--fn` grammar and grid rule (`sampling`).
+Only then does a handler load numpy, `spectra`, `signals` and
+`tableblocks`, so an argv that one of these rules rejects exits without
+them. A rule that follows an array step (a spectrum's curve h rule, a
+`--stencil-file`, a derivative rule's h**order, a non-finite sample)
+stays after it, so that an argv with a fault in each still reports the
+array step's.
 """
 
 from __future__ import annotations
@@ -152,18 +161,25 @@ def _default_ref(kind: StencilKind, part: str) -> CurveFamily:
     return CurveFamily.LINEAR_RAMP
 
 
-def _limit_sequence(kind: StencilKind, N: int, M: int | None) -> dict[int, float]:
-    """The first M taps of a limit sequence, or every tap that fits in a
-    length-N embedding (offsets below N/2); an M above those is an error
-    before any of its taps is made."""
-    offsets, coefficients = weights.limit_coefficients(kind, N // 2)
-    fitting = int((offsets < N // 2).sum())
+def _limit_taps(kind: StencilKind, N: int, M: int | None) -> int:
+    """How many taps of kind's limit sequence to make: M, or every tap that
+    fits in a length-N embedding (offsets below N/2). The first t taps
+    reach offset weights.reach(kind, t), which grows by one step per tap,
+    so the taps that fit are counted without making any: N/2 - 1 for the
+    central families and N/4 for half-point. An M above them is an error."""
+    first = weights.reach(kind, 1)
+    fitting = (N // 2 - 1 - first) // (weights.reach(kind, 2) - first) + 1
     if not fitting:
         raise ValueError(f"--limit {kind.value} fits no taps at N = {N}: it needs N >= 4")
     if M is not None and M > fitting:
         raise ValueError(f"--limit {kind.value} fits {fitting} taps at N = {N}, not --M {M}")
-    taps = fitting if M is None else M
-    return dict(zip(offsets[:taps].tolist(), coefficients[:taps].tolist()))
+    return fitting if M is None else M
+
+
+def _limit_sequence(kind: StencilKind, taps: int) -> dict[int, float]:
+    """The first taps of kind's limit sequence, offset -> coefficient."""
+    offsets, coefficients = weights.limit_coefficients(kind, taps)
+    return dict(zip(offsets.tolist(), coefficients.tolist()))
 
 
 def _check_reach(kind: StencilKind, ns: list[int], N: int) -> None:
@@ -172,7 +188,7 @@ def _check_reach(kind: StencilKind, ns: list[int], N: int) -> None:
     n's weights alone take seconds to make."""
     for n in ns:
         if (reach := weights.reach(kind, n)) >= N // 2:
-            raise spectra.EmbeddingOverflowError(
+            raise weights.EmbeddingOverflowError(
                 f"{kind.value}(n={n}) reaches offset {reach}, which does not fit in a "
                 f"length-{N} embedding (need |m| < N/2)")
 
@@ -186,6 +202,11 @@ def _spectrum_columns(spectrum: spectra.FilterSpectrum, ref, part: str, h: float
     return [np.arange(N // 2 + 1), spectra.omega_grid(N, h), re_part, im_part, ref, abs_dev]
 
 
+# A table handler calls _load_numeric only after its rules that read no
+# array (see the module docstring); a rule that follows an array step stays
+# after it.
+
+
 def _cmd_spectrum(args) -> tuple[list[str], list]:
     if args.kind and args.n is None:
         raise _Usage("--kind requires --n")
@@ -196,15 +217,26 @@ def _cmd_spectrum(args) -> tuple[list[str], list]:
     kind = StencilKind(args.kind or args.limit)
     if args.kind:
         _check_reach(kind, [args.n], args.N)
-        source = weights.build(kind, args.n)
+        make_source = partial(weights.build, kind, args.n)
     else:
-        source = _limit_sequence(kind, args.N, args.M)
-    spectrum = spectra.dft_spectrum(source, args.N, EmbeddingMode(args.embedding))
+        make_source = partial(_limit_sequence, kind, _limit_taps(kind, args.N, args.M))
+    _load_numeric()
+    spectrum = spectra.dft_spectrum(make_source(), args.N, EmbeddingMode(args.embedding))
     ref_family = CurveFamily(args.ref) if args.ref else _default_ref(kind, args.part)
-    curve = spectra.ReferenceCurve(family=ref_family, h=args.h)
+    curve = weights.ReferenceCurve(family=ref_family, h=args.h)
     # frequency curves carry the transform's measure h
     ref = spectra.reference_column(curve, args.part, args.N, measure=args.h)
     return _SPECTRUM_COLUMNS, _spectrum_columns(spectrum, ref, args.part, args.h)
+
+
+def _sample(fn, args):
+    """fn sampled at --points points spaced --h, centred, once the grid
+    passes its rule; only then does the numeric layer load."""
+    from . import sampling
+
+    sampling.check_grid(args.h, args.points)
+    _load_numeric()
+    return signals.make_signal(fn, args.h, args.points)
 
 
 def _cmd_diff(args) -> tuple[list[str], list]:
@@ -214,9 +246,9 @@ def _cmd_diff(args) -> tuple[list[str], list]:
     order = args.order or 1
     if args.kind == StencilKind.HALF_POINT_FIRST.value and order != 1:
         raise _Usage("half-point differentiation supports --order 1 only")
-    fn = signals.parse_test_function(args.fn)
-    signal = signals.make_signal(fn, args.h, args.points)
+    from . import sampling  # here, so that importing the CLI does not load it
 
+    signal = _sample(sampling.parse_test_function(args.fn), args)
     if args.stencil_file:
         with open(args.stencil_file, "r", encoding="utf-8") as fh:
             try:
@@ -237,7 +269,8 @@ def _cmd_diff(args) -> tuple[list[str], list]:
 
 
 def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[list[str], list]:
-    curve = spectra.ReferenceCurve(family=family, h=args.h)
+    curve = weights.ReferenceCurve(family=family, h=args.h)
+    _load_numeric()
     ref = spectra.reference_column(curve, part, args.N)
     values, _bounds = spectra.truncated_limit_spectrum_dft_grid(
         family, args.N, args.h, args.M
@@ -247,7 +280,8 @@ def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[list[str]
 
 def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[list[str], list]:
     _check_reach(kind, args.n, args.N)
-    curve = spectra.ReferenceCurve(family=_default_ref(kind, part), h=args.h)
+    curve = weights.ReferenceCurve(family=_default_ref(kind, part), h=args.h)
+    _load_numeric()
     ref = spectra.reference_column(curve, part, args.N)
     blocks = [
         _spectrum_columns(spectra.dft_spectrum(weights.build(kind, n), args.N), ref, part,
@@ -259,10 +293,12 @@ def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[list[str
 
 
 def _figure_envelope_demo(args) -> tuple[list[str], list]:
-    fn = signals.parse_test_function(args.fn)
-    if not isinstance(fn, signals.ModulatedAlternating):
+    from . import sampling
+
+    fn = sampling.parse_test_function(args.fn)
+    if not isinstance(fn, sampling.ModulatedAlternating):
         raise _Usage("figure 2b needs an altpoly: test function")
-    signal = signals.make_signal(fn, args.h, args.points)
+    signal = _sample(fn, args)
     result = signals.differentiate_half_point_signal(signal, args.n)
     index = np.arange(len(signal))
     x = signal.x(index)
@@ -416,8 +452,9 @@ def run(argv: list[str]) -> int:
     try:
         args = _PARSER.parse_args(argv)
         if args.command in _NUMERIC_COMMANDS:
-            _load_numeric()
-            chunks, code = tableblocks.table(*args.handler(args), args.format), 0
+            # the handler loads tableblocks with the rest of the numeric layer
+            names, columns = args.handler(args)
+            chunks, code = tableblocks.table(names, columns, args.format), 0
         else:
             *chunks, code = args.handler(args)  # chunks: the one text
         _write(chunks, args.out)
@@ -426,7 +463,7 @@ def run(argv: list[str]) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    # spectra's EmbeddingOverflowError and CurveDomainError are ValueErrors
+    # weights' EmbeddingOverflowError and spectra's CurveDomainError are ValueErrors
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import weights
 from ._eft import split, two_product, two_sum
+# the test functions, their grammar and the grid rule live in sampling,
+# which imports without numpy, and pass through here
+from .sampling import (ModulatedAlternating, Polynomial, Sinusoid, check_grid,
+                       parse_test_function)
 from .weights import (Stencil, StencilKind, central_first, central_second, half_point,
                       limit_coefficients, one_sided_first)
 
@@ -49,15 +54,7 @@ class SampledSignal:
         samples = np.array(self.samples, dtype=float)
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        if not 0 < self.h < math.inf:
-            raise ValueError(f"h={self.h} must be a positive finite float")
-        if len(samples) < 2:
-            raise ValueError("need at least two samples")
-        if not 0 <= self.origin < len(samples):
-            raise ValueError("origin must index into the samples")
-        reach = max(self.origin, len(samples) - 1 - self.origin)
-        if not math.isfinite(reach * self.h):
-            raise ValueError(f"h={self.h}: x = {reach}*h at the far end overflows the floats")
+        check_grid(self.h, len(samples), self.origin)
         if not np.isfinite(samples).all():
             index = int(np.argmin(np.isfinite(samples)))
             raise ValueError(f"sample {index} is {samples[index].item()}: samples must be finite")
@@ -329,11 +326,11 @@ def _apply_where_it_fits(signal: SampledSignal, order: int, rule) -> DerivativeR
     return _apply_spans(signal, order, [span])
 
 
-def _check_reads(signal: SampledSignal, rule, index: int) -> None:
-    """BoundaryError naming the outermost sample index the rule would read
-    outside the signal at index."""
+def _check_reads(signal: SampledSignal, min_offset: int, max_offset: int, index: int) -> None:
+    """BoundaryError naming the outermost sample index that a rule reading
+    offsets min_offset..max_offset would read outside the signal at index."""
     length = len(signal)
-    for j in (index + rule.min_offset, index + rule.max_offset):
+    for j in (index + min_offset, index + max_offset):
         if not 0 <= j < length:
             raise BoundaryError(f"stencil needs sample index {j}, outside 0..{length - 1}")
 
@@ -341,7 +338,7 @@ def _check_reads(signal: SampledSignal, rule, index: int) -> None:
 def apply_stencil_at(signal: SampledSignal, stencil: Stencil, index: int) -> float:
     """Evaluate one stencil at one sample index."""
     rule = _CompiledRule(stencil)
-    _check_reads(signal, rule, index)
+    _check_reads(signal, rule.min_offset, rule.max_offset, index)
     return float(rule.apply_range(signal, index, index + 1)[0])
 
 
@@ -385,11 +382,11 @@ def differentiate_half_point(signal: SampledSignal, n: int, index: int) -> float
     One value is computed in exact rational arithmetic (_HalfPointRule's
     exact route), which for a single index is cheaper than the certified
     float route that differentiate_half_point_signal runs; both give the
-    same bits.
+    same bits. The reads are checked before the rule is built.
     """
-    rule = _half_point_rule(n)
-    _check_reads(signal, rule, index)
-    return float(rule.exact(signal, np.array([index]))[0])
+    reach = weights.reach(StencilKind.HALF_POINT_FIRST, n)
+    _check_reads(signal, -reach, reach, index)
+    return float(_half_point_rule(n).exact(signal, np.array([index]))[0])
 
 
 def differentiate_half_point_signal(signal: SampledSignal, n: int) -> DerivativeResult:
@@ -401,7 +398,11 @@ def differentiate_half_point_signal(signal: SampledSignal, n: int) -> Derivative
     rest (u = 2^-53, p = fl(w_hi·fl(f[i+k] − f[i−k]))) lies strictly below
     the distance from the result to its nearer rounding midpoint. Elsewhere,
     and for a whole call whose weights or 2h leave the route's range, exact
-    rational arithmetic gives it (see _HalfPointRule)."""
+    rational arithmetic gives it (see _HalfPointRule). A signal of fewer
+    than 4n - 1 samples fits no index, and no rule is built for it: the
+    rule's cost grows about as n^2.8."""
+    if len(signal) <= 2 * weights.reach(StencilKind.HALF_POINT_FIRST, n):
+        return _apply_spans(signal, 1, [])
     return _apply_where_it_fits(signal, 1, _half_point_rule(n))
 
 
@@ -419,102 +420,12 @@ def alternating_second_derivative_check(M: int, h: float) -> float:
     return float(np.sum(alpha * deltas) / h ** 2)
 
 
-# --- test functions -----------------------------------------------------
-
-
-def _poly_eval(coeffs, x):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_diff(coeffs):
-    return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0.0,)
-
-
-@dataclass(frozen=True)
-class Sinusoid:
-    omega: float
-    phase: float = 0.0
-
-    def sample(self, m: np.ndarray, h: float) -> np.ndarray:
-        """sin(omega * m * h + phase), its argument built in one float
-        array: the same IEEE operations in the same order, without a
-        temporary for each."""
-        t = np.multiply(self.omega, m, dtype=float)
-        t *= h
-        t += self.phase
-        return np.sin(t, out=t)
-
-    def derivative(self, x: float, order: int) -> float:
-        if order == 1:
-            return self.omega * math.cos(self.omega * x + self.phase)
-        return -(self.omega ** 2) * math.sin(self.omega * x + self.phase)
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    coeffs: tuple[float, ...]
-
-    def sample(self, m: np.ndarray, h: float) -> np.ndarray:
-        return _poly_eval(self.coeffs, m * h)
-
-    def derivative(self, x: float, order: int) -> float:
-        c = self.coeffs
-        for _ in range(order):
-            c = _poly_diff(c)
-        return _poly_eval(c, x)
-
-
-@dataclass(frozen=True)
-class ModulatedAlternating:
-    """Samples (-1)**m * g(m h) with a polynomial envelope g: the grid alias
-    of a Nyquist carrier modulated by g."""
-
-    coeffs: tuple[float, ...]
-
-    def envelope(self, x: float) -> float:
-        return _poly_eval(self.coeffs, x)
-
-    def sample(self, m: np.ndarray, h: float) -> np.ndarray:
-        return np.where(m % 2, -1.0, 1.0) * self.envelope(m * h)
-
-
-def parse_test_function(expr: str):
-    """CLI test-function grammar: sin:omega=...[,phase=...], poly:c0,c1,...,
-    altpoly:c0,c1,..."""
-    head, sep, rest = expr.partition(":")
-    if not sep or not rest:
-        raise ValueError(f"malformed test function {expr!r}")
-    if head == "sin":
-        params = {}
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            if not eq or key not in ("omega", "phase"):
-                raise ValueError(f"malformed sinusoid parameter {item!r}")
-            if key in params:
-                raise ValueError(f"sinusoid parameter {key} is given twice")
-            params[key] = float(val)
-        if "omega" not in params:
-            raise ValueError("sinusoid needs omega=")
-        return Sinusoid(**params)
-    coeffs = tuple(float(c) for c in rest.split(","))
-    if head == "poly":
-        return Polynomial(coeffs)
-    if head == "altpoly":
-        return ModulatedAlternating(coeffs)
-    raise ValueError(f"unknown test function family {head!r}")
-
-
 def make_signal(fn, h: float, points: int) -> SampledSignal:
     """Sample a test function on an equidistant grid with its origin at the
     center, index points // 2: fn.sample at the grid indices
-    m = -origin..points-1-origin. A sample that overflows to inf or NaN is
-    left to SampledSignal to reject."""
-    if points < 2:
-        raise ValueError("need at least two points")
-    origin = points // 2
+    m = -origin..points-1-origin, once the grid passes check_grid. A sample
+    that overflows to inf or NaN is left to SampledSignal to reject."""
+    origin = check_grid(h, points)
     with np.errstate(over="ignore", invalid="ignore"):
         samples = fn.sample(np.arange(-origin, points - origin), h)
     return SampledSignal(h=h, samples=samples, origin=origin)

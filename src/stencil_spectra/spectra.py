@@ -33,8 +33,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-# CurveFamily and EmbeddingMode live in weights, which imports without numpy
-from .weights import CurveFamily, EmbeddingMode, Stencil, StencilKind, limit_coefficients
+# CurveFamily, EmbeddingMode, EmbeddingOverflowError and ReferenceCurve live
+# in weights, which imports without numpy, and pass through here
+from .weights import (CurveFamily, EmbeddingMode, EmbeddingOverflowError, ReferenceCurve,
+                      Stencil, StencilKind, limit_coefficients)
 
 # Sign-block bounds fall back to coarse tail estimates past this length.
 _MAX_BLOCK = 4096
@@ -64,10 +66,6 @@ _FOLD_WORKERS = 2
 _TERM_CHUNK = 1 << 14
 
 
-class EmbeddingOverflowError(ValueError):
-    pass
-
-
 class CurveDomainError(ValueError):
     pass
 
@@ -85,28 +83,6 @@ _OMEGA_FAMILIES = {
     CurveFamily.SECOND_DERIV_LIMIT: (StencilKind.CENTRAL_SECOND, np.cos, 1.0 + 0j),
     CurveFamily.HALF_POINT_LIMIT: (StencilKind.HALF_POINT_FIRST, np.sin, -1j),
 }
-
-
-@dataclass(frozen=True)
-class ReferenceCurve:
-    """An analytic curve; an index curve takes N where it is evaluated."""
-
-    family: CurveFamily
-    h: float = 1.0
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        # the largest magnitudes the curves and the omega grid form
-        try:
-            nyquist = math.pi / self.h
-            finite = all(map(math.isfinite, (nyquist, nyquist ** 2, self.h ** 3)))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(
-                f"h={self.h} overflows the curves: pi/h, (pi/h)**2 and h**3 must be finite"
-            )
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ Floating point enters only when a consumer converts a weight for evaluation
 (`limit_coefficients` is that conversion for the infinite-family limits).
 
 The module imports without numpy: only `limit_coefficients` needs it and
-imports it when called. It also holds the names that the CLI parses with
-(`CurveFamily`, `EmbeddingMode`), so that `stencil` and `verify` start
-without numpy; `spectra` re-exports them. Its records are plain frozen classes (`_Record`), not
-dataclasses: importing `dataclasses`, and the `inspect` it loads, took
-about half of this module's import time.
+imports it when called. It also holds the names that the CLI parses and
+checks with before numpy loads: `CurveFamily`, `EmbeddingMode`, `reach`,
+`EmbeddingOverflowError` and `ReferenceCurve`, whose h rule reads no
+array; `spectra` passes all but `reach` through. Its records are plain
+frozen classes (`_Record`), not dataclasses: importing `dataclasses`, and
+the `inspect` it loads, took about half of this module's import time.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ _ZERO = Fraction(0)
 
 class StencilFormatError(ValueError):
     """A stencil dict (e.g. a parsed JSON file) does not describe a stencil."""
+
+
+class EmbeddingOverflowError(ValueError):
+    """A weight sequence reaches past a length-N DFT embedding (|m| >= N/2)."""
 
 
 class StencilKind(Enum):
@@ -139,6 +144,28 @@ class Stencil(_Record):
 
     def label(self) -> str:
         return f"{self.kind.value}(n={self.n})"
+
+
+class ReferenceCurve(_Record):
+    """An analytic curve, evaluated by `spectra`; an index curve takes N
+    where it is evaluated. h must be positive, and pi/h, (pi/h)**2 and
+    h**3, the largest magnitudes the curves and the omega grid form, must
+    be finite."""
+
+    _fields = ("family", "h")
+
+    def __init__(self, family: CurveFamily, h: float = 1.0):
+        if h <= 0:
+            raise ValueError("h must be positive")
+        try:
+            nyquist = math.pi / h
+            finite = all(map(math.isfinite, (nyquist, nyquist ** 2, h ** 3)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"h={h} overflows the curves: pi/h, (pi/h)**2 and h**3 must be finite")
+        self._init(family, h)
 
 
 def harmonic_number(n: int) -> Fraction:

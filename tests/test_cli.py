@@ -276,6 +276,48 @@ def test_stencil_that_fits_N_at_its_edge_runs_and_the_next_n_is_refused(capsys, 
                    " which does not fit in a length-16 embedding (need |m| < N/2)\n")
 
 
+@pytest.mark.parametrize("kind", cli._LIMIT_CHOICES)
+def test_limit_taps_are_counted_without_making_them(monkeypatch, capsys, kind):
+    # the taps that fit, N/2 - 1 or N/4, are those of the first N/2 terms
+    # whose offsets lie below N/2
+    kind = StencilKind(kind)
+    for N in range(2, 400, 2):
+        offsets, _ = weights.limit_coefficients(kind, N // 2)
+        fitting = int((offsets < N // 2).sum())
+        if fitting:
+            assert cli._limit_taps(kind, N, None) == fitting
+            assert cli._limit_taps(kind, N, fitting) == fitting
+        else:
+            with pytest.raises(ValueError, match="fits no taps"):
+                cli._limit_taps(kind, N, None)
+    # and only those taps are made
+    made = []
+    limit_coefficients = weights.limit_coefficients
+    monkeypatch.setattr(weights, "limit_coefficients",
+                        lambda *args: made.append(args) or limit_coefficients(*args))
+    assert run_capture(capsys, ["spectrum", "--limit", kind.value, "--N", "64"])[0] == 0
+    assert made == [(kind, 16 if kind is StencilKind.HALF_POINT_FIRST else 31)]
+
+
+# argvs with two faults, the first found by a step that reads an array and
+# the second by a rule that reads none but follows that step, or with a
+# --fn fault before a grid fault: each prints the line of its first fault
+@pytest.mark.parametrize("argv, err", [
+    (["spectrum", "--kind", "one-sided-first", "--n", "1100", "--N", "4000", "--h", "1e308"],
+     "error: one-sided-first(n=1100): the spectrum at N=4000 overflows the floats\n"),
+    (["diff", "--fn", "poly:0,0,1e300", "--h", "1e200", "--order", "2", "--points", "5"],
+     "error: sample 0 is inf: samples must be finite\n"),
+    (["diff", "--fn", "bogus:1", "--h", "inf", "--points", "5"],
+     "error: unknown test function family 'bogus'\n"),
+    (["figure", "2a", "--n", "1,3000", "--N", "64", "--h", "1e308"],
+     "error: half-point-first(n=3000) reaches offset 5999, which does not fit in a length-64"
+     " embedding (need |m| < N/2)\n"),
+], ids=["spectrum-overflow-before-h", "sample-before-h-power", "fn-before-grid",
+        "reach-before-h"])
+def test_an_argv_with_two_faults_reports_its_first(capsys, argv, err):
+    assert run_capture(capsys, argv) == (1, "", err)
+
+
 def test_spectrum_kind_requires_n(capsys):
     code, _, err = run_capture(capsys, ["spectrum", "--kind", "central-first"])
     assert code == 2
@@ -854,7 +896,13 @@ def test_argparse_error_is_one_usage_line(capsys, argv):
     (["spectrum", "--kind", "central-first", "--n", "2", "--M", "5"], 2,
      "usage error: --M applies to --limit sequences only\n"),
     (["diff", "--fn", "sin:phase=1"], 1, "error: sinusoid needs omega=\n"),
-], ids=["zero-h", "n-list-not-ints", "M-without-limit", "sinusoid-without-omega"])
+    (["diff", "--fn", "poly"], 1, "error: malformed test function 'poly'\n"),
+    (["figure", "2b", "--fn", "altpoly:"], 1, "error: malformed test function 'altpoly:'\n"),
+    (["diff", "--fn", "sin:omega=1,freq=2"], 1, "error: malformed sinusoid parameter 'freq=2'\n"),
+    (["diff", "--fn", "sin:omega"], 1, "error: malformed sinusoid parameter 'omega'\n"),
+], ids=["zero-h", "n-list-not-ints", "M-without-limit", "sinusoid-without-omega",
+        "fn-without-colon", "fn-without-parameters", "sinusoid-unknown-parameter",
+        "sinusoid-parameter-without-value"])
 def test_flag_value_error_is_its_one_stderr_line(capsys, argv, code, err):
     assert run_capture(capsys, argv) == (code, "", err)
 

@@ -366,6 +366,33 @@ def test_half_point_linear_envelope_is_exact(n):
     assert differentiate_half_point(signal, n, origin) == -b
 
 
+def test_half_point_rule_is_built_only_where_an_index_fits(monkeypatch):
+    # below 4n - 1 points no index fits, and no rule is built: building
+    # half-point(4000)'s rule alone took 11 s, and its cost grows about as n^2.8
+    built = []
+    rule = signals._half_point_rule
+    monkeypatch.setattr(signals, "_half_point_rule", lambda n: built.append(n) or rule(n))
+    n = 3
+    short = make_signal(Sinusoid(omega=1.0), 0.5, 4 * n - 2)
+    result = differentiate_half_point_signal(short, n)
+    assert (result.spans, result.policy) == ((), (SKIPPED,) * (4 * n - 2))
+    assert np.isnan(result.values).all()
+    with pytest.raises(BoundaryError, match="^stencil needs sample index 10, outside 0..9$"):
+        differentiate_half_point(short, n, short.origin)
+    assert differentiate_half_point_signal(make_signal(Sinusoid(omega=1.0), 0.5, 5),
+                                           4000).spans == ()
+    with pytest.raises(BoundaryError, match="^stencil needs sample index -7997, outside 0..9$"):
+        differentiate_half_point(short, 4000, 2)
+    assert built == []
+    # at 4n - 1 points one index, the middle one, is served
+    fits = make_signal(Sinusoid(omega=1.0), 0.5, 4 * n - 1)
+    result = differentiate_half_point_signal(fits, n)
+    assert result.spans == ((f"half-point({n})", 2 * n - 1, 2 * n),) and built == [n]
+    assert result.values[2 * n - 1] == differentiate_half_point(fits, n, 2 * n - 1)
+    assert [math.isnan(v) for v in result.values] == [True] * (2 * n - 1) + [False] + [True] * (
+        2 * n - 1)
+
+
 def test_half_point_margin_error():
     signal = linear_signal(points=9)
     with pytest.raises(BoundaryError, match=r"index"):
@@ -994,8 +1021,10 @@ def test_sampled_signal_validation():
         SampledSignal(h=0.0, samples=(1.0, 2.0), origin=0)
     with pytest.raises(ValueError):
         SampledSignal(h=1.0, samples=(1.0,), origin=0)
-    with pytest.raises(ValueError):
-        SampledSignal(h=1.0, samples=(1.0, 2.0), origin=5)
+    for origin in (-1, 2, 5):  # the first index below and above 0..1
+        with pytest.raises(ValueError, match="^origin must index into the samples$"):
+            SampledSignal(h=1.0, samples=(1.0, 2.0), origin=origin)
+    assert SampledSignal(h=1.0, samples=(1.0, 2.0), origin=1).x(0) == -1.0
     for h in (math.inf, math.nan):
         with pytest.raises(ValueError, match=r"must be a positive finite float"):
             SampledSignal(h=h, samples=(1.0, 2.0), origin=0)

@@ -168,7 +168,7 @@ def test_dft_spectrum_matches_per_tap_exp_loop(sequence, mode):
 def test_dense_limit_spectrum_matches_per_tap_exp_loop(N, kind, mode):
     # the `spectrum --limit` sequence at its default length: N/2-1 central
     # taps (gap 1) or N/4 half-point taps (gap 2), whose rows wrap many times
-    taps = cli._limit_sequence(kind, N, None)
+    taps = cli._limit_sequence(kind, cli._limit_taps(kind, N, None))
     values = dft_spectrum(taps, N, mode).values
     assert values[1:].tobytes() == _per_tap_dft(taps, N, mode)[1:N // 2 + 1].tobytes()
 

@@ -75,13 +75,62 @@ def test_exact_commands_give_the_same_bytes_without_numpy(tmp_path):
     assert json.loads(normal_written)["kind"] == "central-first"
 
 
+# one argv per rule that a numeric handler runs before numpy loads, each
+# rejected by that rule alone
+_REJECTED_BEFORE_NUMPY = [
+    # spectrum: its three usage errors, --kind reach, and --limit's fit
+    ["spectrum", "--kind", "central-first", "--N", "64"],
+    ["spectrum", "--kind", "central-first", "--n", "2", "--M", "5"],
+    ["spectrum", "--limit", "central-first", "--n", "3"],
+    ["spectrum", "--kind", "half-point-first", "--n", "17", "--N", "64"],
+    ["spectrum", "--limit", "half-point-first", "--N", "64", "--M", "17"],
+    ["spectrum", "--limit", "central-second", "--N", "2"],
+    # figure 1a/1b: the curve h rule
+    ["figure", "1a", "--h", "1e-320", "--N", "16", "--M", "100"],
+    ["figure", "1b", "--h", "1e308", "--N", "16", "--M", "100"],
+    # figure 2a/3a/3b: reach for each n, then the curve h rule
+    ["figure", "2a", "--n", "1,17", "--N", "64"],
+    ["figure", "3a", "--n", "1,3,5", "--N", "64", "--h", "1e308"],
+    # diff: its usage errors, the --fn grammar and the grid rule
+    ["diff", "--fn", "sin:omega=1", "--stencil-file", "s.json", "--n", "2"],
+    ["diff", "--fn", "sin:omega=1", "--kind", "half-point-first", "--order", "2"],
+    ["diff", "--fn", "bogus:1"],
+    ["diff", "--fn", "sin:phase=1"],
+    ["diff", "--fn", "sin:omega=1,omega=2"],
+    ["diff", "--fn", "poly:1,x"],
+    ["diff", "--fn", "sin:omega=1", "--points", "1"],
+    ["diff", "--fn", "sin:omega=1", "--h", "inf"],
+    ["diff", "--fn", "sin:omega=1", "--h", "1e308", "--points", "5"],
+    # figure 2b: the same, and its altpoly check
+    ["figure", "2b", "--fn", "sin:omega=1"],
+    ["figure", "2b", "--fn", "altpoly"],
+    ["figure", "2b", "--points", "1"],
+    ["figure", "2b", "--h", "inf"],
+    ["figure", "2b", "--h", "1e308", "--points", "5"],
+]
+
+
+def test_numeric_rules_that_read_no_array_run_without_numpy(tmp_path):
+    out_path = tmp_path / "unwritten"
+    out_path.write_text("")
+    argvs = json.dumps(_REJECTED_BEFORE_NUMPY)
+    normal, _, _ = in_child(_CLI_CHILD, "normal", argvs, str(out_path))
+    blocked, _, _ = in_child(_CLI_CHILD, "blocked", argvs, str(out_path))
+    # the same exit code, nothing on stdout and the same one stderr line,
+    # with numpy or without it; and the numeric layer stays unloaded
+    assert [result[:3] for result in blocked] == [result[:3] for result in normal]
+    for (code, out, err, loaded), argv in zip(normal, _REJECTED_BEFORE_NUMPY):
+        assert code in (1, 2) and out == "" and err.count("\n") == 1, argv
+        assert loaded == [], argv
+
+
 # each public name of the package when its root re-exported them -> the
 # module that is now its one home; a submodule's home is the package
 _HOMES = {
     **dict.fromkeys(["oracle", "signals", "spectra", "weights"], "stencil_spectra"),
     **dict.fromkeys([
-        "CurveFamily", "EmbeddingMode", "Stencil", "StencilFormatError",
-        "StencilKind", "build", "central_first", "central_second", "half_point",
+        "CurveFamily", "EmbeddingMode", "EmbeddingOverflowError", "ReferenceCurve", "Stencil",
+        "StencilFormatError", "StencilKind", "build", "central_first", "central_second", "half_point",
         "harmonic_number", "limit_coefficients", "one_sided_first", "one_sided_nth",
         "stencil_from_dict", "stencil_to_dict",
     ], "stencil_spectra.weights"),
@@ -91,23 +140,29 @@ _HOMES = {
         "product_form_one_sided", "solve_moment_system", "vandermonde_det",
     ], "stencil_spectra.oracle"),
     **dict.fromkeys([
-        "CurveDomainError", "DeviationReport", "EmbeddingOverflowError", "FilterSpectrum",
-        "ReferenceCurve", "deviation", "dft_spectrum", "omega_grid", "reference_column",
+        "CurveDomainError", "DeviationReport", "FilterSpectrum",
+        "deviation", "dft_spectrum", "omega_grid", "reference_column",
         "reference_values", "truncated_limit_spectrum", "truncated_limit_spectrum_dft_grid",
     ], "stencil_spectra.spectra"),
     **dict.fromkeys([
-        "BoundaryError", "ConvergenceStudy", "DerivativeResult", "ModulatedAlternating",
-        "Polynomial", "SampledSignal", "Sinusoid", "alternating_second_derivative_check",
-        "apply_stencil", "apply_stencil_at", "convergence_study", "differentiate",
-        "differentiate_half_point", "differentiate_half_point_signal", "make_signal",
-        "parse_test_function",
+        "BoundaryError", "ConvergenceStudy", "DerivativeResult", "SampledSignal",
+        "alternating_second_derivative_check", "apply_stencil", "apply_stencil_at",
+        "convergence_study", "differentiate", "differentiate_half_point",
+        "differentiate_half_point_signal", "make_signal",
     ], "stencil_spectra.signals"),
+    **dict.fromkeys(["ModulatedAlternating", "Polynomial", "Sinusoid", "parse_test_function"],
+                    "stencil_spectra.sampling"),
 }
 
 
-# the names that a module passes through from `weights`, for the callers
-# of spectra's own signatures
-_PASSED_THROUGH = {"CurveFamily": "spectra", "EmbeddingMode": "spectra"}
+# the names that a module passes through from their numpy-free home
+# (`weights` or `sampling`), for the callers of its own signatures
+_PASSED_THROUGH = {
+    **dict.fromkeys(["CurveFamily", "EmbeddingMode", "EmbeddingOverflowError",
+                     "ReferenceCurve"], "spectra"),
+    **dict.fromkeys(["ModulatedAlternating", "Polynomial", "Sinusoid", "parse_test_function"],
+                    "signals"),
+}
 
 
 @pytest.mark.parametrize("name", sorted(_HOMES))

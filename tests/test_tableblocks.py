@@ -173,6 +173,19 @@ def _per_row(names, columns, fmt):
     return buf.getvalue()
 
 
+def _assert_same_table(got, want):
+    """got == want, exactly as strict, but a failure names the first row
+    (line) that differs and its two texts: pytest's diff of two tables of
+    thousands of rows took over 200 s to report."""
+    if got != want:
+        got_rows, want_rows = got.split("\n"), want.split("\n")
+        row = next((i for i, (a, b) in enumerate(zip(got_rows, want_rows)) if a != b),
+                   min(len(got_rows), len(want_rows)))
+        raise AssertionError(f"row {row} differs: got {got_rows[row:row + 1]} of"
+                             f" {len(got_rows)} rows, want {want_rows[row:row + 1]} of"
+                             f" {len(want_rows)}")
+
+
 # the constants a column may hold: the signs of zero, nan and inf, subnormals,
 # the least normal (whose negative takes 24 bytes), and values outside the
 # fast range 1e-29..1e16
@@ -222,7 +235,8 @@ def _repeating_tables(draw):
 @given(_repeating_tables(), st.sampled_from(["csv", "json"]))
 def test_repeated_float_columns_render_as_per_row_text(table, fmt):
     names, columns = table
-    assert "".join(tableblocks.table(names, columns, fmt)) == _per_row(names, columns, fmt)
+    _assert_same_table("".join(tableblocks.table(names, columns, fmt)),
+                       _per_row(names, columns, fmt))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -245,7 +259,8 @@ def test_float_text_is_made_once_per_distinct_column(monkeypatch, fmt):
     for columns, counts in cases:
         made.clear()
         names = [f"c{i}" for i in range(len(columns))]
-        assert "".join(tableblocks.table(names, columns, fmt)) == _per_row(names, columns, fmt)
+        _assert_same_table("".join(tableblocks.table(names, columns, fmt)),
+                           _per_row(names, columns, fmt))
         assert made == counts
 
 
