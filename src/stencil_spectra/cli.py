@@ -14,16 +14,21 @@ nan, ±inf, other magnitudes and roundings or round trips too close to
 their edge to decide that way take Python's text. `stencil` joins its
 `# kind=...` line and its CSV rows as plain text: an int offset and a
 "p/q" weight hold no character that CSV would quote. Its JSON and
-`verify`'s are written directly, every key and string through json's own
-escaper, byte for byte as json.dumps(indent=2) writes them.
+`verify`'s are written directly from named columns (`_json_document`):
+`stencil`'s offsets and weight texts (`weights.stencil_fields`), and
+`verify`'s check names, verdicts and details. Every key and string goes
+through json's own escaper, byte for byte as json.dumps(indent=2) writes
+the records the columns' rows make.
 
 The module imports without numpy or `oracle`, so `stencil`, `verify`,
 `--help` and every usage error run on the exact layer alone; `run` loads
 `oracle` when it dispatches `verify`. The handlers of `spectrum`, `diff`
 and `figure` first run every rule that reads no array: their usage
-errors, each stencil's reach against N (`weights.reach`), the taps a
-`--limit` sequence fits, a reference curve's h (`weights.ReferenceCurve`),
-and `diff`'s and `figure 2b`'s `--fn` grammar and grid rule (`sampling`).
+errors, each stencil's reach against N (`weights.reach` and
+`weights.check_embedding`), the taps a `--limit` sequence fits, a reference
+curve's h (`weights.ReferenceCurve`), `diff`'s and `figure 2b`'s `--fn`
+grammar and grid rule (`sampling`), and a `--N` or `--points` too long
+for any numpy array (`_check_length`).
 Only then does a handler load numpy, `spectra`, `signals` and
 `tableblocks`, so an argv that one of these rules rejects exits without
 them. A rule that follows an array step (a spectrum's curve h rule, a
@@ -106,29 +111,35 @@ _JSON_SCALARS = {str: json.encoder.encode_basestring_ascii, int: str,
                  bool: {True: "true", False: "false"}.__getitem__}
 
 
-def _json_document(header: dict, key: str, records: list[dict]) -> str:
-    """The bytes of json.dumps({**header, key: records}, indent=2) + "\n"
-    for scalar header values and records of scalars (str, int or bool) that
-    share their keys, in one order. They are written directly, since an
-    indent sends json.dumps to its pure-Python encoder: keys and strings go
-    through the escaper json.dumps uses under its default ensure_ascii,
-    ints through str, and every record is one %-template of its fields."""
+def _json_document(header: dict, key: str, names: list[str], columns: list) -> str:
+    """The bytes of json.dumps({**header, key: records}, indent=2) + "\n",
+    the records being the rows of the named columns, each a dict of the
+    names in their order, for scalar header values and column entries (str,
+    int or bool), distinct names and columns of one length. They are
+    written directly, since an indent sends json.dumps to its pure-Python
+    encoder: keys and strings go through the escaper json.dumps uses under
+    its default ensure_ascii, ints through str, and every record is one
+    %-template of its fields, filled from the columns' texts interleaved."""
     escape = json.encoder.encode_basestring_ascii
     scalars = _JSON_SCALARS
+    rows = len(columns[0]) if columns else 0
+    if len(names) != len(columns) or any(len(column) != rows for column in columns):
+        raise ValueError("the columns do not match their names in count and length")
+    if len(set(names)) != len(names):
+        raise ValueError("the column names repeat")
+    values = [None] * (rows * len(names))
     try:
         lines = [f"  {escape(k)}: {scalars[type(v)](v)},\n" for k, v in header.items()]
-        values = tuple([scalars[type(v)](v) for record in records for v in record.values()])
+        for i, column in enumerate(columns):
+            values[i::len(names)] = [scalars[type(v)](v) for v in column]
     except KeyError as exc:
         raise TypeError(f"{exc.args[0].__name__} is not a JSON scalar here") from None
-    if not records:
+    if not rows:
         return "{\n" + "".join(lines) + f"  {escape(key)}: []\n}}\n"
-    fields = list(records[0])
-    if any(list(record) != fields for record in records):
-        raise ValueError("the records do not share their keys in one order")
     # a key's own % doubled, so that only the %s of each value formats
-    record = ("    {\n" + ",\n".join([f"      {escape(k).replace('%', '%%')}: %s"
-                                       for k in fields]) + "\n    }") if fields else "    {}"
-    body = ",\n".join([record] * len(records)) % values
+    record = "    {\n" + ",\n".join([f"      {escape(k).replace('%', '%%')}: %s"
+                                     for k in names]) + "\n    }"
+    body = ",\n".join([record] * rows) % tuple(values)
     return "{\n" + "".join(lines) + f"  {escape(key)}: [\n{body}\n  ]\n}}\n"
 
 
@@ -143,13 +154,14 @@ def _json_document(header: dict, key: str, records: list[dict]) -> str:
 
 
 def _cmd_stencil(args) -> tuple[str, int]:
-    data = weights.stencil_to_dict(weights.build(StencilKind(args.kind), args.n))
+    stencil = weights.build(StencilKind(args.kind), args.n)
+    header, texts = weights.stencil_fields(stencil)
     if args.format == "json":
-        nodes = data.pop("nodes")
-        return _json_document(data, "nodes", nodes), 0
-    header = ("kind", "n", "derivative_order", "h_power", "prefactor")
-    lines = ["# " + ",".join(f"{key}={data[key]}" for key in header) + "\n", "offset,weight\n"]
-    lines += [f"{node['offset']},{node['weight']}\n" for node in data["nodes"]]
+        return _json_document(header, "nodes", ["offset", "weight"],
+                              [stencil.offsets, texts]), 0
+    lines = ["# " + ",".join([f"{key}={value}" for key, value in header.items()]) + "\n",
+             "offset,weight\n"]
+    lines += [f"{o},{text}\n" for o, text in zip(stencil.offsets, texts)]
     return "".join(lines), 0
 
 
@@ -187,10 +199,21 @@ def _check_reach(kind: StencilKind, ns: list[int], N: int) -> None:
     length-N embedding (offsets below N/2), before any is built: a large
     n's weights alone take seconds to make."""
     for n in ns:
-        if (reach := weights.reach(kind, n)) >= N // 2:
-            raise weights.EmbeddingOverflowError(
-                f"{kind.value}(n={n}) reaches offset {reach}, which does not fit in a "
-                f"length-{N} embedding (need |m| < N/2)")
+        weights.check_embedding(f"{kind.value}(n={n})", weights.reach(kind, n), N)
+
+
+# numpy's arrays hold at most sys.maxsize bytes, and the widest values that
+# a request's arrays hold, the complex spectra, take 16 bytes each
+_MAX_LENGTH = sys.maxsize // 16
+
+
+def _check_length(flag: str, value: int) -> None:
+    """Refuse a --N or --points above _MAX_LENGTH, which numpy would refuse
+    in words that name no flag; any length below it that does not fit in
+    memory is an out-of-memory error."""
+    if value > _MAX_LENGTH:
+        raise ValueError(f"{flag} {value} is above {_MAX_LENGTH}, the most 16-byte values "
+                         "one numpy array holds")
 
 
 def _spectrum_columns(spectrum: spectra.FilterSpectrum, ref, part: str, h: float) -> list:
@@ -220,6 +243,7 @@ def _cmd_spectrum(args) -> tuple[list[str], list]:
         make_source = partial(weights.build, kind, args.n)
     else:
         make_source = partial(_limit_sequence, kind, _limit_taps(kind, args.N, args.M))
+    _check_length("--N", args.N)
     _load_numeric()
     spectrum = spectra.dft_spectrum(make_source(), args.N, EmbeddingMode(args.embedding))
     ref_family = CurveFamily(args.ref) if args.ref else _default_ref(kind, args.part)
@@ -235,6 +259,7 @@ def _sample(fn, args):
     from . import sampling
 
     sampling.check_grid(args.h, args.points)
+    _check_length("--points", args.points)
     _load_numeric()
     return signals.make_signal(fn, args.h, args.points)
 
@@ -270,6 +295,7 @@ def _cmd_diff(args) -> tuple[list[str], list]:
 
 def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[list[str], list]:
     curve = weights.ReferenceCurve(family=family, h=args.h)
+    _check_length("--N", args.N)
     _load_numeric()
     ref = spectra.reference_column(curve, part, args.N)
     values, _bounds = spectra.truncated_limit_spectrum_dft_grid(
@@ -281,6 +307,7 @@ def _figure_limit_curve(family: CurveFamily, part: str, args) -> tuple[list[str]
 def _figure_finite_spectra(kind: StencilKind, part: str, args) -> tuple[list[str], list]:
     _check_reach(kind, args.n, args.N)
     curve = weights.ReferenceCurve(family=_default_ref(kind, part), h=args.h)
+    _check_length("--N", args.N)
     _load_numeric()
     ref = spectra.reference_column(curve, part, args.N)
     blocks = [
@@ -313,9 +340,11 @@ def _figure_envelope_demo(args) -> tuple[list[str], list]:
 # `cross_checks` reduces a (max-n + 1)**2 integer matrix up front, in
 # O(max-n**3) operations on integers of at most max-n * log2(max-n) bits,
 # and sums O(n**2) integer products per family at each n for the exactness
-# checks; the moment systems add O(n) operations per family at each n, on
-# node polynomials grown across n. At the limit, 100, `verify` takes about
-# 1 s on a 2-core x86-64 VM
+# checks (half as many for the central families, whose even or odd fold
+# is all zeros); the moment systems add O(n) operations per family at each n,
+# on node polynomials grown across n. At the limit, 100, `verify` takes
+# about 1 s in a fresh interpreter on a 2-core x86-64 VM, half of it in
+# the exactness sums and 0.05 s in the reduction
 _VERIFY_MAX_N = 100
 
 
@@ -324,16 +353,17 @@ def _cmd_verify(args) -> tuple[str, int]:
         raise ValueError(f"--max-n {args.max_n} is above the limit of {_VERIFY_MAX_N}")
     from . import oracle  # here, so that every other command starts without it
 
-    results = [{"check": name, "ok": ok, "detail": detail}
-               for name, ok, detail in oracle.cross_checks(args.max_n)]
-    passed = sum(r["ok"] for r in results)
+    names, oks, details = zip(*oracle.cross_checks(args.max_n))  # 13 checks per n
+    passed = sum(oks)
     if args.format == "json":
         text = _json_document({"max_n": args.max_n, "passed": passed,
-                               "failed": len(results) - passed}, "checks", results)
+                               "failed": len(oks) - passed}, "checks",
+                              ["check", "ok", "detail"], [names, oks, details])
     else:
-        lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['check']}: {r['detail']}" for r in results]
-        text = "\n".join(lines + [f"{passed}/{len(results)} checks passed"]) + "\n"
-    return text, 0 if passed == len(results) else 1
+        lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+                 for name, ok, detail in zip(names, oks, details)]
+        text = "\n".join(lines + [f"{passed}/{len(oks)} checks passed"]) + "\n"
+    return text, 0 if passed == len(oks) else 1
 
 
 # --- the parser -----------------------------------------------------------

@@ -5,9 +5,12 @@ stencils under test): the moment systems solved from their node polynomial,
 which grows with the node set (`_NodePolynomial`), the Vandermonde
 determinants by Newton row operations on the power matrix (one reduction
 whose diagonal serves every n), the paper's product forms and polynomial
-exactness on integers. The hot loops run on Python ints; `cross_checks`
-compares a rational with a weight by cross-multiplication, so it builds no
-`Fraction` of its own there.
+exactness on integers. The hot loops run on Python ints: each stencil is
+read once into an integer view (`_IntegerView`: its taps t_m = L * w_m over
+L, the lcm of its weight denominators, and its prefactor as an integer
+pair), and every check of `cross_checks` compares t_m with a rational by
+cross-multiplication, so it reads no weight twice and builds no `Fraction`
+of its own.
 
 Only the CLI's `verify` imports this module, when it runs, so that
 `stencil` starts without it.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -236,35 +240,58 @@ def _power_table(bases, max_degree: int) -> tuple[dict[int, int], list[list[int]
     return {base: column for column, base in enumerate(bases)}, powers
 
 
-def _scaled_residuals(stencil: Stencil, max_degree: int,
+class _IntegerView:
+    """A stencil read on integers once: its offsets and derivative order,
+    the taps t_m = L * w_m over L, the lcm of the weight denominators, L
+    itself, and the prefactor as the integer pair p / q. A weight w_m
+    equals a / b exactly when t_m * b == a * L."""
+
+    __slots__ = ("offsets", "order", "taps", "lcm", "p", "q")
+
+    def __init__(self, stencil: Stencil):
+        ratios = [w.as_integer_ratio() for w in stencil.weights]
+        self.lcm = lcm = math.lcm(*[b for _, b in ratios])
+        self.taps = [a * (lcm // b) for a, b in ratios]
+        self.offsets, self.order = stencil.offsets, stencil.derivative_order
+        self.p, self.q = stencil.prefactor.as_integer_ratio()
+
+    def tap_at(self) -> defaultdict[int, int]:
+        """offset -> t_m; an absent offset holds t_m = 0."""
+        return defaultdict(int, zip(self.offsets, self.taps))
+
+
+def _scaled_residuals(view: _IntegerView, max_degree: int,
                       table: tuple[dict[int, int], list[list[int]]]) -> tuple[list[int], int]:
-    """The exactness residuals times a common scale, and that scale, with
-    the powers read from `table` (`_power_table`), whose bases hold every
-    |offset| and whose rows reach max_degree.
+    """The exactness residuals of a stencil's integer view times a common
+    scale, and that scale, with the powers read from `table`
+    (`_power_table`), whose bases hold every |offset| and whose rows reach
+    max_degree.
 
     h is factored out through h**d, so the residuals are h-independent
-    rationals: residual(k) = prefactor * sum w_m m**k - d! * delta(k, d).
-    With L the lcm of the weight denominators and the prefactor p = a/b,
-    residual(k) * b * L = a * sum (L * w_m) m**k - b * L * d! * delta(k, d):
-    integer sums. With t_m = L * w_m, the taps at m and -m fold into the
-    even sum t_m + t_-m and the odd sum t_m - t_-m at the column of |m|, and
-    the degree-k sum is the sum of the matching parity times row k (the
-    tap at 0 joins the even sum, and 0**k is 0 at every odd k).
+    rationals: residual(k) = p/q * sum w_m m**k - d! * delta(k, d). With
+    t_m = L * w_m, residual(k) * q * L = p * sum t_m m**k - q * L * d! *
+    delta(k, d): integer sums. The taps at m and -m fold into the even sum
+    t_m + t_-m and the odd sum t_m - t_-m at the column of |m|, and the
+    degree-k sum is the fold of k's parity times row k (the tap at 0 joins
+    the even fold only, as 0**k is 0 at every odd k). A fold that is all
+    zeros, as the even fold of an antisymmetric stencil is, sums to 0 at
+    every degree of its parity, so its products are not formed.
     """
-    d, p = stencil.derivative_order, stencil.prefactor
-    lcm = math.lcm(*(w.denominator for w in stencil.weights))
     columns, powers = table
-    size = max([columns[abs(o)] + 1 for o in stencil.offsets], default=0)
+    at = [columns[abs(o)] for o in view.offsets]
+    size = max(at, default=-1) + 1
     even, odd = [0] * size, [0] * size
-    for o, w in zip(stencil.offsets, stencil.weights):
-        t, column = w.numerator * (lcm // w.denominator), columns[abs(o)]
+    for o, t, column in zip(view.offsets, view.taps, at):
         even[column] += t
-        odd[column] += t if o > 0 else -t
-    totals = [p.numerator * sum(map(operator.mul, odd if k % 2 else even, powers[k]))
+        if o:
+            odd[column] += t if o > 0 else -t
+    folds = [even if any(even) else None, odd if any(odd) else None]
+    p = view.p
+    totals = [p * sum(map(operator.mul, fold, powers[k])) if (fold := folds[k % 2]) else 0
               for k in range(max_degree + 1)]
-    scale = p.denominator * lcm
-    if d <= max_degree:
-        totals[d] -= scale * math.factorial(d)
+    scale = view.q * view.lcm
+    if view.order <= max_degree:
+        totals[view.order] -= scale * math.factorial(view.order)
     return totals, scale
 
 
@@ -276,7 +303,7 @@ def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
     if max_degree > 2 * stencil.n + 4:
         raise ValueError("bounded search: max_degree must be <= 2n + 4")
     table = _power_table(sorted({abs(o) for o in stencil.offsets}), max_degree)
-    totals, scale = _scaled_residuals(stencil, max_degree, table)
+    totals, scale = _scaled_residuals(_IntegerView(stencil), max_degree, table)
     first_failing = next((k for k, total in enumerate(totals) if total), None)
     max_exact = max_degree if first_failing is None else first_failing - 1
     return ExactnessReport(
@@ -287,9 +314,10 @@ def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
     )
 
 
-def _is_ratio(value: Fraction, numerator: int, denominator: int) -> bool:
-    """value == numerator / denominator (denominator != 0), on integers."""
-    return value.numerator * denominator == numerator * value.denominator
+def _is_ratio(tap: int, lcm: int, numerator: int, denominator: int) -> bool:
+    """tap / lcm == numerator / denominator (lcm > 0, denominator != 0), on
+    integers: a weight t_m / L of an `_IntegerView` against a closed form."""
+    return tap * denominator == numerator * lcm
 
 
 # the degree through which each family differentiates polynomials exactly
@@ -325,42 +353,48 @@ def cross_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
     minors = _leading_minors(max_n)
     table = _power_table(range(2 * max_n), 2 * max_n + 2)
     polynomials = {kind: _NodePolynomial() for kind in StencilKind}
-    superfactorial, harmonic = 1, Fraction(0)
+    superfactorial, harmonic, harmonic_den = 1, 0, 1
     for n in range(1, max_n + 1):
-        built = {kind: build(kind, n) for kind in StencilKind}
+        views = {}
         degree_0 = {}  # the degree-0 scaled residual of each family
-        for kind, stencil in built.items():
-            label, order, p = stencil.label(), stencil.derivative_order, stencil.prefactor
-            # a_m == w_m * p / order!, cross-multiplied
-            numerators, denominators = polynomials[kind].solution(stencil.offsets, order)
-            scale = p.denominator * fact(order)
-            ok = all(
-                a * w.denominator * scale == w.numerator * p.numerator * b
-                for a, b, w in zip(numerators, denominators, stencil.weights)
-            )
+        for kind, polynomial in polynomials.items():
+            stencil = build(kind, n)
+            views[kind] = view = _IntegerView(stencil)
+            label, order, p = stencil.label(), view.order, view.p
+            # a_m / b_m == w_m * p / (q * order!) with w_m = t_m / L,
+            # cross-multiplied
+            numerators, denominators = polynomial.solution(view.offsets, order)
+            scale = view.lcm * view.q * fact(order)
+            ok = all(a * scale == t * p * b
+                     for a, b, t in zip(numerators, denominators, view.taps))
             yield f"moment-system {label}", ok, "oracle solver reproduces the weights"
 
             expected = _EXACT_DEGREE[kind](n)
-            totals, _ = _scaled_residuals(stencil, expected + 1, table)
+            totals, _ = _scaled_residuals(view, expected + 1, table)
             degree_0[kind] = totals[0]
             got = next((k for k, total in enumerate(totals) if total), len(totals)) - 1
             yield (f"exactness {label}", got == expected,
                    f"max exact degree {got}, expected {expected}")
 
-        cf = built[StencilKind.CENTRAL_FIRST]
+        cf = views[StencilKind.CENTRAL_FIRST]
+        tap, lcm = cf.tap_at(), cf.lcm
         top = 2 * fact(n) ** 2
         ok = all(
-            _is_ratio(cf.weight_at(m), (-1) ** (m + 1) * top, m * fact(n - m) * fact(n + m))
+            _is_ratio(tap[m], lcm, (-1) ** (m + 1) * top, m * fact(n - m) * fact(n + m))
             for m in range(1, n + 1)
         )
         yield f"closed-form central-first(n={n})", ok, "factorial ratio form"
 
-        os1 = built[StencilKind.ONE_SIDED_FIRST]
-        harmonic += Fraction(1, n)
+        os1 = views[StencilKind.ONE_SIDED_FIRST]
+        tap, lcm = os1.tap_at(), os1.lcm
+        # the harmonic number H_n as a reduced pair
+        harmonic, harmonic_den = harmonic * n + harmonic_den, harmonic_den * n
+        common = math.gcd(harmonic, harmonic_den)
+        harmonic, harmonic_den = harmonic // common, harmonic_den // common
         ok = (
-            os1.weight_at(1) == n
-            and os1.weight_at(0) == -harmonic
-            and all(_is_ratio(os1.weight_at(m), *_product_form(m, range(1, n + 1), 1))
+            _is_ratio(tap[1], lcm, n, 1)
+            and _is_ratio(tap[0], lcm, -harmonic, harmonic_den)
+            and all(_is_ratio(tap[m], lcm, *_product_form(m, range(1, n + 1), 1))
                     for m in range(1, n + 1))
             # the prefactor 1 times the weight sum, scaled by an lcm
             and degree_0[StencilKind.ONE_SIDED_FIRST] == 0
@@ -373,7 +407,7 @@ def cross_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
         superfactorial *= fact(n)
         det = minors[n]
         ok = det == superfactorial and all(
-            _is_ratio(os1.weight_at(m), _delta_m1(m, n, pairs), det)
+            _is_ratio(tap[m], lcm, _delta_m1(m, n, pairs), det)
             for m in range(1, n + 1)
         )
         yield f"determinants(n={n})", ok, "Vandermonde product and numerator ratios"

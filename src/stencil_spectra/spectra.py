@@ -36,7 +36,7 @@ import numpy as np
 # CurveFamily, EmbeddingMode, EmbeddingOverflowError and ReferenceCurve live
 # in weights, which imports without numpy, and pass through here
 from .weights import (CurveFamily, EmbeddingMode, EmbeddingOverflowError, ReferenceCurve,
-                      Stencil, StencilKind, limit_coefficients)
+                      Stencil, StencilKind, check_embedding, limit_coefficients)
 
 # Sign-block bounds fall back to coarse tail estimates past this length.
 _MAX_BLOCK = 4096
@@ -188,7 +188,8 @@ def dft_spectrum(
     band r = 0..N/2: N/2+1 values.
 
     The taps are a stencil's weights at offsets >= 0, or a mapping's items,
-    by ascending offset; each offset must lie in 0..N/2-1. The mode mirrors
+    by ascending offset; each offset must lie in 0..N/2-1
+    (`weights.check_embedding`, which names the largest). The mode mirrors
     each tap m >= 1 to N - m: not at all (HALF_SEQUENCE), negated
     (FULL_ANTISYMMETRIC) or as it is (FULL_SYMMETRIC). The DC bin is the
     exact sum of the embedded sequence, rounded once: a_0 + sum a_m, a_0
@@ -206,11 +207,8 @@ def dft_spectrum(
         name, taps = "weight sequence", sorted(source.items())
     if taps and taps[0][0] < 0:
         raise ValueError("embedded sequences are indexed by m >= 0")
-    for m, _ in taps:
-        if m >= N // 2:
-            raise EmbeddingOverflowError(
-                f"offset {m} does not fit in a length-{N} embedding (need |m| < N/2)"
-            )
+    if taps:
+        check_embedding(name, taps[-1][0], N)  # the taps ascend
     sign = _MIRROR_SIGN[mode]
     # a_0 once, and each a_m, m >= 1, 1 + s times: no Fraction is multiplied
     dc_terms = [w for m, w in taps for _ in range(1 + sign * (m > 0))]

@@ -8,8 +8,9 @@ Floating point enters only when a consumer converts a weight for evaluation
 The module imports without numpy: only `limit_coefficients` needs it and
 imports it when called. It also holds the names that the CLI parses and
 checks with before numpy loads: `CurveFamily`, `EmbeddingMode`, `reach`,
-`EmbeddingOverflowError` and `ReferenceCurve`, whose h rule reads no
-array; `spectra` passes all but `reach` through. Its records are plain
+`check_embedding`, `EmbeddingOverflowError` and `ReferenceCurve`, whose h
+rule reads no array; `spectra` passes all but `reach` and
+`check_embedding` through. Its records are plain
 frozen classes (`_Record`), not dataclasses: importing `dataclasses`, and
 the `inspect` it loads, took about half of this module's import time.
 """
@@ -354,31 +355,49 @@ def reach(kind: StencilKind, n: int) -> int:
     return 2 * n - 1 if kind is StencilKind.HALF_POINT_FIRST else n
 
 
+def check_embedding(label: str, offset: int, N: int) -> None:
+    """Refuse a weight sequence whose largest offset does not fit in a
+    length-N DFT embedding (offsets below N/2): one EmbeddingOverflowError,
+    naming the sequence by its label."""
+    if offset >= N // 2:
+        raise EmbeddingOverflowError(f"{label} reaches offset {offset}, which does not fit "
+                                     f"in a length-{N} embedding (need |m| < N/2)")
+
+
 def build(kind: StencilKind, n: int) -> Stencil:
     """Generate the stencil of the given kind and family parameter n."""
     return _KIND_BUILDERS[kind](n)
 
 
-def stencil_to_dict(stencil: Stencil) -> dict:
-    """JSON-ready form with weights as exact fraction strings; h_power, the
-    power of h the rule divides by, is the derivative_order. A weight with
-    more digits than Python converts to a string is a ValueError naming its
-    offset (a built stencil's prefactor is never longer than its weights)."""
-    nodes = []
-    for o, w in stencil.nodes:
+def stencil_fields(stencil: Stencil) -> tuple[dict, list[str]]:
+    """The fields of stencil_to_dict but its nodes, and the exact "p/q"
+    text of each weight by ascending offset. A weight with more digits than
+    Python converts to a string is a ValueError naming its offset (a built
+    stencil's prefactor is never longer than its weights)."""
+    texts = []
+    for o, w in zip(stencil.offsets, stencil.weights):
         try:
-            nodes.append({"offset": o, "weight": str(w)})
+            texts.append(str(w))
         except ValueError:  # Python's int-to-str digit limit
             raise ValueError(f"{stencil.label()}: the weight at offset {o} has more "
                              "digits than Python prints exactly") from None
-    return {
+    header = {
         "kind": stencil.kind.value,
         "n": stencil.n,
         "derivative_order": stencil.derivative_order,
         "h_power": stencil.derivative_order,
         "prefactor": str(stencil.prefactor),
-        "nodes": nodes,
     }
+    return header, texts
+
+
+def stencil_to_dict(stencil: Stencil) -> dict:
+    """JSON-ready form with weights as exact fraction strings; h_power, the
+    power of h the rule divides by, is the derivative_order. A weight too
+    long to print is `stencil_fields`' ValueError."""
+    header, texts = stencil_fields(stencil)
+    return {**header, "nodes": [{"offset": o, "weight": text}
+                                for o, text in zip(stencil.offsets, texts)]}
 
 
 def _parse_field(parse, value, field: str):

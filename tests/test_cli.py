@@ -130,38 +130,45 @@ _JSON_SCALAR = st.one_of(_JSON_TEXT, st.integers(),
 
 @st.composite
 def _json_documents(draw):
-    """(header, key, records): records share their keys, in one order."""
+    """(header, key, names, columns): distinct names, columns of one length."""
     header = draw(st.dictionaries(_JSON_TEXT, _JSON_SCALAR, max_size=4))
     key = draw(_JSON_TEXT.filter(lambda k: k not in header))
-    fields = draw(st.lists(_JSON_TEXT, unique=True, max_size=3))
-    rows = draw(st.lists(st.lists(_JSON_SCALAR, min_size=len(fields), max_size=len(fields)),
-                         max_size=5))
-    return header, key, [dict(zip(fields, row)) for row in rows]
+    names = draw(st.lists(_JSON_TEXT, unique=True, max_size=3))
+    rows = draw(st.integers(0, 5))
+    columns = [draw(st.lists(_JSON_SCALAR, min_size=rows, max_size=rows)) for _ in names]
+    return header, key, names, columns
 
 
 @settings(max_examples=300, deadline=None)
 @given(document=_json_documents())
 def test_json_document_is_the_bytes_of_json_dumps(document):
-    header, key, records = document
-    assert cli._json_document(header, key, records) == json.dumps(
+    header, key, names, columns = document
+    records = [dict(zip(names, row)) for row in zip(*columns)]
+    assert cli._json_document(header, key, names, columns) == json.dumps(
         {**header, key: records}, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("header, records", [
-    ({"v": 0.5}, []), ({}, [{"v": 1}, {"v": 0.5}]), ({"v": None}, []),
-    ({}, [{"v": [1]}]), ({1: 1}, []),
-], ids=["float-in-header", "float-in-record", "none", "list", "int-key"])
-def test_json_document_takes_scalars_only(header, records):
+@pytest.mark.parametrize("header, columns", [
+    ({"v": 0.5}, []), ({}, [[1, 0.5]]), ({"v": None}, []),
+    ({}, [[[1]]]), ({1: 1}, []),
+], ids=["float-in-header", "float-in-column", "none", "list", "int-key"])
+def test_json_document_takes_scalars_only(header, columns):
     with pytest.raises(TypeError):
-        cli._json_document(header, "records", records)
+        cli._json_document(header, "records", ["v"] * len(columns), columns)
 
 
-@pytest.mark.parametrize("records", [
-    [{"a": 1, "b": 2}, {"b": 2, "a": 1}], [{"a": 1}, {"a": 1, "b": 2}], [{"a": 1}, {"b": 1}],
-], ids=["order", "count", "names"])
-def test_json_document_records_share_their_keys(records):
-    with pytest.raises(ValueError, match="^the records do not share their keys in one order$"):
-        cli._json_document({}, "records", records)
+@pytest.mark.parametrize("names, columns", [
+    (["a", "b"], [[1, 2], [1]]), (["a"], [[1], [2]]), (["a", "b"], [[1]]),
+], ids=["lengths", "more-columns", "more-names"])
+def test_json_document_columns_match_their_names(names, columns):
+    with pytest.raises(ValueError, match="^the columns do not match their names in count "
+                                         "and length$"):
+        cli._json_document({}, "records", names, columns)
+
+
+def test_json_document_names_are_distinct():
+    with pytest.raises(ValueError, match="^the column names repeat$"):
+        cli._json_document({}, "records", ["a", "a"], [[1], [2]])
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -316,6 +323,33 @@ def test_limit_taps_are_counted_without_making_them(monkeypatch, capsys, kind):
         "reach-before-h"])
 def test_an_argv_with_two_faults_reports_its_first(capsys, argv, err):
     assert run_capture(capsys, argv) == (1, "", err)
+
+
+# numpy's arrays hold at most sys.maxsize bytes, 16 bytes a complex value
+_LONGEST = sys.maxsize // 16
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["diff", "--fn", "sin:omega=1", "--points", "{}"], "--points"),
+    (["figure", "2b", "--points", "{}"], "--points"),
+    (["spectrum", "--kind", "central-first", "--n", "2", "--N", "{}"], "--N"),
+    (["spectrum", "--limit", "central-first", "--M", "3", "--N", "{}"], "--N"),
+    (["figure", "1a", "--N", "{}"], "--N"),
+    (["figure", "3b", "--N", "{}"], "--N"),
+])
+def test_a_length_past_numpy_arrays_names_its_flag(capsys, argv, flag):
+    # the first length past the longest array is refused by name; the
+    # longest (the largest even one, for --N) reaches numpy, which cannot
+    # allocate it
+    even = flag == "--N"
+    above = _LONGEST + 1 + (even and (_LONGEST + 1) % 2)
+    at = _LONGEST - (even and _LONGEST % 2)
+    for value in (above, 10 ** 20):
+        assert run_capture(capsys, [a.format(value) for a in argv]) == (
+            1, "", f"error: {flag} {value} is above {_LONGEST}, the most 16-byte values "
+                   "one numpy array holds\n")
+    code, out, err = run_capture(capsys, [a.format(at) for a in argv])
+    assert (code, out) == (1, "") and err.startswith("error: out of memory")
 
 
 def test_spectrum_kind_requires_n(capsys):

@@ -16,6 +16,7 @@ from stencil_spectra.oracle import (
     _NodePolynomial,
     _leading_minors,
     _newton_minors,
+    _IntegerView,
     _power_table,
     _scaled_residuals,
     cross_checks,
@@ -447,6 +448,17 @@ def test_cross_checks_for_n_do_not_depend_on_max_n():
     assert list(cross_checks(20))[:13 * 12] == list(cross_checks(12))
 
 
+def test_integer_view_reads_each_weight_once_and_an_absent_offset_as_zero():
+    stencil = weights.Stencil(kind=StencilKind.CENTRAL_FIRST, n=1, derivative_order=1,
+                              offsets=(-3, 1), weights=(F(1, 4), F(-2, 3)),
+                              prefactor=F(5, 6))
+    view = _IntegerView(stencil)
+    assert (view.offsets, view.order, view.taps, view.lcm, view.p, view.q) == \
+        ((-3, 1), 1, [3, -8], 12, 5, 6)
+    taps = view.tap_at()
+    assert [taps[m] for m in (-3, 1, 0, 2)] == [3, -8, 0, 0]
+
+
 def _checks_with(monkeypatch, max_n, kind, n, change):
     """cross_checks(max_n) with the stencil of `kind` at `n` replaced by
     change(stencil)."""
@@ -458,12 +470,27 @@ def _checks_with(monkeypatch, max_n, kind, n, change):
     return list(cross_checks(max_n))
 
 
+def _read_by(kind, n, offset):
+    """The checks of cross_checks(n) that read the weight of kind at offset:
+    its family's moment system and exactness, central-first's closed form
+    at m = 1..n, and one-sided-first's closed forms at m = 0..n and its
+    determinants at m = 1..n."""
+    label = f"{kind.value}(n={n})"
+    names = [f"moment-system {label}", f"exactness {label}"]
+    if kind is StencilKind.CENTRAL_FIRST and offset > 0:
+        names.append(f"closed-form {label}")
+    if kind is StencilKind.ONE_SIDED_FIRST:
+        names.append(f"closed-form {label}")
+        if offset > 0:
+            names.append(f"determinants(n={n})")
+    return names
+
+
 @pytest.mark.parametrize("kind", list(StencilKind))
 def test_cross_checks_fail_exactly_the_checks_that_read_a_bad_weight(kind, monkeypatch):
     # every weight at n = 4 in turn: the moment system and the exactness of
-    # its family fail, and so do the closed forms that read that offset,
-    # central-first's at m = 1..n and one-sided-first's at m = 0..n
-    n, label = 4, f"{kind.value}(n=4)"
+    # its family fail, and so do the closed forms that read that offset
+    n = 4
     for index, offset in enumerate(weights.build(kind, n).offsets):
         def change(stencil):
             bad = list(stencil.weights)
@@ -471,14 +498,49 @@ def test_cross_checks_fail_exactly_the_checks_that_read_a_bad_weight(kind, monke
             return stencil.replace(weights=tuple(bad))
 
         results = _checks_with(monkeypatch, n, kind, n, change)
-        expected = [f"moment-system {label}", f"exactness {label}"]
-        if kind is StencilKind.CENTRAL_FIRST and offset > 0:
-            expected.append(f"closed-form {label}")
-        if kind is StencilKind.ONE_SIDED_FIRST:
-            expected.append(f"closed-form {label}")
-            if offset > 0:
-                expected.append("determinants(n=4)")
-        assert [name for name, ok, _ in results if not ok] == expected, offset
+        assert [name for name, ok, _ in results if not ok] == _read_by(kind, n, offset), offset
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(StencilKind)), n=st.integers(1, 12), data=st.data(),
+       delta=st.fractions(-10, 10, max_denominator=10 ** 6).filter(bool))
+def test_cross_checks_flag_exactly_the_checks_that_read_a_perturbed_weight(kind, n, data,
+                                                                           delta):
+    offsets = weights.build(kind, n).offsets
+    index = data.draw(st.integers(0, len(offsets) - 1), label="index")
+
+    def change(stencil):
+        bad = list(stencil.weights)
+        bad[index] += delta
+        return stencil.replace(weights=tuple(bad))
+
+    with pytest.MonkeyPatch.context() as patch:  # a fixture would span the examples
+        results = _checks_with(patch, n, kind, n, change)
+    assert [name for name, ok, _ in results if not ok] == _read_by(kind, n, offsets[index])
+
+
+@pytest.mark.parametrize("kind, zero_parity", [
+    (StencilKind.CENTRAL_FIRST, 0), (StencilKind.HALF_POINT_FIRST, 0),
+    (StencilKind.CENTRAL_SECOND, 1)])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_perturbed_tap_makes_a_zero_fold_count(kind, zero_parity, n):
+    # an antisymmetric stencil's even fold and a symmetric one's odd fold
+    # are all zeros, and their degrees are skipped; one tap perturbed at
+    # m != 0 makes that fold nonzero, and its degrees must be summed again
+    stencil = weights.build(kind, n)
+    degree = 2 * n + 2
+    clean = exactness_check(stencil, degree).residuals
+    assert not any(clean[zero_parity::2])
+    for index, offset in enumerate(stencil.offsets):
+        if offset == 0:
+            continue
+        bad = list(stencil.weights)
+        bad[index] += Fraction(1, 7)
+        bent = stencil.replace(weights=tuple(bad))
+        report = exactness_check(bent, degree)
+        assert all(report.residuals[zero_parity::2]), offset
+        got = (report.max_exact_degree, report.first_failing_degree, report.residuals)
+        assert got == _fraction_exactness(bent, degree), offset
 
 
 def test_cross_checks_catch_a_stencil_more_exact_than_its_family(monkeypatch):
@@ -711,8 +773,9 @@ def test_scaled_residuals_on_the_shared_table_match_the_stencils_own(kind):
     for n in range(1, 41):
         stencil = weights.build(kind, n)
         own = _power_table(sorted({abs(o) for o in stencil.offsets}), 2 * n + 2)
-        assert _scaled_residuals(stencil, 2 * n + 2, shared) == \
-            _scaled_residuals(stencil, 2 * n + 2, own), n
+        view = _IntegerView(stencil)
+        assert _scaled_residuals(view, 2 * n + 2, shared) == \
+            _scaled_residuals(view, 2 * n + 2, own), n
 
 
 def test_exactness_check_of_sparse_far_offsets_stays_small():

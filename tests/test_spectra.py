@@ -91,10 +91,15 @@ def test_embedding_validation():
             dft_spectrum(taps, 16)
 
 
-def test_embedding_overflow_names_the_first_offset_from_n_over_2():
-    for taps in ({0: 1.0, 3: 1.0, 8: 1.0, 9: 1.0}, {8: Fraction(1)}):
-        with pytest.raises(EmbeddingOverflowError, match=r"^offset 8 does not fit in a length-16 "):
-            dft_spectrum(taps, 16, EmbeddingMode.FULL_SYMMETRIC)
+def test_embedding_overflow_names_the_largest_offset():
+    # the message the CLI's reach check prints too (weights.check_embedding)
+    for source, label, offset in [({0: 1.0, 3: 1.0, 8: 1.0, 9: 1.0}, "weight sequence", 9),
+                                  ({8: Fraction(1)}, "weight sequence", 8),
+                                  (weights.one_sided_first(8), "one-sided-first(n=8)", 8)]:
+        with pytest.raises(EmbeddingOverflowError) as info:
+            dft_spectrum(source, 16, EmbeddingMode.FULL_SYMMETRIC)
+        assert str(info.value) == (f"{label} reaches offset {offset}, which does not fit "
+                                   "in a length-16 embedding (need |m| < N/2)")
     assert len(dft_spectrum({0: 1.0, 7: 1.0}, 16, EmbeddingMode.FULL_SYMMETRIC).values) == 9
 
 

@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import re
+import sys
 import types
 
 import pytest
@@ -107,6 +108,11 @@ _REJECTED_BEFORE_NUMPY = [
     ["figure", "2b", "--points", "1"],
     ["figure", "2b", "--h", "inf"],
     ["figure", "2b", "--h", "1e308", "--points", "5"],
+    # a --N or --points longer than any numpy array
+    ["spectrum", "--kind", "central-first", "--n", "2", "--N", str(10 ** 20)],
+    ["figure", "1b", "--N", str(10 ** 20)],
+    ["figure", "2a", "--N", str(10 ** 20)],
+    ["diff", "--fn", "sin:omega=1", "--points", str(10 ** 20)],
 ]
 
 
@@ -122,6 +128,19 @@ def test_numeric_rules_that_read_no_array_run_without_numpy(tmp_path):
     for (code, out, err, loaded), argv in zip(normal, _REJECTED_BEFORE_NUMPY):
         assert code in (1, 2) and out == "" and err.count("\n") == 1, argv
         assert loaded == [], argv
+
+
+def test_a_length_past_numpy_arrays_is_one_line_without_numpy(tmp_path):
+    # numpy's own words for these named no flag
+    out_path = tmp_path / "unwritten"
+    out_path.write_text("")
+    argvs = [["diff", "--fn", "sin:omega=1", "--points", str(10 ** 20)],
+             ["spectrum", "--kind", "central-first", "--n", "2", "--N", str(10 ** 20)]]
+    blocked, _, _ = in_child(_CLI_CHILD, "blocked", json.dumps(argvs), str(out_path))
+    assert blocked == [
+        [1, "", f"error: --{flag} {10 ** 20} is above {sys.maxsize // 16}, the most 16-byte "
+                "values one numpy array holds\n", []]
+        for flag in ("points", "N")]
 
 
 # each public name of the package when its root re-exported them -> the
