@@ -4,8 +4,8 @@ grammar, and the rule of the grid they are sampled on.
 The module imports without numpy, so that the CLI checks a `--fn` and its
 grid before numpy loads: only the `sample` methods import it. `signals`,
 which samples and differentiates, passes every name through. The test
-functions are plain frozen records (`weights._Record`), as the exact
-layer's are.
+functions are plain frozen records (`weights._Record`), as every record
+of the package is.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -31,7 +30,7 @@ from ._eft import split, two_product, two_sum
 # which imports without numpy, and pass through here
 from .sampling import (ModulatedAlternating, Polynomial, Sinusoid, check_grid,
                        parse_test_function)
-from .weights import (Stencil, StencilKind, central_first, central_second, half_point,
+from .weights import (Stencil, StencilKind, _Record, central_first, central_second, half_point,
                       limit_coefficients, one_sided_first)
 
 SKIPPED = "skipped"
@@ -41,23 +40,22 @@ class BoundaryError(IndexError):
     """A stencil offset fell outside the sampled range."""
 
 
-@dataclass(frozen=True, eq=False)
-class SampledSignal:
+class SampledSignal(_Record):
     """Equidistant samples; index `origin` maps to x = 0. The samples are
-    held as a read-only float64 copy of the sequence given."""
+    held as a read-only float64 copy of the sequence given. Two signals
+    are equal only if they are the same object."""
 
-    h: float
-    samples: np.ndarray
-    origin: int = 0
+    _fields = ("h", "samples", "origin")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        samples = np.array(self.samples, dtype=float)
+    def __init__(self, h: float, samples: np.ndarray, origin: int = 0):
+        samples = np.array(samples, dtype=float)
         samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-        check_grid(self.h, len(samples), self.origin)
+        check_grid(h, len(samples), origin)
         if not np.isfinite(samples).all():
             index = int(np.argmin(np.isfinite(samples)))
             raise ValueError(f"sample {index} is {samples[index].item()}: samples must be finite")
+        self._init(h, samples, origin)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -66,17 +64,17 @@ class SampledSignal:
         return (index - self.origin) * self.h
 
 
-@dataclass(frozen=True)
-class DerivativeResult:
+class DerivativeResult(_Record):
     """Per-index derivative values; NaN where the policy says skipped. Each
     span (label, start, stop) names the rule applied at indices
     start..stop-1, and the indices no span covers are skipped.
     policy_codes() gives the policy as labels and a code per index, and
     policy as the label of each index."""
 
-    values: np.ndarray
-    spans: tuple[tuple[str, int, int], ...]
-    order: int
+    _fields = ("values", "spans", "order")
+
+    def __init__(self, values: np.ndarray, spans: tuple[tuple[str, int, int], ...], order: int):
+        self._init(values, spans, order)
 
     def policy_codes(self) -> tuple[list[str], np.ndarray]:
         """The labels, SKIPPED and then each span's, and each index's uint8
@@ -431,11 +429,11 @@ def make_signal(fn, h: float, points: int) -> SampledSignal:
     return SampledSignal(h=h, samples=samples, origin=origin)
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    points: tuple[tuple[float, float], ...]
-    slope: float | None
-    exact: bool
+class ConvergenceStudy(_Record):
+    _fields = ("points", "slope", "exact")
+
+    def __init__(self, points: tuple[tuple[float, float], ...], slope: float | None, exact: bool):
+        self._init(points, slope, exact)
 
 
 _EXACT_FLOOR = 1e-12

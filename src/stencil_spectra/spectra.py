@@ -17,7 +17,7 @@ embedding. The module follows the plotting convention of conjugated
 spectra: accessors expose Re[b*(r)] and Im[b*(r)].
 
 The infinite-family series on the DFT grid (figure 1a/1b) add their terms
-into N residue buckets with one np.bincount per chunk of terms, and fold
+into N residue buckets with one np.add.at per chunk of terms, and fold
 the buckets with the trigonometric table in blocks of 32 bins, which the
 two threads of a thread pool share, each in one N x 32 table that it fills
 in place (see truncated_limit_spectrum_dft_grid, _fold and
@@ -27,7 +27,6 @@ _FOLD_BLOCK): 4.2 MB at N = 8000.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -36,7 +35,7 @@ import numpy as np
 # CurveFamily, EmbeddingMode, EmbeddingOverflowError and ReferenceCurve live
 # in weights, which imports without numpy, and pass through here
 from .weights import (CurveFamily, EmbeddingMode, EmbeddingOverflowError, ReferenceCurve,
-                      Stencil, StencilKind, check_embedding, limit_coefficients)
+                      Stencil, StencilKind, _Record, check_embedding, limit_coefficients)
 
 # Sign-block bounds fall back to coarse tail estimates past this length.
 _MAX_BLOCK = 4096
@@ -85,16 +84,16 @@ _OMEGA_FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FilterSpectrum:
+class FilterSpectrum(_Record):
     """The half band b(r), r = 0..N/2, of the length-N DFT of an embedded
     weight sequence; N is read from the N/2+1 values."""
 
-    values: np.ndarray
+    _fields = ("values",)
 
-    def __post_init__(self):
-        if len(self.values) < 2:
+    def __init__(self, values: np.ndarray):
+        if len(values) < 2:
             raise ValueError("a half band needs at least 2 values (N >= 2)")
+        self._init(values)
 
     @property
     def N(self) -> int:
@@ -111,13 +110,11 @@ class FilterSpectrum:
         return -self.values.imag
 
 
-@dataclass(frozen=True)
-class DeviationReport:
-    r_start: int
-    r_stop: int
-    max_abs: float
-    max_rel: float
-    argmax: int
+class DeviationReport(_Record):
+    _fields = ("r_start", "r_stop", "max_abs", "max_rel", "argmax")
+
+    def __init__(self, r_start: int, r_stop: int, max_abs: float, max_rel: float, argmax: int):
+        self._init(r_start, r_stop, max_abs, max_rel, argmax)
 
 
 # The embedding's mirror sign s: each tap a_m, m >= 1, is mirrored to
@@ -360,8 +357,8 @@ def truncated_limit_spectrum_dft_grid(
     On this grid the trigonometric factors are N-periodic in the summation
     index, so the M terms fold into N residue buckets: cost O(M + N^2)
     instead of O(M N), and no large sine arguments are ever formed. The
-    terms are made _TERM_CHUNK at a time, and one np.bincount per chunk
-    adds them to the buckets so far: it adds each bin's weights in index
+    terms are made _TERM_CHUNK at a time, and one np.add.at per chunk adds
+    them to the buckets so far: it adds the terms one by one in index
     order, so a bucket is the sum of its terms in term order from +0.0. The
     buckets meet the trigonometric table in blocks of _FOLD_BLOCK bins (the
     last up to twice that), which the two threads of a pool fold, every
@@ -372,12 +369,10 @@ def truncated_limit_spectrum_dft_grid(
     _check_dft_length(N)
 
     _, trig, phase = _OMEGA_FAMILIES[family]
-    bins = np.arange(N)
     buckets = np.zeros(N)
     for lo in range(0, M, _TERM_CHUNK):
         offsets, coef = _series_terms(family, h, min(lo + _TERM_CHUNK, M), lo)
-        buckets = np.bincount(np.concatenate((bins, offsets % N)),
-                              np.concatenate((buckets, coef)), N)
+        np.add.at(buckets, offsets % N, coef)
     thetas = 2.0 * math.pi * np.arange(N // 2 + 1) / N
     return phase * _fold(buckets, trig, thetas), _series_bounds(family, thetas, h, M)
 

@@ -89,7 +89,6 @@ import io
 import json
 import math
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -97,6 +96,7 @@ from itertools import chain
 import numpy as np
 
 from ._eft import split, two_product
+from .weights import _Record
 
 # A block's temporaries take about 150 bytes per float, and they set the
 # renderer's peak memory: a 2,048-row block of a spectrum table's five
@@ -329,13 +329,14 @@ def _int_slots(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     return slots, digits + negative
 
 
-@dataclass(frozen=True)
-class Labels:
+class Labels(_Record):
     """A string column as its distinct values and each row's index into
     them, so that no row's string is hashed."""
 
-    names: Sequence[str]
-    codes: np.ndarray
+    _fields = ("names", "codes")
+
+    def __init__(self, names: Sequence[str], codes: np.ndarray):
+        self._init(names, codes)
 
     def __len__(self) -> int:
         return len(self.codes)

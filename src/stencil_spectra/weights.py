@@ -13,6 +13,9 @@ rule reads no array; `spectra` passes all but `reach` and
 `check_embedding` through. Its records are plain
 frozen classes (`_Record`), not dataclasses: importing `dataclasses`, and
 the `inspect` it loads, took about half of this module's import time.
+`_Record` is the package's one record type: the test functions of
+`sampling` and the records of `spectra`, `signals` and `tableblocks`
+subclass it too, so no command loads `dataclasses`.
 """
 
 from __future__ import annotations
@@ -74,7 +77,9 @@ class EmbeddingMode(Enum):
 
 
 class _Record:
-    """A frozen record, as a frozen dataclass would make it: the fields,
+    """The base of every record of the package.
+
+    A frozen record, as a frozen dataclass would make it: the fields,
     `_fields` in constructor order, are set once by `_init`; setting or
     deleting an attribute raises AttributeError; equality and the hash are
     field-wise within one class, and the repr is the dataclass form."""

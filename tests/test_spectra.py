@@ -401,7 +401,8 @@ def _series_coefficients(family, h, stop, start=0):
 
 def _full_table_fold(family, N, h, M):
     """The residue-bucket fold on the DFT grid as one product with the whole
-    N x (N/2+1) trigonometric table."""
+    N x (N/2+1) trigonometric table, its buckets from one np.bincount of
+    all M terms, not the library's np.add.at per chunk."""
     _, trig, phase = _SERIES[family]
     offsets, coef = _series_coefficients(family, h, M)
     buckets = np.bincount(offsets % N, weights=coef, minlength=N)

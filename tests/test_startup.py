@@ -130,6 +130,19 @@ def test_numeric_rules_that_read_no_array_run_without_numpy(tmp_path):
         assert loaded == [], argv
 
 
+def test_numeric_commands_load_no_dataclasses(tmp_path):
+    # the numeric layer's records are `weights._Record`s too
+    out_path = tmp_path / "unwritten"
+    out_path.write_text("")
+    argvs = [["spectrum", "--kind", "central-first", "--n", "2", "--N", "16"],
+             ["diff", "--fn", "sin:omega=1", "--points", "21"],
+             ["figure", "1a", "--N", "16", "--M", "100"]]
+    normal, _, _ = in_child(_CLI_CHILD, "normal", json.dumps(argvs), str(out_path))
+    for (code, out, err, loaded), argv in zip(normal, argvs):
+        assert code == 0 and out and err == "", argv
+        assert "stencil_spectra.tableblocks" in loaded and "dataclasses" not in loaded, argv
+
+
 def test_a_length_past_numpy_arrays_is_one_line_without_numpy(tmp_path):
     # numpy's own words for these named no flag
     out_path = tmp_path / "unwritten"

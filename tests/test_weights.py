@@ -1,9 +1,12 @@
 """Exact-value and identity tests for the weight generators."""
 
+import inspect
 import json
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import finite_diff_weights
@@ -466,6 +469,108 @@ def test_stencil_replace_validates_as_the_constructor_does():
     assert s.replace(derivative_order=0).derivative_order == 0
     with pytest.raises(TypeError):
         s.replace(order=1)
+
+
+# --- the numeric layer's records ---------------------------------------------
+
+
+def _numeric_records():
+    """name -> (a record, its repr as the frozen dataclass that it once was
+    wrote it, its constructor's (parameter, default) pairs, how it
+    compares, and a replace() change that its validation rejects with the
+    given message, or None)."""
+    from stencil_spectra import signals, spectra, tableblocks
+
+    empty = inspect.Parameter.empty
+    return {
+        "FilterSpectrum": (
+            spectra.FilterSpectrum(np.array([1 + 0j, 0.5 - 0.25j])),
+            "FilterSpectrum(values=array([1. +0.j  , 0.5-0.25j]))",
+            [("values", empty)], "unhashable",
+            ({"values": np.array([1.0])}, "a half band needs at least 2 values (N >= 2)")),
+        "DeviationReport": (
+            spectra.DeviationReport(r_start=1, r_stop=4, max_abs=0.5, max_rel=0.25, argmax=2),
+            "DeviationReport(r_start=1, r_stop=4, max_abs=0.5, max_rel=0.25, argmax=2)",
+            [("r_start", empty), ("r_stop", empty), ("max_abs", empty), ("max_rel", empty),
+             ("argmax", empty)], "fields", None),
+        "SampledSignal": (
+            signals.SampledSignal(0.5, [1, 2.5, -3]),
+            "SampledSignal(h=0.5, samples=array([ 1. ,  2.5, -3. ]), origin=0)",
+            [("h", empty), ("samples", empty), ("origin", 0)], "identity",
+            ({"samples": (1.0, math.nan)}, "sample 1 is nan: samples must be finite")),
+        "DerivativeResult": (
+            signals.DerivativeResult(values=np.array([math.nan, 1.5]),
+                                     spans=(("central-first(n=1)", 1, 2),), order=1),
+            "DerivativeResult(values=array([nan, 1.5]), spans=(('central-first(n=1)', 1, 2),), "
+            "order=1)",
+            [("values", empty), ("spans", empty), ("order", empty)], "unhashable", None),
+        "ConvergenceStudy": (
+            signals.ConvergenceStudy(points=((0.1, 1e-3), (0.05, 2.5e-4)), slope=2.0, exact=False),
+            "ConvergenceStudy(points=((0.1, 0.001), (0.05, 0.00025)), slope=2.0, exact=False)",
+            [("points", empty), ("slope", empty), ("exact", empty)], "fields", None),
+        "Labels": (
+            tableblocks.Labels(names=("a", "b"), codes=np.array([0, 1, 1], np.uint8)),
+            "Labels(names=('a', 'b'), codes=array([0, 1, 1], dtype=uint8))",
+            [("names", empty), ("codes", empty)], "unhashable", None),
+    }
+
+
+@pytest.mark.parametrize("name", ["FilterSpectrum", "DeviationReport", "SampledSignal",
+                                  "DerivativeResult", "ConvergenceStudy", "Labels"])
+def test_numeric_records_keep_their_dataclass_semantics(name):
+    record, text, parameters, compares, rejected = _numeric_records()[name]
+    cls = type(record)
+    assert isinstance(record, weights._Record) and cls.__name__ == name
+    assert repr(record) == text
+    assert [(p.name, p.default) for p in inspect.signature(cls).parameters.values()] == parameters
+    for field in (*cls._fields, "not_a_field"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(record, field)
+    assert repr(record) == text
+    # a copy with every field the same object, and one with the last field changed
+    same = cls(*(getattr(record, field) for field in cls._fields))
+    assert record == record and record.__eq__(tuple(record._values())) is NotImplemented
+    if compares == "identity":
+        assert same != record and not same == record and len({same, record}) == 2
+        assert hash(record) == object.__hash__(record)
+    elif compares == "fields":
+        changed = record.replace(**{cls._fields[-1]: 7})
+        assert same == record and not same != record and hash(same) == hash(record)
+        assert changed != record and getattr(changed, cls._fields[-1]) == 7
+    else:
+        # equal when each field is the same object, as tuples compare; an
+        # array field has no hash
+        assert same == record
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    if rejected is not None:
+        changes, message = rejected
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            record.replace(**changes)
+
+
+def test_a_sampled_signal_holds_a_read_only_float_copy():
+    from stencil_spectra.signals import SampledSignal
+
+    given_samples = np.array([1, 2, 3])
+    signal = SampledSignal(h=1.0, samples=given_samples, origin=2)
+    assert signal.samples.dtype == np.float64 and not signal.samples.flags.writeable
+    given_samples[0] = 9
+    assert signal.samples.tolist() == [1.0, 2.0, 3.0] and len(signal) == 3
+    assert signal.x(0) == -2.0
+    # replace() makes a new signal of the same samples, which is not equal
+    moved = signal.replace(origin=0)
+    assert moved.origin == 0 and moved.samples.tolist() == [1.0, 2.0, 3.0] and moved != signal
+
+
+def test_a_derivative_results_policy_is_computed_once():
+    from stencil_spectra.signals import DerivativeResult
+
+    result = DerivativeResult(np.zeros(4), (("rule", 1, 3),), 1)
+    assert result.policy == ("skipped", "rule", "rule", "skipped")
+    assert result.policy is result.policy
 
 
 def test_build_dispatch():
