@@ -18,10 +18,13 @@ spectra: accessors expose Re[b*(r)] and Im[b*(r)].
 
 The infinite-family series on the DFT grid (figure 1a/1b) add their terms
 into N residue buckets with one np.add.at per chunk of terms, and fold
-the buckets with the trigonometric table in blocks of 32 bins, which the
-two threads of a thread pool share, each in one N x 32 table that it fills
-in place (see truncated_limit_spectrum_dft_grid, _fold and
-_FOLD_BLOCK): 4.2 MB at N = 8000.
+the buckets with the trigonometric table. The bins before the last block
+go in doubling chains 0, r, 2r, 4r, ... (r odd), in products of 16 bins:
+a bin that doubles its predecessor copies half its sines, because
+fl(k theta_2r) = fl(2k theta_r). The last block (up to 64 bins) is one
+product. The two threads of a thread pool each fold a contiguous share of
+the blocks in one anonymous map of N x 32 floats, 4.2 MB in all at
+N = 8000 (see truncated_limit_spectrum_dft_grid, _fold and _FOLD_BLOCK).
 """
 
 from __future__ import annotations
@@ -39,26 +42,27 @@ from .weights import (CurveFamily, EmbeddingMode, EmbeddingOverflowError, Refere
 
 # Sign-block bounds fall back to coarse tail estimates past this length.
 _MAX_BLOCK = 4096
-# Bins per block of the residue-bucket fold. gemv rounds the rows of one
-# product in groups of its row unroll and the leftover last rows on another
-# path; a product shorter than one unroll takes a third path (numpy computes
-# a one-row product as a dot). So blocks start at multiples of _FOLD_BLOCK,
-# which every unroll must divide (4 rows in the OpenBLAS SkylakeX kernel; 32
-# leaves room for wider ones), and the last block takes the remainder whole:
-# each bin is then rounded as in one full-table product. Blocks of 500 bins,
-# or a last block of 1 to 3 bins, changed some bins. Each fold thread fills
-# one table in place, as wide as its widest block, so with two threads the
-# fold's memory is O(N + 2*32*N): at N = 8000 the tables are 2.05 + 2.11 MB
-# (32 and 33 bins), against 4.10 + 6.21 MB at 64 bins. The fold is bound by
-# np.sin, so its time moved by under 4 % either way (N = 2000 and 8000, one
-# BLAS thread). Widths 4 to 128 all gave the same bits with numpy 2.4.6's
-# OpenBLAS; that the bits also hold with two BLAS threads was measured on
-# the benchmark's figure 1a/1b argvs only.
+# Bins per block of the residue-bucket fold's grid. gemv rounds the rows of
+# one product in groups of its row unroll and the leftover last rows on
+# another path; a product shorter than one unroll takes a third path (numpy
+# computes a one-row product as a dot). So the last block starts at a
+# multiple of _FOLD_BLOCK and takes the remainder whole, and the bins before
+# it go in products of _FOLD_BLOCK // 2 bins, which every unroll must divide
+# (4 rows in the OpenBLAS SkylakeX kernel; 16 leaves room for wider ones),
+# none on a leftover path: each bin is then rounded as in one full-table
+# product, wherever its product puts it. Blocks of 500 bins, or
+# a last block of 1 to 3 bins, changed some bins. Each fold thread maps
+# N * _FOLD_BLOCK floats, a 16-bin buffer and a 16-bin table, or N times the
+# last block's width if it folds that block and it is wider: at N = 8000
+# the two maps are 2.05 + 2.11 MB. Widths 4 to 128 all gave the same bits
+# with numpy 2.4.6's OpenBLAS; that the bits also hold with two BLAS threads
+# was measured on the benchmark's figure 1a/1b argvs only.
 _FOLD_BLOCK = 32
-# Threads of the fold's pool, each folding every other block; np.sin and
-# gemv release the GIL, and the calling thread only waits. Fixed at two, not
-# tunable: each thread holds one block-wide table, and two keep the memory
-# bound above. A bin's bits do not depend on which thread folds its block.
+# Threads of the fold's pool, each folding one contiguous share of the
+# blocks; np.sin and gemv release the GIL, and the calling thread only
+# waits. Fixed at two, not tunable: each thread holds one map, and two keep
+# the memory bound above. A bin's bits do not depend on which thread folds
+# its block.
 _FOLD_WORKERS = 2
 # Series terms made per step of either series loop: a step's arrays stay in
 # cache. No bucket of the DFT grid depends on it.
@@ -360,10 +364,9 @@ def truncated_limit_spectrum_dft_grid(
     terms are made _TERM_CHUNK at a time, and one np.add.at per chunk adds
     them to the buckets so far: it adds the terms one by one in index
     order, so a bucket is the sum of its terms in term order from +0.0. The
-    buckets meet the trigonometric table in blocks of _FOLD_BLOCK bins (the
-    last up to twice that), which the two threads of a pool fold, every
-    other block each, in one in-place table per thread, so memory is
-    O(N + 2*32*N), whatever M.
+    buckets meet the trigonometric table in blocks (see _fold), which the
+    two threads of a pool fold, a contiguous share each, in one map per
+    thread, so memory is O(N + 2*32*N), whatever M.
     """
     _check_series(family, h, M)
     _check_dft_length(N)
@@ -377,37 +380,85 @@ def truncated_limit_spectrum_dft_grid(
     return phase * _fold(buckets, trig, thetas), _series_bounds(family, thetas, h, M)
 
 
+def _fold_shares(N: int, bins: int):
+    """The start of the fold's last block, and the _FOLD_WORKERS shares of
+    the bins before it; the last share's thread also folds the last block.
+
+    The bins before the last block go in doubling chains: 0, then r, 2r,
+    4r, ... below the last block for each odd r, ascending, so a bin is
+    twice its predecessor exactly when it is even and not 0. They are cut
+    into blocks of _FOLD_BLOCK // 2 bins. A share is a contiguous run of
+    blocks that starts where a chain does, so no chain crosses threads, and
+    each cut is the one nearest to equal trig counts: N arguments per bin,
+    N/2 per doubled bin, and N per bin of the last block.
+    """
+    last = max(bins - 1 - _FOLD_BLOCK, 0) // _FOLD_BLOCK * _FOLD_BLOCK
+    chains = [0] + [odd << j for odd in range(1, last, 2)
+                    for j in range(((last - 1) // odd).bit_length())]
+    blocks = [chains[i:i + _FOLD_BLOCK // 2] for i in range(0, last, _FOLD_BLOCK // 2)]
+    done = [0]
+    for block in blocks:
+        done.append(done[-1] + sum(N // 2 if r > 0 and r % 2 == 0 else N for r in block))
+    total = done[-1] + N * (bins - last)
+    cuts = [0]
+    for share in range(1, _FOLD_WORKERS):
+        cuts.append(min((b for b in range(cuts[-1], len(blocks) + 1)
+                         if b == len(blocks) or blocks[b][0] % 2),
+                        key=lambda b: abs(done[b] - share * total / _FOLD_WORKERS)))
+    cuts.append(len(blocks))
+    return last, [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _fold(buckets: np.ndarray, trig, thetas: np.ndarray) -> np.ndarray:
     """buckets @ trig(outer(k, thetas)), k = 0..N-1, one block of bins per
-    product: blocks start at multiples of _FOLD_BLOCK, the last takes the
-    remainder, and block i goes to share i % _FOLD_WORKERS. A thread pool
-    folds each share on a thread of its own; an exception in any share is
-    raised here once all have stopped.
+    product, in the shares of _fold_shares. A thread pool folds each share
+    on a thread of its own; an exception in any share is raised here once
+    all have stopped.
 
-    Each thread allocates its share's table as an anonymous map, which is
-    unmapped when its last view dies. A table from a thread's malloc arena
-    stayed there, and one from np.empty stayed in the heap after the call;
-    either raised the peak RSS of later work.
+    A thread fills its block's bins as rows of a buffer: row k of a chain's
+    first bin is trig(k theta), and a doubled bin copies its rows k < N/2
+    from its predecessor's rows 2k (the row before, or the last row of the
+    block before) and computes the rest, so at N = 8000 trig takes
+    24,076,000 arguments instead of 32,008,000. It copies the buffer
+    transposed into the N x 16 table of its product (writing the table's
+    columns in place was slower) and scatters the product's values to their
+    bins. The last block's table is made whole, in the same map.
+
+    Each thread allocates its map anonymously, and it is unmapped when its
+    last view dies. A table from a thread's malloc arena stayed there, and
+    one from np.empty stayed in the heap after the call; either raised the
+    peak RSS of later work.
     """
     import mmap  # here, as the pool, so that importing the package loads neither
     from concurrent.futures import ThreadPoolExecutor
 
-    N = len(buckets)
-    k = np.arange(N, dtype=float)[:, None]
-    edges = [*range(0, max(len(thetas) - _FOLD_BLOCK, 1), _FOLD_BLOCK), len(thetas)]
-    blocks = list(zip(edges, edges[1:]))
+    N, half, width = len(buckets), len(buckets) // 2, _FOLD_BLOCK // 2
+    k = np.arange(N, dtype=float)
+    last, shares = _fold_shares(N, len(thetas))
     sums = np.empty(len(thetas))
 
-    def fold(share):
-        buffer = np.frombuffer(mmap.mmap(-1, 8 * N * max(hi - lo for lo, hi in share)))
-        for lo, hi in share:
-            table = buffer[:N * (hi - lo)].reshape(N, hi - lo)
-            np.multiply(k, thetas[lo:hi], out=table)
-            sums[lo:hi] = buckets @ trig(table, out=table)
+    def fold(share, wide):
+        buffer = np.frombuffer(mmap.mmap(-1, 8 * N * max(_FOLD_BLOCK if share else 0, wide)))
+        if share:
+            rows = buffer[:N * width].reshape(width, N)
+            table = buffer[N * width:N * _FOLD_BLOCK].reshape(N, width)
+        for block in share:
+            for i, r in enumerate(block):
+                lo = half if r > 0 and r % 2 == 0 else 0
+                rows[i, :lo] = rows[i - 1, :2 * lo:2]  # nothing for a chain's first bin
+                args = rows[i, lo:]
+                np.multiply(k[lo:], thetas[r], out=args)
+                trig(args, out=args)
+            np.copyto(table, rows.T)
+            sums[block] = buckets @ table
+        if wide:
+            table = buffer[:N * wide].reshape(N, wide)
+            np.multiply(k[:, None], thetas[last:], out=table)
+            sums[last:] = buckets @ trig(table, out=table)
 
-    shares = [blocks[w::_FOLD_WORKERS] for w in range(_FOLD_WORKERS)]
-    with ThreadPoolExecutor(_FOLD_WORKERS) as pool:
-        list(pool.map(fold, filter(None, shares)))
+    jobs = [(share, 0) for share in shares[:-1] if share] + [(shares[-1], len(thetas) - last)]
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        list(pool.map(fold, *zip(*jobs)))
     return sums
 
 

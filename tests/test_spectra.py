@@ -413,10 +413,10 @@ def _full_table_fold(family, N, h, M):
 
 def _fold_cases():
     """(family, N, M) cases for the fold: N/2+1 runs below, at and past the
-    edges of the fold's first and second blocks, M past several steps of
-    the bucketed terms, and M at the edges of the first two turns."""
-    sizes = [(N, M) for N in (2, 4, 6, 62, 64, 66, 126, 128, 130, 132, 254, 256, 258, 4732,
-                              8000)
+    edges of the first and second 16-bin and 32-bin blocks, M past several
+    steps of the bucketed terms, and M at the edges of the first two turns."""
+    sizes = [(N, M) for N in (2, 4, 6, 30, 32, 34, 62, 64, 66, 94, 96, 98, 126, 128, 130, 132,
+                              254, 256, 258, 4732, 8000)
              for M in ((7, 3 * N + 5) if N < 1000 else (3 * N + 5,))]
     sizes += [(N, 3 * 2 ** 16 + 5) for N in (130, 4732)]
     # M at the edges of the first and second turn of N/2 (half-point) and N
@@ -465,6 +465,38 @@ print(json.dumps(getattr(module, sys.argv[2])()))
 """
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    half_n=st.integers(1, 300),
+    trig=st.sampled_from([np.sin, np.cos]),
+    workers=st.sampled_from([1, 2, 3]),
+    data=st.data(),
+)
+def _check_random_fold(half_n, trig, workers, data):
+    N = 2 * half_n
+    buckets = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                          min_size=N, max_size=N)))
+    thetas = 2.0 * math.pi * np.arange(half_n + 1) / N
+    default = spectra._FOLD_WORKERS
+    spectra._FOLD_WORKERS = workers
+    try:
+        folded = spectra._fold(buckets, trig, thetas)
+    finally:
+        spectra._FOLD_WORKERS = default
+    assert folded.tobytes() == (buckets @ trig(np.outer(np.arange(N), thetas))).tobytes()
+
+
+def _random_fold_mismatches():
+    """The failure of the fold against one product, bit for bit, on random
+    finite buckets, both trigonometric factors, even N up to 600 and one to
+    three fold threads: [] if none."""
+    try:
+        _check_random_fold()
+    except AssertionError as failure:  # with Hypothesis' falsifying example
+        return [repr(failure), *getattr(failure, "__notes__", [])]
+    return []
+
+
 def _mismatchesin_child(helper, blas_threads):
     """Run a helper of this module in a fresh interpreter whose BLAS runs on
     blas_threads threads, and return what it returns."""
@@ -492,6 +524,65 @@ def test_scalar_series_bits_do_not_depend_on_blas_threads():
 def test_blocked_fold_matches_full_table_fold():
     # gemv rounds a bin by how its threads split the rows: one thread each
     assert _mismatchesin_child("_fold_mismatches", "1") == []
+
+
+def test_fold_of_random_buckets_matches_one_product():
+    assert _mismatchesin_child("_random_fold_mismatches", "1") == []
+
+
+def _last_block_start(N):
+    """Where the fold's last block starts: the last multiple of 32 below
+    N/2+1 - 32, or 0."""
+    return range(0, max(N // 2 + 1 - 32, 1), 32)[-1]
+
+
+def test_doubling_a_grid_angle_is_exact():
+    # a doubled bin's rows k < N/2 are its predecessor's rows 2k: exact when
+    # thetas[2r] == 2 * thetas[r], so that fl(k * thetas[2r]) == fl(2k * thetas[r])
+    for N in sorted({N for _, N, _ in _fold_cases()}):
+        thetas = 2.0 * math.pi * np.arange(N // 2 + 1) / N
+        r = np.arange(N // 4 + 1)
+        assert thetas[2 * r].tobytes() == (2 * thetas[r]).tobytes(), N
+
+
+@pytest.mark.parametrize("trig", [np.sin, np.cos])
+def test_fold_takes_each_doubled_bins_even_rows_from_its_predecessor(trig):
+    # N arguments per chain start and per last-block bin, N/2 per doubled bin
+    def counted(x, out=None):
+        arguments.append(x.size)  # one append per call: both pool threads call it
+        return trig(x, out=out)
+
+    for N in sorted({N for _, N, _ in _fold_cases()}):
+        last = _last_block_start(N)
+        starts = 1 + last // 2 if last else 0
+        thetas = 2.0 * math.pi * np.arange(N // 2 + 1) / N
+        arguments = []
+        spectra._fold(np.ones(N), counted, thetas)
+        assert sum(arguments) == N * (starts + N // 2 + 1 - last) + N // 2 * (last - starts), N
+        if N == 8000:
+            assert sum(arguments) == 24_076_000
+
+
+@pytest.mark.parametrize("N", [1000, 2000, 4732, 8000])
+def test_fold_shares_are_whole_chains_of_equal_trig_counts(N):
+    # the bins before the last block in chain order, 16 to a block, cut
+    # where a chain starts into two shares whose trig counts differ by at
+    # most one block's N * 16 arguments
+    last, shares = spectra._fold_shares(N, N // 2 + 1)
+    chains = [0]
+    for odd in range(1, last, 2):
+        r = odd
+        while r < last:
+            chains.append(r)
+            r *= 2
+    assert last == _last_block_start(N)
+    assert [r for share in shares for block in share for r in block] == chains
+    assert all(len(block) == 16 for share in shares for block in share)
+    assert len(shares) == 2 and shares[1][0][0] % 2 == 1
+    counts = [sum(N // 2 if r > 0 and r % 2 == 0 else N for block in share for r in block)
+              for share in shares]
+    counts[1] += N * (N // 2 + 1 - last)
+    assert abs(counts[0] - counts[1]) <= 16 * N
 
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
@@ -544,17 +635,25 @@ def test_fold_threads_under_contention_write_every_bin_once(monkeypatch):
     assert threaded.tobytes() == serial.tobytes()
 
 
-# at N = 1000 the fold has 15 blocks: block 0 is folded by one pool
-# thread, block 1 by the other, and block 14 is the wide last block
-@pytest.mark.parametrize("bad_block", [0, 1, 14])
-def test_fold_error_in_either_thread_reaches_the_caller(monkeypatch, bad_block):
+# at N = 1000 the fold's last block starts at bin 448: the 28 blocks of 16
+# bins before it are cut into two shares, one per pool thread, and the
+# second share's thread also folds the last block
+@pytest.mark.parametrize("bad_share", [0, 1, "last block"])
+def test_fold_error_in_either_thread_reaches_the_caller(monkeypatch, bad_share):
     N = 1000
-    bad_theta = 2.0 * math.pi * (spectra._FOLD_BLOCK * bad_block) / N
+    last, shares = spectra._fold_shares(N, N // 2 + 1)
+    assert len(shares) == 2 and all(shares)
+    if bad_share == "last block":
+        bad_bin = last
+    else:  # the share's last chain start
+        bad_bin = [r for block in shares[bad_share] for r in block if r % 2][-1]
+    bad_theta = 2.0 * math.pi * bad_bin / N
 
     def failing_sin(x, out=None):
-        # row k = 1 of a block's table holds its thetas
-        if x.ndim == 2 and x[1, 0] == bad_theta:
-            raise FloatingPointError(f"block {bad_block}")
+        # k = 1 holds the theta: x[1] of a chain start's row, x[1, 0] of the
+        # last block's table (a doubled bin's row starts at k = N/2)
+        if (x[1] if x.ndim == 1 else x[1, 0]) == bad_theta:
+            raise FloatingPointError(f"bin {bad_bin}")
         return np.sin(x, out=out)
 
     kind, _, phase = spectra._OMEGA_FAMILIES[CurveFamily.FIRST_DERIV_LIMIT]
@@ -562,7 +661,7 @@ def test_fold_error_in_either_thread_reaches_the_caller(monkeypatch, bad_block):
         spectra._OMEGA_FAMILIES, CurveFamily.FIRST_DERIV_LIMIT, (kind, failing_sin, phase)
     )
     threads = threading.active_count()
-    with pytest.raises(FloatingPointError, match=f"block {bad_block}"):
+    with pytest.raises(FloatingPointError, match=f"bin {bad_bin}$"):
         truncated_limit_spectrum_dft_grid(CurveFamily.FIRST_DERIV_LIMIT, N, 1.0, 100)
     assert threading.active_count() == threads
 
@@ -605,9 +704,10 @@ def test_importing_the_cli_loads_neither_mmap_nor_the_thread_pool():
 def test_dft_grid_fold_peak_is_two_in_place_tables(monkeypatch):
     # tracemalloc does not see the fold's tables, which are anonymous maps:
     # count their bytes beside the traced peak. One thread's outer product
-    # and its sine took 12.9 MB; the two threads' tables, as wide as their
-    # widest blocks (32 and 33 bins), take 4.16 MB, and the traced peak
-    # besides is about 1.4 MB
+    # and its sine took 12.9 MB; the two threads' maps, each a 16-bin buffer
+    # and table (32 bins), and for the thread that folds the last block as
+    # wide as it (33 bins), take 4.16 MB, and the traced peak besides is
+    # about 1.4 MB
     mapped = []
 
     class CountedMap(mmap.mmap):
