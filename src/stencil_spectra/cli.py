@@ -15,7 +15,8 @@ their edge to decide that way take Python's text. `stencil` joins its
 `# kind=...` line and its CSV rows as plain text: an int offset and a
 "p/q" weight hold no character that CSV would quote. Its JSON and
 `verify`'s are written directly from named columns (`_json_document`):
-`stencil`'s offsets and weight texts (`weights.stencil_fields`), and
+`stencil`'s offsets and weight texts, made from the integer pairs of
+`weights.weight_pairs` by `weights.pair_fields` (no `Fraction` is made), and
 `verify`'s check names, verdicts and details. Every key and string goes
 through json's own escaper, byte for byte as json.dumps(indent=2) writes
 the records the columns' rows make.
@@ -154,14 +155,15 @@ def _json_document(header: dict, key: str, names: list[str], columns: list) -> s
 
 
 def _cmd_stencil(args) -> tuple[str, int]:
-    stencil = weights.build(StencilKind(args.kind), args.n)
-    header, texts = weights.stencil_fields(stencil)
+    kind = StencilKind(args.kind)
+    rule = weights.weight_pairs(kind, args.n)
+    header, texts = weights.pair_fields(kind, args.n, *rule)
+    offsets = rule[1]
     if args.format == "json":
-        return _json_document(header, "nodes", ["offset", "weight"],
-                              [stencil.offsets, texts]), 0
+        return _json_document(header, "nodes", ["offset", "weight"], [offsets, texts]), 0
     lines = ["# " + ",".join([f"{key}={value}" for key, value in header.items()]) + "\n",
              "offset,weight\n"]
-    lines += [f"{o},{text}\n" for o, text in zip(stencil.offsets, texts)]
+    lines += [f"{o},{text}\n" for o, text in zip(offsets, texts)]
     return "".join(lines), 0
 
 
@@ -199,7 +201,7 @@ def _check_reach(kind: StencilKind, ns: list[int], N: int) -> None:
     length-N embedding (offsets below N/2), before any is built: a large
     n's weights alone take seconds to make."""
     for n in ns:
-        weights.check_embedding(f"{kind.value}(n={n})", weights.reach(kind, n), N)
+        weights.check_embedding(weights.stencil_label(kind, n), weights.reach(kind, n), N)
 
 
 # numpy's arrays hold at most sys.maxsize bytes, and the widest values that

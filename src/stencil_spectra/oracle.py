@@ -1,16 +1,19 @@
 """Independent exact verifiers for the weight families.
 
-They share no code with the generators in `weights` (`build` only makes the
-stencils under test): the moment systems solved from their node polynomial,
-which grows with the node set (`_NodePolynomial`), the Vandermonde
-determinants by Newton row operations on the power matrix (one reduction
-whose diagonal serves every n), the paper's product forms and polynomial
-exactness on integers. The hot loops run on Python ints: each stencil is
-read once into an integer view (`_IntegerView`: its taps t_m = L * w_m over
-L, the lcm of its weight denominators, and its prefactor as an integer
-pair), and every check of `cross_checks` compares t_m with a rational by
-cross-multiplication, so it reads no weight twice and builds no `Fraction`
-of its own.
+They share no code with the generators in `weights` (`weight_pairs` only
+makes the rules under test): the moment systems solved from their node
+polynomial, which grows with the node set (`_NodePolynomial`), the
+Vandermonde determinants by Newton row operations on the power matrix (one
+reduction whose diagonal serves every n), the paper's product forms and
+polynomial exactness on integers. The hot loops run on Python ints: each
+family's rule is read once, straight from the generators' reduced integer
+pairs, into an integer view (`_IntegerView`: its taps t_m = L * w_m over L,
+the lcm of its weight denominators, and its prefactor as an integer pair),
+and every check of `cross_checks` compares t_m with a rational by
+cross-multiplication, so it reads no weight twice and makes no `Fraction`.
+`build` is the same pairs, each wrapped in one `Fraction`;
+`exactness_check` reads a `Stencil` into the same view by
+`as_integer_ratio`.
 
 Only the CLI's `verify` imports this module, when it runs, so that
 `stencil` starts without it.
@@ -24,7 +27,7 @@ from collections import defaultdict
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .weights import Stencil, StencilKind, _Record, build
+from .weights import Stencil, StencilKind, _Record, stencil_label, stencil_pairs, weight_pairs
 
 
 class SingularSystemError(ValueError):
@@ -241,19 +244,19 @@ def _power_table(bases, max_degree: int) -> tuple[dict[int, int], list[list[int]
 
 
 class _IntegerView:
-    """A stencil read on integers once: its offsets and derivative order,
-    the taps t_m = L * w_m over L, the lcm of the weight denominators, L
-    itself, and the prefactor as the integer pair p / q. A weight w_m
-    equals a / b exactly when t_m * b == a * L."""
+    """A rule read on integers once, from its derivative order, offsets,
+    weight pairs and prefactor pair in the form of `weights.weight_pairs`:
+    the offsets and order, the taps t_m = L * w_m over L, the lcm of the
+    weight denominators, L itself, and the prefactor as the integer pair
+    p / q. A weight w_m equals a / b exactly when t_m * b == a * L."""
 
     __slots__ = ("offsets", "order", "taps", "lcm", "p", "q")
 
-    def __init__(self, stencil: Stencil):
-        ratios = [w.as_integer_ratio() for w in stencil.weights]
-        self.lcm = lcm = math.lcm(*[b for _, b in ratios])
-        self.taps = [a * (lcm // b) for a, b in ratios]
-        self.offsets, self.order = stencil.offsets, stencil.derivative_order
-        self.p, self.q = stencil.prefactor.as_integer_ratio()
+    def __init__(self, order: int, offsets, pairs, prefactor: tuple[int, int]):
+        self.lcm = lcm = math.lcm(*[b for _, b in pairs])
+        self.taps = [a * (lcm // b) for a, b in pairs]
+        self.offsets, self.order = offsets, order
+        self.p, self.q = prefactor
 
     def tap_at(self) -> defaultdict[int, int]:
         """offset -> t_m; an absent offset holds t_m = 0."""
@@ -303,7 +306,8 @@ def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
     if max_degree > 2 * stencil.n + 4:
         raise ValueError("bounded search: max_degree must be <= 2n + 4")
     table = _power_table(sorted({abs(o) for o in stencil.offsets}), max_degree)
-    totals, scale = _scaled_residuals(_IntegerView(stencil), max_degree, table)
+    totals, scale = _scaled_residuals(_IntegerView(*stencil_pairs(stencil)), max_degree,
+                                      table)
     first_failing = next((k for k, total in enumerate(totals) if total), None)
     max_exact = max_degree if first_failing is None else first_failing - 1
     return ExactnessReport(
@@ -358,9 +362,8 @@ def cross_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
         views = {}
         degree_0 = {}  # the degree-0 scaled residual of each family
         for kind, polynomial in polynomials.items():
-            stencil = build(kind, n)
-            views[kind] = view = _IntegerView(stencil)
-            label, order, p = stencil.label(), view.order, view.p
+            views[kind] = view = _IntegerView(*weight_pairs(kind, n))
+            label, order, p = stencil_label(kind, n), view.order, view.p
             # a_m / b_m == w_m * p / (q * order!) with w_m = t_m / L,
             # cross-multiplied
             numerators, denominators = polynomial.solution(view.offsets, order)

@@ -1,7 +1,10 @@
 """Finite-difference weight families in exact rational arithmetic.
 
-All generators return weights as `fractions.Fraction` (always reduced,
-positive denominator), so every stated identity can be checked bit-exactly.
+Each family has one generator on integers (`weight_pairs`): it returns
+the family's weights as reduced integer pairs (numerator, positive
+denominator) and its prefactor as a pair, and makes no `Fraction`. `build`
+wraps each pair in one `fractions.Fraction`, so every stated identity can
+be checked bit-exactly; `verify` and `stencil` read the pairs themselves.
 Floating point enters only when a consumer converts a weight for evaluation
 (`limit_coefficients` is that conversion for the infinite-family limits).
 
@@ -149,7 +152,7 @@ class Stencil(_Record):
         return self._weight_by_offset.get(offset, _ZERO)
 
     def label(self) -> str:
-        return f"{self.kind.value}(n={self.n})"
+        return stencil_label(self.kind, self.n)
 
 
 class ReferenceCurve(_Record):
@@ -174,47 +177,88 @@ class ReferenceCurve(_Record):
         self._init(family, h)
 
 
-def harmonic_number(n: int) -> Fraction:
-    """Exact n-th harmonic number sum(1/m, m=1..n): one integer sum of the
-    terms L/m over L = lcm(1..n), normalised once by one Fraction, where a
+def _reduced(a: int, b: int) -> tuple[int, int]:
+    """a / b (b > 0) in lowest terms, the pair Fraction(a, b) holds."""
+    g = math.gcd(a, b)
+    return a // g, b // g
+
+
+def _harmonic(n: int) -> tuple[int, int]:
+    """The n-th harmonic number sum(1/m, m=1..n) as a reduced pair: one
+    integer sum of the terms L/m over L = lcm(1..n), reduced once, where a
     term-by-term Fraction sum would normalise after every term."""
+    common = math.lcm(*range(1, n + 1))
+    return _reduced(sum(common // m for m in range(1, n + 1)), common)
+
+
+def harmonic_number(n: int) -> Fraction:
+    """Exact n-th harmonic number sum(1/m, m=1..n) (`_harmonic`)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    common = math.lcm(*range(1, n + 1))
-    return Fraction(sum(common // m for m in range(1, n + 1)), common)
+    return Fraction(*_harmonic(n))
 
 
-def _central_alpha(n: int, k: int) -> list[Fraction]:
+# the generators of `weight_pairs`, one per family, for n >= 1
+
+
+def _central_alpha(n: int, k: int) -> list[tuple[int, int]]:
     """Positive-side central weights (-1)**(m+1) * 2 (n!)**2 /
     (m**k (n-m)! (n+m)!) for m = 1..n; k = 1 first, k = 2 second derivative."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     middle = math.comb(2 * n, n)
-    return [
-        Fraction((-1) ** (m + 1) * 2 * math.comb(2 * n, n + m), m ** k * middle)
-        for m in range(1, n + 1)
-    ]
+    return [_reduced((-1) ** (m + 1) * 2 * math.comb(2 * n, n + m), m ** k * middle)
+            for m in range(1, n + 1)]
 
 
-def _mirrored(kind: StencilKind, n: int, order: int, offsets, positive, center=None) -> Stencil:
-    """A central family's stencil from its positive half, the offsets > 0
-    ascending and their weights: the negative half mirrors it, negated for
-    the first derivative (antisymmetric) and as it is for the second
-    (symmetric), with the center weight at offset 0 if one is given. The
-    rule divides the sum by 2h for the first derivative and by h**2 for the
-    second."""
-    left = tuple(-o for o in reversed(offsets))
-    mirror = tuple(-w if order == 1 else w for w in reversed(positive))
+def _mirrored(order: int, offsets, positive, center=None) -> tuple:
+    """A central family's rule from its positive half, the offsets > 0
+    ascending and their pairs: the negative half mirrors it, negated for
+    the first derivative (antisymmetric) and as the same pairs for the
+    second (symmetric), with the center pair at offset 0 if one is given.
+    The rule divides the sum by 2h for the first derivative and by h**2
+    for the second."""
+    left = [-o for o in reversed(offsets)]
+    mirror = [(-a, b) for a, b in reversed(positive)] if order == 1 else positive[::-1]
     if center is not None:
-        left, mirror = left + (0,), mirror + (center,)
-    return Stencil(
-        kind=kind,
-        n=n,
-        derivative_order=order,
-        offsets=left + tuple(offsets),
-        weights=mirror + tuple(positive),
-        prefactor=Fraction(1, 2) if order == 1 else Fraction(1),
-    )
+        left.append(0)
+        mirror.append(center)
+    return order, (*left, *offsets), mirror + positive, (1, 2) if order == 1 else (1, 1)
+
+
+def _central_first(n: int) -> tuple:
+    return _mirrored(1, range(1, n + 1), _central_alpha(n, 1))
+
+
+def _central_second(n: int) -> tuple:
+    positive = _central_alpha(n, 2)
+    common = math.lcm(*range(1, n + 1))
+    center = _reduced(
+        -4 * sum((-1) ** (m + 1) * math.comb(2 * n, n + m) * (common // m) ** 2
+                 for m in range(1, n + 1)),
+        common * common * math.comb(2 * n, n))
+    return _mirrored(2, range(1, n + 1), positive, center)
+
+
+def _half_point(n: int) -> tuple:
+    top = 2 * n * math.comb(2 * n, n)
+    bottom = 4 ** (2 * n - 1)
+    positive = [
+        _reduced((-1) ** m * top * math.comb(2 * n - 1, n + m), bottom * (2 * m + 1) ** 2)
+        for m in range(n)
+    ]
+    return _mirrored(1, range(1, 2 * n, 2), positive)
+
+
+def _one_sided_first(n: int) -> tuple:
+    a, b = _harmonic(n)
+    pairs = [(-a, b)]
+    pairs += [_reduced((-1) ** (m + 1) * math.comb(n, m), m) for m in range(1, n + 1)]
+    return 1, tuple(range(n + 1)), pairs, (1, 1)
+
+
+def _one_sided_nth(n: int) -> tuple:
+    fact = math.factorial(n)
+    pairs = [_reduced((-1) ** (m + n) * math.comb(n, m), fact) for m in range(n + 1)]
+    return n, tuple(range(n + 1)), pairs, (fact, 1)
 
 
 def central_first(n: int) -> Stencil:
@@ -226,7 +270,7 @@ def central_first(n: int) -> Stencil:
     the negative side is the antisymmetric mirror.  Evaluation rule:
     1/(2h) * sum w_m (f_m - f_-m).
     """
-    return _mirrored(StencilKind.CENTRAL_FIRST, n, 1, range(1, n + 1), _central_alpha(n, 1))
+    return build(StencilKind.CENTRAL_FIRST, n)
 
 
 def central_second(n: int) -> Stencil:
@@ -236,17 +280,11 @@ def central_second(n: int) -> Stencil:
     (-1)**(m+1) * 2 (n!)**2 / (m**2 (n-m)! (n+m)!), which satisfies the even
     moment conditions sum_m w_m * m**(2j) = delta(j, 1) for j = 1..n; the
     center weight is -2 * sum of the positive-side weights, one integer sum
-    over their common denominator lcm(1..n)**2 C(2n, n) normalised once, and
+    over their common denominator lcm(1..n)**2 C(2n, n) reduced once, and
     the negative side mirrors symmetrically.  Evaluation rule: 1/h**2 * sum
     over all offsets.
     """
-    alpha = _central_alpha(n, 2)
-    common = math.lcm(*range(1, n + 1))
-    center = Fraction(
-        -4 * sum((-1) ** (m + 1) * math.comb(2 * n, n + m) * (common // m) ** 2
-                 for m in range(1, n + 1)),
-        common * common * math.comb(2 * n, n))
-    return _mirrored(StencilKind.CENTRAL_SECOND, n, 2, range(1, n + 1), alpha, center=center)
+    return build(StencilKind.CENTRAL_SECOND, n)
 
 
 def half_point(n: int) -> Stencil:
@@ -258,15 +296,7 @@ def half_point(n: int) -> Stencil:
     antisymmetrically.  Even offsets carry weight zero and are not stored.
     Evaluation rule matches central_first: 1/(2h) * sum over stored offsets.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    top = 2 * n * math.comb(2 * n, n)
-    bottom = 4 ** (2 * n - 1)
-    positive = [
-        Fraction((-1) ** m * top * math.comb(2 * n - 1, n + m), bottom * (2 * m + 1) ** 2)
-        for m in range(n)
-    ]
-    return _mirrored(StencilKind.HALF_POINT_FIRST, n, 1, range(1, 2 * n, 2), positive)
+    return build(StencilKind.HALF_POINT_FIRST, n)
 
 
 def one_sided_first(n: int) -> Stencil:
@@ -276,19 +306,7 @@ def one_sided_first(n: int) -> Stencil:
     the negated harmonic number so the weights sum to zero.  Evaluation
     rule: 1/h * sum.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    weights = [-harmonic_number(n)]
-    for m in range(1, n + 1):
-        weights.append(Fraction((-1) ** (m + 1) * math.comb(n, m), m))
-    return Stencil(
-        kind=StencilKind.ONE_SIDED_FIRST,
-        n=n,
-        derivative_order=1,
-        offsets=tuple(range(n + 1)),
-        weights=tuple(weights),
-        prefactor=Fraction(1),
-    )
+    return build(StencilKind.ONE_SIDED_FIRST, n)
 
 
 def one_sided_nth(n: int) -> Stencil:
@@ -297,20 +315,7 @@ def one_sided_nth(n: int) -> Stencil:
     Weight at offset m is (-1)**(m+n) * C(n, m) / n!; with the stored
     prefactor n! the rule reduces to the n-th forward difference / h**n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    fact = math.factorial(n)
-    weights = tuple(
-        Fraction((-1) ** (m + n) * math.comb(n, m), fact) for m in range(n + 1)
-    )
-    return Stencil(
-        kind=StencilKind.ONE_SIDED_NTH,
-        n=n,
-        derivative_order=n,
-        offsets=tuple(range(n + 1)),
-        weights=weights,
-        prefactor=Fraction(fact),
-    )
+    return build(StencilKind.ONE_SIDED_NTH, n)
 
 
 def limit_coefficients(kind: StencilKind, stop: int, start: int = 0, scale: float = 1.0):
@@ -344,12 +349,12 @@ def limit_coefficients(kind: StencilKind, stop: int, start: int = 0, scale: floa
     return offsets.astype(np.int64), (scale * (2 * sign)) / denominators
 
 
-_KIND_BUILDERS = {
-    StencilKind.CENTRAL_FIRST: central_first,
-    StencilKind.CENTRAL_SECOND: central_second,
-    StencilKind.HALF_POINT_FIRST: half_point,
-    StencilKind.ONE_SIDED_FIRST: one_sided_first,
-    StencilKind.ONE_SIDED_NTH: one_sided_nth,
+_GENERATORS = {
+    StencilKind.CENTRAL_FIRST: _central_first,
+    StencilKind.CENTRAL_SECOND: _central_second,
+    StencilKind.HALF_POINT_FIRST: _half_point,
+    StencilKind.ONE_SIDED_FIRST: _one_sided_first,
+    StencilKind.ONE_SIDED_NTH: _one_sided_nth,
 }
 
 
@@ -369,38 +374,68 @@ def check_embedding(label: str, offset: int, N: int) -> None:
                                      f"in a length-{N} embedding (need |m| < N/2)")
 
 
+def weight_pairs(kind: StencilKind, n: int) -> tuple:
+    """The rule of build(kind, n) on integers, from its family's generator:
+    (derivative order, offsets ascending, the weight at each offset as a
+    reduced pair (numerator, positive denominator), the prefactor as a
+    pair). No Fraction is made."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _GENERATORS[kind](n)
+
+
 def build(kind: StencilKind, n: int) -> Stencil:
-    """Generate the stencil of the given kind and family parameter n."""
-    return _KIND_BUILDERS[kind](n)
+    """Generate the stencil of the given kind and family parameter n: each
+    pair of `weight_pairs` wrapped in one Fraction, equal pairs (a
+    symmetric mirror's) in the same one."""
+    order, offsets, pairs, prefactor = weight_pairs(kind, n)
+    made = {pair: Fraction(*pair) for pair in dict.fromkeys(pairs)}
+    return Stencil(kind, n, order, offsets, tuple(map(made.__getitem__, pairs)),
+                   Fraction(*prefactor))
 
 
-def stencil_fields(stencil: Stencil) -> tuple[dict, list[str]]:
+def stencil_pairs(stencil: Stencil) -> tuple:
+    """A stencil's rule in the form of `weight_pairs`, each weight and the
+    prefactor read by as_integer_ratio."""
+    return (stencil.derivative_order, stencil.offsets,
+            [w.as_integer_ratio() for w in stencil.weights],
+            stencil.prefactor.as_integer_ratio())
+
+
+def stencil_label(kind: StencilKind, n: int) -> str:
+    """The name of the stencil of kind at n, as `Stencil.label` gives it."""
+    return f"{kind.value}(n={n})"
+
+
+def _ratio_text(a: int, b: int) -> str:
+    """The text of a reduced pair a / b, as str(Fraction(a, b)) writes it."""
+    return str(a) if b == 1 else f"{a}/{b}"
+
+
+def pair_fields(kind: StencilKind, n: int, order: int, offsets, pairs,
+                prefactor: tuple[int, int]) -> tuple[dict, list[str]]:
     """The fields of stencil_to_dict but its nodes, and the exact "p/q"
-    text of each weight by ascending offset. A weight with more digits than
-    Python converts to a string is a ValueError naming its offset (a built
-    stencil's prefactor is never longer than its weights)."""
+    text of each weight by ascending offset, for a rule in the form of
+    `weight_pairs`. A weight with more digits than Python converts to a
+    string is a ValueError naming its offset (a built stencil's prefactor
+    is never longer than its weights)."""
     texts = []
-    for o, w in zip(stencil.offsets, stencil.weights):
+    for o, pair in zip(offsets, pairs):
         try:
-            texts.append(str(w))
+            texts.append(_ratio_text(*pair))
         except ValueError:  # Python's int-to-str digit limit
-            raise ValueError(f"{stencil.label()}: the weight at offset {o} has more "
+            raise ValueError(f"{stencil_label(kind, n)}: the weight at offset {o} has more "
                              "digits than Python prints exactly") from None
-    header = {
-        "kind": stencil.kind.value,
-        "n": stencil.n,
-        "derivative_order": stencil.derivative_order,
-        "h_power": stencil.derivative_order,
-        "prefactor": str(stencil.prefactor),
-    }
+    header = {"kind": kind.value, "n": n, "derivative_order": order, "h_power": order,
+              "prefactor": _ratio_text(*prefactor)}
     return header, texts
 
 
 def stencil_to_dict(stencil: Stencil) -> dict:
     """JSON-ready form with weights as exact fraction strings; h_power, the
     power of h the rule divides by, is the derivative_order. A weight too
-    long to print is `stencil_fields`' ValueError."""
-    header, texts = stencil_fields(stencil)
+    long to print is `pair_fields`' ValueError."""
+    header, texts = pair_fields(stencil.kind, stencil.n, *stencil_pairs(stencil))
     return {**header, "nodes": [{"offset": o, "weight": text}
                                 for o, text in zip(stencil.offsets, texts)]}
 

@@ -822,15 +822,24 @@ PASS determinants(n=1): Vandermonde product and numerator ratios
 """
 
 
-def test_verify_fails_on_a_wrong_half_point_weight(capsys, monkeypatch):
-    def bent_half_point(n):
-        stencil = weights.half_point(n)
-        bent = list(stencil.weights)
-        bent[n] += Fraction(1, 10 ** 6)  # the weight at offset +1 only
-        return stencil.replace(weights=tuple(bent))
+def _bent_generator(kind, position):
+    """The generator of kind with the weight at index position(n) of the
+    stored weights off by 10**-6."""
+    generate = weights._GENERATORS[kind]
 
-    monkeypatch.setitem(weights._KIND_BUILDERS, StencilKind.HALF_POINT_FIRST,
-                        bent_half_point)
+    def bent(n):
+        order, offsets, pairs, prefactor = generate(n)
+        bent_pairs = list(pairs)
+        bent_pairs[position(n)] = (Fraction(*pairs[position(n)])
+                                   + Fraction(1, 10 ** 6)).as_integer_ratio()
+        return order, offsets, bent_pairs, prefactor
+    return bent
+
+
+def test_verify_fails_on_a_wrong_half_point_weight(capsys, monkeypatch):
+    # the weight at offset +1 only
+    monkeypatch.setitem(weights._GENERATORS, StencilKind.HALF_POINT_FIRST,
+                        _bent_generator(StencilKind.HALF_POINT_FIRST, lambda n: n))
     code, out, _ = run_capture(capsys, ["verify", "--max-n", "3"])
     assert code == 1
     failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
@@ -840,32 +849,14 @@ def test_verify_fails_on_a_wrong_half_point_weight(capsys, monkeypatch):
 
 
 def test_verify_json_with_a_failing_check_is_the_bytes_of_json_dumps(capsys, monkeypatch):
-    def bent_half_point(n):
-        stencil = weights.half_point(n)
-        bent = list(stencil.weights)
-        bent[n] += Fraction(1, 10 ** 6)  # the weight at offset +1 only
-        return stencil.replace(weights=tuple(bent))
-
-    monkeypatch.setitem(weights._KIND_BUILDERS, StencilKind.HALF_POINT_FIRST,
-                        bent_half_point)
+    # the weight at offset +1 only
+    monkeypatch.setitem(weights._GENERATORS, StencilKind.HALF_POINT_FIRST,
+                        _bent_generator(StencilKind.HALF_POINT_FIRST, lambda n: n))
     code, out, _ = run_capture(capsys, ["verify", "--max-n", "3", "--format", "json"])
     document = _verify_document(3)
     assert (document["passed"], document["failed"]) == (33, 6)
     assert (code, out) == (1, json.dumps(document, indent=2) + "\n")
     assert out.count('"ok": false') == 6
-
-
-def _bent_builder(kind, position):
-    """The builder of kind with the weight at index position(n) of the
-    stored weights off by 10**-6."""
-    build = weights._KIND_BUILDERS[kind]
-
-    def bent(n):
-        stencil = build(n)
-        bent_weights = list(stencil.weights)
-        bent_weights[position(n)] += Fraction(1, 10 ** 6)
-        return stencil.replace(weights=tuple(bent_weights))
-    return bent
 
 
 # Each bent weight fails exactly its family's lines. The one-sided closed-form
@@ -886,7 +877,7 @@ def _bent_builder(kind, position):
 ], ids=["central-first-offset-1", "one-sided-centre", "one-sided-offset-n"])
 def test_verify_fails_exactly_the_lines_of_a_bent_weight(capsys, monkeypatch, kind,
                                                         position, checks):
-    monkeypatch.setitem(weights._KIND_BUILDERS, kind, _bent_builder(kind, position))
+    monkeypatch.setitem(weights._GENERATORS, kind, _bent_generator(kind, position))
     code, out, _ = run_capture(capsys, ["verify", "--max-n", "3"])
     assert code == 1
     failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]

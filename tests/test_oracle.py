@@ -452,7 +452,7 @@ def test_integer_view_reads_each_weight_once_and_an_absent_offset_as_zero():
     stencil = weights.Stencil(kind=StencilKind.CENTRAL_FIRST, n=1, derivative_order=1,
                               offsets=(-3, 1), weights=(F(1, 4), F(-2, 3)),
                               prefactor=F(5, 6))
-    view = _IntegerView(stencil)
+    view = _IntegerView(*weights.stencil_pairs(stencil))
     assert (view.offsets, view.order, view.taps, view.lcm, view.p, view.q) == \
         ((-3, 1), 1, [3, -8], 12, 5, 6)
     taps = view.tap_at()
@@ -462,11 +462,12 @@ def test_integer_view_reads_each_weight_once_and_an_absent_offset_as_zero():
 def _checks_with(monkeypatch, max_n, kind, n, change):
     """cross_checks(max_n) with the stencil of `kind` at `n` replaced by
     change(stencil)."""
-    def build(k, size):
-        stencil = weights.build(k, size)
-        return change(stencil) if (k, size) == (kind, n) else stencil
+    def weight_pairs(k, size):
+        if (k, size) != (kind, n):
+            return weights.weight_pairs(k, size)
+        return weights.stencil_pairs(change(weights.build(k, size)))
 
-    monkeypatch.setattr(oracle, "build", build)
+    monkeypatch.setattr(oracle, "weight_pairs", weight_pairs)
     return list(cross_checks(max_n))
 
 
@@ -773,7 +774,7 @@ def test_scaled_residuals_on_the_shared_table_match_the_stencils_own(kind):
     for n in range(1, 41):
         stencil = weights.build(kind, n)
         own = _power_table(sorted({abs(o) for o in stencil.offsets}), 2 * n + 2)
-        view = _IntegerView(stencil)
+        view = _IntegerView(*weights.stencil_pairs(stencil))
         assert _scaled_residuals(view, 2 * n + 2, shared) == \
             _scaled_residuals(view, 2 * n + 2, own), n
 

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -383,8 +384,11 @@ def test_alternating_binomial_harmonic_identity():
     [central_first, central_second, half_point, one_sided_first, one_sided_nth],
 )
 def test_invalid_family_parameter(builder):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
         builder(0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            weights.weight_pairs(builder(1).kind, n)
 
 
 def test_harmonic_number_is_the_term_by_term_sum():
@@ -670,3 +674,124 @@ def test_weights_are_reduced_fractions():
     for _, w in s.nodes:
         assert math.gcd(abs(w.numerator), w.denominator) == 1
         assert w.denominator > 0
+
+
+# --- the integer pairs behind every stencil -------------------------------
+
+
+def _fraction_rule(kind, n):
+    """(order, offsets, weights, prefactor) from each family's closed form
+    in Fraction arithmetic: a second route to `weight_pairs`, which works on
+    integers. The central-second center is -2 times the sum of the
+    positive-side weights, summed term by term."""
+    comb = math.comb
+    if kind is StencilKind.ONE_SIDED_FIRST:
+        return (1, tuple(range(n + 1)),
+                [-sum((F(1, m) for m in range(1, n + 1)), F(0))]
+                + [F((-1) ** (m + 1) * comb(n, m), m) for m in range(1, n + 1)], F(1))
+    if kind is StencilKind.ONE_SIDED_NTH:
+        fact = math.factorial(n)
+        return (n, tuple(range(n + 1)),
+                [F((-1) ** (m + n) * comb(n, m), fact) for m in range(n + 1)], F(fact))
+    if kind is StencilKind.HALF_POINT_FIRST:
+        right = list(range(1, 2 * n, 2))
+        positive = [F((-1) ** m * 2 * n * comb(2 * n, n) * comb(2 * n - 1, n + m),
+                      4 ** (2 * n - 1) * (2 * m + 1) ** 2) for m in range(n)]
+    else:
+        k = 1 if kind is StencilKind.CENTRAL_FIRST else 2
+        right = list(range(1, n + 1))
+        positive = [F((-1) ** (m + 1) * 2 * comb(2 * n, n + m), m ** k * comb(2 * n, n))
+                    for m in right]
+    order = 2 if kind is StencilKind.CENTRAL_SECOND else 1
+    left = [-o for o in reversed(right)]
+    mirror = [w if order == 2 else -w for w in reversed(positive)]
+    if order == 2:
+        left.append(0)
+        mirror.append(-2 * sum(positive, F(0)))
+    return order, (*left, *right), mirror + positive, F(1, 2) if order == 1 else F(1)
+
+
+_CENTRAL_KINDS = (StencilKind.CENTRAL_FIRST, StencilKind.CENTRAL_SECOND,
+                  StencilKind.HALF_POINT_FIRST)
+
+
+@pytest.mark.parametrize("kind", list(StencilKind))
+def test_weight_pairs_are_the_reduced_closed_forms_that_build_wraps(kind):
+    ns = [*range(1, 61), *((100, 200) if kind in _CENTRAL_KINDS else ())]
+    for n in ns:
+        order, offsets, pairs, prefactor = weights.weight_pairs(kind, n)
+        assert all(b > 0 and math.gcd(a, b) == 1 for a, b in [*pairs, prefactor]), n
+        got = (order, offsets, [F(a, b) for a, b in pairs], F(*prefactor))
+        assert got == _fraction_rule(kind, n), n
+        stencil = weights.build(kind, n)
+        assert (stencil.derivative_order, stencil.offsets, list(stencil.weights),
+                stencil.prefactor) == got, n
+        # the integers themselves, as the oracle's and the CLI's readers see them
+        assert weights.stencil_pairs(stencil) == (order, offsets, pairs, prefactor), n
+
+
+@pytest.mark.parametrize("kind", list(StencilKind))
+def test_the_oracles_view_of_the_pairs_is_the_view_of_the_built_stencil(kind):
+    ns = [*range(1, 61), *((100, 200) if kind in _CENTRAL_KINDS else ())]
+    for n in ns:
+        direct = oracle._IntegerView(*weights.weight_pairs(kind, n))
+        built = oracle._IntegerView(*weights.stencil_pairs(weights.build(kind, n)))
+        assert [getattr(direct, name) for name in oracle._IntegerView.__slots__] == \
+            [getattr(built, name) for name in oracle._IntegerView.__slots__], n
+
+
+def test_pair_fields_write_each_pair_as_its_fraction_does():
+    assert weights._ratio_text(-3, 1) == str(F(-3)) == "-3"
+    assert weights._ratio_text(0, 1) == str(F(0)) == "0"
+    assert weights._ratio_text(-3, 7) == str(F(-3, 7)) == "-3/7"
+    header, texts = weights.pair_fields(StencilKind.ONE_SIDED_NTH, 2, 2, (0, 1, 2),
+                                        [(1, 2), (-1, 1), (1, 2)], (2, 1))
+    assert texts == ["1/2", "-1", "1/2"]
+    assert header == {"kind": "one-sided-nth", "n": 2, "derivative_order": 2,
+                      "h_power": 2, "prefactor": "2"}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+def test_pair_fields_name_the_offset_of_a_weight_too_long_to_print():
+    with pytest.raises(ValueError, match=r"^one-sided-nth\(n=2\): the weight at offset 1 "
+                                         "has more digits than Python prints exactly$"):
+        weights.pair_fields(StencilKind.ONE_SIDED_NTH, 2, 2, (0, 1, 2),
+                            [(1, 2), (10 ** 5000, 3), (1, 2)], (2, 1))
+
+
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """The argument tuples of every Fraction constructed while it is in use."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return made
+
+
+def test_cross_checks_and_the_stencil_command_make_no_fraction(fractions_made, capsys):
+    from stencil_spectra import cli
+
+    checks = list(oracle.cross_checks(16))
+    assert len(checks) == 13 * 16 and all(ok for _, ok, _ in checks)
+    assert cli.run(["stencil", "--kind", "central-first", "--n", "28", "--format", "json"]) == 0
+    assert capsys.readouterr().out.startswith('{\n  "kind": "central-first",\n')
+    assert fractions_made == []
+    F(2, 6)  # and the counter sees a Fraction that is made
+    assert fractions_made == [(2, 6)]
+
+
+@pytest.mark.parametrize("kind", list(StencilKind))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 28])
+def test_build_makes_one_fraction_per_distinct_weight_and_one_prefactor(fractions_made,
+                                                                       kind, n):
+    stencil = weights.build(kind, n)
+    assert len(fractions_made) == len(set(stencil.weights)) + 1
+    assert len(fractions_made) <= len(stencil.weights) + 1
+    if kind is StencilKind.CENTRAL_SECOND:  # the mirror holds the positive side's objects
+        assert all(a is b for a, b in zip(stencil.weights, reversed(stencil.weights)))
