@@ -21,13 +21,18 @@ their edge to decide that way take Python's text. `stencil` joins its
 through json's own escaper, byte for byte as json.dumps(indent=2) writes
 the records the columns' rows make.
 
-The module imports without numpy or `oracle`, so `stencil`, `verify`,
-`--help` and every usage error run on the exact layer alone; `run` loads
-`oracle` when it dispatches `verify`. The handlers of `spectrum`, `diff`
-and `figure` first run every rule that reads no array: their usage
-errors, each stencil's reach against N (`weights.reach` and
-`weights.check_embedding`), the taps a `--limit` sequence fits, a reference
-curve's h (`weights.ReferenceCurve`), `diff`'s and `figure 2b`'s `--fn`
+The module imports without numpy, `oracle`, `fractions` (and the `decimal`
+it loads) or `json`, so `stencil`, `verify`, `--help` and every usage
+error run on the exact layer alone; `run` loads `oracle` when it
+dispatches `verify`, `_json_document` loads `json` for a JSON document,
+and `diff` loads it to read a `--stencil-file` (the numeric layer's
+`tableblocks` imports it too). No command loads `fractions`, but for a
+`--stencil-file` rational written as text: every layer reads the
+weights' integer pairs. The handlers
+of `spectrum`, `diff` and `figure` first run every rule that reads no
+array: their usage errors, each stencil's reach against N
+(`weights.reach` and `weights.check_embedding`), the taps a `--limit`
+sequence fits, a reference curve's h (`weights.ReferenceCurve`), `diff`'s and `figure 2b`'s `--fn`
 grammar and grid rule (`sampling`), and a `--N` or `--points` too long
 for any numpy array (`_check_length`).
 Only then does a handler load numpy, `spectra`, `signals` and
@@ -41,7 +46,6 @@ array step's.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Iterable
 from functools import partial
@@ -107,11 +111,6 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
-# the JSON text of a scalar by its type; any other type is a TypeError
-_JSON_SCALARS = {str: json.encoder.encode_basestring_ascii, int: str,
-                 bool: {True: "true", False: "false"}.__getitem__}
-
-
 def _json_document(header: dict, key: str, names: list[str], columns: list) -> str:
     """The bytes of json.dumps({**header, key: records}, indent=2) + "\n",
     the records being the rows of the named columns, each a dict of the
@@ -121,8 +120,11 @@ def _json_document(header: dict, key: str, names: list[str], columns: list) -> s
     encoder: keys and strings go through the escaper json.dumps uses under
     its default ensure_ascii, ints through str, and every record is one
     %-template of its fields, filled from the columns' texts interleaved."""
+    import json  # here, so that the CLI starts without it
+
     escape = json.encoder.encode_basestring_ascii
-    scalars = _JSON_SCALARS
+    # the JSON text of a scalar by its type; any other type is a TypeError
+    scalars = {str: escape, int: str, bool: {True: "true", False: "false"}.__getitem__}
     rows = len(columns[0]) if columns else 0
     if len(names) != len(columns) or any(len(column) != rows for column in columns):
         raise ValueError("the columns do not match their names in count and length")
@@ -277,6 +279,8 @@ def _cmd_diff(args) -> tuple[list[str], list]:
 
     signal = _sample(sampling.parse_test_function(args.fn), args)
     if args.stencil_file:
+        import json
+
         with open(args.stencil_file, "r", encoding="utf-8") as fh:
             try:
                 # ints as text: stencil_from_dict reads them and names one too long

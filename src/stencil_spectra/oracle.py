@@ -11,12 +11,13 @@ pairs, into an integer view (`_IntegerView`: its taps t_m = L * w_m over L,
 the lcm of its weight denominators, and its prefactor as an integer pair),
 and every check of `cross_checks` compares t_m with a rational by
 cross-multiplication, so it reads no weight twice and makes no `Fraction`.
-`build` is the same pairs, each wrapped in one `Fraction`;
-`exactness_check` reads a `Stencil` into the same view by
-`as_integer_ratio`.
+`build` holds the same pairs, and `exactness_check` reads a `Stencil` into
+the same view through `weights.stencil_pairs`.
 
 Only the CLI's `verify` imports this module, when it runs, so that
-`stencil` starts without it.
+`stencil` starts without it. The module imports `fractions` only inside
+the public functions that return a `Fraction` (`solve_moment_system`,
+`exactness_check` and the product forms), so `verify` runs without it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 import operator
 from collections import defaultdict
 from collections.abc import Iterator
-from fractions import Fraction
 
 from .weights import Stencil, StencilKind, _Record, stencil_label, stencil_pairs, weight_pairs
 
@@ -139,6 +139,8 @@ def solve_moment_system(system: MomentSystem) -> list[Fraction]:
 
     Raises SingularSystemError for repeated offsets.
     """
+    from fractions import Fraction
+
     numerators, denominators = _NodePolynomial().solution(system.offsets,
                                                           system.target_order)
     return [Fraction(a, b) for a, b in zip(numerators, denominators)]
@@ -219,6 +221,8 @@ def product_form_one_sided(m: int, n: int) -> Fraction:
     """One-sided first-derivative weight at offset m via the product form
     1 / (m * prod over k = 1..n, k != m of (1 - m/k)); equals
     one_sided_first(n)'s weight at m."""
+    from fractions import Fraction
+
     if not 1 <= m <= n:
         raise ValueError("require 1 <= m <= n")
     return Fraction(*_product_form(m, range(1, n + 1), 1))
@@ -228,6 +232,8 @@ def product_form_half_point(m: int, n: int) -> Fraction:
     """Half-point weight at offset 2m+1 via the paper's product form
     1 / ((2m+1) * prod over k = 0..n-1, k != m of (1 - (2m+1)**2/(2k+1)**2));
     equals half_point(n)'s weight at 2m+1."""
+    from fractions import Fraction
+
     if not 0 <= m < n:
         raise ValueError("require 0 <= m < n")
     return Fraction(*_product_form(2 * m + 1, range(1, 2 * n, 2), 2))
@@ -303,6 +309,8 @@ def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
     compare with the exact derivative at 0 (`_scaled_residuals`, on a
     power table over the stencil's own distinct |offsets|); the report
     holds each residual as one `Fraction`."""
+    from fractions import Fraction
+
     if max_degree > 2 * stencil.n + 4:
         raise ValueError("bounded search: max_degree must be <= 2n + 4")
     table = _power_table(sorted({abs(o) for o in stencil.offsets}), max_degree)

@@ -2,7 +2,8 @@
 
 Interior points use central rules, boundary points fall back to one-sided
 rules of the same family parameter (order 1 only; order-2 boundary points
-are skipped). Weight-to-float conversion is correctly rounded and the
+are skipped). Each weight's float is a / b of its integer pair
+(`weights.stencil_pairs`), which Python rounds correctly, and the
 per-application accumulation runs from the smallest |offset| outward, so
 antisymmetric cancellations (e.g. on the alternating Nyquist signal) are
 bit-exact. Half-point differentiation is correctly rounded: each value is
@@ -19,7 +20,6 @@ shares.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -31,7 +31,7 @@ from ._eft import split, two_product, two_sum
 from .sampling import (ModulatedAlternating, Polynomial, Sinusoid, check_grid,
                        parse_test_function)
 from .weights import (Stencil, StencilKind, _Record, central_first, central_second, half_point,
-                      limit_coefficients, one_sided_first)
+                      limit_coefficients, one_sided_first, stencil_pairs)
 
 SKIPPED = "skipped"
 
@@ -98,16 +98,17 @@ class _CompiledRule:
     min_offset..max_offset it reads, and apply_range."""
 
     def __init__(self, stencil: Stencil, label: str | None = None):
-        ordered = sorted(stencil.nodes, key=lambda ow: (abs(ow[0]), ow[0]))
+        order, offsets, pairs, (p, q) = stencil_pairs(stencil)
+        ordered = sorted(zip(offsets, pairs), key=lambda node: (abs(node[0]), node[0]))
         self.label = label or stencil.label()
         try:
-            self.nodes = [(o, float(w)) for o, w in ordered]
-            self.scale = float(stencil.prefactor)
+            self.nodes = [(o, a / b) for o, (a, b) in ordered]
+            self.scale = p / q
         except OverflowError:
             raise ValueError(f"{self.label}: a weight or the prefactor "
                              "overflows the floats") from None
-        self.order = stencil.derivative_order
-        self.min_offset, self.max_offset = stencil.offsets[0], stencil.offsets[-1]
+        self.order = order
+        self.min_offset, self.max_offset = offsets[0], offsets[-1]
 
     def apply_range(self, signal: SampledSignal, start: int, stop: int) -> np.ndarray:
         """The rule at indices start..stop-1, all of whose sample indices
@@ -142,6 +143,14 @@ _SPLIT_MIN, _SPLIT_MAX = 2.0 ** -1022, 2.0 ** 995
 _TINY, _QUOTIENT_MIN = 2.0 ** -968, 2.0 ** -900
 
 
+def _low_part(a: int, b: int, hi: float) -> float:
+    """fl(w − hi) for the weight w = a / b (b > 0) and a float hi: with
+    hi = c / d, the exact difference (a·d − c·b) / (b·d), rounded once by
+    Python's correctly rounded int division."""
+    c, d = hi.as_integer_ratio()
+    return (a * d - c * b) / (b * d)
+
+
 def _within_half_gap(q, deviation):
     """Where deviation lies below the distance from q to the nearer of its
     two rounding midpoints, which is half the gap below |q| (the smaller
@@ -159,11 +168,12 @@ class _HalfPointRule:
     provably V rounded. Every other index takes the exact route (`exact`)
     in one call; that route is also the tests' reference. Each weight is
     a double-double: w_hi = fl(w) and w_lo = fl(w − w_hi), taken from the
-    exact Fraction, so |w_lo| <= u·|w_hi| and w − w_hi − w_lo = δ with
-    |δ| <= u²·|w_hi| (for |w_hi| >= 2^-968, where rounding w − w_hi to a
-    subnormal costs 2^-1075 <= u²·|w_hi| at most). With u = 2^-53,
-    η = 2^-1074, γ_m = m·u/(1 − m·u) (Higham, Accuracy and Stability,
-    §2–§4) and P = Σ|p| below, the route and its bound at one index:
+    exact integer pair (`_low_part`), so |w_lo| <= u·|w_hi| and
+    w − w_hi − w_lo = δ with |δ| <= u²·|w_hi| (for |w_hi| >= 2^-968,
+    where rounding w − w_hi to a subnormal costs 2^-1075 <= u²·|w_hi| at
+    most). With u = 2^-53, η = 2^-1074, γ_m = m·u/(1 − m·u) (Higham,
+    Accuracy and Stability, §2–§4) and P = Σ|p| below, the route and its
+    bound at one index:
 
     1. The sum. TwoSum splits f[i+k] − f[i−k] into d + e, TwoProduct
        d·w_hi into p + π, both exactly, with |e| <= u·|d| and
@@ -217,15 +227,16 @@ class _HalfPointRule:
         self.stencil = half_point(n)
         self.label = f"half-point({n})"
         self.min_offset, self.max_offset = self.stencil.offsets[0], self.stencil.offsets[-1]
-        positive = [(k, w) for k, w in self.stencil.nodes if k > 0]
+        _, offsets, pairs, _ = stencil_pairs(self.stencil)
+        positive = [(k, pair) for k, pair in zip(offsets, pairs) if k > 0]
         # the exact route's ints a(k) = D·w(k), D the weights' common denominator
-        self.D = math.lcm(*(w.denominator for _, w in positive))
-        self.scaled = [(k, w.numerator * (self.D // w.denominator)) for k, w in positive]
+        self.D = math.lcm(*(b for _, (_, b) in positive))
+        self.scaled = [(k, a * (self.D // b)) for k, (a, b) in positive]
         # (k, w_hi and its halves, w_lo) for the certified route, unless a
         # weight leaves its range; and its bound's coefficient
-        highs = [(k, w, float(w)) for k, w in positive]
-        magnitudes = [abs(hi) for _, _, hi in highs]
-        self.weights = ([(k, hi, *split(hi), float(w - Fraction(hi))) for k, w, hi in highs]
+        highs = [(k, a, b, a / b) for k, (a, b) in positive]
+        magnitudes = [abs(hi) for _, _, _, hi in highs]
+        self.weights = ([(k, hi, *split(hi), _low_part(a, b, hi)) for k, a, b, hi in highs]
                         if min(magnitudes) >= _TINY and sum(magnitudes) <= 2 else None)
         self.bound_coefficient = (3 * n * n + 6 * n + 11) * 2.0 ** -106
 
@@ -364,8 +375,9 @@ def differentiate(signal: SampledSignal, n: int, order: int) -> DerivativeResult
         # mirrored) above it, as far as each fits: a signal shorter than
         # 2n+1 leaves a skipped middle
         forward = one_sided_first(n)
-        backward = forward.replace(offsets=tuple(-o for o in reversed(forward.offsets)),
-                                   weights=tuple(-w for w in reversed(forward.weights)))
+        forward_order, offsets, pairs, prefactor = stencil_pairs(forward)
+        backward = Stencil(forward.kind, n, forward_order, tuple(-o for o in reversed(offsets)),
+                           [(-a, b) for a, b in reversed(pairs)], prefactor)
         spans += [(_CompiledRule(forward, f"forward({n})"), 0, min(n, length - n)),
                   (_CompiledRule(backward, f"backward({n})"), max(n, length - n), length)]
     return _apply_spans(signal, order, spans)

@@ -9,8 +9,10 @@ p = (m r) mod N step from the previous tap's by the row of the gap. The
 embedding is decided once, as a mirror sign s = 0, -1 or +1 (half
 sequence, full antisymmetric, full symmetric), and each tap m >= 1's
 mirror N - m, weight s a_m, is gathered right after it from entry N - p
-(see _accumulate). The DC bin is the exact sum of the embedded sequence,
-rounded once: a_0 + sum a_m, a_0, or a_0 + 2 sum a_m over m >= 1. A weight
+(see _accumulate). A stencil's weights are read as integer pairs: each
+float is a / b, and the DC bin is the exact sum of the embedded sequence,
+a_0 + sum a_m, a_0, or a_0 + 2 sum a_m over m >= 1, as one integer sum
+over the denominators' lcm, rounded once by one int division. A weight
 or a bin that leaves the floats is one ValueError, "<stencil label or
 'weight sequence'>: the spectrum at N=<N> overflows the floats", in every
 embedding. The module follows the plotting convention of conjugated
@@ -30,7 +32,7 @@ N = 8000 (see truncated_limit_spectrum_dft_grid, _fold and _FOLD_BLOCK).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import numbers
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -38,7 +40,8 @@ import numpy as np
 # CurveFamily, EmbeddingMode, EmbeddingOverflowError and ReferenceCurve live
 # in weights, which imports without numpy, and pass through here
 from .weights import (CurveFamily, EmbeddingMode, EmbeddingOverflowError, ReferenceCurve,
-                      Stencil, StencilKind, _Record, check_embedding, limit_coefficients)
+                      Stencil, StencilKind, _Record, check_embedding, limit_coefficients,
+                      stencil_pairs)
 
 # Sign-block bounds fall back to coarse tail estimates past this length.
 _MAX_BLOCK = 4096
@@ -128,23 +131,21 @@ _MIRROR_SIGN = {EmbeddingMode.HALF_SEQUENCE: 0, EmbeddingMode.FULL_ANTISYMMETRIC
 
 
 def _accumulate(taps, N, sign):
-    """b(r) for r = 0..N/2 of the taps (m, w), offsets m ascending in
-    0..N/2-1, each followed for sign s != 0 and m >= 1 by its mirror
-    (N - m, s w).
+    """b(r) for r = 0..N/2 of the taps (m, w), float weights w at offsets m
+    ascending in 0..N/2-1, each followed for sign s != 0 and m >= 1 by its
+    mirror (N - m, s w).
 
     Tap m reads twiddle[p] = exp(-2i pi p/N) at p = (m k) mod N over the
     bins k, and no tap reduces m k: p steps from the previous offset's row
     by the row (d k) mod N of the gap d, made once per distinct gap, and
     wraps by one subtraction of N. Its mirror reads entry N - p at the same
     row, which is entry p of the table reversed (entry N is a copy of entry
-    0). Each weight is converted to float once, and the mirror's weight is
-    s times that float. Each term is gathered into one buffer and scaled
-    there through its real view: its parts are those of the complex product
-    but for the sign of a zero, which no sum from +0.0 keeps. Bin 0 is the
-    float sum of every term; dft_spectrum replaces it by the exact DC sum,
-    a_0 + sum a_m for s = 0, a_0 for s = -1 and a_0 + 2 sum a_m for s = +1,
-    and raises its one ValueError for a weight or a bin outside the floats
-    (a weight's float() may raise OverflowError here).
+    0). The mirror's weight is s times the tap's. Each term is gathered
+    into one buffer and scaled there through its real view: its parts are
+    those of the complex product but for the sign of a zero, which no sum
+    from +0.0 keeps. Bin 0 is the float sum of every term; dft_spectrum
+    replaces it by the exact DC sum, a_0 + sum a_m for s = 0, a_0 for
+    s = -1 and a_0 + 2 sum a_m for s = +1.
     """
     half = N // 2
     twiddle = np.empty(N + 1, dtype=complex)
@@ -159,7 +160,7 @@ def _accumulate(taps, N, sign):
     p_bits, spill_bits = p.view(np.uint64), spill.view(np.uint64)
     steps = {}
     previous = 0
-    for m, w in taps:
+    for m, weight in taps:
         if m != previous:
             step = steps.get(m - previous)
             if step is None:
@@ -170,7 +171,6 @@ def _accumulate(taps, N, sign):
             np.subtract(p_bits, N, out=spill_bits)
             np.minimum(p_bits, spill_bits, out=p_bits)
             previous = m
-        weight = float(w)
         np.take(twiddle, p, out=term, mode="clip")
         parts *= weight
         acc += term
@@ -195,32 +195,44 @@ def dft_spectrum(
     (FULL_ANTISYMMETRIC) or as it is (FULL_SYMMETRIC). The DC bin is the
     exact sum of the embedded sequence, rounded once: a_0 + sum a_m, a_0
     alone (each negated mirror cancels its tap) and a_0 + 2 sum a_m
-    respectively, over m >= 1. It is summed as Fractions when every weight
-    in it is a Fraction or an int, so zero-sum stencils report b(0) = 0
-    exactly, and by math.fsum otherwise. A weight or a bin that leaves the
-    floats is one ValueError, "<stencil label or 'weight sequence'>: the
-    spectrum at N=<N> overflows the floats".
+    respectively, over m >= 1. A stencil's weights are read as integer
+    pairs a / b (`weights.stencil_pairs`), as are a mapping's when every
+    one is a `numbers.Rational` (an int or a Fraction, say), by its
+    numerator and denominator: each tap's float is a / b, which Python
+    rounds correctly, and the DC bin is one integer sum over the lcm L of
+    the denominators, divided by L, so zero-sum stencils report b(0) = 0
+    exactly. Any other mapping's floats are summed by math.fsum. A weight
+    or a bin that leaves the floats is one ValueError, "<stencil label or
+    'weight sequence'>: the spectrum at N=<N> overflows the floats".
     """
     _check_dft_length(N)
     if isinstance(source, Stencil):
-        name, taps = source.label(), [(o, w) for o, w in source.nodes if o >= 0]
+        _, offsets, pairs, _ = stencil_pairs(source)
+        name, taps = source.label(), [tap for tap in zip(offsets, pairs) if tap[0] >= 0]
+        exact = True
     else:
         name, taps = "weight sequence", sorted(source.items())
+        exact = all(isinstance(w, numbers.Rational) for _, w in taps)
+        if exact:
+            taps = [(m, (int(w.numerator), int(w.denominator))) for m, w in taps]
     if taps and taps[0][0] < 0:
         raise ValueError("embedded sequences are indexed by m >= 0")
     if taps:
         check_embedding(name, taps[-1][0], N)  # the taps ascend
     sign = _MIRROR_SIGN[mode]
-    # a_0 once, and each a_m, m >= 1, 1 + s times: no Fraction is multiplied
-    dc_terms = [w for m, w in taps for _ in range(1 + sign * (m > 0))]
+    # a_0 once, and each a_m, m >= 1, 1 + s times
+    counts = [1 + sign * (m > 0) for m, _ in taps]
 
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _accumulate(taps, N, sign)
-        if all(isinstance(w, (Fraction, int)) for w in dc_terms):
-            dc = float(sum(Fraction(w) for w in dc_terms))
+        if exact:
+            floats = [(m, a / b) for m, (a, b) in taps]
+            common = math.lcm(*[b for _, (_, b) in taps])
+            dc = sum([c * a * (common // b) for c, (_, (a, b)) in zip(counts, taps)]) / common
         else:
-            dc = math.fsum(float(w) for w in dc_terms)
+            floats = [(m, float(w)) for m, w in taps]
+            dc = math.fsum(w for c, (_, w) in zip(counts, floats) for _ in range(c))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _accumulate(floats, N, sign)
         values[0] = complex(dc, 0.0)
         finite = np.isfinite(values).all()
     except OverflowError:  # a weight or the exact DC sum

@@ -89,7 +89,6 @@ import io
 import json
 import math
 from collections.abc import Callable, Iterator, Sequence
-from fractions import Fraction
 from functools import partial
 from itertools import chain
 
@@ -106,10 +105,21 @@ BLOCK_ROWS = 2048
 # E = floor(log10 a) of the fast range, 1e-29 <= a < 1e16, runs over
 # -30..15: fl(1e-29) lies below 10^-29
 _E_MIN, _E_MAX = -30, 15
-# _DECADES[i]: the smallest float >= 10^(_E_MIN + 1 + i), from an exact
-# comparison, so that E is _E_MIN plus the count of entries <= a
-_DECADES = np.array([v if v >= Fraction(10) ** k else math.nextafter(v, math.inf)
-                     for k in range(_E_MIN + 1, _E_MAX + 1) for v in [float(Fraction(10) ** k)]])
+
+
+def _least_float_from(k: int) -> float:
+    """The smallest float >= 10^k: 10^k rounded by Python's correctly
+    rounded int division, and its successor if it rounded down, which an
+    exact comparison of its integer ratio c / d with 10^k tells."""
+    top, bottom = 10 ** max(k, 0), 10 ** max(-k, 0)
+    v = top / bottom
+    c, d = v.as_integer_ratio()
+    return v if c * bottom >= top * d else math.nextafter(v, math.inf)
+
+
+# _DECADES[i]: the smallest float >= 10^(_E_MIN + 1 + i), so that E is
+# _E_MIN plus the count of entries <= a
+_DECADES = np.array([_least_float_from(k) for k in range(_E_MIN + 1, _E_MAX + 1)])
 # 10^k = _HI[k] + _LO[k] exactly for k = 0..46 (5^46 < 2^107), which
 # covers the scales 10^(16 - E), and Veltkamp's split of _HI into two
 # halves of at most 26 bits

@@ -2,11 +2,17 @@
 
 Each family has one generator on integers (`weight_pairs`): it returns
 the family's weights as reduced integer pairs (numerator, positive
-denominator) and its prefactor as a pair, and makes no `Fraction`. `build`
-wraps each pair in one `fractions.Fraction`, so every stated identity can
-be checked bit-exactly; `verify` and `stencil` read the pairs themselves.
-Floating point enters only when a consumer converts a weight for evaluation
-(`limit_coefficients` is that conversion for the infinite-family limits).
+denominator) and its prefactor as a pair. A `Stencil` holds such pairs,
+and `build` hands them over as they are; a stencil turns them into
+`fractions.Fraction`s, one per distinct pair, only when its `weights` or
+`prefactor` is first read, so every stated identity can still be checked
+bit-exactly; `stencil_pairs` reads any stencil's pairs without making one.
+The CLI, `oracle`, `spectra` and `signals` read the pairs, so no command
+makes a `Fraction`, and the module imports `fractions` only where it hands
+one out or reads a rational's text. Floating point enters only when a
+consumer converts a weight for evaluation, as a / b, which Python rounds
+correctly (`limit_coefficients` is that conversion for the
+infinite-family limits).
 
 The module imports without numpy: only `limit_coefficients` needs it and
 imports it when called. It also holds the names that the CLI parses and
@@ -27,11 +33,6 @@ import math
 import re
 from enum import Enum
 from functools import cached_property
-from fractions import Fraction
-
-
-# the weight of an absent offset, shared: Fractions are immutable
-_ZERO = Fraction(0)
 
 
 class StencilFormatError(ValueError):
@@ -126,19 +127,42 @@ class Stencil(_Record):
     by  prefactor / h**order * sum_m weights[m] * f[anchor + offsets[m]],
     where order is derivative_order: a rule for the d-th derivative divides
     by h**d. Only nonzero weights are stored; absent offsets count as zero.
+
+    A stencil holds its weights and prefactor as reduced integer pairs
+    (numerator, positive denominator), the form of `weight_pairs`, and makes
+    `weights` and `prefactor` when each is first read: one `Fraction` per
+    distinct pair, so a symmetric mirror holds its positive side's objects.
+    The constructor reads a rational weight or prefactor (a Fraction or an
+    int) by as_integer_ratio, and takes a pair as it is: a pair must be
+    reduced, with a positive denominator, as `weight_pairs` makes them.
     """
 
     _fields = ("kind", "n", "derivative_order", "offsets", "weights", "prefactor")
 
     def __init__(self, kind: StencilKind, n: int, derivative_order: int,
-                 offsets: tuple[int, ...], weights: tuple[Fraction, ...], prefactor: Fraction):
+                 offsets: tuple[int, ...], weights: tuple[Fraction | tuple[int, int], ...],
+                 prefactor: Fraction | tuple[int, int]):
         if len(offsets) != len(weights):
             raise ValueError("offsets and weights must have equal length")
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ValueError("offsets must be strictly increasing")
         if derivative_order < 0:
             raise ValueError("derivative_order must be >= 0")
-        self._init(kind, n, derivative_order, offsets, weights, prefactor)
+        self.__dict__.update(kind=kind, n=n, derivative_order=derivative_order, offsets=offsets,
+                             _pairs=tuple(map(_pair, weights)), _prefactor_pair=_pair(prefactor))
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
+        made = {pair: Fraction(*pair) for pair in dict.fromkeys(self._pairs)}
+        return tuple(map(made.__getitem__, self._pairs))
+
+    @cached_property
+    def prefactor(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(*self._prefactor_pair)
 
     @property
     def nodes(self) -> tuple[tuple[int, Fraction], ...]:
@@ -149,10 +173,22 @@ class Stencil(_Record):
         return dict(zip(self.offsets, self.weights))
 
     def weight_at(self, offset: int) -> Fraction:
-        return self._weight_by_offset.get(offset, _ZERO)
+        """The weight at offset; Fraction(0) at an offset not stored."""
+        weight = self._weight_by_offset.get(offset)
+        if weight is None:
+            from fractions import Fraction
+
+            weight = Fraction(0)
+        return weight
 
     def label(self) -> str:
         return stencil_label(self.kind, self.n)
+
+
+def _pair(value) -> tuple[int, int]:
+    """A Stencil's weight or prefactor as its pair: a pair as it is, a
+    rational by as_integer_ratio."""
+    return value if type(value) is tuple else value.as_integer_ratio()
 
 
 class ReferenceCurve(_Record):
@@ -193,6 +229,8 @@ def _harmonic(n: int) -> tuple[int, int]:
 
 def harmonic_number(n: int) -> Fraction:
     """Exact n-th harmonic number sum(1/m, m=1..n) (`_harmonic`)."""
+    from fractions import Fraction
+
     if n < 0:
         raise ValueError("n must be >= 0")
     return Fraction(*_harmonic(n))
@@ -385,21 +423,15 @@ def weight_pairs(kind: StencilKind, n: int) -> tuple:
 
 
 def build(kind: StencilKind, n: int) -> Stencil:
-    """Generate the stencil of the given kind and family parameter n: each
-    pair of `weight_pairs` wrapped in one Fraction, equal pairs (a
-    symmetric mirror's) in the same one."""
-    order, offsets, pairs, prefactor = weight_pairs(kind, n)
-    made = {pair: Fraction(*pair) for pair in dict.fromkeys(pairs)}
-    return Stencil(kind, n, order, offsets, tuple(map(made.__getitem__, pairs)),
-                   Fraction(*prefactor))
+    """Generate the stencil of the given kind and family parameter n: the
+    pairs of `weight_pairs`, held as they are."""
+    return Stencil(kind, n, *weight_pairs(kind, n))
 
 
 def stencil_pairs(stencil: Stencil) -> tuple:
-    """A stencil's rule in the form of `weight_pairs`, each weight and the
-    prefactor read by as_integer_ratio."""
-    return (stencil.derivative_order, stencil.offsets,
-            [w.as_integer_ratio() for w in stencil.weights],
-            stencil.prefactor.as_integer_ratio())
+    """A stencil's rule in the form of `weight_pairs`: the pairs it holds,
+    the weights' in a new list."""
+    return stencil.derivative_order, stencil.offsets, list(stencil._pairs), stencil._prefactor_pair
 
 
 def stencil_label(kind: StencilKind, n: int) -> str:
@@ -440,10 +472,21 @@ def stencil_to_dict(stencil: Stencil) -> dict:
                                 for o, text in zip(stencil.offsets, texts)]}
 
 
+def _rational(value) -> tuple[int, int]:
+    """A JSON number (int or float) or a rational's text as the reduced
+    pair Fraction(value) holds: a number by its as_integer_ratio (a float
+    inf or nan raises its error), text through Fraction."""
+    if type(value) is str:
+        from fractions import Fraction
+
+        value = Fraction(value)
+    return value.as_integer_ratio()
+
+
 def _parse_field(parse, value, field: str):
-    """parse(value): int reads a JSON integer or its text, Fraction a JSON
-    number or a rational's text. Anything else, a boolean included, is a
-    ValueError naming the field, as is a value with more digits than
+    """parse(value): int reads a JSON integer or its text, `_rational` a
+    JSON number or a rational's text. Anything else, a boolean included, is
+    a ValueError naming the field, as is a value with more digits than
     Python's int-from-str limit lets it read."""
     if parse is int:
         valid = type(value) is int or (
@@ -465,8 +508,8 @@ def stencil_from_dict(data: dict) -> Stencil:
     Raises StencilFormatError when data is not an object, lacks a key, has
     no nodes, or holds a field that does not parse: offsets, n,
     derivative_order and h_power must be integers, weights and prefactor
-    rationals with a nonzero denominator, and none a boolean. A field that
-    does not parse is named, a weight by its offset. The h_power, the power
+    rationals with a nonzero denominator (`_rational`), and none a
+    boolean. A field that does not parse is named, a weight by its offset. The h_power, the power
     of h a rule divides by, must equal the derivative_order.
     """
     if not isinstance(data, dict):
@@ -475,19 +518,16 @@ def stencil_from_dict(data: dict) -> Stencil:
         nodes = []
         for i, d in enumerate(data["nodes"]):
             o = _parse_field(int, d["offset"], f"the offset of node {i}")
-            nodes.append((o, _parse_field(Fraction, d["weight"], f"the weight at offset {o}")))
+            nodes.append((o, _parse_field(_rational, d["weight"], f"the weight at offset {o}")))
         nodes.sort()
         number = {key: _parse_field(int, data[key], f"the {key}")
                   for key in ("n", "derivative_order", "h_power")}
         if number.pop("h_power") != number["derivative_order"]:
             raise ValueError("the h_power must equal the derivative_order")
-        stencil = Stencil(
-            kind=StencilKind(data["kind"]),
-            offsets=tuple(o for o, _ in nodes),
-            weights=tuple(w for _, w in nodes),
-            prefactor=_parse_field(Fraction, data["prefactor"], "the prefactor"),
-            **number,
-        )
+        kind = StencilKind(data["kind"])
+        prefactor = _parse_field(_rational, data["prefactor"], "the prefactor")
+        stencil = Stencil(kind, number["n"], number["derivative_order"],
+                          tuple(o for o, _ in nodes), [w for _, w in nodes], prefactor)
     except KeyError as exc:
         raise StencilFormatError(f"stencil is missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

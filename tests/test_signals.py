@@ -28,7 +28,7 @@ from stencil_spectra.signals import (
     make_signal,
     parse_test_function,
 )
-from stencil_spectra.signals import _HalfPointRule, _within_half_gap
+from stencil_spectra.signals import _HalfPointRule, _low_part, _within_half_gap
 
 
 def linear_signal(h=0.5, points=9, slope=1.0):
@@ -270,6 +270,8 @@ _SPACING = st.one_of(st.sampled_from([1.0, 0.5, 0.1, 0.3]), st.floats(1e-3, 1e3)
 
 @settings(max_examples=200, deadline=None)
 @given(samples=_SAMPLES, h=_SPACING, n=st.integers(1, 8), order=st.sampled_from([1, 2]))
+# the order of the offsets -2 and 2 changes the central value's last bit
+@example(samples=[3.0, 2.5, 0.1, 3.0, -0.2], h=1.0, n=2, order=1)
 def test_differentiate_matches_per_index_loop(samples, h, n, order):
     signal = SampledSignal(h=h, samples=tuple(samples), origin=0)
     if len(samples) < n + 1:
@@ -1033,3 +1035,66 @@ def test_sampled_signal_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"^sample 1 is .*: samples must be finite$"):
             SampledSignal(h=1.0, samples=(1.0, bad, 2.0), origin=0)
+
+
+# --- the double-double weights from integer pairs ---------------------------
+
+
+def _fraction_low_part(a, b):
+    """w_lo = fl(w - fl(w)) for w = a / b, in Fraction arithmetic."""
+    w = Fraction(a, b)
+    return float(w - Fraction(float(w)))
+
+
+def test_low_part_of_every_weight_is_the_fraction_route():
+    for kind in weights.StencilKind:
+        for n in range(1, 201):
+            _, _, pairs, _ = weights.weight_pairs(kind, n)
+            for a, b in dict.fromkeys(pairs):
+                assert _low_part(a, b, a / b).hex() == _fraction_low_part(a, b).hex(), \
+                    (kind, n, a, b)
+
+
+@st.composite
+def _stencil_file_rationals(draw):
+    """Reduced pairs a / b inside the floats, as a stencil file's "p/q" or
+    decimal text reads: up to 80 digits, and a quotient from subnormal to
+    near the largest float."""
+    a = draw(st.integers(-10 ** 80, 10 ** 80))
+    b = draw(st.integers(1, 10 ** 80))
+    shift = draw(st.integers(-1000, 700))
+    a, b = (a << shift, b) if shift >= 0 else (a, b << -shift)
+    g = math.gcd(a, b)
+    return a // g, b // g
+
+
+@settings(max_examples=2000, deadline=None)
+@given(pair=_stencil_file_rationals())
+@example(pair=(1, 3))
+@example(pair=(1, 10))
+@example(pair=(-7, 2 ** 1080))   # w itself below the least subnormal
+@example(pair=(2 ** 60 + 1, 2 ** 1090))  # w_hi subnormal, w_lo rounds to 0
+def test_low_part_of_a_stencil_file_rational_is_the_fraction_route(pair):
+    a, b = pair
+    assert _low_part(a, b, a / b).hex() == _fraction_low_part(a, b).hex()
+
+
+@pytest.mark.parametrize("pairs, prefactor", [
+    ([(-1, 1), (10 ** 400, 3)], (1, 2)),
+    ([(-1, 1), (1, 1)], (10 ** 400, 1)),
+])
+def test_a_weight_or_prefactor_past_the_floats_is_one_value_error(pairs, prefactor):
+    # a stencil file may hold any rational; its float a / b overflows
+    stencil = weights.Stencil(weights.StencilKind.CENTRAL_FIRST, 1, 1, (-1, 1), pairs, prefactor)
+    with pytest.raises(ValueError, match=r"^central-first\(n=1\): a weight or the prefactor "
+                                         r"overflows the floats$"):
+        apply_stencil(make_signal(Sinusoid(omega=1.0), 0.5, 9), stencil)
+
+
+def test_differentiate_needs_n_plus_one_samples():
+    with pytest.raises(ValueError, match=r"^need at least n\+1 = 4 samples$"):
+        differentiate(make_signal(Sinusoid(omega=1.0), 0.5, 3), 3, 1)
+    # n + 1 samples: no central index, the forward rule at the first and
+    # the backward rule at the last
+    result = differentiate(make_signal(Sinusoid(omega=1.0), 0.5, 4), 3, 1)
+    assert result.spans == (("forward(3)", 0, 1), ("backward(3)", 3, 4))

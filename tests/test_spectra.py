@@ -104,10 +104,19 @@ def test_embedding_overflow_names_the_largest_offset():
 
 
 @pytest.mark.parametrize("mode", list(EmbeddingMode))
-@pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan, 10 ** 400,
+                                    Fraction(-(10 ** 400), 7)])
 def test_weight_outside_the_floats_is_the_documented_error(mode, weight):
+    # an int or a Fraction past the floats overflows in its a / b
     with pytest.raises(ValueError, match=r"^weight sequence: the spectrum at N=8 overflows the floats$"):
-        dft_spectrum({0: 0.0, 1: weight}, 8, mode)
+        dft_spectrum({0: 0, 1: weight}, 8, mode)
+
+
+@pytest.mark.parametrize("mode", [EmbeddingMode.HALF_SEQUENCE, EmbeddingMode.FULL_SYMMETRIC])
+def test_an_exact_dc_sum_past_the_floats_is_the_documented_error(mode):
+    # each weight is a float, their exact sum is not
+    with pytest.raises(ValueError, match=r"^weight sequence: the spectrum at N=8 overflows the floats$"):
+        dft_spectrum({0: 2 ** 1023, 1: 2 ** 1023}, 8, mode)
 
 
 # per embedding, how many times the exact DC sum counts each a_m, m >= 1
@@ -119,8 +128,9 @@ _DC_REPEATS = {EmbeddingMode.HALF_SEQUENCE: 1, EmbeddingMode.FULL_ANTISYMMETRIC:
 @pytest.mark.parametrize("sequence", [
     [Fraction(1, 3), Fraction(1, 7), Fraction(-2, 5), Fraction(1, 10)],
     [3, 2 ** 60 + 1, -2 ** 60, 5],
+    [np.int64(w) for w in (3, 2 ** 60 + 1, -2 ** 60, 5)],  # numbers.Rational too
     [0.1, 1e16, 1.0, -1e16],
-], ids=["fraction", "int", "float"])
+], ids=["fraction", "int", "numpy-int", "float"])
 @pytest.mark.parametrize("with_dc_tap", [True, False])
 def test_dc_bin_is_the_rounded_exact_sum_of_the_embedded_sequence(mode, sequence, with_dc_tap):
     # each sum rounds differently when added in floats tap by tap

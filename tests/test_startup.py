@@ -20,37 +20,46 @@ from _in_child import in_child
 # runs each argv through cli.run; with "blocked", every import of numpy
 # raises ImportError. Prints each (exit code, stdout, stderr, the watched
 # modules loaded after it), the --out file, and the watched modules loaded
-# after importing the CLI: the numeric layer, `dataclasses`, `csv` and the
-# oracle
+# after importing the CLI: the numeric layer, `dataclasses`, `csv`, the
+# oracle, `fractions`, the `decimal` it loads, and `json`. The argvs come
+# as a Python literal (JSON text of a list of strings is one), and `json`
+# is imported only to print the result, after every argv has run
 _CLI_CHILD = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None
 watched = ["numpy", "stencil_spectra.tableblocks", "stencil_spectra.signals",
-           "stencil_spectra.spectra", "dataclasses", "csv", "stencil_spectra.oracle"]
+           "stencil_spectra.spectra", "dataclasses", "csv", "stencil_spectra.oracle",
+           "fractions", "decimal", "json"]
 def loaded():
     return [name for name in watched if sys.modules.get(name) is not None]
 from stencil_spectra.cli import run
 after_import = loaded()
 results = []
-for argv in json.loads(sys.argv[2]):
+for argv in ast.literal_eval(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     results.append([code, out.getvalue(), err.getvalue(), loaded()])
 with open(sys.argv[3], encoding="utf-8") as fh:
     written = fh.read()
+import json
 print(json.dumps([results, written, after_import]))
 """
 
 
 def _exact_argvs(out_path):
-    argvs = [["stencil", "--kind", kind.value, "--n", "5", "--format", fmt]
-             for kind in StencilKind for fmt in ("csv", "json")]
+    """The exact commands, those that write no JSON first: `stencil` in CSV,
+    `--help`, a usage error and `verify` in text; then the JSON ones."""
+    argvs = [["stencil", "--kind", kind.value, "--n", "5", "--format", "csv"]
+             for kind in StencilKind]
     argvs += [["--help"], ["stencil", "--kind", "nope", "--n", "1"],
-              ["stencil", "--kind", "central-first", "--n", "4", "--format", "json",
-               "--out", out_path]]
-    argvs += [["verify", "--max-n", "8", "--format", fmt] for fmt in ("text", "json")]
+              ["verify", "--max-n", "8", "--format", "text"]]
+    argvs += [["stencil", "--kind", kind.value, "--n", "5", "--format", "json"]
+              for kind in StencilKind]
+    argvs += [["stencil", "--kind", "central-first", "--n", "4", "--format", "json",
+               "--out", out_path],
+              ["verify", "--max-n", "8", "--format", "json"]]
     return argvs
 
 
@@ -63,17 +72,35 @@ def test_exact_commands_give_the_same_bytes_without_numpy(tmp_path):
     assert blocked == normal
     assert blocked_written == normal_written
     # importing the CLI loads none of the numeric layer (the table block
-    # renderer among it), `dataclasses`, `csv` or the oracle, in a normal
-    # interpreter; nor do `stencil` in every format, `--help` and a usage
-    # error. `verify`, the last two argvs, loads the oracle alone
+    # renderer among it), `dataclasses`, `csv`, the oracle, `fractions`,
+    # `decimal` or `json`, in a normal interpreter; nor do `stencil` in
+    # CSV, `--help` and a usage error. `verify` in text loads the oracle
+    # alone, so no `fractions`; and the JSON argvs after it add `json`
+    # alone (the lists are of every watched module loaded so far)
     assert after_import == []
-    assert [loaded for _, _, _, loaded in normal] == [[]] * 13 + [["stencil_spectra.oracle"]] * 2
+    oracle = "stencil_spectra.oracle"
+    assert [loaded for _, _, _, loaded in normal] == \
+        [[]] * 7 + [[oracle]] + [[oracle, "json"]] * 7
     codes = [code for code, _, _, _ in normal]
-    assert codes == [0] * 10 + [0, 2, 0] + [0, 0]
-    assert normal[10][1].startswith("usage: stencil-spectra")
-    assert normal[11][2].startswith("usage error: ")
+    assert codes == [0] * 5 + [0, 2, 0] + [0] * 7
+    assert normal[5][1].startswith("usage: stencil-spectra")
+    assert normal[6][2].startswith("usage error: ")
+    assert normal[7][1].endswith("\n104/104 checks passed\n")
     assert normal[-1][1].startswith('{\n  "max_n": 8')
     assert json.loads(normal_written)["kind"] == "central-first"
+
+
+def test_a_json_document_alone_loads_json(tmp_path):
+    # the argvs above run in one interpreter, where `verify` loads the
+    # oracle first; here each JSON command runs in its own
+    out_path = str(tmp_path / "unwritten")
+    open(out_path, "w").close()
+    for argv in (["stencil", "--kind", "half-point-first", "--n", "48", "--format", "json"],
+                 ["verify", "--max-n", "16", "--format", "json"]):
+        (code, out, _, loaded), = in_child(_CLI_CHILD, "normal", json.dumps([argv]),
+                                           out_path)[0]
+        assert code == 0 and out.startswith("{\n"), argv
+        assert [name for name in loaded if name != "stencil_spectra.oracle"] == ["json"], argv
 
 
 # one argv per rule that a numeric handler runs before numpy loads, each
@@ -131,16 +158,19 @@ def test_numeric_rules_that_read_no_array_run_without_numpy(tmp_path):
 
 
 def test_numeric_commands_load_no_dataclasses(tmp_path):
-    # the numeric layer's records are `weights._Record`s too
+    # the numeric layer's records are `weights._Record`s too; and no
+    # command loads `fractions`, a `--limit` spectrum's float taps included
     out_path = tmp_path / "unwritten"
     out_path.write_text("")
     argvs = [["spectrum", "--kind", "central-first", "--n", "2", "--N", "16"],
+             ["spectrum", "--limit", "central-first", "--N", "16"],
              ["diff", "--fn", "sin:omega=1", "--points", "21"],
              ["figure", "1a", "--N", "16", "--M", "100"]]
     normal, _, _ = in_child(_CLI_CHILD, "normal", json.dumps(argvs), str(out_path))
     for (code, out, err, loaded), argv in zip(normal, argvs):
         assert code == 0 and out and err == "", argv
         assert "stencil_spectra.tableblocks" in loaded and "dataclasses" not in loaded, argv
+        assert "fractions" not in loaded, argv
 
 
 def test_a_length_past_numpy_arrays_is_one_line_without_numpy(tmp_path):

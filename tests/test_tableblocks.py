@@ -291,3 +291,28 @@ def test_spectrum_formats_each_repeated_column_once(monkeypatch, capsys):
     assert {row[4] for row in rows} == {"0"}
     assert [row[5] for row in rows] == [row[2].lstrip("-") for row in rows]
     assert any(row[2].startswith("-") for row in rows)
+
+
+# --- the decade table without Fractions -------------------------------------
+
+
+def _fraction_least_float_from(k):
+    """The smallest float >= 10^k, by Fraction comparison."""
+    v = float(Fraction(10) ** k)
+    return v if v >= Fraction(10) ** k else math.nextafter(v, math.inf)
+
+
+def test_decades_are_the_fraction_route():
+    want = np.array([_fraction_least_float_from(k)
+                     for k in range(tableblocks._E_MIN + 1, tableblocks._E_MAX + 1)])
+    assert tableblocks._DECADES.tobytes() == want.tobytes()
+    # and each is >= its decade, with the float below it under it
+    for k, v in zip(range(tableblocks._E_MIN + 1, tableblocks._E_MAX + 1),
+                    tableblocks._DECADES.tolist()):
+        assert Fraction(v) >= Fraction(10) ** k > Fraction(math.nextafter(v, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(-323, 308))
+def test_least_float_from_is_the_fraction_route(k):
+    assert tableblocks._least_float_from(k) == _fraction_least_float_from(k)

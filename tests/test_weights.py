@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import finite_diff_weights
 
 from stencil_spectra import oracle, weights
@@ -669,6 +669,27 @@ def test_stencil_from_dict_names_a_field_of_the_wrong_type(message, edit):
     assert str(info.value) == f"malformed stencil: {message}"
 
 
+@pytest.mark.parametrize("data, message", [
+    ([], "stencil must be an object, not list"),
+    ({"kind": "central-first"}, "stencil is missing key 'nodes'"),
+    ({**stencil_to_dict(central_first(1)), "nodes": []}, "stencil has no nodes"),
+    ({**stencil_to_dict(central_first(1)), "nodes": [{"offset": 1}]},
+     "stencil is missing key 'weight'"),
+])
+def test_stencil_from_dict_rejects_a_document_that_is_no_stencil(data, message):
+    with pytest.raises(weights.StencilFormatError) as info:
+        stencil_from_dict(data)
+    assert str(info.value) == message
+
+
+def test_stencil_from_dict_takes_the_nodes_in_any_order():
+    data = stencil_to_dict(half_point(3))
+    data["nodes"].reverse()
+    assert stencil_from_dict(data) == half_point(3)
+    assert weights.stencil_pairs(stencil_from_dict(data)) == \
+        weights.weight_pairs(StencilKind.HALF_POINT_FIRST, 3)
+
+
 def test_weights_are_reduced_fractions():
     s = one_sided_first(12)
     for _, w in s.nodes:
@@ -790,8 +811,101 @@ def test_cross_checks_and_the_stencil_command_make_no_fraction(fractions_made, c
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 28])
 def test_build_makes_one_fraction_per_distinct_weight_and_one_prefactor(fractions_made,
                                                                        kind, n):
+    # build holds the pairs and makes none; the first read of `weights`
+    # and of `prefactor` makes them, and a second read makes none
     stencil = weights.build(kind, n)
-    assert len(fractions_made) == len(set(stencil.weights)) + 1
-    assert len(fractions_made) <= len(stencil.weights) + 1
+    assert fractions_made == []
+    ws, prefactor = stencil.weights, stencil.prefactor
+    assert len(fractions_made) == len(set(ws)) + 1
+    assert len(fractions_made) <= len(ws) + 1
+    assert stencil.weights is ws and stencil.prefactor is prefactor
+    assert len(fractions_made) == len(set(ws)) + 1
     if kind is StencilKind.CENTRAL_SECOND:  # the mirror holds the positive side's objects
-        assert all(a is b for a, b in zip(stencil.weights, reversed(stencil.weights)))
+        assert all(a is b for a, b in zip(ws, reversed(ws)))
+
+
+def test_builds_and_numeric_commands_make_no_fraction(fractions_made, capsys):
+    from stencil_spectra import cli, signals
+
+    stencils = [weights.build(kind, n) for kind in StencilKind for n in range(1, 29)]
+    assert [s.label() for s in stencils][:2] == ["central-first(n=1)", "central-first(n=2)"]
+    assert fractions_made == []
+    signals._half_point_rule.cache_clear()  # so that the diff builds its rule
+    for argv in (*(["spectrum", "--kind", kind.value, "--n", "4", "--N", "64"]
+                   for kind in StencilKind),
+                 ["figure", "2a"],
+                 ["diff", "--fn", "sin:omega=1", "--h", "0.001", "--kind", "half-point-first",
+                  "--n", "300", "--points", "1201"]):
+        assert cli.run(argv) == 0, argv
+        assert capsys.readouterr().out.count("\n") > 30, argv
+    assert fractions_made == []
+
+
+def test_a_stencil_holds_pairs_from_fractions_or_as_given():
+    s = weights.Stencil(StencilKind.CENTRAL_FIRST, 2, 1, (-2, -1, 1, 2),
+                        (F(1, 6), F(-4, 3), F(4, 3), F(-1, 6)), F(1, 2))
+    assert weights.stencil_pairs(s) == (1, (-2, -1, 1, 2),
+                                        [(1, 6), (-4, 3), (4, 3), (-1, 6)], (1, 2))
+    assert weights.Stencil(s.kind, s.n, *weights.stencil_pairs(s)) == s == central_first(2)
+    assert hash(s) == hash(central_first(2)) and repr(s) == repr(central_first(2))
+    assert s.replace(n=3).weights == s.weights and s.replace(n=3).n == 3
+    # ints read as rationals; the pairs handed out are a new list each time
+    ints = weights.Stencil(s.kind, 1, 1, (-1, 1), (-1, 1), 1)
+    assert weights.stencil_pairs(ints) == (1, (-1, 1), [(-1, 1), (1, 1)], (1, 1))
+    weights.stencil_pairs(ints)[2].clear()
+    assert weights.stencil_pairs(ints)[2] == [(-1, 1), (1, 1)]
+    absent = central_first(2).weight_at(0)  # a Fraction, as a stored weight is
+    assert type(absent) is F and absent == 0
+    with pytest.raises(ValueError, match="^offsets must be strictly increasing$"):
+        weights.Stencil(s.kind, 2, 1, (1, 1), [(1, 2), (1, 2)], (1, 1))
+    with pytest.raises(ValueError, match="^offsets and weights must have equal length$"):
+        weights.Stencil(s.kind, 2, 1, (1, 2), [(1, 2)], (1, 1))
+    with pytest.raises(ValueError, match="^derivative_order must be >= 0$"):
+        weights.Stencil(s.kind, 2, -1, (1, 2), [(1, 2), (1, 2)], (1, 1))
+
+
+# --- integer pairs in place of Fractions ------------------------------------
+
+
+@st.composite
+def _pairs_across_the_floats(draw):
+    """(a, b), b > 0, whose quotient runs from past the largest float to
+    below the least subnormal: 60-bit ints, one scaled by 2**shift."""
+    a, b = draw(st.integers(-2 ** 60, 2 ** 60)), draw(st.integers(1, 2 ** 60))
+    shift = draw(st.integers(-1200, 1200))
+    return (a << shift, b) if shift >= 0 else (a, b << -shift)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(pair=_pairs_across_the_floats())
+@example(pair=(2 ** 1024, 1))                      # overflows
+@example(pair=(2 ** 1024 - 2 ** 970, 1))           # the tie that rounds past the largest
+@example(pair=(2 ** 1024 - 2 ** 970 - 1, 1))       # the largest float
+@example(pair=(1, 2 ** 1074))                      # the least subnormal
+@example(pair=(1, 2 ** 1075))                      # the tie that rounds to 0
+@example(pair=(3, 2 ** 1076))                      # rounds up to the least subnormal
+@example(pair=(-1, 3 * 2 ** 1070))                 # a negative subnormal
+@example(pair=(0, 7))
+def test_int_division_is_the_float_of_the_fraction(pair):
+    # the weights' readers take a / b where they took float(Fraction(a, b))
+    a, b = pair
+    try:
+        want = float(F(a, b))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            a / b  # noqa: B018
+        return
+    assert (a / b).hex() == want.hex()
+
+
+def test_rational_reads_json_numbers_and_text_as_fraction_does():
+    for value in (0, -7, 10 ** 30, 0.1, -2.5e-300, 5e-324, 1.7e308,
+                  "-3/6", " 7 ", "-.5e-3", "2.50", "1e-400"):
+        assert weights._rational(value) == F(value).as_integer_ratio()
+    for text in ("1/0", "0x10", "1/2/3", "", "one"):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            weights._rational(text)
+    with pytest.raises(OverflowError):
+        weights._rational(math.inf)
+    with pytest.raises(ValueError):
+        weights._rational(math.nan)
