@@ -26,21 +26,21 @@ it loads) or `json`, so `stencil`, `verify`, `--help` and every usage
 error run on the exact layer alone; `run` loads `oracle` when it
 dispatches `verify`, `_json_document` loads `json` for a JSON document,
 and `diff` loads it to read a `--stencil-file` (the numeric layer's
-`tableblocks` imports it too). No command loads `fractions`, but for a
-`--stencil-file` rational written as text: every layer reads the
-weights' integer pairs. The handlers
-of `spectrum`, `diff` and `figure` first run every rule that reads no
-array: their usage errors, each stencil's reach against N
-(`weights.reach` and `weights.check_embedding`), the taps a `--limit`
-sequence fits, a reference curve's h (`weights.ReferenceCurve`), `diff`'s and `figure 2b`'s `--fn`
-grammar and grid rule (`sampling`), and a `--N` or `--points` too long
-for any numpy array (`_check_length`).
-Only then does a handler load numpy, `spectra`, `signals` and
-`tableblocks`, so an argv that one of these rules rejects exits without
-them. A rule that follows an array step (a spectrum's curve h rule, a
-`--stencil-file`, a derivative rule's h**order, a non-finite sample)
-stays after it, so that an argv with a fault in each still reports the
-array step's.
+`tableblocks` imports it too). No command loads `fractions`, but `diff`
+to read a `--stencil-file` rational written as text, through
+`weights._fraction`, the package's one import of it: every layer reads
+the weights' integer pairs. The handlers of `spectrum`, `diff` and
+`figure` first run every rule that reads no array: their usage errors,
+each stencil's reach against N (`weights.reach` and
+`weights.check_embedding`), the taps a `--limit` sequence fits, a
+reference curve's h (`weights.ReferenceCurve`), `diff`'s and `figure
+2b`'s `--fn` grammar and grid rule (`sampling`), and a `--N` or
+`--points` too long for any numpy array (`_check_length`). Only then
+does a handler load numpy, `spectra`, `signals` and `tableblocks`, so an
+argv that one of these rules rejects exits without them. A rule that
+follows an array step (a spectrum's curve h rule, a `--stencil-file`, a
+derivative rule's h**order, a non-finite sample) stays after it, so that
+an argv with a fault in each still reports the array step's.
 """
 
 from __future__ import annotations

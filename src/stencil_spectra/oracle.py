@@ -15,9 +15,10 @@ cross-multiplication, so it reads no weight twice and makes no `Fraction`.
 the same view through `weights.stencil_pairs`.
 
 Only the CLI's `verify` imports this module, when it runs, so that
-`stencil` starts without it. The module imports `fractions` only inside
-the public functions that return a `Fraction` (`solve_moment_system`,
-`exactness_check` and the product forms), so `verify` runs without it.
+`stencil` starts without it. The public functions that return a
+`Fraction` (`solve_moment_system`, `exactness_check` and the product
+forms) make it with `weights._fraction`, the one place that imports
+`fractions`, so `verify` runs without it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import operator
 from collections import defaultdict
 from collections.abc import Iterator
 
-from .weights import Stencil, StencilKind, _Record, stencil_label, stencil_pairs, weight_pairs
+from .weights import (Stencil, StencilKind, _fraction, _Record, stencil_label, stencil_pairs,
+                      weight_pairs)
 
 
 class SingularSystemError(ValueError):
@@ -139,11 +141,9 @@ def solve_moment_system(system: MomentSystem) -> list[Fraction]:
 
     Raises SingularSystemError for repeated offsets.
     """
-    from fractions import Fraction
-
     numerators, denominators = _NodePolynomial().solution(system.offsets,
                                                           system.target_order)
-    return [Fraction(a, b) for a, b in zip(numerators, denominators)]
+    return list(map(_fraction, numerators, denominators))
 
 
 def _newton_minors(nodes) -> list[int]:
@@ -221,22 +221,18 @@ def product_form_one_sided(m: int, n: int) -> Fraction:
     """One-sided first-derivative weight at offset m via the product form
     1 / (m * prod over k = 1..n, k != m of (1 - m/k)); equals
     one_sided_first(n)'s weight at m."""
-    from fractions import Fraction
-
     if not 1 <= m <= n:
         raise ValueError("require 1 <= m <= n")
-    return Fraction(*_product_form(m, range(1, n + 1), 1))
+    return _fraction(*_product_form(m, range(1, n + 1), 1))
 
 
 def product_form_half_point(m: int, n: int) -> Fraction:
     """Half-point weight at offset 2m+1 via the paper's product form
     1 / ((2m+1) * prod over k = 0..n-1, k != m of (1 - (2m+1)**2/(2k+1)**2));
     equals half_point(n)'s weight at 2m+1."""
-    from fractions import Fraction
-
     if not 0 <= m < n:
         raise ValueError("require 0 <= m < n")
-    return Fraction(*_product_form(2 * m + 1, range(1, 2 * n, 2), 2))
+    return _fraction(*_product_form(2 * m + 1, range(1, 2 * n, 2), 2))
 
 
 def _power_table(bases, max_degree: int) -> tuple[dict[int, int], list[list[int]]]:
@@ -309,8 +305,6 @@ def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
     compare with the exact derivative at 0 (`_scaled_residuals`, on a
     power table over the stencil's own distinct |offsets|); the report
     holds each residual as one `Fraction`."""
-    from fractions import Fraction
-
     if max_degree > 2 * stencil.n + 4:
         raise ValueError("bounded search: max_degree must be <= 2n + 4")
     table = _power_table(sorted({abs(o) for o in stencil.offsets}), max_degree)
@@ -322,7 +316,7 @@ def exactness_check(stencil: Stencil, max_degree: int) -> ExactnessReport:
         stencil=stencil,
         max_exact_degree=max_exact,
         first_failing_degree=first_failing,
-        residuals=tuple(Fraction(total, scale) for total in totals),
+        residuals=tuple(_fraction(total, scale) for total in totals),
     )
 
 

@@ -8,8 +8,9 @@ and `build` hands them over as they are; a stencil turns them into
 `prefactor` is first read, so every stated identity can still be checked
 bit-exactly; `stencil_pairs` reads any stencil's pairs without making one.
 The CLI, `oracle`, `spectra` and `signals` read the pairs, so no command
-makes a `Fraction`, and the module imports `fractions` only where it hands
-one out or reads a rational's text. Floating point enters only when a
+makes a `Fraction`. `_fraction` holds the package's one import of
+`fractions`, run when called: each function that hands out a `Fraction`
+or reads a rational's text calls it. Floating point enters only when a
 consumer converts a weight for evaluation, as a / b, which Python rounds
 correctly (`limit_coefficients` is that conversion for the
 infinite-family limits).
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from enum import Enum
 from functools import cached_property
 
@@ -153,16 +155,12 @@ class Stencil(_Record):
 
     @cached_property
     def weights(self) -> tuple[Fraction, ...]:
-        from fractions import Fraction
-
-        made = {pair: Fraction(*pair) for pair in dict.fromkeys(self._pairs)}
+        made = {pair: _fraction(*pair) for pair in dict.fromkeys(self._pairs)}
         return tuple(map(made.__getitem__, self._pairs))
 
     @cached_property
     def prefactor(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(*self._prefactor_pair)
+        return _fraction(*self._prefactor_pair)
 
     @property
     def nodes(self) -> tuple[tuple[int, Fraction], ...]:
@@ -175,14 +173,19 @@ class Stencil(_Record):
     def weight_at(self, offset: int) -> Fraction:
         """The weight at offset; Fraction(0) at an offset not stored."""
         weight = self._weight_by_offset.get(offset)
-        if weight is None:
-            from fractions import Fraction
-
-            weight = Fraction(0)
-        return weight
+        return _fraction(0) if weight is None else weight
 
     def label(self) -> str:
         return stencil_label(self.kind, self.n)
+
+
+def _fraction(*args) -> Fraction:
+    """fractions.Fraction(*args), imported when called: the package's one
+    import of `fractions`, so that importing a module loads neither it nor
+    the `decimal` it loads."""
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 def _pair(value) -> tuple[int, int]:
@@ -229,11 +232,9 @@ def _harmonic(n: int) -> tuple[int, int]:
 
 def harmonic_number(n: int) -> Fraction:
     """Exact n-th harmonic number sum(1/m, m=1..n) (`_harmonic`)."""
-    from fractions import Fraction
-
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Fraction(*_harmonic(n))
+    return _fraction(*_harmonic(n))
 
 
 # the generators of `weight_pairs`, one per family, for n >= 1
@@ -475,11 +476,16 @@ def stencil_to_dict(stencil: Stencil) -> dict:
 def _rational(value) -> tuple[int, int]:
     """A JSON number (int or float) or a rational's text as the reduced
     pair Fraction(value) holds: a number by its as_integer_ratio (a float
-    inf or nan raises its error), text through Fraction."""
+    inf or nan raises its error), text through Fraction. Fraction makes
+    10**exponent in full, so a text whose exponent is larger in magnitude
+    than Python's int-from-str digit limit is refused before it is read,
+    as a ValueError of that limit (a limit of 0, or a Python without one,
+    turns the check off)."""
     if type(value) is str:
-        from fractions import Fraction
-
-        value = Fraction(value)
+        exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value)  # as Fraction reads it
+        if exponent and 0 < getattr(sys, "get_int_max_str_digits", int)() < abs(int(exponent[1])):
+            raise ValueError("the exponent exceeds the limit for integer string conversion")
+        value = _fraction(value)
     return value.as_integer_ratio()
 
 

@@ -546,6 +546,26 @@ def test_diff_malformed_stencil_file_is_one_line_error(capsys, tmp_path, payload
                        "Python reads exactly\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python reads integers of any length")
+@pytest.mark.parametrize("weight, err", [
+    ("1e100000000", "error: malformed stencil: the weight at offset 1 has more digits than "
+                    "Python reads exactly\n"),
+    ("-1e-100000000", "error: malformed stencil: the weight at offset 1 has more digits "
+                      "than Python reads exactly\n"),
+    # an exponent at the limit reads, and the weight leaves the floats
+    ("1e4300", "error: central-first(n=1): a weight or the prefactor overflows the floats\n"),
+])
+def test_diff_stencil_file_with_a_huge_exponent_is_one_line_error(capsys, tmp_path, weight,
+                                                                  err):
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps({**_GOOD_STENCIL, "nodes": [{"offset": -1, "weight": "-1"},
+                                                           {"offset": 1, "weight": weight}]}),
+                    encoding="utf-8")
+    assert run_capture(capsys, ["diff", "--fn", "sin:omega=1", "--stencil-file", str(path)]) \
+        == (1, "", err)
+
+
 def test_diff_stencil_file_of_negative_order_is_one_line_error(capsys, tmp_path):
     # the h_power equals the derivative_order, so the order itself is checked
     path = tmp_path / "negative.json"
@@ -668,16 +688,17 @@ def test_figure_3a_zero_sum_at_dc(capsys):
 
 
 def test_figure_2b_envelope_demo(capsys):
-    code, out, _ = run_capture(capsys, ["figure", "2b", "--points", "33"])
-    assert code == 0
-    header, rows = parse_csv(out)
-    assert header == ["index", "x", "signal", "envelope_upper", "envelope_lower",
-                      "half_point_raw", "half_point_corrected"]
-    interior = [row for row in rows if row[5] != "nan"]
-    assert interior
-    for row in interior:
-        assert float(row[6]) == 0.25  # recovered envelope slope
-    assert rows[0][5] == "nan"
+    for n in ([], ["--n", "3"]):  # the default n and an --n
+        code, out, _ = run_capture(capsys, ["figure", "2b", *n, "--points", "33"])
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["index", "x", "signal", "envelope_upper", "envelope_lower",
+                          "half_point_raw", "half_point_corrected"]
+        interior = [row for row in rows if row[5] != "nan"]
+        assert interior
+        for row in interior:
+            assert float(row[6]) == 0.25  # recovered envelope slope
+        assert rows[0][5] == "nan"
 
 
 def test_figure_2b_requires_modulated_function(capsys):
@@ -697,11 +718,12 @@ def test_figure_unknown_id(capsys):
     (["figure", "3a", "--points", "7"], "--points"),
     (["figure", "2b", "--N", "64"], "--N"),
     (["figure", "2b", "--n", "3,4"], "--n"),
-], ids=["1a-fn", "1b-n", "2a-M", "3a-points", "2b-N", "2b-n-list"])
+    (["figure", "3a", "--M", "5"], "--M"),
+], ids=["1a-fn", "1b-n", "2a-M", "3a-points", "2b-N", "2b-n-list", "3a-M"])
 def test_figure_flag_its_id_does_not_read_exits_2(capsys, argv, flag):
     code, out, err = run_capture(capsys, argv)
     assert (code, out) == (2, "")
-    assert flag in err.splitlines()[-1]
+    assert err.count("\n") == 1 and flag in err
 
 
 def test_figure_flag_before_the_id_exits_2(capsys):

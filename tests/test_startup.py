@@ -2,6 +2,8 @@
 public name imports from its one home module, and the package root loads
 no submodule."""
 
+import ast
+import glob
 import importlib
 import json
 import os
@@ -12,9 +14,10 @@ import types
 import pytest
 
 import stencil_spectra
+from stencil_spectra.cli import run
 from stencil_spectra.weights import StencilKind
 
-from _in_child import in_child
+from _in_child import in_child, run_child
 
 
 # runs each argv through cli.run; with "blocked", every import of numpy
@@ -50,16 +53,24 @@ print(json.dumps([results, written, after_import]))
 
 def _exact_argvs(out_path):
     """The exact commands, those that write no JSON first: `stencil` in CSV,
-    `--help`, a usage error and `verify` in text; then the JSON ones."""
+    in its default format at the smallest and a large n, `--help`, a usage
+    error and `verify` in text; then the JSON ones, at n = 5 and at large
+    n, and `verify` at two --max-n."""
     argvs = [["stencil", "--kind", kind.value, "--n", "5", "--format", "csv"]
              for kind in StencilKind]
-    argvs += [["--help"], ["stencil", "--kind", "nope", "--n", "1"],
-              ["verify", "--max-n", "8", "--format", "text"]]
+    argvs += [["stencil", "--kind", "central-second", "--n", "1"],
+              ["stencil", "--kind", "one-sided-nth", "--n", "60"],
+              ["--help"], ["stencil", "--kind", "nope", "--n", "1"],
+              ["verify", "--max-n", "8", "--format", "text"], ["verify", "--max-n", "16"]]
     argvs += [["stencil", "--kind", kind.value, "--n", "5", "--format", "json"]
               for kind in StencilKind]
+    argvs += [["stencil", "--kind", kind, "--n", n, "--format", "json"]
+              for kind, n in [("central-second", "48"), ("one-sided-first", "60"),
+                              ("half-point-first", "48")]]
     argvs += [["stencil", "--kind", "central-first", "--n", "4", "--format", "json",
                "--out", out_path],
-              ["verify", "--max-n", "8", "--format", "json"]]
+              ["verify", "--max-n", "8", "--format", "json"],
+              ["verify", "--max-n", "16", "--format", "json"]]
     return argvs
 
 
@@ -80,14 +91,35 @@ def test_exact_commands_give_the_same_bytes_without_numpy(tmp_path):
     assert after_import == []
     oracle = "stencil_spectra.oracle"
     assert [loaded for _, _, _, loaded in normal] == \
-        [[]] * 7 + [[oracle]] + [[oracle, "json"]] * 7
+        [[]] * 9 + [[oracle]] * 2 + [[oracle, "json"]] * 11
     codes = [code for code, _, _, _ in normal]
-    assert codes == [0] * 5 + [0, 2, 0] + [0] * 7
-    assert normal[5][1].startswith("usage: stencil-spectra")
-    assert normal[6][2].startswith("usage error: ")
-    assert normal[7][1].endswith("\n104/104 checks passed\n")
-    assert normal[-1][1].startswith('{\n  "max_n": 8')
+    assert codes == [0] * 8 + [2] + [0] * 13
+    assert normal[5][1] == "# kind=central-second,n=1,derivative_order=2,h_power=2," \
+        "prefactor=1\noffset,weight\n-1,1\n0,-2\n1,1\n"
+    assert normal[7][1].startswith("usage: stencil-spectra")
+    assert normal[8][2].startswith("usage error: ")
+    assert normal[9][1].endswith("\n104/104 checks passed\n")
+    assert normal[10][1].endswith("\n208/208 checks passed\n")
+    assert normal[-2][1].startswith('{\n  "max_n": 8')
+    assert normal[-1][1].startswith('{\n  "max_n": 16')
     assert json.loads(normal_written)["kind"] == "central-first"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["stencil", "--kind", "central-first", "--n", "2"], 0),
+    (["figure", "3a", "--M", "5"], 2),
+], ids=["stencil", "usage-error"])
+def test_the_module_runs_main_as_the_console_script_does(capsys, argv, code):
+    # `python -m stencil_spectra.cli` calls `main`, the entry point of the
+    # console script: `run`'s exit code, stdout bytes and stderr line
+    child = run_child("-m", "stencil_spectra.cli", *argv)
+    assert run(argv) == code == child.returncode
+    captured = capsys.readouterr()
+    assert (child.stdout.decode(), child.stderr.decode()) == (captured.out, captured.err)
+    if code:
+        assert captured.out == "" and captured.err.count("\n") == 1
+    else:
+        assert captured.out.startswith("# kind=central-first,n=2,") and captured.err == ""
 
 
 def test_a_json_document_alone_loads_json(tmp_path):
@@ -103,18 +135,21 @@ def test_a_json_document_alone_loads_json(tmp_path):
         assert [name for name in loaded if name != "stencil_spectra.oracle"] == ["json"], argv
 
 
-# one argv per rule that a numeric handler runs before numpy loads, each
-# rejected by that rule alone
+# one argv or more per rule that a numeric handler runs before numpy loads,
+# each rejected by that rule alone
 _REJECTED_BEFORE_NUMPY = [
     # spectrum: its three usage errors, --kind reach, and --limit's fit
     ["spectrum", "--kind", "central-first", "--N", "64"],
     ["spectrum", "--kind", "central-first", "--n", "2", "--M", "5"],
     ["spectrum", "--limit", "central-first", "--n", "3"],
     ["spectrum", "--kind", "half-point-first", "--n", "17", "--N", "64"],
+    ["spectrum", "--kind", "central-first", "--n", "40", "--N", "64"],
     ["spectrum", "--limit", "half-point-first", "--N", "64", "--M", "17"],
     ["spectrum", "--limit", "central-second", "--N", "2"],
-    # figure 1a/1b: the curve h rule
+    ["spectrum", "--limit", "half-point-first", "--N", "2"],
+    # figure 1a/1b: the curve h rule, at the default --N and --M too
     ["figure", "1a", "--h", "1e-320", "--N", "16", "--M", "100"],
+    ["figure", "1a", "--h", "1e-320"],
     ["figure", "1b", "--h", "1e308", "--N", "16", "--M", "100"],
     # figure 2a/3a/3b: reach for each n, then the curve h rule
     ["figure", "2a", "--n", "1,17", "--N", "64"],
@@ -184,6 +219,31 @@ def test_a_length_past_numpy_arrays_is_one_line_without_numpy(tmp_path):
         [1, "", f"error: --{flag} {10 ** 20} is above {sys.maxsize // 16}, the most 16-byte "
                 "values one numpy array holds\n", []]
         for flag in ("points", "N")]
+
+
+def test_one_function_imports_fractions():
+    # `weights._fraction` is the package's one import of `fractions`, so
+    # that importing any module loads neither it nor `decimal`: each import
+    # of it in the source, with the innermost function that holds it
+    found = []
+    package = os.path.dirname(stencil_spectra.__file__)
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        owner = {}
+        for node in ast.walk(tree):  # breadth first: an inner def overwrites
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(map(id, ast.walk(node)), node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "fractions" for module in modules):
+                found.append((os.path.basename(path), owner.get(id(node))))
+    assert found == [("weights.py", "_fraction")]
 
 
 # each public name of the package when its root re-exported them -> the

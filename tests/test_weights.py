@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -643,6 +644,46 @@ def test_stencil_from_dict_names_a_field_too_long_to_read(field, edit):
         stencil_from_dict(data)
     assert str(info.value) == (f"malformed stencil: {field} has more digits than "
                                "Python reads exactly")
+
+
+# Fraction makes 10**exponent in full: a text with an exponent past the
+# int-from-str digit limit is refused before Fraction reads it, at once
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python reads integers of any length")
+@pytest.mark.parametrize("text", ["1E+4301", " 2.5e-4301 ", "1e100000000", "-1e-100000000",
+                                  "1e1_000_000_000", "1e" + "7" * 5000],
+                         ids=["4301", "spaced-minus-4301", "1e8", "minus-1e8", "underscored-1e9",
+                              "5000-digits"])
+@pytest.mark.parametrize("field", ["the weight at offset 1", "the prefactor"])
+def test_stencil_from_dict_refuses_an_exponent_past_the_digit_limit(text, field):
+    data = stencil_to_dict(central_first(1))
+    if field == "the prefactor":
+        data["prefactor"] = text
+    else:
+        data["nodes"][1]["weight"] = text
+    start = time.perf_counter()
+    with pytest.raises(weights.StencilFormatError) as info:
+        stencil_from_dict(data)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == (f"malformed stencil: {field} has more digits than "
+                               "Python reads exactly")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python reads integers of any length")
+def test_an_exponent_at_the_digit_limit_reads_and_a_limit_of_0_reads_any():
+    data = stencil_to_dict(central_first(1))
+    data["nodes"][1]["weight"], data["prefactor"] = "1e4300", " -2.5E-4300 "
+    s = stencil_from_dict(data)
+    assert weights.stencil_pairs(s)[2:] == ([(-1, 1), (10 ** 4300, 1)], (-1, 4 * 10 ** 4299))
+    data["nodes"][1]["weight"] = "1e5000"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        s = stencil_from_dict(data)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert weights.stencil_pairs(s)[2][1] == (10 ** 5000, 1)
 
 
 @pytest.mark.parametrize("message, edit", [
