@@ -54,19 +54,13 @@ _MAX_BLOCK = 4096
 # (4 rows in the OpenBLAS SkylakeX kernel; 16 leaves room for wider ones),
 # none on a leftover path: each bin is then rounded as in one full-table
 # product, wherever its product puts it. Blocks of 500 bins, or
-# a last block of 1 to 3 bins, changed some bins. Each fold thread maps
-# N * _FOLD_BLOCK floats, a 16-bin buffer and a 16-bin table, or N times the
-# last block's width if it folds that block and it is wider: at N = 8000
-# the two maps are 2.05 + 2.11 MB. Widths 4 to 128 all gave the same bits
-# with numpy 2.4.6's OpenBLAS; that the bits also hold with two BLAS threads
-# was measured on the benchmark's figure 1a/1b argvs only.
+# a last block of 1 to 3 bins, changed some bins. Each of the fold's two
+# threads maps N * _FOLD_BLOCK floats, a 16-bin buffer and a 16-bin table,
+# or N times the last block's width if it folds that block and it is wider:
+# at N = 8000 the two maps are 2.05 + 2.11 MB. Widths 4 to 128 all gave the
+# same bits with numpy 2.4.6's OpenBLAS, and the tests' fold cases give the
+# same bits with two BLAS threads as with one.
 _FOLD_BLOCK = 32
-# Threads of the fold's pool, each folding one contiguous share of the
-# blocks; np.sin and gemv release the GIL, and the calling thread only
-# waits. Fixed at two, not tunable: each thread holds one map, and two keep
-# the memory bound above. A bin's bits do not depend on which thread folds
-# its block.
-_FOLD_WORKERS = 2
 # Series terms made per step of either series loop: a step's arrays stay in
 # cache. No bucket of the DFT grid depends on it.
 _TERM_CHUNK = 1 << 14
@@ -393,16 +387,19 @@ def truncated_limit_spectrum_dft_grid(
 
 
 def _fold_shares(N: int, bins: int):
-    """The start of the fold's last block, and the _FOLD_WORKERS shares of
-    the bins before it; the last share's thread also folds the last block.
+    """The start of the fold's last block, and the two shares of the bins
+    before it, one per thread of the fold's pool; the second share's
+    thread also folds the last block.
 
     The bins before the last block go in doubling chains: 0, then r, 2r,
     4r, ... below the last block for each odd r, ascending, so a bin is
     twice its predecessor exactly when it is even and not 0. They are cut
-    into blocks of _FOLD_BLOCK // 2 bins. A share is a contiguous run of
-    blocks that starts where a chain does, so no chain crosses threads, and
-    each cut is the one nearest to equal trig counts: N arguments per bin,
-    N/2 per doubled bin, and N per bin of the last block.
+    into blocks of _FOLD_BLOCK // 2 bins. Each share is a contiguous run of
+    blocks, and the second starts where a chain does, so no chain crosses
+    threads: at the chain start (or the end) nearest half the trig count,
+    the earlier of two as near, with N arguments per bin, N/2 per doubled
+    bin, and N per bin of the last block. The first share is empty when
+    the last block starts at 0.
     """
     last = max(bins - 1 - _FOLD_BLOCK, 0) // _FOLD_BLOCK * _FOLD_BLOCK
     chains = [0] + [odd << j for odd in range(1, last, 2)
@@ -412,20 +409,19 @@ def _fold_shares(N: int, bins: int):
     for block in blocks:
         done.append(done[-1] + sum(N // 2 if r > 0 and r % 2 == 0 else N for r in block))
     total = done[-1] + N * (bins - last)
-    cuts = [0]
-    for share in range(1, _FOLD_WORKERS):
-        cuts.append(min((b for b in range(cuts[-1], len(blocks) + 1)
-                         if b == len(blocks) or blocks[b][0] % 2),
-                        key=lambda b: abs(done[b] - share * total / _FOLD_WORKERS)))
-    cuts.append(len(blocks))
-    return last, [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    cut = min((b for b in range(len(blocks) + 1) if b == len(blocks) or blocks[b][0] % 2),
+              key=lambda b: abs(done[b] - total / 2))
+    return last, blocks[:cut], blocks[cut:]
 
 
 def _fold(buckets: np.ndarray, trig, thetas: np.ndarray) -> np.ndarray:
     """buckets @ trig(outer(k, thetas)), k = 0..N-1, one block of bins per
-    product, in the shares of _fold_shares. A thread pool folds each share
-    on a thread of its own; an exception in any share is raised here once
-    all have stopped.
+    product, in the two shares of _fold_shares. A pool of two threads folds
+    each share on a thread of its own (the second share, with the last
+    block, alone when the first is empty); np.sin and gemv release the GIL,
+    and the calling thread only waits. An exception in either share is
+    raised here once both have stopped. A bin's bits do not depend on which
+    thread folds its block.
 
     A thread fills its block's bins as rows of a buffer: row k of a chain's
     first bin is trig(k theta), and a doubled bin copies its rows k < N/2
@@ -446,7 +442,7 @@ def _fold(buckets: np.ndarray, trig, thetas: np.ndarray) -> np.ndarray:
 
     N, half, width = len(buckets), len(buckets) // 2, _FOLD_BLOCK // 2
     k = np.arange(N, dtype=float)
-    last, shares = _fold_shares(N, len(thetas))
+    last, first, second = _fold_shares(N, len(thetas))
     sums = np.empty(len(thetas))
 
     def fold(share, wide):
@@ -468,7 +464,7 @@ def _fold(buckets: np.ndarray, trig, thetas: np.ndarray) -> np.ndarray:
             np.multiply(k[:, None], thetas[last:], out=table)
             sums[last:] = buckets @ trig(table, out=table)
 
-    jobs = [(share, 0) for share in shares[:-1] if share] + [(shares[-1], len(thetas) - last)]
+    jobs = ([(first, 0)] if first else []) + [(second, len(thetas) - last)]
     with ThreadPoolExecutor(len(jobs)) as pool:
         list(pool.map(fold, *zip(*jobs)))
     return sums

@@ -1,5 +1,7 @@
 """Spectrum evaluation, reference curves, deviations and the limit-series fold."""
 
+import functools
+import hashlib
 import json
 import math
 import mmap
@@ -436,33 +438,24 @@ def _fold_cases():
     return [(family, N, M) for family in _SERIES_FAMILIES for N, M in sizes]
 
 
+def _fold_digests():
+    """The sha256 of truncated_limit_spectrum_dft_grid's bytes in each fold
+    case, in the order of _fold_cases."""
+    return [hashlib.sha256(truncated_limit_spectrum_dft_grid(family, N, 0.7, M)[0]).hexdigest()
+            for family, N, M in _fold_cases()]
+
+
 def _fold_mismatches():
-    """(family, N, M) cases where truncated_limit_spectrum_dft_grid differs
-    from the full-table fold in any bit."""
-    bad = []
+    """_fold_digests, and the (family, N, M) cases where
+    truncated_limit_spectrum_dft_grid differs from the full-table fold in
+    any bit."""
+    digests, bad = [], []
     for family, N, M in _fold_cases():
         values, _ = truncated_limit_spectrum_dft_grid(family, N, 0.7, M)
+        digests.append(hashlib.sha256(values).hexdigest())
         if values.tobytes() != _full_table_fold(family, N, 0.7, M).tobytes():
             bad.append([family.value, N, M])
-    return bad
-
-
-def _worker_mismatches():
-    """(family, N, M) cases where the fold on one thread and on two threads
-    differ in any bit."""
-    bad = []
-    default = spectra._FOLD_WORKERS
-    try:
-        for family, N, M in _fold_cases():
-            folds = set()
-            for workers in (1, 2):
-                spectra._FOLD_WORKERS = workers
-                folds.add(truncated_limit_spectrum_dft_grid(family, N, 0.7, M)[0].tobytes())
-            if len(folds) != 1:
-                bad.append([family.value, N, M])
-    finally:
-        spectra._FOLD_WORKERS = default
-    return bad
+    return [digests, bad]
 
 
 _FOLD_CHILD = """
@@ -479,27 +472,22 @@ print(json.dumps(getattr(module, sys.argv[2])()))
 @given(
     half_n=st.integers(1, 300),
     trig=st.sampled_from([np.sin, np.cos]),
-    workers=st.sampled_from([1, 2, 3]),
     data=st.data(),
 )
-def _check_random_fold(half_n, trig, workers, data):
+def _check_random_fold(half_n, trig, data):
+    # N moves the last block's start and the cut between the two shares
     N = 2 * half_n
     buckets = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                           min_size=N, max_size=N)))
     thetas = 2.0 * math.pi * np.arange(half_n + 1) / N
-    default = spectra._FOLD_WORKERS
-    spectra._FOLD_WORKERS = workers
-    try:
-        folded = spectra._fold(buckets, trig, thetas)
-    finally:
-        spectra._FOLD_WORKERS = default
+    folded = spectra._fold(buckets, trig, thetas)
     assert folded.tobytes() == (buckets @ trig(np.outer(np.arange(N), thetas))).tobytes()
 
 
 def _random_fold_mismatches():
     """The failure of the fold against one product, bit for bit, on random
-    finite buckets, both trigonometric factors, even N up to 600 and one to
-    three fold threads: [] if none."""
+    finite buckets, both trigonometric factors and even N up to 600: [] if
+    none."""
     try:
         _check_random_fold()
     except AssertionError as failure:  # with Hypothesis' falsifying example
@@ -507,9 +495,11 @@ def _random_fold_mismatches():
     return []
 
 
-def _mismatchesin_child(helper, blas_threads):
+@functools.cache
+def _mismatches_in_child(helper, blas_threads):
     """Run a helper of this module in a fresh interpreter whose BLAS runs on
-    blas_threads threads, and return what it returns."""
+    blas_threads threads, and return what it returns; once per helper and
+    thread count, so that two tests may read one child's result."""
     return in_child(_FOLD_CHILD, __file__, helper, OPENBLAS_NUM_THREADS=blas_threads,
                      OMP_NUM_THREADS=blas_threads, MKL_NUM_THREADS=blas_threads)
 
@@ -527,17 +517,17 @@ def _scalar_series_bits():
 
 
 def test_scalar_series_bits_do_not_depend_on_blas_threads():
-    assert _mismatchesin_child("_scalar_series_bits", "1") == _mismatchesin_child(
+    assert _mismatches_in_child("_scalar_series_bits", "1") == _mismatches_in_child(
         "_scalar_series_bits", "2")
 
 
 def test_blocked_fold_matches_full_table_fold():
     # gemv rounds a bin by how its threads split the rows: one thread each
-    assert _mismatchesin_child("_fold_mismatches", "1") == []
+    assert _mismatches_in_child("_fold_mismatches", "1")[1] == []
 
 
 def test_fold_of_random_buckets_matches_one_product():
-    assert _mismatchesin_child("_random_fold_mismatches", "1") == []
+    assert _mismatches_in_child("_random_fold_mismatches", "1") == []
 
 
 def _last_block_start(N):
@@ -573,12 +563,15 @@ def test_fold_takes_each_doubled_bins_even_rows_from_its_predecessor(trig):
             assert sum(arguments) == 24_076_000
 
 
-@pytest.mark.parametrize("N", [1000, 2000, 4732, 8000])
+# N = 448 and 512 cut at chain starts 81 and 105, odd multiples of 3: a
+# cut that skipped them would land one block away
+@pytest.mark.parametrize("N", [448, 512, 1000, 2000, 4732, 8000])
 def test_fold_shares_are_whole_chains_of_equal_trig_counts(N):
     # the bins before the last block in chain order, 16 to a block, cut
-    # where a chain starts into two shares whose trig counts differ by at
-    # most one block's N * 16 arguments
-    last, shares = spectra._fold_shares(N, N // 2 + 1)
+    # where a chain starts into two shares: the cut, of all such cuts and
+    # the one after the last block, whose trig counts differ least (the
+    # earlier of two), by at most one block's N * 16 arguments
+    last, *shares = spectra._fold_shares(N, N // 2 + 1)
     chains = [0]
     for odd in range(1, last, 2):
         r = odd
@@ -586,19 +579,28 @@ def test_fold_shares_are_whole_chains_of_equal_trig_counts(N):
             chains.append(r)
             r *= 2
     assert last == _last_block_start(N)
-    assert [r for share in shares for block in share for r in block] == chains
-    assert all(len(block) == 16 for share in shares for block in share)
-    assert len(shares) == 2 and shares[1][0][0] % 2 == 1
-    counts = [sum(N // 2 if r > 0 and r % 2 == 0 else N for block in share for r in block)
-              for share in shares]
-    counts[1] += N * (N // 2 + 1 - last)
-    assert abs(counts[0] - counts[1]) <= 16 * N
+    blocks = [block for share in shares for block in share]
+    assert [r for block in blocks for r in block] == chains
+    assert all(len(block) == 16 for block in blocks)
+
+    def difference(cut):  # the second share's trig count less the first's
+        counts = [sum(N // 2 if r > 0 and r % 2 == 0 else N for block in share for r in block)
+                  for share in (blocks[:cut], blocks[cut:])]
+        return counts[1] + N * (N // 2 + 1 - last) - counts[0]
+
+    cuts = [b for b in range(len(blocks) + 1) if b == len(blocks) or blocks[b][0] % 2]
+    assert len(shares[0]) == min(cuts, key=lambda cut: abs(difference(cut)))
+    assert abs(difference(len(shares[0]))) <= 16 * N
 
 
-@pytest.mark.parametrize("blas_threads", ["1", "2"])
-def test_fold_bytes_do_not_depend_on_its_threads(blas_threads):
-    # with two BLAS threads, each of the fold's threads calls a threaded gemv
-    assert _mismatchesin_child("_worker_mismatches", blas_threads) == []
+def test_fold_bytes_do_not_depend_on_blas_threads():
+    # with two BLAS threads, each of the fold's two threads calls a threaded
+    # gemv; the one-thread digests come from the full-table test's child
+    one, _ = _mismatches_in_child("_fold_mismatches", "1")
+    two = _mismatches_in_child("_fold_digests", "2")
+    assert len(one) == len(two) == len(_fold_cases())
+    assert [[family.value, N, M] for (family, N, M), a, b in zip(_fold_cases(), one, two)
+            if a != b] == []
 
 
 # replays the golden figure 1a/1b argvs through perfbench/child.py's
@@ -629,20 +631,19 @@ def test_golden_figure_1_bytes_hold_with_two_blas_threads():
                      OMP_NUM_THREADS="2") == [12, []]
 
 
-def test_fold_threads_under_contention_write_every_bin_once(monkeypatch):
-    # more fold threads than cores, switching every microsecond: a lost or
-    # misplaced block write would change some bin
+def test_fold_threads_under_contention_write_every_bin_once():
+    # the fold's two threads switching every microsecond against the same
+    # call at the default interval: a lost or misplaced block write would
+    # change some bin
     family = CurveFamily.SECOND_DERIV_LIMIT
-    monkeypatch.setattr(spectra, "_FOLD_WORKERS", 1)
-    serial, _ = truncated_limit_spectrum_dft_grid(family, 4732, 0.7, 10 ** 4)
-    monkeypatch.setattr(spectra, "_FOLD_WORKERS", 7)
+    default, _ = truncated_limit_spectrum_dft_grid(family, 4732, 0.7, 10 ** 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded, _ = truncated_limit_spectrum_dft_grid(family, 4732, 0.7, 10 ** 4)
+        switched, _ = truncated_limit_spectrum_dft_grid(family, 4732, 0.7, 10 ** 4)
     finally:
         sys.setswitchinterval(interval)
-    assert threaded.tobytes() == serial.tobytes()
+    assert switched.tobytes() == default.tobytes()
 
 
 # at N = 1000 the fold's last block starts at bin 448: the 28 blocks of 16
@@ -651,8 +652,8 @@ def test_fold_threads_under_contention_write_every_bin_once(monkeypatch):
 @pytest.mark.parametrize("bad_share", [0, 1, "last block"])
 def test_fold_error_in_either_thread_reaches_the_caller(monkeypatch, bad_share):
     N = 1000
-    last, shares = spectra._fold_shares(N, N // 2 + 1)
-    assert len(shares) == 2 and all(shares)
+    last, *shares = spectra._fold_shares(N, N // 2 + 1)
+    assert all(shares)
     if bad_share == "last block":
         bad_bin = last
     else:  # the share's last chain start
